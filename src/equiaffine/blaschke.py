@@ -7,13 +7,21 @@ the normalized scalar curvature chi, and evaluates the residuals of the
 structural identities tying them together (apolarity, the affine Gauss
 and Codazzi equations, the hypersphere conditions).
 
-The transversal is bootstrapped determinant-free-frame style:
-G_ij = det(x_1, ..., x_n, x_ij) built directly from chart jets, then
+After chart evaluation all jet work runs on jet arrays (see ``jets``),
+at polynomial cost in n.  The determinant form G_ij = det(x_1, ...,
+x_n, x_ij) comes from the conormal nu = det(M) M^{-T} e_{n+1} of
+M = [x_1 ... x_n | w], w a constant unit normal: nu holds the cofactors
+of the last column, so G_ij = nu . x_ij exactly.  Then
 g_ij = |det G|^{-1/(n+2)} G_ij.  The affine normal is the metric
 Laplacian xi = (1/n) Delta_g x, the induced connection comes from
 solving the affine Gauss formula in the frame {x_k, xi}, and the
 recovered transversal coefficient h_ij is checked against g_ij as an
 internal consistency gate.
+
+The conormal, det G, g^{-1} and the frame solve all use ``jet_lu``,
+which pivots on value parts.  That is sound here: M is nonsingular for
+an immersion, G is definite (otherwise ConvexityError is raised first)
+and the frame is nonsingular (otherwise FrameError).
 """
 
 from __future__ import annotations
@@ -24,7 +32,8 @@ import numpy as np
 
 from . import tensors
 from .dsl import ChartDef, eval_chart_jet
-from .jets import Jet, jet_det, jet_solve
+from .jets import Jet, jet_coeffs, jet_einsum, jet_gradient, jet_lu, jet_mul, jet_size
+from .jets import power as jet_power
 from .tensors import MetricField, cov_deriv_sym3, riemann
 
 H_EQUALS_G_TOL = 1e-9
@@ -75,7 +84,7 @@ class BlaschkeInvariants:
     position: np.ndarray  # (n+1,) ambient position of the point
     curvature: tensors.CurvatureData = field(repr=False, default=None)
     # internals kept for the structural checks
-    _A_jets: np.ndarray = field(repr=False, default=None)  # (n,n,n) of order-1 jets
+    _A_jets: np.ndarray = field(repr=False, default=None)  # (n, n, n, M1) order-1 jet array
     _gamma_hat: np.ndarray = field(repr=False, default=None)  # Levi-Civita values
     _nabla_A: np.ndarray = field(repr=False, default=None)  # A_ijk,l values
 
@@ -89,95 +98,55 @@ class BlaschkeInvariants:
         return self._nabla_A
 
 
-def blaschke_at(chart: ChartDef, point, order: int = 4) -> BlaschkeInvariants:
-    """Compute all Blaschke data of a chart at a point.
-
-    ``order`` 4 yields the full bundle; order 3 is enough for g and A but
-    B, L1 and the curvature are only available at order 4, so order 4 is
-    the default and the only supported order here for the full bundle.
-    """
-    if order not in (3, 4):
-        raise ValueError("blaschke_at requires jet order 3 or 4")
-    if order != 4:
-        raise ValueError("the full invariant bundle needs order 4 jets")
+def blaschke_at(chart: ChartDef, point) -> BlaschkeInvariants:
+    """Compute all Blaschke data of a chart at a point (from order-4 jets)."""
     point = np.asarray(point, float)
     n = chart.dim
-    x = eval_chart_jet(chart, point, order)  # n+1 jets of order 4
-
-    xi_1 = [[x[a].partial(i) for a in range(n + 1)] for i in range(n)]  # order 3
-    xij = [[[xi_1[i][a].partial(j) for a in range(n + 1)] for j in range(i + 1)] for i in range(n)]
-
-    def x2(i, j):  # second-derivative jet vector, order 2
-        return xij[i][j] if j <= i else xij[j][i]
-
-    # G_ij = det(x_1, ..., x_n, x_ij), order-2 jets
-    cols = [[xi_1[i][a].truncate(2) for a in range(n + 1)] for i in range(n)]
-    G = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(i + 1):
-            mat = [[cols[k][a] for k in range(n)] + [x2(i, j)[a]] for a in range(n + 1)]
-            G[i, j] = G[j, i] = jet_det(mat)
-    gvals = np.array([[G[i, j].value for j in range(n)] for i in range(n)])
+    m1 = jet_size(n, 1)
+    x, x1, hess = _chart_derivatives(chart, point)
+    G = _determinant_form(x1, hess, point)
+    gvals = G[..., 0]
     eig = np.linalg.eigvalsh(gvals)
     if eig[0] > 0:
-        eps = 1.0
+        Gp = G
     elif eig[-1] < 0:
-        eps = -1.0
+        Gp = -G
     else:
         raise ConvexityError(f"chart is not locally strongly convex at {point} (form eigenvalues {eig})")
-    Gp = G * eps if eps < 0 else G
 
     # Berwald-Blaschke metric g = |det G|^{-1/(n+2)} * (eps G)
-    from .jets import power as jet_power
-
-    det_g = jet_det([[Gp[i, j] for j in range(n)] for i in range(n)])
-    scale = jet_power(det_g, -1.0 / (n + 2))
-    g_jets = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(i + 1):
-            g_jets[i, j] = g_jets[j, i] = scale * Gp[i, j]
-    metric = MetricField(n, g_jets)
+    try:
+        det_g, _ = jet_lu(Gp, n)
+    except np.linalg.LinAlgError as exc:
+        raise ConvexityError(f"second-order form is degenerate at {point}") from exc
+    scale = jet_power(Jet(n, 2, det_g), -1.0 / (n + 2)).coeffs
+    metric = MetricField(n, jet_mul(scale, Gp, n))
     gval = metric.values()
     ginv = np.linalg.inv(gval)
+    g1 = metric.coeffs[..., :m1]
 
     # Levi-Civita of g: order-1 jets and their values
-    gamma_hat_jets = tensors.christoffel_jets(metric)  # order-1 jets
-    gamma_hat = np.array(
-        [[[gamma_hat_jets[k, i, j].value for j in range(n)] for i in range(n)] for k in range(n)]
-    )
+    gamma_hat_jets = tensors.christoffel_jets(metric)
+    gamma_hat = gamma_hat_jets[..., 0]
 
     # xi = (1/n) g^{ij} (x_ij - Gamma^k_ij x_k), as order-1 jets
-    g1 = [[g_jets[i][j].truncate(1) for j in range(n)] for i in range(n)]
-    ginv_jets = _jet_matrix_inverse(g1)
-    xi_jets = []
-    for a in range(n + 1):
-        acc = None
-        for i in range(n):
-            for j in range(n):
-                hess = x2(i, j)[a].truncate(1)
-                for k in range(n):
-                    hess = hess - gamma_hat_jets[k, i, j] * xi_1[k][a].truncate(1)
-                term = ginv_jets[i][j] * hess
-                acc = term if acc is None else acc + term
-        xi_jets.append(acc * (1.0 / n))
-    xi_val = np.array([j.value for j in xi_jets])
+    x1 = x1[..., :m1]
+    hess = hess[..., :m1]
+    lap = hess - jet_einsum("kij,ka->ija", gamma_hat_jets, x1, n)
+    xi = jet_einsum("ij,ija->a", metric.inverse, lap, n) * (1.0 / n)
 
     # frame {x_1, ..., x_n, xi}: solve x_ij = Gamma^k_ij x_k + h_ij xi
-    frame_jets = [[xi_1[k][a].truncate(1) for k in range(n)] + [xi_jets[a]] for a in range(n + 1)]
-    frame_val = np.array([[frame_jets[a][c].value for c in range(n + 1)] for a in range(n + 1)])
+    frame = np.concatenate([x1, xi[None]]).transpose(1, 0, 2)  # [a, column]
+    frame_val = frame[..., 0]
     sv = np.linalg.svd(frame_val, compute_uv=False)
     if sv[-1] <= 1e-12 * sv[0]:
         raise FrameError(f"frame {{x_k, xi}} is singular at {point}")
-
-    pairs = [(i, j) for i in range(n) for j in range(i + 1)]
-    rhs = [[x2(i, j)[a].truncate(1) for (i, j) in pairs] for a in range(n + 1)]
-    sol = jet_solve(frame_jets, rhs)  # rows: coefficients on x_1..x_n, xi
-    gamma_ind = np.empty((n, n, n), dtype=object)  # induced connection, order-1 jets
-    h_val = np.zeros((n, n))
-    for c, (i, j) in enumerate(pairs):
-        for k in range(n):
-            gamma_ind[k, i, j] = gamma_ind[k, j, i] = sol[k][c]
-        h_val[i, j] = h_val[j, i] = sol[n][c].value
+    lower = np.tril_indices(n)
+    _, sol = jet_lu(frame, n, hess[lower].transpose(1, 0, 2))  # [coefficient, pair]
+    gamma_ind = np.empty((n, n, n, m1))  # induced connection [k, i, j]
+    gamma_ind[:, lower[0], lower[1]] = gamma_ind[:, lower[1], lower[0]] = sol[:n]
+    h_val = np.empty((n, n))
+    h_val[lower] = h_val[lower[::-1]] = sol[n, :, 0]
     h_resid = float(np.max(np.abs(h_val - gval)))
     if h_resid > H_EQUALS_G_TOL * max(1.0, np.max(np.abs(gval))):
         raise ConsistencyError(
@@ -185,22 +154,11 @@ def blaschke_at(chart: ChartDef, point, order: int = 4) -> BlaschkeInvariants:
         )
 
     # Fubini-Pick form: A^k_ij = Gamma^k_ij - hat-Gamma^k_ij, lowered with g
-    a_jets = np.empty((n, n, n), dtype=object)
-    for i in range(n):
-        for j in range(i + 1):
-            for k in range(n):
-                up = [gamma_ind[l, i, j] - gamma_hat_jets[l, i, j] for l in range(n)]
-                acc = None
-                for l in range(n):
-                    term = g1[k][l] * up[l]
-                    acc = term if acc is None else acc + term
-                a_jets[i, j, k] = a_jets[j, i, k] = acc
-    A = np.array([[[a_jets[i, j, k].value for k in range(n)] for j in range(n)] for i in range(n)])
-    A = _symmetrize3(A)
+    a_jets = jet_einsum("kl,lij->ijk", g1, gamma_ind - gamma_hat_jets, n)
+    A = _symmetrize3(a_jets[..., 0])
 
     # shape operator: xi_i = -B^k_i x_k + tau_i xi
-    dxi = np.array([[xi_jets[a].gradient()[i] for a in range(n + 1)] for i in range(n)])
-    coeff = np.linalg.solve(frame_val, dxi.T)  # (n+1, n): columns per direction i
+    coeff = np.linalg.solve(frame_val, jet_gradient(xi, n)[..., 0])  # (n+1, n): columns per direction i
     B_up = -coeff[:n, :]  # B^k_i
     tau = coeff[n, :]
     if np.max(np.abs(tau)) > TAU_TOL * max(1.0, np.max(np.abs(B_up))):
@@ -209,36 +167,65 @@ def blaschke_at(chart: ChartDef, point, order: int = 4) -> BlaschkeInvariants:
     Bv = 0.5 * (Bv + Bv.T)
     L1 = float(np.trace(B_up)) / n
 
-    J = float(np.einsum("ijk,pqr,ip,jq,kr->", A, A, ginv, ginv, ginv)) / (n * (n - 1)) if n > 1 else 0.0
-    curv = riemann(metric)
+    J = _g_norm2(A, ginv) / (n * (n - 1)) if n > 1 else 0.0
+    curv = riemann(metric, gamma_hat_jets)
 
-    pos = np.array([c.value for c in x])
     return BlaschkeInvariants(
         point=point,
         g=gval,
         g_inv=ginv,
         A=A,
         B=Bv,
-        xi=xi_val,
+        xi=xi[:, 0],
         L1=L1,
         J=J,
         chi=curv.chi,
         frame=frame_val,
-        position=pos,
+        position=x[:, 0],
         curvature=curv,
         _A_jets=a_jets,
         _gamma_hat=gamma_hat,
     )
 
 
-def _jet_matrix_inverse(mat):
-    n = len(mat)
-    some = mat[0][0]
-    eye = [
-        [Jet.constant(1.0 if i == j else 0.0, some.num_vars, some.order) for j in range(n)]
-        for i in range(n)
-    ]
-    return jet_solve(mat, eye)
+def _g_norm2(t: np.ndarray, g_inv: np.ndarray) -> float:
+    """Squared g-norm t_{ij..} t_{pq..} g^{ip} g^{jq} ... of a covariant tensor,
+    raising one index at a time (polynomial cost in n)."""
+    up = t
+    for axis in range(t.ndim):
+        up = np.moveaxis(np.tensordot(g_inv, up, axes=(1, axis)), 0, axis)
+    return float(np.sum(t * up))
+
+
+def _chart_derivatives(chart: ChartDef, point: np.ndarray):
+    """Chart jets x (n+1, M4), first derivatives x1[k, a] = d_k x^a (order 3)
+    and second derivatives hess[i, j, a] = d_i d_j x^a (order 2)."""
+    n = chart.dim
+    x = jet_coeffs(eval_chart_jet(chart, point, 4))
+    x1 = jet_gradient(x, n).transpose(1, 0, 2)
+    # x_ij = d_j d_i x for j <= i, mirrored
+    lower = np.tril_indices(n)
+    hess = np.empty((n, n, n + 1, jet_size(n, 2)))
+    hess[lower] = hess[lower[::-1]] = jet_gradient(x1, n)[lower[0], :, lower[1]]
+    return x, x1, hess
+
+
+def _determinant_form(x1: np.ndarray, hess: np.ndarray, point) -> np.ndarray:
+    """G_ij = det(x_1, ..., x_n, x_ij) as an (n, n, M2) jet array, as
+    nu . x_ij with the conormal nu of the module docstring."""
+    n = x1.shape[0]
+    m2 = hess.shape[-1]
+    mt = np.zeros((n + 1, n + 1, m2))
+    mt[:n] = x1[..., :m2]
+    mt[n, :, 0] = np.linalg.svd(x1[..., 0])[2][-1]
+    e_last = np.zeros((n + 1, 1, m2))
+    e_last[n, 0, 0] = 1.0
+    try:
+        det_m, y = jet_lu(mt, n, e_last)
+    except np.linalg.LinAlgError as exc:
+        raise ConvexityError(f"tangents are linearly dependent at {point}") from exc
+    nu = jet_mul(det_m, y[:, 0], n)
+    return jet_einsum("a,ija->ij", nu, hess, n)
 
 
 def _symmetrize3(t: np.ndarray) -> np.ndarray:
@@ -360,7 +347,6 @@ def nabla_A_norm(chart: ChartDef, point, inv=None) -> tuple[float, CheckReport]:
     """The g-norm of nabla A (parallelism test) plus the Codazzi side report."""
     inv = inv or blaschke_at(chart, point)
     na = inv.nabla_A()
-    gi = inv.g_inv
-    norm2 = float(np.einsum("ijkl,pqrs,ip,jq,kr,ls->", na, na, gi, gi, gi, gi))
+    norm2 = _g_norm2(na, inv.g_inv)
     side = check_codazzi(inv)
     return float(np.sqrt(max(norm2, 0.0))), side

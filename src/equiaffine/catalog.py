@@ -15,7 +15,7 @@ import numpy as np
 
 from .calabi import CompositionSpec, HypersphereFactor, closed_form, compose_chart
 from .dsl import ChartDef, DslChart, parse_chart
-from .jets import Jet
+from .jets import Jet, jet_coeffs, jet_matmul
 
 
 @dataclass(frozen=True)
@@ -114,52 +114,25 @@ class MatrixExpChart(ChartDef):
 
     def component_jets(self, point, order):
         m, n = self.m, self.dim
-        var_jets = [Jet.variable(i, float(point[i]), n, order) for i in range(n)]
-        zero = Jet.constant(0.0, n, order)
-        S = [[zero for _ in range(m)] for _ in range(m)]
-        for v, b in zip(var_jets, self.basis):
-            for i in range(m):
-                for j in range(m):
-                    if b[i, j] != 0.0:
-                        S[i][j] = S[i][j] + v * b[i, j]
-        E = _jet_matrix_exp(S)
-        return [E[i][j] for i in range(m) for j in range(i, m)]
+        var = jet_coeffs([Jet.variable(i, float(point[i]), n, order) for i in range(n)])
+        E = _jet_matrix_exp(np.einsum("vij,vc->ijc", np.array(self.basis), var), n)
+        return [Jet(n, order, E[i, j]) for i in range(m) for j in range(i, m)]
 
 
-def _jet_matrix_exp(S):
-    """exp of a square jet matrix by scaling-and-squaring plus the series."""
-    m = len(S)
-    norm = max(sum(abs(S[i][j].value) for j in range(m)) for i in range(m))
+def _jet_matrix_exp(S: np.ndarray, num_vars: int) -> np.ndarray:
+    """exp of an (m, m, M) jet matrix by scaling-and-squaring plus the series."""
+    m = S.shape[0]
+    norm = np.abs(S[..., 0]).sum(axis=1).max()
     squarings = max(0, int(np.ceil(np.log2(max(norm, 1e-30) / 0.5))))
-    inv_scale = 0.5 ** squarings
-    A = [[S[i][j] * inv_scale for j in range(m)] for i in range(m)]
-    some = S[0][0]
-    eye = [
-        [Jet.constant(1.0 if i == j else 0.0, some.num_vars, some.order) for j in range(m)]
-        for i in range(m)
-    ]
-    out = [row[:] for row in eye]
-    term = [row[:] for row in eye]
+    A = S * 0.5**squarings
+    out = np.zeros_like(S)
+    out[..., 0] = np.eye(m)
+    term = out.copy()
     for k in range(1, 18):
-        term = _jet_matmul(term, A)
-        term = [[term[i][j] * (1.0 / k) for j in range(m)] for i in range(m)]
-        out = [[out[i][j] + term[i][j] for j in range(m)] for i in range(m)]
+        term = jet_matmul(term, A, num_vars) * (1.0 / k)
+        out = out + term
     for _ in range(squarings):
-        out = _jet_matmul(out, out)
-    return out
-
-
-def _jet_matmul(A, B):
-    m = len(A)
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            acc = A[i][0] * B[0][j]
-            for k in range(1, m):
-                acc = acc + A[i][k] * B[k][j]
-            row.append(acc)
-        out.append(row)
+        out = jet_matmul(out, out, num_vars)
     return out
 
 

@@ -52,38 +52,67 @@ def _index_map(num_vars: int, order: int) -> dict[tuple[int, ...], int]:
     return {m: i for i, m in enumerate(monomials(num_vars, order))}
 
 
+def _rank(exps: np.ndarray, num_vars: int) -> np.ndarray:
+    """Position in ``monomials`` of each exponent row of ``exps``.
+
+    Within a degree block the enumeration is lexicographically descending,
+    so the monomials before ``e`` in its block are those whose first
+    differing exponent t is larger; with r the degree left after e_0..e_{t-1}
+    they number C(r - e_t + m, m + 1), m = num_vars - t - 2 (hockey stick).
+    """
+    r = exps.sum(axis=-1)
+    rank = _comb(r + num_vars - 1, num_vars)  # monomials of lower degree
+    for t in range(num_vars - 1):
+        m = num_vars - t - 2
+        rank = rank + _comb(r - exps[..., t] + m, m + 1)
+        r = r - exps[..., t]
+    return rank
+
+
+def _comb(top: np.ndarray, k: int) -> np.ndarray:
+    """Elementwise C(top, k) for small non-negative integer ``top``."""
+    table = np.array([math.comb(t, k) for t in range(int(top.max(initial=0)) + 1)])
+    return table[top]
+
+
 @lru_cache(maxsize=None)
 def _product_table(num_vars: int, order: int):
-    """Index triples (i, j, k) with monomial_i * monomial_j = monomial_k."""
-    mono = monomials(num_vars, order)
-    idx = _index_map(num_vars, order)
-    ii, jj, kk = [], [], []
-    for i, a in enumerate(mono):
-        da = sum(a)
-        for j, b in enumerate(mono):
-            if da + sum(b) > order:
-                continue
-            ii.append(i)
-            jj.append(j)
-            kk.append(idx[tuple(x + y for x, y in zip(a, b))])
-    return np.array(ii), np.array(jj), np.array(kk)
+    """Index triples (i, j, k) with monomial_i * monomial_j = monomial_k,
+    sorted by k, and the start of each k's run (for ``np.add.reduceat``).
+
+    Built block by block over pairs of degrees da + db <= order, so the
+    work is the number of triples, not the square of the monomial count.
+    """
+    mono = np.array(monomials(num_vars, order), dtype=np.int64).reshape(-1, num_vars)
+    # degree d occupies [C(d-1+n, n), C(d+n, n)) in the graded enumeration
+    block = [
+        np.arange(math.comb(d - 1 + num_vars, num_vars), math.comb(d + num_vars, num_vars))
+        for d in range(order + 1)
+    ]
+    pairs = [
+        np.meshgrid(block[da], block[db], indexing="ij")
+        for da in range(order + 1)
+        for db in range(order + 1 - da)
+    ]
+    ii = np.concatenate([i.ravel() for i, _ in pairs])
+    jj = np.concatenate([j.ravel() for _, j in pairs])
+    kk = _rank(mono[ii] + mono[jj], num_vars)
+    perm = np.lexsort((jj, ii, kk))
+    ii, jj, kk = ii[perm], jj[perm], kk[perm]
+    return ii, jj, kk, np.searchsorted(kk, np.arange(len(mono)))
 
 
 @lru_cache(maxsize=None)
-def _partial_table(num_vars: int, order: int, var: int):
-    """Source/target indices and factors for d/du_var on Taylor coefficients.
+def _gradient_table(num_vars: int, order: int):
+    """Source indices and factors of d/du_v on Taylor coefficients, for
+    every variable v, as (num_vars, M') arrays.
 
     Maps the order-`order` coefficient array to an order-`order-1` one:
-    coeff'[beta] = (beta_var + 1) * coeff[beta + e_var].
+    coeff'[beta] = (beta_v + 1) * coeff[beta + e_v].
     """
-    idx = _index_map(num_vars, order)
-    mono_lo = monomials(num_vars, order - 1)
-    src, fac = [], []
-    for b in mono_lo:
-        shifted = tuple(e + (1 if t == var else 0) for t, e in enumerate(b))
-        src.append(idx[shifted])
-        fac.append(b[var] + 1)
-    return np.array(src), np.array(fac, dtype=float)
+    mono_lo = np.array(monomials(num_vars, order - 1), dtype=np.int64).reshape(-1, num_vars)
+    src = _rank(mono_lo[None, :, :] + np.eye(num_vars, dtype=np.int64)[:, None, :], num_vars)
+    return src, (mono_lo.T + 1).astype(float)
 
 
 class Jet:
@@ -151,8 +180,8 @@ class Jet:
         """Partial derivative; the result is one order lower."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
-        src, fac = _partial_table(self.num_vars, self.order, var)
-        return Jet(self.num_vars, self.order - 1, self.coeffs[src] * fac)
+        src, fac = _gradient_table(self.num_vars, self.order)
+        return Jet(self.num_vars, self.order - 1, self.coeffs[src[var]] * fac[var])
 
     def embed(self, num_vars: int, var_offset: int) -> "Jet":
         """Re-read this jet as one in ``num_vars`` variables, with variable i
@@ -202,10 +231,7 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.num_vars, self.order, self.coeffs * float(other))
         a, b = self._coerce(other)
-        ii, jj, kk = _product_table(a.num_vars, a.order)
-        out = np.zeros_like(a.coeffs)
-        np.add.at(out, kk, a.coeffs[ii] * b.coeffs[jj])
-        return Jet(a.num_vars, a.order, out)
+        return Jet(a.num_vars, a.order, jet_mul(a.coeffs, b.coeffs, a.num_vars))
 
     __rmul__ = __mul__
 
@@ -226,11 +252,23 @@ class Jet:
 
 def _compose_series(series: list[float], x: Jet) -> Jet:
     """Evaluate sum_k series[k] * (x - x.value)^k, truncated at x.order."""
-    dx = x - x.value
-    out = Jet.constant(series[-1], x.num_vars, x.order)
+    return Jet(x.num_vars, x.order, _series_coeffs(series, x.coeffs, x.num_vars))
+
+
+def _series_coeffs(series: list[float], coeffs: np.ndarray, num_vars: int) -> np.ndarray:
+    """``_compose_series`` on one jet's coefficient vector (Horner)."""
+    dx = coeffs.copy()
+    dx[0] = 0.0
+    out = np.zeros_like(dx)
+    out[0] = series[-1]
     for c in reversed(series[:-1]):
-        out = out * dx + c
+        out = jet_mul(out, dx, num_vars)
+        out[0] += c
     return out
+
+
+def _recip_series(value: float, order: int) -> list[float]:
+    return [(-1.0) ** k / value ** (k + 1) for k in range(order + 1)]
 
 
 def exp(x: Jet) -> Jet:
@@ -251,8 +289,7 @@ def log(x: Jet) -> Jet:
 def recip(x: Jet) -> Jet:
     if x.value == 0.0:
         raise JetDomainError("reciprocal of a jet with zero value part")
-    series = [(-1.0) ** k / x.value ** (k + 1) for k in range(x.order + 1)]
-    return _compose_series(series, x)
+    return _compose_series(_recip_series(x.value, x.order), x)
 
 
 def power(x: Jet, p) -> Jet:
@@ -332,42 +369,125 @@ def jet_eval(func: str, x: Jet, exponent=None) -> Jet:
         raise ValueError(f"unknown elementary function {func!r}") from None
 
 
+# -- jet arrays ------------------------------------------------------------
+#
+# A jet array is a float ndarray whose last axis holds the Taylor
+# coefficients of one jet per entry, in ``monomials`` order; the other axes
+# are tensor indices.  Products are batched over the whole array: one
+# gather of coefficient pairs and one segmented sum per call.
+
+
+def jet_size(num_vars: int, order: int) -> int:
+    """Number of Taylor coefficients of a jet; a jet array truncates to a
+    lower order by slicing its last axis to this length."""
+    return len(monomials(num_vars, order))
+
+
+@lru_cache(maxsize=None)
+def jet_order(num_vars: int, size: int) -> int:
+    """Truncation order of jets in ``num_vars`` variables with ``size`` coefficients."""
+    for order in range(MAX_ORDER + 1):
+        if len(monomials(num_vars, order)) == size:
+            return order
+    raise ValueError(f"{size} coefficients match no jet order in {num_vars} variables")
+
+
+def jet_coeffs(arr) -> np.ndarray:
+    """The jet array of an array of Jets; a float array passes through."""
+    arr = np.asarray(arr)
+    if arr.dtype != object:
+        return arr.astype(float, copy=False)
+    flat = [j.coeffs for j in arr.ravel()]
+    return np.array(flat).reshape(arr.shape + (len(flat[0]),))
+
+
+def jet_mul(a: np.ndarray, b: np.ndarray, num_vars: int) -> np.ndarray:
+    """Entrywise jet product of two jet arrays of one order, broadcasting."""
+    ii, jj, _, starts = _product_table(num_vars, jet_order(num_vars, a.shape[-1]))
+    return np.add.reduceat(a[..., ii] * b[..., jj], starts, axis=-1)
+
+
+def jet_einsum(subscripts: str, a: np.ndarray, b: np.ndarray, num_vars: int) -> np.ndarray:
+    """Bilinear contraction of two jet arrays: ``np.einsum`` over the tensor
+    axes (explicit ``->`` form, no ellipsis), the jet product on the
+    coefficient axis, e.g. ``jet_einsum("ik,kj->ij", A, B, n)``."""
+    ins, out = subscripts.split("->")
+    sa, sb = ins.split(",")
+    ii, jj, _, starts = _product_table(num_vars, jet_order(num_vars, a.shape[-1]))
+    prod = np.einsum(f"{sa}Z,{sb}Z->{out}Z", a[..., ii], b[..., jj])
+    return np.add.reduceat(prod, starts, axis=-1)
+
+
+def jet_matmul(a: np.ndarray, b: np.ndarray, num_vars: int) -> np.ndarray:
+    """Matrix product of (..., m, k, M) and (..., k, p, M) jet arrays.
+
+    Same result as ``jet_einsum("ik,kj->ij", ...)``, but as one batched
+    ``np.matmul`` per coefficient pair, which is several times faster than
+    ``np.einsum`` on this pattern."""
+    ii, jj, _, starts = _product_table(num_vars, jet_order(num_vars, a.shape[-1]))
+    prod = np.moveaxis(a[..., ii], -1, 0) @ np.moveaxis(b[..., jj], -1, 0)
+    return np.add.reduceat(np.moveaxis(prod, 0, -1), starts, axis=-1)
+
+
+def jet_gradient(a: np.ndarray, num_vars: int) -> np.ndarray:
+    """All first partials of a jet array, one order lower:
+    shape (..., M) -> (..., num_vars, M'), entry [..., v, :] = d/du_v."""
+    order = jet_order(num_vars, a.shape[-1])
+    if order < 1:
+        raise ValueError("cannot differentiate order-0 jets")
+    src, fac = _gradient_table(num_vars, order)
+    return a[..., src] * fac
+
+
 # -- linear algebra over jets ------------------------------------------
 
 
-def _as_jet_matrix(mat) -> list[list[Jet]]:
-    return [list(row) for row in mat]
+def jet_lu(A: np.ndarray, num_vars: int, B: np.ndarray | None = None):
+    """Determinant of a square jet matrix and, when ``B`` is given, the
+    solution X of A X = B.
+
+    ``A`` is an (n, n, M) jet array and ``B`` an (n, k, M) one; returns
+    ``(det, X)`` with det of shape (M,) and X of shape (n, k, M), or None.
+    Gauss-Jordan elimination with partial pivoting on value parts: each
+    column costs one pivot reciprocal and two batched products.  Unlike
+    ``jet_det`` this needs every pivot's value part to be nonzero; a zero
+    pivot raises ``np.linalg.LinAlgError``.
+    """
+    A = jet_coeffs(A)
+    n, size = A.shape[0], A.shape[-1]
+    order = jet_order(num_vars, size)
+    aug = A.copy() if B is None else np.concatenate([A, jet_coeffs(B)], axis=1)
+    det = np.zeros(size)
+    det[0] = 1.0
+    rows = np.arange(n)
+    for col in range(n):
+        piv = col + int(np.argmax(np.abs(aug[col:, col, 0])))
+        if aug[piv, col, 0] == 0.0:
+            raise np.linalg.LinAlgError("singular jet matrix")
+        if piv != col:
+            aug[[col, piv]] = aug[[piv, col]]
+            det = -det
+        pivot = aug[col, col].copy()
+        det = jet_mul(det, pivot, num_vars)
+        inv = _series_coeffs(_recip_series(pivot[0], order), pivot, num_vars)
+        row = jet_mul(aug[col, col + 1 :], inv, num_vars)
+        aug[col, col + 1 :] = row
+        # below the pivot only for a determinant; every other row to solve
+        others = rows[col + 1 :] if B is None else rows[rows != col]
+        aug[others, col + 1 :] -= jet_mul(aug[others, col, None], row, num_vars)
+    return det, (None if B is None else aug[:, n:])
+
+
+def _jet_rows(arr: np.ndarray, num_vars: int) -> list[list[Jet]]:
+    order = jet_order(num_vars, arr.shape[-1])
+    return [[Jet(num_vars, order, c) for c in row] for row in arr]
 
 
 def jet_solve(mat, rhs) -> list[list[Jet]]:
     """Solve A X = B where A is a square matrix of jets and B a matrix of
-    jet columns, by Gaussian elimination with partial pivoting on value
-    parts.  Returns X as a list of rows."""
-    a = _as_jet_matrix(mat)
-    b = _as_jet_matrix(rhs)
-    n = len(a)
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col].value))
-        if abs(a[piv][col].value) == 0.0:
-            raise np.linalg.LinAlgError("singular jet matrix")
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        inv = recip(a[col][col])
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            for c in range(col + 1, n):
-                a[r][c] = a[r][c] - f * a[col][c]
-            for c in range(len(b[0])):
-                b[r][c] = b[r][c] - f * b[col][c]
-    x = [[None] * len(b[0]) for _ in range(n)]
-    for row in range(n - 1, -1, -1):
-        inv = recip(a[row][row])
-        for c in range(len(b[0])):
-            acc = b[row][c]
-            for k in range(row + 1, n):
-                acc = acc - a[row][k] * x[k][c]
-            x[row][c] = acc * inv
-    return x
+    jet columns (see ``jet_lu``).  Returns X as a list of rows."""
+    num_vars = mat[0][0].num_vars
+    return _jet_rows(jet_lu(np.array(mat, dtype=object), num_vars, np.array(rhs, dtype=object))[1], num_vars)
 
 
 def jet_det(mat) -> Jet:
@@ -377,9 +497,10 @@ def jet_det(mat) -> Jet:
     pivots, but the determinant of a jet matrix is well defined even
     when every value part vanishes.  Uses the subset dynamic program
     over columns (Laplace expansion shared across row subsets), which
-    is O(2^n n) jet operations and exact.
+    is O(2^n n) jet operations and exact.  ``jet_lu`` is the
+    polynomial-cost routine for matrices with a nonsingular value part.
     """
-    a = _as_jet_matrix(mat)
+    a = [list(row) for row in mat]
     n = len(a)
     some = a[0][0]
     # partial[S] = det of the top-|S| rows restricted to column set S
@@ -401,10 +522,8 @@ def jet_det(mat) -> Jet:
 
 
 def jet_inverse(mat) -> list[list[Jet]]:
-    n = len(mat)
+    """Inverse of a square matrix of jets (see ``jet_lu``), as a list of rows."""
     some = mat[0][0]
-    eye = [
-        [Jet.constant(1.0 if i == j else 0.0, some.num_vars, some.order) for j in range(n)]
-        for i in range(n)
-    ]
-    return jet_solve(mat, eye)
+    eye = np.zeros((len(mat), len(mat), len(some.coeffs)))
+    eye[..., 0] = np.eye(len(mat))
+    return _jet_rows(jet_lu(np.array(mat, dtype=object), some.num_vars, eye)[1], some.num_vars)

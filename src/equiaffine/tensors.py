@@ -13,11 +13,12 @@ With these signs the unit round sphere has chi = +1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .jets import Jet, jet_inverse
+from .jets import jet_coeffs, jet_einsum, jet_gradient, jet_lu, jet_order, jet_size
 
 SPD_RTOL = 1e-10
 
@@ -28,15 +29,19 @@ class MetricError(ValueError):
 
 @dataclass(frozen=True)
 class MetricField:
-    """Symmetric positive definite metric given as jets around a point."""
+    """Symmetric positive definite metric given as jets around a point,
+    in the ``dim`` chart variables."""
 
     dim: int
-    components: np.ndarray  # (n, n) object array of Jets
+    components: np.ndarray  # (n, n) array of Jets, or their (n, n, M) jet array
+    coeffs: np.ndarray = field(init=False, repr=False)  # (n, n, M) jet array
 
     def __post_init__(self):
-        comp = np.asarray(self.components, dtype=object)
+        comp = np.asarray(self.components)
+        coeffs = jet_coeffs(comp)
         object.__setattr__(self, "components", comp)
-        if comp.shape != (self.dim, self.dim):
+        object.__setattr__(self, "coeffs", coeffs)
+        if coeffs.ndim != 3 or coeffs.shape[:2] != (self.dim, self.dim):
             raise MetricError("metric component array must be n x n")
         vals = self.values()
         if not np.allclose(vals, vals.T, atol=1e-12 * (1 + np.abs(vals).max())):
@@ -44,11 +49,21 @@ class MetricField:
         check_spd(vals)
 
     def values(self) -> np.ndarray:
-        return np.array([[self.components[i, j].value for j in range(self.dim)] for i in range(self.dim)])
+        return self.coeffs[..., 0]
 
     @property
     def order(self) -> int:
-        return self.components[0, 0].order
+        return jet_order(self.dim, self.coeffs.shape[-1])
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """g^{ij} as an (n, n, M') jet array, one order below the metric."""
+        if self.order < 1:
+            raise ValueError("the jet inverse needs metric jets of order >= 1")
+        lo = self.coeffs[..., : jet_size(self.dim, self.order - 1)]
+        eye = np.zeros(lo.shape)
+        eye[..., 0] = np.eye(self.dim)
+        return jet_lu(lo, self.dim, eye)[1]
 
 
 def check_spd(values: np.ndarray) -> None:
@@ -67,47 +82,33 @@ class CurvatureData:
 
 
 def christoffel_jets(g: MetricField) -> np.ndarray:
-    """Levi-Civita symbols Gamma^k_ij as jets (one order below the metric)."""
+    """Levi-Civita symbols Gamma^k_ij as an (n, n, n, M') jet array indexed
+    [k, i, j], one order below the metric."""
     if g.order < 1:
         raise ValueError("christoffel needs metric jets of order >= 1")
-    n = g.dim
-    lo = g.order - 1
-    gl = [[g.components[i, j].truncate(lo) for j in range(n)] for i in range(n)]
-    ginv = jet_inverse(gl)
-    dg = [[[g.components[i, j].partial(l) for j in range(n)] for i in range(n)] for l in range(n)]
-    gamma = np.empty((n, n, n), dtype=object)
-    for k in range(n):
-        for i in range(n):
-            for j in range(i + 1):
-                acc = None
-                for l in range(n):
-                    term = ginv[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
-                    acc = term if acc is None else acc + term
-                gamma[k, i, j] = gamma[k, j, i] = acc * 0.5
-    return gamma
+    d = jet_gradient(g.coeffs, g.dim).transpose(2, 0, 1, 3)  # d[l, i, j] = d_l g_ij
+    # bracket[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
+    bracket = d.transpose(2, 0, 1, 3) + d.transpose(2, 1, 0, 3) - d
+    return 0.5 * jet_einsum("kl,lij->kij", g.inverse, bracket, g.dim)
 
 
 def christoffel(g: MetricField) -> np.ndarray:
     """Gamma^k_ij = g^{kl}(d_i g_jl + d_j g_il - d_l g_ij)/2, value parts."""
-    gamma = christoffel_jets(g)
-    n = g.dim
-    return np.array([[[gamma[k, i, j].value for j in range(n)] for i in range(n)] for k in range(n)])
+    return christoffel_jets(g)[..., 0]
 
 
-def riemann(g: MetricField) -> CurvatureData:
-    """Full curvature data of a metric field (needs jet order >= 2)."""
+def riemann(g: MetricField, gamma_jets: np.ndarray | None = None) -> CurvatureData:
+    """Full curvature data of a metric field (needs jet order >= 2).
+
+    ``gamma_jets`` takes the metric's ``christoffel_jets`` when the caller
+    already has them."""
     if g.order < 2:
         raise ValueError("riemann needs metric jets of order >= 2")
     n = g.dim
-    gamma_jets = christoffel_jets(g)
-    gamma = np.array([[[gamma_jets[k, i, j].value for j in range(n)] for i in range(n)] for k in range(n)])
-    dgamma = np.zeros((n, n, n, n))  # dgamma[l, k, i, j] = d_l Gamma^k_ij
-    for l in range(n):
-        for k in range(n):
-            for i in range(n):
-                for j in range(i + 1):
-                    d = gamma_jets[k, i, j].partial(l).value
-                    dgamma[l, k, i, j] = dgamma[l, k, j, i] = d
+    if gamma_jets is None:
+        gamma_jets = christoffel_jets(g)
+    gamma = gamma_jets[..., 0]
+    dgamma = jet_gradient(gamma_jets, n)[..., 0].transpose(3, 0, 1, 2)  # [l, k, i, j] = d_l Gamma^k_ij
     # Rup[m, i, j, k]: R(d_i, d_j) d_k = Rup[m, i, j, k] d_m
     rup = (
         np.einsum("imjk->mijk", dgamma)
@@ -126,24 +127,17 @@ def riemann(g: MetricField) -> CurvatureData:
 def cov_deriv_sym3(a_jets: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Covariant derivative A_ijk,l of a symmetric 3-tensor field.
 
-    ``a_jets`` is an (n, n, n) object array of jets of order >= 1 and
-    ``gamma`` the Christoffel values of the same metric; the result is the
-    (n, n, n, n) value array A_ijk,l = d_l A_ijk - Gamma^m_li A_mjk
-    - Gamma^m_lj A_imk - Gamma^m_lk A_ijm.
+    ``a_jets`` is an (n, n, n) array of jets of order >= 1 in the n chart
+    variables (Jets or their jet array) and ``gamma`` the Christoffel
+    values of the same metric; the result is the (n, n, n, n) value array
+    A_ijk,l = d_l A_ijk - Gamma^m_li A_mjk - Gamma^m_lj A_imk - Gamma^m_lk A_ijm.
     """
-    a_jets = np.asarray(a_jets, dtype=object)
-    n = a_jets.shape[0]
+    a = jet_coeffs(a_jets)
+    n = a.shape[0]
     if gamma.shape != (n, n, n):
         raise ValueError("tensor and Christoffel dimensions do not match")
-    avals = np.array(
-        [[[a_jets[i, j, k].value for k in range(n)] for j in range(n)] for i in range(n)]
-    )
-    out = np.zeros((n, n, n, n))
-    for l in range(n):
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    out[i, j, k, l] = a_jets[i, j, k].partial(l).value
+    avals = a[..., 0]
+    out = jet_gradient(a, n)[..., 0]
     out -= np.einsum("mli,mjk->ijkl", gamma, avals)
     out -= np.einsum("mlj,imk->ijkl", gamma, avals)
     out -= np.einsum("mlk,ijm->ijkl", gamma, avals)

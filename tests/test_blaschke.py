@@ -7,6 +7,8 @@ import pytest
 from equiaffine import blaschke_at, parse_chart
 from equiaffine.blaschke import (
     ConvexityError,
+    _chart_derivatives,
+    _determinant_form,
     check_apolarity,
     check_codazzi,
     check_gauss,
@@ -16,6 +18,9 @@ from equiaffine.blaschke import (
     check_trace_identity,
     nabla_A_norm,
 )
+from equiaffine.calabi import CompositionSpec, compose_chart
+from equiaffine.catalog import TransformedChart, flat_factor, hyperboloid, random_unimodular, sl_so
+from equiaffine.jets import Jet, jet_det
 
 GENERIC = (
     "dim 2; x1 = u1; x2 = u2; "
@@ -161,6 +166,58 @@ def test_convexity_error_on_saddle():
     chart = parse_chart("dim 2; x1 = u1; x2 = u2; x3 = u1^2 - u2^2;")
     with pytest.raises(ConvexityError):
         blaschke_at(chart, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_degenerate_form_raises_convexity_error(n):
+    # plane (G = 0) and parabolic cylinder (rank-1 G)
+    us = [f"u{i + 1}" for i in range(n)]
+    coords = "".join(f"x{i + 1} = {u}; " for i, u in enumerate(us))
+    for last in ("0.5 + 0*u1", "u1^2"):
+        with pytest.raises(ConvexityError):
+            blaschke_at(parse_chart(f"dim {n}; {coords}x{n + 1} = {last};"), np.full(n, 0.1))
+
+
+def test_dependent_tangents_raise_convexity_error():
+    x1 = np.zeros((2, 3, 10))
+    x1[0, 0, 0] = x1[1, 0, 0] = 1.0  # x_1 = x_2 at value level
+    with pytest.raises(ConvexityError):
+        _determinant_form(x1, np.zeros((2, 2, 3, 6)), [0.0, 0.0])
+
+
+def _conormal_cases():
+    rng = np.random.default_rng(11)
+    spec = CompositionSpec(r=1, factors=(flat_factor(2, 1.0),), constants=(1.0, 1.0))
+    cases = [(hyperboloid(n), np.full(n, 0.2) * (-1) ** np.arange(n)) for n in range(1, 5)]
+    cases.append((sl_so(3), np.array([0.06, 0.2, 0.14, -0.14, -0.1])))
+    cases.append((compose_chart(spec), np.array([0.1, -0.2, 0.15])))
+    cases.append((TransformedChart(parse_chart(GENERIC), random_unimodular(3, rng)), np.array([0.15, -0.1])))
+    return cases
+
+
+@pytest.mark.parametrize("chart, point", _conormal_cases())
+def test_conormal_form_matches_determinants(chart, point):
+    """G_ij = nu . x_ij equals det(x_1, ..., x_n, x_ij) from the division-free
+    jet_det, coefficient by coefficient."""
+    n = chart.dim
+    _, x1, hess = _chart_derivatives(chart, point)
+    G = _determinant_form(x1, hess, point)
+    m2 = hess.shape[-1]
+
+    def det_jet(i, j):
+        rows = [[Jet(n, 2, x1[k, a, :m2]) for k in range(n)] + [Jet(n, 2, hess[i, j, a])] for a in range(n + 1)]
+        return jet_det(rows).coeffs
+
+    ref = np.array([[det_jet(i, j) for j in range(n)] for i in range(n)])
+    assert np.allclose(G, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+def test_hyperboloid_dimension_8():
+    inv = blaschke_at(hyperboloid(8), np.linspace(-0.3, 0.3, 8))
+    assert inv.L1 == pytest.approx(-1.0, abs=1e-10)
+    assert inv.J == pytest.approx(0.0, abs=1e-10)
+    assert inv.chi == pytest.approx(-1.0, abs=1e-10)
+    assert np.max(np.abs(inv.B - inv.L1 * inv.g)) < 1e-10
 
 
 def test_structural_identities_generic_surface():

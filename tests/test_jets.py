@@ -8,7 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equiaffine import jets
-from equiaffine.jets import Jet, JetDomainError, jet_det, jet_inverse, jet_solve, monomials
+from equiaffine.jets import (
+    Jet,
+    JetDomainError,
+    _index_map,
+    _product_table,
+    jet_det,
+    jet_einsum,
+    jet_inverse,
+    jet_lu,
+    jet_matmul,
+    jet_solve,
+    monomials,
+)
 
 
 def test_monomials_graded_prefix():
@@ -178,6 +190,73 @@ def test_jet_det_singular_value_part():
     d2 = jet_det([[t, zero], [zero, t]])
     assert d2.value == 0.0
     assert d2.coefficient((2,)) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("num_vars", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+def test_product_table_matches_all_pairs_reference(num_vars, order):
+    mono = monomials(num_vars, order)
+    idx = _index_map(num_vars, order)
+    expect = {
+        (i, j, idx[tuple(x + y for x, y in zip(a, b))])
+        for i, a in enumerate(mono)
+        for j, b in enumerate(mono)
+        if sum(a) + sum(b) <= order
+    }
+    ii, jj, kk, starts = _product_table(num_vars, order)
+    assert len(ii) == len(expect)
+    assert set(zip(ii.tolist(), jj.tolist(), kk.tolist())) == expect
+    assert np.all(np.diff(kk) >= 0) and kk[starts].tolist() == list(range(len(mono)))
+
+
+def random_jet_matrix(rng, n, num_vars, order, shift):
+    """(n, n) list of random Jets, value parts shifted by ``shift`` on the diagonal."""
+    coeffs = rng.standard_normal((n, n, len(monomials(num_vars, order))))
+    coeffs[..., 0] += shift * np.eye(n)
+    return [[Jet(num_vars, order, c) for c in row] for row in coeffs]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 3), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_jet_lu_against_numpy_and_jet_det(n, num_vars, order, seed):
+    rng = np.random.default_rng(seed)
+    mat = random_jet_matrix(rng, n, num_vars, order, shift=3.0)
+    A = np.array([[c.coeffs for c in row] for row in mat])
+    B = rng.standard_normal((n, 2, A.shape[-1]))
+    det, X = jet_lu(A, num_vars, B)
+    ref = jet_det(mat).coeffs
+    assert np.allclose(det, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+    assert det[0] == pytest.approx(np.linalg.det(A[..., 0]), rel=1e-12)
+    assert np.allclose(X[..., 0], np.linalg.solve(A[..., 0], B[..., 0]), rtol=1e-10, atol=1e-12)
+    # A X = B holds as jets, derivatives included
+    assert np.allclose(jet_einsum("ik,kj->ij", A, X, num_vars), B, atol=1e-9)
+    assert np.allclose(jet_matmul(A, X, num_vars), B, atol=1e-9)
+    assert jet_lu(A, num_vars)[1] is None
+
+
+def test_jet_lu_derivative_of_determinant():
+    # d/dt det(base + t direction) = det(base) tr(base^{-1} direction)
+    rng = np.random.default_rng(7)
+    n = 4
+    base = rng.standard_normal((n, n)) + 3 * np.eye(n)
+    direction = rng.standard_normal((n, n))
+    A = np.zeros((n, n, 3))
+    A[..., 0], A[..., 1] = base, direction
+    det, _ = jet_lu(A, 1)
+    assert det[1] == pytest.approx(np.linalg.det(base) * np.trace(np.linalg.solve(base, direction)), rel=1e-10)
+
+
+def test_jet_lu_zero_pivot_raises():
+    # first column has a vanishing value part: jet_det copes, LU cannot
+    t = Jet.variable(0, 0.0, 1, 2)
+    one = Jet.constant(1.0, 1, 2)
+    mat = [[t, one], [t * 2.0, one]]
+    assert jet_det(mat).coefficient((1,)) == pytest.approx(-1.0)
+    A = np.array([[c.coeffs for c in row] for row in mat])
+    with pytest.raises(np.linalg.LinAlgError):
+        jet_lu(A, 1)
+    with pytest.raises(np.linalg.LinAlgError):
+        jet_solve(mat, [[one], [one]])
 
 
 small = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
