@@ -32,7 +32,7 @@ import numpy as np
 
 from . import tensors
 from .dsl import ChartDef, eval_chart_jet
-from .jets import Jet, jet_coeffs, jet_einsum, jet_gradient, jet_lu, jet_mul, jet_size
+from .jets import Jet, jet_einsum, jet_gradient, jet_lu, jet_mul, jet_size
 from .jets import power as jet_power
 from .tensors import MetricField, cov_deriv_sym3, riemann
 
@@ -201,7 +201,7 @@ def _chart_derivatives(chart: ChartDef, point: np.ndarray):
     """Chart jets x (n+1, M4), first derivatives x1[k, a] = d_k x^a (order 3)
     and second derivatives hess[i, j, a] = d_i d_j x^a (order 2)."""
     n = chart.dim
-    x = jet_coeffs(eval_chart_jet(chart, point, 4))
+    x = eval_chart_jet(chart, point, 4)
     x1 = jet_gradient(x, n).transpose(1, 0, 2)
     # x_ij = d_j d_i x for j <= i, mirrored
     lower = np.tril_indices(n)

@@ -24,7 +24,7 @@ import numpy as np
 from . import jets
 from .blaschke import BlaschkeInvariants, CheckReport, blaschke_at, check_hypersphere
 from .dsl import ChartDef
-from .jets import Jet
+from .jets import Jet, jet_embed, jet_mul, jet_variables
 
 
 @dataclass(frozen=True)
@@ -142,26 +142,19 @@ class ComposedChart(ChartDef):
     def component_jets(self, point, order):
         spec, idx = self.spec, self.index_map
         n = idx.n
-        t_jets = [Jet.variable(i, float(point[i]), n, order) for i in range(idx.K - 1)]
+        point = np.asarray(point, float)
+        t = jet_variables(point, order)[: idx.K - 1]
         comps = []
         for a in range(1, idx.K + 1):
-            row = idx.exponent_row(a)
-            arg = Jet.constant(0.0, n, order)
-            for lam in range(idx.K - 1):
-                if row[lam] != 0.0:
-                    arg = arg + t_jets[lam] * row[lam]
-            e_a = jets.exp(arg) * spec.constants[a - 1]
+            e_a = jets.exp(Jet(n, order, idx.exponent_row(a) @ t)).coeffs * spec.constants[a - 1]
             if a <= spec.r:
-                comps.append(e_a)
+                comps.append(e_a[None])
             else:
-                alpha = a - spec.r
-                factor = spec.factors[alpha - 1]
-                sl = idx.factor_slice(alpha)
-                sub = factor.chart.component_jets(np.asarray(point)[sl], order)
-                offset = sl.start
-                for c in sub:
-                    comps.append(e_a * c.embed(n, offset))
-        return comps
+                factor = spec.factors[a - spec.r - 1]
+                sl = idx.factor_slice(a - spec.r)
+                sub = factor.chart.component_jets(point[sl], order)
+                comps.append(jet_mul(e_a, jet_embed(sub, factor.dim, n, sl.start), n))
+        return np.concatenate(comps)
 
 
 def compose_chart(spec: CompositionSpec) -> ComposedChart:

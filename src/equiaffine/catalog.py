@@ -15,7 +15,7 @@ import numpy as np
 
 from .calabi import CompositionSpec, HypersphereFactor, closed_form, compose_chart
 from .dsl import ChartDef, DslChart, parse_chart
-from .jets import Jet, jet_coeffs, jet_matmul
+from .jets import jet_matmul, jet_variables
 
 
 @dataclass(frozen=True)
@@ -113,10 +113,9 @@ class MatrixExpChart(ChartDef):
         super().__init__(dim, domain_hint=hint)
 
     def component_jets(self, point, order):
-        m, n = self.m, self.dim
-        var = jet_coeffs([Jet.variable(i, float(point[i]), n, order) for i in range(n)])
-        E = _jet_matrix_exp(np.einsum("vij,vc->ijc", np.array(self.basis), var), n)
-        return [Jet(n, order, E[i, j]) for i in range(m) for j in range(i, m)]
+        var = jet_variables(point, order)
+        E = _jet_matrix_exp(np.einsum("vij,vc->ijc", np.array(self.basis), var), self.dim)
+        return E[np.triu_indices(self.m)]
 
 
 def _jet_matrix_exp(S: np.ndarray, num_vars: int) -> np.ndarray:
@@ -165,14 +164,8 @@ class TransformedChart(ChartDef):
         self.b = np.zeros(base.ambient_dim) if b is None else np.asarray(b, float)
 
     def component_jets(self, point, order):
-        comp = self.base.component_jets(point, order)
-        out = []
-        for a in range(self.ambient_dim):
-            acc = Jet.constant(float(self.b[a]), comp[0].num_vars, order)
-            for c in range(self.ambient_dim):
-                if self.M[a, c] != 0.0:
-                    acc = acc + comp[c] * self.M[a, c]
-            out.append(acc)
+        out = np.tensordot(self.M, self.base.component_jets(point, order), 1)
+        out[:, 0] += self.b
         return out
 
 

@@ -7,7 +7,9 @@ deterministic structured text (schema: 1): fixed key order, repr float
 formatting, one residual line per check per point, and a summary block.
 
 Exit codes: 0 all checks pass, 1 a check failed (report still emitted),
-2 scene or chart-text parse error, 3 chart construction or domain error.
+2 scene error (unreadable scene file or unwritable report path, parse
+error, malformed or non-finite input), 3 chart construction or domain
+error.  Every exit code other than 0 and 1 comes with one stderr line.
 """
 
 from __future__ import annotations
@@ -15,12 +17,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from . import blaschke, calabi, catalog, duality, jordan
 from .blaschke import CheckReport, ConsistencyError, ConvexityError, FrameError, blaschke_at
 from .dsl import ChartParseError, ImmersionError, parse_chart
+from .jets import JetDomainError
+from .tensors import MetricError
 
 SCHEMA_VERSION = 1
 
@@ -38,6 +43,10 @@ DEFAULT_TOL = {
     "mean_curvature": 1e-6,
 }
 ALL_CHECKS = tuple(DEFAULT_TOL)
+
+# failures of the pipeline at one point of a chart (exit code 3)
+POINT_ERRORS = (ConvexityError, FrameError, ImmersionError, ConsistencyError, JetDomainError, MetricError,
+                OverflowError, np.linalg.LinAlgError)
 
 
 class SceneError(ValueError):
@@ -58,6 +67,12 @@ def fmt(x) -> str:
 
 def fmt_vector(v) -> str:
     return "[" + ", ".join(repr(float(x)) for x in np.asarray(v, float).ravel()) + "]"
+
+
+def check_line(rep: CheckReport) -> str:
+    """The report line of one check: ``check <name>: residual=.. tol=.. pass|FAIL``."""
+    status = "pass" if rep.passed else "FAIL"
+    return f"check {rep.check_name}: residual={fmt(rep.residual)} tol={fmt(rep.tolerance)} {status}"
 
 
 # -- scene resolution -------------------------------------------------------
@@ -120,6 +135,8 @@ def resolve_points(doc, chart) -> np.ndarray:
     pts = np.atleast_2d(pts)
     if pts.shape[1] != chart.dim:
         raise SceneError(f"points have dimension {pts.shape[1]}, chart has {chart.dim}")
+    if not np.all(np.isfinite(pts)):
+        raise SceneError("point coordinates must be finite")
     return pts
 
 
@@ -177,27 +194,21 @@ def run_scene(scene: dict, out) -> int:
     for k, point in enumerate(points):
         try:
             reports, scalars = point_checks(chart, point, per_point, tol, spec)
-        except (ConvexityError, FrameError, ImmersionError, ConsistencyError) as exc:
+        except POINT_ERRORS as exc:
             raise ChartBuildError(f"point {k}: {exc}") from exc
         lines.append(f"point[{k}]: {fmt_vector(point)}")
         for name in ("L1", "J", "chi"):
             lines.append(f"  {name}: {fmt(scalars[name])}")
-        for rep in reports:
-            lines.append(f"  check {rep.check_name}: residual={fmt(rep.residual)} "
-                         f"tol={fmt(rep.tolerance)} {'pass' if rep.passed else 'FAIL'}")
+        lines.extend("  " + check_line(rep) for rep in reports)
         all_reports.extend(reports)
 
     if spec is not None and "composition" in checks:
         reports = calabi.verify_composition(spec, points, tol["composition"])
-        for rep in reports:
-            lines.append(f"check {rep.check_name}: residual={fmt(rep.residual)} "
-                         f"tol={fmt(rep.tolerance)} {'pass' if rep.passed else 'FAIL'}")
+        lines.extend(check_line(rep) for rep in reports)
         all_reports.extend(reports)
     if spec is not None and spec.s >= 1 and "mean_curvature" in checks:
         reports = calabi.mean_curvature_relations(spec, tolerance=tol["mean_curvature"])
-        for rep in reports:
-            lines.append(f"check {rep.check_name}: residual={fmt(rep.residual)} "
-                         f"tol={fmt(rep.tolerance)} {'pass' if rep.passed else 'FAIL'}")
+        lines.extend(check_line(rep) for rep in reports)
         all_reports.extend(reports)
 
     worst = max((r.residual for r in all_reports), default=0.0)
@@ -285,9 +296,7 @@ def jordan_selftest(out) -> int:
     rows.append(CheckReport("cubic_form_apolar", jordan.apolarity_residual(data), 1e-10))
 
     lines = [f"schema: {SCHEMA_VERSION}", "suite: jordan"]
-    for rep in rows:
-        lines.append(f"check {rep.check_name}: residual={fmt(rep.residual)} "
-                     f"tol={fmt(rep.tolerance)} {'pass' if rep.passed else 'FAIL'}")
+    lines.extend(check_line(rep) for rep in rows)
     failed = [r for r in rows if not r.passed]
     lines.append("summary:")
     lines.append(f"  checks: {len(rows)}")
@@ -337,7 +346,10 @@ def parse_chart_flag(text: str) -> dict:
 
 def load_scene(args) -> dict:
     if args.scene:
-        text = sys.stdin.read() if args.scene == "-" else open(args.scene).read()
+        try:
+            text = sys.stdin.read() if args.scene == "-" else Path(args.scene).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SceneError(f"cannot read scene: {exc}") from exc
         try:
             scene = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -371,6 +383,11 @@ def add_scene_flags(p):
     p.add_argument("--out", help="write the report here instead of stdout")
 
 
+def _one_line(exc: Exception) -> str:
+    # messages may embed multi-line numpy array reprs
+    return " ".join(str(exc).split())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="equiaffine", description="equiaffine invariant toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -390,8 +407,13 @@ def main(argv=None) -> int:
     pc.add_argument("--out", help="write the report here instead of stdout")
 
     args = parser.parse_args(argv)
-    out = open(args.out, "w") if getattr(args, "out", None) else sys.stdout
+    out = sys.stdout
     try:
+        if getattr(args, "out", None):
+            try:
+                out = open(args.out, "w")
+            except OSError as exc:
+                raise SceneError(f"cannot write report: {exc}") from exc
         if args.command == "jordan":
             return jordan_selftest(out)
         if args.command == "catalog":
@@ -405,10 +427,10 @@ def main(argv=None) -> int:
             scene.setdefault("checks", ["dual", "apolarity"])
         return run_scene(scene, out)
     except (SceneError, ChartParseError) as exc:
-        print(f"scene error: {exc}", file=sys.stderr)
+        print(f"scene error: {_one_line(exc)}", file=sys.stderr)
         return 2
     except (ChartBuildError, KeyError, ConvexityError, ImmersionError) as exc:
-        print(f"chart error: {exc}", file=sys.stderr)
+        print(f"chart error: {_one_line(exc)}", file=sys.stderr)
         return 3
     finally:
         if out is not sys.stdout:

@@ -132,8 +132,10 @@ def print_expr(expr) -> str:
 class ChartDef:
     """A parametrized immersion u in R^n -> R^{n+1}.
 
-    Subclasses implement ``component_jets``; evaluation, Jacobian rank
-    checking and sampling live here.
+    Subclasses implement ``component_jets``, which returns the ambient
+    coordinates x^1..x^{n+1} at a point as a float (n+1, jet_size(n, order))
+    jet array (see ``jets``); evaluation, Jacobian rank checking and
+    sampling live here.
     """
 
     def __init__(self, dim: int, domain_hint=None, params=None):
@@ -144,7 +146,7 @@ class ChartDef:
         self.domain_hint = (np.asarray(domain_hint[0], float), np.asarray(domain_hint[1], float))
         self.params = dict(params or {})
 
-    def component_jets(self, point: np.ndarray, order: int) -> list[Jet]:
+    def component_jets(self, point: np.ndarray, order: int) -> np.ndarray:
         raise NotImplementedError
 
     def sample_points(self, count: int, seed: int) -> np.ndarray:
@@ -161,8 +163,8 @@ class DslChart(ChartDef):
         self.components = list(components)
 
     def component_jets(self, point, order):
-        var_jets = [Jet.variable(i, float(point[i]), self.dim, order) for i in range(self.dim)]
-        return [eval_expr(c, var_jets, self.params) for c in self.components]
+        var_jets = [Jet(self.dim, order, c) for c in jets.jet_variables(point, order)]
+        return np.array([eval_expr(c, var_jets, self.params).coeffs for c in self.components])
 
     def to_text(self) -> str:
         lines = [f"dim {self.dim};"]
@@ -173,15 +175,16 @@ class DslChart(ChartDef):
         return "\n".join(lines) + "\n"
 
 
-def eval_chart_jet(chart: ChartDef, point, order: int) -> list[Jet]:
-    """Evaluate a chart into ambient-coordinate jets; checks immersiveness."""
+def eval_chart_jet(chart: ChartDef, point, order: int) -> np.ndarray:
+    """Evaluate a chart into its (n+1, M) ambient-coordinate jet array;
+    checks immersiveness."""
     if not 1 <= order <= jets.MAX_ORDER:
         raise ValueError(f"order must be in 1..{jets.MAX_ORDER}")
     point = np.asarray(point, float)
     if point.shape != (chart.dim,):
         raise ValueError(f"point must have dimension {chart.dim}")
     comp = chart.component_jets(point, order)
-    jac = np.array([c.gradient() for c in comp])  # (n+1, n)
+    jac = comp[:, 1 : chart.dim + 1]  # degree-1 block: the (n+1, n) Jacobian
     sv = np.linalg.svd(jac, compute_uv=False)
     if sv[-1] <= 1e-10 * max(sv[0], 1.0):
         raise ImmersionError(f"Jacobian rank-deficient at {point} (singular values {sv})")

@@ -145,8 +145,7 @@ class Jet:
         c = np.zeros(len(monomials(num_vars, order)))
         c[0] = value
         if order >= 1:
-            unit = tuple(1 if t == var else 0 for t in range(num_vars))
-            c[_index_map(num_vars, order)[unit]] = 1.0
+            c[1 + var] = 1.0  # degree-1 monomials come in variable order
         return cls(num_vars, order, c)
 
     # -- accessors ---------------------------------------------------
@@ -157,14 +156,9 @@ class Jet:
 
     def gradient(self) -> np.ndarray:
         """Degree-1 coefficients as a vector (the plain gradient)."""
-        out = np.zeros(self.num_vars)
         if self.order < 1:
-            return out
-        idx = _index_map(self.num_vars, self.order)
-        for v in range(self.num_vars):
-            unit = tuple(1 if t == v else 0 for t in range(self.num_vars))
-            out[v] = self.coeffs[idx[unit]]
-        return out
+            return np.zeros(self.num_vars)
+        return self.coeffs[1 : self.num_vars + 1].copy()
 
     def coefficient(self, alpha: tuple[int, ...]) -> float:
         return float(self.coeffs[_index_map(self.num_vars, self.order)[alpha]])
@@ -182,21 +176,6 @@ class Jet:
             raise ValueError("cannot differentiate an order-0 jet")
         src, fac = _gradient_table(self.num_vars, self.order)
         return Jet(self.num_vars, self.order - 1, self.coeffs[src[var]] * fac[var])
-
-    def embed(self, num_vars: int, var_offset: int) -> "Jet":
-        """Re-read this jet as one in ``num_vars`` variables, with variable i
-        of this jet becoming variable ``var_offset + i``."""
-        if var_offset + self.num_vars > num_vars:
-            raise ValueError("embedded variables exceed target dimension")
-        idx = _index_map(num_vars, self.order)
-        out = np.zeros(len(monomials(num_vars, self.order)))
-        for m, c in zip(monomials(self.num_vars, self.order), self.coeffs):
-            if c == 0.0:
-                continue
-            big = [0] * num_vars
-            big[var_offset : var_offset + self.num_vars] = m
-            out[idx[tuple(big)]] = c
-        return Jet(num_vars, self.order, out)
 
     # -- arithmetic --------------------------------------------------
 
@@ -392,13 +371,36 @@ def jet_order(num_vars: int, size: int) -> int:
     raise ValueError(f"{size} coefficients match no jet order in {num_vars} variables")
 
 
-def jet_coeffs(arr) -> np.ndarray:
-    """The jet array of an array of Jets; a float array passes through."""
-    arr = np.asarray(arr)
-    if arr.dtype != object:
-        return arr.astype(float, copy=False)
-    flat = [j.coeffs for j in arr.ravel()]
-    return np.array(flat).reshape(arr.shape + (len(flat[0]),))
+def jet_variables(point, order: int) -> np.ndarray:
+    """The coordinate functions u_1..u_n expanded around ``point``, as an
+    (n, M) jet array: value parts ``point``, and a unit degree-1 block,
+    since the degree-1 monomials come in variable order."""
+    point = np.asarray(point, float)
+    n = len(point)
+    out = np.zeros((n, jet_size(n, order)))
+    out[:, 0] = point
+    if order >= 1:
+        out[:, 1 : n + 1] = np.eye(n)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _embed_index(sub_vars: int, num_vars: int, offset: int, order: int) -> np.ndarray:
+    mono = np.array(monomials(sub_vars, order), dtype=np.int64).reshape(-1, sub_vars)
+    big = np.zeros((len(mono), num_vars), dtype=np.int64)
+    big[:, offset : offset + sub_vars] = mono
+    return _rank(big, num_vars)
+
+
+def jet_embed(a: np.ndarray, sub_vars: int, num_vars: int, offset: int) -> np.ndarray:
+    """Re-read a jet array in ``sub_vars`` variables as one in ``num_vars``
+    variables, variable i becoming variable ``offset + i``."""
+    if offset + sub_vars > num_vars:
+        raise ValueError("embedded variables exceed target dimension")
+    order = jet_order(sub_vars, a.shape[-1])
+    out = np.zeros(a.shape[:-1] + (jet_size(num_vars, order),))
+    out[..., _embed_index(sub_vars, num_vars, offset, order)] = a
+    return out
 
 
 def jet_mul(a: np.ndarray, b: np.ndarray, num_vars: int) -> np.ndarray:
@@ -453,10 +455,9 @@ def jet_lu(A: np.ndarray, num_vars: int, B: np.ndarray | None = None):
     ``jet_det`` this needs every pivot's value part to be nonzero; a zero
     pivot raises ``np.linalg.LinAlgError``.
     """
-    A = jet_coeffs(A)
     n, size = A.shape[0], A.shape[-1]
     order = jet_order(num_vars, size)
-    aug = A.copy() if B is None else np.concatenate([A, jet_coeffs(B)], axis=1)
+    aug = A.copy() if B is None else np.concatenate([A, B], axis=1)
     det = np.zeros(size)
     det[0] = 1.0
     rows = np.arange(n)
@@ -478,20 +479,8 @@ def jet_lu(A: np.ndarray, num_vars: int, B: np.ndarray | None = None):
     return det, (None if B is None else aug[:, n:])
 
 
-def _jet_rows(arr: np.ndarray, num_vars: int) -> list[list[Jet]]:
-    order = jet_order(num_vars, arr.shape[-1])
-    return [[Jet(num_vars, order, c) for c in row] for row in arr]
-
-
-def jet_solve(mat, rhs) -> list[list[Jet]]:
-    """Solve A X = B where A is a square matrix of jets and B a matrix of
-    jet columns (see ``jet_lu``).  Returns X as a list of rows."""
-    num_vars = mat[0][0].num_vars
-    return _jet_rows(jet_lu(np.array(mat, dtype=object), num_vars, np.array(rhs, dtype=object))[1], num_vars)
-
-
-def jet_det(mat) -> Jet:
-    """Determinant of a square jet matrix.
+def jet_det(A: np.ndarray, num_vars: int) -> np.ndarray:
+    """Determinant of an (n, n, M) jet matrix, as an (M,) jet.
 
     Division-free: elimination would need invertible (nonzero-value)
     pivots, but the determinant of a jet matrix is well defined even
@@ -500,30 +489,22 @@ def jet_det(mat) -> Jet:
     is O(2^n n) jet operations and exact.  ``jet_lu`` is the
     polynomial-cost routine for matrices with a nonsingular value part.
     """
-    a = [list(row) for row in mat]
-    n = len(a)
-    some = a[0][0]
+    n, size = A.shape[0], A.shape[-1]
+    one = np.zeros(size)
+    one[0] = 1.0
     # partial[S] = det of the top-|S| rows restricted to column set S
-    partial = {0: Jet.constant(1.0, some.num_vars, some.order)}
+    partial = {0: one}
     for row in range(n):
-        nxt: dict[int, Jet] = {}
+        nxt: dict[int, np.ndarray] = {}
         for subset, sub_det in partial.items():
+            terms = jet_mul(sub_det, A[row], num_vars)  # one per column
             for col in range(n):
                 bit = 1 << col
                 if subset & bit:
                     continue
                 # permutation sign: parity of used columns above this one
-                sign = -1.0 if (subset >> (col + 1)).bit_count() & 1 else 1.0
-                term = sub_det * a[row][col] * sign
+                term = -terms[col] if (subset >> (col + 1)).bit_count() & 1 else terms[col]
                 key = subset | bit
                 nxt[key] = term if key not in nxt else nxt[key] + term
         partial = nxt
     return partial[(1 << n) - 1]
-
-
-def jet_inverse(mat) -> list[list[Jet]]:
-    """Inverse of a square matrix of jets (see ``jet_lu``), as a list of rows."""
-    some = mat[0][0]
-    eye = np.zeros((len(mat), len(mat), len(some.coeffs)))
-    eye[..., 0] = np.eye(len(mat))
-    return _jet_rows(jet_lu(np.array(mat, dtype=object), some.num_vars, eye)[1], some.num_vars)

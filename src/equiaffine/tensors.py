@@ -1,8 +1,9 @@
 """Intrinsic Riemannian tensor calculus on jet-valued metric fields.
 
-Everything here is pointwise: a metric field is an n x n symmetric array
-of jets expanded around one point, and the outputs (Christoffel symbols,
-curvature, covariant derivatives) are plain numeric arrays at that point.
+Everything here is pointwise: a metric field is an (n, n, M) symmetric
+jet array (see ``jets``) expanded around one point, and the outputs
+(Christoffel symbols, curvature, covariant derivatives) are plain numeric
+arrays at that point.
 
 Curvature conventions: R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
 - nabla_[X,Y] Z, with fully covariant components
@@ -13,12 +14,12 @@ With these signs the unit round sphere has chi = +1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .jets import jet_coeffs, jet_einsum, jet_gradient, jet_lu, jet_order, jet_size
+from .jets import jet_einsum, jet_gradient, jet_lu, jet_order, jet_size
 
 SPD_RTOL = 1e-10
 
@@ -33,15 +34,10 @@ class MetricField:
     in the ``dim`` chart variables."""
 
     dim: int
-    components: np.ndarray  # (n, n) array of Jets, or their (n, n, M) jet array
-    coeffs: np.ndarray = field(init=False, repr=False)  # (n, n, M) jet array
+    coeffs: np.ndarray  # (n, n, M) jet array
 
     def __post_init__(self):
-        comp = np.asarray(self.components)
-        coeffs = jet_coeffs(comp)
-        object.__setattr__(self, "components", comp)
-        object.__setattr__(self, "coeffs", coeffs)
-        if coeffs.ndim != 3 or coeffs.shape[:2] != (self.dim, self.dim):
+        if self.coeffs.ndim != 3 or self.coeffs.shape[:2] != (self.dim, self.dim):
             raise MetricError("metric component array must be n x n")
         vals = self.values()
         if not np.allclose(vals, vals.T, atol=1e-12 * (1 + np.abs(vals).max())):
@@ -124,15 +120,14 @@ def riemann(g: MetricField, gamma_jets: np.ndarray | None = None) -> CurvatureDa
     return CurvatureData(christoffel=gamma, riemann=riem, ricci=ricci, chi=chi)
 
 
-def cov_deriv_sym3(a_jets: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+def cov_deriv_sym3(a: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Covariant derivative A_ijk,l of a symmetric 3-tensor field.
 
-    ``a_jets`` is an (n, n, n) array of jets of order >= 1 in the n chart
-    variables (Jets or their jet array) and ``gamma`` the Christoffel
-    values of the same metric; the result is the (n, n, n, n) value array
+    ``a`` is an (n, n, n, M) jet array of order >= 1 in the n chart
+    variables and ``gamma`` the Christoffel values of the same metric; the
+    result is the (n, n, n, n) value array
     A_ijk,l = d_l A_ijk - Gamma^m_li A_mjk - Gamma^m_lj A_imk - Gamma^m_lk A_ijm.
     """
-    a = jet_coeffs(a_jets)
     n = a.shape[0]
     if gamma.shape != (n, n, n):
         raise ValueError("tensor and Christoffel dimensions do not match")

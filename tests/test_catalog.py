@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from equiaffine.blaschke import blaschke_at, check_hypersphere, nabla_A_norm
+from equiaffine.calabi import ComposedChart, CompositionSpec, compose_chart
 from equiaffine.catalog import (
     ENTRIES,
     MatrixExpChart,
     TransformedChart,
     elliptic_paraboloid,
+    flat_factor,
     flat_hypersphere,
     get_chart,
     hyperboloid,
@@ -17,7 +19,17 @@ from equiaffine.catalog import (
     sl_so_point,
     unit_sphere,
 )
-from equiaffine.dsl import eval_chart_jet
+from equiaffine.dsl import DslChart, eval_chart_jet
+from equiaffine.jets import jet_size
+
+SAMPLE_PARAMS = {
+    "flat_hypersphere": {"n0": 2},
+    "unit_sphere": {"n": 2},
+    "elliptic_paraboloid": {"n": 2},
+    "hyperboloid": {"n": 2},
+    "sl_so": {"m": 3},
+    "graph": {"text": "dim 1; x1 = u1; x2 = exp(u1);"},
+}
 
 
 def test_get_chart_dispatch_and_errors():
@@ -34,29 +46,57 @@ def test_get_chart_dispatch_and_errors():
 
 
 def test_every_entry_passes_immersion_check():
-    samples = {
-        "flat_hypersphere": {"n0": 2},
-        "unit_sphere": {"n": 2},
-        "elliptic_paraboloid": {"n": 2},
-        "hyperboloid": {"n": 2},
-        "sl_so": {"m": 3},
-        "graph": {"text": "dim 1; x1 = u1; x2 = exp(u1);"},
-    }
-    assert set(samples) == set(ENTRIES)
-    for name, params in samples.items():
+    assert set(SAMPLE_PARAMS) == set(ENTRIES)
+    for name, params in SAMPLE_PARAMS.items():
         chart = get_chart(name, params)
         for point in chart.sample_points(3, 1):
             eval_chart_jet(chart, point, 2)
 
 
+@pytest.mark.parametrize("name", sorted(set(ENTRIES) - {"graph"}))
+def test_entry_expected_invariants_hold(name):
+    """Every key of ``CatalogEntry.expected`` holds at sample points."""
+    expected = ENTRIES[name].expected
+    known = {"L1", "J", "is_sphere", "is_parallel", "L1_negative", "J_equals_minus_L1"}
+    assert expected and set(expected) <= known
+    chart = get_chart(name, SAMPLE_PARAMS[name])
+    for point in chart.sample_points(3, 17):
+        inv = blaschke_at(chart, point)
+        if "L1" in expected:
+            assert inv.L1 == pytest.approx(expected["L1"], abs=1e-10)
+        if "J" in expected:
+            assert inv.J == pytest.approx(expected["J"], abs=1e-10)
+        if expected.get("is_sphere"):
+            assert all(rep.passed for rep in check_hypersphere(inv, 1e-10))
+        if expected.get("is_parallel"):
+            assert nabla_A_norm(chart, point, inv=inv)[0] < 1e-10
+        if expected.get("L1_negative"):
+            assert inv.L1 < 0
+        if expected.get("J_equals_minus_L1"):
+            assert inv.J == pytest.approx(-inv.L1, abs=1e-10)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_chart_contract_float_jet_array(order):
+    """Every chart family returns a float (n+1, jet_size(n, order)) jet array."""
+    spec = CompositionSpec(r=1, factors=(flat_factor(1, 1.5),), constants=(1.0, 2.0))
+    moved = TransformedChart(unit_sphere(2), random_unimodular(3, np.random.default_rng(3)), b=[1.0, 2.0, 3.0])
+    charts = [hyperboloid(2), sl_so(3), compose_chart(spec), moved]
+    assert [type(c) for c in charts] == [DslChart, MatrixExpChart, ComposedChart, TransformedChart]
+    for chart in charts:
+        comp = chart.component_jets(chart.sample_points(1, 5)[0], order)
+        assert isinstance(comp, np.ndarray) and comp.dtype == np.float64
+        assert comp.shape == (chart.dim + 1, jet_size(chart.dim, order))
+
+
 def test_flat_hypersphere_base_point_and_level():
     chart = flat_hypersphere(2, 1.0)
-    pos = np.array([c.value for c in chart.component_jets(np.zeros(2), 1)])
+    pos = chart.component_jets(np.zeros(2), 1)[:, 0]
     assert np.allclose(pos, 1.0)
     # the coordinate product is the level constant everywhere
     chart2 = flat_hypersphere(2, 2.5)
     for point in chart2.sample_points(4, 8):
-        vals = np.array([c.value for c in chart2.component_jets(point, 1)])
+        vals = chart2.component_jets(point, 1)[:, 0]
         assert np.prod(vals) == pytest.approx(2.5, rel=1e-12)
 
 
@@ -100,7 +140,7 @@ def test_sl_so3_hypersphere_and_parallel():
 
 def test_sl_so3_base_point_is_identity_matrix():
     chart = sl_so(3)
-    vals = np.array([c.value for c in chart.component_jets(np.zeros(5), 1)])
+    vals = chart.component_jets(np.zeros(5), 1)[:, 0]
     # upper-triangular coordinates of I3: (1, 0, 0, 1, 0, 1)
     assert np.allclose(vals, [1.0, 0.0, 0.0, 1.0, 0.0, 1.0], atol=1e-14)
 
@@ -152,7 +192,7 @@ def test_matrix_exp_chart_against_scipy_style_series():
     S = sum(float(v) * b for v, b in zip(u, chart.basis))
     w, V = np.linalg.eigh(S)
     expS = (V * np.exp(w)) @ V.T
-    vals = np.array([c.value for c in chart.component_jets(u, 1)])
+    vals = chart.component_jets(u, 1)[:, 0]
     expect = np.array([expS[i, j] for i in range(3) for j in range(i, 3)])
     assert np.max(np.abs(vals - expect)) < 1e-12
     assert np.linalg.det(expS) == pytest.approx(1.0, rel=1e-12)

@@ -167,3 +167,53 @@ def test_dual_subcommand(capsys):
     assert main(["dual", "--chart", "hyperboloid(n=2)", "--points", "2", "--seed", "1"]) == 0
     text = capsys.readouterr().out
     assert "gauss_swap" in text and "minimality" in text
+
+
+def error_line(capsys, argv):
+    """Exit code and the single stderr line of a failing ``main`` run."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    return code, err.strip()
+
+
+def scene_file(tmp_path, chart, points):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"chart": chart, "points": points}))
+    return str(path)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "chart, point",
+    [
+        ({"catalog": "unit_sphere", "params": {"n": 2}}, [0.99, 0.5]),  # off the hemisphere chart
+        ({"dsl": "dim 1; x1 = u1; x2 = log(u1);"}, [-1.0]),
+        ({"catalog": "hyperboloid", "params": {"n": 2}}, [1e200, 0.1]),  # jets overflow
+    ],
+)
+def test_point_domain_errors_exit_3(tmp_path, capsys, chart, point):
+    code, line = error_line(capsys, ["check", "--scene", scene_file(tmp_path, chart, [point])])
+    assert code == 3
+    assert line.startswith("chart error: point 0: ")
+
+
+def test_non_finite_point_exits_2(tmp_path, capsys):
+    chart = {"catalog": "hyperboloid", "params": {"n": 2}}
+    code, line = error_line(capsys, ["check", "--scene", scene_file(tmp_path, chart, [[float("nan"), 0.1]])])
+    assert code == 2
+    assert line == "scene error: point coordinates must be finite"
+
+
+def test_missing_scene_file_exits_2(tmp_path, capsys):
+    code, line = error_line(capsys, ["check", "--scene", str(tmp_path / "missing.json")])
+    assert code == 2
+    assert line.startswith("scene error: cannot read scene: ")
+
+
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    out = tmp_path / "no_such_dir" / "report.txt"
+    code, line = error_line(capsys, ["check", "--chart", "hyperboloid(n=2)", "--out", str(out)])
+    assert code == 2
+    assert line.startswith("scene error: cannot write report: ")

@@ -15,12 +15,18 @@ from equiaffine.jets import (
     _product_table,
     jet_det,
     jet_einsum,
-    jet_inverse,
+    jet_embed,
     jet_lu,
     jet_matmul,
-    jet_solve,
+    jet_size,
+    jet_variables,
     monomials,
 )
+
+
+def jet_grid(mat) -> np.ndarray:
+    """The jet array of a nested list of Jets."""
+    return np.array([[c.coeffs for c in row] for row in mat])
 
 
 def test_monomials_graded_prefix():
@@ -129,10 +135,34 @@ def test_partial_lowers_order():
 def test_embed_shifts_variables():
     u = Jet.variable(0, 0.4, 1, 3)
     f = jets.sin(u)
-    g = f.embed(3, 1)
+    g = Jet(3, 3, jet_embed(f.coeffs, 1, 3, 1))
     assert g.num_vars == 3
     assert g.value == f.value
     assert g.gradient().tolist() == pytest.approx([0.0, np.cos(0.4), 0.0])
+
+
+@pytest.mark.parametrize("sub_vars, num_vars", [(s, n) for n in range(1, 6) for s in range(1, min(n, 3) + 1)])
+def test_jet_embed_matches_monomial_loop(sub_vars, num_vars):
+    rng = np.random.default_rng(10 * sub_vars + num_vars)
+    for order in range(5):
+        a = rng.standard_normal((2, jet_size(sub_vars, order)))
+        idx = _index_map(num_vars, order)
+        for offset in range(num_vars - sub_vars + 1):
+            expect = np.zeros((2, jet_size(num_vars, order)))
+            for m, c in zip(monomials(sub_vars, order), a.T):
+                big = [0] * num_vars
+                big[offset : offset + sub_vars] = m
+                expect[:, idx[tuple(big)]] = c
+            assert np.array_equal(jet_embed(a, sub_vars, num_vars, offset), expect)
+        with pytest.raises(ValueError):
+            jet_embed(a, sub_vars, num_vars, num_vars - sub_vars + 1)
+
+
+def test_jet_variables_are_coordinate_jets():
+    point = [0.3, -1.2, 2.0]
+    for order in range(5):
+        expect = [Jet.variable(v, point[v], 3, order).coeffs for v in range(3)]
+        assert np.array_equal(jet_variables(point, order), expect)
 
 
 def test_truncate_is_prefix_slice():
@@ -157,7 +187,10 @@ def test_jet_solve_and_inverse_roundtrip():
     ]
     for i in range(n):
         mat[i][i] = mat[i][i] + 5.0
-    inv = jet_inverse(mat)
+    eye = np.zeros((n, n, len(mat[0][0].coeffs)))
+    eye[..., 0] = np.eye(n)
+    X = jet_lu(jet_grid(mat), 2, eye)[1]
+    inv = [[Jet(2, 2, c) for c in row] for row in X]
     prod_val = np.array(
         [[sum(mat[i][k] * inv[k][j] for k in range(n)).value for j in range(n)] for i in range(n)]
     )
@@ -173,7 +206,7 @@ def test_jet_det_matches_numpy_and_derivative():
         [Jet.constant(base[i, j], 1, 2) + Jet.variable(0, 0.0, 1, 2) * direction[i, j] for j in range(n)]
         for i in range(n)
     ]
-    d = jet_det(mat)
+    d = Jet(1, 2, jet_det(jet_grid(mat), 1))
     assert d.value == pytest.approx(np.linalg.det(base), rel=1e-12)
     # d/dt det(base + t direction) = det(base) tr(base^{-1} direction)
     expect = np.linalg.det(base) * np.trace(np.linalg.solve(base, direction))
@@ -185,9 +218,9 @@ def test_jet_det_singular_value_part():
     t = Jet.variable(0, 0.0, 1, 2)
     one = Jet.constant(1.0, 1, 2)
     zero = Jet.constant(0.0, 1, 2)
-    d = jet_det([[t, one], [one, zero]])
+    d = Jet(1, 2, jet_det(jet_grid([[t, one], [one, zero]]), 1))
     assert d.value == pytest.approx(-1.0)
-    d2 = jet_det([[t, zero], [zero, t]])
+    d2 = Jet(1, 2, jet_det(jet_grid([[t, zero], [zero, t]]), 1))
     assert d2.value == 0.0
     assert d2.coefficient((2,)) == pytest.approx(1.0)
 
@@ -210,21 +243,20 @@ def test_product_table_matches_all_pairs_reference(num_vars, order):
 
 
 def random_jet_matrix(rng, n, num_vars, order, shift):
-    """(n, n) list of random Jets, value parts shifted by ``shift`` on the diagonal."""
+    """(n, n, M) random jet array, value parts shifted by ``shift`` on the diagonal."""
     coeffs = rng.standard_normal((n, n, len(monomials(num_vars, order))))
     coeffs[..., 0] += shift * np.eye(n)
-    return [[Jet(num_vars, order, c) for c in row] for row in coeffs]
+    return coeffs
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 3), st.integers(0, 4), st.integers(0, 2**32 - 1))
 def test_jet_lu_against_numpy_and_jet_det(n, num_vars, order, seed):
     rng = np.random.default_rng(seed)
-    mat = random_jet_matrix(rng, n, num_vars, order, shift=3.0)
-    A = np.array([[c.coeffs for c in row] for row in mat])
+    A = random_jet_matrix(rng, n, num_vars, order, shift=3.0)
     B = rng.standard_normal((n, 2, A.shape[-1]))
     det, X = jet_lu(A, num_vars, B)
-    ref = jet_det(mat).coeffs
+    ref = jet_det(A, num_vars)
     assert np.allclose(det, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
     assert det[0] == pytest.approx(np.linalg.det(A[..., 0]), rel=1e-12)
     assert np.allclose(X[..., 0], np.linalg.solve(A[..., 0], B[..., 0]), rtol=1e-10, atol=1e-12)
@@ -250,13 +282,12 @@ def test_jet_lu_zero_pivot_raises():
     # first column has a vanishing value part: jet_det copes, LU cannot
     t = Jet.variable(0, 0.0, 1, 2)
     one = Jet.constant(1.0, 1, 2)
-    mat = [[t, one], [t * 2.0, one]]
-    assert jet_det(mat).coefficient((1,)) == pytest.approx(-1.0)
-    A = np.array([[c.coeffs for c in row] for row in mat])
+    A = jet_grid([[t, one], [t * 2.0, one]])
+    assert Jet(1, 2, jet_det(A, 1)).coefficient((1,)) == pytest.approx(-1.0)
     with pytest.raises(np.linalg.LinAlgError):
         jet_lu(A, 1)
     with pytest.raises(np.linalg.LinAlgError):
-        jet_solve(mat, [[one], [one]])
+        jet_lu(A, 1, jet_grid([[one], [one]]))
 
 
 small = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
