@@ -8,8 +8,9 @@ formatting, one residual line per check per point, and a summary block.
 
 Exit codes: 0 all checks pass, 1 a check failed (report still emitted),
 2 scene error (unreadable scene file or unwritable report path, parse
-error, malformed or non-finite input), 3 chart construction or domain
-error.  Every exit code other than 0 and 1 comes with one stderr line.
+error, malformed, empty or non-finite input), 3 chart construction or
+domain error.  Every exit code other than 0 and 1 comes with one stderr
+line.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ ALL_CHECKS = tuple(DEFAULT_TOL)
 
 # failures of the pipeline at one point of a chart (exit code 3)
 POINT_ERRORS = (ConvexityError, FrameError, ImmersionError, ConsistencyError, JetDomainError, MetricError,
-                OverflowError, np.linalg.LinAlgError)
+                OverflowError, FloatingPointError, np.linalg.LinAlgError)
 
 
 class SceneError(ValueError):
@@ -127,11 +128,15 @@ def resolve_points(doc, chart) -> np.ndarray:
             count, seed = int(doc["random"]), int(doc.get("seed", 0))
         except (KeyError, TypeError, ValueError) as exc:
             raise SceneError(f"malformed random point spec: {exc}") from exc
+        if count < 1:
+            raise SceneError(f"random point count must be at least 1, got {count}")
         return chart.sample_points(count, seed)
     try:
         pts = np.asarray(doc, float)
     except (TypeError, ValueError) as exc:
         raise SceneError(f"malformed point list: {exc}") from exc
+    if pts.size == 0:
+        raise SceneError("point list is empty")
     pts = np.atleast_2d(pts)
     if pts.shape[1] != chart.dim:
         raise SceneError(f"points have dimension {pts.shape[1]}, chart has {chart.dim}")
@@ -193,7 +198,8 @@ def run_scene(scene: dict, out) -> int:
     per_point = [c for c in checks if c not in ("composition", "mean_curvature")]
     for k, point in enumerate(points):
         try:
-            reports, scalars = point_checks(chart, point, per_point, tol, spec)
+            with np.errstate(over="raise", invalid="raise"):  # overflowing jets: exit 3, no warning lines
+                reports, scalars = point_checks(chart, point, per_point, tol, spec)
         except POINT_ERRORS as exc:
             raise ChartBuildError(f"point {k}: {exc}") from exc
         lines.append(f"point[{k}]: {fmt_vector(point)}")

@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import equiaffine
 from equiaffine.cli import (
     SceneError,
     catalog_list,
@@ -204,6 +209,33 @@ def test_non_finite_point_exits_2(tmp_path, capsys):
     code, line = error_line(capsys, ["check", "--scene", scene_file(tmp_path, chart, [[float("nan"), 0.1]])])
     assert code == 2
     assert line == "scene error: point coordinates must be finite"
+
+
+@pytest.mark.parametrize("points", [{"random": -3}, {"random": 0}, []])
+def test_empty_point_set_exits_2(tmp_path, capsys, points):
+    chart = {"catalog": "hyperboloid", "params": {"n": 2}}
+    code, line = error_line(capsys, ["check", "--scene", scene_file(tmp_path, chart, points)])
+    assert code == 2
+    assert line.startswith("scene error: ")
+
+
+def test_negative_points_flag_exits_2(capsys):
+    code, line = error_line(capsys, ["check", "--chart", "hyperboloid(n=2)", "--points", "-3"])
+    assert code == 2
+    assert line == "scene error: random point count must be at least 1, got -3"
+
+
+def test_overflowing_point_prints_one_stderr_line():
+    # a fresh process, so numpy's RuntimeWarning lines would reach the real stderr
+    scene = {"chart": {"catalog": "hyperboloid", "params": {"n": 2}}, "points": [[1e200, 0.1]]}
+    env = {**os.environ, "PYTHONPATH": str(Path(equiaffine.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "equiaffine.cli", "check", "--scene", "-"],
+        input=json.dumps(scene), capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("chart error: point 0: ")
 
 
 def test_missing_scene_file_exits_2(tmp_path, capsys):

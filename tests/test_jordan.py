@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from equiaffine.jordan import (
     EmbeddingData,
     JordanMatrix,
+    _mat_mul,
     apolarity_residual,
     basis_27,
     bracket_operator,
@@ -20,6 +21,7 @@ from equiaffine.jordan import (
     jordan_inner,
     jordan_ops,
     jordan_product,
+    jordan_table,
     mult_operator,
     oct_conj,
     oct_inner,
@@ -267,3 +269,50 @@ def test_gaussf_decomposition_and_transversality():
         X, Y = random_traceless(rng), random_traceless(rng)
         assert gaussf_residual(data, X, Y) < 1e-12
         assert abs(jordan_inner(X, JordanMatrix.identity())) < 1e-13
+
+
+def mat_mul_product(X, Y):
+    """(XY + YX) / 2 from plain octonion matrix products, without the table."""
+    return JordanMatrix(0.5 * (_mat_mul(X.entries, Y.entries) + _mat_mul(Y.entries, X.entries)))
+
+
+def random_hermitian(rng):
+    return JordanMatrix.from_coords(rng.standard_normal(27))
+
+
+def test_jordan_table_read_only_and_symmetric():
+    P = jordan_table()
+    assert P.shape == (27, 27, 27)
+    assert not P.flags.writeable
+    assert np.array_equal(P, P.transpose(1, 0, 2))
+
+
+def test_jordan_table_matches_mat_mul_product():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        X, Y = random_hermitian(rng), random_hermitian(rng)
+        want = mat_mul_product(X, Y)
+        assert (jordan_product(X, Y) - want).max_abs() / want.max_abs() < 1e-13
+
+
+def test_operators_match_per_basis_columns():
+    rng = np.random.default_rng(13)
+    basis = basis_27()
+    T = random_hermitian(rng)
+    cols = [mat_mul_product(T, e).coords() for e in basis]
+    assert np.max(np.abs(mult_operator(T) - np.array(cols).T)) < 1e-13
+    A = random_skew_offdiag(rng)
+    cols = [JordanMatrix(_mat_mul(A, e.entries) - _mat_mul(e.entries, A)).coords() for e in basis]
+    assert np.max(np.abs(bracket_operator(A) - np.array(cols).T)) < 1e-13
+
+
+def test_cubic_form_matches_triple_loop_formula():
+    # A_o[i, j, k] = tr((T_i o T_j) o T_k) / 3 over the g_o-orthonormal basis
+    data = e6_embedding_data(-0.7)
+    on = data.on_basis
+    rng = np.random.default_rng(14)
+    nonzero = np.argwhere(np.abs(data.A_o) > 1e-3)  # about 3% of the entries
+    triples = np.vstack([rng.choice(nonzero, 40), rng.integers(0, data.dim, size=(40, 3))])
+    for i, j, k in triples:
+        want = mat_mul_product(mat_mul_product(on[i], on[j]), on[k]).trace() / 3.0
+        assert abs(data.A_o[i, j, k] - want) < 1e-14
