@@ -261,9 +261,8 @@ def gauss_rhs(g: np.ndarray, g_inv: np.ndarray, A: np.ndarray, B: np.ndarray) ->
     return comm + wedge
 
 
-def check_gauss(chart: ChartDef, point, tolerance: float = 1e-6, inv=None) -> CheckReport:
+def check_gauss(inv: BlaschkeInvariants, tolerance: float = 1e-6) -> CheckReport:
     """Affine Gauss equation: curvature of g against A- and B-terms."""
-    inv = inv or blaschke_at(chart, point)
     rhs = gauss_rhs(inv.g, inv.g_inv, inv.A, inv.B)
     resid = float(np.max(np.abs(inv.curvature.riemann - rhs)))
     return CheckReport("gauss", resid, tolerance)
@@ -343,10 +342,6 @@ def check_hypersphere(inv: BlaschkeInvariants, tolerance: float = 1e-6) -> tuple
     )
 
 
-def nabla_A_norm(chart: ChartDef, point, inv=None) -> tuple[float, CheckReport]:
-    """The g-norm of nabla A (parallelism test) plus the Codazzi side report."""
-    inv = inv or blaschke_at(chart, point)
-    na = inv.nabla_A()
-    norm2 = _g_norm2(na, inv.g_inv)
-    side = check_codazzi(inv)
-    return float(np.sqrt(max(norm2, 0.0))), side
+def nabla_A_norm(inv: BlaschkeInvariants) -> float:
+    """The g-norm of nabla A (parallelism test)."""
+    return float(np.sqrt(max(_g_norm2(inv.nabla_A(), inv.g_inv), 0.0)))

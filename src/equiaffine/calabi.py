@@ -268,23 +268,28 @@ def expected_invariants(spec: CompositionSpec, point) -> tuple[np.ndarray, np.nd
     return g, A
 
 
+def composition_reports(spec: CompositionSpec, k: int, inv: BlaschkeInvariants,
+                        tolerance: float = 1e-6) -> list[CheckReport]:
+    """The composition_*[k] reports: the Blaschke invariants inv of the
+    composed chart at inv.point against the closed forms (g, A, L1 and the
+    hypersphere property)."""
+    g_exp, a_exp = expected_invariants(spec, inv.point)
+    shape, center = check_hypersphere(inv, tolerance)
+    return [
+        CheckReport(f"composition_g[{k}]", float(np.max(np.abs(inv.g - g_exp))), tolerance),
+        CheckReport(f"composition_A[{k}]", float(np.max(np.abs(inv.A - a_exp))), tolerance),
+        CheckReport(f"composition_L1[{k}]", abs(inv.L1 - closed_form(spec).L1), tolerance),
+        CheckReport(f"composition_sphere[{k}]", max(shape.residual, center.residual), tolerance),
+    ]
+
+
 def verify_composition(spec: CompositionSpec, sample_points, tolerance: float = 1e-6) -> list[CheckReport]:
-    """Run the Blaschke pipeline on the composed chart and compare g, A, L1
-    and the hypersphere property against the closed forms."""
+    """Run the Blaschke pipeline on the composed chart at each sample point
+    and compare it with the closed forms (see composition_reports)."""
     chart = compose_chart(spec)
-    cf = closed_form(spec)
     reports = []
     for k, point in enumerate(np.atleast_2d(np.asarray(sample_points, float))):
-        inv = blaschke_at(chart, point)
-        g_exp, a_exp = expected_invariants(spec, point)
-        resid_g = float(np.max(np.abs(inv.g - g_exp)))
-        resid_a = float(np.max(np.abs(inv.A - a_exp)))
-        resid_l1 = abs(inv.L1 - cf.L1)
-        shape, center = check_hypersphere(inv, tolerance)
-        reports.append(CheckReport(f"composition_g[{k}]", resid_g, tolerance))
-        reports.append(CheckReport(f"composition_A[{k}]", resid_a, tolerance))
-        reports.append(CheckReport(f"composition_L1[{k}]", resid_l1, tolerance))
-        reports.append(CheckReport(f"composition_sphere[{k}]", max(shape.residual, center.residual), tolerance))
+        reports.extend(composition_reports(spec, k, blaschke_at(chart, point), tolerance))
     return reports
 
 

@@ -9,7 +9,8 @@ formatting, one residual line per check per point, and a summary block.
 Exit codes: 0 all checks pass, 1 a check failed (report still emitted),
 2 scene error (unreadable scene file or unwritable report path, parse
 error, malformed, empty or non-finite input), 3 chart construction or
-domain error.  Every exit code other than 0 and 1 comes with one stderr
+domain error, at a sample point or at the mean-curvature point of a
+composition.  Every exit code other than 0 and 1 comes with one stderr
 line.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -145,14 +147,25 @@ def resolve_points(doc, chart) -> np.ndarray:
     return pts
 
 
-def point_checks(chart, point, checks, tol, spec) -> tuple[list[CheckReport], dict]:
+@contextmanager
+def pipeline_stage(name: str):
+    """Run one pipeline stage: numpy overflow raises, and every failure of
+    the pipeline becomes a ChartBuildError (exit 3) naming the stage."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):  # overflowing jets: exit 3, no warning lines
+            yield
+    except POINT_ERRORS as exc:
+        raise ChartBuildError(f"{name}: {exc}") from exc
+
+
+def point_checks(chart, point, checks, tol) -> tuple[list[CheckReport], blaschke.BlaschkeInvariants]:
+    """The invariants of the chart at one point and the reports of its per-point checks."""
     inv = blaschke_at(chart, point)
-    scalars = {"L1": inv.L1, "J": inv.J, "chi": inv.chi}
     reports = []
     if "apolarity" in checks:
         reports.append(blaschke.check_apolarity(inv, tol["apolarity"]))
     if "gauss" in checks:
-        reports.append(blaschke.check_gauss(chart, point, tol["gauss"], inv=inv))
+        reports.append(blaschke.check_gauss(inv, tol["gauss"]))
     if "ricci" in checks:
         reports.append(blaschke.check_ricci(inv, tol["ricci"]))
     if "codazzi" in checks:
@@ -164,8 +177,7 @@ def point_checks(chart, point, checks, tol, spec) -> tuple[list[CheckReport], di
     if "hypersphere" in checks:
         reports.extend(blaschke.check_hypersphere(inv, tol["hypersphere"]))
     if "parallel" in checks:
-        norm, _ = blaschke.nabla_A_norm(chart, point, inv=inv)
-        reports.append(CheckReport("parallel", norm, tol["parallel"]))
+        reports.append(CheckReport("parallel", blaschke.nabla_A_norm(inv), tol["parallel"]))
     if "dual" in checks:
         if inv.L1 >= 0:
             reports.append(CheckReport("dual_requires_hyperbolic", abs(inv.L1) + 1.0, 0.0))
@@ -173,7 +185,7 @@ def point_checks(chart, point, checks, tol, spec) -> tuple[list[CheckReport], di
             data = duality.HyperspherePointData.from_invariants(inv)
             reports.append(duality.check_gauss_swap(data, tol["dual"]))
             reports.append(duality.check_trace_free(duality.dualize(data), tol["apolarity"]))
-    return reports, scalars
+    return reports, inv
 
 
 def run_scene(scene: dict, out) -> int:
@@ -196,26 +208,23 @@ def run_scene(scene: dict, out) -> int:
     lines = [f"schema: {SCHEMA_VERSION}", f"chart: {desc}", f"dim: {chart.dim}", f"points: {len(points)}"]
     all_reports = []
     per_point = [c for c in checks if c not in ("composition", "mean_curvature")]
+    scene_reports = []  # composition and mean-curvature reports, after the point blocks
     for k, point in enumerate(points):
-        try:
-            with np.errstate(over="raise", invalid="raise"):  # overflowing jets: exit 3, no warning lines
-                reports, scalars = point_checks(chart, point, per_point, tol, spec)
-        except POINT_ERRORS as exc:
-            raise ChartBuildError(f"point {k}: {exc}") from exc
+        with pipeline_stage(f"point {k}"):
+            reports, inv = point_checks(chart, point, per_point, tol)
+            if "composition" in checks:
+                scene_reports.extend(calabi.composition_reports(spec, k, inv, tol["composition"]))
         lines.append(f"point[{k}]: {fmt_vector(point)}")
         for name in ("L1", "J", "chi"):
-            lines.append(f"  {name}: {fmt(scalars[name])}")
+            lines.append(f"  {name}: {fmt(getattr(inv, name))}")
         lines.extend("  " + check_line(rep) for rep in reports)
         all_reports.extend(reports)
 
-    if spec is not None and "composition" in checks:
-        reports = calabi.verify_composition(spec, points, tol["composition"])
-        lines.extend(check_line(rep) for rep in reports)
-        all_reports.extend(reports)
-    if spec is not None and spec.s >= 1 and "mean_curvature" in checks:
-        reports = calabi.mean_curvature_relations(spec, tolerance=tol["mean_curvature"])
-        lines.extend(check_line(rep) for rep in reports)
-        all_reports.extend(reports)
+    if "mean_curvature" in checks and spec.s >= 1:
+        with pipeline_stage("mean_curvature point"):
+            scene_reports.extend(calabi.mean_curvature_relations(spec, tolerance=tol["mean_curvature"]))
+    lines.extend(check_line(rep) for rep in scene_reports)
+    all_reports.extend(scene_reports)
 
     worst = max((r.residual for r in all_reports), default=0.0)
     failed = [r for r in all_reports if not r.passed]

@@ -104,6 +104,13 @@ class JordanMatrix:
         self.entries = entries
 
     @classmethod
+    def _trusted(cls, entries: np.ndarray) -> "JordanMatrix":
+        """Wrap float entries that are Hermitian by construction, unchecked."""
+        m = cls.__new__(cls)
+        m.entries = entries
+        return m
+
+    @classmethod
     def from_parts(cls, xi, x1, x2, x3) -> "JordanMatrix":
         """Diagonal reals (xi1, xi2, xi3) and octonions per the layout
         [[xi1, x3, conj(x2)], [conj(x3), xi2, x1], [x2, conj(x1), xi3]]."""
@@ -114,7 +121,7 @@ class JordanMatrix:
         coords = np.asarray(coords, float)
         if coords.shape != (JORDAN_DIM,):
             raise ValueError("expected 27 coordinates")
-        return cls(_entries(coords))
+        return cls._trusted(_entries(coords))
 
     def coords(self) -> np.ndarray:
         """Coordinates in the frozen (E_i, F_i(e_k)) basis."""
@@ -136,18 +143,18 @@ class JordanMatrix:
         return cls.from_parts(np.zeros(3), *parts)
 
     def __add__(self, other):
-        return JordanMatrix(self.entries + other.entries)
+        return JordanMatrix._trusted(self.entries + other.entries)
 
     def __sub__(self, other):
-        return JordanMatrix(self.entries - other.entries)
+        return JordanMatrix._trusted(self.entries - other.entries)
 
     def __mul__(self, scalar):
-        return JordanMatrix(self.entries * float(scalar))
+        return JordanMatrix._trusted(self.entries * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return JordanMatrix(-self.entries)
+        return JordanMatrix._trusted(-self.entries)
 
     def trace(self) -> float:
         return float(self.entries[0, 0, 0] + self.entries[1, 1, 0] + self.entries[2, 2, 0])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from equiaffine.blaschke import blaschke_at, check_hypersphere, nabla_A_norm
+from equiaffine.blaschke import blaschke_at, check_codazzi, check_hypersphere, nabla_A_norm
 from equiaffine.calabi import ComposedChart, CompositionSpec, compose_chart
 from equiaffine.catalog import (
     ENTRIES,
@@ -69,7 +69,7 @@ def test_entry_expected_invariants_hold(name):
         if expected.get("is_sphere"):
             assert all(rep.passed for rep in check_hypersphere(inv, 1e-10))
         if expected.get("is_parallel"):
-            assert nabla_A_norm(chart, point, inv=inv)[0] < 1e-10
+            assert nabla_A_norm(inv) < 1e-10
         if expected.get("L1_negative"):
             assert inv.L1 < 0
         if expected.get("J_equals_minus_L1"):
@@ -132,8 +132,7 @@ def test_sl_so3_hypersphere_and_parallel():
         L1s.append(inv.L1)
         shape, center = check_hypersphere(inv, 1e-8)
         assert shape.passed and center.passed
-        norm, side = nabla_A_norm(chart, point, inv=inv)
-        assert norm < 1e-10 and side.passed
+        assert nabla_A_norm(inv) < 1e-10 and check_codazzi(inv).passed
     # homogeneous: the same mean curvature at every point
     assert np.ptp(L1s) < 1e-10
 

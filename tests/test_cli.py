@@ -10,9 +10,14 @@ from pathlib import Path
 import pytest
 
 import equiaffine
+from equiaffine import calabi, catalog, cli
+from equiaffine.blaschke import blaschke_at
 from equiaffine.cli import (
+    DEFAULT_TOL,
     SceneError,
+    build_composition,
     catalog_list,
+    check_line,
     fmt,
     jordan_selftest,
     main,
@@ -83,6 +88,62 @@ def test_composition_scene():
     assert code == 0
     assert "composition_g[0]" in report
     assert "mean_curvature_diag[1]" in report
+
+
+# r=1 plus hyperboloid(n=2), n=3, at 4 points, all checks
+HYPERBOLOID_COMPOSITION = {
+    "chart": {
+        "composition": {
+            "r": 1,
+            "constants": [1.0, 1.0],
+            "factors": [{"catalog": {"name": "hyperboloid", "params": {"n": 2}}, "L1": -1.0}],
+        }
+    },
+    "points": [[0.1, 0.2, -0.3], [-0.2, 0.0, 0.4], [0.25, -0.45, 0.1], [0.0, 0.3, 0.3]],
+    "checks": "all",
+}
+
+
+def test_composition_scene_runs_pipeline_once_per_point(monkeypatch):
+    calls = []
+
+    def counted(chart, point):
+        calls.append(isinstance(chart, calabi.ComposedChart))
+        return blaschke_at(chart, point)
+
+    monkeypatch.setattr(cli, "blaschke_at", counted)
+    monkeypatch.setattr(calabi, "blaschke_at", counted)
+    code, _ = run(HYPERBOLOID_COMPOSITION)
+    assert code == 0
+    # 4 composed points + 1 mean-curvature point; 4 factor points for the closed forms
+    assert len(calls) == 9
+    assert sum(calls) == 5
+
+
+def test_composition_lines_match_verify_composition():
+    _, report = run(HYPERBOLOID_COMPOSITION)
+    spec = build_composition(HYPERBOLOID_COMPOSITION["chart"]["composition"])
+    want = calabi.verify_composition(spec, HYPERBOLOID_COMPOSITION["points"], DEFAULT_TOL["composition"])
+    got = [line for line in report.splitlines() if line.startswith("check composition_")]
+    assert got == [check_line(rep) for rep in want]
+    assert len(got) == 16
+
+
+def test_nested_composition_scene_passes(monkeypatch):
+    # the sphere factor is itself a composed chart
+    inner = calabi.CompositionSpec(r=1, factors=(catalog.flat_factor(1, 1.0),), constants=(1.0, 1.0))
+    entry = catalog.CatalogEntry(name="inner", summary="", params={}, builder=lambda: calabi.compose_chart(inner))
+    monkeypatch.setitem(catalog.ENTRIES, "inner", entry)
+    factor = {"catalog": {"name": "inner"}, "L1": calabi.closed_form(inner).L1}
+    scene = {
+        "chart": {"composition": {"r": 1, "constants": [1.0, 1.0], "factors": [factor]}},
+        "points": {"random": 2, "seed": 3},
+        "checks": "all",
+    }
+    code, report = run(scene)
+    assert code == 0, report
+    assert report.count("check composition_") == 8
+    assert "check mean_curvature_diag[1]" in report
 
 
 def test_scene_validation_errors():
@@ -202,6 +263,21 @@ def test_point_domain_errors_exit_3(tmp_path, capsys, chart, point):
     code, line = error_line(capsys, ["check", "--scene", scene_file(tmp_path, chart, [point])])
     assert code == 3
     assert line.startswith("chart error: point 0: ")
+
+
+def test_mean_curvature_point_domain_error_exits_3(tmp_path, capsys):
+    # the sample points pass; the factor's domain midpoint u1 = 0 is outside log's domain
+    text = "dim 2; x1 = u1; x2 = u2; x3 = sqrt(1 + u1^2 + u2^2) + 0 * log(u1);"
+    factor = {"catalog": {"name": "graph", "params": {"text": text}}, "L1": -1}
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({
+        "chart": {"composition": {"r": 1, "constants": [1, 1], "factors": [factor]}},
+        "points": [[0.1, 0.2, 0.1], [0.0, 0.3, -0.1]],
+        "checks": "all",
+    }))
+    code, line = error_line(capsys, ["check", "--scene", str(path)])
+    assert code == 3
+    assert line == "chart error: mean_curvature point: log of non-positive value part 0.0"
 
 
 def test_non_finite_point_exits_2(tmp_path, capsys):

@@ -76,7 +76,7 @@ def test_curvature_operator_against_pipeline():
     must reproduce the pipeline's Riemann tensor."""
     for chart, point in ((hyperboloid(2), [0.2, -0.1]), (flat_hypersphere(2, 1.0), [0.1, 0.3])):
         inv = blaschke_at(chart, point)
-        assert check_gauss(chart, point, inv=inv).passed
+        assert check_gauss(inv).passed
         data = HyperspherePointData.from_invariants(inv)
         rup = curvature_operator(data.g, data.A, data.L1)
         riem = np.einsum("ml,mijk->ijkl", data.g, rup)

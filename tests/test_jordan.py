@@ -98,6 +98,12 @@ def test_jordan_matrix_construction_and_coords():
     assert np.allclose(again.entries, X.entries)
     with pytest.raises(ValueError):
         JordanMatrix(rng.standard_normal((3, 3, 8)))  # not Hermitian
+    with pytest.raises(ValueError):
+        JordanMatrix(np.zeros((3, 3, 7)))
+    # from_coords and the arithmetic skip the check: their results must pass it
+    Y = JordanMatrix.from_coords(rng.standard_normal(27))
+    for Z in (Y, X + Y, X - Y, 2.5 * X, X * -0.5, -Y):
+        assert np.array_equal(JordanMatrix(Z.entries).coords(), Z.coords())
 
 
 def test_jordan_product_commutative_and_jordan_identity():
