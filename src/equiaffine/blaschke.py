@@ -18,10 +18,11 @@ solving the affine Gauss formula in the frame {x_k, xi}, and the
 recovered transversal coefficient h_ij is checked against g_ij as an
 internal consistency gate.
 
-The conormal, det G, g^{-1} and the frame solve all use ``jet_lu``,
-which pivots on value parts.  That is sound here: M is nonsingular for
-an immersion, G is definite (otherwise ConvexityError is raised first)
-and the frame is nonsingular (otherwise FrameError).
+The conormal, det G, g^{-1} and the frame solve all use ``jet_lu``: one
+solve with the value part plus a nilpotent series, which needs a
+nonsingular value part.  That holds here: M is nonsingular for an
+immersion, G is definite (otherwise ConvexityError is raised first) and
+the frame is nonsingular (otherwise FrameError).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .tensors import MetricField, cov_deriv_sym3, riemann
 
 H_EQUALS_G_TOL = 1e-9
 TAU_TOL = 1e-9
+L1_ZERO_TOL = 1e-12  # |L1| at or below this counts as L1 = 0 (improper affine sphere)
 
 
 class ConvexityError(ValueError):
@@ -225,7 +227,10 @@ def _determinant_form(x1: np.ndarray, hess: np.ndarray, point) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ConvexityError(f"tangents are linearly dependent at {point}") from exc
     nu = jet_mul(det_m, y[:, 0], n)
-    return jet_einsum("a,ija->ij", nu, hess, n)
+    lower = np.tril_indices(n)  # G is symmetric: contract the pairs i >= j only
+    G = np.empty((n, n, m2))
+    G[lower] = G[lower[::-1]] = jet_einsum("a,pa->p", nu, hess[lower], n)
+    return G
 
 
 def _symmetrize3(t: np.ndarray) -> np.ndarray:
@@ -330,9 +335,9 @@ def check_gauss_alt(inv: BlaschkeInvariants, tolerance: float = 1e-6) -> CheckRe
 def check_hypersphere(inv: BlaschkeInvariants, tolerance: float = 1e-6) -> tuple[CheckReport, CheckReport]:
     """Affine hypersphere tests: B = L1 g, and xi = -L1 x for proper spheres
     centered at the origin.  Returns (shape-operator report, center report);
-    the center residual is 0 by convention when L1 = 0."""
+    the center residual is 0 by convention when L1 = 0 (``L1_ZERO_TOL``)."""
     resid_b = float(np.max(np.abs(inv.B - inv.L1 * inv.g)))
-    if abs(inv.L1) > 1e-12:
+    if abs(inv.L1) > L1_ZERO_TOL:
         resid_c = float(np.max(np.abs(inv.xi + inv.L1 * inv.position)))
     else:
         resid_c = 0.0

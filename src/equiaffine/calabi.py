@@ -317,19 +317,25 @@ def block_sparsity_residual(spec: CompositionSpec, inv: BlaschkeInvariants) -> f
 
 
 def mean_curvature_relations(spec: CompositionSpec, point=None, tolerance: float = 1e-6) -> list[CheckReport]:
-    """Check the factor mean-curvature identities g(H_a,H_a) =
-    (n-n_a)/(n_a+1) * (-L1) and g(H_a,H_b) = L1 for a != b."""
+    """Run the Blaschke pipeline on the composed chart at ``point`` (default:
+    the factors' domain midpoints) and check its mean_curvature_reports."""
     if spec.s < 1:
         return [CheckReport("mean_curvature_skipped", 0.0, tolerance)]
     idx = spec.index
-    chart = compose_chart(spec)
     if point is None:
         point = np.zeros(idx.n)
         for alpha in range(1, spec.s + 1):
-            sl = idx.factor_slice(alpha)
             lo, hi = spec.factors[alpha - 1].chart.domain_hint
-            point[sl] = 0.5 * (lo + hi)
-    inv = blaschke_at(chart, point)
+            point[idx.factor_slice(alpha)] = 0.5 * (lo + hi)
+    return mean_curvature_reports(spec, blaschke_at(compose_chart(spec), point), tolerance)
+
+
+def mean_curvature_reports(spec: CompositionSpec, inv: BlaschkeInvariants,
+                           tolerance: float = 1e-6) -> list[CheckReport]:
+    """The factor mean-curvature identities g(H_a,H_a) = (n-n_a)/(n_a+1) * (-L1)
+    and g(H_a,H_b) = L1 for a != b, from the Blaschke invariants inv of the
+    composed chart at any point."""
+    idx = spec.index
     cf = closed_form(spec)
     tsl = idx.t_slice()
     g_t = inv.g[tsl, tsl]

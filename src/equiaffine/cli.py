@@ -9,9 +9,9 @@ formatting, one residual line per check per point, and a summary block.
 Exit codes: 0 all checks pass, 1 a check failed (report still emitted),
 2 scene error (unreadable scene file or unwritable report path, parse
 error, malformed, empty or non-finite input), 3 chart construction or
-domain error, at a sample point or at the mean-curvature point of a
-composition.  Every exit code other than 0 and 1 comes with one stderr
-line.
+domain error at a sample point.  The mean-curvature relations of a
+composition are checked at the first sample point.  Every exit code
+other than 0 and 1 comes with one stderr line.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import blaschke, calabi, catalog, duality, jordan
-from .blaschke import CheckReport, ConsistencyError, ConvexityError, FrameError, blaschke_at
+from .blaschke import L1_ZERO_TOL, CheckReport, ConsistencyError, ConvexityError, FrameError, blaschke_at
 from .dsl import ChartParseError, ImmersionError, parse_chart
 from .jets import JetDomainError
 from .tensors import MetricError
@@ -179,7 +179,7 @@ def point_checks(chart, point, checks, tol) -> tuple[list[CheckReport], blaschke
     if "parallel" in checks:
         reports.append(CheckReport("parallel", blaschke.nabla_A_norm(inv), tol["parallel"]))
     if "dual" in checks:
-        if inv.L1 >= 0:
+        if inv.L1 >= -L1_ZERO_TOL:  # L1 = 0 within rounding is not hyperbolic
             reports.append(CheckReport("dual_requires_hyperbolic", abs(inv.L1) + 1.0, 0.0))
         else:
             data = duality.HyperspherePointData.from_invariants(inv)
@@ -208,21 +208,22 @@ def run_scene(scene: dict, out) -> int:
     lines = [f"schema: {SCHEMA_VERSION}", f"chart: {desc}", f"dim: {chart.dim}", f"points: {len(points)}"]
     all_reports = []
     per_point = [c for c in checks if c not in ("composition", "mean_curvature")]
-    scene_reports = []  # composition and mean-curvature reports, after the point blocks
+    scene_reports = []  # composition reports, after the point blocks
+    mean_curvature = []  # from point 0, after the composition reports
     for k, point in enumerate(points):
         with pipeline_stage(f"point {k}"):
             reports, inv = point_checks(chart, point, per_point, tol)
             if "composition" in checks:
                 scene_reports.extend(calabi.composition_reports(spec, k, inv, tol["composition"]))
+            if k == 0 and "mean_curvature" in checks and spec.s >= 1:
+                mean_curvature = calabi.mean_curvature_reports(spec, inv, tol["mean_curvature"])
         lines.append(f"point[{k}]: {fmt_vector(point)}")
         for name in ("L1", "J", "chi"):
             lines.append(f"  {name}: {fmt(getattr(inv, name))}")
         lines.extend("  " + check_line(rep) for rep in reports)
         all_reports.extend(reports)
 
-    if "mean_curvature" in checks and spec.s >= 1:
-        with pipeline_stage("mean_curvature point"):
-            scene_reports.extend(calabi.mean_curvature_relations(spec, tolerance=tol["mean_curvature"]))
+    scene_reports.extend(mean_curvature)
     lines.extend(check_line(rep) for rep in scene_reports)
     all_reports.extend(scene_reports)
 

@@ -246,10 +246,6 @@ def _series_coeffs(series: list[float], coeffs: np.ndarray, num_vars: int) -> np
     return out
 
 
-def _recip_series(value: float, order: int) -> list[float]:
-    return [(-1.0) ** k / value ** (k + 1) for k in range(order + 1)]
-
-
 def exp(x: Jet) -> Jet:
     ev = math.exp(x.value)
     series = [ev / math.factorial(k) for k in range(x.order + 1)]
@@ -268,7 +264,7 @@ def log(x: Jet) -> Jet:
 def recip(x: Jet) -> Jet:
     if x.value == 0.0:
         raise JetDomainError("reciprocal of a jet with zero value part")
-    return _compose_series(_recip_series(x.value, x.order), x)
+    return _compose_series([(-1.0) ** k / x.value ** (k + 1) for k in range(x.order + 1)], x)
 
 
 def power(x: Jet, p) -> Jet:
@@ -424,11 +420,12 @@ def jet_matmul(a: np.ndarray, b: np.ndarray, num_vars: int) -> np.ndarray:
     """Matrix product of (..., m, k, M) and (..., k, p, M) jet arrays.
 
     Same result as ``jet_einsum("ik,kj->ij", ...)``, but as one batched
-    ``np.matmul`` per coefficient pair, which is several times faster than
+    ``np.matmul`` over the coefficient pairs, with the matrix axes taken
+    in place (``axes=``), which is several times faster than
     ``np.einsum`` on this pattern."""
     ii, jj, _, starts = _product_table(num_vars, jet_order(num_vars, a.shape[-1]))
-    prod = np.moveaxis(a[..., ii], -1, 0) @ np.moveaxis(b[..., jj], -1, 0)
-    return np.add.reduceat(np.moveaxis(prod, 0, -1), starts, axis=-1)
+    prod = np.matmul(a[..., ii], b[..., jj], axes=[(-3, -2)] * 3)
+    return np.add.reduceat(prod, starts, axis=-1)
 
 
 def jet_gradient(a: np.ndarray, num_vars: int) -> np.ndarray:
@@ -450,61 +447,40 @@ def jet_lu(A: np.ndarray, num_vars: int, B: np.ndarray | None = None):
 
     ``A`` is an (n, n, M) jet array and ``B`` an (n, k, M) one; returns
     ``(det, X)`` with det of shape (M,) and X of shape (n, k, M), or None.
-    Gauss-Jordan elimination with partial pivoting on value parts: each
-    column costs one pivot reciprocal and two batched products.  Unlike
-    ``jet_det`` this needs every pivot's value part to be nonzero; a zero
-    pivot raises ``np.linalg.LinAlgError``.
+    Write A = A0 + N with A0 the value part and N nilpotent (every entry
+    has zero value part, so N^(order+1) = 0 under truncation), and
+    Y = A0^{-1} N.  Then, exactly at the jet order,
+
+        A^{-1} B = sum_{k <= order} (-Y)^k A0^{-1} B,
+        det A = det A0 * exp(sum_{k=1}^{order} (-1)^(k+1) tr(Y^k) / k).
+
+    One ``np.linalg.solve`` on the value parts (LAPACK pivots) gives Y and
+    A0^{-1} B; the sum is ``order`` Horner steps.  A singular value part
+    raises ``np.linalg.LinAlgError``.
     """
     n, size = A.shape[0], A.shape[-1]
     order = jet_order(num_vars, size)
-    aug = A.copy() if B is None else np.concatenate([A, B], axis=1)
-    det = np.zeros(size)
-    det[0] = 1.0
-    rows = np.arange(n)
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(aug[col:, col, 0])))
-        if aug[piv, col, 0] == 0.0:
-            raise np.linalg.LinAlgError("singular jet matrix")
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-            det = -det
-        pivot = aug[col, col].copy()
-        det = jet_mul(det, pivot, num_vars)
-        inv = _series_coeffs(_recip_series(pivot[0], order), pivot, num_vars)
-        row = jet_mul(aug[col, col + 1 :], inv, num_vars)
-        aug[col, col + 1 :] = row
-        # below the pivot only for a determinant; every other row to solve
-        others = rows[col + 1 :] if B is None else rows[rows != col]
-        aug[others, col + 1 :] -= jet_mul(aug[others, col, None], row, num_vars)
-    return det, (None if B is None else aug[:, n:])
+    split = n * (size - 1)  # columns of N in the one right-hand side [N | B]
+    rhs = A[..., 1:].reshape(n, split)
+    if B is not None:
+        rhs = np.concatenate([rhs, B.reshape(n, -1)], axis=1)
+    sol = np.linalg.solve(A[..., 0], rhs)
+    Y = np.zeros(A.shape)
+    Y[..., 1:] = sol[:, :split].reshape(n, n, size - 1)
 
+    log_det = np.zeros(size)  # tr log(I + Y)
+    power = Y
+    for k in range(1, order + 1):
+        log_det += (-1) ** (k + 1) / k * np.trace(power)
+        if k < order:
+            power = jet_matmul(power, Y, num_vars)
+    exp_series = [1.0 / math.factorial(k) for k in range(order + 1)]
+    det = np.linalg.det(A[..., 0]) * _series_coeffs(exp_series, log_det, num_vars)
+    if B is None:
+        return det, None
 
-def jet_det(A: np.ndarray, num_vars: int) -> np.ndarray:
-    """Determinant of an (n, n, M) jet matrix, as an (M,) jet.
-
-    Division-free: elimination would need invertible (nonzero-value)
-    pivots, but the determinant of a jet matrix is well defined even
-    when every value part vanishes.  Uses the subset dynamic program
-    over columns (Laplace expansion shared across row subsets), which
-    is O(2^n n) jet operations and exact.  ``jet_lu`` is the
-    polynomial-cost routine for matrices with a nonsingular value part.
-    """
-    n, size = A.shape[0], A.shape[-1]
-    one = np.zeros(size)
-    one[0] = 1.0
-    # partial[S] = det of the top-|S| rows restricted to column set S
-    partial = {0: one}
-    for row in range(n):
-        nxt: dict[int, np.ndarray] = {}
-        for subset, sub_det in partial.items():
-            terms = jet_mul(sub_det, A[row], num_vars)  # one per column
-            for col in range(n):
-                bit = 1 << col
-                if subset & bit:
-                    continue
-                # permutation sign: parity of used columns above this one
-                term = -terms[col] if (subset >> (col + 1)).bit_count() & 1 else terms[col]
-                key = subset | bit
-                nxt[key] = term if key not in nxt else nxt[key] + term
-        partial = nxt
-    return partial[(1 << n) - 1]
+    Z = sol[:, split:].reshape(B.shape)
+    X = Z
+    for _ in range(order):
+        X = Z - jet_matmul(Y, X, num_vars)
+    return det, X

@@ -20,7 +20,8 @@ from equiaffine.blaschke import (
 )
 from equiaffine.calabi import CompositionSpec, compose_chart
 from equiaffine.catalog import TransformedChart, flat_factor, hyperboloid, random_unimodular, sl_so
-from equiaffine.jets import jet_det, jet_gradient
+from equiaffine.jets import jet_gradient
+from jet_reference import jet_det
 
 GENERIC = (
     "dim 2; x1 = u1; x2 = u2; "
@@ -217,6 +218,14 @@ def test_hyperboloid_dimension_8():
     assert inv.L1 == pytest.approx(-1.0, abs=1e-10)
     assert inv.J == pytest.approx(0.0, abs=1e-10)
     assert inv.chi == pytest.approx(-1.0, abs=1e-10)
+    assert np.max(np.abs(inv.B - inv.L1 * inv.g)) < 1e-10
+
+
+def test_hyperboloid_dimension_14():
+    # the paper's 14-dimensional size through the generic pipeline
+    inv = blaschke_at(hyperboloid(14), np.linspace(-0.3, 0.3, 14))
+    assert inv.L1 == pytest.approx(-1.0, abs=1e-10)
+    assert inv.J == pytest.approx(0.0, abs=1e-10)
     assert np.max(np.abs(inv.B - inv.L1 * inv.g)) < 1e-10
 
 

@@ -115,9 +115,10 @@ def test_composition_scene_runs_pipeline_once_per_point(monkeypatch):
     monkeypatch.setattr(calabi, "blaschke_at", counted)
     code, _ = run(HYPERBOLOID_COMPOSITION)
     assert code == 0
-    # 4 composed points + 1 mean-curvature point; 4 factor points for the closed forms
-    assert len(calls) == 9
-    assert sum(calls) == 5
+    # 4 composed points (point 0 also serves the mean-curvature relations);
+    # 4 factor points for the closed forms
+    assert len(calls) == 8
+    assert sum(calls) == 4
 
 
 def test_composition_lines_match_verify_composition():
@@ -235,6 +236,18 @@ def test_dual_subcommand(capsys):
     assert "gauss_swap" in text and "minimality" in text
 
 
+def test_dual_treats_rounding_level_l1_as_zero(capsys):
+    # elliptic paraboloid: L1 = 0 up to rounding noise of either sign
+    assert main(["dual", "--chart", "elliptic_paraboloid(n=3)", "--points", "4", "--seed", "1"]) == 1
+    text = capsys.readouterr().out
+    assert text.count("check dual_requires_hyperbolic: residual=1.0") == 4
+    assert "gauss_swap" not in text and "minimality" not in text
+    for chart in ("hyperboloid(n=3)", "sl_so(m=3)"):
+        assert main(["dual", "--chart", chart, "--points", "3", "--seed", "1"]) == 0
+        text = capsys.readouterr().out
+        assert text.count("check gauss_swap") == 3 and "dual_requires_hyperbolic" not in text
+
+
 def error_line(capsys, argv):
     """Exit code and the single stderr line of a failing ``main`` run."""
     code = main(argv)
@@ -266,18 +279,17 @@ def test_point_domain_errors_exit_3(tmp_path, capsys, chart, point):
 
 
 def test_mean_curvature_point_domain_error_exits_3(tmp_path, capsys):
-    # the sample points pass; the factor's domain midpoint u1 = 0 is outside log's domain
+    # the mean-curvature relations use point 0's invariants, so the factor's
+    # domain midpoint u1 = 0 (outside log's domain) is never evaluated
     text = "dim 2; x1 = u1; x2 = u2; x3 = sqrt(1 + u1^2 + u2^2) + 0 * log(u1);"
     factor = {"catalog": {"name": "graph", "params": {"text": text}}, "L1": -1}
-    path = tmp_path / "scene.json"
-    path.write_text(json.dumps({
-        "chart": {"composition": {"r": 1, "constants": [1, 1], "factors": [factor]}},
-        "points": [[0.1, 0.2, 0.1], [0.0, 0.3, -0.1]],
-        "checks": "all",
-    }))
-    code, line = error_line(capsys, ["check", "--scene", str(path)])
+    chart = {"composition": {"r": 1, "constants": [1, 1], "factors": [factor]}}
+    assert main(["check", "--scene", scene_file(tmp_path, chart, [[0.1, 0.2, 0.1], [0.0, 0.3, -0.1]])]) == 0
+    assert "check mean_curvature_diag[1]" in capsys.readouterr().out
+    # a point 0 with u1 = 0 fails there
+    code, line = error_line(capsys, ["check", "--scene", scene_file(tmp_path, chart, [[0.1, 0.0, 0.1]])])
     assert code == 3
-    assert line == "chart error: mean_curvature point: log of non-positive value part 0.0"
+    assert line == "chart error: point 0: log of non-positive value part 0.0"
 
 
 def test_non_finite_point_exits_2(tmp_path, capsys):

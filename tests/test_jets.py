@@ -13,7 +13,6 @@ from equiaffine.jets import (
     JetDomainError,
     _index_map,
     _product_table,
-    jet_det,
     jet_einsum,
     jet_embed,
     jet_lu,
@@ -22,6 +21,7 @@ from equiaffine.jets import (
     jet_variables,
     monomials,
 )
+from jet_reference import jet_det
 
 
 def jet_grid(mat) -> np.ndarray:
@@ -288,6 +288,38 @@ def test_jet_lu_zero_pivot_raises():
         jet_lu(A, 1)
     with pytest.raises(np.linalg.LinAlgError):
         jet_lu(A, 1, jet_grid([[one], [one]]))
+
+
+def test_jet_lu_pivots_past_zero_corner():
+    # nonsingular value part whose (0, 0) entry vanishes: solvable only with pivoting
+    rng = np.random.default_rng(11)
+    A = random_jet_matrix(rng, 3, 2, 3, shift=0.0)
+    A[..., 0] = [[0.0, 1.0, 2.0], [1.0, 0.5, 3.0], [2.0, -1.0, 1.0]]
+    B = rng.standard_normal((3, 2, A.shape[-1]))
+    det, X = jet_lu(A, 2, B)
+    ref = jet_det(A, 2)
+    assert np.allclose(det, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    assert np.allclose(jet_matmul(A, X, 2), B, atol=1e-10)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_jet_lu_order_4_up_to_n_7(n, num_vars, seed):
+    rng = np.random.default_rng(seed)
+    A = random_jet_matrix(rng, n, num_vars, 4, shift=3.0 * n)  # well conditioned at every n
+    B = rng.standard_normal((n, 3, A.shape[-1]))
+    det, X = jet_lu(A, num_vars, B)
+    ref = jet_det(A, num_vars)
+    assert np.allclose(det, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+    assert np.allclose(jet_matmul(A, X, num_vars), B, atol=1e-8 * np.abs(B).max())
+
+
+def test_jet_matmul_batched_matches_einsum():
+    rng = np.random.default_rng(3)
+    size = jet_size(2, 3)
+    a = rng.standard_normal((4, 2, 3, size))
+    b = rng.standard_normal((4, 3, 5, size))
+    assert np.allclose(jet_matmul(a, b, 2), jet_einsum("bik,bkj->bij", a, b, 2), atol=1e-12)
 
 
 small = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
