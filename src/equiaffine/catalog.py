@@ -9,6 +9,7 @@ graph immersions from chart source text.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,8 +83,8 @@ def hyperboloid(n: int) -> DslChart:
     return parse_chart(_quadric_text(n, "hyperboloid"))
 
 
-def _symmetric_basis(m: int) -> list[np.ndarray]:
-    """Frobenius-orthonormal basis of trace-free symmetric m x m matrices."""
+def _symmetric_basis(m: int) -> np.ndarray:
+    """Frobenius-orthonormal basis of trace-free symmetric m x m matrices, as (d, m, m)."""
     basis = []
     for d in range(1, m):
         v = np.zeros(m)
@@ -96,7 +97,7 @@ def _symmetric_basis(m: int) -> list[np.ndarray]:
             mat = np.zeros((m, m))
             mat[i, j] = mat[j, i] = 1.0 / np.sqrt(2.0)
             basis.append(mat)
-    return basis
+    return np.array(basis)
 
 
 class MatrixExpChart(ChartDef):
@@ -114,22 +115,32 @@ class MatrixExpChart(ChartDef):
 
     def component_jets(self, point, order):
         var = jet_variables(point, order)
-        E = _jet_matrix_exp(np.einsum("vij,vc->ijc", np.array(self.basis), var), self.dim)
+        E = _jet_matrix_exp(np.einsum("vij,vc->ijc", self.basis, var), self.dim)
         return E[np.triu_indices(self.m)]
 
 
+# 1/k! for k = 0..19; row j holds the coefficients of the block B_j
+_EXP_COEFFS = np.array([1.0 / math.factorial(k) for k in range(20)]).reshape(4, 5)
+
+
 def _jet_matrix_exp(S: np.ndarray, num_vars: int) -> np.ndarray:
-    """exp of an (m, m, M) jet matrix by scaling-and-squaring plus the series."""
+    """exp of an (m, m, M) jet matrix: scaling and squaring around the
+    degree-19 Taylor polynomial, evaluated Paterson-Stockmeyer style as
+    sum_j B_j (A^5)^j with B_j = sum_{i<5} A^i / (5j+i)!: 7 jet products
+    (A^2..A^5, then 3 Horner steps), not one per degree."""
     m = S.shape[0]
     norm = np.abs(S[..., 0]).sum(axis=1).max()
     squarings = max(0, int(np.ceil(np.log2(max(norm, 1e-30) / 0.5))))
     A = S * 0.5**squarings
-    out = np.zeros_like(S)
-    out[..., 0] = np.eye(m)
-    term = out.copy()
-    for k in range(1, 18):
-        term = jet_matmul(term, A, num_vars) * (1.0 / k)
-        out = out + term
+    powers = [np.zeros_like(S), A]
+    powers[0][..., 0] = np.eye(m)
+    for _ in range(4):
+        powers.append(jet_matmul(powers[-1], A, num_vars))
+    A5 = powers.pop()
+    blocks = np.tensordot(_EXP_COEFFS, np.array(powers), 1)
+    out = blocks[3]
+    for B in blocks[2::-1]:
+        out = jet_matmul(out, A5, num_vars) + B
     for _ in range(squarings):
         out = jet_matmul(out, out, num_vars)
     return out

@@ -81,38 +81,56 @@ def check_line(rep: CheckReport) -> str:
 # -- scene resolution -------------------------------------------------------
 
 
+def build_chart(name: str, build, *args):
+    """Calls a chart builder; an unknown name or invalid parameters become
+    ``ChartBuildError`` (exit 3)."""
+    try:
+        return build(*args)
+    except KeyError as exc:
+        raise ChartBuildError(str(exc)) from exc
+    except (ValueError, TypeError) as exc:
+        raise ChartBuildError(f"invalid parameters for {name!r}: {exc}") from exc
+
+
+def build_factor(fd) -> calabi.HypersphereFactor:
+    """One composition factor. A malformed factor document raises
+    ``SceneError`` (exit 2); invalid chart parameters ``ChartBuildError``."""
+    if not isinstance(fd, dict) or not {"flat", "catalog"} & fd.keys():
+        raise SceneError(f"unknown factor spec {fd!r}")
+    if "catalog" in fd and "L1" not in fd:
+        raise SceneError("catalog composition factors need an explicit L1")
+    try:
+        if "flat" in fd:
+            args = fd["flat"]
+            return build_chart("flat", catalog.flat_factor, int(args["n0"]), float(args.get("C0", 1.0)))
+        name, L1 = fd["catalog"]["name"], float(fd["L1"])
+        chart = build_chart(name, catalog.get_chart, name, fd["catalog"].get("params"))
+        return calabi.HypersphereFactor(chart=chart, L1=L1, dim=chart.dim)
+    except (SceneError, ChartBuildError):
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise SceneError(f"malformed composition factor {fd!r}: {exc}") from exc
+
+
 def build_composition(spec_doc: dict) -> calabi.CompositionSpec:
     try:
         r = int(spec_doc["r"])
-        constants = [float(c) for c in spec_doc["constants"]]
-        factor_docs = spec_doc.get("factors", [])
+        constants = tuple(float(c) for c in spec_doc["constants"])
+        factor_docs = list(spec_doc.get("factors", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise SceneError(f"malformed composition spec: {exc}") from exc
-    factors = []
-    for fd in factor_docs:
-        if "flat" in fd:
-            args = fd["flat"]
-            factors.append(catalog.flat_factor(int(args["n0"]), float(args.get("C0", 1.0))))
-        elif "catalog" in fd:
-            if "L1" not in fd:
-                raise SceneError("catalog composition factors need an explicit L1")
-            chart = catalog.get_chart(fd["catalog"]["name"], fd["catalog"].get("params"))
-            factors.append(calabi.HypersphereFactor(chart=chart, L1=float(fd["L1"]), dim=chart.dim))
-        else:
-            raise SceneError(f"unknown factor spec {fd!r}")
-    return calabi.CompositionSpec(r=r, factors=tuple(factors), constants=tuple(constants))
+    factors = tuple(build_factor(fd) for fd in factor_docs)
+    try:
+        return calabi.CompositionSpec(r=r, factors=factors, constants=constants)
+    except ValueError as exc:
+        raise SceneError(f"malformed composition spec: {exc}") from exc
 
 
 def resolve_chart(doc: dict):
     """Returns (chart, composition_spec_or_None, description)."""
     if "catalog" in doc:
         name = doc["catalog"]
-        try:
-            chart = catalog.get_chart(name, doc.get("params"))
-        except KeyError as exc:
-            raise ChartBuildError(str(exc)) from exc
-        except (ValueError, TypeError) as exc:
-            raise ChartBuildError(f"invalid parameters for {name!r}: {exc}") from exc
+        chart = build_chart(name, catalog.get_chart, name, doc.get("params"))
         spec = chart.spec if isinstance(chart, calabi.ComposedChart) else None
         return chart, spec, f"catalog:{name}"
     if "dsl" in doc:

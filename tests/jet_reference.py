@@ -1,9 +1,10 @@
 """Reference jet linear algebra for the tests: a division-free determinant
-to check ``jets.jet_lu`` against."""
+to check ``jets.jet_lu`` against, and a term-by-term matrix exponential to
+check ``catalog._jet_matrix_exp`` against."""
 
 import numpy as np
 
-from equiaffine.jets import jet_mul
+from equiaffine.jets import jet_matmul, jet_mul
 
 
 def jet_det(A: np.ndarray, num_vars: int) -> np.ndarray:
@@ -33,3 +34,24 @@ def jet_det(A: np.ndarray, num_vars: int) -> np.ndarray:
                 nxt[key] = term if key not in nxt else nxt[key] + term
         partial = nxt
     return partial[(1 << n) - 1]
+
+
+def jet_matrix_exp(S: np.ndarray, num_vars: int) -> np.ndarray:
+    """exp of an (m, m, M) jet matrix by scaling and squaring plus the series.
+
+    Scales the value part to inf-norm <= 0.5, sums the degree-17 Taylor
+    series one term at a time (one jet product per term), then squares.
+    """
+    m = S.shape[0]
+    norm = np.abs(S[..., 0]).sum(axis=1).max()
+    squarings = max(0, int(np.ceil(np.log2(max(norm, 1e-30) / 0.5))))
+    A = S * 0.5**squarings
+    out = np.zeros_like(S)
+    out[..., 0] = np.eye(m)
+    term = out.copy()
+    for k in range(1, 18):
+        term = jet_matmul(term, A, num_vars) * (1.0 / k)
+        out = out + term
+    for _ in range(squarings):
+        out = jet_matmul(out, out, num_vars)
+    return out

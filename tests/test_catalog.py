@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from equiaffine.blaschke import blaschke_at, check_codazzi, check_hypersphere, nabla_A_norm
+from equiaffine import catalog
 from equiaffine.calabi import ComposedChart, CompositionSpec, compose_chart
 from equiaffine.catalog import (
     ENTRIES,
@@ -20,7 +21,8 @@ from equiaffine.catalog import (
     unit_sphere,
 )
 from equiaffine.dsl import DslChart, eval_chart_jet
-from equiaffine.jets import jet_size
+from equiaffine.jets import jet_lu, jet_matmul, jet_size, jet_variables
+from jet_reference import jet_matrix_exp
 
 SAMPLE_PARAMS = {
     "flat_hypersphere": {"n0": 2},
@@ -195,3 +197,46 @@ def test_matrix_exp_chart_against_scipy_style_series():
     expect = np.array([expS[i, j] for i in range(3) for j in range(i, 3)])
     assert np.max(np.abs(vals - expect)) < 1e-12
     assert np.linalg.det(expS) == pytest.approx(1.0, rel=1e-12)
+
+
+# (m, value-part inf-norm of S, squarings the exponential needs there)
+EXP_POINTS = [(m, norm, s) for m in (3, 4) for norm, s in ((0.3, 0), (0.8, 1), (1.6, 2), (3.2, 3))]
+
+
+def _exp_input(m, norm):
+    """The order-4 jet matrix S(u) of sl_so(m) at a point u with |S(u)|_inf = norm."""
+    chart = MatrixExpChart(m)
+    u = np.random.default_rng(5).uniform(-1.0, 1.0, chart.dim)
+    u *= norm / np.abs(np.einsum("vij,v->ij", chart.basis, u)).sum(axis=1).max()
+    return np.einsum("vij,vc->ijc", chart.basis, jet_variables(u, 4)), chart.dim
+
+
+@pytest.mark.parametrize("m, norm, squarings", EXP_POINTS)
+def test_jet_matrix_exp_matches_series_reference(m, norm, squarings, monkeypatch):
+    S, d = _exp_input(m, norm)
+    calls = []
+
+    def counting_matmul(*args):
+        calls.append(1)
+        return jet_matmul(*args)
+
+    monkeypatch.setattr(catalog, "jet_matmul", counting_matmul)
+    E = catalog._jet_matrix_exp(S, d)
+    assert len(calls) == 7 + squarings
+    ref = jet_matrix_exp(S, d)
+    for k in range(5):  # each degree block against its own scale
+        block = slice(jet_size(d, k - 1) if k else 0, jet_size(d, k))
+        assert np.abs(E[..., block] - ref[..., block]).max() <= 1e-14 * np.abs(ref[..., block]).max()
+
+
+@pytest.mark.parametrize("m, norm, squarings", EXP_POINTS)
+def test_jet_matrix_exp_exact_identities(m, norm, squarings):
+    S, d = _exp_input(m, norm)
+    E = catalog._jet_matrix_exp(S, d)
+    # tr S = 0 as a jet, so det exp(S) = exp(tr S) = 1 to every order
+    det, _ = jet_lu(E, d)
+    assert det[0] == pytest.approx(1.0, abs=1e-13)
+    assert np.abs(det[1:]).max() <= 1e-13
+    product = jet_matmul(E, catalog._jet_matrix_exp(-S, d), d)
+    product[..., 0] -= np.eye(m)
+    assert np.abs(product).max() <= 1e-13

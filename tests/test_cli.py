@@ -230,6 +230,17 @@ def test_catalog_list_names_every_entry():
         assert name in text
 
 
+def test_sl_so_m4_check_passes(capsys):
+    # n = 9: the first CLI run of the symmetric hyperspheres above m = 3
+    assert main(["check", "--chart", "sl_so(m=4)", "--points", "3"]) == 0
+    report = capsys.readouterr().out
+    assert "dim: 9\n" in report
+    assert "FAIL" not in report and "status: pass" in report
+    L1 = [float(line.split(": ")[1]) for line in report.splitlines() if line.startswith("  L1: ")]
+    assert len(L1) == 3
+    assert max(L1) - min(L1) <= 1e-10
+
+
 def test_dual_subcommand(capsys):
     assert main(["dual", "--chart", "hyperboloid(n=2)", "--points", "2", "--seed", "1"]) == 0
     text = capsys.readouterr().out
@@ -290,6 +301,34 @@ def test_mean_curvature_point_domain_error_exits_3(tmp_path, capsys):
     code, line = error_line(capsys, ["check", "--scene", scene_file(tmp_path, chart, [[0.1, 0.0, 0.1]])])
     assert code == 3
     assert line == "chart error: point 0: log of non-positive value part 0.0"
+
+
+FLAT1 = {"flat": {"n0": 1}}
+
+
+@pytest.mark.parametrize(
+    "composition, code, expected",
+    [
+        ({"r": 2, "constants": [1, 1, 1], "factors": [FLAT1, FLAT1]}, 2,
+         "scene error: malformed composition spec: expected 4 constants"),
+        ({"r": 1, "constants": [1, 1], "factors": [{"flat": {"n0": 0}}]}, 3,
+         "chart error: invalid parameters for 'flat': flat_hypersphere needs n0 >= 1"),
+        ({"r": 1, "constants": [1, 1], "factors": ["flat"]}, 2, "scene error: unknown factor spec 'flat'"),
+        ({"r": 1, "constants": [1, 1], "factors": [{"catalog": {"name": "hyperboloid", "params": {"n": 0}}, "L1": -1}]},
+         3, "chart error: invalid parameters for 'hyperboloid': hyperboloid needs n >= 1"),
+        ({"r": 1, "constants": [1, 1], "factors": [{"flat": {}}]}, 2,
+         "scene error: malformed composition factor {'flat': {}}: 'n0'"),
+        ({"r": 1, "constants": [1, 1], "factors": [{"catalog": {"name": "hyperboloid", "params": {"n": 2}}, "L1": 1}]},
+         2, "scene error: malformed composition factor {'catalog': {'name': 'hyperboloid', 'params': {'n': 2}}, "
+            "'L1': 1}: factor affine mean curvature must be negative"),
+        ({"r": 1, "constants": [1, 1], "factors": 5}, 2, "scene error: malformed composition spec: 'int' object is not iterable"),
+    ],
+    ids=["constant-count", "flat-n0-0", "factor-not-object", "factor-params", "flat-no-n0", "factor-L1-positive",
+         "factors-not-list"],
+)
+def test_composition_spec_errors_exit_with_one_line(tmp_path, capsys, composition, code, expected):
+    argv = ["check", "--scene", scene_file(tmp_path, {"composition": composition}, {"random": 1})]
+    assert error_line(capsys, argv) == (code, expected)
 
 
 def test_non_finite_point_exits_2(tmp_path, capsys):
