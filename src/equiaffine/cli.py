@@ -8,8 +8,8 @@ formatting, one residual line per check per point, and a summary block.
 
 Exit codes: 0 all checks pass, 1 a check failed (report still emitted),
 2 scene error (unreadable scene file or unwritable report path, parse
-error, malformed, empty or non-finite input), 3 chart construction or
-domain error at a sample point.  The mean-curvature relations of a
+error, malformed, empty, oversized or non-finite input), 3 chart
+construction or domain error at a sample point.  The mean-curvature relations of a
 composition are checked at the first sample point.  Every exit code
 other than 0 and 1 comes with one stderr line.
 """
@@ -17,6 +17,7 @@ other than 0 and 1 comes with one stderr line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -46,6 +47,9 @@ DEFAULT_TOL = {
     "mean_curvature": 1e-6,
 }
 ALL_CHECKS = tuple(DEFAULT_TOL)
+
+# a scene's random point set is sampled in full before the first point runs
+MAX_RANDOM_POINTS = 10_000
 
 # failures of the pipeline at one point of a chart (exit code 3)
 POINT_ERRORS = (ConvexityError, FrameError, ImmersionError, ConsistencyError, JetDomainError, MetricError,
@@ -87,9 +91,18 @@ def build_chart(name: str, build, *args):
     try:
         return build(*args)
     except KeyError as exc:
-        raise ChartBuildError(str(exc)) from exc
+        raise ChartBuildError(*exc.args) from exc
     except (ValueError, TypeError) as exc:
         raise ChartBuildError(f"invalid parameters for {name!r}: {exc}") from exc
+
+
+def catalog_chart(name, params):
+    """A catalog chart by name. A name that is not a string raises
+    ``SceneError`` (exit 2); an unknown name or invalid parameters
+    ``ChartBuildError`` (exit 3)."""
+    if not isinstance(name, str):
+        raise SceneError(f"catalog chart name must be a string, got {name!r}")
+    return build_chart(name, catalog.get_chart, name, params)
 
 
 def build_factor(fd) -> calabi.HypersphereFactor:
@@ -104,7 +117,7 @@ def build_factor(fd) -> calabi.HypersphereFactor:
             args = fd["flat"]
             return build_chart("flat", catalog.flat_factor, int(args["n0"]), float(args.get("C0", 1.0)))
         name, L1 = fd["catalog"]["name"], float(fd["L1"])
-        chart = build_chart(name, catalog.get_chart, name, fd["catalog"].get("params"))
+        chart = catalog_chart(name, fd["catalog"].get("params"))
         return calabi.HypersphereFactor(chart=chart, L1=L1, dim=chart.dim)
     except (SceneError, ChartBuildError):
         raise
@@ -130,7 +143,7 @@ def resolve_chart(doc: dict):
     """Returns (chart, composition_spec_or_None, description)."""
     if "catalog" in doc:
         name = doc["catalog"]
-        chart = build_chart(name, catalog.get_chart, name, doc.get("params"))
+        chart = catalog_chart(name, doc.get("params"))
         spec = chart.spec if isinstance(chart, calabi.ComposedChart) else None
         return chart, spec, f"catalog:{name}"
     if "dsl" in doc:
@@ -150,6 +163,8 @@ def resolve_points(doc, chart) -> np.ndarray:
             raise SceneError(f"malformed random point spec: {exc}") from exc
         if count < 1:
             raise SceneError(f"random point count must be at least 1, got {count}")
+        if count > MAX_RANDOM_POINTS:
+            raise SceneError(f"random point count must be at most {MAX_RANDOM_POINTS}, got {count}")
         return chart.sample_points(count, seed)
     try:
         pts = np.asarray(doc, float)
@@ -176,34 +191,33 @@ def pipeline_stage(name: str):
         raise ChartBuildError(f"{name}: {exc}") from exc
 
 
+def _dual_reports(inv, tol) -> list[CheckReport]:
+    if inv.L1 >= -L1_ZERO_TOL:  # L1 = 0 within rounding is not hyperbolic
+        return [CheckReport("dual_requires_hyperbolic", abs(inv.L1) + 1.0, 0.0)]
+    data = duality.HyperspherePointData.from_invariants(inv)
+    return [duality.check_gauss_swap(data, tol["dual"]),
+            duality.check_trace_free(duality.dualize(data), tol["apolarity"])]
+
+
+# per-point checks in report order, name -> check(inv, tol) -> reports; entries look
+# their functions up at call time, so wrappers installed by module attribute see them
+POINT_CHECKS = {
+    "apolarity": lambda inv, tol: [blaschke.check_apolarity(inv, tol["apolarity"])],
+    "gauss": lambda inv, tol: [blaschke.check_gauss(inv, tol["gauss"])],
+    "ricci": lambda inv, tol: [blaschke.check_ricci(inv, tol["ricci"])],
+    "codazzi": lambda inv, tol: [blaschke.check_codazzi(inv, tol["codazzi"])],
+    "trace_identity": lambda inv, tol: [blaschke.check_trace_identity(inv, tol["trace_identity"])],
+    "gauss_alt": lambda inv, tol: [blaschke.check_gauss_alt(inv, tol["gauss_alt"])],
+    "hypersphere": lambda inv, tol: list(blaschke.check_hypersphere(inv, tol["hypersphere"])),
+    "parallel": lambda inv, tol: [CheckReport("parallel", blaschke.nabla_A_norm(inv), tol["parallel"])],
+    "dual": _dual_reports,
+}
+
+
 def point_checks(chart, point, checks, tol) -> tuple[list[CheckReport], blaschke.BlaschkeInvariants]:
     """The invariants of the chart at one point and the reports of its per-point checks."""
     inv = blaschke_at(chart, point)
-    reports = []
-    if "apolarity" in checks:
-        reports.append(blaschke.check_apolarity(inv, tol["apolarity"]))
-    if "gauss" in checks:
-        reports.append(blaschke.check_gauss(inv, tol["gauss"]))
-    if "ricci" in checks:
-        reports.append(blaschke.check_ricci(inv, tol["ricci"]))
-    if "codazzi" in checks:
-        reports.append(blaschke.check_codazzi(inv, tol["codazzi"]))
-    if "trace_identity" in checks:
-        reports.append(blaschke.check_trace_identity(inv, tol["trace_identity"]))
-    if "gauss_alt" in checks:
-        reports.append(blaschke.check_gauss_alt(inv, tol["gauss_alt"]))
-    if "hypersphere" in checks:
-        reports.extend(blaschke.check_hypersphere(inv, tol["hypersphere"]))
-    if "parallel" in checks:
-        reports.append(CheckReport("parallel", blaschke.nabla_A_norm(inv), tol["parallel"]))
-    if "dual" in checks:
-        if inv.L1 >= -L1_ZERO_TOL:  # L1 = 0 within rounding is not hyperbolic
-            reports.append(CheckReport("dual_requires_hyperbolic", abs(inv.L1) + 1.0, 0.0))
-        else:
-            data = duality.HyperspherePointData.from_invariants(inv)
-            reports.append(duality.check_gauss_swap(data, tol["dual"]))
-            reports.append(duality.check_trace_free(duality.dualize(data), tol["apolarity"]))
-    return reports, inv
+    return [rep for name, check in POINT_CHECKS.items() if name in checks for rep in check(inv, tol)], inv
 
 
 def run_scene(scene: dict, out) -> int:
@@ -418,11 +432,15 @@ def add_scene_flags(p):
 
 
 def _one_line(exc: Exception) -> str:
-    # messages may embed multi-line numpy array reprs
-    return " ".join(str(exc).split())
+    # messages may embed multi-line numpy array reprs; str(KeyError) quotes its message
+    text = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+    return " ".join(str(text).split())
 
 
-def main(argv=None) -> int:
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on the first ``main`` call and shared
+    by every later one in the process; nothing changes it once built."""
     parser = argparse.ArgumentParser(prog="equiaffine", description="equiaffine invariant toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (
@@ -439,8 +457,11 @@ def main(argv=None) -> int:
     pc = sub.add_parser("catalog", help="catalog utilities")
     pc.add_argument("action", choices=["list"])
     pc.add_argument("--out", help="write the report here instead of stdout")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     out = sys.stdout
     try:
         if getattr(args, "out", None):

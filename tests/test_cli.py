@@ -14,14 +14,17 @@ from equiaffine import calabi, catalog, cli
 from equiaffine.blaschke import blaschke_at
 from equiaffine.cli import (
     DEFAULT_TOL,
+    MAX_RANDOM_POINTS,
     SceneError,
     build_composition,
+    build_parser,
     catalog_list,
     check_line,
     fmt,
     jordan_selftest,
     main,
     parse_chart_flag,
+    resolve_points,
     run_scene,
 )
 
@@ -207,6 +210,33 @@ def test_main_out_file_and_overrides(tmp_path):
     assert "tol=1e-05" in text
 
 
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_repeated_main_calls_are_independent(capsys):
+    argv = ["check", "--chart", "hyperboloid(n=2)", "--points", "2", "--seed", "5"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv + ["--tol", "gauss=1e-30"]) == 1
+    assert "tol=1e-30 FAIL" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--points", "three"])
+    assert exc.value.code == 2
+    assert "usage: equiaffine check" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_out_applies_to_its_own_call_only(tmp_path, capsys):
+    report = tmp_path / "report.txt"
+    argv = ["check", "--chart", "hyperboloid(n=2)", "--points", "1"]
+    assert main(argv + ["--out", str(report)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == report.read_text()
+
+
 def test_invariants_subcommand_no_checks(capsys):
     assert main(["invariants", "--chart", "unit_sphere(n=2)", "--points", "1", "--seed", "0"]) == 0
     text = capsys.readouterr().out
@@ -331,6 +361,26 @@ def test_composition_spec_errors_exit_with_one_line(tmp_path, capsys, compositio
     assert error_line(capsys, argv) == (code, expected)
 
 
+def factor_chart(name) -> dict:
+    factor = {"catalog": {"name": name, "params": {"n": 2}}, "L1": -1}
+    return {"composition": {"r": 1, "constants": [1, 1], "factors": [factor]}}
+
+
+@pytest.mark.parametrize(
+    "chart, code, expected",
+    [
+        ({"catalog": "nope"}, 3, "chart error: unknown catalog chart 'nope'; see catalog.ENTRIES"),
+        (factor_chart("nope"), 3, "chart error: unknown catalog chart 'nope'; see catalog.ENTRIES"),
+        ({"catalog": ["x"]}, 2, "scene error: catalog chart name must be a string, got ['x']"),
+        (factor_chart(["x"]), 2, "scene error: catalog chart name must be a string, got ['x']"),
+    ],
+    ids=["unknown", "unknown-factor", "not-a-string", "not-a-string-factor"],
+)
+def test_catalog_name_errors_exit_with_one_line(tmp_path, capsys, chart, code, expected):
+    argv = ["check", "--scene", scene_file(tmp_path, chart, {"random": 1})]
+    assert error_line(capsys, argv) == (code, expected)
+
+
 def test_non_finite_point_exits_2(tmp_path, capsys):
     chart = {"catalog": "hyperboloid", "params": {"n": 2}}
     code, line = error_line(capsys, ["check", "--scene", scene_file(tmp_path, chart, [[float("nan"), 0.1]])])
@@ -350,6 +400,20 @@ def test_negative_points_flag_exits_2(capsys):
     code, line = error_line(capsys, ["check", "--chart", "hyperboloid(n=2)", "--points", "-3"])
     assert code == 2
     assert line == "scene error: random point count must be at least 1, got -3"
+
+
+def test_random_point_count_above_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # rejected up front; were the cap missing, the first evaluated point fails the test
+    monkeypatch.setattr(cli, "blaschke_at", lambda chart, point: pytest.fail("a point was evaluated"))
+    chart = {"catalog": "hyperboloid", "params": {"n": 2}}
+    over = MAX_RANDOM_POINTS + 1
+    for argv in (["check", "--chart", "hyperboloid(n=2)", "--points", str(over)],
+                 ["check", "--scene", scene_file(tmp_path, chart, {"random": over, "seed": 1})]):
+        code, line = error_line(capsys, argv)
+        assert code == 2
+        assert line == "scene error: random point count must be at most 10000, got 10001"
+    points = resolve_points({"random": MAX_RANDOM_POINTS}, catalog.get_chart("hyperboloid", {"n": 2}))
+    assert points.shape == (10000, 2)
 
 
 def test_overflowing_point_prints_one_stderr_line():

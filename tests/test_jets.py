@@ -249,6 +249,15 @@ def random_jet_matrix(rng, n, num_vars, order, shift):
     return coeffs
 
 
+def assert_solves(A, X, B, num_vars):
+    """A X = B as jets, derivatives included, up to rounding relative to the
+    size of the terms summed: each coefficient of A X sums at most
+    ``n * M`` products of size ``max|A| max|X|``."""
+    atol = 1e-13 * np.abs(A).max() * np.abs(X).max() * A.shape[0] * A.shape[-1]
+    assert np.allclose(jet_einsum("ik,kj->ij", A, X, num_vars), B, rtol=0.0, atol=atol)
+    assert np.allclose(jet_matmul(A, X, num_vars), B, rtol=0.0, atol=atol)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 3), st.integers(0, 4), st.integers(0, 2**32 - 1))
 def test_jet_lu_against_numpy_and_jet_det(n, num_vars, order, seed):
@@ -260,10 +269,25 @@ def test_jet_lu_against_numpy_and_jet_det(n, num_vars, order, seed):
     assert np.allclose(det, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
     assert det[0] == pytest.approx(np.linalg.det(A[..., 0]), rel=1e-12)
     assert np.allclose(X[..., 0], np.linalg.solve(A[..., 0], B[..., 0]), rtol=1e-10, atol=1e-12)
-    # A X = B holds as jets, derivatives included
-    assert np.allclose(jet_einsum("ik,kj->ij", A, X, num_vars), B, atol=1e-9)
-    assert np.allclose(jet_matmul(A, X, num_vars), B, atol=1e-9)
+    assert_solves(A, X, B, num_vars)
     assert jet_lu(A, num_vars)[1] is None
+
+
+@pytest.mark.parametrize("seed", [1110, 2614])
+def test_jet_lu_residual_is_relative_on_ill_conditioned_draws(seed):
+    # (n, num_vars, order) = (4, 2, 4) and (3, 3, 4), then A and B from the
+    # same stream: value parts conditioned in the thousands, so the jet
+    # solution is large and A X = B misses B by 1e-4 to 1e-3 from rounding
+    rng = np.random.default_rng(seed)
+    n, num_vars, order = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(0, 5))
+    A = random_jet_matrix(rng, n, num_vars, order, shift=3.0)
+    B = rng.standard_normal((n, 2, A.shape[-1]))
+    _, X = jet_lu(A, num_vars, B)
+    assert_solves(A, X, B, num_vars)
+    # a solution off by 1e-8 of its size is not a solution
+    X_off = X + 1e-8 * np.abs(X).max() * rng.standard_normal(X.shape)
+    with pytest.raises(AssertionError):
+        assert_solves(A, X_off, B, num_vars)
 
 
 def test_jet_lu_derivative_of_determinant():
