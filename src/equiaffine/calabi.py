@@ -23,7 +23,7 @@ import numpy as np
 
 from . import jets
 from .blaschke import BlaschkeInvariants, CheckReport, blaschke_at, check_hypersphere
-from .dsl import ChartDef
+from .dsl import MAX_DIM, ChartDef
 from .jets import Jet, jet_embed, jet_mul, jet_variables
 
 
@@ -111,6 +111,8 @@ class CompositionSpec:
             raise ValueError(f"expected {self.r + self.s} constants")
         if any(c <= 0 for c in self.constants):
             raise ValueError("composition constants must be positive")
+        if self.dim > MAX_DIM:
+            raise ValueError(f"composition dimension {self.dim} is above MAX_DIM = {MAX_DIM}")
 
     @property
     def s(self) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calabi import CompositionSpec, HypersphereFactor, closed_form, compose_chart
-from .dsl import ChartDef, DslChart, parse_chart
+from .dsl import MAX_DIM, ChartDef, DslChart, parse_chart
 from .jets import jet_matmul, jet_variables
 
 
@@ -28,11 +28,18 @@ class CatalogEntry:
     expected: dict = field(default_factory=dict)
 
 
+def _check_dim(dim: int) -> None:
+    """Refuse a chart above MAX_DIM before anything is built for it."""
+    if dim > MAX_DIM:
+        raise ValueError(f"dimension {dim} is above MAX_DIM = {MAX_DIM}")
+
+
 def flat_hypersphere(n0: int, C0: float = 1.0) -> ChartDef:
     """The flat hyperbolic affine hypersphere x^1 ... x^{n0+1} = C0 > 0,
     parametrized in composition coordinates (n0 + 1 point factors)."""
     if n0 < 1:
         raise ValueError("flat_hypersphere needs n0 >= 1")
+    _check_dim(n0)
     if C0 <= 0:
         raise ValueError("flat_hypersphere needs C0 > 0")
     constants = (1.0,) * n0 + (float(C0),)
@@ -49,6 +56,7 @@ def flat_factor(n0: int, C0: float = 1.0) -> HypersphereFactor:
 
 
 def _quadric_text(n: int, kind: str) -> str:
+    _check_dim(n)
     us = [f"u{i + 1}" for i in range(n)]
     sq = " + ".join(f"{u}^2" for u in us)
     lines = [f"dim {n};"]
@@ -66,8 +74,9 @@ def unit_sphere(n: int) -> DslChart:
     """Upper hemisphere of the unit sphere as a graph over the equator."""
     if n < 1:
         raise ValueError("unit_sphere needs n >= 1")
+    text = _quadric_text(n, "sphere")
     hint = (-0.35 * np.ones(n) / np.sqrt(n), 0.35 * np.ones(n) / np.sqrt(n))
-    return parse_chart(_quadric_text(n, "sphere"), domain_hint=hint)
+    return parse_chart(text, domain_hint=hint)
 
 
 def elliptic_paraboloid(n: int) -> DslChart:
@@ -107,9 +116,10 @@ class MatrixExpChart(ChartDef):
     def __init__(self, m: int, scale: float = 0.25):
         if m < 3:
             raise ValueError("sl_so needs m >= 3")
+        dim = m * (m + 1) // 2 - 1
+        _check_dim(dim)
         self.m = m
         self.basis = _symmetric_basis(m)
-        dim = m * (m + 1) // 2 - 1
         hint = (-scale * np.ones(dim), scale * np.ones(dim))
         super().__init__(dim, domain_hint=hint)
 

@@ -274,71 +274,55 @@ def run_scene(scene: dict, out) -> int:
 
 
 def jordan_selftest(out) -> int:
+    """Octonion and Albert-algebra identities on seeded samples.  Each check
+    draws its whole sample stack with one call, in the order a per-sample
+    loop would, and evaluates it with one batched call; the residual is the
+    largest over the stack."""
     rng = np.random.default_rng(7)
     rows: list[CheckReport] = []
 
-    def rand_oct():
-        return rng.standard_normal(8)
+    a, b = np.moveaxis(rng.standard_normal((1000, 2, 8)), 1, 0)
+    resid = np.abs(jordan.oct_norm(jordan.oct_mul(a, b)) - jordan.oct_norm(a) * jordan.oct_norm(b))
+    rows.append(CheckReport("octonion_norm_multiplicative", resid.max(), 1e-12))
 
-    resid = 0.0
-    for _ in range(1000):
-        a, b = rand_oct(), rand_oct()
-        resid = max(resid, abs(jordan.oct_norm(jordan.oct_mul(a, b)) - jordan.oct_norm(a) * jordan.oct_norm(b)))
-    rows.append(CheckReport("octonion_norm_multiplicative", resid, 1e-12))
+    a, b = np.moveaxis(rng.standard_normal((200, 2, 8)), 1, 0)
+    resid = jordan.oct_mul(a, jordan.oct_mul(a, b)) - jordan.oct_mul(jordan.oct_mul(a, a), b)
+    rows.append(CheckReport("octonion_alternative", np.abs(resid).max(), 1e-12))
 
-    resid = 0.0
-    for _ in range(200):
-        a, b = rand_oct(), rand_oct()
-        left = jordan.oct_mul(a, jordan.oct_mul(a, b))
-        right = jordan.oct_mul(jordan.oct_mul(a, a), b)
-        resid = max(resid, float(np.max(np.abs(left - right))))
-    rows.append(CheckReport("octonion_alternative", resid, 1e-12))
+    # coordinates: E[i] = E_{i+1}, and x @ F[i] = F_{i+1}(x); axis 0 of a stack runs over i
+    E, F = np.eye(27)[:3], np.eye(27)[3:].reshape(3, 8, 27)
+    j, k = [1, 2, 0], [2, 0, 1]
+    x, y = np.moveaxis(rng.standard_normal((3, 50, 2, 8)), 2, 0)
+    Fi_x, Fi_y, Fj_y = x @ F, y @ F, y @ F[j]
+    Fk_xy = jordan.oct_conj(jordan.oct_mul(x, y)) @ F[k]
+    Ei, Ej, Ek = E[:, None], E[j][:, None], E[k][:, None]
 
-    E = [jordan.JordanMatrix.diag_unit(i) for i in (1, 2, 3)]
-    resid_ef1 = resid_ef2 = 0.0
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        resid_ef1 = max(resid_ef1, (jordan.jordan_product(E[i], E[i]) - E[i]).max_abs())
-        resid_ef2 = max(resid_ef2, jordan.jordan_product(E[i], E[j]).max_abs())
-        for _ in range(50):
-            x, y = rand_oct(), rand_oct()
-            Fi_x = jordan.JordanMatrix.off_diag(i + 1, x)
-            Fi_y = jordan.JordanMatrix.off_diag(i + 1, y)
-            Fj_y = jordan.JordanMatrix.off_diag(j + 1, y)
-            resid_ef1 = max(resid_ef1, jordan.jordan_product(E[i], Fi_x).max_abs())
-            want = float(np.dot(x, y)) * (E[j] + E[k])
-            resid_ef1 = max(resid_ef1, (jordan.jordan_product(Fi_x, Fi_y) - want).max_abs())
-            resid_ef2 = max(
-                resid_ef2,
-                (jordan.jordan_product(E[j], Fi_x) - 0.5 * Fi_x).max_abs(),
-            )
-            want = 0.5 * jordan.JordanMatrix.off_diag(k + 1, jordan.oct_conj(jordan.oct_mul(x, y)))
-            resid_ef2 = max(resid_ef2, (jordan.jordan_product(Fi_x, Fj_y) - want).max_abs())
-    rows.append(CheckReport("diag_offdiag_relations_1", resid_ef1, 1e-12))
-    rows.append(CheckReport("diag_offdiag_relations_2", resid_ef2, 1e-12))
+    def relation(left, right, want):
+        return np.abs(jordan.jordan_mul(left, right) - want).max()
 
-    I3 = jordan.JordanMatrix.identity()
+    rows.append(CheckReport("diag_offdiag_relations_1", max(
+        relation(E, E, E), relation(Ei, Fi_x, 0.0),
+        relation(Fi_x, Fi_y, jordan.oct_inner(x, y)[..., None] * (Ej + Ek)),
+    ), 1e-12))
+    rows.append(CheckReport("diag_offdiag_relations_2", max(
+        relation(E, E[j], 0.0), relation(Ej, Fi_x, 0.5 * Fi_x), relation(Fi_x, Fj_y, 0.5 * Fk_xy),
+    ), 1e-12))
+
+    I3, E1, E2 = jordan.JordanMatrix.identity(), jordan.JordanMatrix.diag_unit(1), jordan.JordanMatrix.diag_unit(2)
     rows.append(CheckReport("det_identity_is_one", abs(jordan.jordan_det(I3) - 1.0), 0.0))
-    rows.append(CheckReport("det_rank_two_is_zero", abs(jordan.jordan_det(E[0] + E[1])), 1e-15))
+    rows.append(CheckReport("det_rank_two_is_zero", abs(jordan.jordan_det(E1 + E2)), 1e-15))
 
-    resid = 0.0
-    for _ in range(30):
-        T = jordan.random_traceless(rng)
-        resid = max(resid, abs(np.trace(jordan.mult_operator(T))))
-    rows.append(CheckReport("mult_operator_traceless", resid, 1e-12))
+    T = jordan.random_traceless_coords(rng, (30,))
+    resid = np.abs(np.trace(jordan.mult_operator(T), axis1=-2, axis2=-1))
+    rows.append(CheckReport("mult_operator_traceless", resid.max(), 1e-12))
 
-    resid = 0.0
-    for _ in range(30):
-        A = jordan.random_skew_offdiag(rng)
-        resid = max(resid, abs(np.trace(jordan.bracket_operator(A))))
-    rows.append(CheckReport("bracket_operator_traceless", resid, 1e-12))
+    A = jordan.random_skew_offdiag(rng, (30,))
+    resid = np.abs(np.trace(jordan.bracket_operator(A), axis1=-2, axis2=-1))
+    rows.append(CheckReport("bracket_operator_traceless", resid.max(), 1e-12))
 
     data = jordan.e6_embedding_data(-1.0 / 3.0)
-    resid = 0.0
-    for _ in range(20):
-        X, Y = jordan.random_traceless(rng), jordan.random_traceless(rng)
-        resid = max(resid, jordan.gaussf_residual(data, X, Y))
-    rows.append(CheckReport("gauss_formula_decomposition", resid, 1e-12))
+    X, Y = np.moveaxis(jordan.random_traceless_coords(rng, (20, 2)), 1, 0)
+    rows.append(CheckReport("gauss_formula_decomposition", jordan.gaussf_residual(data, X, Y).max(), 1e-12))
     rows.append(CheckReport("hypersphere_identity", jordan.hypersphere_residual(data), 1e-10))
     rows.append(CheckReport("metric_positive_definite", max(0.0, -float(np.linalg.eigvalsh(data.g_o)[0])), 0.0))
     rows.append(CheckReport("cubic_form_apolar", jordan.apolarity_residual(data), 1e-10))

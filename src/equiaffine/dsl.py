@@ -28,6 +28,11 @@ from .jets import Jet
 FUNCS = ("exp", "log", "sqrt", "sin", "cos")
 
 
+# the largest chart dimension accepted: the paper's largest example, the
+# Albert-algebra orbit (n = 26), already costs about 0.9 s and 319 MB per point
+MAX_DIM = 26
+
+
 class ChartParseError(ValueError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} (line {line}, column {col})")
@@ -300,6 +305,8 @@ class _Parser:
                 dim = int(float(num.text))
                 if dim < 1:
                     self.error("dim must be a positive integer", num)
+                if dim > MAX_DIM:
+                    self.error(f"dim {dim} is above MAX_DIM = {MAX_DIM}", num)
             elif t.text == "param":
                 name = self.expect("IDENT")
                 self.expect("SYM", "=")

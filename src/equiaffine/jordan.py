@@ -14,6 +14,13 @@ so a matrix with diagonal (xi1, xi2, xi3) and octonion entries x1, x2,
 x3 has coordinates (xi1, xi2, xi3, x1, x2, x3).  Note the F-basis
 vectors have trace-form norm squared 2, not 1.
 
+The kernels broadcast over leading axes: oct_mul takes (..., 8) stacks,
+jordan_mul, jordan_inner and mult_operator (..., 27) coordinate stacks
+(or a JordanMatrix), _mat_mul and bracket_operator (..., 3, 3, 8) entry
+stacks.  Each contracts the whole stack with its structure tensor in one
+flat matmul and then makes one batched product with the other operand,
+so a check over many samples is one call, not a Python loop.
+
 The equivariant-orbit data built from this algebra (base point C * I3,
 induced metric g_o, cubic form A_o on the traceless part) is packaged by
 e6_embedding_data together with its internal consistency residuals.
@@ -51,21 +58,30 @@ def oct_table() -> np.ndarray:
 
 
 def oct_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Octonion product; broadcasts over leading axes."""
-    return np.einsum("...i,...j,ijk->...k", np.asarray(a, float), np.asarray(b, float), oct_table())
+    """Octonion product; broadcasts over leading axes: b times the
+    left-multiplication tables of a, built for the whole stack at once."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return (b[..., None, :] @ _left_tables(a))[..., 0, :]
+
+
+def _left_tables(a: np.ndarray) -> np.ndarray:
+    """(..., 8, 8) tables L_a[j, k] = sum_i a_i M[i, j, k] of an (..., 8) stack."""
+    flat = a.reshape(-1, OCT_DIM) @ oct_table().reshape(OCT_DIM, -1)
+    return flat.reshape(a.shape[:-1] + (OCT_DIM, OCT_DIM))
 
 
 def oct_conj(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, float) * _CONJ_SIGNS
 
 
-def oct_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """(x, y) = sum of coefficient products; (x, x) = |x|^2."""
-    return float(np.dot(np.asarray(a, float), np.asarray(b, float)))
+def oct_inner(a: np.ndarray, b: np.ndarray):
+    """(x, y) = sum of coefficient products; (x, x) = |x|^2.  Broadcasts."""
+    return np.sum(np.asarray(a, float) * np.asarray(b, float), axis=-1)
 
 
-def oct_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a, float)))
+def oct_norm(a: np.ndarray):
+    """|x| over the last axis; broadcasts."""
+    return np.linalg.norm(np.asarray(a, float), axis=-1)
 
 
 def oct_unit(k: int) -> np.ndarray:
@@ -79,6 +95,14 @@ def oct_unit(k: int) -> np.ndarray:
 _ROW = np.array([0, 1, 2] + [1] * 8 + [2] * 8 + [0] * 8)
 _COL = np.array([0, 1, 2] + [2] * 8 + [0] * 8 + [1] * 8)
 _OCT = np.array([0, 0, 0] + list(range(OCT_DIM)) * 3)
+_I3 = np.repeat([1.0, 0.0], [3, JORDAN_DIM - 3])  # coordinates of the identity
+
+
+def _negligible(diff: np.ndarray, ref: np.ndarray, ndim: int) -> bool:
+    """max|diff| <= 1e-12 max(1, max|ref|) over the last ``ndim`` axes, for
+    every member of the stack."""
+    axes = tuple(range(-ndim, 0))
+    return not np.any(np.abs(diff).max(axis=axes) > 1e-12 * np.maximum(1.0, np.abs(ref).max(axis=axes)))
 
 
 def _entries(coords: np.ndarray) -> np.ndarray:
@@ -98,8 +122,7 @@ class JordanMatrix:
         entries = np.asarray(entries, float)
         if entries.shape != (3, 3, OCT_DIM):
             raise ValueError("JordanMatrix needs a (3, 3, 8) array")
-        herm = entries - oct_conj(entries).transpose(1, 0, 2)
-        if np.max(np.abs(herm)) > 1e-12 * max(1.0, np.max(np.abs(entries))):
+        if not _negligible(entries - oct_conj(entries).transpose(1, 0, 2), entries, 3):
             raise ValueError("entries are not octonion Hermitian")
         self.entries = entries
 
@@ -164,8 +187,15 @@ class JordanMatrix:
 
 
 def _mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Plain (non-Hermitian) product of 3x3 octonion matrices, batched."""
-    return np.einsum("...abi,...bcj,ijk->...ack", a, b, oct_table(), optimize=True)
+    """Plain (non-Hermitian) product of 3x3 octonion matrices; broadcasts
+    over leading axes.  The entries of a are contracted with the octonion
+    table first, L[p, q, j, k] = sum_i a[p, q, i] M[i, j, k], then L with b
+    over (q, j) as one matmul per member: no 6-axis temporary."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    left = _left_tables(a)  # p, q, j, k
+    lhs = np.moveaxis(left, -1, -3).reshape(left.shape[:-4] + (3, OCT_DIM, 3 * OCT_DIM))  # p, k, (q, j)
+    rhs = b.swapaxes(-1, -2).reshape(b.shape[:-3] + (3 * OCT_DIM, 3))  # (q, j), r
+    return (lhs @ rhs[..., None, :, :]).swapaxes(-1, -2)
 
 
 def basis_27() -> list[JordanMatrix]:
@@ -192,12 +222,28 @@ def jordan_table() -> np.ndarray:
     return table
 
 
+def _coords(X) -> np.ndarray:
+    """Coordinates of a JordanMatrix, or a (..., 27) coordinate stack as floats."""
+    return X.coords() if isinstance(X, JordanMatrix) else np.asarray(X, float)
+
+
+def jordan_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """coords(X o Y) of (..., 27) coordinate stacks; broadcasts over leading axes.
+
+    One flat matmul gives the tables L_x[b, c] = coords(X o e_b)[c] of the
+    whole stack, then y L_x: the one Jordan-product kernel."""
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    flat = x.reshape(-1, JORDAN_DIM) @ jordan_table().reshape(JORDAN_DIM, -1)
+    return (y[..., None, :] @ flat.reshape(x.shape[:-1] + (JORDAN_DIM, JORDAN_DIM)))[..., 0, :]
+
+
 def jordan_product(X: JordanMatrix, Y: JordanMatrix) -> JordanMatrix:
-    return JordanMatrix.from_coords(mult_operator(X) @ Y.coords())
+    return JordanMatrix.from_coords(jordan_mul(X.coords(), Y.coords()))
 
 
-def jordan_inner(X: JordanMatrix, Y: JordanMatrix) -> float:
-    return jordan_product(X, Y).trace()
+def jordan_inner(X, Y):
+    """tr(X o Y) of JordanMatrix arguments or (..., 27) coordinate stacks."""
+    return jordan_mul(_coords(X), _coords(Y))[..., :3].sum(axis=-1)
 
 
 def jordan_cross(X: JordanMatrix, Y: JordanMatrix) -> JordanMatrix:
@@ -223,39 +269,40 @@ def jordan_ops(X: JordanMatrix, Y: JordanMatrix) -> dict:
     }
 
 
-def mult_operator(T: JordanMatrix) -> np.ndarray:
-    """27x27 matrix of X -> T o X in the frozen basis."""
-    table = jordan_table().reshape(JORDAN_DIM, -1)  # a flat dot is ~3x faster than tensordot here
-    return (T.coords() @ table).reshape(JORDAN_DIM, JORDAN_DIM).T
+def mult_operator(T) -> np.ndarray:
+    """27x27 matrix of X -> T o X in the frozen basis, column b = T o e_b;
+    a (..., 27) coordinate stack gives a (..., 27, 27) stack."""
+    return jordan_mul(_coords(T)[..., None, :], np.eye(JORDAN_DIM)).swapaxes(-1, -2)
 
 
 def bracket_operator(A: np.ndarray) -> np.ndarray:
-    """27x27 matrix of X -> [A, X] = AX - XA for skew A (conj(A)^t = -A).
+    """27x27 matrix of X -> [A, X] = AX - XA for skew A (conj(A)^t = -A);
+    a (..., 3, 3, 8) stack gives a (..., 27, 27) stack.
 
-    With zero diagonal these are the compact generators that fix I3;
-    Hermiticity of the image is validated entrywise.
+    With zero diagonal these are the compact generators that fix I3.  Every
+    member must be skew, and the Hermiticity of every member's image is
+    validated entrywise.
     """
     A = np.asarray(A, float)
-    if A.shape != (3, 3, OCT_DIM):
-        raise ValueError("expected a (3, 3, 8) octonion matrix")
-    skew = A + oct_conj(A).transpose(1, 0, 2)
-    if np.max(np.abs(skew)) > 1e-12 * max(1.0, np.max(np.abs(A))):
+    if A.shape[-3:] != (3, 3, OCT_DIM):
+        raise ValueError("expected a (..., 3, 3, 8) stack of octonion matrices")
+    if not _negligible(A + oct_conj(A).swapaxes(-3, -2), A, 3):
         raise ValueError("matrix is not octonion skew-Hermitian")
-    B = _basis_entries()
-    imgs = _mat_mul(A, B) - _mat_mul(B, A)
-    herm = imgs - oct_conj(imgs).transpose(0, 2, 1, 3)
-    if np.max(np.abs(herm)) > 1e-12 * max(1.0, np.max(np.abs(imgs))):
+    B, A = _basis_entries(), A[..., None, :, :, :]
+    imgs = _mat_mul(A, B) - _mat_mul(B, A)  # (..., 27, 3, 3, 8)
+    if not _negligible(imgs - oct_conj(imgs).swapaxes(-3, -2), imgs, 4):
         raise ValueError("bracket image is not octonion Hermitian")
-    return imgs[:, _ROW, _COL, _OCT].T
+    return imgs[..., _ROW, _COL, _OCT].swapaxes(-1, -2)
 
 
-def random_skew_offdiag(rng: np.random.Generator) -> np.ndarray:
-    """Random element with conj(A)^t = -A and zero diagonal."""
-    a = np.zeros((3, 3, OCT_DIM))
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        x = rng.standard_normal(OCT_DIM)
-        a[i, j] = x
-        a[j, i] = -oct_conj(x)
+def random_skew_offdiag(rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
+    """Random (*shape, 3, 3, 8) elements with conj(A)^t = -A and zero diagonal;
+    each member draws its (0, 1), (0, 2), (1, 2) entries in that order."""
+    x = rng.standard_normal(tuple(shape) + (3, OCT_DIM))
+    rows, cols = [0, 0, 1], [1, 2, 2]
+    a = np.zeros(x.shape[:-2] + (3, 3, OCT_DIM))
+    a[..., rows, cols, :] = x
+    a[..., cols, rows, :] = -oct_conj(x)
     return a
 
 
@@ -265,12 +312,16 @@ def traceless_basis() -> list[JordanMatrix]:
     return [E1 - E2, E2 - E3] + basis_27()[3:]
 
 
+def random_traceless_coords(rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
+    """(*shape, 27) coordinates of random traceless matrices; each member
+    draws xi, x1, x2, x3 in that order and then centres xi."""
+    c = rng.standard_normal(tuple(shape) + (JORDAN_DIM,))
+    c[..., :3] -= c[..., :3].mean(axis=-1, keepdims=True)
+    return c
+
+
 def random_traceless(rng: np.random.Generator) -> JordanMatrix:
-    xi = rng.standard_normal(3)
-    xi -= xi.mean()
-    return JordanMatrix.from_parts(
-        xi, rng.standard_normal(8), rng.standard_normal(8), rng.standard_normal(8)
-    )
+    return JordanMatrix.from_coords(random_traceless_coords(rng))
 
 
 @dataclass(frozen=True)
@@ -315,33 +366,32 @@ def e6_embedding_data(L1: float) -> EmbeddingData:
     return EmbeddingData(L1=L1, C=C, x_o=x_o, on_basis=tuple(on), g_o=gram, A_o=A_o)
 
 
-def gaussf_residual(data: EmbeddingData, X: JordanMatrix, Y: JordanMatrix) -> float:
+def gaussf_residual(data: EmbeddingData, X, Y):
     """Residual of the second-derivative decomposition C(X o Y) =
-    C(X o Y - tr(X o Y) I3 / 3) + C (X, Y) I3 / 3 for traceless X, Y."""
+    C(X o Y - tr(X o Y) I3 / 3) + C (X, Y) I3 / 3 for traceless X, Y, one
+    per member of (..., 27) coordinate stacks.  The largest entry of a
+    matrix is its largest coordinate, so the residual is taken on those."""
     C = data.C
-    prod = jordan_product(X, Y)
-    t = prod.trace()
+    prod = jordan_mul(_coords(X), _coords(Y))
+    t = prod[..., :3].sum(axis=-1, keepdims=True)
     lhs = C * prod
-    tangential = C * (prod - (t / 3.0) * JordanMatrix.identity())
-    transversal = (C * jordan_inner(X, Y) / 3.0) * JordanMatrix.identity()
-    return (lhs - tangential - transversal).max_abs()
+    tangential = C * (prod - (t / 3.0) * _I3)
+    transversal = (C * jordan_inner(X, Y)[..., None] / 3.0) * _I3
+    return np.abs(lhs - tangential - transversal).max(axis=-1)
 
 
 def hypersphere_residual(data: EmbeddingData) -> float:
     """max |xi + L1 x_o| where xi is the g_o-trace of the transversal
     second-derivative parts, (1/n) sum_i C (T_i, T_i) I3 / 3 over the
     g_o-orthonormal basis."""
-    n = data.dim
-    acc = np.zeros((3, 3, OCT_DIM))
-    for t in data.on_basis:
-        acc += (data.C * jordan_inner(t, t) / 3.0) * JordanMatrix.identity().entries
-    xi = JordanMatrix(acc / n)
-    return (xi + data.L1 * data.x_o).max_abs()
+    on = np.array([t.coords() for t in data.on_basis])
+    xi = np.sum(data.C * jordan_inner(on, on) / 3.0) / data.dim * _I3
+    return float(np.max(np.abs(xi + data.L1 * data.x_o.coords())))
 
 
-def transversality_residual(data: EmbeddingData, T: JordanMatrix) -> float:
-    """(T, I3) = tr T must vanish for tangent directions T."""
-    return abs(jordan_inner(T, JordanMatrix.identity()))
+def transversality_residual(data: EmbeddingData, T):
+    """(T, I3) = tr T must vanish for tangent directions T; one per member."""
+    return np.abs(jordan_inner(T, _I3))
 
 
 def apolarity_residual(data: EmbeddingData) -> float:

@@ -1,19 +1,24 @@
 """Reference jet linear algebra for the tests: a division-free determinant
-to check ``jets.jet_lu`` against, and a term-by-term matrix exponential to
-check ``catalog._jet_matrix_exp`` against."""
+to check ``jets.jet_lu`` against, the size of the terms both sum, and a
+term-by-term matrix exponential to check ``catalog._jet_matrix_exp``
+against."""
+
+import math
 
 import numpy as np
 
-from equiaffine.jets import jet_matmul, jet_mul
+from equiaffine.jets import jet_matmul, jet_mul, jet_order
 
 
-def jet_det(A: np.ndarray, num_vars: int) -> np.ndarray:
+def jet_det(A: np.ndarray, num_vars: int, signed: bool = True) -> np.ndarray:
     """Determinant of an (n, n, M) jet matrix, as an (M,) jet.
 
     Division-free: the determinant of a jet matrix is well defined even
     when every value part vanishes, where ``jet_lu`` raises.  Uses the
     subset dynamic program over columns (Laplace expansion shared across
-    row subsets), which is O(2^n n) jet operations and exact.
+    row subsets), which is O(2^n n) jet operations and exact.  With
+    ``signed=False`` the permutation signs are dropped, so on |A| it sums
+    the sizes of the terms the expansion adds (the permanent of |A|).
     """
     n, size = A.shape[0], A.shape[-1]
     one = np.zeros(size)
@@ -29,11 +34,34 @@ def jet_det(A: np.ndarray, num_vars: int) -> np.ndarray:
                 if subset & bit:
                     continue
                 # permutation sign: parity of used columns above this one
-                term = -terms[col] if (subset >> (col + 1)).bit_count() & 1 else terms[col]
+                term = -terms[col] if signed and (subset >> (col + 1)).bit_count() & 1 else terms[col]
                 key = subset | bit
                 nxt[key] = term if key not in nxt else nxt[key] + term
         partial = nxt
     return partial[(1 << n) - 1]
+
+
+def det_term_scale(A: np.ndarray, num_vars: int) -> np.ndarray:
+    """Coefficientwise size of the terms two determinants of A sum: the
+    subset expansion's, the permanent of |A|, plus ``jet_lu``'s,
+    |det A0| exp(sum_k tr(|Y|^k) / k) with |Y| = |A0^{-1} N| entrywise
+    (value part A0, nilpotent part N).  Rounding separates the two by a
+    small multiple of eps n M times this, also where A0 is ill conditioned
+    and the high-order coefficients of jet_lu's series cancel."""
+    n, size = A.shape[0], A.shape[-1]
+    A0 = A[..., 0]
+    Y = np.zeros(A.shape)
+    Y[..., 1:] = np.abs(np.linalg.solve(A0, A[..., 1:].reshape(n, -1))).reshape(n, n, size - 1)
+    order = jet_order(num_vars, size)
+    log_sum, power = np.zeros(size), Y
+    for k in range(1, order + 1):
+        log_sum += np.trace(power) / k
+        power = jet_matmul(power, Y, num_vars)
+    series = np.zeros(size)  # exp(log_sum) by Horner; log_sum has no value part
+    for k in range(order, -1, -1):
+        series = jet_mul(series, log_sum, num_vars)
+        series[0] += 1.0 / math.factorial(k)
+    return jet_det(np.abs(A), num_vars, signed=False) + abs(np.linalg.det(A0)) * series
 
 
 def jet_matrix_exp(S: np.ndarray, num_vars: int) -> np.ndarray:

@@ -3,14 +3,16 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import equiaffine
-from equiaffine import calabi, catalog, cli
+from equiaffine import calabi, catalog, cli, jordan
 from equiaffine.blaschke import blaschke_at
 from equiaffine.cli import (
     DEFAULT_TOL,
@@ -27,6 +29,7 @@ from equiaffine.cli import (
     resolve_points,
     run_scene,
 )
+from equiaffine.dsl import MAX_DIM
 
 
 def run(scene):
@@ -243,13 +246,63 @@ def test_invariants_subcommand_no_checks(capsys):
     assert "L1: " in text and "check " not in text
 
 
+JORDAN_CHECKS = [
+    ("octonion_norm_multiplicative", "1e-12"),
+    ("octonion_alternative", "1e-12"),
+    ("diag_offdiag_relations_1", "1e-12"),
+    ("diag_offdiag_relations_2", "1e-12"),
+    ("det_identity_is_one", "0.0"),
+    ("det_rank_two_is_zero", "1e-15"),
+    ("mult_operator_traceless", "1e-12"),
+    ("bracket_operator_traceless", "1e-12"),
+    ("gauss_formula_decomposition", "1e-12"),
+    ("hypersphere_identity", "1e-10"),
+    ("metric_positive_definite", "0.0"),
+    ("cubic_form_apolar", "1e-10"),
+]
+
+
 def test_jordan_selftest_all_pass():
     out = io.StringIO()
     assert jordan_selftest(out) == 0
-    text = out.getvalue()
-    assert "suite: jordan" in text
-    assert "FAIL" not in text
-    assert text.count("check ") == 12
+    lines = out.getvalue().splitlines()
+    assert lines[:2] == ["schema: 1", "suite: jordan"]
+    # names, order, tolerances and status; the residual digits vary with numpy and BLAS
+    pattern = re.compile(r"check (\w+): residual=(\S+) tol=(\S+) (pass|FAIL)")
+    rows = [pattern.fullmatch(line).groups() for line in lines[2:14]]
+    assert [(name, tol) for name, _, tol, _ in rows] == JORDAN_CHECKS
+    assert all(status == "pass" and float(resid) <= 1e-13 for _, resid, _, status in rows)
+    assert lines[14:] == ["summary:", "  checks: 12", "  failed: 0", "  status: pass"]
+
+
+def test_jordan_selftest_samples_follow_the_per_sample_stream(monkeypatch):
+    # each check's stack holds the draws a loop over single samples takes from default_rng(7)
+    calls = []
+    for name in ("oct_mul", "mult_operator", "bracket_operator", "gaussf_residual"):
+        def record(*args, _fn=getattr(jordan, name), _name=name):
+            calls.append((_name, args))
+            return _fn(*args)
+        monkeypatch.setattr(jordan, name, record)
+    assert jordan_selftest(io.StringIO()) == 0
+
+    rng = np.random.default_rng(7)
+    def pairs(count):
+        return np.array([[rng.standard_normal(8), rng.standard_normal(8)] for _ in range(count)])
+    norm, alt, diag = pairs(1000), pairs(200), np.array([pairs(50) for _ in range(3)])
+    T = np.array([jordan.random_traceless(rng).coords() for _ in range(30)])
+    A = np.array([jordan.random_skew_offdiag(rng) for _ in range(30)])
+    XY = np.array([[jordan.random_traceless(rng).coords() for _ in range(2)] for _ in range(20)])
+    oct_args = {}  # the first oct_mul call of each sample shape takes the raw samples
+    for name, args in calls:
+        if name == "oct_mul":
+            oct_args.setdefault(args[0].shape, args)
+    for want in (norm, alt, diag):
+        assert all(np.array_equal(got, want[..., i, :]) for i, got in enumerate(oct_args[want.shape[:-2] + (8,)]))
+    [(_, (T_seen,))] = [c for c in calls if c[0] == "mult_operator"]
+    [(_, (A_seen,))] = [c for c in calls if c[0] == "bracket_operator"]
+    [(_, (_, X, Y))] = [c for c in calls if c[0] == "gaussf_residual"]
+    assert np.array_equal(T_seen, T) and np.array_equal(A_seen, A)
+    assert np.array_equal(X, XY[:, 0]) and np.array_equal(Y, XY[:, 1])
 
 
 def test_catalog_list_names_every_entry():
@@ -414,6 +467,48 @@ def test_random_point_count_above_cap_exits_2(tmp_path, capsys, monkeypatch):
         assert line == "scene error: random point count must be at most 10000, got 10001"
     points = resolve_points({"random": MAX_RANDOM_POINTS}, catalog.get_chart("hyperboloid", {"n": 2}))
     assert points.shape == (10000, 2)
+
+
+OVER = MAX_DIM + 1
+
+
+@pytest.mark.parametrize(
+    "chart, code, expected",
+    [
+        ({"dsl": f"dim {OVER};"}, 2, f"scene error: dim {OVER} is above MAX_DIM = {MAX_DIM} (line 1, column 5)"),
+        ({"catalog": "hyperboloid", "params": {"n": OVER}}, 3,
+         f"chart error: invalid parameters for 'hyperboloid': dimension {OVER} is above MAX_DIM = {MAX_DIM}"),
+        ({"catalog": "unit_sphere", "params": {"n": OVER}}, 3,
+         f"chart error: invalid parameters for 'unit_sphere': dimension {OVER} is above MAX_DIM = {MAX_DIM}"),
+        ({"catalog": "elliptic_paraboloid", "params": {"n": OVER}}, 3,
+         f"chart error: invalid parameters for 'elliptic_paraboloid': dimension {OVER} is above MAX_DIM = {MAX_DIM}"),
+        ({"catalog": "flat_hypersphere", "params": {"n0": OVER}}, 3,
+         f"chart error: invalid parameters for 'flat_hypersphere': dimension {OVER} is above MAX_DIM = {MAX_DIM}"),
+        # m = 7 is the smallest m with m (m + 1) / 2 - 1 above 26
+        ({"catalog": "sl_so", "params": {"m": 7}}, 3,
+         f"chart error: invalid parameters for 'sl_so': dimension {OVER} is above MAX_DIM = {MAX_DIM}"),
+        # r + s - 1 + n_1 = 2 + 1 - 1 + 25
+        ({"composition": {"r": 2, "constants": [1, 1, 1],
+                          "factors": [{"catalog": {"name": "hyperboloid", "params": {"n": OVER - 2}}, "L1": -1}]}}, 2,
+         f"scene error: malformed composition spec: composition dimension {OVER} is above MAX_DIM = {MAX_DIM}"),
+    ],
+    ids=["dsl", "hyperboloid", "unit_sphere", "elliptic_paraboloid", "flat_hypersphere", "sl_so", "composition"],
+)
+def test_dimension_above_max_dim_exits_with_one_line(tmp_path, capsys, monkeypatch, chart, code, expected):
+    # catalog charts are refused before their text or basis is built
+    if "catalog" in chart:
+        for name in ("parse_chart", "_symmetric_basis", "compose_chart"):
+            monkeypatch.setattr(catalog, name, lambda *a, **k: pytest.fail("a chart was built"))
+    argv = ["check", "--scene", scene_file(tmp_path, chart, {"random": 1})]
+    assert error_line(capsys, argv) == (code, expected)
+
+
+def test_max_dim_charts_still_build():
+    assert catalog.hyperboloid(MAX_DIM).dim == MAX_DIM
+    assert catalog.sl_so(6).dim == 20
+    factor = {"catalog": {"name": "hyperboloid", "params": {"n": MAX_DIM - 1}}, "L1": -1}
+    spec = {"r": 1, "constants": [1, 1], "factors": [factor]}
+    assert build_composition(spec).dim == MAX_DIM
 
 
 def test_overflowing_point_prints_one_stderr_line():

@@ -21,7 +21,7 @@ from equiaffine.jets import (
     jet_variables,
     monomials,
 )
-from jet_reference import jet_det
+from jet_reference import det_term_scale, jet_det
 
 
 def jet_grid(mat) -> np.ndarray:
@@ -258,6 +258,13 @@ def assert_solves(A, X, B, num_vars):
     assert np.allclose(jet_matmul(A, X, num_vars), B, rtol=0.0, atol=atol)
 
 
+def assert_det_matches(A, det, ref, num_vars):
+    """det = ref as jets up to rounding relative to the size of the terms
+    the two determinants sum, coefficient by coefficient."""
+    atol = 100 * np.finfo(float).eps * A.shape[0] * A.shape[-1] * det_term_scale(A, num_vars)
+    assert np.all(np.abs(det - ref) <= atol)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 3), st.integers(0, 4), st.integers(0, 2**32 - 1))
 def test_jet_lu_against_numpy_and_jet_det(n, num_vars, order, seed):
@@ -266,7 +273,7 @@ def test_jet_lu_against_numpy_and_jet_det(n, num_vars, order, seed):
     B = rng.standard_normal((n, 2, A.shape[-1]))
     det, X = jet_lu(A, num_vars, B)
     ref = jet_det(A, num_vars)
-    assert np.allclose(det, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+    assert_det_matches(A, det, ref, num_vars)
     assert det[0] == pytest.approx(np.linalg.det(A[..., 0]), rel=1e-12)
     assert np.allclose(X[..., 0], np.linalg.solve(A[..., 0], B[..., 0]), rtol=1e-10, atol=1e-12)
     assert_solves(A, X, B, num_vars)
@@ -288,6 +295,24 @@ def test_jet_lu_residual_is_relative_on_ill_conditioned_draws(seed):
     X_off = X + 1e-8 * np.abs(X).max() * rng.standard_normal(X.shape)
     with pytest.raises(AssertionError):
         assert_solves(A, X_off, B, num_vars)
+
+
+@pytest.mark.parametrize(
+    "n, num_vars, order, seed", [(3, 2, 4, 1019290596), (3, 3, 4, 2079752404), (4, 2, 1, 2441620756)]
+)
+def test_jet_lu_determinant_is_relative_on_ill_conditioned_draws(n, num_vars, order, seed):
+    # value parts conditioned about 1e3, 8e3 and 2.4e4: on the first two the
+    # order-4 coefficients of jet_lu's series cancel and miss the expansion by
+    # up to 2e-8, far beyond eps times the permanent of |A|; on the last the
+    # series term alone is too small
+    rng = np.random.default_rng(seed)
+    A = random_jet_matrix(rng, n, num_vars, order, shift=3.0)
+    det, ref = jet_lu(A, num_vars)[0], jet_det(A, num_vars)
+    assert_det_matches(A, det, ref, num_vars)
+    # a determinant off by 1e-8 of its size is not the determinant
+    det_off = det + 1e-8 * np.abs(ref).max() * rng.standard_normal(det.shape)
+    with pytest.raises(AssertionError):
+        assert_det_matches(A, det_off, ref, num_vars)
 
 
 def test_jet_lu_derivative_of_determinant():

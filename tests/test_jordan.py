@@ -19,6 +19,7 @@ from equiaffine.jordan import (
     jordan_cross,
     jordan_det,
     jordan_inner,
+    jordan_mul,
     jordan_ops,
     jordan_product,
     jordan_table,
@@ -31,6 +32,7 @@ from equiaffine.jordan import (
     oct_unit,
     random_skew_offdiag,
     random_traceless,
+    random_traceless_coords,
     traceless_basis,
 )
 
@@ -322,3 +324,72 @@ def test_cubic_form_matches_triple_loop_formula():
     for i, j, k in triples:
         want = mat_mul_product(mat_mul_product(on[i], on[j]), on[k]).trace() / 3.0
         assert abs(data.A_o[i, j, k] - want) < 1e-14
+
+
+def test_oct_mul_stack_matches_row_loop():
+    rng = np.random.default_rng(15)
+    a, b = rng.standard_normal((2, 40, 8))
+    want = np.array([oct_mul(x, y) for x, y in zip(a, b)])
+    assert np.max(np.abs(oct_mul(a, b) - want)) < 1e-14 * np.abs(want).max()
+    # leading axes broadcast: one octonion against a stack
+    want = np.array([oct_mul(a[0], y) for y in b])
+    assert np.max(np.abs(oct_mul(a[0], b) - want)) < 1e-14 * np.abs(want).max()
+    assert np.allclose(oct_norm(a), [oct_norm(x) for x in a], rtol=1e-15)
+    assert np.allclose(oct_inner(a, b), [np.dot(x, y) for x, y in zip(a, b)], rtol=1e-14)
+
+
+def test_jordan_mul_stack_matches_mat_mul_reference():
+    rng = np.random.default_rng(16)
+    x, y = rng.standard_normal((2, 6, 5, 27))
+    got = jordan_mul(x, y)
+    assert got.shape == (6, 5, 27)
+    for idx in np.ndindex(6, 5):
+        want = mat_mul_product(JordanMatrix.from_coords(x[idx]), JordanMatrix.from_coords(y[idx])).coords()
+        assert np.max(np.abs(got[idx] - want)) < 1e-13 * np.abs(want).max()
+    inner = jordan_inner(x, y)
+    assert inner.shape == (6, 5)
+    want = jordan_inner(JordanMatrix.from_coords(x[2, 3]), JordanMatrix.from_coords(y[2, 3]))
+    assert inner[2, 3] == pytest.approx(want, rel=1e-13)
+
+
+def test_operators_on_stacks_match_per_member_calls():
+    rng = np.random.default_rng(17)
+    T = random_traceless_coords(rng, (4, 3))
+    ops = mult_operator(T)
+    assert ops.shape == (4, 3, 27, 27)
+    for idx in np.ndindex(4, 3):
+        want = mult_operator(JordanMatrix.from_coords(T[idx]))
+        assert np.max(np.abs(ops[idx] - want)) < 1e-14 * np.abs(want).max()
+    A = random_skew_offdiag(rng, (5,))
+    ops = bracket_operator(A)
+    assert ops.shape == (5, 27, 27)
+    for member, op in zip(A, ops):
+        assert np.max(np.abs(op - bracket_operator(member))) < 1e-14 * np.abs(op).max()
+
+
+def test_stacked_draws_follow_the_per_sample_stream():
+    # a member draws xi (then centred), x1, x2, x3; a skew member its (0, 1), (0, 2), (1, 2) entries
+    raw = np.random.default_rng(18).standard_normal((2, 27))
+    rng = np.random.default_rng(18)
+    T = random_traceless(rng).coords()
+    assert np.array_equal(T, np.concatenate([raw[0, :3] - raw[0, :3].mean(), raw[0, 3:]]))
+    A = random_skew_offdiag(rng)
+    assert np.array_equal(A[[0, 0, 1], [1, 2, 2]], raw[1, :24].reshape(3, 8))
+    one, many = np.random.default_rng(18), np.random.default_rng(18)
+    singles = np.array([random_traceless(one).coords() for _ in range(4)])
+    assert np.array_equal(random_traceless_coords(many, (4,)), singles)
+    singles = np.array([random_skew_offdiag(one) for _ in range(3)])
+    assert np.array_equal(random_skew_offdiag(many, (3,)), singles)
+
+
+def test_bracket_operator_validates_every_member():
+    rng = np.random.default_rng(19)
+    # a huge skew member would hide a small non-skew one in a stack-wide tolerance
+    big = 1e15 * random_skew_offdiag(rng)
+    with pytest.raises(ValueError, match="not octonion skew-Hermitian"):
+        bracket_operator(np.array([big, rng.standard_normal((3, 3, 8))]))
+    # within the skew tolerance, but the image of this member is not Hermitian
+    tiny = np.zeros((3, 3, 8))
+    tiny[0, 0, 0], tiny[1, 1, 0] = 0.4e-12, -0.4e-12
+    with pytest.raises(ValueError, match="image is not octonion Hermitian"):
+        bracket_operator(np.array([random_skew_offdiag(rng), tiny]))
