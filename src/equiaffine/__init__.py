@@ -12,7 +12,6 @@ from .blaschke import BlaschkeInvariants, CheckReport, blaschke_at
 from .calabi import CompositionSpec, HypersphereFactor, closed_form, compose_chart, verify_composition
 from .catalog import get_chart
 from .dsl import ChartDef, DslChart, parse_chart
-from .jets import Jet
 
 __version__ = "0.1.0"
 
@@ -23,7 +22,6 @@ __all__ = [
     "CompositionSpec",
     "DslChart",
     "HypersphereFactor",
-    "Jet",
     "blaschke_at",
     "closed_form",
     "compose_chart",

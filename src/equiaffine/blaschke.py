@@ -33,7 +33,7 @@ import numpy as np
 
 from . import tensors
 from .dsl import ChartDef, eval_chart_jet
-from .jets import Jet, jet_einsum, jet_gradient, jet_lu, jet_mul, jet_size
+from .jets import jet_einsum, jet_gradient, jet_lu, jet_mul, jet_size
 from .jets import power as jet_power
 from .tensors import MetricField, cov_deriv_sym3, riemann
 
@@ -121,7 +121,7 @@ def blaschke_at(chart: ChartDef, point) -> BlaschkeInvariants:
         det_g, _ = jet_lu(Gp, n)
     except np.linalg.LinAlgError as exc:
         raise ConvexityError(f"second-order form is degenerate at {point}") from exc
-    scale = jet_power(Jet(n, 2, det_g), -1.0 / (n + 2)).coeffs
+    scale = jet_power(det_g, -1.0 / (n + 2), n)
     metric = MetricField(n, jet_mul(scale, Gp, n))
     gval = metric.values()
     ginv = np.linalg.inv(gval)
@@ -140,7 +140,10 @@ def blaschke_at(chart: ChartDef, point) -> BlaschkeInvariants:
     # frame {x_1, ..., x_n, xi}: solve x_ij = Gamma^k_ij x_k + h_ij xi
     frame = np.concatenate([x1, xi[None]]).transpose(1, 0, 2)  # [a, column]
     frame_val = frame[..., 0]
-    sv = np.linalg.svd(frame_val, compute_uv=False)
+    # singular values of the column-scaled frame: a chart scaled along one
+    # axis (x^{n+1} = C0 / ...) stretches columns, not the frame's rank
+    norms = np.linalg.norm(frame_val, axis=0)
+    sv = np.linalg.svd(frame_val / np.where(norms > 0, norms, 1.0), compute_uv=False)
     if sv[-1] <= 1e-12 * sv[0]:
         raise FrameError(f"frame {{x_k, xi}} is singular at {point}")
     lower = np.tril_indices(n)

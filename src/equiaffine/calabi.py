@@ -24,7 +24,7 @@ import numpy as np
 from . import jets
 from .blaschke import BlaschkeInvariants, CheckReport, blaschke_at, check_hypersphere
 from .dsl import MAX_DIM, ChartDef
-from .jets import Jet, jet_embed, jet_mul, jet_variables
+from .jets import jet_embed, jet_mul, jet_variables
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ class ComposedChart(ChartDef):
         t = jet_variables(point, order)[: idx.K - 1]
         comps = []
         for a in range(1, idx.K + 1):
-            e_a = jets.exp(Jet(n, order, idx.exponent_row(a) @ t)).coeffs * spec.constants[a - 1]
+            e_a = jets.exp(idx.exponent_row(a) @ t, n) * spec.constants[a - 1]
             if a <= spec.r:
                 comps.append(e_a[None])
             else:

@@ -17,15 +17,15 @@ parenthesized fraction, e.g. ``u1^2`` or ``u1^(-3/2)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import jets
-from .jets import Jet
 
-FUNCS = ("exp", "log", "sqrt", "sin", "cos")
+FUNCS = tuple(jets.ELEMENTARY)
 
 
 # the largest chart dimension accepted: the paper's largest example, the
@@ -81,20 +81,22 @@ class Pow:
     exponent: Fraction
 
 
-def eval_expr(expr, var_jets: list[Jet], params: dict[str, float]) -> Jet:
-    n, order = var_jets[0].num_vars, var_jets[0].order
-    if isinstance(expr, Num):
-        return Jet.constant(expr.value, n, order)
-    if isinstance(expr, Var):
-        return var_jets[expr.index]
-    if isinstance(expr, Param):
+def eval_expr(expr, var_jets: np.ndarray, params: dict[str, float]) -> np.ndarray:
+    """Evaluate an AST on the (n, M) coordinate jets ``var_jets`` (from
+    ``jets.jet_variables``) into one (M,) jet."""
+    n = len(var_jets)
+    if isinstance(expr, (Num, Param)):
+        out = np.zeros(var_jets.shape[-1])
         try:
-            return Jet.constant(params[expr.name], n, order)
+            out[0] = expr.value if isinstance(expr, Num) else params[expr.name]
         except KeyError:
             raise ValueError(f"unbound parameter {expr.name!r}") from None
+        return out
+    if isinstance(expr, Var):
+        return var_jets[expr.index]
     if isinstance(expr, Unary):
         arg = eval_expr(expr.arg, var_jets, params)
-        return -arg if expr.op == "neg" else jets.jet_eval(expr.op, arg)
+        return -arg if expr.op == "neg" else jets.ELEMENTARY[expr.op](arg, n)
     if isinstance(expr, Bin):
         a = eval_expr(expr.left, var_jets, params)
         b = eval_expr(expr.right, var_jets, params)
@@ -103,10 +105,10 @@ def eval_expr(expr, var_jets: list[Jet], params: dict[str, float]) -> Jet:
         if expr.op == "-":
             return a - b
         if expr.op == "*":
-            return a * b
-        return a / b
+            return jets.jet_mul(a, b, n)
+        return jets.jet_mul(a, jets.recip(b, n), n)
     if isinstance(expr, Pow):
-        return jets.power(eval_expr(expr.base, var_jets, params), expr.exponent)
+        return jets.power(eval_expr(expr.base, var_jets, params), expr.exponent, n)
     raise TypeError(f"unknown AST node {expr!r}")
 
 
@@ -168,8 +170,8 @@ class DslChart(ChartDef):
         self.components = list(components)
 
     def component_jets(self, point, order):
-        var_jets = [Jet(self.dim, order, c) for c in jets.jet_variables(point, order)]
-        return np.array([eval_expr(c, var_jets, self.params).coeffs for c in self.components])
+        var_jets = jets.jet_variables(point, order)
+        return np.array([eval_expr(c, var_jets, self.params) for c in self.components])
 
     def to_text(self) -> str:
         lines = [f"dim {self.dim};"]
@@ -299,12 +301,12 @@ class _Parser:
             if t.kind != "IDENT":
                 self.error(f"expected a declaration, found {t.text!r}", t)
             if t.text == "dim":
-                num = self.expect("NUMBER")
+                value, num = self.number()
                 if dim is not None:
                     self.error("duplicate dim declaration", t)
-                dim = int(float(num.text))
-                if dim < 1:
+                if value < 1 or not value.is_integer():
                     self.error("dim must be a positive integer", num)
+                dim = int(value)
                 if dim > MAX_DIM:
                     self.error(f"dim {dim} is above MAX_DIM = {MAX_DIM}", num)
             elif t.text == "param":
@@ -314,8 +316,7 @@ class _Parser:
                 if self.peek().kind == "SYM" and self.peek().text == "-":
                     self.next()
                     sign = -1.0
-                num = self.expect("NUMBER")
-                params[name.text] = sign * float(num.text)
+                params[name.text] = sign * self.number()[0]
             else:
                 if dim is None:
                     self.error("dim must be declared before components", t)
@@ -365,21 +366,43 @@ class _Parser:
             if self.peek().kind == "SYM" and self.peek().text == "-":
                 self.next()
                 sign = -sign
-            num = self.expect("NUMBER")
-            frac = Fraction(num.text)
+            frac = self.fraction()
             if self.peek().kind == "SYM" and self.peek().text == "/":
                 self.next()
-                den = self.expect("NUMBER")
-                frac /= Fraction(den.text)
+                den_tok = self.peek()
+                den = self.fraction()
+                if den == 0:
+                    self.error("zero denominator in exponent", den_tok)
+                frac /= den
+                try:
+                    float(frac)
+                except OverflowError:
+                    self.error("exponent is out of range", den_tok)
             self.expect("SYM", ")")
             return sign * frac
-        num = self.expect("NUMBER")
-        return sign * Fraction(num.text)
+        return sign * self.fraction()
+
+    def number(self) -> tuple[float, _Token]:
+        """The next token as a finite float literal, and the token."""
+        tok = self.expect("NUMBER")
+        try:
+            value = float(tok.text)
+        except ValueError:
+            self.error(f"malformed number {tok.text!r}", tok)
+        if not math.isfinite(value):
+            self.error(f"number {tok.text} is out of range", tok)
+        return value, tok
+
+    def fraction(self) -> Fraction:
+        """The next token as an exact rational; a literal that underflows a
+        float reads as 0 (its exact value would take unbounded work)."""
+        value, tok = self.number()
+        return Fraction(tok.text) if value else Fraction(0)
 
     def parse_base(self, dim, params):
+        if self.peek().kind == "NUMBER":
+            return Num(self.number()[0])
         t = self.next()
-        if t.kind == "NUMBER":
-            return Num(float(t.text))
         if t.kind == "SYM" and t.text == "-":
             return Unary("neg", self.parse_base(dim, params))
         if t.kind == "SYM" and t.text == "(":

@@ -1,4 +1,4 @@
-"""Truncated multivariate Taylor-jet arithmetic.
+"""Truncated multivariate Taylor-jet arithmetic on coefficient arrays.
 
 A jet stores the Taylor expansion of a scalar function around a point,
 truncated at a fixed total degree.  The coefficient attached to a
@@ -8,9 +8,16 @@ and degree-1 coefficients carry the gradient.  Arithmetic is exact
 truncation: products are Cauchy products with all terms of total degree
 above ``order`` dropped.
 
+There is one representation: a jet array, a float ndarray whose last axis
+holds the coefficients of one jet per entry; the other axes are tensor
+indices, and a single jet is an (M,) vector.  Sums and scalar multiples
+are plain array arithmetic; products are batched over the whole array
+(one gather of coefficient pairs and one segmented sum per call), and the
+elementary functions compose their Taylor series with one jet's vector.
+
 Multi-indices are enumerated in graded lexicographic order, which makes
 monomials of degree <= k a prefix of the enumeration; truncating a jet
-to a lower order is then just an array slice.
+to a lower order is then just a slice of its last axis.
 """
 
 from __future__ import annotations
@@ -45,11 +52,6 @@ def monomials(num_vars: int, order: int) -> tuple[tuple[int, ...], ...]:
         build((), deg, num_vars)
         result.extend(level)
     return tuple(result)
-
-
-@lru_cache(maxsize=None)
-def _index_map(num_vars: int, order: int) -> dict[tuple[int, ...], int]:
-    return {m: i for i, m in enumerate(monomials(num_vars, order))}
 
 
 def _rank(exps: np.ndarray, num_vars: int) -> np.ndarray:
@@ -115,241 +117,7 @@ def _gradient_table(num_vars: int, order: int):
     return src, (mono_lo.T + 1).astype(float)
 
 
-class Jet:
-    """Truncated Taylor expansion of a scalar function of ``num_vars`` variables."""
-
-    __slots__ = ("num_vars", "order", "coeffs")
-
-    def __init__(self, num_vars: int, order: int, coeffs: np.ndarray):
-        if not 0 <= order <= MAX_ORDER:
-            raise ValueError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
-        self.num_vars = num_vars
-        self.order = order
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        if self.coeffs.shape != (len(monomials(num_vars, order)),):
-            raise ValueError("coefficient vector has the wrong length")
-
-    # -- constructors ------------------------------------------------
-
-    @classmethod
-    def constant(cls, value: float, num_vars: int, order: int) -> "Jet":
-        c = np.zeros(len(monomials(num_vars, order)))
-        c[0] = value
-        return cls(num_vars, order, c)
-
-    @classmethod
-    def variable(cls, var: int, value: float, num_vars: int, order: int) -> "Jet":
-        """The coordinate function u_var expanded around ``value``."""
-        if not 0 <= var < num_vars:
-            raise ValueError("variable index out of range")
-        c = np.zeros(len(monomials(num_vars, order)))
-        c[0] = value
-        if order >= 1:
-            c[1 + var] = 1.0  # degree-1 monomials come in variable order
-        return cls(num_vars, order, c)
-
-    # -- accessors ---------------------------------------------------
-
-    @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
-
-    def gradient(self) -> np.ndarray:
-        """Degree-1 coefficients as a vector (the plain gradient)."""
-        if self.order < 1:
-            return np.zeros(self.num_vars)
-        return self.coeffs[1 : self.num_vars + 1].copy()
-
-    def coefficient(self, alpha: tuple[int, ...]) -> float:
-        return float(self.coeffs[_index_map(self.num_vars, self.order)[alpha]])
-
-    def truncate(self, order: int) -> "Jet":
-        if order > self.order:
-            raise ValueError("cannot extend a jet to a higher order")
-        if order == self.order:
-            return self
-        return Jet(self.num_vars, order, self.coeffs[: len(monomials(self.num_vars, order))].copy())
-
-    def partial(self, var: int) -> "Jet":
-        """Partial derivative; the result is one order lower."""
-        if self.order < 1:
-            raise ValueError("cannot differentiate an order-0 jet")
-        src, fac = _gradient_table(self.num_vars, self.order)
-        return Jet(self.num_vars, self.order - 1, self.coeffs[src[var]] * fac[var])
-
-    # -- arithmetic --------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            if other.num_vars != self.num_vars:
-                raise ValueError("jets live in different variable spaces")
-            if other.order != self.order:
-                o = min(self.order, other.order)
-                return self.truncate(o), other.truncate(o)
-            return self, other
-        return self, Jet.constant(float(other), self.num_vars, self.order)
-
-    def __add__(self, other):
-        a, b = self._coerce(other)
-        return Jet(a.num_vars, a.order, a.coeffs + b.coeffs)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        a, b = self._coerce(other)
-        return Jet(a.num_vars, a.order, a.coeffs - b.coeffs)
-
-    def __rsub__(self, other):
-        a, b = self._coerce(other)
-        return Jet(a.num_vars, a.order, b.coeffs - a.coeffs)
-
-    def __neg__(self):
-        return Jet(self.num_vars, self.order, -self.coeffs)
-
-    def __mul__(self, other):
-        if not isinstance(other, Jet):
-            return Jet(self.num_vars, self.order, self.coeffs * float(other))
-        a, b = self._coerce(other)
-        return Jet(a.num_vars, a.order, jet_mul(a.coeffs, b.coeffs, a.num_vars))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, Jet):
-            return Jet(self.num_vars, self.order, self.coeffs / float(other))
-        return self * recip(other)
-
-    def __rtruediv__(self, other):
-        return recip(self) * float(other)
-
-    def __repr__(self):
-        return f"Jet(n={self.num_vars}, order={self.order}, value={self.value:.6g})"
-
-
-# -- composition with univariate series -------------------------------
-
-
-def _compose_series(series: list[float], x: Jet) -> Jet:
-    """Evaluate sum_k series[k] * (x - x.value)^k, truncated at x.order."""
-    return Jet(x.num_vars, x.order, _series_coeffs(series, x.coeffs, x.num_vars))
-
-
-def _series_coeffs(series: list[float], coeffs: np.ndarray, num_vars: int) -> np.ndarray:
-    """``_compose_series`` on one jet's coefficient vector (Horner)."""
-    dx = coeffs.copy()
-    dx[0] = 0.0
-    out = np.zeros_like(dx)
-    out[0] = series[-1]
-    for c in reversed(series[:-1]):
-        out = jet_mul(out, dx, num_vars)
-        out[0] += c
-    return out
-
-
-def exp(x: Jet) -> Jet:
-    ev = math.exp(x.value)
-    series = [ev / math.factorial(k) for k in range(x.order + 1)]
-    return _compose_series(series, x)
-
-
-def log(x: Jet) -> Jet:
-    if x.value <= 0.0:
-        raise JetDomainError(f"log of non-positive value part {x.value}")
-    series = [math.log(x.value)]
-    for k in range(1, x.order + 1):
-        series.append((-1.0) ** (k + 1) / (k * x.value**k))
-    return _compose_series(series, x)
-
-
-def recip(x: Jet) -> Jet:
-    if x.value == 0.0:
-        raise JetDomainError("reciprocal of a jet with zero value part")
-    return _compose_series([(-1.0) ** k / x.value ** (k + 1) for k in range(x.order + 1)], x)
-
-
-def power(x: Jet, p) -> Jet:
-    """x**p for a rational (or float) constant exponent p.
-
-    Non-negative integer exponents are evaluated by repeated squaring and
-    stay valid at zero value parts; everything else requires a positive
-    value part.
-    """
-    pf = float(p)
-    if isinstance(p, (int, Fraction)) and pf == int(pf) and pf >= 0:
-        k = int(pf)
-        result = Jet.constant(1.0, x.num_vars, x.order)
-        base = x
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-    if x.value <= 0.0:
-        raise JetDomainError(f"power {p} of non-positive value part {x.value}")
-    series = []
-    coeff = 1.0
-    for k in range(x.order + 1):
-        series.append(coeff * x.value ** (pf - k))
-        coeff *= (pf - k) / (k + 1)
-    return _compose_series(series, x)
-
-
-def sqrt(x: Jet) -> Jet:
-    return power(x, Fraction(1, 2))
-
-
-def sin(x: Jet) -> Jet:
-    s, c = math.sin(x.value), math.cos(x.value)
-    cycle = [s, c, -s, -c]
-    series = [cycle[k % 4] / math.factorial(k) for k in range(x.order + 1)]
-    return _compose_series(series, x)
-
-
-def cos(x: Jet) -> Jet:
-    s, c = math.sin(x.value), math.cos(x.value)
-    cycle = [c, -s, -c, s]
-    series = [cycle[k % 4] / math.factorial(k) for k in range(x.order + 1)]
-    return _compose_series(series, x)
-
-
-def neg(x: Jet) -> Jet:
-    return -x
-
-
-_ELEMENTARY = {
-    "exp": exp,
-    "log": log,
-    "sqrt": sqrt,
-    "sin": sin,
-    "cos": cos,
-    "neg": neg,
-    "recip": recip,
-}
-
-
-def jet_eval(func: str, x: Jet, exponent=None) -> Jet:
-    """Apply an elementary function to a jet.
-
-    ``func`` is one of exp, log, sqrt, sin, cos, neg, recip, pow; for
-    ``pow`` the rational ``exponent`` must be supplied.
-    """
-    if func == "pow":
-        if exponent is None:
-            raise ValueError("pow requires an exponent")
-        return power(x, exponent)
-    try:
-        return _ELEMENTARY[func](x)
-    except KeyError:
-        raise ValueError(f"unknown elementary function {func!r}") from None
-
-
 # -- jet arrays ------------------------------------------------------------
-#
-# A jet array is a float ndarray whose last axis holds the Taylor
-# coefficients of one jet per entry, in ``monomials`` order; the other axes
-# are tensor indices.  Products are batched over the whole array: one
-# gather of coefficient pairs and one segmented sum per call.
 
 
 def jet_size(num_vars: int, order: int) -> int:
@@ -438,6 +206,101 @@ def jet_gradient(a: np.ndarray, num_vars: int) -> np.ndarray:
     return a[..., src] * fac
 
 
+# -- elementary functions ----------------------------------------------
+#
+# Each takes one jet's (M,) coefficient vector and the number of variables,
+# and composes the function's Taylor series at the value part with the rest.
+
+
+def _series_coeffs(series: list[float], coeffs: np.ndarray, num_vars: int) -> np.ndarray:
+    """sum_k series[k] * (x - x[0])^k for the jet x = ``coeffs``, truncated at
+    its order (Horner)."""
+    dx = coeffs.copy()
+    dx[0] = 0.0
+    out = np.zeros_like(dx)
+    out[0] = series[-1]
+    for c in reversed(series[:-1]):
+        out = jet_mul(out, dx, num_vars)
+        out[0] += c
+    return out
+
+
+def exp(x: np.ndarray, num_vars: int) -> np.ndarray:
+    ev = math.exp(x[0])
+    series = [ev / math.factorial(k) for k in range(jet_order(num_vars, len(x)) + 1)]
+    return _series_coeffs(series, x, num_vars)
+
+
+def log(x: np.ndarray, num_vars: int) -> np.ndarray:
+    value = float(x[0])
+    if value <= 0.0:
+        raise JetDomainError(f"log of non-positive value part {value}")
+    series = [math.log(value)]
+    for k in range(1, jet_order(num_vars, len(x)) + 1):
+        series.append((-1.0) ** (k + 1) / (k * value**k))
+    return _series_coeffs(series, x, num_vars)
+
+
+def recip(x: np.ndarray, num_vars: int) -> np.ndarray:
+    value = float(x[0])
+    if value == 0.0:
+        raise JetDomainError("reciprocal of a jet with zero value part")
+    series = [(-1.0) ** k / value ** (k + 1) for k in range(jet_order(num_vars, len(x)) + 1)]
+    return _series_coeffs(series, x, num_vars)
+
+
+def power(x: np.ndarray, p, num_vars: int) -> np.ndarray:
+    """x**p for a rational (or float) constant exponent p.
+
+    Non-negative integer exponents are evaluated by repeated squaring and
+    stay valid at zero value parts; everything else requires a positive
+    value part.
+    """
+    pf = float(p)
+    if isinstance(p, (int, Fraction)) and pf == int(pf) and pf >= 0:
+        k = int(pf)
+        result = np.zeros(len(x))
+        result[0] = 1.0
+        base = x
+        while k:
+            if k & 1:
+                result = jet_mul(result, base, num_vars)
+            base = jet_mul(base, base, num_vars)
+            k >>= 1
+        return result
+    value = float(x[0])
+    if value <= 0.0:
+        raise JetDomainError(f"power {p} of non-positive value part {value}")
+    series = []
+    coeff = 1.0
+    for k in range(jet_order(num_vars, len(x)) + 1):
+        series.append(coeff * value ** (pf - k))
+        coeff *= (pf - k) / (k + 1)
+    return _series_coeffs(series, x, num_vars)
+
+
+def sqrt(x: np.ndarray, num_vars: int) -> np.ndarray:
+    return power(x, Fraction(1, 2), num_vars)
+
+
+def sin(x: np.ndarray, num_vars: int) -> np.ndarray:
+    s, c = math.sin(x[0]), math.cos(x[0])
+    cycle = [s, c, -s, -c]
+    series = [cycle[k % 4] / math.factorial(k) for k in range(jet_order(num_vars, len(x)) + 1)]
+    return _series_coeffs(series, x, num_vars)
+
+
+def cos(x: np.ndarray, num_vars: int) -> np.ndarray:
+    s, c = math.sin(x[0]), math.cos(x[0])
+    cycle = [c, -s, -c, s]
+    series = [cycle[k % 4] / math.factorial(k) for k in range(jet_order(num_vars, len(x)) + 1)]
+    return _series_coeffs(series, x, num_vars)
+
+
+# the functions of one jet argument that the chart language names
+ELEMENTARY = {"exp": exp, "log": log, "sqrt": sqrt, "sin": sin, "cos": cos}
+
+
 # -- linear algebra over jets ------------------------------------------
 
 
@@ -474,8 +337,7 @@ def jet_lu(A: np.ndarray, num_vars: int, B: np.ndarray | None = None):
         log_det += (-1) ** (k + 1) / k * np.trace(power)
         if k < order:
             power = jet_matmul(power, Y, num_vars)
-    exp_series = [1.0 / math.factorial(k) for k in range(order + 1)]
-    det = np.linalg.det(A[..., 0]) * _series_coeffs(exp_series, log_det, num_vars)
+    det = np.linalg.det(A[..., 0]) * exp(log_det, num_vars)
     if B is None:
         return det, None
 

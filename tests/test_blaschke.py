@@ -275,6 +275,18 @@ def test_pick_invariant_relation_on_flat_sphere():
     assert inv.J == pytest.approx(-inv.L1, abs=1e-10)
 
 
+@pytest.mark.parametrize("n0", [1, 2])
+def test_frame_test_is_column_scaled(n0):
+    # C0 = 1e8 stretches the frame's columns apart: the raw singular-value
+    # ratio is 7e-14, under the 1e-12 gate, yet the frame is far from singular
+    from equiaffine.catalog import flat_hypersphere
+
+    chart = flat_hypersphere(n0, 1e8)
+    L1 = chart.spec_closed_form.L1
+    for point in chart.sample_points(4, 1):
+        assert blaschke_at(chart, point).L1 == pytest.approx(L1, rel=1e-12)
+
+
 def test_curvature_scalar_consistency():
     # chi is the full double trace of the curvature tensor
     chart = parse_chart(GENERIC)

@@ -503,6 +503,20 @@ def test_dimension_above_max_dim_exits_with_one_line(tmp_path, capsys, monkeypat
     assert error_line(capsys, argv) == (code, expected)
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("dim 1e400; x1 = u1;", "number 1e400 is out of range (line 1, column 5)"),
+        ("dim 1; x1 = u1; x2 = u1^(1/0);", "zero denominator in exponent (line 1, column 28)"),
+        ("dim 2.5; x1 = u1; x2 = u2; x3 = u1^2;", "dim must be a positive integer (line 1, column 5)"),
+    ],
+    ids=["overflowing-dim", "zero-denominator-exponent", "fractional-dim"],
+)
+def test_numeric_literal_errors_exit_2_with_one_line(tmp_path, capsys, text, expected):
+    argv = ["check", "--scene", scene_file(tmp_path, {"dsl": text}, {"random": 1})]
+    assert error_line(capsys, argv) == (2, f"scene error: {expected}")
+
+
 def test_max_dim_charts_still_build():
     assert catalog.hyperboloid(MAX_DIM).dim == MAX_DIM
     assert catalog.sl_so(6).dim == 20

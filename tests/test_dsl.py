@@ -1,17 +1,21 @@
 """Chart expression language: parsing, evaluation, errors, round-trips."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equiaffine.dsl import (
+    FUNCS,
     ChartParseError,
     DslChart,
     ImmersionError,
     eval_chart_jet,
     parse_chart,
 )
+from equiaffine.jets import monomials
 
 SPHERE = "dim 2;\nx1 = u1;\nx2 = u2;\nx3 = sqrt(1 - u1^2 - u2^2);\n"
 
@@ -56,6 +60,13 @@ def test_negative_param_and_fraction_exponent():
         ("dim 1; x1 = u1; x2 = (u1;", "expected"),
         ("dim 1; x1 = u1 @ 2; x2 = u1;", "unexpected character"),
         ("dim 1; x5 = u1; x1 = u1; x2 = u1;", "out of range"),
+        ("dim 1e400; x1 = u1; x2 = u1;", "number 1e400 is out of range"),
+        ("dim 2.5; x1 = u1; x2 = u2; x3 = u1;", "dim must be a positive integer"),
+        ("dim 1; param a = 1e999; x1 = u1; x2 = a;", "number 1e999 is out of range"),
+        ("dim 1; x1 = u1; x2 = 2e308 * u1;", "number 2e308 is out of range"),
+        ("dim 1; x1 = u1; x2 = 1.2.3 * u1;", "malformed number '1.2.3'"),
+        ("dim 1; x1 = u1; x2 = u1^(1/0);", "zero denominator in exponent"),
+        ("dim 1; x1 = u1; x2 = u1^(1e300/1e-300);", "exponent is out of range"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -116,3 +127,33 @@ def test_sphere_components_on_sphere(u, v):
     comp = chart.component_jets(np.array([u, v]), 1)
     vals = comp[:, 0]
     assert np.dot(vals, vals) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "dim, expr, point",
+    [
+        (2, "C0*sin(u1)*cos(u2) + log(2 + u1^2) + sqrt(3 + u2)^(-3/2) + u1^3/(2 - u2) - exp(u1*u2)", [0.3, -0.2]),
+        (1, "C0*cos(u1)^2/sin(1 + u1) + log(2 + u1^2)^(-5/3) - sqrt(exp(u1) + 3)/(u1 - 4)", [0.45]),
+    ],
+    ids=["n2", "n1"],
+)
+def test_jets_match_symbolic_derivatives(dim, expr, point):
+    # an oracle independent of the jet code: sympy differentiates the same
+    # source text, and each coefficient must be d^alpha f / alpha!
+    sympy = pytest.importorskip("sympy")
+    assert all(f"{name}(" in expr for name in FUNCS) and "/" in expr and "^(-" in expr and "C0" in expr
+    coords = "".join(f"x{i + 1} = u{i + 1}; " for i in range(dim))
+    chart = parse_chart(f"dim {dim}; param C0 = 1.5; {coords}x{dim + 1} = {expr};")
+    got = chart.component_jets(np.array(point), 4)[dim]
+
+    u = sympy.symbols(f"u1:{dim + 1}")
+    f = sympy.sympify(expr.replace("^", "**"), locals={"C0": sympy.Rational(3, 2), **{s.name: s for s in u}})
+    at = {s: sympy.Float(p, 30) for s, p in zip(u, point)}
+    want = []
+    for alpha in monomials(dim, 4):
+        d = f
+        for s, k in zip(u, alpha):
+            d = sympy.diff(d, s, k)
+        want.append(float(d.evalf(30, subs=at)) / np.prod([math.factorial(k) for k in alpha]))
+    want = np.array(want)
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())

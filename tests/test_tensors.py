@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from equiaffine import jets
-from equiaffine.jets import Jet, jet_size
+from equiaffine.jets import jet_mul, jet_size, jet_variables
 from equiaffine.tensors import (
     CurvatureData,
     MetricError,
@@ -16,9 +16,11 @@ from equiaffine.tensors import (
 )
 
 
-def jet_grid(comps) -> np.ndarray:
-    """The jet array of an object array of Jets."""
-    return np.array([[c.coeffs for c in row] for row in comps])
+def constant(value, num_vars, order) -> np.ndarray:
+    """The constant jet ``value``."""
+    c = np.zeros(jet_size(num_vars, order))
+    c[0] = value
+    return c
 
 
 def metric_values(point):
@@ -33,13 +35,12 @@ def metric_values(point):
 
 
 def metric_field(point, order=3):
-    u = Jet.variable(0, point[0], 2, order)
-    v = Jet.variable(1, point[1], 2, order)
-    comps = np.empty((2, 2), dtype=object)
-    comps[0, 0] = u * u + jets.sin(v) * 0.2 + 1.0
-    comps[0, 1] = comps[1, 0] = u * v * 0.3
-    comps[1, 1] = v * v + u * 0.1 + 2.0
-    return MetricField(2, jet_grid(comps))
+    u, v = jet_variables(point, order)
+    comps = np.empty((2, 2, jet_size(2, order)))
+    comps[0, 0] = jet_mul(u, u, 2) + jets.sin(v, 2) * 0.2 + constant(1.0, 2, order)
+    comps[0, 1] = comps[1, 0] = jet_mul(u, v, 2) * 0.3
+    comps[1, 1] = jet_mul(v, v, 2) + u * 0.1 + constant(2.0, 2, order)
+    return MetricField(2, comps)
 
 
 def fd_christoffel(point, h=1e-5):
@@ -98,16 +99,16 @@ def test_riemann_matches_finite_differences_of_christoffel():
 
 def sphere_metric(point, n, order=2):
     """Round-sphere metric in graph coordinates: g = I + uu^t/(1-|u|^2)."""
-    u = [Jet.variable(i, point[i], n, order) for i in range(n)]
-    s = u[0] * u[0]
+    u = jet_variables(point, order)
+    s = jet_mul(u[0], u[0], n)
     for i in range(1, n):
-        s = s + u[i] * u[i]
-    w = jets.recip(-s + 1.0)
-    comps = np.empty((n, n), dtype=object)
+        s = s + jet_mul(u[i], u[i], n)
+    w = jets.recip(-s + constant(1.0, n, order), n)
+    comps = np.empty((n, n, jet_size(n, order)))
     for i in range(n):
         for j in range(n):
-            comps[i, j] = u[i] * u[j] * w + (1.0 if i == j else 0.0)
-    return MetricField(n, jet_grid(comps))
+            comps[i, j] = jet_mul(jet_mul(u[i], u[j], n), w, n) + constant(1.0 if i == j else 0.0, n, order)
+    return MetricField(n, comps)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -125,33 +126,33 @@ def test_unit_sphere_curvature(n):
 def test_flat_metric_curvature_zero():
     n = 2
     point = [0.4, -0.7]
-    u = [Jet.variable(i, point[i], n, 2) for i in range(n)]
+    u = jet_variables(point, 2)
     # flat metric in curvilinear form: pullback of identity under a
     # polynomial diffeomorphism phi = (u + v^2/2, v - u^2/2)
-    j00 = Jet.constant(1.0, n, 2)
+    j00 = constant(1.0, n, 2)
     j01 = u[1]
     j10 = -u[0]
-    j11 = Jet.constant(1.0, n, 2)
-    comps = np.empty((n, n), dtype=object)
-    comps[0, 0] = j00 * j00 + j10 * j10
-    comps[0, 1] = comps[1, 0] = j00 * j01 + j10 * j11
-    comps[1, 1] = j01 * j01 + j11 * j11
-    curv = riemann(MetricField(n, jet_grid(comps)))
+    j11 = constant(1.0, n, 2)
+    comps = np.empty((n, n, jet_size(n, 2)))
+    comps[0, 0] = jet_mul(j00, j00, n) + jet_mul(j10, j10, n)
+    comps[0, 1] = comps[1, 0] = jet_mul(j00, j01, n) + jet_mul(j10, j11, n)
+    comps[1, 1] = jet_mul(j01, j01, n) + jet_mul(j11, j11, n)
+    curv = riemann(MetricField(n, comps))
     assert np.max(np.abs(curv.riemann)) < 1e-12
     assert curv.chi == pytest.approx(0.0, abs=1e-12)
 
 
 def test_metric_validation():
-    comps = np.empty((2, 2), dtype=object)
-    comps[0, 0] = Jet.constant(1.0, 2, 2)
-    comps[0, 1] = Jet.constant(2.0, 2, 2)
-    comps[1, 0] = Jet.constant(2.0, 2, 2)
-    comps[1, 1] = Jet.constant(1.0, 2, 2)  # eigenvalues 3, -1
+    comps = np.empty((2, 2, jet_size(2, 2)))
+    comps[0, 0] = constant(1.0, 2, 2)
+    comps[0, 1] = constant(2.0, 2, 2)
+    comps[1, 0] = constant(2.0, 2, 2)
+    comps[1, 1] = constant(1.0, 2, 2)  # eigenvalues 3, -1
     with pytest.raises(MetricError):
-        MetricField(2, jet_grid(comps))
-    comps[1, 0] = Jet.constant(2.1, 2, 2)
+        MetricField(2, comps)
+    comps[1, 0] = constant(2.1, 2, 2)
     with pytest.raises(MetricError):
-        MetricField(2, jet_grid(comps))
+        MetricField(2, comps)
 
 
 def test_cov_deriv_scalar_times_metric():
@@ -161,20 +162,20 @@ def test_cov_deriv_scalar_times_metric():
     g = metric_field(point, order=3)
     gamma = christoffel(g)
     n = 2
-    u = [Jet.variable(i, point[i], n, 1) for i in range(n)]
-    f = u[0] * u[1] + 1.0
+    u = jet_variables(point, 1)
+    f = jet_mul(u[0], u[1], n) + constant(1.0, n, 1)
 
-    a_jets = np.empty((n, n, n), dtype=object)
-    g1 = [[Jet(n, 1, g.coeffs[i, j, : jet_size(n, 1)]) for j in range(n)] for i in range(n)]
+    a_jets = np.empty((n, n, n, jet_size(n, 1)))
+    g1 = g.coeffs[..., : jet_size(n, 1)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                a_jets[i, j, k] = f * g1[i][j] * (1.0 if k == 0 else 2.0)
-    na = cov_deriv_sym3(np.array([jet_grid(plane) for plane in a_jets]), gamma)
+                a_jets[i, j, k] = jet_mul(f, g1[i, j], n) * (1.0 if k == 0 else 2.0)
+    na = cov_deriv_sym3(a_jets, gamma)
 
     # finite-difference oracle on tensor components, then corrections
     h = 1e-6
-    avals = np.array([[[a_jets[i, j, k].value for k in range(n)] for j in range(n)] for i in range(n)])
+    avals = a_jets[..., 0]
 
     def tensor_at(p):
         gv = metric_values(p)
