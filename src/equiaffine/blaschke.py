@@ -23,10 +23,17 @@ solve with the value part plus a nilpotent series, which needs a
 nonsingular value part.  That holds here: M is nonsingular for an
 immersion, G is definite (otherwise ConvexityError is raised first) and
 the frame is nonsingular (otherwise FrameError).
+
+Every step also runs on a stack of points: ``blaschke_at`` on a (P, n)
+point stack carries a leading point axis through every jet array, so a
+stack costs one pass of numpy calls instead of P, and each row is
+computed exactly as its point alone (the same operations in the same
+order, so bitwise equal).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,29 +107,35 @@ class BlaschkeInvariants:
         return self._nabla_A
 
 
-def blaschke_at(chart: ChartDef, point) -> BlaschkeInvariants:
-    """Compute all Blaschke data of a chart at a point (from order-4 jets)."""
-    point = np.asarray(point, float)
+def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants | list[BlaschkeInvariants]:
+    """Compute all Blaschke data of a chart at a point (from order-4 jets).
+
+    An (n,) point gives one BlaschkeInvariants; a (P, n) point stack gives
+    a list of P, each bitwise equal to the result for its point alone,
+    from one pass of stacked jet arrays.  A gate that fails names the first
+    failing point of the stack."""
+    points = np.asarray(points, float)
+    stack = points[None] if points.ndim == 1 else points
+    if len(stack) == 0:
+        return []
     n = chart.dim
     m1 = jet_size(n, 1)
-    x, x1, hess = _chart_derivatives(chart, point)
-    G = _determinant_form(x1, hess, point)
-    gvals = G[..., 0]
-    eig = np.linalg.eigvalsh(gvals)
-    if eig[0] > 0:
-        Gp = G
-    elif eig[-1] < 0:
-        Gp = -G
-    else:
-        raise ConvexityError(f"chart is not locally strongly convex at {point} (form eigenvalues {eig})")
+    x, x1, hess = _chart_derivatives(chart, stack)
+    G = _determinant_form(x1, hess, stack)
+    eig = np.linalg.eigvalsh(G[..., 0])
+    definite = eig[:, 0] > 0
+    k = _first(~definite & ~(eig[:, -1] < 0))
+    if k is not None:
+        raise ConvexityError(f"chart is not locally strongly convex at {stack[k]} (form eigenvalues {eig[k]})")
+    Gp = np.where(definite[:, None, None, None], G, -G)
 
     # Berwald-Blaschke metric g = |det G|^{-1/(n+2)} * (eps G)
     try:
         det_g, _ = jet_lu(Gp, n)
     except np.linalg.LinAlgError as exc:
-        raise ConvexityError(f"second-order form is degenerate at {point}") from exc
+        raise ConvexityError(f"second-order form is degenerate at {stack[_first_singular(Gp[..., 0])]}") from exc
     scale = jet_power(det_g, -1.0 / (n + 2), n)
-    metric = MetricField(n, jet_mul(scale, Gp, n))
+    metric = MetricField(n, jet_mul(scale[:, None, None], Gp, n))
     gval = metric.values()
     ginv = np.linalg.inv(gval)
     g1 = metric.coeffs[..., :m1]
@@ -138,24 +151,26 @@ def blaschke_at(chart: ChartDef, point) -> BlaschkeInvariants:
     xi = jet_einsum("ij,ija->a", metric.inverse, lap, n) * (1.0 / n)
 
     # frame {x_1, ..., x_n, xi}: solve x_ij = Gamma^k_ij x_k + h_ij xi
-    frame = np.concatenate([x1, xi[None]]).transpose(1, 0, 2)  # [a, column]
+    frame = np.concatenate([x1, xi[:, None]], axis=1).swapaxes(1, 2)  # [a, column]
     frame_val = frame[..., 0]
     # singular values of the column-scaled frame: a chart scaled along one
     # axis (x^{n+1} = C0 / ...) stretches columns, not the frame's rank
-    norms = np.linalg.norm(frame_val, axis=0)
-    sv = np.linalg.svd(frame_val / np.where(norms > 0, norms, 1.0), compute_uv=False)
-    if sv[-1] <= 1e-12 * sv[0]:
-        raise FrameError(f"frame {{x_k, xi}} is singular at {point}")
-    lower = np.tril_indices(n)
-    _, sol = jet_lu(frame, n, hess[lower].transpose(1, 0, 2))  # [coefficient, pair]
-    gamma_ind = np.empty((n, n, n, m1))  # induced connection [k, i, j]
-    gamma_ind[:, lower[0], lower[1]] = gamma_ind[:, lower[1], lower[0]] = sol[:n]
-    h_val = np.empty((n, n))
-    h_val[lower] = h_val[lower[::-1]] = sol[n, :, 0]
-    h_resid = float(np.max(np.abs(h_val - gval)))
-    if h_resid > H_EQUALS_G_TOL * max(1.0, np.max(np.abs(gval))):
+    norms = np.linalg.norm(frame_val, axis=1)
+    sv = np.linalg.svd(frame_val / np.where(norms > 0, norms, 1.0)[:, None], compute_uv=False)
+    k = _first(sv[:, -1] <= 1e-12 * sv[:, 0])
+    if k is not None:
+        raise FrameError(f"frame {{x_k, xi}} is singular at {stack[k]}")
+    rows, cols = _lower(n)
+    _, sol = jet_lu(frame, n, hess[:, rows, cols].swapaxes(1, 2))  # [coefficient, pair]
+    gamma_ind = np.empty((len(stack), n, n, n, m1))  # induced connection [k, i, j]
+    gamma_ind[:, :, rows, cols] = gamma_ind[:, :, cols, rows] = sol[:, :n]
+    h_val = np.empty((len(stack), n, n))
+    h_val[:, rows, cols] = h_val[:, cols, rows] = sol[:, n, :, 0]
+    h_resid = np.max(np.abs(h_val - gval), axis=(1, 2))
+    k = _first(h_resid > H_EQUALS_G_TOL * np.maximum(1.0, np.max(np.abs(gval), axis=(1, 2))))
+    if k is not None:
         raise ConsistencyError(
-            f"transversal coefficient h differs from g by {h_resid:.3e} at {point}"
+            f"transversal coefficient h differs from g by {h_resid[k]:.3e} at {stack[k]}"
         )
 
     # Fubini-Pick form: A^k_ij = Gamma^k_ij - hat-Gamma^k_ij, lowered with g
@@ -163,87 +178,129 @@ def blaschke_at(chart: ChartDef, point) -> BlaschkeInvariants:
     A = _symmetrize3(a_jets[..., 0])
 
     # shape operator: xi_i = -B^k_i x_k + tau_i xi
-    coeff = np.linalg.solve(frame_val, jet_gradient(xi, n)[..., 0])  # (n+1, n): columns per direction i
-    B_up = -coeff[:n, :]  # B^k_i
-    tau = coeff[n, :]
-    if np.max(np.abs(tau)) > TAU_TOL * max(1.0, np.max(np.abs(B_up))):
-        raise ConsistencyError(f"equiaffine normalization failed: tau = {tau}")
-    Bv = np.einsum("jk,ki->ij", gval, B_up)
-    Bv = 0.5 * (Bv + Bv.T)
-    L1 = float(np.trace(B_up)) / n
+    coeff = np.linalg.solve(frame_val, jet_gradient(xi, n)[..., 0])  # (P, n+1, n): columns per direction i
+    B_up = -coeff[:, :n, :]  # B^k_i
+    tau = coeff[:, n, :]
+    k = _first(np.max(np.abs(tau), axis=1) > TAU_TOL * np.maximum(1.0, np.max(np.abs(B_up), axis=(1, 2))))
+    if k is not None:
+        raise ConsistencyError(f"equiaffine normalization failed: tau = {tau[k]}")
+    Bv = np.einsum("...jk,...ki->...ij", gval, B_up)
+    Bv = 0.5 * (Bv + Bv.swapaxes(1, 2))
+    L1 = np.trace(B_up, axis1=1, axis2=2) / n
 
-    J = _g_norm2(A, ginv) / (n * (n - 1)) if n > 1 else 0.0
+    J = _g_norm2(A, ginv) / (n * (n - 1)) if n > 1 else np.zeros(len(stack))
     curv = riemann(metric, gamma_hat_jets)
 
-    return BlaschkeInvariants(
-        point=point,
-        g=gval,
-        g_inv=ginv,
-        A=A,
-        B=Bv,
-        xi=xi[:, 0],
-        L1=L1,
-        J=J,
-        chi=curv.chi,
-        frame=frame_val,
-        position=x[:, 0],
-        curvature=curv,
-        _A_jets=a_jets,
-        _gamma_hat=gamma_hat,
-    )
+    invs = [
+        BlaschkeInvariants(
+            point=stack[k],
+            g=gval[k],
+            g_inv=ginv[k],
+            A=A[k],
+            B=Bv[k],
+            xi=xi[k, :, 0],
+            L1=float(L1[k]),
+            J=float(J[k]),
+            chi=float(curv.chi[k]),
+            frame=frame_val[k],
+            position=x[k, :, 0],
+            curvature=tensors.CurvatureData(curv.christoffel[k], curv.riemann[k], curv.ricci[k], float(curv.chi[k])),
+            _A_jets=a_jets[k],
+            _gamma_hat=gamma_hat[k],
+        )
+        for k in range(len(stack))
+    ]
+    return invs[0] if points.ndim == 1 else invs
 
 
-def _g_norm2(t: np.ndarray, g_inv: np.ndarray) -> float:
-    """Squared g-norm t_{ij..} t_{pq..} g^{ip} g^{jq} ... of a covariant tensor,
-    raising one index at a time (polynomial cost in n)."""
-    up = t
-    for axis in range(t.ndim):
-        up = np.moveaxis(np.tensordot(g_inv, up, axes=(1, axis)), 0, axis)
-    return float(np.sum(t * up))
+def _first(mask: np.ndarray):
+    """Index of the first True entry of a boolean vector, or None."""
+    return int(np.argmax(mask)) if mask.any() else None
 
 
-def _chart_derivatives(chart: ChartDef, point: np.ndarray):
+def _first_singular(values: np.ndarray) -> int:
+    """Index of the first matrix of a stack that LAPACK's LU cannot solve
+    with, when a stacked solve raised ``LinAlgError``."""
+    for k, value in enumerate(values):
+        try:
+            np.linalg.inv(value)
+        except np.linalg.LinAlgError:
+            return k
+    raise np.linalg.LinAlgError("no singular matrix in the stack")
+
+
+@functools.cache
+def _lower(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the lower triangle, diagonal included
+    (``np.tril_indices(n)``, built once per dimension)."""
+    return np.tril_indices(n)
+
+
+def _g_norm2(t: np.ndarray, g_inv: np.ndarray):
+    """Squared g-norm t_{ij..} t_{pq..} g^{ip} g^{jq} ... of a covariant
+    tensor, per matrix of a (..., n, n) stack g_inv (polynomial cost in n).
+
+    Each step raises the leading index with one matrix product over all
+    the others and rotates it to the back, so after the last step the
+    indices are back in order; the last one raised stays leading in
+    memory, which fixes the order of the final sum."""
+    n = g_inv.shape[-1]
+    lead = g_inv.ndim - 2
+    up = t.reshape(g_inv.shape[:-2] + (n, -1))
+    for _ in range(t.ndim - lead - 1):
+        up = np.matmul(g_inv, up).swapaxes(-1, -2).reshape(up.shape)
+    up = np.matmul(g_inv, up).reshape(t.shape).transpose(*range(lead), *range(lead + 1, t.ndim), lead)
+    return np.sum(t * up, axis=tuple(range(lead, t.ndim)))
+
+
+def _chart_derivatives(chart: ChartDef, points: np.ndarray):
     """Chart jets x (n+1, M4), first derivatives x1[k, a] = d_k x^a (order 3)
-    and second derivatives hess[i, j, a] = d_i d_j x^a (order 2)."""
+    and second derivatives hess[i, j, a] = d_i d_j x^a (order 2), each with
+    a leading point axis for a (P, n) point stack."""
     n = chart.dim
-    x = eval_chart_jet(chart, point, 4)
-    x1 = jet_gradient(x, n).transpose(1, 0, 2)
+    x = eval_chart_jet(chart, points, 4)
+    x1 = jet_gradient(x, n).swapaxes(-3, -2)
     # x_ij = d_j d_i x for j <= i, mirrored
-    lower = np.tril_indices(n)
-    hess = np.empty((n, n, n + 1, jet_size(n, 2)))
-    hess[lower] = hess[lower[::-1]] = jet_gradient(x1, n)[lower[0], :, lower[1]]
+    rows, cols = _lower(n)
+    hess = np.empty(x1.shape[:-3] + (n, n, n + 1, jet_size(n, 2)))
+    second = jet_gradient(x1, n).swapaxes(-3, -2)  # [i, j, a] = d_j d_i x^a
+    hess[..., rows, cols, :, :] = hess[..., cols, rows, :, :] = second[..., rows, cols, :, :]
     return x, x1, hess
 
 
-def _determinant_form(x1: np.ndarray, hess: np.ndarray, point) -> np.ndarray:
-    """G_ij = det(x_1, ..., x_n, x_ij) as an (n, n, M2) jet array, as
-    nu . x_ij with the conormal nu of the module docstring."""
-    n = x1.shape[0]
+def _determinant_form(x1: np.ndarray, hess: np.ndarray, points) -> np.ndarray:
+    """G_ij = det(x_1, ..., x_n, x_ij) as an (n, n, M2) jet array (leading
+    point axes as in x1), as nu . x_ij with the conormal nu of the module
+    docstring."""
+    n = x1.shape[-3]
+    lead = x1.shape[:-3]
     m2 = hess.shape[-1]
-    mt = np.zeros((n + 1, n + 1, m2))
-    mt[:n] = x1[..., :m2]
-    mt[n, :, 0] = np.linalg.svd(x1[..., 0])[2][-1]
-    e_last = np.zeros((n + 1, 1, m2))
-    e_last[n, 0, 0] = 1.0
+    mt = np.zeros(lead + (n + 1, n + 1, m2))
+    mt[..., :n, :, :] = x1[..., :m2]
+    mt[..., n, :, 0] = np.linalg.svd(x1[..., 0])[2][..., -1, :]
+    e_last = np.zeros(lead + (n + 1, 1, m2))
+    e_last[..., n, 0, 0] = 1.0
     try:
         det_m, y = jet_lu(mt, n, e_last)
     except np.linalg.LinAlgError as exc:
-        raise ConvexityError(f"tangents are linearly dependent at {point}") from exc
-    nu = jet_mul(det_m, y[:, 0], n)
-    lower = np.tril_indices(n)  # G is symmetric: contract the pairs i >= j only
-    G = np.empty((n, n, m2))
-    G[lower] = G[lower[::-1]] = jet_einsum("a,pa->p", nu, hess[lower], n)
+        k = _first_singular(mt[..., 0].reshape(-1, n + 1, n + 1))
+        raise ConvexityError(f"tangents are linearly dependent at {np.reshape(points, (-1, n))[k]}") from exc
+    nu = jet_mul(det_m[..., None, :], y[..., 0, :], n)
+    rows, cols = _lower(n)  # G is symmetric: contract the pairs i >= j only
+    G = np.empty(lead + (n, n, m2))
+    G[..., rows, cols, :] = G[..., cols, rows, :] = jet_einsum("a,pa->p", nu, hess[..., rows, cols, :, :], n)
     return G
 
 
 def _symmetrize3(t: np.ndarray) -> np.ndarray:
+    """Symmetric part of an (..., n, n, n) tensor stack."""
     return (
         t
-        + t.transpose(0, 2, 1)
-        + t.transpose(1, 0, 2)
-        + t.transpose(1, 2, 0)
-        + t.transpose(2, 0, 1)
-        + t.transpose(2, 1, 0)
+        + t.swapaxes(-2, -1)  # transpose(0, 2, 1) of the tensor axes
+        + t.swapaxes(-3, -2)  # (1, 0, 2)
+        + t.swapaxes(-3, -2).swapaxes(-2, -1)  # (1, 2, 0)
+        + t.swapaxes(-1, -2).swapaxes(-2, -3)  # (2, 0, 1)
+        + t.swapaxes(-3, -1)  # (2, 1, 0)
     ) / 6.0
 
 

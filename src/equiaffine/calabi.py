@@ -145,18 +145,18 @@ class ComposedChart(ChartDef):
         spec, idx = self.spec, self.index_map
         n = idx.n
         point = np.asarray(point, float)
-        t = jet_variables(point, order)[: idx.K - 1]
+        t = jet_variables(point, order)[..., : idx.K - 1, :]
         comps = []
         for a in range(1, idx.K + 1):
-            e_a = jets.exp(idx.exponent_row(a) @ t, n) * spec.constants[a - 1]
+            e_a = (jets.exp(idx.exponent_row(a) @ t, n) * spec.constants[a - 1])[..., None, :]
             if a <= spec.r:
-                comps.append(e_a[None])
+                comps.append(e_a)
             else:
                 factor = spec.factors[a - spec.r - 1]
                 sl = idx.factor_slice(a - spec.r)
-                sub = factor.chart.component_jets(point[sl], order)
+                sub = factor.chart.component_jets(point[..., sl], order)
                 comps.append(jet_mul(e_a, jet_embed(sub, factor.dim, n, sl.start), n))
-        return np.concatenate(comps)
+        return np.concatenate(comps, axis=-2)
 
 
 def compose_chart(spec: CompositionSpec) -> ComposedChart:
@@ -238,61 +238,68 @@ def closed_form(spec: CompositionSpec) -> ClosedFormInvariants:
     )
 
 
-def expected_invariants(spec: CompositionSpec, point) -> tuple[np.ndarray, np.ndarray]:
+def expected_invariants(spec: CompositionSpec, points) -> tuple[np.ndarray, np.ndarray]:
     """Assemble full closed-form (g, A) arrays at a sample point, using the
-    factor pipelines for the factor metrics and cubic forms."""
+    factor pipelines for the factor metrics and cubic forms.  A (P, n)
+    point stack gives (P, n, n) and (P, n, n, n) arrays from one stacked
+    pipeline call per factor."""
     idx = spec.index
     cf = closed_form(spec)
     n = idx.n
-    point = np.asarray(point, float)
+    points = np.asarray(points, float)
+    stack = np.atleast_2d(points)
 
-    g = np.zeros((n, n))
-    A = np.zeros((n, n, n))
-    g[idx.t_slice(), idx.t_slice()] = cf.g_t_block
-    A[idx.t_slice(), idx.t_slice(), idx.t_slice()] = cf.A_ttt
+    g = np.zeros((len(stack), n, n))
+    A = np.zeros((len(stack), n, n, n))
+    tsl = idx.t_slice()
+    g[:, tsl, tsl] = cf.g_t_block
+    A[:, tsl, tsl, tsl] = cf.A_ttt
 
     for alpha in range(1, spec.s + 1):
         factor = spec.factors[alpha - 1]
         sl = idx.factor_slice(alpha)
-        finv = blaschke_at(factor.chart, point[sl])
+        finvs = blaschke_at(factor.chart, stack[:, sl])
         rho = cf.factor_conformal[alpha - 1]
-        g[sl, sl] = rho * finv.g
-        A[sl, sl, sl] = rho * finv.A
+        g[:, sl, sl] = [rho * finv.g for finv in finvs]
+        A[:, sl, sl, sl] = [rho * finv.A for finv in finvs]
         for lam in range(1, idx.K):
             coef = cf.A_factor_t[alpha - 1, lam - 1]
             if coef == 0.0:
                 continue
-            block = coef * g[sl, sl]
+            block = coef * g[:, sl, sl]
             t = idx.t_coord(lam)
-            A[sl, sl, t] = block
-            A[sl, t, sl] = block
-            A[t, sl, sl] = block
-    return g, A
+            A[:, sl, sl, t] = block
+            A[:, sl, t, sl] = block
+            A[:, t, sl, sl] = block
+    return (g, A) if points.ndim == 2 else (g[0], A[0])
 
 
-def composition_reports(spec: CompositionSpec, k: int, inv: BlaschkeInvariants,
-                        tolerance: float = 1e-6) -> list[CheckReport]:
-    """The composition_*[k] reports: the Blaschke invariants inv of the
-    composed chart at inv.point against the closed forms (g, A, L1 and the
-    hypersphere property)."""
-    g_exp, a_exp = expected_invariants(spec, inv.point)
-    shape, center = check_hypersphere(inv, tolerance)
-    return [
-        CheckReport(f"composition_g[{k}]", float(np.max(np.abs(inv.g - g_exp))), tolerance),
-        CheckReport(f"composition_A[{k}]", float(np.max(np.abs(inv.A - a_exp))), tolerance),
-        CheckReport(f"composition_L1[{k}]", abs(inv.L1 - closed_form(spec).L1), tolerance),
-        CheckReport(f"composition_sphere[{k}]", max(shape.residual, center.residual), tolerance),
-    ]
+def composition_reports(spec: CompositionSpec, invs: list[BlaschkeInvariants], tolerance: float = 1e-6,
+                        start: int = 0) -> list[CheckReport]:
+    """The composition_*[k] reports, k = start, start + 1, ...: the Blaschke
+    invariants invs of the composed chart at their points (one stacked
+    factor pipeline call per factor) against the closed forms (g, A, L1 and
+    the hypersphere property)."""
+    g_exp, a_exp = expected_invariants(spec, np.array([inv.point for inv in invs]))
+    L1 = closed_form(spec).L1
+    reports = []
+    for k, (inv, g, a) in enumerate(zip(invs, g_exp, a_exp), start):
+        shape, center = check_hypersphere(inv, tolerance)
+        reports += [
+            CheckReport(f"composition_g[{k}]", float(np.max(np.abs(inv.g - g))), tolerance),
+            CheckReport(f"composition_A[{k}]", float(np.max(np.abs(inv.A - a))), tolerance),
+            CheckReport(f"composition_L1[{k}]", abs(inv.L1 - L1), tolerance),
+            CheckReport(f"composition_sphere[{k}]", max(shape.residual, center.residual), tolerance),
+        ]
+    return reports
 
 
 def verify_composition(spec: CompositionSpec, sample_points, tolerance: float = 1e-6) -> list[CheckReport]:
-    """Run the Blaschke pipeline on the composed chart at each sample point
-    and compare it with the closed forms (see composition_reports)."""
-    chart = compose_chart(spec)
-    reports = []
-    for k, point in enumerate(np.atleast_2d(np.asarray(sample_points, float))):
-        reports.extend(composition_reports(spec, k, blaschke_at(chart, point), tolerance))
-    return reports
+    """Run the Blaschke pipeline on the composed chart at the sample points
+    (one stacked call) and compare it with the closed forms (see
+    composition_reports)."""
+    points = np.atleast_2d(np.asarray(sample_points, float))
+    return composition_reports(spec, blaschke_at(compose_chart(spec), points), tolerance)
 
 
 def block_sparsity_residual(spec: CompositionSpec, inv: BlaschkeInvariants) -> float:

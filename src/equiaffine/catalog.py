@@ -125,8 +125,9 @@ class MatrixExpChart(ChartDef):
 
     def component_jets(self, point, order):
         var = jet_variables(point, order)
-        E = _jet_matrix_exp(np.einsum("vij,vc->ijc", self.basis, var), self.dim)
-        return E[np.triu_indices(self.m)]
+        E = _jet_matrix_exp(np.einsum("vij,...vc->...ijc", self.basis, var), self.dim)
+        rows, cols = np.triu_indices(self.m)
+        return E[..., rows, cols, :]
 
 
 # 1/k! for k = 0..19; row j holds the coefficients of the block B_j
@@ -134,15 +135,17 @@ _EXP_COEFFS = np.array([1.0 / math.factorial(k) for k in range(20)]).reshape(4, 
 
 
 def _jet_matrix_exp(S: np.ndarray, num_vars: int) -> np.ndarray:
-    """exp of an (m, m, M) jet matrix: scaling and squaring around the
+    """exp of an (..., m, m, M) jet matrix: scaling and squaring around the
     degree-19 Taylor polynomial, evaluated Paterson-Stockmeyer style as
     sum_j B_j (A^5)^j with B_j = sum_{i<5} A^i / (5j+i)!: 7 jet products
-    (A^2..A^5, then 3 Horner steps), not one per degree."""
-    m = S.shape[0]
-    norm = np.abs(S[..., 0]).sum(axis=1).max()
-    squarings = max(0, int(np.ceil(np.log2(max(norm, 1e-30) / 0.5))))
-    A = S * 0.5**squarings
-    powers = [np.zeros_like(S), A]
+    (A^2..A^5, then 3 Horner steps), not one per degree.  Each matrix of a
+    stack is scaled and squared by its own count."""
+    m = S.shape[-2]
+    stack = S.reshape((-1,) + S.shape[-3:])
+    norms = np.abs(stack[..., 0]).sum(axis=-1).max(axis=-1)
+    squarings = np.array([max(0, int(np.ceil(np.log2(max(norm, 1e-30) / 0.5)))) for norm in norms])
+    A = stack * (0.5**squarings)[:, None, None, None]
+    powers = [np.zeros_like(stack), A]
     powers[0][..., 0] = np.eye(m)
     for _ in range(4):
         powers.append(jet_matmul(powers[-1], A, num_vars))
@@ -151,9 +154,10 @@ def _jet_matrix_exp(S: np.ndarray, num_vars: int) -> np.ndarray:
     out = blocks[3]
     for B in blocks[2::-1]:
         out = jet_matmul(out, A5, num_vars) + B
-    for _ in range(squarings):
-        out = jet_matmul(out, out, num_vars)
-    return out
+    for level in range(squarings.max()):
+        rows = squarings > level
+        out[rows] = jet_matmul(out[rows], out[rows], num_vars)
+    return out.reshape(S.shape)
 
 
 def sl_so(m: int) -> MatrixExpChart:
@@ -185,8 +189,8 @@ class TransformedChart(ChartDef):
         self.b = np.zeros(base.ambient_dim) if b is None else np.asarray(b, float)
 
     def component_jets(self, point, order):
-        out = np.tensordot(self.M, self.base.component_jets(point, order), 1)
-        out[:, 0] += self.b
+        out = np.matmul(self.M, self.base.component_jets(point, order))
+        out[..., 0] += self.b
         return out
 
 

@@ -20,6 +20,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -28,7 +29,7 @@ import numpy as np
 from . import blaschke, calabi, catalog, duality, jordan
 from .blaschke import L1_ZERO_TOL, CheckReport, ConsistencyError, ConvexityError, FrameError, blaschke_at
 from .dsl import ChartParseError, ImmersionError, parse_chart
-from .jets import JetDomainError
+from .jets import JetDomainError, jet_size
 from .tensors import MetricError
 
 SCHEMA_VERSION = 1
@@ -50,6 +51,11 @@ ALL_CHECKS = tuple(DEFAULT_TOL)
 
 # a scene's random point set is sampled in full before the first point runs
 MAX_RANDOM_POINTS = 10_000
+
+# order-4 jet coefficients (points x jet size) in one stacked pipeline call,
+# at least one point: 136 points at n = 2, 16 at n = 5, one from n = 12 up.
+# Past about 16 points at n = 5 a stack costs more per point, not less.
+STACK_COEFFS = 2048
 
 # failures of the pipeline at one point of a chart (exit code 3)
 POINT_ERRORS = (ConvexityError, FrameError, ImmersionError, ConsistencyError, JetDomainError, MetricError,
@@ -214,10 +220,29 @@ POINT_CHECKS = {
 }
 
 
-def point_checks(chart, point, checks, tol) -> tuple[list[CheckReport], blaschke.BlaschkeInvariants]:
-    """The invariants of the chart at one point and the reports of its per-point checks."""
-    inv = blaschke_at(chart, point)
-    return [rep for name, check in POINT_CHECKS.items() if name in checks for rep in check(inv, tol)], inv
+def evaluate_points(chart, spec, points, checks, tol, size):
+    """The point blocks' lines, their reports and the scene-level reports,
+    from one stacked ``blaschke_at`` call per ``size`` consecutive points.
+    With size 1 this is the point-by-point run, and its first failure is
+    the scene's."""
+    lines, point_reports, scene_reports, mean_curvature = [], [], [], []
+    per_point = [(name, check) for name, check in POINT_CHECKS.items() if name in checks]
+    for start in range(0, len(points), size):
+        stack = points[start : start + size]
+        with pipeline_stage(f"point {start}"):
+            invs = blaschke_at(chart, stack)
+            reports = [[rep for _, check in per_point for rep in check(inv, tol)] for inv in invs]
+            if "composition" in checks:
+                scene_reports.extend(calabi.composition_reports(spec, invs, tol["composition"], start))
+            if start == 0 and "mean_curvature" in checks and spec.s >= 1:
+                mean_curvature = calabi.mean_curvature_reports(spec, invs[0], tol["mean_curvature"])
+        for k, (point, inv, reps) in enumerate(zip(stack, invs, reports), start):
+            lines.append(f"point[{k}]: {fmt_vector(point)}")
+            for name in ("L1", "J", "chi"):
+                lines.append(f"  {name}: {fmt(getattr(inv, name))}")
+            lines.extend("  " + check_line(rep) for rep in reps)
+            point_reports.extend(reps)
+    return lines, point_reports, scene_reports + mean_curvature
 
 
 def run_scene(scene: dict, out) -> int:
@@ -237,27 +262,21 @@ def run_scene(scene: dict, out) -> int:
     if spec is None:
         checks = [c for c in checks if c not in ("composition", "mean_curvature")]
 
-    lines = [f"schema: {SCHEMA_VERSION}", f"chart: {desc}", f"dim: {chart.dim}", f"points: {len(points)}"]
-    all_reports = []
-    per_point = [c for c in checks if c not in ("composition", "mean_curvature")]
-    scene_reports = []  # composition reports, after the point blocks
-    mean_curvature = []  # from point 0, after the composition reports
-    for k, point in enumerate(points):
-        with pipeline_stage(f"point {k}"):
-            reports, inv = point_checks(chart, point, per_point, tol)
-            if "composition" in checks:
-                scene_reports.extend(calabi.composition_reports(spec, k, inv, tol["composition"]))
-            if k == 0 and "mean_curvature" in checks and spec.s >= 1:
-                mean_curvature = calabi.mean_curvature_reports(spec, inv, tol["mean_curvature"])
-        lines.append(f"point[{k}]: {fmt_vector(point)}")
-        for name in ("L1", "J", "chi"):
-            lines.append(f"  {name}: {fmt(getattr(inv, name))}")
-        lines.extend("  " + check_line(rep) for rep in reports)
-        all_reports.extend(reports)
+    # Stacks first.  Should anything fail or warn on the way, run the scene
+    # again one point at a time, so that the first failure, its message and
+    # any warning lines are those of the point-by-point order.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            size = max(1, STACK_COEFFS // jet_size(chart.dim, 4))
+            point_lines, reports, scene_reports = evaluate_points(chart, spec, points, checks, tol, size)
+    except Exception:
+        point_lines, reports, scene_reports = evaluate_points(chart, spec, points, checks, tol, 1)
 
-    scene_reports.extend(mean_curvature)
+    lines = [f"schema: {SCHEMA_VERSION}", f"chart: {desc}", f"dim: {chart.dim}", f"points: {len(points)}"]
+    lines.extend(point_lines)
     lines.extend(check_line(rep) for rep in scene_reports)
-    all_reports.extend(scene_reports)
+    all_reports = reports + scene_reports
 
     worst = max((r.residual for r in all_reports), default=0.0)
     failed = [r for r in all_reports if not r.passed]

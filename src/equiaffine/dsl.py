@@ -32,6 +32,12 @@ FUNCS = tuple(jets.ELEMENTARY)
 # Albert-algebra orbit (n = 26), already costs about 0.9 s and 319 MB per point
 MAX_DIM = 26
 
+# the deepest expression accepted, in nested groups, calls and negations and
+# in AST levels (each operator of a chain of sums is one): parsing takes four
+# stack frames per nesting level and evaluating and printing one per AST
+# level, so 200 stays inside Python's default recursion limit of 1000
+MAX_DEPTH = 200
+
 
 class ChartParseError(ValueError):
     def __init__(self, message: str, line: int, col: int):
@@ -83,17 +89,18 @@ class Pow:
 
 def eval_expr(expr, var_jets: np.ndarray, params: dict[str, float]) -> np.ndarray:
     """Evaluate an AST on the (n, M) coordinate jets ``var_jets`` (from
-    ``jets.jet_variables``) into one (M,) jet."""
-    n = len(var_jets)
+    ``jets.jet_variables``) into one (M,) jet; (..., n, M) stacked
+    coordinate jets give (..., M) jets."""
+    n = var_jets.shape[-2]
     if isinstance(expr, (Num, Param)):
-        out = np.zeros(var_jets.shape[-1])
+        out = np.zeros(var_jets.shape[:-2] + var_jets.shape[-1:])
         try:
-            out[0] = expr.value if isinstance(expr, Num) else params[expr.name]
+            out[..., 0] = expr.value if isinstance(expr, Num) else params[expr.name]
         except KeyError:
             raise ValueError(f"unbound parameter {expr.name!r}") from None
         return out
     if isinstance(expr, Var):
-        return var_jets[expr.index]
+        return var_jets[..., expr.index, :]
     if isinstance(expr, Unary):
         arg = eval_expr(expr.arg, var_jets, params)
         return -arg if expr.op == "neg" else jets.ELEMENTARY[expr.op](arg, n)
@@ -110,6 +117,27 @@ def eval_expr(expr, var_jets: np.ndarray, params: dict[str, float]) -> np.ndarra
     if isinstance(expr, Pow):
         return jets.power(eval_expr(expr.base, var_jets, params), expr.exponent, n)
     raise TypeError(f"unknown AST node {expr!r}")
+
+
+def _children(expr) -> tuple:
+    if isinstance(expr, Unary):
+        return (expr.arg,)
+    if isinstance(expr, Bin):
+        return (expr.left, expr.right)
+    if isinstance(expr, Pow):
+        return (expr.base,)
+    return ()
+
+
+def _expr_depth(expr) -> int:
+    """Nodes on the longest root-to-leaf path of an AST, found without
+    recursion, so that any depth can be measured."""
+    deepest, todo = 0, [(expr, 1)]
+    while todo:
+        node, depth = todo.pop()
+        deepest = max(deepest, depth)
+        todo.extend((child, depth + 1) for child in _children(node))
+    return deepest
 
 
 def print_expr(expr) -> str:
@@ -141,7 +169,8 @@ class ChartDef:
 
     Subclasses implement ``component_jets``, which returns the ambient
     coordinates x^1..x^{n+1} at a point as a float (n+1, jet_size(n, order))
-    jet array (see ``jets``); evaluation, Jacobian rank checking and
+    jet array (see ``jets``), and at each point of a (..., n) point stack
+    as an (..., n+1, M) one; evaluation, Jacobian rank checking and
     sampling live here.
     """
 
@@ -171,7 +200,10 @@ class DslChart(ChartDef):
 
     def component_jets(self, point, order):
         var_jets = jets.jet_variables(point, order)
-        return np.array([eval_expr(c, var_jets, self.params) for c in self.components])
+        out = np.empty(var_jets.shape[:-2] + (self.ambient_dim, var_jets.shape[-1]))
+        for i, c in enumerate(self.components):
+            out[..., i, :] = eval_expr(c, var_jets, self.params)
+        return out
 
     def to_text(self) -> str:
         lines = [f"dim {self.dim};"]
@@ -183,18 +215,22 @@ class DslChart(ChartDef):
 
 
 def eval_chart_jet(chart: ChartDef, point, order: int) -> np.ndarray:
-    """Evaluate a chart into its (n+1, M) ambient-coordinate jet array;
-    checks immersiveness."""
+    """Evaluate a chart into its (n+1, M) ambient-coordinate jet array, or
+    a (P, n) point stack into a (P, n+1, M) one; checks immersiveness at
+    every point and names the first point that fails."""
     if not 1 <= order <= jets.MAX_ORDER:
         raise ValueError(f"order must be in 1..{jets.MAX_ORDER}")
     point = np.asarray(point, float)
-    if point.shape != (chart.dim,):
+    if point.ndim not in (1, 2) or point.shape[-1] != chart.dim:
         raise ValueError(f"point must have dimension {chart.dim}")
     comp = chart.component_jets(point, order)
-    jac = comp[:, 1 : chart.dim + 1]  # degree-1 block: the (n+1, n) Jacobian
+    jac = comp[..., 1 : chart.dim + 1]  # degree-1 block: the (n+1, n) Jacobian
     sv = np.linalg.svd(jac, compute_uv=False)
-    if sv[-1] <= 1e-10 * max(sv[0], 1.0):
-        raise ImmersionError(f"Jacobian rank-deficient at {point} (singular values {sv})")
+    bad = sv[..., -1] <= 1e-10 * np.maximum(sv[..., 0], 1.0)
+    if bad.any():
+        k = np.argmax(bad)
+        raise ImmersionError(f"Jacobian rank-deficient at {point.reshape(-1, chart.dim)[k]} "
+                             f"(singular values {sv.reshape(-1, sv.shape[-1])[k]})")
     return comp
 
 
@@ -271,6 +307,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.nesting = 0  # parse_base calls in progress
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
@@ -325,8 +362,10 @@ class _Parser:
                 idx = int(t.text[1:])
                 if not 1 <= idx <= dim + 1:
                     self.error(f"component {t.text} out of range for dim {dim}", t)
-                self.expect("SYM", "=")
+                eq = self.expect("SYM", "=")
                 comps[idx] = self.parse_expr(dim, params)
+                if _expr_depth(comps[idx]) > MAX_DEPTH:
+                    self.error(f"expression nests deeper than MAX_DEPTH = {MAX_DEPTH}", eq)
             self.expect("SYM", ";")
         if dim is None:
             self.error("missing dim declaration")
@@ -403,18 +442,7 @@ class _Parser:
         if self.peek().kind == "NUMBER":
             return Num(self.number()[0])
         t = self.next()
-        if t.kind == "SYM" and t.text == "-":
-            return Unary("neg", self.parse_base(dim, params))
-        if t.kind == "SYM" and t.text == "(":
-            node = self.parse_expr(dim, params)
-            self.expect("SYM", ")")
-            return node
-        if t.kind == "IDENT":
-            if t.text in FUNCS:
-                self.expect("SYM", "(")
-                arg = self.parse_expr(dim, params)
-                self.expect("SYM", ")")
-                return Unary(t.text, arg)
+        if t.kind == "IDENT" and t.text not in FUNCS:
             if t.text.startswith("u") and t.text[1:].isdigit():
                 idx = int(t.text[1:])
                 if not 1 <= idx <= dim:
@@ -423,7 +451,23 @@ class _Parser:
             if t.text in params:
                 return Param(t.text)
             self.error(f"unknown identifier {t.text!r}", t)
-        self.error(f"expected an expression, found {t.text or 'end of input'!r}", t)
+        if t.kind != "IDENT" and not (t.kind == "SYM" and t.text in ("-", "(")):
+            self.error(f"expected an expression, found {t.text or 'end of input'!r}", t)
+        # a negation, a group or a call: one level deeper
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            self.error(f"expression nests deeper than MAX_DEPTH = {MAX_DEPTH}", t)
+        if t.text == "-":
+            node = Unary("neg", self.parse_base(dim, params))
+        else:
+            if t.kind == "IDENT":
+                self.expect("SYM", "(")
+            node = self.parse_expr(dim, params)
+            self.expect("SYM", ")")
+            if t.kind == "IDENT":
+                node = Unary(t.text, node)
+        self.nesting -= 1
+        return node
 
 
 def parse_chart(text: str, domain_hint=None) -> DslChart:

@@ -13,7 +13,10 @@ holds the coefficients of one jet per entry; the other axes are tensor
 indices, and a single jet is an (M,) vector.  Sums and scalar multiples
 are plain array arithmetic; products are batched over the whole array
 (one gather of coefficient pairs and one segmented sum per call), and the
-elementary functions compose their Taylor series with one jet's vector.
+elementary functions compose their Taylor series with every jet of an
+(..., M) array.  Every routine here also accepts leading stack axes in
+front of the tensor axes (one jet array per point of a point stack), and
+treats each stack entry exactly as it would treat that entry alone.
 
 Multi-indices are enumerated in graded lexicographic order, which makes
 monomials of degree <= k a prefix of the enumeration; truncating a jet
@@ -138,13 +141,14 @@ def jet_order(num_vars: int, size: int) -> int:
 def jet_variables(point, order: int) -> np.ndarray:
     """The coordinate functions u_1..u_n expanded around ``point``, as an
     (n, M) jet array: value parts ``point``, and a unit degree-1 block,
-    since the degree-1 monomials come in variable order."""
+    since the degree-1 monomials come in variable order.  A (..., n) point
+    stack gives an (..., n, M) array."""
     point = np.asarray(point, float)
-    n = len(point)
-    out = np.zeros((n, jet_size(n, order)))
-    out[:, 0] = point
+    n = point.shape[-1]
+    out = np.zeros(point.shape + (jet_size(n, order),))
+    out[..., 0] = point
     if order >= 1:
-        out[:, 1 : n + 1] = np.eye(n)
+        out[..., 1 : n + 1] = np.eye(n)
     return out
 
 
@@ -175,12 +179,13 @@ def jet_mul(a: np.ndarray, b: np.ndarray, num_vars: int) -> np.ndarray:
 
 def jet_einsum(subscripts: str, a: np.ndarray, b: np.ndarray, num_vars: int) -> np.ndarray:
     """Bilinear contraction of two jet arrays: ``np.einsum`` over the tensor
-    axes (explicit ``->`` form, no ellipsis), the jet product on the
-    coefficient axis, e.g. ``jet_einsum("ik,kj->ij", A, B, n)``."""
+    axes (explicit ``->`` form, no ellipsis; leading stack axes broadcast),
+    the jet product on the coefficient axis, e.g.
+    ``jet_einsum("ik,kj->ij", A, B, n)``."""
     ins, out = subscripts.split("->")
     sa, sb = ins.split(",")
     ii, jj, _, starts = _product_table(num_vars, jet_order(num_vars, a.shape[-1]))
-    prod = np.einsum(f"{sa}Z,{sb}Z->{out}Z", a[..., ii], b[..., jj])
+    prod = np.einsum(f"...{sa}Z,...{sb}Z->...{out}Z", a[..., ii], b[..., jj])
     return np.add.reduceat(prod, starts, axis=-1)
 
 
@@ -208,45 +213,70 @@ def jet_gradient(a: np.ndarray, num_vars: int) -> np.ndarray:
 
 # -- elementary functions ----------------------------------------------
 #
-# Each takes one jet's (M,) coefficient vector and the number of variables,
-# and composes the function's Taylor series at the value part with the rest.
+# Each takes an (..., M) jet array and the number of variables, and composes
+# the function's Taylor series at each jet's value part with the rest.  The
+# series coefficients are Python floats computed per jet, in array order, so
+# a domain error names the first offending value part.
 
 
-def _series_coeffs(series: list[float], coeffs: np.ndarray, num_vars: int) -> np.ndarray:
-    """sum_k series[k] * (x - x[0])^k for the jet x = ``coeffs``, truncated at
-    its order (Horner)."""
-    dx = coeffs.copy()
-    dx[0] = 0.0
-    out = np.zeros_like(dx)
-    out[0] = series[-1]
-    for c in reversed(series[:-1]):
+def _compose(x: np.ndarray, num_vars: int, series) -> np.ndarray:
+    """sum_k c_k (x - x0)^k for every jet of ``x``, with [c_0..c_order] =
+    ``series(x0, order)`` at the jet's value part x0, truncated at its order
+    (Horner)."""
+    order = jet_order(num_vars, x.shape[-1])
+    values = x[..., 0]
+    terms = np.array([series(v, order) for v in values.ravel().tolist()]).T  # [degree, jet]
+    terms = terms.reshape((order + 1,) + values.shape)
+    dx = x.copy()
+    dx[..., 0] = 0.0
+    out = np.zeros(x.shape)
+    out[..., 0] = terms[order]
+    for k in range(order - 1, -1, -1):
         out = jet_mul(out, dx, num_vars)
-        out[0] += c
+        constant = out[..., 0]
+        constant += terms[k]
     return out
 
 
+def _exp_series(value, order):
+    ev = math.exp(value)
+    return [ev / math.factorial(k) for k in range(order + 1)]
+
+
+def _log_series(value, order):
+    if value <= 0.0:
+        raise JetDomainError(f"log of non-positive value part {value}")
+    return [math.log(value)] + [(-1.0) ** (k + 1) / (k * value**k) for k in range(1, order + 1)]
+
+
+def _recip_series(value, order):
+    if value == 0.0:
+        raise JetDomainError("reciprocal of a jet with zero value part")
+    return [(-1.0) ** k / value ** (k + 1) for k in range(order + 1)]
+
+
+def _sin_series(value, order):
+    s, c = math.sin(value), math.cos(value)
+    cycle = [s, c, -s, -c]
+    return [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
+
+
+def _cos_series(value, order):
+    s, c = math.sin(value), math.cos(value)
+    cycle = [c, -s, -c, s]
+    return [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
+
+
 def exp(x: np.ndarray, num_vars: int) -> np.ndarray:
-    ev = math.exp(x[0])
-    series = [ev / math.factorial(k) for k in range(jet_order(num_vars, len(x)) + 1)]
-    return _series_coeffs(series, x, num_vars)
+    return _compose(x, num_vars, _exp_series)
 
 
 def log(x: np.ndarray, num_vars: int) -> np.ndarray:
-    value = float(x[0])
-    if value <= 0.0:
-        raise JetDomainError(f"log of non-positive value part {value}")
-    series = [math.log(value)]
-    for k in range(1, jet_order(num_vars, len(x)) + 1):
-        series.append((-1.0) ** (k + 1) / (k * value**k))
-    return _series_coeffs(series, x, num_vars)
+    return _compose(x, num_vars, _log_series)
 
 
 def recip(x: np.ndarray, num_vars: int) -> np.ndarray:
-    value = float(x[0])
-    if value == 0.0:
-        raise JetDomainError("reciprocal of a jet with zero value part")
-    series = [(-1.0) ** k / value ** (k + 1) for k in range(jet_order(num_vars, len(x)) + 1)]
-    return _series_coeffs(series, x, num_vars)
+    return _compose(x, num_vars, _recip_series)
 
 
 def power(x: np.ndarray, p, num_vars: int) -> np.ndarray:
@@ -259,8 +289,8 @@ def power(x: np.ndarray, p, num_vars: int) -> np.ndarray:
     pf = float(p)
     if isinstance(p, (int, Fraction)) and pf == int(pf) and pf >= 0:
         k = int(pf)
-        result = np.zeros(len(x))
-        result[0] = 1.0
+        result = np.zeros(x.shape)
+        result[..., 0] = 1.0
         base = x
         while k:
             if k & 1:
@@ -268,15 +298,17 @@ def power(x: np.ndarray, p, num_vars: int) -> np.ndarray:
             base = jet_mul(base, base, num_vars)
             k >>= 1
         return result
-    value = float(x[0])
-    if value <= 0.0:
-        raise JetDomainError(f"power {p} of non-positive value part {value}")
-    series = []
-    coeff = 1.0
-    for k in range(jet_order(num_vars, len(x)) + 1):
-        series.append(coeff * value ** (pf - k))
-        coeff *= (pf - k) / (k + 1)
-    return _series_coeffs(series, x, num_vars)
+
+    def series(value, order):
+        if value <= 0.0:
+            raise JetDomainError(f"power {p} of non-positive value part {value}")
+        terms, coeff = [], 1.0
+        for k in range(order + 1):
+            terms.append(coeff * value ** (pf - k))
+            coeff *= (pf - k) / (k + 1)
+        return terms
+
+    return _compose(x, num_vars, series)
 
 
 def sqrt(x: np.ndarray, num_vars: int) -> np.ndarray:
@@ -284,17 +316,11 @@ def sqrt(x: np.ndarray, num_vars: int) -> np.ndarray:
 
 
 def sin(x: np.ndarray, num_vars: int) -> np.ndarray:
-    s, c = math.sin(x[0]), math.cos(x[0])
-    cycle = [s, c, -s, -c]
-    series = [cycle[k % 4] / math.factorial(k) for k in range(jet_order(num_vars, len(x)) + 1)]
-    return _series_coeffs(series, x, num_vars)
+    return _compose(x, num_vars, _sin_series)
 
 
 def cos(x: np.ndarray, num_vars: int) -> np.ndarray:
-    s, c = math.sin(x[0]), math.cos(x[0])
-    cycle = [c, -s, -c, s]
-    series = [cycle[k % 4] / math.factorial(k) for k in range(jet_order(num_vars, len(x)) + 1)]
-    return _series_coeffs(series, x, num_vars)
+    return _compose(x, num_vars, _cos_series)
 
 
 # the functions of one jet argument that the chart language names
@@ -308,8 +334,9 @@ def jet_lu(A: np.ndarray, num_vars: int, B: np.ndarray | None = None):
     """Determinant of a square jet matrix and, when ``B`` is given, the
     solution X of A X = B.
 
-    ``A`` is an (n, n, M) jet array and ``B`` an (n, k, M) one; returns
-    ``(det, X)`` with det of shape (M,) and X of shape (n, k, M), or None.
+    ``A`` is an (..., n, n, M) jet array and ``B`` an (..., n, k, M) one;
+    returns ``(det, X)`` with det of shape (..., M) and X of shape
+    (..., n, k, M), or None.
     Write A = A0 + N with A0 the value part and N nilpotent (every entry
     has zero value part, so N^(order+1) = 0 under truncation), and
     Y = A0^{-1} N.  Then, exactly at the jet order,
@@ -319,29 +346,30 @@ def jet_lu(A: np.ndarray, num_vars: int, B: np.ndarray | None = None):
 
     One ``np.linalg.solve`` on the value parts (LAPACK pivots) gives Y and
     A0^{-1} B; the sum is ``order`` Horner steps.  A singular value part
-    raises ``np.linalg.LinAlgError``.
+    (in any stack entry) raises ``np.linalg.LinAlgError``.
     """
-    n, size = A.shape[0], A.shape[-1]
+    n, size = A.shape[-2], A.shape[-1]
+    stack = A.shape[:-3]
     order = jet_order(num_vars, size)
     split = n * (size - 1)  # columns of N in the one right-hand side [N | B]
-    rhs = A[..., 1:].reshape(n, split)
+    rhs = A[..., 1:].reshape(stack + (n, split))
     if B is not None:
-        rhs = np.concatenate([rhs, B.reshape(n, -1)], axis=1)
+        rhs = np.concatenate([rhs, B.reshape(stack + (n, -1))], axis=-1)
     sol = np.linalg.solve(A[..., 0], rhs)
     Y = np.zeros(A.shape)
-    Y[..., 1:] = sol[:, :split].reshape(n, n, size - 1)
+    Y[..., 1:] = sol[..., :split].reshape(stack + (n, n, size - 1))
 
-    log_det = np.zeros(size)  # tr log(I + Y)
+    log_det = np.zeros(stack + (size,))  # tr log(I + Y)
     power = Y
     for k in range(1, order + 1):
-        log_det += (-1) ** (k + 1) / k * np.trace(power)
+        log_det += (-1) ** (k + 1) / k * np.trace(power, axis1=-3, axis2=-2)
         if k < order:
             power = jet_matmul(power, Y, num_vars)
-    det = np.linalg.det(A[..., 0]) * exp(log_det, num_vars)
+    det = np.linalg.det(A[..., 0])[..., None] * exp(log_det, num_vars)
     if B is None:
         return det, None
 
-    Z = sol[:, split:].reshape(B.shape)
+    Z = sol[..., split:].reshape(B.shape)
     X = Z
     for _ in range(order):
         X = Z - jet_matmul(Y, X, num_vars)

@@ -102,7 +102,11 @@ def _negligible(diff: np.ndarray, ref: np.ndarray, ndim: int) -> bool:
     """max|diff| <= 1e-12 max(1, max|ref|) over the last ``ndim`` axes, for
     every member of the stack."""
     axes = tuple(range(-ndim, 0))
-    return not np.any(np.abs(diff).max(axis=axes) > 1e-12 * np.maximum(1.0, np.abs(ref).max(axis=axes)))
+
+    def largest(x):  # max|x| as max(max x, -min x): no |x| temporary
+        return np.maximum(x.max(axis=axes), -x.min(axis=axes))
+
+    return not np.any(largest(diff) > 1e-12 * np.maximum(1.0, largest(ref)))
 
 
 def _entries(coords: np.ndarray) -> np.ndarray:
@@ -289,8 +293,11 @@ def bracket_operator(A: np.ndarray) -> np.ndarray:
     if not _negligible(A + oct_conj(A).swapaxes(-3, -2), A, 3):
         raise ValueError("matrix is not octonion skew-Hermitian")
     B, A = _basis_entries(), A[..., None, :, :, :]
-    imgs = _mat_mul(A, B) - _mat_mul(B, A)  # (..., 27, 3, 3, 8)
-    if not _negligible(imgs - oct_conj(imgs).swapaxes(-3, -2), imgs, 4):
+    imgs = _mat_mul(A, B)
+    imgs -= _mat_mul(B, A)  # (..., 27, 3, 3, 8), in place: one such array, not three
+    herm = oct_conj(imgs).swapaxes(-3, -2)
+    herm -= imgs  # conj(imgs)^t - imgs, in the conjugate's buffer
+    if not _negligible(herm, imgs, 4):
         raise ValueError("bracket image is not octonion Hermitian")
     return imgs[..., _ROW, _COL, _OCT].swapaxes(-1, -2)
 

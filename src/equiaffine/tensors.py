@@ -1,9 +1,11 @@
 """Intrinsic Riemannian tensor calculus on jet-valued metric fields.
 
-Everything here is pointwise: a metric field is an (n, n, M) symmetric
-jet array (see ``jets``) expanded around one point, and the outputs
-(Christoffel symbols, curvature, covariant derivatives) are plain numeric
-arrays at that point.
+A metric field is an (n, n, M) symmetric jet array (see ``jets``)
+expanded around one point, and the outputs (Christoffel symbols,
+curvature, covariant derivatives) are plain numeric arrays at that point.
+Every routine also takes a stack of such fields, one per point of a point
+stack, as leading axes, and computes each stack entry exactly as it would
+compute that entry alone.
 
 Curvature conventions: R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
 - nabla_[X,Y] Z, with fully covariant components
@@ -31,16 +33,17 @@ class MetricError(ValueError):
 @dataclass(frozen=True)
 class MetricField:
     """Symmetric positive definite metric given as jets around a point,
-    in the ``dim`` chart variables."""
+    in the ``dim`` chart variables; leading axes of ``coeffs`` stack one
+    metric per point."""
 
     dim: int
-    coeffs: np.ndarray  # (n, n, M) jet array
+    coeffs: np.ndarray  # (..., n, n, M) jet array
 
     def __post_init__(self):
-        if self.coeffs.ndim != 3 or self.coeffs.shape[:2] != (self.dim, self.dim):
+        if self.coeffs.ndim < 3 or self.coeffs.shape[-3:-1] != (self.dim, self.dim):
             raise MetricError("metric component array must be n x n")
         vals = self.values()
-        if not np.allclose(vals, vals.T, atol=1e-12 * (1 + np.abs(vals).max())):
+        if not _is_symmetric(vals):
             raise MetricError("metric value part is not symmetric")
         check_spd(vals)
 
@@ -53,7 +56,7 @@ class MetricField:
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        """g^{ij} as an (n, n, M') jet array, one order below the metric."""
+        """g^{ij} as an (..., n, n, M') jet array, one order below the metric."""
         if self.order < 1:
             raise ValueError("the jet inverse needs metric jets of order >= 1")
         lo = self.coeffs[..., : jet_size(self.dim, self.order - 1)]
@@ -62,10 +65,25 @@ class MetricField:
         return jet_lu(lo, self.dim, eye)[1]
 
 
+def _is_symmetric(vals: np.ndarray) -> bool:
+    """Whether every matrix of an (..., n, n) stack equals its transpose
+    within 1e-12 of its largest entry: the predicate of
+    ``np.allclose(v, v.T, atol=1e-12 * (1 + |v|max))`` (default rtol), per
+    matrix, without its per-call overhead."""
+    vt = np.swapaxes(vals, -1, -2)
+    atol = 1e-12 * (1 + np.abs(vals).max(axis=(-2, -1), keepdims=True))
+    with np.errstate(invalid="ignore"):
+        close = (np.abs(vals - vt) <= atol + 1e-05 * np.abs(vt)) & np.isfinite(vt) | (vals == vt)
+    return bool(close.all())
+
+
 def check_spd(values: np.ndarray) -> None:
-    """Fail loudly if the value matrix is not (numerically) SPD."""
+    """Fail loudly if the value matrix (or any matrix of an (..., n, n)
+    stack, naming the first) is not (numerically) SPD."""
     eig = np.linalg.eigvalsh(values)
-    if eig[0] <= SPD_RTOL * max(eig[-1], 0.0) or eig[-1] <= 0.0:
+    bad = (eig[..., 0] <= SPD_RTOL * np.maximum(eig[..., -1], 0.0)) | (eig[..., -1] <= 0.0)
+    if bad.any():
+        eig = eig.reshape(-1, eig.shape[-1])[np.argmax(bad)]
         raise MetricError(f"metric value part is not positive definite (eigenvalues {eig})")
 
 
@@ -74,18 +92,24 @@ class CurvatureData:
     christoffel: np.ndarray  # Gamma^k_ij, shape (n, n, n) indexed [k, i, j]
     riemann: np.ndarray  # R_ijkl, shape (n, n, n, n)
     ricci: np.ndarray  # R_ij
-    chi: float
+    chi: float  # an array of one value per point for a stack
 
 
 def christoffel_jets(g: MetricField) -> np.ndarray:
-    """Levi-Civita symbols Gamma^k_ij as an (n, n, n, M') jet array indexed
-    [k, i, j], one order below the metric."""
+    """Levi-Civita symbols Gamma^k_ij as an (..., n, n, n, M') jet array
+    indexed [k, i, j], one order below the metric."""
     if g.order < 1:
         raise ValueError("christoffel needs metric jets of order >= 1")
-    d = jet_gradient(g.coeffs, g.dim).transpose(2, 0, 1, 3)  # d[l, i, j] = d_l g_ij
-    # bracket[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    bracket = d.transpose(2, 0, 1, 3) + d.transpose(2, 1, 0, 3) - d
+    d = _last_index_first(jet_gradient(g.coeffs, g.dim))  # d[l, i, j] = d_l g_ij
+    # bracket[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij; contiguous, so that
+    # the contraction below sums in one order whatever the stack size
+    bracket = np.ascontiguousarray(_last_index_first(d) + d.swapaxes(-4, -2) - d)
     return 0.5 * jet_einsum("kl,lij->kij", g.inverse, bracket, g.dim)
+
+
+def _last_index_first(a: np.ndarray) -> np.ndarray:
+    """A jet array indexed [..., i, j, l, :] as one indexed [..., l, i, j, :] (a view)."""
+    return a.swapaxes(-2, -3).swapaxes(-3, -4)
 
 
 def christoffel(g: MetricField) -> np.ndarray:
@@ -94,7 +118,8 @@ def christoffel(g: MetricField) -> np.ndarray:
 
 
 def riemann(g: MetricField, gamma_jets: np.ndarray | None = None) -> CurvatureData:
-    """Full curvature data of a metric field (needs jet order >= 2).
+    """Full curvature data of a metric field (needs jet order >= 2); for a
+    stack of fields every field of the result, chi too, is stacked.
 
     ``gamma_jets`` takes the metric's ``christoffel_jets`` when the caller
     already has them."""
@@ -104,36 +129,39 @@ def riemann(g: MetricField, gamma_jets: np.ndarray | None = None) -> CurvatureDa
     if gamma_jets is None:
         gamma_jets = christoffel_jets(g)
     gamma = gamma_jets[..., 0]
-    dgamma = jet_gradient(gamma_jets, n)[..., 0].transpose(3, 0, 1, 2)  # [l, k, i, j] = d_l Gamma^k_ij
+    dgamma = jet_gradient(gamma_jets, n)[..., 0]  # [k, i, j, l] = d_l Gamma^k_ij
     # Rup[m, i, j, k]: R(d_i, d_j) d_k = Rup[m, i, j, k] d_m
     rup = (
-        np.einsum("imjk->mijk", dgamma)
-        - np.einsum("jmik->mijk", dgamma)
-        + np.einsum("mil,ljk->mijk", gamma, gamma)
-        - np.einsum("mjl,lik->mijk", gamma, gamma)
+        np.einsum("...mjki->...mijk", dgamma)
+        - np.einsum("...mikj->...mijk", dgamma)
+        + np.einsum("...mil,...ljk->...mijk", gamma, gamma)
+        - np.einsum("...mjl,...lik->...mijk", gamma, gamma)
     )
     gval = g.values()
     ginv = np.linalg.inv(gval)
-    riem = np.einsum("ml,mijk->ijkl", gval, rup)
-    ricci = np.einsum("kl,kijl->ij", ginv, riem)
-    chi = float(np.einsum("il,jk,ijkl->", ginv, ginv, riem)) / (n * (n - 1)) if n > 1 else 0.0
+    riem = np.einsum("...ml,...mijk->...ijkl", gval, rup)
+    ricci = np.einsum("...kl,...kijl->...ij", ginv, riem)
+    if n > 1:
+        chi = np.einsum("...il,...jk,...ijkl->...", ginv, ginv, riem) / (n * (n - 1))
+    else:
+        chi = np.zeros(gval.shape[:-2])
     return CurvatureData(christoffel=gamma, riemann=riem, ricci=ricci, chi=chi)
 
 
 def cov_deriv_sym3(a: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Covariant derivative A_ijk,l of a symmetric 3-tensor field.
 
-    ``a`` is an (n, n, n, M) jet array of order >= 1 in the n chart
-    variables and ``gamma`` the Christoffel values of the same metric; the
-    result is the (n, n, n, n) value array
+    ``a`` is an (..., n, n, n, M) jet array of order >= 1 in the n chart
+    variables and ``gamma`` the (..., n, n, n) Christoffel values of the
+    same metric; the result is the (..., n, n, n, n) value array
     A_ijk,l = d_l A_ijk - Gamma^m_li A_mjk - Gamma^m_lj A_imk - Gamma^m_lk A_ijm.
     """
-    n = a.shape[0]
-    if gamma.shape != (n, n, n):
+    n = a.shape[-2]
+    if gamma.shape[-3:] != (n, n, n):
         raise ValueError("tensor and Christoffel dimensions do not match")
     avals = a[..., 0]
     out = jet_gradient(a, n)[..., 0]
-    out -= np.einsum("mli,mjk->ijkl", gamma, avals)
-    out -= np.einsum("mlj,imk->ijkl", gamma, avals)
-    out -= np.einsum("mlk,ijm->ijkl", gamma, avals)
+    out -= np.einsum("...mli,...mjk->...ijkl", gamma, avals)
+    out -= np.einsum("...mlj,...imk->...ijkl", gamma, avals)
+    out -= np.einsum("...mlk,...ijm->...ijkl", gamma, avals)
     return out

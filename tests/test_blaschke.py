@@ -4,7 +4,7 @@ surfaces with known invariants, and the structural identities."""
 import numpy as np
 import pytest
 
-from equiaffine import blaschke_at, parse_chart
+from equiaffine import BlaschkeInvariants, blaschke_at, parse_chart
 from equiaffine.blaschke import (
     ConvexityError,
     _chart_derivatives,
@@ -18,8 +18,16 @@ from equiaffine.blaschke import (
     check_trace_identity,
     nabla_A_norm,
 )
-from equiaffine.calabi import CompositionSpec, compose_chart
-from equiaffine.catalog import TransformedChart, flat_factor, hyperboloid, random_unimodular, sl_so
+from equiaffine.calabi import CompositionSpec, HypersphereFactor, compose_chart
+from equiaffine.catalog import (
+    ENTRIES,
+    TransformedChart,
+    flat_factor,
+    get_chart,
+    hyperboloid,
+    random_unimodular,
+    sl_so,
+)
 from equiaffine.jets import jet_gradient
 from jet_reference import jet_det
 
@@ -294,3 +302,55 @@ def test_curvature_scalar_consistency():
     n = inv.dim
     chi = np.einsum("il,jk,ijkl->", inv.g_inv, inv.g_inv, inv.curvature.riemann) / (n * (n - 1))
     assert inv.chi == pytest.approx(chi, abs=1e-14)
+
+
+def _stack_cases():
+    spec = CompositionSpec(r=0, factors=(flat_factor(1, 1.0), HypersphereFactor(hyperboloid(2), -1.0, 2)),
+                           constants=(1.0, 1.5))
+    charts = {
+        "flat_hypersphere": get_chart("flat_hypersphere", {"n0": 2}),
+        "unit_sphere": get_chart("unit_sphere", {"n": 3}),
+        "elliptic_paraboloid": get_chart("elliptic_paraboloid", {"n": 2}),
+        "hyperboloid": get_chart("hyperboloid", {"n": 3}),
+        "hyperboloid-n9": get_chart("hyperboloid", {"n": 9}),
+        "sl_so": get_chart("sl_so", {"m": 3}),
+        "graph": get_chart("graph", {"text": GENERIC}),
+        "composition": compose_chart(spec),
+        "transformed": TransformedChart(hyperboloid(2), random_unimodular(3, np.random.default_rng(4))),
+    }
+    return [pytest.param(chart, id=name) for name, chart in charts.items()]
+
+
+def test_stack_cases_cover_the_catalog():
+    assert {case.id for case in _stack_cases()} >= set(ENTRIES)
+
+
+@pytest.mark.parametrize("chart", _stack_cases())
+def test_stack_rows_equal_single_points_bitwise(chart):
+    points = chart.sample_points(6, 13)
+    stacked = blaschke_at(chart, points)
+    assert isinstance(stacked, list) and len(stacked) == len(points)
+    for point, row in zip(points, stacked):
+        alone = blaschke_at(chart, point)
+        assert isinstance(alone, BlaschkeInvariants)
+        for name in ("g", "A", "B", "xi", "nabla_A"):
+            a, b = getattr(row, name), getattr(alone, name)
+            a, b = (a(), b()) if callable(a) else (a, b)
+            assert a.tobytes() == b.tobytes(), name
+        for name in ("L1", "J", "chi"):
+            assert np.float64(getattr(row, name)).tobytes() == np.float64(getattr(alone, name)).tobytes(), name
+
+
+def test_stack_gate_names_the_first_failing_point():
+    chart = parse_chart("dim 2; x1 = u1; x2 = u2; x3 = u1^2 + u1 * u2^2;")  # a saddle where u1 < u2^2
+    points = np.array([[0.3, 0.1], [-0.2, 0.1], [-0.4, 0.2]])
+    with pytest.raises(ConvexityError) as err:
+        blaschke_at(chart, points)
+    with pytest.raises(ConvexityError) as alone:
+        blaschke_at(chart, points[1])
+    assert str(err.value) == str(alone.value)
+    assert "at [-0.2  0.1]" in str(err.value)
+
+
+def test_empty_stack_gives_no_invariants():
+    assert blaschke_at(hyperboloid(2), np.zeros((0, 2))) == []

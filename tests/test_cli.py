@@ -29,7 +29,8 @@ from equiaffine.cli import (
     resolve_points,
     run_scene,
 )
-from equiaffine.dsl import MAX_DIM
+from equiaffine.dsl import MAX_DEPTH, MAX_DIM
+from equiaffine.jets import jet_size
 
 
 def run(scene):
@@ -113,18 +114,44 @@ HYPERBOLOID_COMPOSITION = {
 def test_composition_scene_runs_pipeline_once_per_point(monkeypatch):
     calls = []
 
-    def counted(chart, point):
-        calls.append(isinstance(chart, calabi.ComposedChart))
-        return blaschke_at(chart, point)
+    def counted(chart, points):
+        calls.append((isinstance(chart, calabi.ComposedChart), np.shape(points)))
+        return blaschke_at(chart, points)
 
     monkeypatch.setattr(cli, "blaschke_at", counted)
     monkeypatch.setattr(calabi, "blaschke_at", counted)
     code, _ = run(HYPERBOLOID_COMPOSITION)
     assert code == 0
-    # 4 composed points (point 0 also serves the mean-curvature relations);
-    # 4 factor points for the closed forms
-    assert len(calls) == 8
-    assert sum(calls) == 4
+    # one stack of the 4 composed points (point 0 also serves the
+    # mean-curvature relations), one stack of their 4 factor points
+    assert calls == [(True, (4, 3)), (False, (4, 2))]
+
+
+def test_scene_report_is_the_same_in_any_stack_size(monkeypatch):
+    scene = {**HYPERBOLOID_COMPOSITION, "points": {"random": 7, "seed": 4}}
+    _, whole = run(scene)
+    sizes = []
+
+    def counted(chart, points):
+        sizes.append(len(points))
+        return blaschke_at(chart, points)
+
+    monkeypatch.setattr(cli, "blaschke_at", counted)
+    monkeypatch.setattr(cli, "STACK_COEFFS", 2 * jet_size(3, 4))  # two composed points per stack
+    assert run(scene) == (0, whole)
+    assert sizes == [2, 2, 2, 1]
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_first_failing_point_names_the_error(tmp_path, capsys, monkeypatch, size):
+    # point 1 fails convexity (x2'' = 0 there) before point 2 reaches log's
+    # domain error, although chart evaluation of a whole stack meets the
+    # domain error first
+    monkeypatch.setattr(cli, "STACK_COEFFS", size * jet_size(1, 4))
+    chart = {"dsl": "dim 1; x1 = u1; x2 = u1^3 + 0 * log(u1 + 1);"}
+    code, line = error_line(capsys, ["check", "--scene", scene_file(tmp_path, chart, [[0.5], [0.0], [-2.0]])])
+    assert (code, line) == (3, "chart error: point 1: chart is not locally strongly convex at [0.] "
+                               "(form eigenvalues [0.])")
 
 
 def test_composition_lines_match_verify_composition():
@@ -515,6 +542,28 @@ def test_dimension_above_max_dim_exits_with_one_line(tmp_path, capsys, monkeypat
 def test_numeric_literal_errors_exit_2_with_one_line(tmp_path, capsys, text, expected):
     argv = ["check", "--scene", scene_file(tmp_path, {"dsl": text}, {"random": 1})]
     assert error_line(capsys, argv) == (2, f"scene error: {expected}")
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["(" * 2000 + "u1" + ")" * 2000, "u1^2" + " + u1" * 3000, "-" * 3000 + "u1", "exp(" * 2000 + "u1" + ")" * 2000],
+    ids=["nested-groups", "chain-of-sums", "nested-negations", "nested-calls"],
+)
+def test_deeply_nested_expression_exits_2_with_one_line(tmp_path, capsys, expr):
+    argv = ["check", "--scene", scene_file(tmp_path, {"dsl": f"dim 1; x1 = u1; x2 = {expr};"}, [[0.1]])]
+    code, line = error_line(capsys, argv)
+    assert code == 2
+    assert line.startswith(f"scene error: expression nests deeper than MAX_DEPTH = {MAX_DEPTH} (line 1, column ")
+
+
+def test_expression_at_max_depth_evaluates(tmp_path, capsys):
+    # MAX_DEPTH - 2 groups around a power; a chain of sums MAX_DEPTH levels deep
+    grouped = "(" * (MAX_DEPTH - 2) + "u1^2" + ")" * (MAX_DEPTH - 2)
+    chain = "u1^2" + " + 0 * u1" * (MAX_DEPTH - 2)
+    for expr in (grouped, chain):
+        argv = ["invariants", "--scene", scene_file(tmp_path, {"dsl": f"dim 1; x1 = u1; x2 = {expr};"}, [[0.1]])]
+        assert main(argv) == 0
+        assert "status: pass" in capsys.readouterr().out
 
 
 def test_max_dim_charts_still_build():

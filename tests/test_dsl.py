@@ -67,6 +67,8 @@ def test_negative_param_and_fraction_exponent():
         ("dim 1; x1 = u1; x2 = 1.2.3 * u1;", "malformed number '1.2.3'"),
         ("dim 1; x1 = u1; x2 = u1^(1/0);", "zero denominator in exponent"),
         ("dim 1; x1 = u1; x2 = u1^(1e300/1e-300);", "exponent is out of range"),
+        ("dim 1; x1 = u1; x2 = " + "(" * 2000 + "u1" + ")" * 2000 + ";", "nests deeper than MAX_DEPTH = 200"),
+        ("dim 1; x1 = u1; x2 = u1" + " + u1" * 3000 + ";", "nests deeper than MAX_DEPTH = 200"),
     ],
 )
 def test_parse_errors(text, fragment):
