@@ -28,13 +28,14 @@ Every step also runs on a stack of points: ``blaschke_at`` on a (P, n)
 point stack carries a leading point axis through every jet array, so a
 stack costs one pass of numpy calls instead of P, and each row is
 computed exactly as its point alone (the same operations in the same
-order, so bitwise equal).
+order, so bitwise equal).  The checks do the same on the invariants of a
+stack (``stack_invariants``): one call per check for all P points.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -78,7 +79,9 @@ class CheckReport:
 
 @dataclass
 class BlaschkeInvariants:
-    """Pointwise bundle of equiaffine invariants in chart coordinates."""
+    """Pointwise bundle of equiaffine invariants in chart coordinates; from
+    ``stack_invariants``, the bundles of P points with a leading point axis
+    on every field (L1, J and chi are then (P,) vectors)."""
 
     point: np.ndarray
     g: np.ndarray  # (n, n) SPD
@@ -99,7 +102,7 @@ class BlaschkeInvariants:
 
     @property
     def dim(self) -> int:
-        return len(self.point)
+        return self.point.shape[-1]
 
     def nabla_A(self) -> np.ndarray:
         if self._nabla_A is None:
@@ -161,7 +164,7 @@ def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants | list[BlaschkeIn
     if k is not None:
         raise FrameError(f"frame {{x_k, xi}} is singular at {stack[k]}")
     rows, cols = _lower(n)
-    _, sol = jet_lu(frame, n, hess[:, rows, cols].swapaxes(1, 2))  # [coefficient, pair]
+    _, sol = jet_lu(frame, n, hess[:, rows, cols].swapaxes(1, 2), det=False)  # [coefficient, pair]
     gamma_ind = np.empty((len(stack), n, n, n, m1))  # induced connection [k, i, j]
     gamma_ind[:, :, rows, cols] = gamma_ind[:, :, cols, rows] = sol[:, :n]
     h_val = np.empty((len(stack), n, n))
@@ -189,7 +192,7 @@ def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants | list[BlaschkeIn
     L1 = np.trace(B_up, axis1=1, axis2=2) / n
 
     J = _g_norm2(A, ginv) / (n * (n - 1)) if n > 1 else np.zeros(len(stack))
-    curv = riemann(metric, gamma_hat_jets)
+    curv = riemann(metric, gamma_hat_jets, ginv)
 
     invs = [
         BlaschkeInvariants(
@@ -305,108 +308,151 @@ def _symmetrize3(t: np.ndarray) -> np.ndarray:
 
 
 # -- structural checks ----------------------------------------------------
+#
+# Each check takes one point's invariants, or a stack of them from
+# ``stack_invariants``, and returns one report (or value) for one point and a
+# list of one per point for a stack.  The contractions are ``...`` einsums
+# over the leading point axis, so a stack row gets the bits its point gets
+# alone.
 
 
-def check_apolarity(inv: BlaschkeInvariants, tolerance: float = 1e-8) -> CheckReport:
+_STACKED = tuple(f.name for f in fields(BlaschkeInvariants) if f.name not in ("curvature", "_nabla_A"))
+_STACKED_CURVATURE = tuple(f.name for f in fields(tensors.CurvatureData))
+
+
+def stack_invariants(invs: list[BlaschkeInvariants]) -> BlaschkeInvariants:
+    """The invariants of P points as one BlaschkeInvariants whose fields carry
+    a leading point axis (L1, J and chi become (P,) vectors), for the checks
+    below to run on all P points in one pass.  Its ``nabla_A`` is one
+    ``cov_deriv_sym3`` call for the whole stack."""
+
+    def stack(rows, name):
+        if len(rows) == 1:  # one point: its own arrays under a new axis, no copy
+            return np.asarray(getattr(rows[0], name))[None]
+        return np.array([getattr(row, name) for row in rows])
+
+    stacked = {name: stack(invs, name) for name in _STACKED}
+    curvature = [inv.curvature for inv in invs]
+    stacked["curvature"] = tensors.CurvatureData(*(stack(curvature, name) for name in _STACKED_CURVATURE))
+    return BlaschkeInvariants(**stacked)
+
+
+def _per_point(x, k: int):
+    """A per-point scalar (a float, or a (P,) vector for a stack) shaped to
+    broadcast against per-point tensors of k axes."""
+    return np.asarray(x)[(...,) + (None,) * k]
+
+
+def max_per_point(data, x: np.ndarray) -> np.ndarray:
+    """Largest |x| at each point of ``data``, any point record whose metric
+    ``g`` has shape (..., n, n): over every axis of x but the point axis of
+    a stack (shape () for one point, (P,) for a stack)."""
+    return np.abs(x).max(axis=tuple(range(data.g.ndim - 2, x.ndim)))
+
+
+def point_reports(name: str, residual: np.ndarray, tolerance: float) -> CheckReport | list[CheckReport]:
+    """One report for a one-point residual of shape (), a list of one per
+    point for a (P,) vector of residuals."""
+    if residual.ndim == 0:
+        return CheckReport(name, float(residual), tolerance)
+    return [CheckReport(name, r, tolerance) for r in residual.tolist()]
+
+
+def check_apolarity(inv: BlaschkeInvariants, tolerance: float = 1e-8) -> CheckReport | list[CheckReport]:
     """Residual of the apolarity condition g^{ij} A_ijk = 0."""
-    trace = np.einsum("ij,ijk->k", inv.g_inv, inv.A)
-    return CheckReport("apolarity", float(np.max(np.abs(trace))), tolerance)
+    trace = np.einsum("...ij,...ijk->...k", inv.g_inv, inv.A)
+    return point_reports("apolarity", max_per_point(inv, trace), tolerance)
 
 
 def gauss_rhs(g: np.ndarray, g_inv: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Right-hand side of the affine Gauss equation for R_ijkl."""
-    A_up = np.einsum("mp,ikp->mik", g_inv, A)  # A^m_ik
-    comm = np.einsum("mik,jlm->ijkl", A_up, A) - np.einsum("mil,jkm->ijkl", A_up, A)
+    """Right-hand side of the affine Gauss equation for R_ijkl (leading
+    point axes broadcast)."""
+    A_up = np.einsum("...mp,...ikp->...mik", g_inv, A)  # A^m_ik
+    comm = np.einsum("...mik,...jlm->...ijkl", A_up, A) - np.einsum("...mil,...jkm->...ijkl", A_up, A)
     wedge = 0.5 * (
-        np.einsum("il,jk->ijkl", g, B)
-        + np.einsum("jk,il->ijkl", g, B)
-        - np.einsum("ik,jl->ijkl", g, B)
-        - np.einsum("jl,ik->ijkl", g, B)
+        np.einsum("...il,...jk->...ijkl", g, B)
+        + np.einsum("...jk,...il->...ijkl", g, B)
+        - np.einsum("...ik,...jl->...ijkl", g, B)
+        - np.einsum("...jl,...ik->...ijkl", g, B)
     )
     return comm + wedge
 
 
-def check_gauss(inv: BlaschkeInvariants, tolerance: float = 1e-6) -> CheckReport:
+def check_gauss(inv: BlaschkeInvariants, tolerance: float = 1e-6) -> CheckReport | list[CheckReport]:
     """Affine Gauss equation: curvature of g against A- and B-terms."""
     rhs = gauss_rhs(inv.g, inv.g_inv, inv.A, inv.B)
-    resid = float(np.max(np.abs(inv.curvature.riemann - rhs)))
-    return CheckReport("gauss", resid, tolerance)
+    return point_reports("gauss", max_per_point(inv, inv.curvature.riemann - rhs), tolerance)
 
 
-def check_ricci(inv: BlaschkeInvariants, tolerance: float = 1e-6) -> CheckReport:
+def check_ricci(inv: BlaschkeInvariants, tolerance: float = 1e-6) -> CheckReport | list[CheckReport]:
     """Contracted Gauss identity for the Ricci tensor."""
     n = inv.dim
-    A_up = np.einsum("mp,ilp->mil", inv.g_inv, inv.A)
+    A_up = np.einsum("...mp,...ilp->...mil", inv.g_inv, inv.A)
     rhs = (
-        np.einsum("kil,ljk->ij", A_up, A_up)
-        + 0.5 * n * inv.L1 * inv.g
+        np.einsum("...kil,...ljk->...ij", A_up, A_up)
+        + 0.5 * n * _per_point(inv.L1, 2) * inv.g
         + 0.5 * (n - 2) * inv.B
     )
-    resid = float(np.max(np.abs(inv.curvature.ricci - rhs)))
-    return CheckReport("ricci", resid, tolerance)
+    return point_reports("ricci", max_per_point(inv, inv.curvature.ricci - rhs), tolerance)
 
 
 def codazzi_rhs(g: np.ndarray, B: np.ndarray) -> np.ndarray:
     # symmetric in (i, j) like the left-hand side, antisymmetric in (k, l)
     return 0.5 * (
-        np.einsum("ik,jl->ijkl", g, B)
-        + np.einsum("jk,il->ijkl", g, B)
-        - np.einsum("il,jk->ijkl", g, B)
-        - np.einsum("jl,ik->ijkl", g, B)
+        np.einsum("...ik,...jl->...ijkl", g, B)
+        + np.einsum("...jk,...il->...ijkl", g, B)
+        - np.einsum("...il,...jk->...ijkl", g, B)
+        - np.einsum("...jl,...ik->...ijkl", g, B)
     )
 
 
-def check_codazzi(inv: BlaschkeInvariants, tolerance: float = 1e-6) -> CheckReport:
+def check_codazzi(inv: BlaschkeInvariants, tolerance: float = 1e-6) -> CheckReport | list[CheckReport]:
     """Codazzi equation for the cubic form: antisymmetrized nabla A."""
     na = inv.nabla_A()
-    lhs = na - na.transpose(0, 1, 3, 2)  # A_ijk,l - A_ijl,k
-    resid = float(np.max(np.abs(lhs - codazzi_rhs(inv.g, inv.B))))
-    return CheckReport("codazzi", resid, tolerance)
+    lhs = na - na.swapaxes(-2, -1)  # A_ijk,l - A_ijl,k
+    return point_reports("codazzi", max_per_point(inv, lhs - codazzi_rhs(inv.g, inv.B)), tolerance)
 
 
-def check_trace_identity(inv: BlaschkeInvariants, tolerance: float = 1e-6) -> CheckReport:
+def check_trace_identity(inv: BlaschkeInvariants, tolerance: float = 1e-6) -> CheckReport | list[CheckReport]:
     """Contracted Codazzi identity: div A = (n/2)(L1 g - B)."""
     n = inv.dim
-    na = inv.nabla_A()
-    div = np.einsum("lm,ijml->ij", inv.g_inv, na)
-    rhs = 0.5 * n * (inv.L1 * inv.g - inv.B)
-    resid = float(np.max(np.abs(div - rhs)))
-    return CheckReport("trace_identity", resid, tolerance)
+    div = np.einsum("...lm,...ijml->...ij", inv.g_inv, inv.nabla_A())
+    rhs = 0.5 * n * (_per_point(inv.L1, 2) * inv.g - inv.B)
+    return point_reports("trace_identity", max_per_point(inv, div - rhs), tolerance)
 
 
-def check_gauss_alt(inv: BlaschkeInvariants, tolerance: float = 1e-6) -> CheckReport:
+def check_gauss_alt(inv: BlaschkeInvariants, tolerance: float = 1e-6) -> CheckReport | list[CheckReport]:
     """Alternative Gauss form expressed through chi, J and nabla A."""
     n = inv.dim
     g, ginv, A = inv.g, inv.g_inv, inv.A
     na = inv.nabla_A()
-    div = np.einsum("mp,jlpm->jl", ginv, na)  # A^m_{jl,m}
-    A_up = np.einsum("mp,ikp->mik", ginv, A)
+    div = np.einsum("...mp,...jlpm->...jl", ginv, na)  # A^m_{jl,m}
+    A_up = np.einsum("...mp,...ikp->...mik", ginv, A)
     rhs = (
-        na - na.transpose(0, 1, 3, 2)
-        + (inv.chi - inv.J) * (np.einsum("il,jk->ijkl", g, g) - np.einsum("ik,jl->ijkl", g, g))
-        + (2.0 / n) * (np.einsum("ik,jl->ijkl", g, div) - np.einsum("il,jk->ijkl", g, div))
-        + np.einsum("mik,jlm->ijkl", A_up, A)
-        - np.einsum("mil,jkm->ijkl", A_up, A)
+        na - na.swapaxes(-2, -1)
+        + _per_point(inv.chi - inv.J, 4)
+        * (np.einsum("...il,...jk->...ijkl", g, g) - np.einsum("...ik,...jl->...ijkl", g, g))
+        + (2.0 / n) * (np.einsum("...ik,...jl->...ijkl", g, div) - np.einsum("...il,...jk->...ijkl", g, div))
+        + np.einsum("...mik,...jlm->...ijkl", A_up, A)
+        - np.einsum("...mil,...jkm->...ijkl", A_up, A)
     )
-    resid = float(np.max(np.abs(inv.curvature.riemann - rhs)))
-    return CheckReport("gauss_alt", resid, tolerance)
+    return point_reports("gauss_alt", max_per_point(inv, inv.curvature.riemann - rhs), tolerance)
 
 
-def check_hypersphere(inv: BlaschkeInvariants, tolerance: float = 1e-6) -> tuple[CheckReport, CheckReport]:
+def check_hypersphere(inv: BlaschkeInvariants, tolerance: float = 1e-6):
     """Affine hypersphere tests: B = L1 g, and xi = -L1 x for proper spheres
-    centered at the origin.  Returns (shape-operator report, center report);
-    the center residual is 0 by convention when L1 = 0 (``L1_ZERO_TOL``)."""
-    resid_b = float(np.max(np.abs(inv.B - inv.L1 * inv.g)))
-    if abs(inv.L1) > L1_ZERO_TOL:
-        resid_c = float(np.max(np.abs(inv.xi + inv.L1 * inv.position)))
-    else:
-        resid_c = 0.0
-    return (
-        CheckReport("hypersphere_shape", resid_b, tolerance),
-        CheckReport("hypersphere_center", resid_c, tolerance),
-    )
+    centered at the origin.  Returns (shape-operator report, center report),
+    one such pair per point for a stack; the center residual is 0 by
+    convention when L1 = 0 (``L1_ZERO_TOL``)."""
+    resid_b = max_per_point(inv, inv.B - _per_point(inv.L1, 2) * inv.g)
+    resid_c = max_per_point(inv, inv.xi + _per_point(inv.L1, 1) * inv.position)
+    resid_c = np.where(np.abs(inv.L1) > L1_ZERO_TOL, resid_c, 0.0)
+    shape = point_reports("hypersphere_shape", resid_b, tolerance)
+    center = point_reports("hypersphere_center", resid_c, tolerance)
+    return (shape, center) if isinstance(shape, CheckReport) else list(zip(shape, center))
 
 
-def nabla_A_norm(inv: BlaschkeInvariants) -> float:
-    """The g-norm of nabla A (parallelism test)."""
-    return float(np.sqrt(max(_g_norm2(inv.nabla_A(), inv.g_inv), 0.0)))
+def nabla_A_norm(inv: BlaschkeInvariants) -> float | list[float]:
+    """The g-norm of nabla A (parallelism test), one per point for a stack."""
+    norm = np.sqrt(np.maximum(_g_norm2(inv.nabla_A(), inv.g_inv), 0.0))
+    return norm.tolist()

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .blaschke import BlaschkeInvariants, CheckReport, blaschke_at, check_hypersphere
+from .blaschke import BlaschkeInvariants, CheckReport, blaschke_at, check_hypersphere, max_per_point, stack_invariants
 from .dsl import MAX_DIM, ChartDef
 from .jets import jet_embed, jet_mul, jet_variables
 
@@ -274,21 +274,25 @@ def expected_invariants(spec: CompositionSpec, points) -> tuple[np.ndarray, np.n
     return (g, A) if points.ndim == 2 else (g[0], A[0])
 
 
-def composition_reports(spec: CompositionSpec, invs: list[BlaschkeInvariants], tolerance: float = 1e-6,
+def composition_reports(spec: CompositionSpec, invs: BlaschkeInvariants, tolerance: float = 1e-6,
                         start: int = 0) -> list[CheckReport]:
-    """The composition_*[k] reports, k = start, start + 1, ...: the Blaschke
-    invariants invs of the composed chart at their points (one stacked
-    factor pipeline call per factor) against the closed forms (g, A, L1 and
-    the hypersphere property)."""
-    g_exp, a_exp = expected_invariants(spec, np.array([inv.point for inv in invs]))
+    """The composition_*[k] reports, k = start, start + 1, ...: the stacked
+    Blaschke invariants invs of the composed chart at P points
+    (``stack_invariants``; one stacked factor pipeline call per factor)
+    against the closed forms (g, A, L1 and the hypersphere property)."""
+    g_exp, a_exp = expected_invariants(spec, invs.point)
     L1 = closed_form(spec).L1
+    resid_g = max_per_point(invs, invs.g - g_exp).tolist()
+    resid_a = max_per_point(invs, invs.A - a_exp).tolist()
+    resid_l1 = np.abs(invs.L1 - L1).tolist()
     reports = []
-    for k, (inv, g, a) in enumerate(zip(invs, g_exp, a_exp), start):
-        shape, center = check_hypersphere(inv, tolerance)
+    for k, (g, a, l1, (shape, center)) in enumerate(
+        zip(resid_g, resid_a, resid_l1, check_hypersphere(invs, tolerance)), start
+    ):
         reports += [
-            CheckReport(f"composition_g[{k}]", float(np.max(np.abs(inv.g - g))), tolerance),
-            CheckReport(f"composition_A[{k}]", float(np.max(np.abs(inv.A - a))), tolerance),
-            CheckReport(f"composition_L1[{k}]", abs(inv.L1 - L1), tolerance),
+            CheckReport(f"composition_g[{k}]", g, tolerance),
+            CheckReport(f"composition_A[{k}]", a, tolerance),
+            CheckReport(f"composition_L1[{k}]", l1, tolerance),
             CheckReport(f"composition_sphere[{k}]", max(shape.residual, center.residual), tolerance),
         ]
     return reports
@@ -299,7 +303,7 @@ def verify_composition(spec: CompositionSpec, sample_points, tolerance: float = 
     (one stacked call) and compare it with the closed forms (see
     composition_reports)."""
     points = np.atleast_2d(np.asarray(sample_points, float))
-    return composition_reports(spec, blaschke_at(compose_chart(spec), points), tolerance)
+    return composition_reports(spec, stack_invariants(blaschke_at(compose_chart(spec), points)), tolerance)
 
 
 def block_sparsity_residual(spec: CompositionSpec, inv: BlaschkeInvariants) -> float:

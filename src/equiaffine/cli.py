@@ -197,43 +197,58 @@ def pipeline_stage(name: str):
         raise ChartBuildError(f"{name}: {exc}") from exc
 
 
-def _dual_reports(inv, tol) -> list[CheckReport]:
-    if inv.L1 >= -L1_ZERO_TOL:  # L1 = 0 within rounding is not hyperbolic
-        return [CheckReport("dual_requires_hyperbolic", abs(inv.L1) + 1.0, 0.0)]
-    data = duality.HyperspherePointData.from_invariants(inv)
-    return [duality.check_gauss_swap(data, tol["dual"]),
-            duality.check_trace_free(duality.dualize(data), tol["apolarity"])]
+def _dual_reports(invs, tol) -> list[list[CheckReport]]:
+    """Per point of a stack: dual_requires_hyperbolic where L1 >= -L1_ZERO_TOL
+    (L1 = 0 within rounding is not hyperbolic), else gauss_swap and
+    minimality on the dual data of the other points, built once."""
+    requires = invs.L1 >= -L1_ZERO_TOL
+    reports = [[CheckReport("dual_requires_hyperbolic", abs(L1) + 1.0, 0.0)] if req else []
+               for req, L1 in zip(requires.tolist(), invs.L1.tolist())]
+    hyperbolic = np.flatnonzero(~requires)
+    if len(hyperbolic):
+        data = duality.HyperspherePointData(g=invs.g[hyperbolic], A=invs.A[hyperbolic], L1=invs.L1[hyperbolic])
+        swap = duality.check_gauss_swap(data, tol["dual"])
+        free = duality.check_trace_free(duality.dualize(data), tol["apolarity"])
+        for k, pair in zip(hyperbolic.tolist(), zip(swap, free)):
+            reports[k].extend(pair)
+    return reports
 
 
-# per-point checks in report order, name -> check(inv, tol) -> reports; entries look
-# their functions up at call time, so wrappers installed by module attribute see them
+# per-point checks in report order, name -> check(invs, tol) -> one list of reports per
+# point of the stacked invariants invs (blaschke.stack_invariants); entries look their
+# functions up at call time, so wrappers installed by module attribute see them
 POINT_CHECKS = {
-    "apolarity": lambda inv, tol: [blaschke.check_apolarity(inv, tol["apolarity"])],
-    "gauss": lambda inv, tol: [blaschke.check_gauss(inv, tol["gauss"])],
-    "ricci": lambda inv, tol: [blaschke.check_ricci(inv, tol["ricci"])],
-    "codazzi": lambda inv, tol: [blaschke.check_codazzi(inv, tol["codazzi"])],
-    "trace_identity": lambda inv, tol: [blaschke.check_trace_identity(inv, tol["trace_identity"])],
-    "gauss_alt": lambda inv, tol: [blaschke.check_gauss_alt(inv, tol["gauss_alt"])],
-    "hypersphere": lambda inv, tol: list(blaschke.check_hypersphere(inv, tol["hypersphere"])),
-    "parallel": lambda inv, tol: [CheckReport("parallel", blaschke.nabla_A_norm(inv), tol["parallel"])],
+    "apolarity": lambda invs, tol: [[rep] for rep in blaschke.check_apolarity(invs, tol["apolarity"])],
+    "gauss": lambda invs, tol: [[rep] for rep in blaschke.check_gauss(invs, tol["gauss"])],
+    "ricci": lambda invs, tol: [[rep] for rep in blaschke.check_ricci(invs, tol["ricci"])],
+    "codazzi": lambda invs, tol: [[rep] for rep in blaschke.check_codazzi(invs, tol["codazzi"])],
+    "trace_identity": lambda invs, tol: [[rep] for rep in blaschke.check_trace_identity(invs, tol["trace_identity"])],
+    "gauss_alt": lambda invs, tol: [[rep] for rep in blaschke.check_gauss_alt(invs, tol["gauss_alt"])],
+    "hypersphere": lambda invs, tol: [list(pair) for pair in blaschke.check_hypersphere(invs, tol["hypersphere"])],
+    "parallel": lambda invs, tol: [[CheckReport("parallel", norm, tol["parallel"])]
+                                   for norm in blaschke.nabla_A_norm(invs)],
     "dual": _dual_reports,
 }
 
 
 def evaluate_points(chart, spec, points, checks, tol, size):
     """The point blocks' lines, their reports and the scene-level reports,
-    from one stacked ``blaschke_at`` call per ``size`` consecutive points.
-    With size 1 this is the point-by-point run, and its first failure is
-    the scene's."""
+    from one stacked ``blaschke_at`` call and one call of each check per
+    ``size`` consecutive points.  With size 1 this is the point-by-point
+    run, and its first failure is the scene's."""
     lines, point_reports, scene_reports, mean_curvature = [], [], [], []
-    per_point = [(name, check) for name, check in POINT_CHECKS.items() if name in checks]
+    per_point = [check for name, check in POINT_CHECKS.items() if name in checks]
     for start in range(0, len(points), size):
         stack = points[start : start + size]
         with pipeline_stage(f"point {start}"):
             invs = blaschke_at(chart, stack)
-            reports = [[rep for _, check in per_point for rep in check(inv, tol)] for inv in invs]
+            stacked = blaschke.stack_invariants(invs)
+            reports = [[] for _ in invs]
+            for check in per_point:
+                for reps, more in zip(reports, check(stacked, tol)):
+                    reps.extend(more)
             if "composition" in checks:
-                scene_reports.extend(calabi.composition_reports(spec, invs, tol["composition"], start))
+                scene_reports.extend(calabi.composition_reports(spec, stacked, tol["composition"], start))
             if start == 0 and "mean_curvature" in checks and spec.s >= 1:
                 mean_curvature = calabi.mean_curvature_reports(spec, invs[0], tol["mean_curvature"])
         for k, (point, inv, reps) in enumerate(zip(stack, invs, reports), start):

@@ -11,6 +11,10 @@ sides are validated through their Gauss-type equations
 
 and trace-freeness of A, which on the Lagrangian side is the minimality
 condition and on the hypersphere side is apolarity.
+
+Point data may also hold a stack of P points (g of shape (P, n, n), L1 or c
+a (P,) vector), validated once for the stack; the checks then return one
+report per point.
 """
 
 from __future__ import annotations
@@ -19,11 +23,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeInvariants, CheckReport
+from .blaschke import BlaschkeInvariants, CheckReport, max_per_point, point_reports
 
 
 class DualityError(ValueError):
     """Raised for data that cannot sit on either side of the duality."""
+
+
+def _check_shapes(g: np.ndarray, cubic: np.ndarray, constant) -> None:
+    """One point's (or a stack's) metric, cubic tensor and constant agree in
+    dimension and in point axes."""
+    n = g.shape[-1]
+    lead = g.shape[:-2]
+    if g.shape[-2:] != (n, n) or cubic.shape != lead + (n, n, n) or np.shape(constant) != lead:
+        raise DualityError("shape mismatch between metric and cubic data")
+
+
+def _check_definite(g: np.ndarray) -> None:
+    if (np.linalg.eigvalsh(g)[..., 0] <= 0).any():
+        raise DualityError("metric must be positive definite")
 
 
 @dataclass(frozen=True)
@@ -40,17 +58,14 @@ class LagrangianPointData:
         sigma = np.asarray(self.sigma, float)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "sigma", sigma)
-        n = g.shape[0]
-        if g.shape != (n, n) or sigma.shape != (n, n, n):
-            raise DualityError("shape mismatch between metric and cubic data")
-        if self.c <= 0:
+        _check_shapes(g, sigma, self.c)
+        if (np.asarray(self.c) <= 0).any():
             raise DualityError("the ambient sectional constant c must be positive")
-        if np.linalg.eigvalsh(g)[0] <= 0:
-            raise DualityError("metric must be positive definite")
+        _check_definite(g)
 
     @property
     def dim(self) -> int:
-        return self.g.shape[0]
+        return self.g.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -66,17 +81,14 @@ class HyperspherePointData:
         A = np.asarray(self.A, float)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "A", A)
-        n = g.shape[0]
-        if g.shape != (n, n) or A.shape != (n, n, n):
-            raise DualityError("shape mismatch between metric and cubic data")
-        if self.L1 >= 0:
+        _check_shapes(g, A, self.L1)
+        if (np.asarray(self.L1) >= 0).any():
             raise DualityError("hypersphere data must be hyperbolic (L1 < 0)")
-        if np.linalg.eigvalsh(g)[0] <= 0:
-            raise DualityError("metric must be positive definite")
+        _check_definite(g)
 
     @property
     def dim(self) -> int:
-        return self.g.shape[0]
+        return self.g.shape[-1]
 
     @classmethod
     def from_invariants(cls, inv: BlaschkeInvariants) -> "HyperspherePointData":
@@ -97,17 +109,18 @@ def dualize(data):
     raise TypeError("dualize expects hypersphere or Lagrangian point data")
 
 
-def curvature_operator(g: np.ndarray, A: np.ndarray, c: float) -> np.ndarray:
+def curvature_operator(g: np.ndarray, A: np.ndarray, c) -> np.ndarray:
     """R(d_i, d_j) d_k as Rup[m, i, j, k] for the hypersphere-side Gauss
-    equation with constant c: R = c (g wedge id) - [A, A]."""
+    equation with constant c: R = c (g wedge id) - [A, A] (leading point
+    axes broadcast, c one value per point)."""
     g_inv = np.linalg.inv(g)
-    n = g.shape[0]
-    A_up = np.einsum("mp,ikp->mik", g_inv, A)  # shape operator A^m_ik of d_i
+    n = g.shape[-1]
+    A_up = np.einsum("...mp,...ikp->...mik", g_inv, A)  # shape operator A^m_ik of d_i
     # [A_X, A_Y] Z with X = d_i, Y = d_j, Z = d_k
-    comm = np.einsum("mil,ljk->mijk", A_up, A_up) - np.einsum("mjl,lik->mijk", A_up, A_up)
+    comm = np.einsum("...mil,...ljk->...mijk", A_up, A_up) - np.einsum("...mjl,...lik->...mijk", A_up, A_up)
     eye = np.eye(n)
-    wedge = np.einsum("jk,mi->mijk", g, eye) - np.einsum("ik,mj->mijk", g, eye)
-    return c * wedge - comm
+    wedge = np.einsum("...jk,mi->...mijk", g, eye) - np.einsum("...ik,mj->...mijk", g, eye)
+    return np.asarray(c)[..., None, None, None, None] * wedge - comm
 
 
 def gauss_residual_hypersphere(data: HyperspherePointData, riemann_up: np.ndarray) -> float:
@@ -116,29 +129,29 @@ def gauss_residual_hypersphere(data: HyperspherePointData, riemann_up: np.ndarra
     return float(np.max(np.abs(riemann_up - expected)))
 
 
-def check_gauss_swap(data: HyperspherePointData, tolerance: float = 1e-12) -> CheckReport:
+def check_gauss_swap(data: HyperspherePointData, tolerance: float = 1e-12) -> CheckReport | list[CheckReport]:
     """Verify that dualizing flips the curvature operator exactly.
 
     The hypersphere Gauss equation determines R from (g, A, L1); the dual
     Lagrangian Gauss equation determines R~ from (g, sigma, c).  The swap
     identity is R~ = -R, which holds algebraically; this check evaluates
-    both sides numerically and reports the residual.
+    both sides numerically and reports the residual (one per point for a
+    stack).
     """
     dual = dualize(data)
     r_hyp = curvature_operator(data.g, data.A, data.L1)
     r_lag = -curvature_operator(dual.g, dual.sigma, -dual.c)
-    resid = float(np.max(np.abs(r_lag - (-r_hyp))))
-    return CheckReport("gauss_swap", resid, tolerance)
+    return point_reports("gauss_swap", max_per_point(data, r_lag - (-r_hyp)), tolerance)
 
 
-def check_trace_free(data, tolerance: float = 1e-8) -> CheckReport:
+def check_trace_free(data, tolerance: float = 1e-8) -> CheckReport | list[CheckReport]:
     """Trace-freeness g^{ij} T_ijk = 0: apolarity on the hypersphere side,
     minimality on the Lagrangian side.  The contraction is literally the
     same, which is the point of the check."""
     cubic = data.A if isinstance(data, HyperspherePointData) else data.sigma
-    trace = np.einsum("ij,ijk->k", np.linalg.inv(data.g), cubic)
+    trace = np.einsum("...ij,...ijk->...k", np.linalg.inv(data.g), cubic)
     name = "apolarity" if isinstance(data, HyperspherePointData) else "minimality"
-    return CheckReport(name, float(np.max(np.abs(trace))), tolerance)
+    return point_reports(name, max_per_point(data, trace), tolerance)
 
 
 def check_involution(data: HyperspherePointData, tolerance: float = 1e-15) -> CheckReport:

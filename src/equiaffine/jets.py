@@ -330,13 +330,14 @@ ELEMENTARY = {"exp": exp, "log": log, "sqrt": sqrt, "sin": sin, "cos": cos}
 # -- linear algebra over jets ------------------------------------------
 
 
-def jet_lu(A: np.ndarray, num_vars: int, B: np.ndarray | None = None):
+def jet_lu(A: np.ndarray, num_vars: int, B: np.ndarray | None = None, det: bool = True):
     """Determinant of a square jet matrix and, when ``B`` is given, the
     solution X of A X = B.
 
     ``A`` is an (..., n, n, M) jet array and ``B`` an (..., n, k, M) one;
-    returns ``(det, X)`` with det of shape (..., M) and X of shape
-    (..., n, k, M), or None.
+    returns ``(det, X)`` with det of shape (..., M), or None when ``det`` is
+    false (a caller that only solves skips the determinant's series), and X
+    of shape (..., n, k, M), or None.
     Write A = A0 + N with A0 the value part and N nilpotent (every entry
     has zero value part, so N^(order+1) = 0 under truncation), and
     Y = A0^{-1} N.  Then, exactly at the jet order,
@@ -359,13 +360,16 @@ def jet_lu(A: np.ndarray, num_vars: int, B: np.ndarray | None = None):
     Y = np.zeros(A.shape)
     Y[..., 1:] = sol[..., :split].reshape(stack + (n, n, size - 1))
 
-    log_det = np.zeros(stack + (size,))  # tr log(I + Y)
-    power = Y
-    for k in range(1, order + 1):
-        log_det += (-1) ** (k + 1) / k * np.trace(power, axis1=-3, axis2=-2)
-        if k < order:
-            power = jet_matmul(power, Y, num_vars)
-    det = np.linalg.det(A[..., 0])[..., None] * exp(log_det, num_vars)
+    if det:
+        log_det = np.zeros(stack + (size,))  # tr log(I + Y)
+        power = Y
+        for k in range(1, order + 1):
+            log_det += (-1) ** (k + 1) / k * np.trace(power, axis1=-3, axis2=-2)
+            if k < order:
+                power = jet_matmul(power, Y, num_vars)
+        det = np.linalg.det(A[..., 0])[..., None] * exp(log_det, num_vars)
+    else:
+        det = None
     if B is None:
         return det, None
 

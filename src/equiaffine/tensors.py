@@ -62,7 +62,7 @@ class MetricField:
         lo = self.coeffs[..., : jet_size(self.dim, self.order - 1)]
         eye = np.zeros(lo.shape)
         eye[..., 0] = np.eye(self.dim)
-        return jet_lu(lo, self.dim, eye)[1]
+        return jet_lu(lo, self.dim, eye, det=False)[1]
 
 
 def _is_symmetric(vals: np.ndarray) -> bool:
@@ -117,12 +117,12 @@ def christoffel(g: MetricField) -> np.ndarray:
     return christoffel_jets(g)[..., 0]
 
 
-def riemann(g: MetricField, gamma_jets: np.ndarray | None = None) -> CurvatureData:
+def riemann(g: MetricField, gamma_jets: np.ndarray | None = None, g_inv: np.ndarray | None = None) -> CurvatureData:
     """Full curvature data of a metric field (needs jet order >= 2); for a
     stack of fields every field of the result, chi too, is stacked.
 
-    ``gamma_jets`` takes the metric's ``christoffel_jets`` when the caller
-    already has them."""
+    ``gamma_jets`` takes the metric's ``christoffel_jets`` and ``g_inv`` the
+    ``np.linalg.inv`` of its values when the caller already has them."""
     if g.order < 2:
         raise ValueError("riemann needs metric jets of order >= 2")
     n = g.dim
@@ -138,11 +138,12 @@ def riemann(g: MetricField, gamma_jets: np.ndarray | None = None) -> CurvatureDa
         - np.einsum("...mjl,...lik->...mijk", gamma, gamma)
     )
     gval = g.values()
-    ginv = np.linalg.inv(gval)
+    if g_inv is None:
+        g_inv = np.linalg.inv(gval)
     riem = np.einsum("...ml,...mijk->...ijkl", gval, rup)
-    ricci = np.einsum("...kl,...kijl->...ij", ginv, riem)
+    ricci = np.einsum("...kl,...kijl->...ij", g_inv, riem)
     if n > 1:
-        chi = np.einsum("...il,...jk,...ijkl->...", ginv, ginv, riem) / (n * (n - 1))
+        chi = np.einsum("...il,...jk,...ijkl->...", g_inv, g_inv, riem) / (n * (n - 1))
     else:
         chi = np.zeros(gval.shape[:-2])
     return CurvatureData(christoffel=gamma, riemann=riem, ricci=ricci, chi=chi)
@@ -160,7 +161,12 @@ def cov_deriv_sym3(a: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     if gamma.shape[-3:] != (n, n, n):
         raise ValueError("tensor and Christoffel dimensions do not match")
     avals = a[..., 0]
-    out = jet_gradient(a, n)[..., 0]
+    # laid out [..., l, k, i, j] in memory whatever the stack size (the layout
+    # of the gradient of one point's A jets from blaschke_at), so contractions
+    # of the result sum in one order for a point alone and in a stack
+    lead = a.ndim - 4
+    out = np.empty(a.shape[:lead] + (n,) * 4).transpose(*range(lead), lead + 2, lead + 3, lead + 1, lead)
+    out[...] = jet_gradient(a, n)[..., 0]
     out -= np.einsum("...mli,...mjk->...ijkl", gamma, avals)
     out -= np.einsum("...mlj,...imk->...ijkl", gamma, avals)
     out -= np.einsum("...mlk,...ijm->...ijkl", gamma, avals)

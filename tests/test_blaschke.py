@@ -6,6 +6,7 @@ import pytest
 
 from equiaffine import BlaschkeInvariants, blaschke_at, parse_chart
 from equiaffine.blaschke import (
+    L1_ZERO_TOL,
     ConvexityError,
     _chart_derivatives,
     _determinant_form,
@@ -17,6 +18,7 @@ from equiaffine.blaschke import (
     check_ricci,
     check_trace_identity,
     nabla_A_norm,
+    stack_invariants,
 )
 from equiaffine.calabi import CompositionSpec, HypersphereFactor, compose_chart
 from equiaffine.catalog import (
@@ -28,6 +30,7 @@ from equiaffine.catalog import (
     random_unimodular,
     sl_so,
 )
+from equiaffine.cli import DEFAULT_TOL, POINT_CHECKS
 from equiaffine.jets import jet_gradient
 from jet_reference import jet_det
 
@@ -354,3 +357,56 @@ def test_stack_gate_names_the_first_failing_point():
 
 def test_empty_stack_gives_no_invariants():
     assert blaschke_at(hyperboloid(2), np.zeros((0, 2))) == []
+
+
+def _bits(reports):
+    return [(rep.check_name, float(rep.residual).hex(), rep.tolerance) for rep in reports]
+
+
+def assert_stacked_checks_match_points(invs):
+    """Every POINT_CHECKS entry on the stack of invs gives each row the bits
+    of the entry on that row's point alone (the stack of P = 1), and every
+    check function on the stack the bits of its one-point call."""
+    stacked = stack_invariants(invs)
+    assert stacked.L1.shape == stacked.J.shape == stacked.chi.shape == (len(invs),)
+    for name, entry in POINT_CHECKS.items():
+        rows = entry(stacked, DEFAULT_TOL)
+        assert len(rows) == len(invs)
+        for k, (inv, row) in enumerate(zip(invs, rows)):
+            assert _bits(row) == _bits(entry(stack_invariants([inv]), DEFAULT_TOL)[0]), (name, k)
+    one_report = (check_apolarity, check_gauss, check_ricci, check_codazzi, check_trace_identity, check_gauss_alt)
+    for check in one_report:
+        assert _bits(check(stacked)) == _bits([check(inv) for inv in invs]), check.__name__
+    assert [_bits(pair) for pair in check_hypersphere(stacked)] == [_bits(check_hypersphere(inv)) for inv in invs]
+    assert [x.hex() for x in nabla_A_norm(stacked)] == [nabla_A_norm(inv).hex() for inv in invs]
+
+
+def _check_stack_cases():
+    cases = [pytest.param(case.values[0], size, id=f"{case.id}-P{size}")
+             for case in _stack_cases() for size in (1, 2, 5)]
+    # einsums on gradient-derived arrays (nabla A) may change their summation
+    # order with the stack size from n = 8 up
+    return cases + [pytest.param(get_chart("hyperboloid", {"n": 9}), 6, id="hyperboloid-n9-P6")]
+
+
+@pytest.mark.parametrize("chart, size", _check_stack_cases())
+def test_stacked_checks_equal_one_point_checks_bitwise(chart, size):
+    assert_stacked_checks_match_points(blaschke_at(chart, chart.sample_points(size, 13)))
+
+
+def test_mixed_stack_takes_each_rows_branch():
+    # hyperbolic, elliptic (L1 > 0) and improper (L1 = 0) rows in turn
+    charts = [get_chart(name, {"n": 2}) for name in ("hyperboloid", "unit_sphere", "elliptic_paraboloid")]
+    by_chart = [blaschke_at(chart, chart.sample_points(2, 5)) for chart in charts]
+    invs = [inv for row in zip(*by_chart) for inv in row]
+    assert_stacked_checks_match_points(invs)
+
+    stacked = stack_invariants(invs)
+    dual = [[rep.check_name for rep in reps] for reps in POINT_CHECKS["dual"](stacked, DEFAULT_TOL)]
+    assert dual == [["gauss_swap", "minimality"], ["dual_requires_hyperbolic"], ["dual_requires_hyperbolic"]] * 2
+    improper = [abs(inv.L1) <= L1_ZERO_TOL for inv in invs]
+    assert improper == [False, False, True] * 2
+    centers = [center.residual for _, center in check_hypersphere(stacked)]
+    assert [c for c, flat in zip(centers, improper) if flat] == [0.0, 0.0]
+    # without the L1 = 0 convention the center residual would be |xi| there
+    assert all(np.max(np.abs(inv.xi)) > 0.1 for inv, flat in zip(invs, improper) if flat)

@@ -6,13 +6,14 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import equiaffine
-from equiaffine import calabi, catalog, cli, jordan
+from equiaffine import blaschke, calabi, catalog, cli, duality, jordan
 from equiaffine.blaschke import blaschke_at
 from equiaffine.cli import (
     DEFAULT_TOL,
@@ -26,6 +27,7 @@ from equiaffine.cli import (
     jordan_selftest,
     main,
     parse_chart_flag,
+    resolve_chart,
     resolve_points,
     run_scene,
 )
@@ -127,19 +129,55 @@ def test_composition_scene_runs_pipeline_once_per_point(monkeypatch):
     assert calls == [(True, (4, 3)), (False, (4, 2))]
 
 
+def test_composition_scene_runs_each_check_once_per_stack(monkeypatch):
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    checks = ("check_apolarity", "check_gauss", "check_ricci", "check_codazzi", "check_trace_identity",
+              "check_gauss_alt", "check_hypersphere", "nabla_A_norm")
+    for name in checks + ("cov_deriv_sym3",):
+        count(blaschke, name)
+    count(calabi, "check_hypersphere")
+    for name in ("check_gauss_swap", "check_trace_free"):
+        count(duality, name)
+    code, _ = run(HYPERBOLOID_COMPOSITION)
+    assert code == 0
+    # the 4 points are one stack: one call of each check and one nabla A for
+    # all of them; check_hypersphere also runs once in composition_reports
+    assert calls == {**dict.fromkeys(checks, 1), "check_hypersphere": 2, "cov_deriv_sym3": 1,
+                     "check_gauss_swap": 1, "check_trace_free": 1}
+
+
 def test_scene_report_is_the_same_in_any_stack_size(monkeypatch):
-    scene = {**HYPERBOLOID_COMPOSITION, "points": {"random": 7, "seed": 4}}
-    _, whole = run(scene)
+    scenes = [
+        {**HYPERBOLOID_COMPOSITION, "points": {"random": 7, "seed": 4}},
+        # the dual check's stacked branch, at n = 5
+        {"chart": {"catalog": "sl_so", "params": {"m": 3}}, "points": {"random": 7, "seed": 4},
+         "checks": ["dual", "apolarity"]},
+    ]
     sizes = []
 
     def counted(chart, points):
         sizes.append(len(points))
         return blaschke_at(chart, points)
 
-    monkeypatch.setattr(cli, "blaschke_at", counted)
-    monkeypatch.setattr(cli, "STACK_COEFFS", 2 * jet_size(3, 4))  # two composed points per stack
-    assert run(scene) == (0, whole)
-    assert sizes == [2, 2, 2, 1]
+    for scene in scenes:
+        _, whole = run(scene)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "blaschke_at", counted)
+            dim = resolve_chart(scene["chart"])[0].dim
+            patch.setattr(cli, "STACK_COEFFS", 2 * jet_size(dim, 4))  # two points per stack
+            assert run(scene) == (0, whole)
+        assert sizes == [2, 2, 2, 1]
+        sizes.clear()
 
 
 @pytest.mark.parametrize("size", [1, 3])

@@ -45,6 +45,25 @@ def test_validation():
         dualize(42)
 
 
+def test_stacked_data_gives_one_report_per_point():
+    rng = np.random.default_rng(3)
+    points = [random_hypersphere_data(3, rng) for _ in range(4)]
+    stacked = HyperspherePointData(g=np.array([d.g for d in points]), A=np.array([d.A for d in points]),
+                                   L1=np.array([d.L1 for d in points]))
+    assert stacked.dim == 3
+    assert check_gauss_swap(stacked) == [check_gauss_swap(d) for d in points]
+    assert check_trace_free(stacked) == [check_trace_free(d) for d in points]
+    assert check_trace_free(dualize(stacked)) == [check_trace_free(dualize(d)) for d in points]
+    # every point is validated, and the constants must match the point axis
+    with pytest.raises(DualityError):
+        HyperspherePointData(g=stacked.g, A=stacked.A, L1=np.array([-1.0, -1.0, 0.5, -1.0]))
+    with pytest.raises(DualityError):
+        HyperspherePointData(g=stacked.g, A=stacked.A, L1=-1.0)
+    with pytest.raises(DualityError):
+        LagrangianPointData(g=stacked.g * np.array([1.0, 1.0, 1.0, -1.0])[:, None, None], sigma=stacked.A,
+                            c=np.ones(4))
+
+
 def test_gauss_swap_on_random_instances():
     rng = np.random.default_rng(11)
     worst = 0.0

@@ -284,6 +284,9 @@ def test_jet_lu_against_numpy_and_jet_det(n, num_vars, order, seed):
     assert np.allclose(X[..., 0], np.linalg.solve(A[..., 0], B[..., 0]), rtol=1e-10, atol=1e-12)
     assert_solves(A, X, B, num_vars)
     assert jet_lu(A, num_vars)[1] is None
+    # a caller that only solves skips the determinant, not a bit of X
+    skipped, X_only = jet_lu(A, num_vars, B, det=False)
+    assert skipped is None and X_only.tobytes() == X.tobytes()
 
 
 @pytest.mark.parametrize("seed", [1110, 2614])

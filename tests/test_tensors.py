@@ -95,6 +95,11 @@ def test_riemann_matches_finite_differences_of_christoffel():
     oracle = np.einsum("ml,mijk->ijkl", gval, rup)
     got = riemann(metric_field(point))
     assert np.max(np.abs(got.riemann - oracle)) < 1e-6
+    # the caller's g^{-1} from the same np.linalg.inv gives the same bits
+    field = metric_field(point)
+    given = riemann(field, None, np.linalg.inv(field.values()))
+    for name in ("riemann", "ricci", "chi"):
+        assert np.asarray(getattr(given, name)).tobytes() == np.asarray(getattr(got, name)).tobytes()
 
 
 def sphere_metric(point, n, order=2):
