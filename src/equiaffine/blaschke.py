@@ -28,14 +28,15 @@ Every step also runs on a stack of points: ``blaschke_at`` on a (P, n)
 point stack carries a leading point axis through every jet array, so a
 stack costs one pass of numpy calls instead of P, and each row is
 computed exactly as its point alone (the same operations in the same
-order, so bitwise equal).  The checks do the same on the invariants of a
-stack (``stack_invariants``): one call per check for all P points.
+order, so bitwise equal).  It returns one BlaschkeInvariants whose fields
+are those stacked arrays, and the checks run on it as they run on one
+point's invariants: one call per check for all P points.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,19 +80,20 @@ class CheckReport:
 
 @dataclass
 class BlaschkeInvariants:
-    """Pointwise bundle of equiaffine invariants in chart coordinates; from
-    ``stack_invariants``, the bundles of P points with a leading point axis
-    on every field (L1, J and chi are then (P,) vectors)."""
+    """Equiaffine invariants in chart coordinates, as ``blaschke_at``
+    returns them: of one point, or of a stack of P points with a leading
+    point axis on every field (shapes below are per point; L1, J and chi
+    are numpy scalars for one point and (P,) vectors for a stack)."""
 
-    point: np.ndarray
+    point: np.ndarray  # (n,)
     g: np.ndarray  # (n, n) SPD
     g_inv: np.ndarray
     A: np.ndarray  # (n, n, n) totally symmetric, indices down
     B: np.ndarray  # (n, n) symmetric, indices down
     xi: np.ndarray  # (n+1,) affine normal
-    L1: float
-    J: float
-    chi: float
+    L1: np.ndarray
+    J: np.ndarray
+    chi: np.ndarray
     frame: np.ndarray  # (n+1, n+1) columns x_1..x_n, xi
     position: np.ndarray  # (n+1,) ambient position of the point
     curvature: tensors.CurvatureData = field(repr=False, default=None)
@@ -110,17 +112,18 @@ class BlaschkeInvariants:
         return self._nabla_A
 
 
-def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants | list[BlaschkeInvariants]:
+def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants:
     """Compute all Blaschke data of a chart at a point (from order-4 jets).
 
-    An (n,) point gives one BlaschkeInvariants; a (P, n) point stack gives
-    a list of P, each bitwise equal to the result for its point alone,
-    from one pass of stacked jet arrays.  A gate that fails names the first
-    failing point of the stack."""
+    An (n,) point gives the invariants of that point; a (P, n) point stack
+    gives them with a leading point axis on every field, from one pass of
+    stacked jet arrays, each row bitwise equal to the result for its point
+    alone.  A gate that fails names the first failing point of the stack;
+    an empty stack raises ValueError."""
     points = np.asarray(points, float)
     stack = points[None] if points.ndim == 1 else points
     if len(stack) == 0:
-        return []
+        raise ValueError(f"blaschke_at needs at least one point, got an empty stack of shape {stack.shape}")
     n = chart.dim
     m1 = jet_size(n, 1)
     x, x1, hess = _chart_derivatives(chart, stack)
@@ -194,26 +197,23 @@ def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants | list[BlaschkeIn
     J = _g_norm2(A, ginv) / (n * (n - 1)) if n > 1 else np.zeros(len(stack))
     curv = riemann(metric, gamma_hat_jets, ginv)
 
-    invs = [
-        BlaschkeInvariants(
-            point=stack[k],
-            g=gval[k],
-            g_inv=ginv[k],
-            A=A[k],
-            B=Bv[k],
-            xi=xi[k, :, 0],
-            L1=float(L1[k]),
-            J=float(J[k]),
-            chi=float(curv.chi[k]),
-            frame=frame_val[k],
-            position=x[k, :, 0],
-            curvature=tensors.CurvatureData(curv.christoffel[k], curv.riemann[k], curv.ricci[k], float(curv.chi[k])),
-            _A_jets=a_jets[k],
-            _gamma_hat=gamma_hat[k],
-        )
-        for k in range(len(stack))
-    ]
-    return invs[0] if points.ndim == 1 else invs
+    row = 0 if points.ndim == 1 else ...  # one point: drop the point axis
+    return BlaschkeInvariants(
+        point=points,
+        g=gval[row],
+        g_inv=ginv[row],
+        A=A[row],
+        B=Bv[row],
+        xi=xi[row, :, 0],
+        L1=L1[row],
+        J=J[row],
+        chi=curv.chi[row],
+        frame=frame_val[row],
+        position=x[row, :, 0],
+        curvature=tensors.CurvatureData(curv.christoffel[row], curv.riemann[row], curv.ricci[row], curv.chi[row]),
+        _A_jets=a_jets[row],
+        _gamma_hat=gamma_hat[row],
+    )
 
 
 def _first(mask: np.ndarray):
@@ -309,32 +309,11 @@ def _symmetrize3(t: np.ndarray) -> np.ndarray:
 
 # -- structural checks ----------------------------------------------------
 #
-# Each check takes one point's invariants, or a stack of them from
-# ``stack_invariants``, and returns one report (or value) for one point and a
+# Each check takes the invariants of one point or of a point stack from
+# ``blaschke_at``, and returns one report (or value) for one point and a
 # list of one per point for a stack.  The contractions are ``...`` einsums
 # over the leading point axis, so a stack row gets the bits its point gets
 # alone.
-
-
-_STACKED = tuple(f.name for f in fields(BlaschkeInvariants) if f.name not in ("curvature", "_nabla_A"))
-_STACKED_CURVATURE = tuple(f.name for f in fields(tensors.CurvatureData))
-
-
-def stack_invariants(invs: list[BlaschkeInvariants]) -> BlaschkeInvariants:
-    """The invariants of P points as one BlaschkeInvariants whose fields carry
-    a leading point axis (L1, J and chi become (P,) vectors), for the checks
-    below to run on all P points in one pass.  Its ``nabla_A`` is one
-    ``cov_deriv_sym3`` call for the whole stack."""
-
-    def stack(rows, name):
-        if len(rows) == 1:  # one point: its own arrays under a new axis, no copy
-            return np.asarray(getattr(rows[0], name))[None]
-        return np.array([getattr(row, name) for row in rows])
-
-    stacked = {name: stack(invs, name) for name in _STACKED}
-    curvature = [inv.curvature for inv in invs]
-    stacked["curvature"] = tensors.CurvatureData(*(stack(curvature, name) for name in _STACKED_CURVATURE))
-    return BlaschkeInvariants(**stacked)
 
 
 def _per_point(x, k: int):

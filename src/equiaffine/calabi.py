@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .blaschke import BlaschkeInvariants, CheckReport, blaschke_at, check_hypersphere, max_per_point, stack_invariants
+from .blaschke import BlaschkeInvariants, CheckReport, blaschke_at, check_hypersphere, max_per_point
 from .dsl import MAX_DIM, ChartDef
 from .jets import jet_embed, jet_mul, jet_variables
 
@@ -260,8 +260,8 @@ def expected_invariants(spec: CompositionSpec, points) -> tuple[np.ndarray, np.n
         sl = idx.factor_slice(alpha)
         finvs = blaschke_at(factor.chart, stack[:, sl])
         rho = cf.factor_conformal[alpha - 1]
-        g[:, sl, sl] = [rho * finv.g for finv in finvs]
-        A[:, sl, sl, sl] = [rho * finv.A for finv in finvs]
+        g[:, sl, sl] = rho * finvs.g
+        A[:, sl, sl, sl] = rho * finvs.A
         for lam in range(1, idx.K):
             coef = cf.A_factor_t[alpha - 1, lam - 1]
             if coef == 0.0:
@@ -276,10 +276,11 @@ def expected_invariants(spec: CompositionSpec, points) -> tuple[np.ndarray, np.n
 
 def composition_reports(spec: CompositionSpec, invs: BlaschkeInvariants, tolerance: float = 1e-6,
                         start: int = 0) -> list[CheckReport]:
-    """The composition_*[k] reports, k = start, start + 1, ...: the stacked
-    Blaschke invariants invs of the composed chart at P points
-    (``stack_invariants``; one stacked factor pipeline call per factor)
-    against the closed forms (g, A, L1 and the hypersphere property)."""
+    """The composition_*[k] reports, k = start, start + 1, ...: the Blaschke
+    invariants invs of the composed chart at a stack of P points
+    (``blaschke_at`` on a (P, n) stack) against the closed forms (g, A, L1
+    and the hypersphere property), with one stacked factor pipeline call
+    per factor."""
     g_exp, a_exp = expected_invariants(spec, invs.point)
     L1 = closed_form(spec).L1
     resid_g = max_per_point(invs, invs.g - g_exp).tolist()
@@ -303,7 +304,7 @@ def verify_composition(spec: CompositionSpec, sample_points, tolerance: float = 
     (one stacked call) and compare it with the closed forms (see
     composition_reports)."""
     points = np.atleast_2d(np.asarray(sample_points, float))
-    return composition_reports(spec, stack_invariants(blaschke_at(compose_chart(spec), points)), tolerance)
+    return composition_reports(spec, blaschke_at(compose_chart(spec), points), tolerance)
 
 
 def block_sparsity_residual(spec: CompositionSpec, inv: BlaschkeInvariants) -> float:
@@ -340,27 +341,28 @@ def mean_curvature_relations(spec: CompositionSpec, point=None, tolerance: float
         for alpha in range(1, spec.s + 1):
             lo, hi = spec.factors[alpha - 1].chart.domain_hint
             point[idx.factor_slice(alpha)] = 0.5 * (lo + hi)
-    return mean_curvature_reports(spec, blaschke_at(compose_chart(spec), point), tolerance)
+    inv = blaschke_at(compose_chart(spec), point)
+    return mean_curvature_reports(spec, inv.g, inv.A, tolerance)
 
 
-def mean_curvature_reports(spec: CompositionSpec, inv: BlaschkeInvariants,
+def mean_curvature_reports(spec: CompositionSpec, g: np.ndarray, A: np.ndarray,
                            tolerance: float = 1e-6) -> list[CheckReport]:
     """The factor mean-curvature identities g(H_a,H_a) = (n-n_a)/(n_a+1) * (-L1)
-    and g(H_a,H_b) = L1 for a != b, from the Blaschke invariants inv of the
-    composed chart at any point."""
+    and g(H_a,H_b) = L1 for a != b, from the Blaschke metric g (n, n) and
+    cubic form A (n, n, n) of the composed chart at any one point."""
     idx = spec.index
     cf = closed_form(spec)
     tsl = idx.t_slice()
-    g_t = inv.g[tsl, tsl]
+    g_t = g[tsl, tsl]
     g_t_inv = np.linalg.inv(g_t)
 
     H = np.zeros((spec.s, idx.K - 1))
     for alpha in range(1, spec.s + 1):
         sl = idx.factor_slice(alpha)
-        g_a = inv.g[sl, sl]
+        g_a = g[sl, sl]
         g_a_inv = np.linalg.inv(g_a)
         # sigma^lam_{i~ j~} = g^{lam mu} A_{i~ j~ mu} (g is block diagonal)
-        sigma0 = np.einsum("lm,ijm->ijl", g_t_inv, inv.A[sl, sl, tsl])
+        sigma0 = np.einsum("lm,ijm->ijl", g_t_inv, A[sl, sl, tsl])
         H[alpha - 1] = np.einsum("ij,ijl->l", g_a_inv, sigma0) / spec.factors[alpha - 1].dim
 
     reports = []

@@ -9,9 +9,9 @@ formatting, one residual line per check per point, and a summary block.
 Exit codes: 0 all checks pass, 1 a check failed (report still emitted),
 2 scene error (unreadable scene file or unwritable report path, parse
 error, malformed, empty, oversized or non-finite input), 3 chart
-construction or domain error at a sample point.  The mean-curvature relations of a
-composition are checked at the first sample point.  Every exit code
-other than 0 and 1 comes with one stderr line.
+construction or domain error at a sample point.  The mean-curvature
+relations of a composition are checked at the first sample point.  Every
+exit code other than 0 and 1 comes with one stderr line.
 """
 
 from __future__ import annotations
@@ -215,8 +215,8 @@ def _dual_reports(invs, tol) -> list[list[CheckReport]]:
 
 
 # per-point checks in report order, name -> check(invs, tol) -> one list of reports per
-# point of the stacked invariants invs (blaschke.stack_invariants); entries look their
-# functions up at call time, so wrappers installed by module attribute see them
+# point of the invariants invs of a point stack (blaschke_at on a (P, n) stack); entries
+# look their functions up at call time, so wrappers installed by module attribute see them
 POINT_CHECKS = {
     "apolarity": lambda invs, tol: [[rep] for rep in blaschke.check_apolarity(invs, tol["apolarity"])],
     "gauss": lambda invs, tol: [[rep] for rep in blaschke.check_gauss(invs, tol["gauss"])],
@@ -242,19 +242,18 @@ def evaluate_points(chart, spec, points, checks, tol, size):
         stack = points[start : start + size]
         with pipeline_stage(f"point {start}"):
             invs = blaschke_at(chart, stack)
-            stacked = blaschke.stack_invariants(invs)
-            reports = [[] for _ in invs]
+            reports = [[] for _ in stack]
             for check in per_point:
-                for reps, more in zip(reports, check(stacked, tol)):
+                for reps, more in zip(reports, check(invs, tol)):
                     reps.extend(more)
             if "composition" in checks:
-                scene_reports.extend(calabi.composition_reports(spec, stacked, tol["composition"], start))
+                scene_reports.extend(calabi.composition_reports(spec, invs, tol["composition"], start))
             if start == 0 and "mean_curvature" in checks and spec.s >= 1:
-                mean_curvature = calabi.mean_curvature_reports(spec, invs[0], tol["mean_curvature"])
-        for k, (point, inv, reps) in enumerate(zip(stack, invs, reports), start):
-            lines.append(f"point[{k}]: {fmt_vector(point)}")
+                mean_curvature = calabi.mean_curvature_reports(spec, invs.g[0], invs.A[0], tol["mean_curvature"])
+        for row, (point, reps) in enumerate(zip(stack, reports)):
+            lines.append(f"point[{start + row}]: {fmt_vector(point)}")
             for name in ("L1", "J", "chi"):
-                lines.append(f"  {name}: {fmt(getattr(inv, name))}")
+                lines.append(f"  {name}: {fmt(getattr(invs, name)[row])}")
             lines.extend("  " + check_line(rep) for rep in reps)
             point_reports.extend(reps)
     return lines, point_reports, scene_reports + mean_curvature

@@ -95,17 +95,28 @@ class HyperspherePointData:
         return cls(g=inv.g, A=inv.A, L1=inv.L1)
 
 
+def _trusted(cls, **values):
+    """Point data valid by construction, built without re-running the
+    checks of ``__post_init__``."""
+    data = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(data, name, value)
+    return data
+
+
 def dualize(data):
     """Map hypersphere data to Lagrangian data or back.
 
     The metric is kept, the cubic tensor is reused verbatim, and the
     curvature constant flips sign: c = -L1 going forward, L1 = -c going
-    back.  Applying dualize twice is the identity.
+    back.  Applying dualize twice is the identity.  The input was validated
+    when it was built, and the result keeps its metric, shapes and the
+    sign of its constant, so the result is not validated again.
     """
     if isinstance(data, HyperspherePointData):
-        return LagrangianPointData(g=data.g, sigma=data.A, c=-data.L1)
+        return _trusted(LagrangianPointData, g=data.g, sigma=data.A, c=-data.L1)
     if isinstance(data, LagrangianPointData):
-        return HyperspherePointData(g=data.g, A=data.sigma, L1=-data.c)
+        return _trusted(HyperspherePointData, g=data.g, A=data.sigma, L1=-data.c)
     raise TypeError("dualize expects hypersphere or Lagrangian point data")
 
 

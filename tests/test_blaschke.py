@@ -1,6 +1,8 @@
 """Invariant pipeline: independent finite-difference oracle, model
 surfaces with known invariants, and the structural identities."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,6 @@ from equiaffine.blaschke import (
     check_ricci,
     check_trace_identity,
     nabla_A_norm,
-    stack_invariants,
 )
 from equiaffine.calabi import CompositionSpec, HypersphereFactor, compose_chart
 from equiaffine.catalog import (
@@ -32,6 +33,7 @@ from equiaffine.catalog import (
 )
 from equiaffine.cli import DEFAULT_TOL, POINT_CHECKS
 from equiaffine.jets import jet_gradient
+from equiaffine.tensors import CurvatureData
 from jet_reference import jet_det
 
 GENERIC = (
@@ -328,12 +330,32 @@ def test_stack_cases_cover_the_catalog():
     assert {case.id for case in _stack_cases()} >= set(ENTRIES)
 
 
+_FIELDS = tuple(f.name for f in fields(BlaschkeInvariants) if f.name not in ("curvature", "_nabla_A"))
+_CURVATURE_FIELDS = tuple(f.name for f in fields(CurvatureData))
+
+
+def _take(invs, index):
+    """Rows of stacked invariants: the point ``index`` (an int: the one-point
+    form) or the points of a slice (a stack), by indexing every field."""
+    curvature = CurvatureData(*(getattr(invs.curvature, name)[index] for name in _CURVATURE_FIELDS))
+    return BlaschkeInvariants(**{name: getattr(invs, name)[index] for name in _FIELDS}, curvature=curvature)
+
+
+def _stack(rows):
+    """One-point invariants as one stack, a leading point axis on every field."""
+    curvature = CurvatureData(*(np.array([getattr(row.curvature, name) for row in rows])
+                                for name in _CURVATURE_FIELDS))
+    return BlaschkeInvariants(**{name: np.array([getattr(row, name) for row in rows]) for name in _FIELDS},
+                              curvature=curvature)
+
+
 @pytest.mark.parametrize("chart", _stack_cases())
 def test_stack_rows_equal_single_points_bitwise(chart):
     points = chart.sample_points(6, 13)
     stacked = blaschke_at(chart, points)
-    assert isinstance(stacked, list) and len(stacked) == len(points)
-    for point, row in zip(points, stacked):
+    assert isinstance(stacked, BlaschkeInvariants) and stacked.point.shape == points.shape
+    for k, point in enumerate(points):
+        row = _take(stacked, k)
         alone = blaschke_at(chart, point)
         assert isinstance(alone, BlaschkeInvariants)
         for name in ("g", "A", "B", "xi", "nabla_A"):
@@ -356,24 +378,26 @@ def test_stack_gate_names_the_first_failing_point():
 
 
 def test_empty_stack_gives_no_invariants():
-    assert blaschke_at(hyperboloid(2), np.zeros((0, 2))) == []
+    with pytest.raises(ValueError, match="empty stack"):
+        blaschke_at(hyperboloid(2), np.zeros((0, 2)))
 
 
 def _bits(reports):
     return [(rep.check_name, float(rep.residual).hex(), rep.tolerance) for rep in reports]
 
 
-def assert_stacked_checks_match_points(invs):
-    """Every POINT_CHECKS entry on the stack of invs gives each row the bits
-    of the entry on that row's point alone (the stack of P = 1), and every
-    check function on the stack the bits of its one-point call."""
-    stacked = stack_invariants(invs)
-    assert stacked.L1.shape == stacked.J.shape == stacked.chi.shape == (len(invs),)
+def assert_stacked_checks_match_points(stacked):
+    """Every POINT_CHECKS entry on the stacked invariants gives each row the
+    bits of the entry on that row's point alone (the stack of P = 1), and
+    every check function on the stack the bits of its one-point call."""
+    size = len(stacked.point)
+    invs = [_take(stacked, k) for k in range(size)]
+    assert stacked.L1.shape == stacked.J.shape == stacked.chi.shape == (size,)
     for name, entry in POINT_CHECKS.items():
         rows = entry(stacked, DEFAULT_TOL)
-        assert len(rows) == len(invs)
-        for k, (inv, row) in enumerate(zip(invs, rows)):
-            assert _bits(row) == _bits(entry(stack_invariants([inv]), DEFAULT_TOL)[0]), (name, k)
+        assert len(rows) == size
+        for k, row in enumerate(rows):
+            assert _bits(row) == _bits(entry(_take(stacked, slice(k, k + 1)), DEFAULT_TOL)[0]), (name, k)
     one_report = (check_apolarity, check_gauss, check_ricci, check_codazzi, check_trace_identity, check_gauss_alt)
     for check in one_report:
         assert _bits(check(stacked)) == _bits([check(inv) for inv in invs]), check.__name__
@@ -398,10 +422,10 @@ def test_mixed_stack_takes_each_rows_branch():
     # hyperbolic, elliptic (L1 > 0) and improper (L1 = 0) rows in turn
     charts = [get_chart(name, {"n": 2}) for name in ("hyperboloid", "unit_sphere", "elliptic_paraboloid")]
     by_chart = [blaschke_at(chart, chart.sample_points(2, 5)) for chart in charts]
-    invs = [inv for row in zip(*by_chart) for inv in row]
-    assert_stacked_checks_match_points(invs)
+    invs = [_take(bundle, k) for k in range(2) for bundle in by_chart]
+    stacked = _stack(invs)
+    assert_stacked_checks_match_points(stacked)
 
-    stacked = stack_invariants(invs)
     dual = [[rep.check_name for rep in reps] for reps in POINT_CHECKS["dual"](stacked, DEFAULT_TOL)]
     assert dual == [["gauss_swap", "minimality"], ["dual_requires_hyperbolic"], ["dual_requires_hyperbolic"]] * 2
     improper = [abs(inv.L1) <= L1_ZERO_TOL for inv in invs]

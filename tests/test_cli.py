@@ -636,3 +636,18 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys):
     code, line = error_line(capsys, ["check", "--chart", "hyperboloid(n=2)", "--out", str(out)])
     assert code == 2
     assert line.startswith("scene error: cannot write report: ")
+
+
+def test_dual_check_validates_the_metric_once_per_stack(monkeypatch, capsys):
+    calls = []
+    check_definite = duality._check_definite
+
+    def counted(g):
+        calls.append(g.shape)
+        return check_definite(g)
+
+    monkeypatch.setattr(duality, "_check_definite", counted)
+    assert main(["dual", "--chart", "sl_so(m=3)", "--points", "4", "--seed", "1"]) == 0
+    capsys.readouterr()
+    # HyperspherePointData validates the stack; dualize's results are valid by construction
+    assert calls == [(4, 5, 5)]
