@@ -73,10 +73,6 @@ class CheckReport:
     def passed(self) -> bool:
         return self.residual <= self.tolerance
 
-    def __str__(self):
-        status = "pass" if self.passed else "FAIL"
-        return f"{self.check_name}: residual={self.residual:.3e} tol={self.tolerance:.1e} {status}"
-
 
 @dataclass
 class BlaschkeInvariants:
@@ -101,6 +97,7 @@ class BlaschkeInvariants:
     _A_jets: np.ndarray = field(repr=False, default=None)  # (n, n, n, M1) order-1 jet array
     _gamma_hat: np.ndarray = field(repr=False, default=None)  # Levi-Civita values
     _nabla_A: np.ndarray = field(repr=False, default=None)  # A_ijk,l values
+    _sphere: tuple = field(repr=False, default=None)  # hypersphere_residuals()
 
     @property
     def dim(self) -> int:
@@ -110,6 +107,12 @@ class BlaschkeInvariants:
         if self._nabla_A is None:
             self._nabla_A = cov_deriv_sym3(self._A_jets, self._gamma_hat)
         return self._nabla_A
+
+    def hypersphere_residuals(self) -> tuple[np.ndarray, np.ndarray]:
+        """(max|B - L1 g|, max|xi + L1 x|) per point, computed once per bundle."""
+        if self._sphere is None:
+            self._sphere = _hypersphere_residuals(self)
+        return self._sphere
 
 
 def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants:
@@ -418,14 +421,20 @@ def check_gauss_alt(inv: BlaschkeInvariants, tolerance: float = 1e-6) -> CheckRe
     return point_reports("gauss_alt", max_per_point(inv, inv.curvature.riemann - rhs), tolerance)
 
 
+def _hypersphere_residuals(inv: BlaschkeInvariants) -> tuple[np.ndarray, np.ndarray]:
+    """(max|B - L1 g|, max|xi + L1 x|) at each point; the center residual is
+    0 by convention when L1 = 0 (``L1_ZERO_TOL``)."""
+    resid_b = max_per_point(inv, inv.B - _per_point(inv.L1, 2) * inv.g)
+    resid_c = max_per_point(inv, inv.xi + _per_point(inv.L1, 1) * inv.position)
+    return resid_b, np.where(np.abs(inv.L1) > L1_ZERO_TOL, resid_c, 0.0)
+
+
 def check_hypersphere(inv: BlaschkeInvariants, tolerance: float = 1e-6):
     """Affine hypersphere tests: B = L1 g, and xi = -L1 x for proper spheres
     centered at the origin.  Returns (shape-operator report, center report),
-    one such pair per point for a stack; the center residual is 0 by
-    convention when L1 = 0 (``L1_ZERO_TOL``)."""
-    resid_b = max_per_point(inv, inv.B - _per_point(inv.L1, 2) * inv.g)
-    resid_c = max_per_point(inv, inv.xi + _per_point(inv.L1, 1) * inv.position)
-    resid_c = np.where(np.abs(inv.L1) > L1_ZERO_TOL, resid_c, 0.0)
+    one such pair per point for a stack, from the bundle's cached
+    ``hypersphere_residuals()``."""
+    resid_b, resid_c = inv.hypersphere_residuals()
     shape = point_reports("hypersphere_shape", resid_b, tolerance)
     center = point_reports("hypersphere_center", resid_c, tolerance)
     return (shape, center) if isinstance(shape, CheckReport) else list(zip(shape, center))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .blaschke import BlaschkeInvariants, CheckReport, blaschke_at, check_hypersphere, max_per_point
+from .blaschke import BlaschkeInvariants, CheckReport, blaschke_at, max_per_point
 from .dsl import MAX_DIM, ChartDef
 from .jets import jet_embed, jet_mul, jet_variables
 
@@ -286,15 +286,14 @@ def composition_reports(spec: CompositionSpec, invs: BlaschkeInvariants, toleran
     resid_g = max_per_point(invs, invs.g - g_exp).tolist()
     resid_a = max_per_point(invs, invs.A - a_exp).tolist()
     resid_l1 = np.abs(invs.L1 - L1).tolist()
+    resid_b, resid_c = (r.tolist() for r in invs.hypersphere_residuals())
     reports = []
-    for k, (g, a, l1, (shape, center)) in enumerate(
-        zip(resid_g, resid_a, resid_l1, check_hypersphere(invs, tolerance)), start
-    ):
+    for k, (g, a, l1, b, c) in enumerate(zip(resid_g, resid_a, resid_l1, resid_b, resid_c), start):
         reports += [
             CheckReport(f"composition_g[{k}]", g, tolerance),
             CheckReport(f"composition_A[{k}]", a, tolerance),
             CheckReport(f"composition_L1[{k}]", l1, tolerance),
-            CheckReport(f"composition_sphere[{k}]", max(shape.residual, center.residual), tolerance),
+            CheckReport(f"composition_sphere[{k}]", max(b, c), tolerance),
         ]
     return reports
 
@@ -317,17 +316,13 @@ def block_sparsity_residual(spec: CompositionSpec, inv: BlaschkeInvariants) -> f
     labels = np.zeros(idx.n, dtype=int)
     for alpha in range(1, spec.s + 1):
         labels[idx.factor_slice(alpha)] = alpha
-    worst = 0.0
-    n = idx.n
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                tri = sorted((labels[i], labels[j], labels[k]))
-                nonzero = [x for x in tri if x != 0]
-                allowed = len(set(nonzero)) <= 1
-                if not allowed:
-                    worst = max(worst, abs(inv.A[i, j, k]))
-    return worst
+    a, b, c = labels[:, None, None], labels[None, :, None], labels[None, None, :]
+
+    def differ(x, y):  # two different nonzero labels
+        return (x != 0) & (y != 0) & (x != y)
+
+    mixed = differ(a, b) | differ(a, c) | differ(b, c)
+    return float(np.abs(inv.A[mixed]).max(initial=0.0))
 
 
 def mean_curvature_relations(spec: CompositionSpec, point=None, tolerance: float = 1e-6) -> list[CheckReport]:

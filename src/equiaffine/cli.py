@@ -341,7 +341,7 @@ def jordan_selftest(out) -> int:
         relation(E, E[j], 0.0), relation(Ej, Fi_x, 0.5 * Fi_x), relation(Fi_x, Fj_y, 0.5 * Fk_xy),
     ), 1e-12))
 
-    I3, E1, E2 = jordan.JordanMatrix.identity(), jordan.JordanMatrix.diag_unit(1), jordan.JordanMatrix.diag_unit(2)
+    I3, E1, E2 = E.sum(axis=0), E[0], E[1]
     rows.append(CheckReport("det_identity_is_one", abs(jordan.jordan_det(I3) - 1.0), 0.0))
     rows.append(CheckReport("det_rank_two_is_zero", abs(jordan.jordan_det(E1 + E2)), 1e-15))
 

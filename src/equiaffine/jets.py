@@ -348,6 +348,11 @@ def jet_lu(A: np.ndarray, num_vars: int, B: np.ndarray | None = None, det: bool 
     One ``np.linalg.solve`` on the value parts (LAPACK pivots) gives Y and
     A0^{-1} B; the sum is ``order`` Horner steps.  A singular value part
     (in any stack entry) raises ``np.linalg.LinAlgError``.
+
+    The determinant is accurate relative to the size of its own series,
+    |det A0| exp(sum_k tr(|Y|^k) / k), not relative to the size of the
+    determinant's terms: for an ill-conditioned value part A0 the series
+    terms cancel, and the high-order coefficients lose relative accuracy.
     """
     n, size = A.shape[-2], A.shape[-1]
     stack = A.shape[:-3]

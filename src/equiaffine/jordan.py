@@ -14,12 +14,15 @@ so a matrix with diagonal (xi1, xi2, xi3) and octonion entries x1, x2,
 x3 has coordinates (xi1, xi2, xi3, x1, x2, x3).  Note the F-basis
 vectors have trace-form norm squared 2, not 1.
 
-The kernels broadcast over leading axes: oct_mul takes (..., 8) stacks,
-jordan_mul, jordan_inner and mult_operator (..., 27) coordinate stacks
-(or a JordanMatrix), _mat_mul and bracket_operator (..., 3, 3, 8) entry
-stacks.  Each contracts the whole stack with its structure tensor in one
-flat matmul and then makes one batched product with the other operand,
-so a check over many samples is one call, not a Python loop.
+An element of the Albert algebra is its (..., 27) coordinate array; the
+(3, 3, 8) entry layout appears only where the octonion matrix product
+needs it (_mat_mul and bracket_operator).  The kernels broadcast over
+leading axes: oct_mul takes (..., 8) stacks, jordan_mul, jordan_inner,
+jordan_cross, jordan_det and mult_operator (..., 27) coordinate stacks,
+_mat_mul and bracket_operator (..., 3, 3, 8) entry stacks.  Each
+contracts the whole stack with its structure tensor in one flat matmul
+and then makes one batched product with the other operand, so a check
+over many samples is one call, not a Python loop.
 
 The equivariant-orbit data built from this algebra (base point C * I3,
 induced metric g_o, cubic form A_o on the traceless part) is packaged by
@@ -117,77 +120,9 @@ def _entries(coords: np.ndarray) -> np.ndarray:
     return m
 
 
-class JordanMatrix:
-    """3x3 octonion Hermitian matrix stored as a (3, 3, 8) real array."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: np.ndarray):
-        entries = np.asarray(entries, float)
-        if entries.shape != (3, 3, OCT_DIM):
-            raise ValueError("JordanMatrix needs a (3, 3, 8) array")
-        if not _negligible(entries - oct_conj(entries).transpose(1, 0, 2), entries, 3):
-            raise ValueError("entries are not octonion Hermitian")
-        self.entries = entries
-
-    @classmethod
-    def _trusted(cls, entries: np.ndarray) -> "JordanMatrix":
-        """Wrap float entries that are Hermitian by construction, unchecked."""
-        m = cls.__new__(cls)
-        m.entries = entries
-        return m
-
-    @classmethod
-    def from_parts(cls, xi, x1, x2, x3) -> "JordanMatrix":
-        """Diagonal reals (xi1, xi2, xi3) and octonions per the layout
-        [[xi1, x3, conj(x2)], [conj(x3), xi2, x1], [x2, conj(x1), xi3]]."""
-        return cls.from_coords(np.concatenate([xi, x1, x2, x3]))
-
-    @classmethod
-    def from_coords(cls, coords: np.ndarray) -> "JordanMatrix":
-        coords = np.asarray(coords, float)
-        if coords.shape != (JORDAN_DIM,):
-            raise ValueError("expected 27 coordinates")
-        return cls._trusted(_entries(coords))
-
-    def coords(self) -> np.ndarray:
-        """Coordinates in the frozen (E_i, F_i(e_k)) basis."""
-        return self.entries[_ROW, _COL, _OCT]
-
-    @classmethod
-    def identity(cls) -> "JordanMatrix":
-        return cls.from_parts(np.ones(3), np.zeros(8), np.zeros(8), np.zeros(8))
-
-    @classmethod
-    def diag_unit(cls, i: int) -> "JordanMatrix":
-        return cls.from_coords(np.eye(JORDAN_DIM)[i - 1])
-
-    @classmethod
-    def off_diag(cls, i: int, x) -> "JordanMatrix":
-        """F_i(x) for i in {1, 2, 3}."""
-        parts = [np.zeros(8), np.zeros(8), np.zeros(8)]
-        parts[i - 1] = np.asarray(x, float)
-        return cls.from_parts(np.zeros(3), *parts)
-
-    def __add__(self, other):
-        return JordanMatrix._trusted(self.entries + other.entries)
-
-    def __sub__(self, other):
-        return JordanMatrix._trusted(self.entries - other.entries)
-
-    def __mul__(self, scalar):
-        return JordanMatrix._trusted(self.entries * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return JordanMatrix._trusted(-self.entries)
-
-    def trace(self) -> float:
-        return float(self.entries[0, 0, 0] + self.entries[1, 1, 0] + self.entries[2, 2, 0])
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.entries)))
+def _from_entries(entries: np.ndarray) -> np.ndarray:
+    """(..., 27) coordinates of (..., 3, 3, 8) Hermitian entries."""
+    return entries[..., _ROW, _COL, _OCT]
 
 
 def _mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -202,14 +137,9 @@ def _mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (lhs @ rhs[..., None, :, :]).swapaxes(-1, -2)
 
 
-def basis_27() -> list[JordanMatrix]:
-    """The frozen coordinate basis E1, E2, E3, F_i(e_k)."""
-    return [JordanMatrix.from_coords(e) for e in np.eye(JORDAN_DIM)]
-
-
 @lru_cache(maxsize=1)
 def _basis_entries() -> np.ndarray:
-    """(27, 3, 3, 8) stack of the entries of basis_27()."""
+    """(27, 3, 3, 8) entries of the frozen coordinate basis E1, E2, E3, F_i(e_k)."""
     stack = _entries(np.eye(JORDAN_DIM))
     stack.setflags(write=False)
     return stack
@@ -221,14 +151,9 @@ def jordan_table() -> np.ndarray:
     B = _basis_entries()
     prods = np.einsum("apqi,bqrj,ijk->abprk", B, B, oct_table(), optimize=True)
     prods = 0.5 * (prods + prods.swapaxes(0, 1))
-    table = np.ascontiguousarray(prods[:, :, _ROW, _COL, _OCT])
+    table = np.ascontiguousarray(_from_entries(prods))
     table.setflags(write=False)
     return table
-
-
-def _coords(X) -> np.ndarray:
-    """Coordinates of a JordanMatrix, or a (..., 27) coordinate stack as floats."""
-    return X.coords() if isinstance(X, JordanMatrix) else np.asarray(X, float)
 
 
 def jordan_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -241,42 +166,35 @@ def jordan_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (y[..., None, :] @ flat.reshape(x.shape[:-1] + (JORDAN_DIM, JORDAN_DIM)))[..., 0, :]
 
 
-def jordan_product(X: JordanMatrix, Y: JordanMatrix) -> JordanMatrix:
-    return JordanMatrix.from_coords(jordan_mul(X.coords(), Y.coords()))
+def _trace(x: np.ndarray) -> np.ndarray:
+    """tr X = xi1 + xi2 + xi3 of (..., 27) coordinate stacks."""
+    return x[..., :3].sum(axis=-1)
 
 
-def jordan_inner(X, Y):
-    """tr(X o Y) of JordanMatrix arguments or (..., 27) coordinate stacks."""
-    return jordan_mul(_coords(X), _coords(Y))[..., :3].sum(axis=-1)
+def jordan_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """tr(X o Y) of (..., 27) coordinate stacks; broadcasts."""
+    return _trace(jordan_mul(x, y))
 
 
-def jordan_cross(X: JordanMatrix, Y: JordanMatrix) -> JordanMatrix:
-    """Freudenthal cross product X x Y."""
-    prod = jordan_product(X, Y)
-    tx, ty = X.trace(), Y.trace()
-    scal = tx * ty - prod.trace()
-    m = 2.0 * prod.entries - ty * X.entries - tx * Y.entries + scal * JordanMatrix.identity().entries
-    return JordanMatrix(0.5 * m)
+def jordan_cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Freudenthal cross product X x Y = (2 X o Y - tr(Y) X - tr(X) Y +
+    (tr X tr Y - tr(X o Y)) I3) / 2 of (..., 27) coordinate stacks; broadcasts."""
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    prod = jordan_mul(x, y)
+    tx, ty = _trace(x)[..., None], _trace(y)[..., None]
+    scal = tx * ty - _trace(prod)[..., None]
+    return 0.5 * (2.0 * prod - ty * x - tx * y + scal * _I3)
 
 
-def jordan_det(X: JordanMatrix) -> float:
-    return jordan_inner(jordan_cross(X, X), X) / 3.0
+def jordan_det(x: np.ndarray) -> np.ndarray:
+    """Cubic determinant (X x X, X) / 3 of (..., 27) coordinate stacks."""
+    return jordan_inner(jordan_cross(x, x), x) / 3.0
 
 
-def jordan_ops(X: JordanMatrix, Y: JordanMatrix) -> dict:
-    """Product, inner product, cross product and det(X) in one call."""
-    return {
-        "product": jordan_product(X, Y),
-        "inner": jordan_inner(X, Y),
-        "cross": jordan_cross(X, Y),
-        "det_X": jordan_det(X),
-    }
-
-
-def mult_operator(T) -> np.ndarray:
+def mult_operator(t: np.ndarray) -> np.ndarray:
     """27x27 matrix of X -> T o X in the frozen basis, column b = T o e_b;
     a (..., 27) coordinate stack gives a (..., 27, 27) stack."""
-    return jordan_mul(_coords(T)[..., None, :], np.eye(JORDAN_DIM)).swapaxes(-1, -2)
+    return jordan_mul(np.asarray(t, float)[..., None, :], np.eye(JORDAN_DIM)).swapaxes(-1, -2)
 
 
 def bracket_operator(A: np.ndarray) -> np.ndarray:
@@ -299,7 +217,7 @@ def bracket_operator(A: np.ndarray) -> np.ndarray:
     herm -= imgs  # conj(imgs)^t - imgs, in the conjugate's buffer
     if not _negligible(herm, imgs, 4):
         raise ValueError("bracket image is not octonion Hermitian")
-    return imgs[..., _ROW, _COL, _OCT].swapaxes(-1, -2)
+    return _from_entries(imgs).swapaxes(-1, -2)
 
 
 def random_skew_offdiag(rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
@@ -313,10 +231,12 @@ def random_skew_offdiag(rng: np.random.Generator, shape: tuple = ()) -> np.ndarr
     return a
 
 
-def traceless_basis() -> list[JordanMatrix]:
-    """A (non-orthogonal) basis of the 26-dimensional traceless part."""
-    E1, E2, E3 = (JordanMatrix.diag_unit(i) for i in (1, 2, 3))
-    return [E1 - E2, E2 - E3] + basis_27()[3:]
+def traceless_basis() -> np.ndarray:
+    """(26, 27) coordinates of a (non-orthogonal) basis of the traceless
+    part: E1 - E2, E2 - E3, then the F_i(e_k)."""
+    basis = np.eye(JORDAN_DIM)[1:]
+    basis[:2, :3] = [[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]]
+    return basis
 
 
 def random_traceless_coords(rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
@@ -327,18 +247,14 @@ def random_traceless_coords(rng: np.random.Generator, shape: tuple = ()) -> np.n
     return c
 
 
-def random_traceless(rng: np.random.Generator) -> JordanMatrix:
-    return JordanMatrix.from_coords(random_traceless_coords(rng))
-
-
 @dataclass(frozen=True)
 class EmbeddingData:
     """Base-point data of the determinant-preserving orbit of C * I3."""
 
     L1: float
     C: float
-    x_o: JordanMatrix
-    on_basis: tuple[JordanMatrix, ...]  # g_o-orthonormal basis of the traceless part
+    x_o: np.ndarray  # (27,) coordinates of the base point C * I3
+    on_basis: np.ndarray  # (26, 27) basis change Q: row i is T_i of a g_o-orthonormal traceless basis
     g_o: np.ndarray  # (26, 26) in on_basis coordinates (the identity, kept for checks)
     A_o: np.ndarray  # (26, 26, 26) in on_basis coordinates
 
@@ -358,19 +274,17 @@ def e6_embedding_data(L1: float) -> EmbeddingData:
         raise ValueError("the orbit construction needs L1 < 0")
     n = JORDAN_DIM - 1
     C = np.sqrt(3.0) * (-3.0 * L1) ** (-(n + 2) / 2.0)
-    x_o = C * JordanMatrix.identity()
+    x_o = C * _I3
 
     # tr(X o Y) = sum_c w_c x_c y_c: the F-basis vectors have norm squared 2
     w = np.repeat([1.0, 2.0], [3, JORDAN_DIM - 3])
     g_w = w / (-3.0 * L1)
     # Gram-Schmidt in g_o, in basis order: Q = L^-1 V for the Gram matrix L L^t
-    V = np.array([b.coords() for b in traceless_basis()])
+    V = traceless_basis()
     Q = np.linalg.solve(np.linalg.cholesky((V * g_w) @ V.T), V)
     gram = (Q * g_w) @ Q.T
     A_o = np.einsum("ia,jb,abc,kc->ijk", Q, Q, jordan_table(), Q * w, optimize=True) / 3.0
-    on = [JordanMatrix.from_coords(q) for q in Q]
-
-    return EmbeddingData(L1=L1, C=C, x_o=x_o, on_basis=tuple(on), g_o=gram, A_o=A_o)
+    return EmbeddingData(L1=L1, C=C, x_o=x_o, on_basis=Q, g_o=gram, A_o=A_o)
 
 
 def gaussf_residual(data: EmbeddingData, X, Y):
@@ -379,11 +293,11 @@ def gaussf_residual(data: EmbeddingData, X, Y):
     per member of (..., 27) coordinate stacks.  The largest entry of a
     matrix is its largest coordinate, so the residual is taken on those."""
     C = data.C
-    prod = jordan_mul(_coords(X), _coords(Y))
-    t = prod[..., :3].sum(axis=-1, keepdims=True)
+    prod = jordan_mul(X, Y)
+    t = _trace(prod)[..., None]
     lhs = C * prod
     tangential = C * (prod - (t / 3.0) * _I3)
-    transversal = (C * jordan_inner(X, Y)[..., None] / 3.0) * _I3
+    transversal = (C * t / 3.0) * _I3
     return np.abs(lhs - tangential - transversal).max(axis=-1)
 
 
@@ -391,14 +305,8 @@ def hypersphere_residual(data: EmbeddingData) -> float:
     """max |xi + L1 x_o| where xi is the g_o-trace of the transversal
     second-derivative parts, (1/n) sum_i C (T_i, T_i) I3 / 3 over the
     g_o-orthonormal basis."""
-    on = np.array([t.coords() for t in data.on_basis])
-    xi = np.sum(data.C * jordan_inner(on, on) / 3.0) / data.dim * _I3
-    return float(np.max(np.abs(xi + data.L1 * data.x_o.coords())))
-
-
-def transversality_residual(data: EmbeddingData, T):
-    """(T, I3) = tr T must vanish for tangent directions T; one per member."""
-    return np.abs(jordan_inner(T, _I3))
+    xi = np.sum(data.C * jordan_inner(data.on_basis, data.on_basis) / 3.0) / data.dim * _I3
+    return float(np.max(np.abs(xi + data.L1 * data.x_o)))
 
 
 def apolarity_residual(data: EmbeddingData) -> float:

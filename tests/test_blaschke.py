@@ -330,7 +330,7 @@ def test_stack_cases_cover_the_catalog():
     assert {case.id for case in _stack_cases()} >= set(ENTRIES)
 
 
-_FIELDS = tuple(f.name for f in fields(BlaschkeInvariants) if f.name not in ("curvature", "_nabla_A"))
+_FIELDS = tuple(f.name for f in fields(BlaschkeInvariants) if f.name not in ("curvature", "_nabla_A", "_sphere"))
 _CURVATURE_FIELDS = tuple(f.name for f in fields(CurvatureData))
 
 

@@ -1,5 +1,7 @@
 """Calabi compositions: closed forms against the pipeline oracle."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -99,7 +101,7 @@ def test_verify_composition_specs(r, dims):
     pts = chart.sample_points(3, 17)
     reports = verify_composition(spec, pts, 1e-6)
     for rep in reports:
-        assert rep.passed, str(rep)
+        assert rep.passed, rep
 
 
 def test_closed_form_full_assembly_matches_pipeline():
@@ -119,13 +121,24 @@ def test_block_sparsity_of_cubic_form():
     assert block_sparsity_residual(spec, inv) < 1e-10
 
 
+def test_block_sparsity_residual_is_the_largest_mixed_component():
+    # r = 1, factors of dimension 1 and 2: coordinate labels 0, 0 (t-block), 1, 2, 2
+    spec = CompositionSpec(r=1, factors=(flat_factor(1, 1.0), flat_factor(2, 1.0)), constants=(1.0, 1.0, 1.0))
+    labels = [0, 0, 1, 2, 2]
+    A = np.random.default_rng(3).standard_normal((5, 5, 5))
+    mixed = [t for t in np.ndindex(A.shape) if len({labels[i] for i in t} - {0}) > 1]
+    assert block_sparsity_residual(spec, SimpleNamespace(A=A)) == max(abs(A[t]) for t in mixed)
+    A[tuple(np.transpose(mixed))] = 0.0
+    assert block_sparsity_residual(spec, SimpleNamespace(A=A)) == 0.0
+
+
 def test_mean_curvature_relations():
     spec = CompositionSpec(r=0, factors=(flat_factor(1, 1.0), flat_factor(2, 1.0)), constants=(1.0, 1.0))
     for rep in mean_curvature_relations(spec):
-        assert rep.passed, str(rep)
+        assert rep.passed, rep
     spec2 = CompositionSpec(r=1, factors=(flat_factor(2, 0.5),), constants=(1.5, 1.0))
     for rep in mean_curvature_relations(spec2):
-        assert rep.passed, str(rep)
+        assert rep.passed, rep
 
 
 def test_composed_chart_is_hypersphere_everywhere():
@@ -151,4 +164,4 @@ def test_nested_composition_factor():
     )
     reports = verify_composition(outer, compose_chart(outer).sample_points(2, 3), 1e-6)
     for rep in reports:
-        assert rep.passed, str(rep)
+        assert rep.passed, rep

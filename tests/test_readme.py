@@ -9,7 +9,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 def test_readme_python_blocks_run_in_order():
     text = README.read_text()
     blocks = list(re.finditer(r"^```python\n(.*?)^```", text, flags=re.DOTALL | re.MULTILINE))
-    assert len(blocks) == 3
+    assert len(blocks) == 4
     namespace = {}
     for block in blocks:
         # pad with the lines before the block, so tracebacks give README line numbers
