@@ -24,6 +24,11 @@ nonsingular value part.  That holds here: M is nonsingular for an
 immersion, G is definite (otherwise ConvexityError is raised first) and
 the frame is nonsingular (otherwise FrameError).
 
+Each value matrix is factorized once per stack.  One SVD of the tangent
+values (``dsl.eval_immersion``) gives the immersion check and w, one
+``eigvalsh`` of G the convexity check and g's SPD check, g's ``jet_lu``
+solve the values of g^{-1}, and the frame's the shape operator B too.
+
 Every step also runs on a stack of points: ``blaschke_at`` on a (P, n)
 point stack carries a leading point axis through every jet array, so a
 stack costs one pass of numpy calls instead of P, and each row is
@@ -41,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensors
-from .dsl import ChartDef, eval_chart_jet
+from .dsl import ChartDef, eval_immersion
 from .jets import jet_einsum, jet_gradient, jet_lu, jet_mul, jet_size
 from .jets import power as jet_power
 from .tensors import MetricField, cov_deriv_sym3, riemann
@@ -129,24 +134,29 @@ def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants:
         raise ValueError(f"blaschke_at needs at least one point, got an empty stack of shape {stack.shape}")
     n = chart.dim
     m1 = jet_size(n, 1)
-    x, x1, hess = _chart_derivatives(chart, stack)
-    G = _determinant_form(x1, hess, stack)
+    x, x1, hess, normal = _chart_derivatives(chart, stack)
+    G = _determinant_form(x1, hess, normal, stack)
     eig = np.linalg.eigvalsh(G[..., 0])
     definite = eig[:, 0] > 0
     k = _first(~definite & ~(eig[:, -1] < 0))
     if k is not None:
         raise ConvexityError(f"chart is not locally strongly convex at {stack[k]} (form eigenvalues {eig[k]})")
     Gp = np.where(definite[:, None, None, None], G, -G)
+    eig_p = np.where(definite[:, None], eig, -eig[:, ::-1])  # eigenvalues of eps G, ascending
 
-    # Berwald-Blaschke metric g = |det G|^{-1/(n+2)} * (eps G)
+    # Berwald-Blaschke metric g = |det G|^{-1/(n+2)} * (eps G): symmetric as G
+    # is, and its value part's eigenvalues are s0 * eig(eps G), s0 > 0 the
+    # scale's value part, so the SPD gate needs no second eigen-decomposition
     try:
         det_g, _ = jet_lu(Gp, n)
     except np.linalg.LinAlgError as exc:
         raise ConvexityError(f"second-order form is degenerate at {stack[_first_singular(Gp[..., 0])]}") from exc
     scale = jet_power(det_g, -1.0 / (n + 2), n)
-    metric = MetricField(n, jet_mul(scale[:, None, None], Gp, n))
+    g = jet_mul(scale[:, None, None], Gp, n)
+    tensors.check_spd_eigenvalues(scale[:, :1] * eig_p)
+    metric = tensors._trusted(MetricField, dim=n, coeffs=g)
     gval = metric.values()
-    ginv = np.linalg.inv(gval)
+    ginv = np.ascontiguousarray(metric.inverse[..., 0])  # a fixed layout, as for the checks' einsums
     g1 = metric.coeffs[..., :m1]
 
     # Levi-Civita of g: order-1 jets and their values
@@ -169,12 +179,17 @@ def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants:
     k = _first(sv[:, -1] <= 1e-12 * sv[:, 0])
     if k is not None:
         raise FrameError(f"frame {{x_k, xi}} is singular at {stack[k]}")
+    # one solve for both: the pairs (i, j) of x_ij, then xi_i = d_i xi (value parts)
     rows, cols = _lower(n)
-    _, sol = jet_lu(frame, n, hess[:, rows, cols].swapaxes(1, 2), det=False)  # [coefficient, pair]
+    pairs = len(rows)
+    rhs = np.zeros((len(stack), n + 1, pairs + n, m1))
+    rhs[:, :, :pairs] = hess[:, rows, cols].swapaxes(1, 2)
+    rhs[:, :, pairs:, 0] = jet_gradient(xi, n)[..., 0]
+    _, sol = jet_lu(frame, n, rhs, det=False)  # [coefficient, pair or direction]
     gamma_ind = np.empty((len(stack), n, n, n, m1))  # induced connection [k, i, j]
-    gamma_ind[:, :, rows, cols] = gamma_ind[:, :, cols, rows] = sol[:, :n]
+    gamma_ind[:, :, rows, cols] = gamma_ind[:, :, cols, rows] = sol[:, :n, :pairs]
     h_val = np.empty((len(stack), n, n))
-    h_val[:, rows, cols] = h_val[:, cols, rows] = sol[:, n, :, 0]
+    h_val[:, rows, cols] = h_val[:, cols, rows] = sol[:, n, :pairs, 0]
     h_resid = np.max(np.abs(h_val - gval), axis=(1, 2))
     k = _first(h_resid > H_EQUALS_G_TOL * np.maximum(1.0, np.max(np.abs(gval), axis=(1, 2))))
     if k is not None:
@@ -186,8 +201,9 @@ def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants:
     a_jets = jet_einsum("kl,lij->ijk", g1, gamma_ind - gamma_hat_jets, n)
     A = _symmetrize3(a_jets[..., 0])
 
-    # shape operator: xi_i = -B^k_i x_k + tau_i xi
-    coeff = np.linalg.solve(frame_val, jet_gradient(xi, n)[..., 0])  # (P, n+1, n): columns per direction i
+    # shape operator: xi_i = -B^k_i x_k + tau_i xi; the right-hand side has no
+    # higher-order part, so the solution's value part is the plain solve
+    coeff = sol[:, :, pairs:, 0]  # (P, n+1, n): columns per direction i
     B_up = -coeff[:, :n, :]  # B^k_i
     tau = coeff[:, n, :]
     k = _first(np.max(np.abs(tau), axis=1) > TAU_TOL * np.maximum(1.0, np.max(np.abs(B_up), axis=(1, 2))))
@@ -260,30 +276,31 @@ def _g_norm2(t: np.ndarray, g_inv: np.ndarray):
 
 
 def _chart_derivatives(chart: ChartDef, points: np.ndarray):
-    """Chart jets x (n+1, M4), first derivatives x1[k, a] = d_k x^a (order 3)
-    and second derivatives hess[i, j, a] = d_i d_j x^a (order 2), each with
-    a leading point axis for a (P, n) point stack."""
+    """Chart jets x (n+1, M4), first derivatives x1[k, a] = d_k x^a (order 3),
+    second derivatives hess[i, j, a] = d_i d_j x^a (order 2) and a unit
+    normal (n+1,) to the tangents (``eval_immersion``), each with a leading
+    point axis for a (P, n) point stack."""
     n = chart.dim
-    x = eval_chart_jet(chart, points, 4)
+    x, normal = eval_immersion(chart, points, 4)
     x1 = jet_gradient(x, n).swapaxes(-3, -2)
     # x_ij = d_j d_i x for j <= i, mirrored
     rows, cols = _lower(n)
     hess = np.empty(x1.shape[:-3] + (n, n, n + 1, jet_size(n, 2)))
     second = jet_gradient(x1, n).swapaxes(-3, -2)  # [i, j, a] = d_j d_i x^a
     hess[..., rows, cols, :, :] = hess[..., cols, rows, :, :] = second[..., rows, cols, :, :]
-    return x, x1, hess
+    return x, x1, hess, normal
 
 
-def _determinant_form(x1: np.ndarray, hess: np.ndarray, points) -> np.ndarray:
+def _determinant_form(x1: np.ndarray, hess: np.ndarray, normal: np.ndarray, points) -> np.ndarray:
     """G_ij = det(x_1, ..., x_n, x_ij) as an (n, n, M2) jet array (leading
     point axes as in x1), as nu . x_ij with the conormal nu of the module
-    docstring."""
+    docstring, w the constant ``normal``."""
     n = x1.shape[-3]
     lead = x1.shape[:-3]
     m2 = hess.shape[-1]
     mt = np.zeros(lead + (n + 1, n + 1, m2))
     mt[..., :n, :, :] = x1[..., :m2]
-    mt[..., n, :, 0] = np.linalg.svd(x1[..., 0])[2][..., -1, :]
+    mt[..., n, :, 0] = normal
     e_last = np.zeros(lead + (n + 1, 1, m2))
     e_last[..., n, 0, 0] = 1.0
     try:

@@ -12,7 +12,9 @@ one expression per ambient coordinate::
 Variables are u1..uN, components must be x1..x{N+1}.  Supported
 functions: exp, log, sqrt, sin, cos.  The power operator ``^`` takes a
 constant rational exponent, written either as a plain number or as a
-parenthesized fraction, e.g. ``u1^2`` or ``u1^(-3/2)``.
+parenthesized fraction, e.g. ``u1^2`` or ``u1^(-3/2)``.  A non-negative
+integer exponent is defined at every base, a negative integer exponent at
+every nonzero base, and any other exponent at positive bases only.
 """
 
 from __future__ import annotations
@@ -218,20 +220,29 @@ def eval_chart_jet(chart: ChartDef, point, order: int) -> np.ndarray:
     """Evaluate a chart into its (n+1, M) ambient-coordinate jet array, or
     a (P, n) point stack into a (P, n+1, M) one; checks immersiveness at
     every point and names the first point that fails."""
+    return eval_immersion(chart, point, order)[0]
+
+
+def eval_immersion(chart: ChartDef, point, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """``eval_chart_jet``'s jet array and a unit normal w to the tangent
+    space at each point, an (n+1,) vector (a (P, n+1) stack for a point
+    stack): one SVD of the (n, n+1) matrix of tangent values d_k x^a gives
+    both the immersion check's singular values and w, its last right
+    singular vector."""
     if not 1 <= order <= jets.MAX_ORDER:
         raise ValueError(f"order must be in 1..{jets.MAX_ORDER}")
     point = np.asarray(point, float)
     if point.ndim not in (1, 2) or point.shape[-1] != chart.dim:
         raise ValueError(f"point must have dimension {chart.dim}")
     comp = chart.component_jets(point, order)
-    jac = comp[..., 1 : chart.dim + 1]  # degree-1 block: the (n+1, n) Jacobian
-    sv = np.linalg.svd(jac, compute_uv=False)
+    tangents = comp[..., 1 : chart.dim + 1].swapaxes(-1, -2)  # degree-1 block: [k, a] = d_k x^a
+    _, sv, vh = np.linalg.svd(tangents)
     bad = sv[..., -1] <= 1e-10 * np.maximum(sv[..., 0], 1.0)
     if bad.any():
         k = np.argmax(bad)
         raise ImmersionError(f"Jacobian rank-deficient at {point.reshape(-1, chart.dim)[k]} "
                              f"(singular values {sv.reshape(-1, sv.shape[-1])[k]})")
-    return comp
+    return comp, vh[..., -1, :]
 
 
 # -- tokenizer / parser ---------------------------------------------------

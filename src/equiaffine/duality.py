@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blaschke import BlaschkeInvariants, CheckReport, max_per_point, point_reports
+from .tensors import _trusted
 
 
 class DualityError(ValueError):
@@ -93,15 +94,6 @@ class HyperspherePointData:
     @classmethod
     def from_invariants(cls, inv: BlaschkeInvariants) -> "HyperspherePointData":
         return cls(g=inv.g, A=inv.A, L1=inv.L1)
-
-
-def _trusted(cls, **values):
-    """Point data valid by construction, built without re-running the
-    checks of ``__post_init__``."""
-    data = object.__new__(cls)
-    for name, value in values.items():
-        object.__setattr__(data, name, value)
-    return data
 
 
 def dualize(data):

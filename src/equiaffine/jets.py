@@ -282,21 +282,26 @@ def recip(x: np.ndarray, num_vars: int) -> np.ndarray:
 def power(x: np.ndarray, p, num_vars: int) -> np.ndarray:
     """x**p for a rational (or float) constant exponent p.
 
-    Non-negative integer exponents are evaluated by repeated squaring and
-    stay valid at zero value parts; everything else requires a positive
+    A non-negative integer exponent k takes floor(log2 k) + popcount(k) - 1
+    jet products (repeated squaring) and is valid at every value part; a
+    negative integer exponent is the reciprocal of the positive power, valid
+    at every nonzero value part.  Every other exponent requires a positive
     value part.
     """
     pf = float(p)
-    if isinstance(p, (int, Fraction)) and pf == int(pf) and pf >= 0:
-        k = int(pf)
-        result = np.zeros(x.shape)
-        result[..., 0] = 1.0
-        base = x
-        while k:
+    if isinstance(p, (int, Fraction)) and pf == int(pf):
+        if pf < 0:
+            return recip(power(x, -int(pf), num_vars), num_vars)
+        k, base, result = int(pf), x, None
+        while k:  # base = x^(2^i) at bit i, a factor of the result where the bit is set
             if k & 1:
-                result = jet_mul(result, base, num_vars)
-            base = jet_mul(base, base, num_vars)
+                result = base if result is None else jet_mul(result, base, num_vars)
             k >>= 1
+            if k:
+                base = jet_mul(base, base, num_vars)
+        if result is None:  # x^0
+            result = np.zeros(x.shape)
+            result[..., 0] = 1.0
         return result
 
     def series(value, order):

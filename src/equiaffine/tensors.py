@@ -45,7 +45,7 @@ class MetricField:
         vals = self.values()
         if not _is_symmetric(vals):
             raise MetricError("metric value part is not symmetric")
-        check_spd(vals)
+        check_spd_eigenvalues(np.linalg.eigvalsh(vals))
 
     def values(self) -> np.ndarray:
         return self.coeffs[..., 0]
@@ -77,14 +77,23 @@ def _is_symmetric(vals: np.ndarray) -> bool:
     return bool(close.all())
 
 
-def check_spd(values: np.ndarray) -> None:
-    """Fail loudly if the value matrix (or any matrix of an (..., n, n)
-    stack, naming the first) is not (numerically) SPD."""
-    eig = np.linalg.eigvalsh(values)
+def check_spd_eigenvalues(eig: np.ndarray) -> None:
+    """Fail loudly if a symmetric value matrix (or any matrix of an
+    (..., n, n) stack, naming the first) is not (numerically) SPD, given
+    its ascending eigenvalues (..., n)."""
     bad = (eig[..., 0] <= SPD_RTOL * np.maximum(eig[..., -1], 0.0)) | (eig[..., -1] <= 0.0)
     if bad.any():
         eig = eig.reshape(-1, eig.shape[-1])[np.argmax(bad)]
         raise MetricError(f"metric value part is not positive definite (eigenvalues {eig})")
+
+
+def _trusted(cls, **values):
+    """An instance of a frozen dataclass, valid by construction, built
+    without re-running the checks of ``__post_init__``."""
+    data = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(data, name, value)
+    return data
 
 
 @dataclass(frozen=True)
@@ -122,7 +131,7 @@ def riemann(g: MetricField, gamma_jets: np.ndarray | None = None, g_inv: np.ndar
     stack of fields every field of the result, chi too, is stacked.
 
     ``gamma_jets`` takes the metric's ``christoffel_jets`` and ``g_inv`` the
-    ``np.linalg.inv`` of its values when the caller already has them."""
+    inverse of its values when the caller already has them."""
     if g.order < 2:
         raise ValueError("riemann needs metric jets of order >= 2")
     n = g.dim

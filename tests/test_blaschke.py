@@ -196,7 +196,7 @@ def test_dependent_tangents_raise_convexity_error():
     x1 = np.zeros((2, 3, 10))
     x1[0, 0, 0] = x1[1, 0, 0] = 1.0  # x_1 = x_2 at value level
     with pytest.raises(ConvexityError):
-        _determinant_form(x1, np.zeros((2, 2, 3, 6)), [0.0, 0.0])
+        _determinant_form(x1, np.zeros((2, 2, 3, 6)), np.linalg.svd(x1[..., 0])[2][-1], [0.0, 0.0])
 
 
 def _conormal_cases():
@@ -214,8 +214,8 @@ def test_conormal_form_matches_determinants(chart, point):
     """G_ij = nu . x_ij equals det(x_1, ..., x_n, x_ij) from the division-free
     jet_det, coefficient by coefficient."""
     n = chart.dim
-    _, x1, hess = _chart_derivatives(chart, point)
-    G = _determinant_form(x1, hess, point)
+    _, x1, hess, normal = _chart_derivatives(chart, point)
+    G = _determinant_form(x1, hess, normal, point)
     m2 = hess.shape[-1]
 
     def det_jet(i, j):
@@ -364,6 +364,21 @@ def test_stack_rows_equal_single_points_bitwise(chart):
             assert a.tobytes() == b.tobytes(), name
         for name in ("L1", "J", "chi"):
             assert np.float64(getattr(row, name)).tobytes() == np.float64(getattr(alone, name)).tobytes(), name
+
+
+@pytest.mark.parametrize("chart", [hyperboloid(2), sl_so(3)], ids=["hyperboloid", "sl_so"])
+def test_one_factorization_per_matrix(monkeypatch, chart):
+    """One stacked blaschke_at factorizes each matrix once: the tangent
+    Jacobian and the column-scaled frame by SVD, G by eigvalsh, and by LU
+    the conormal matrix, G (with its determinant), g and the frame."""
+    calls = dict.fromkeys(("svd", "eigvalsh", "solve", "det", "inv"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    blaschke_at(chart, chart.sample_points(4, 5))
+    assert calls == {"svd": 2, "eigvalsh": 1, "solve": 4, "det": 2, "inv": 0}
 
 
 def test_stack_gate_names_the_first_failing_point():

@@ -436,6 +436,15 @@ def test_point_domain_errors_exit_3(tmp_path, capsys, chart, point):
     assert line.startswith("chart error: point 0: ")
 
 
+def test_metric_gate_through_the_pipeline_exits_3(tmp_path, capsys):
+    # G is positive definite, so the convexity gate passes, but g's condition
+    # number is past the SPD gate's 1 / SPD_RTOL
+    chart = {"dsl": "dim 2; x1 = u1; x2 = u2; x3 = u1^2 + 0.00000000001*u2^2;"}
+    code, line = error_line(capsys, ["check", "--scene", scene_file(tmp_path, chart, [[0.1, 0.2]])])
+    assert (code, line) == (3, "chart error: point 0: metric value part is not positive definite "
+                               "(eigenvalues [7.95270729e-09 7.95270729e+02])")
+
+
 def test_mean_curvature_point_domain_error_exits_3(tmp_path, capsys):
     # the mean-curvature relations use point 0's invariants, so the factor's
     # domain midpoint u1 = 0 (outside log's domain) is never evaluated

@@ -1,11 +1,14 @@
 """Jet-array arithmetic against analytic derivatives and ring axioms."""
 
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiaffine import jets
+from equiaffine import jets, parse_chart
 from equiaffine.jets import (
     JetDomainError,
     _product_table,
@@ -120,6 +123,42 @@ def test_power_integer_at_zero():
     assert p[0] == 0.0
     assert coefficient(p, 1, (3,)) == pytest.approx(1.0)
     assert coefficient(p, 1, (2,)) == 0.0
+
+
+def test_integer_power_products(monkeypatch):
+    """x^k takes floor(log2 k) + popcount(k) - 1 jet products and equals the
+    left-to-right product x * x * ... * x bitwise (small-integer
+    coefficients, so every product is exact in any order)."""
+    rng = np.random.default_rng(3)
+    x = rng.integers(-2, 3, jet_size(2, 4)).astype(float)
+    count = Counter()
+
+    def counted(a, b, num_vars):
+        count["mul"] += 1
+        return jet_mul(a, b, num_vars)
+
+    monkeypatch.setattr(jets, "jet_mul", counted)
+    for k in range(9):
+        count.clear()
+        got = jets.power(x, k, 2)
+        assert count["mul"] == (k.bit_length() - 1 + bin(k).count("1") - 1 if k else 0)
+        want = constant(1.0, 2, 4)
+        for _ in range(k):
+            want = jet_mul(want, x, 2)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_negative_integer_power_of_a_negative_base():
+    """x^(-2) at a negative value part is 1 / (x x), bitwise; a zero value
+    part still raises."""
+    chart = parse_chart("dim 2; x1 = u1; x2 = u2; x3 = (u1 - 2)^(-2) + u2^2;")
+    reference = parse_chart("dim 2; x1 = u1; x2 = u2; x3 = 1/((u1 - 2)*(u1 - 2)) + u2^2;")
+    point = np.array([0.1, 0.2])
+    assert chart.component_jets(point, 4).tobytes() == reference.component_jets(point, 4).tobytes()
+    x = jet_variables([0.0], 4)[0]
+    for p in (-1, -2, Fraction(-3)):
+        with pytest.raises(JetDomainError):
+            jets.power(x, p, 1)
 
 
 def test_domain_errors():
