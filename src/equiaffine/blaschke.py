@@ -55,6 +55,22 @@ H_EQUALS_G_TOL = 1e-9
 TAU_TOL = 1e-9
 L1_ZERO_TOL = 1e-12  # |L1| at or below this counts as L1 = 0 (improper affine sphere)
 
+# the default tolerance of each check, by its scene name: every check
+# function's default and the CLI's table
+DEFAULT_TOL = {
+    "apolarity": 1e-8,
+    "gauss": 1e-6,
+    "ricci": 1e-6,
+    "codazzi": 1e-6,
+    "trace_identity": 1e-6,
+    "gauss_alt": 1e-6,
+    "hypersphere": 1e-6,
+    "parallel": 1e-6,
+    "dual": 1e-12,
+    "composition": 1e-6,
+    "mean_curvature": 1e-6,
+}
+
 
 class ConvexityError(ValueError):
     """The second-order determinant form is indefinite at the point."""
@@ -357,7 +373,8 @@ def point_reports(name: str, residual: np.ndarray, tolerance: float) -> CheckRep
     return [CheckReport(name, r, tolerance) for r in residual.tolist()]
 
 
-def check_apolarity(inv: BlaschkeInvariants, tolerance: float = 1e-8) -> CheckReport | list[CheckReport]:
+def check_apolarity(inv: BlaschkeInvariants,
+                    tolerance: float = DEFAULT_TOL["apolarity"]) -> CheckReport | list[CheckReport]:
     """Residual of the apolarity condition g^{ij} A_ijk = 0."""
     trace = np.einsum("...ij,...ijk->...k", inv.g_inv, inv.A)
     return point_reports("apolarity", max_per_point(inv, trace), tolerance)
@@ -377,13 +394,13 @@ def gauss_rhs(g: np.ndarray, g_inv: np.ndarray, A: np.ndarray, B: np.ndarray) ->
     return comm + wedge
 
 
-def check_gauss(inv: BlaschkeInvariants, tolerance: float = 1e-6) -> CheckReport | list[CheckReport]:
+def check_gauss(inv: BlaschkeInvariants, tolerance: float = DEFAULT_TOL["gauss"]) -> CheckReport | list[CheckReport]:
     """Affine Gauss equation: curvature of g against A- and B-terms."""
     rhs = gauss_rhs(inv.g, inv.g_inv, inv.A, inv.B)
     return point_reports("gauss", max_per_point(inv, inv.curvature.riemann - rhs), tolerance)
 
 
-def check_ricci(inv: BlaschkeInvariants, tolerance: float = 1e-6) -> CheckReport | list[CheckReport]:
+def check_ricci(inv: BlaschkeInvariants, tolerance: float = DEFAULT_TOL["ricci"]) -> CheckReport | list[CheckReport]:
     """Contracted Gauss identity for the Ricci tensor."""
     n = inv.dim
     A_up = np.einsum("...mp,...ilp->...mil", inv.g_inv, inv.A)
@@ -405,14 +422,16 @@ def codazzi_rhs(g: np.ndarray, B: np.ndarray) -> np.ndarray:
     )
 
 
-def check_codazzi(inv: BlaschkeInvariants, tolerance: float = 1e-6) -> CheckReport | list[CheckReport]:
+def check_codazzi(inv: BlaschkeInvariants,
+                  tolerance: float = DEFAULT_TOL["codazzi"]) -> CheckReport | list[CheckReport]:
     """Codazzi equation for the cubic form: antisymmetrized nabla A."""
     na = inv.nabla_A()
     lhs = na - na.swapaxes(-2, -1)  # A_ijk,l - A_ijl,k
     return point_reports("codazzi", max_per_point(inv, lhs - codazzi_rhs(inv.g, inv.B)), tolerance)
 
 
-def check_trace_identity(inv: BlaschkeInvariants, tolerance: float = 1e-6) -> CheckReport | list[CheckReport]:
+def check_trace_identity(inv: BlaschkeInvariants,
+                         tolerance: float = DEFAULT_TOL["trace_identity"]) -> CheckReport | list[CheckReport]:
     """Contracted Codazzi identity: div A = (n/2)(L1 g - B)."""
     n = inv.dim
     div = np.einsum("...lm,...ijml->...ij", inv.g_inv, inv.nabla_A())
@@ -420,7 +439,8 @@ def check_trace_identity(inv: BlaschkeInvariants, tolerance: float = 1e-6) -> Ch
     return point_reports("trace_identity", max_per_point(inv, div - rhs), tolerance)
 
 
-def check_gauss_alt(inv: BlaschkeInvariants, tolerance: float = 1e-6) -> CheckReport | list[CheckReport]:
+def check_gauss_alt(inv: BlaschkeInvariants,
+                    tolerance: float = DEFAULT_TOL["gauss_alt"]) -> CheckReport | list[CheckReport]:
     """Alternative Gauss form expressed through chi, J and nabla A."""
     n = inv.dim
     g, ginv, A = inv.g, inv.g_inv, inv.A
@@ -446,7 +466,7 @@ def _hypersphere_residuals(inv: BlaschkeInvariants) -> tuple[np.ndarray, np.ndar
     return resid_b, np.where(np.abs(inv.L1) > L1_ZERO_TOL, resid_c, 0.0)
 
 
-def check_hypersphere(inv: BlaschkeInvariants, tolerance: float = 1e-6):
+def check_hypersphere(inv: BlaschkeInvariants, tolerance: float = DEFAULT_TOL["hypersphere"]):
     """Affine hypersphere tests: B = L1 g, and xi = -L1 x for proper spheres
     centered at the origin.  Returns (shape-operator report, center report),
     one such pair per point for a stack, from the bundle's cached

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .blaschke import BlaschkeInvariants, CheckReport, blaschke_at, max_per_point
+from .blaschke import DEFAULT_TOL, BlaschkeInvariants, CheckReport, blaschke_at, max_per_point
 from .dsl import MAX_DIM, ChartDef
 from .jets import jet_embed, jet_mul, jet_variables
 
@@ -274,7 +274,7 @@ def expected_invariants(spec: CompositionSpec, points) -> tuple[np.ndarray, np.n
     return (g, A) if points.ndim == 2 else (g[0], A[0])
 
 
-def composition_reports(spec: CompositionSpec, invs: BlaschkeInvariants, tolerance: float = 1e-6,
+def composition_reports(spec: CompositionSpec, invs: BlaschkeInvariants, tolerance: float = DEFAULT_TOL["composition"],
                         start: int = 0) -> list[CheckReport]:
     """The composition_*[k] reports, k = start, start + 1, ...: the Blaschke
     invariants invs of the composed chart at a stack of P points
@@ -298,7 +298,8 @@ def composition_reports(spec: CompositionSpec, invs: BlaschkeInvariants, toleran
     return reports
 
 
-def verify_composition(spec: CompositionSpec, sample_points, tolerance: float = 1e-6) -> list[CheckReport]:
+def verify_composition(spec: CompositionSpec, sample_points,
+                       tolerance: float = DEFAULT_TOL["composition"]) -> list[CheckReport]:
     """Run the Blaschke pipeline on the composed chart at the sample points
     (one stacked call) and compare it with the closed forms (see
     composition_reports)."""
@@ -306,42 +307,8 @@ def verify_composition(spec: CompositionSpec, sample_points, tolerance: float = 
     return composition_reports(spec, blaschke_at(compose_chart(spec), points), tolerance)
 
 
-def block_sparsity_residual(spec: CompositionSpec, inv: BlaschkeInvariants) -> float:
-    """Largest cubic-form component outside the allowed factor triples.
-
-    Allowed triples (with 0 the t-block): (0,0,0), (a,a,0) and permutations,
-    and (a,a,a); everything mixing two different factors must vanish.
-    """
-    idx = spec.index
-    labels = np.zeros(idx.n, dtype=int)
-    for alpha in range(1, spec.s + 1):
-        labels[idx.factor_slice(alpha)] = alpha
-    a, b, c = labels[:, None, None], labels[None, :, None], labels[None, None, :]
-
-    def differ(x, y):  # two different nonzero labels
-        return (x != 0) & (y != 0) & (x != y)
-
-    mixed = differ(a, b) | differ(a, c) | differ(b, c)
-    return float(np.abs(inv.A[mixed]).max(initial=0.0))
-
-
-def mean_curvature_relations(spec: CompositionSpec, point=None, tolerance: float = 1e-6) -> list[CheckReport]:
-    """Run the Blaschke pipeline on the composed chart at ``point`` (default:
-    the factors' domain midpoints) and check its mean_curvature_reports."""
-    if spec.s < 1:
-        return [CheckReport("mean_curvature_skipped", 0.0, tolerance)]
-    idx = spec.index
-    if point is None:
-        point = np.zeros(idx.n)
-        for alpha in range(1, spec.s + 1):
-            lo, hi = spec.factors[alpha - 1].chart.domain_hint
-            point[idx.factor_slice(alpha)] = 0.5 * (lo + hi)
-    inv = blaschke_at(compose_chart(spec), point)
-    return mean_curvature_reports(spec, inv.g, inv.A, tolerance)
-
-
 def mean_curvature_reports(spec: CompositionSpec, g: np.ndarray, A: np.ndarray,
-                           tolerance: float = 1e-6) -> list[CheckReport]:
+                           tolerance: float = DEFAULT_TOL["mean_curvature"]) -> list[CheckReport]:
     """The factor mean-curvature identities g(H_a,H_a) = (n-n_a)/(n_a+1) * (-L1)
     and g(H_a,H_b) = L1 for a != b, from the Blaschke metric g (n, n) and
     cubic form A (n, n, n) of the composed chart at any one point."""

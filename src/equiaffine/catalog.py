@@ -113,14 +113,14 @@ class MatrixExpChart(ChartDef):
     """u -> upper-triangular coordinates of exp(S(u)) with S trace-free
     symmetric; the image sits on the unimodular hypersurface det = 1."""
 
-    def __init__(self, m: int, scale: float = 0.25):
+    def __init__(self, m: int):
         if m < 3:
             raise ValueError("sl_so needs m >= 3")
         dim = m * (m + 1) // 2 - 1
         _check_dim(dim)
         self.m = m
         self.basis = _symmetric_basis(m)
-        hint = (-scale * np.ones(dim), scale * np.ones(dim))
+        hint = (-0.25 * np.ones(dim), 0.25 * np.ones(dim))
         super().__init__(dim, domain_hint=hint)
 
     def component_jets(self, point, order):
@@ -162,18 +162,6 @@ def _jet_matrix_exp(S: np.ndarray, num_vars: int) -> np.ndarray:
 
 def sl_so(m: int) -> MatrixExpChart:
     return MatrixExpChart(m)
-
-
-def sl_so_point(chart: MatrixExpChart, u, Q: np.ndarray) -> np.ndarray:
-    """Coordinates u' with exp(S(u')) = Q exp(S(u)) Q^t for orthogonal Q.
-
-    Conjugation by Q preserves the hypersurface, so invariants at u and
-    u' must agree; used for the rotation-equivariance checks.
-    """
-    S = sum(float(ui) * b for ui, b in zip(np.asarray(u, float), chart.basis))
-    w, V = np.linalg.eigh(Q @ S @ Q.T)
-    Sp = (V * w) @ V.T
-    return np.array([np.sum(Sp * b) for b in chart.basis])
 
 
 class TransformedChart(ChartDef):

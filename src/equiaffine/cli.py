@@ -27,30 +27,20 @@ from pathlib import Path
 import numpy as np
 
 from . import blaschke, calabi, catalog, duality, jordan
-from .blaschke import L1_ZERO_TOL, CheckReport, ConsistencyError, ConvexityError, FrameError, blaschke_at
+from .blaschke import DEFAULT_TOL, L1_ZERO_TOL, CheckReport, ConsistencyError, ConvexityError, FrameError, blaschke_at
 from .dsl import ChartParseError, ImmersionError, parse_chart
 from .jets import JetDomainError, jet_size
 from .tensors import MetricError
 
 SCHEMA_VERSION = 1
 
-DEFAULT_TOL = {
-    "apolarity": 1e-8,
-    "gauss": 1e-6,
-    "ricci": 1e-6,
-    "codazzi": 1e-6,
-    "trace_identity": 1e-6,
-    "gauss_alt": 1e-6,
-    "hypersphere": 1e-6,
-    "parallel": 1e-6,
-    "dual": 1e-12,
-    "composition": 1e-6,
-    "mean_curvature": 1e-6,
-}
 ALL_CHECKS = tuple(DEFAULT_TOL)
 
 # a scene's random point set is sampled in full before the first point runs
 MAX_RANDOM_POINTS = 10_000
+
+# the point set of a scene that names none
+DEFAULT_POINTS = {"random": 3, "seed": 0}
 
 # order-4 jet coefficients (points x jet size) in one stacked pipeline call,
 # at least one point: 136 points at n = 2, 16 at n = 5, one from n = 12 up.
@@ -127,7 +117,7 @@ def build_factor(fd) -> calabi.HypersphereFactor:
         return calabi.HypersphereFactor(chart=chart, L1=L1, dim=chart.dim)
     except (SceneError, ChartBuildError):
         raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise SceneError(f"malformed composition factor {fd!r}: {exc}") from exc
 
 
@@ -136,7 +126,7 @@ def build_composition(spec_doc: dict) -> calabi.CompositionSpec:
         r = int(spec_doc["r"])
         constants = tuple(float(c) for c in spec_doc["constants"])
         factor_docs = list(spec_doc.get("factors", []))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SceneError(f"malformed composition spec: {exc}") from exc
     factors = tuple(build_factor(fd) for fd in factor_docs)
     try:
@@ -147,12 +137,16 @@ def build_composition(spec_doc: dict) -> calabi.CompositionSpec:
 
 def resolve_chart(doc: dict):
     """Returns (chart, composition_spec_or_None, description)."""
+    if not isinstance(doc, dict):
+        raise SceneError(f"chart spec must be an object, got {doc!r}")
     if "catalog" in doc:
         name = doc["catalog"]
         chart = catalog_chart(name, doc.get("params"))
         spec = chart.spec if isinstance(chart, calabi.ComposedChart) else None
         return chart, spec, f"catalog:{name}"
     if "dsl" in doc:
+        if not isinstance(doc["dsl"], str):
+            raise SceneError(f"chart text must be a string, got {doc['dsl']!r}")
         chart = parse_chart(doc["dsl"])  # ChartParseError propagates (exit 2)
         return chart, None, "inline-dsl"
     if "composition" in doc:
@@ -165,8 +159,10 @@ def resolve_points(doc, chart) -> np.ndarray:
     if isinstance(doc, dict):
         try:
             count, seed = int(doc["random"]), int(doc.get("seed", 0))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SceneError(f"malformed random point spec: {exc}") from exc
+        if seed < 0:
+            raise SceneError(f"random point seed must be non-negative, got {seed}")
         if count < 1:
             raise SceneError(f"random point count must be at least 1, got {count}")
         if count > MAX_RANDOM_POINTS:
@@ -259,20 +255,36 @@ def evaluate_points(chart, spec, points, checks, tol, size):
     return lines, point_reports, scene_reports + mean_curvature
 
 
+def scene_tolerances(scene: dict) -> dict:
+    """The scene's tolerance overrides, an object of name: value pairs;
+    anything else raises ``SceneError``."""
+    tolerances = scene.get("tolerances", {})
+    if not isinstance(tolerances, dict):
+        raise SceneError(f"tolerances must be an object of name: value pairs, got {tolerances!r}")
+    return tolerances
+
+
 def run_scene(scene: dict, out) -> int:
     chart, spec, desc = resolve_chart(scene.get("chart", {}))
-    points = resolve_points(scene.get("points", {"random": 3, "seed": 0}), chart)
+    points = resolve_points(scene.get("points", DEFAULT_POINTS), chart)
     checks = scene.get("checks", "all")
     if checks == "all":
         checks = list(ALL_CHECKS)
+    if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
+        raise SceneError(f'checks must be "all" or a list of check names, got {checks!r}')
     unknown = [c for c in checks if c not in ALL_CHECKS and c != "invariants"]
     if unknown:
         raise SceneError(f"unknown checks: {', '.join(unknown)}")
     tol = dict(DEFAULT_TOL)
-    for name, value in scene.get("tolerances", {}).items():
+    for name, value in scene_tolerances(scene).items():
         if name not in tol:
             raise SceneError(f"unknown tolerance name {name!r}")
-        tol[name] = float(value)
+        try:  # a number, or text as --tol gives it
+            tol[name] = float(value)
+        except (TypeError, ValueError):
+            tol[name] = np.nan
+        if not np.isfinite(tol[name]):
+            raise SceneError(f"tolerance {name!r} must be a finite number, got {value!r}")
     if spec is None:
         checks = [c for c in checks if c not in ("composition", "mean_curvature")]
 
@@ -428,14 +440,16 @@ def load_scene(args) -> dict:
     if "chart" not in scene:
         raise SceneError("no chart given: use --chart or a scene file")
     if args.points is not None:
-        scene["points"] = {"random": args.points, "seed": args.seed if args.seed is not None else 0}
-    elif args.seed is not None and isinstance(scene.get("points"), dict):
-        scene["points"]["seed"] = args.seed
+        scene["points"] = {"random": args.points}
+    if args.seed is not None:
+        points = scene.setdefault("points", dict(DEFAULT_POINTS))
+        if isinstance(points, dict):
+            points["seed"] = args.seed
     for item in args.tol or []:
         if "=" not in item:
             raise SceneError(f"malformed --tol value {item!r} (expected name=value)")
         name, value = item.split("=", 1)
-        scene.setdefault("tolerances", {})[name.strip()] = float(value)
+        scene["tolerances"] = {**scene_tolerances(scene), name.strip(): value}  # run_scene checks the value
     return scene
 
 

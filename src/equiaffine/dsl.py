@@ -216,19 +216,15 @@ class DslChart(ChartDef):
         return "\n".join(lines) + "\n"
 
 
-def eval_chart_jet(chart: ChartDef, point, order: int) -> np.ndarray:
-    """Evaluate a chart into its (n+1, M) ambient-coordinate jet array, or
-    a (P, n) point stack into a (P, n+1, M) one; checks immersiveness at
-    every point and names the first point that fails."""
-    return eval_immersion(chart, point, order)[0]
-
-
 def eval_immersion(chart: ChartDef, point, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """``eval_chart_jet``'s jet array and a unit normal w to the tangent
-    space at each point, an (n+1,) vector (a (P, n+1) stack for a point
-    stack): one SVD of the (n, n+1) matrix of tangent values d_k x^a gives
-    both the immersion check's singular values and w, its last right
-    singular vector."""
+    """Evaluate a chart at a point into its (n+1, M) ambient-coordinate jet
+    array and a unit normal w (n+1,) to its tangent space, or at a (P, n)
+    point stack into a (P, n+1, M) array and a (P, n+1) stack of normals.
+
+    One SVD of the (n, n+1) matrix of tangent values d_k x^a gives both
+    the immersion check's singular values, which must show rank n at every
+    point (``ImmersionError`` names the first point that fails), and w, its
+    last right singular vector."""
     if not 1 <= order <= jets.MAX_ORDER:
         raise ValueError(f"order must be in 1..{jets.MAX_ORDER}")
     point = np.asarray(point, float)

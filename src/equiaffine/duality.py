@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeInvariants, CheckReport, max_per_point, point_reports
+from .blaschke import DEFAULT_TOL, CheckReport, max_per_point, point_reports
 from .tensors import _trusted
 
 
@@ -91,10 +91,6 @@ class HyperspherePointData:
     def dim(self) -> int:
         return self.g.shape[-1]
 
-    @classmethod
-    def from_invariants(cls, inv: BlaschkeInvariants) -> "HyperspherePointData":
-        return cls(g=inv.g, A=inv.A, L1=inv.L1)
-
 
 def dualize(data):
     """Map hypersphere data to Lagrangian data or back.
@@ -126,13 +122,8 @@ def curvature_operator(g: np.ndarray, A: np.ndarray, c) -> np.ndarray:
     return np.asarray(c)[..., None, None, None, None] * wedge - comm
 
 
-def gauss_residual_hypersphere(data: HyperspherePointData, riemann_up: np.ndarray) -> float:
-    """max |R - (L1 (g wedge id) - [A, A])| against a supplied curvature."""
-    expected = curvature_operator(data.g, data.A, data.L1)
-    return float(np.max(np.abs(riemann_up - expected)))
-
-
-def check_gauss_swap(data: HyperspherePointData, tolerance: float = 1e-12) -> CheckReport | list[CheckReport]:
+def check_gauss_swap(data: HyperspherePointData,
+                     tolerance: float = DEFAULT_TOL["dual"]) -> CheckReport | list[CheckReport]:
     """Verify that dualizing flips the curvature operator exactly.
 
     The hypersphere Gauss equation determines R from (g, A, L1); the dual
@@ -147,7 +138,7 @@ def check_gauss_swap(data: HyperspherePointData, tolerance: float = 1e-12) -> Ch
     return point_reports("gauss_swap", max_per_point(data, r_lag - (-r_hyp)), tolerance)
 
 
-def check_trace_free(data, tolerance: float = 1e-8) -> CheckReport | list[CheckReport]:
+def check_trace_free(data, tolerance: float = DEFAULT_TOL["apolarity"]) -> CheckReport | list[CheckReport]:
     """Trace-freeness g^{ij} T_ijk = 0: apolarity on the hypersphere side,
     minimality on the Lagrangian side.  The contraction is literally the
     same, which is the point of the check."""
@@ -155,35 +146,3 @@ def check_trace_free(data, tolerance: float = 1e-8) -> CheckReport | list[CheckR
     trace = np.einsum("...ij,...ijk->...k", np.linalg.inv(data.g), cubic)
     name = "apolarity" if isinstance(data, HyperspherePointData) else "minimality"
     return point_reports(name, max_per_point(data, trace), tolerance)
-
-
-def check_involution(data: HyperspherePointData, tolerance: float = 1e-15) -> CheckReport:
-    """dualize(dualize(x)) == x componentwise."""
-    back = dualize(dualize(data))
-    resid = max(
-        float(np.max(np.abs(back.g - data.g))),
-        float(np.max(np.abs(back.A - data.A))),
-        abs(back.L1 - data.L1),
-    )
-    return CheckReport("duality_involution", resid, tolerance)
-
-
-def random_hypersphere_data(n: int, rng: np.random.Generator) -> HyperspherePointData:
-    """Random pointwise data (SPD g, symmetric apolar A, L1 < 0) for
-    property tests of the purely algebraic identities."""
-    m = rng.standard_normal((n, n))
-    g = m @ m.T + n * np.eye(n)
-    raw = rng.standard_normal((n, n, n))
-    A = np.zeros_like(raw)
-    import itertools
-
-    for perm in itertools.permutations(range(3)):
-        A += raw.transpose(perm)
-    A /= 6.0
-    # project out the trace so apolarity holds
-    g_inv = np.linalg.inv(g)
-    tr = np.einsum("ij,ijk->k", g_inv, A)
-    corr = np.einsum("ij,k->ijk", g, tr) + np.einsum("ik,j->ijk", g, tr) + np.einsum("jk,i->ijk", g, tr)
-    A -= corr / (n + 2)
-    L1 = -float(rng.uniform(0.2, 3.0))
-    return HyperspherePointData(g=g, A=A, L1=L1)

@@ -216,16 +216,17 @@ def jet_gradient(a: np.ndarray, num_vars: int) -> np.ndarray:
 # Each takes an (..., M) jet array and the number of variables, and composes
 # the function's Taylor series at each jet's value part with the rest.  The
 # series coefficients are Python floats computed per jet, in array order, so
-# a domain error names the first offending value part.
+# a domain error names the first offending value part, and so does a value
+# part whose coefficients leave float range.
 
 
-def _compose(x: np.ndarray, num_vars: int, series) -> np.ndarray:
+def _compose(x: np.ndarray, num_vars: int, series, name: str) -> np.ndarray:
     """sum_k c_k (x - x0)^k for every jet of ``x``, with [c_0..c_order] =
     ``series(x0, order)`` at the jet's value part x0, truncated at its order
-    (Horner)."""
+    (Horner).  ``name`` names the function in errors."""
     order = jet_order(num_vars, x.shape[-1])
     values = x[..., 0]
-    terms = np.array([series(v, order) for v in values.ravel().tolist()]).T  # [degree, jet]
+    terms = np.array([_coefficients(series, name, v, order) for v in values.ravel().tolist()]).T  # [degree, jet]
     terms = terms.reshape((order + 1,) + values.shape)
     dx = x.copy()
     dx[..., 0] = 0.0
@@ -236,6 +237,19 @@ def _compose(x: np.ndarray, num_vars: int, series) -> np.ndarray:
         constant = out[..., 0]
         constant += terms[k]
     return out
+
+
+def _coefficients(series, name: str, value: float, order: int) -> list:
+    """``series(value, order)``, or ``JetDomainError`` naming the function and
+    the value part when a coefficient leaves float range: it overflows, or
+    divides by a power of the value that underflowed to 0."""
+    try:
+        terms = series(value, order)
+    except (OverflowError, ZeroDivisionError):
+        terms = [math.inf]
+    if not all(map(math.isfinite, terms)):
+        raise JetDomainError(f"{name} of value part {value}: Taylor coefficients out of float range")
+    return terms
 
 
 def _exp_series(value, order):
@@ -268,15 +282,15 @@ def _cos_series(value, order):
 
 
 def exp(x: np.ndarray, num_vars: int) -> np.ndarray:
-    return _compose(x, num_vars, _exp_series)
+    return _compose(x, num_vars, _exp_series, "exp")
 
 
 def log(x: np.ndarray, num_vars: int) -> np.ndarray:
-    return _compose(x, num_vars, _log_series)
+    return _compose(x, num_vars, _log_series, "log")
 
 
 def recip(x: np.ndarray, num_vars: int) -> np.ndarray:
-    return _compose(x, num_vars, _recip_series)
+    return _compose(x, num_vars, _recip_series, "reciprocal")
 
 
 def power(x: np.ndarray, p, num_vars: int) -> np.ndarray:
@@ -313,7 +327,7 @@ def power(x: np.ndarray, p, num_vars: int) -> np.ndarray:
             coeff *= (pf - k) / (k + 1)
         return terms
 
-    return _compose(x, num_vars, series)
+    return _compose(x, num_vars, series, f"power {p}")
 
 
 def sqrt(x: np.ndarray, num_vars: int) -> np.ndarray:
@@ -321,11 +335,11 @@ def sqrt(x: np.ndarray, num_vars: int) -> np.ndarray:
 
 
 def sin(x: np.ndarray, num_vars: int) -> np.ndarray:
-    return _compose(x, num_vars, _sin_series)
+    return _compose(x, num_vars, _sin_series, "sin")
 
 
 def cos(x: np.ndarray, num_vars: int) -> np.ndarray:
-    return _compose(x, num_vars, _cos_series)
+    return _compose(x, num_vars, _cos_series, "cos")
 
 
 # the functions of one jet argument that the chart language names

@@ -87,12 +87,6 @@ def oct_norm(a: np.ndarray):
     return np.linalg.norm(np.asarray(a, float), axis=-1)
 
 
-def oct_unit(k: int) -> np.ndarray:
-    e = np.zeros(OCT_DIM)
-    e[k] = 1.0
-    return e
-
-
 # entries[_ROW[c], _COL[c], _OCT[c]] is coordinate c; the mirrored entry
 # entries[_COL[c], _ROW[c], _OCT[c]] holds _CONJ_SIGNS[_OCT[c]] times it
 _ROW = np.array([0, 1, 2] + [1] * 8 + [2] * 8 + [0] * 8)

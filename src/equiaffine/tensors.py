@@ -105,8 +105,9 @@ class CurvatureData:
 
 
 def christoffel_jets(g: MetricField) -> np.ndarray:
-    """Levi-Civita symbols Gamma^k_ij as an (..., n, n, n, M') jet array
-    indexed [k, i, j], one order below the metric."""
+    """Levi-Civita symbols Gamma^k_ij = g^{kl}(d_i g_jl + d_j g_il - d_l g_ij)/2
+    as an (..., n, n, n, M') jet array indexed [k, i, j], one order below the
+    metric; ``[..., 0]`` holds their values."""
     if g.order < 1:
         raise ValueError("christoffel needs metric jets of order >= 1")
     d = _last_index_first(jet_gradient(g.coeffs, g.dim))  # d[l, i, j] = d_l g_ij
@@ -121,22 +122,14 @@ def _last_index_first(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-2, -3).swapaxes(-3, -4)
 
 
-def christoffel(g: MetricField) -> np.ndarray:
-    """Gamma^k_ij = g^{kl}(d_i g_jl + d_j g_il - d_l g_ij)/2, value parts."""
-    return christoffel_jets(g)[..., 0]
-
-
-def riemann(g: MetricField, gamma_jets: np.ndarray | None = None, g_inv: np.ndarray | None = None) -> CurvatureData:
-    """Full curvature data of a metric field (needs jet order >= 2); for a
-    stack of fields every field of the result, chi too, is stacked.
-
-    ``gamma_jets`` takes the metric's ``christoffel_jets`` and ``g_inv`` the
-    inverse of its values when the caller already has them."""
+def riemann(g: MetricField, gamma_jets: np.ndarray, g_inv: np.ndarray) -> CurvatureData:
+    """Full curvature data of a metric field (needs jet order >= 2), given
+    the metric's ``christoffel_jets`` and the inverse ``g_inv`` of its
+    values; for a stack of fields every field of the result, chi too, is
+    stacked."""
     if g.order < 2:
         raise ValueError("riemann needs metric jets of order >= 2")
     n = g.dim
-    if gamma_jets is None:
-        gamma_jets = christoffel_jets(g)
     gamma = gamma_jets[..., 0]
     dgamma = jet_gradient(gamma_jets, n)[..., 0]  # [k, i, j, l] = d_l Gamma^k_ij
     # Rup[m, i, j, k]: R(d_i, d_j) d_k = Rup[m, i, j, k] d_m
@@ -147,8 +140,6 @@ def riemann(g: MetricField, gamma_jets: np.ndarray | None = None, g_inv: np.ndar
         - np.einsum("...mjl,...lik->...mijk", gamma, gamma)
     )
     gval = g.values()
-    if g_inv is None:
-        g_inv = np.linalg.inv(gval)
     riem = np.einsum("...ml,...mijk->...ijkl", gval, rup)
     ricci = np.einsum("...kl,...kijl->...ij", g_inv, riem)
     if n > 1:

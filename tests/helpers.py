@@ -1,0 +1,62 @@
+"""Test-only generators and verifiers: random hypersphere point data for the
+algebraic duality identities, the rotated point of the sl_so chart for its
+equivariance checks, and the block sparsity of a composition's cubic form."""
+
+import itertools
+
+import numpy as np
+
+from equiaffine.calabi import CompositionSpec
+from equiaffine.catalog import MatrixExpChart
+from equiaffine.duality import HyperspherePointData
+
+
+def random_hypersphere_data(n: int, rng: np.random.Generator) -> HyperspherePointData:
+    """Random pointwise data (SPD g, symmetric apolar A, L1 < 0) for
+    property tests of the purely algebraic identities."""
+    m = rng.standard_normal((n, n))
+    g = m @ m.T + n * np.eye(n)
+    raw = rng.standard_normal((n, n, n))
+    A = np.zeros_like(raw)
+    for perm in itertools.permutations(range(3)):
+        A += raw.transpose(perm)
+    A /= 6.0
+    # project out the trace so apolarity holds
+    g_inv = np.linalg.inv(g)
+    tr = np.einsum("ij,ijk->k", g_inv, A)
+    corr = np.einsum("ij,k->ijk", g, tr) + np.einsum("ik,j->ijk", g, tr) + np.einsum("jk,i->ijk", g, tr)
+    A -= corr / (n + 2)
+    L1 = -float(rng.uniform(0.2, 3.0))
+    return HyperspherePointData(g=g, A=A, L1=L1)
+
+
+def sl_so_point(chart: MatrixExpChart, u, Q: np.ndarray) -> np.ndarray:
+    """Coordinates u' with exp(S(u')) = Q exp(S(u)) Q^t for orthogonal Q.
+
+    Conjugation by Q preserves the hypersurface, so invariants at u and
+    u' must agree; used for the rotation-equivariance checks.
+    """
+    S = sum(float(ui) * b for ui, b in zip(np.asarray(u, float), chart.basis))
+    w, V = np.linalg.eigh(Q @ S @ Q.T)
+    Sp = (V * w) @ V.T
+    return np.array([np.sum(Sp * b) for b in chart.basis])
+
+
+def block_sparsity_residual(spec: CompositionSpec, inv) -> float:
+    """Largest cubic-form component ``inv.A`` of a composed chart outside the
+    allowed factor triples.
+
+    Allowed triples (with 0 the t-block): (0,0,0), (a,a,0) and permutations,
+    and (a,a,a); everything mixing two different factors must vanish.
+    """
+    idx = spec.index
+    labels = np.zeros(idx.n, dtype=int)
+    for alpha in range(1, spec.s + 1):
+        labels[idx.factor_slice(alpha)] = alpha
+    a, b, c = labels[:, None, None], labels[None, :, None], labels[None, None, :]
+
+    def differ(x, y):  # two different nonzero labels
+        return (x != 0) & (y != 0) & (x != y)
+
+    mixed = differ(a, b) | differ(a, c) | differ(b, c)
+    return float(np.abs(inv.A[mixed]).max(initial=0.0))

@@ -21,10 +21,9 @@ from equiaffine.blaschke import (
 )
 from equiaffine.calabi import (
     CompositionSpec,
-    block_sparsity_residual,
     closed_form,
     compose_chart,
-    mean_curvature_relations,
+    mean_curvature_reports,
     verify_composition,
 )
 from equiaffine.catalog import (
@@ -38,7 +37,8 @@ from equiaffine.catalog import (
     unit_sphere,
 )
 from equiaffine.cli import jordan_selftest
-from equiaffine.duality import check_gauss_swap, check_trace_free, dualize, random_hypersphere_data
+from equiaffine.duality import check_gauss_swap, check_trace_free, dualize
+from helpers import block_sparsity_residual, random_hypersphere_data, sl_so_point
 
 
 def report(num, name, passed, detail=""):
@@ -103,7 +103,10 @@ def test_criterion_3_composition_oracle_equivalence():
 
 def test_criterion_4_mean_curvature_relations():
     spec = CompositionSpec(r=0, factors=(flat_factor(1, 1.0), flat_factor(2, 1.0)), constants=(1.0, 1.0))
-    reports = mean_curvature_relations(spec, tolerance=1e-6)
+    chart = compose_chart(spec)
+    lo, hi = chart.domain_hint
+    inv = blaschke_at(chart, 0.5 * (lo + hi))  # t = 0, each factor at its domain midpoint
+    reports = mean_curvature_reports(spec, inv.g, inv.A, tolerance=1e-6)
     worst = max(r.residual for r in reports)
     assert any("cross" in r.check_name for r in reports)
     report(4, "factor mean-curvature relations", worst < 1e-6, f"max_err={worst:.2e}")
@@ -142,8 +145,6 @@ def test_criterion_6_sl3_symmetric_space():
             check_codazzi(inv).residual,
         )
     # rotation equivariance of the eigen-invariants
-    from equiaffine.catalog import sl_so_point
-
     rng = np.random.default_rng(43)
     u = rng.uniform(-0.2, 0.2, chart.dim)
     Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))

@@ -10,15 +10,15 @@ from equiaffine.calabi import (
     CompositionIndex,
     CompositionSpec,
     HypersphereFactor,
-    block_sparsity_residual,
     closed_form,
     compose_chart,
     composition_constant,
     expected_invariants,
-    mean_curvature_relations,
+    mean_curvature_reports,
     verify_composition,
 )
 from equiaffine.catalog import flat_factor, hyperboloid
+from helpers import block_sparsity_residual
 
 
 def pure_point_spec(n0, C0):
@@ -134,11 +134,14 @@ def test_block_sparsity_residual_is_the_largest_mixed_component():
 
 def test_mean_curvature_relations():
     spec = CompositionSpec(r=0, factors=(flat_factor(1, 1.0), flat_factor(2, 1.0)), constants=(1.0, 1.0))
-    for rep in mean_curvature_relations(spec):
-        assert rep.passed, rep
     spec2 = CompositionSpec(r=1, factors=(flat_factor(2, 0.5),), constants=(1.5, 1.0))
-    for rep in mean_curvature_relations(spec2):
-        assert rep.passed, rep
+    for s in (spec, spec2):
+        # the domain midpoint: t = 0 and each factor at the midpoint of its own domain
+        chart = compose_chart(s)
+        lo, hi = chart.domain_hint
+        inv = blaschke_at(chart, 0.5 * (lo + hi))
+        for rep in mean_curvature_reports(s, inv.g, inv.A):
+            assert rep.passed, rep
 
 
 def test_composed_chart_is_hypersphere_everywhere():

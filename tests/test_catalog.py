@@ -17,11 +17,11 @@ from equiaffine.catalog import (
     hyperboloid,
     random_unimodular,
     sl_so,
-    sl_so_point,
     unit_sphere,
 )
-from equiaffine.dsl import DslChart, eval_chart_jet
+from equiaffine.dsl import DslChart, eval_immersion
 from equiaffine.jets import jet_lu, jet_matmul, jet_size, jet_variables
+from helpers import sl_so_point
 from jet_reference import jet_matrix_exp
 
 SAMPLE_PARAMS = {
@@ -52,7 +52,7 @@ def test_every_entry_passes_immersion_check():
     for name, params in SAMPLE_PARAMS.items():
         chart = get_chart(name, params)
         for point in chart.sample_points(3, 1):
-            eval_chart_jet(chart, point, 2)
+            eval_immersion(chart, point, 2)
 
 
 @pytest.mark.parametrize("name", sorted(set(ENTRIES) - {"graph"}))

@@ -428,6 +428,12 @@ def scene_file(tmp_path, chart, points):
         ({"catalog": "unit_sphere", "params": {"n": 2}}, [0.99, 0.5]),  # off the hemisphere chart
         ({"dsl": "dim 1; x1 = u1; x2 = log(u1);"}, [-1.0]),
         ({"catalog": "hyperboloid", "params": {"n": 2}}, [1e200, 0.1]),  # jets overflow
+        # Taylor coefficients of an elementary function beyond float range
+        ({"dsl": "dim 1; x1 = u1; x2 = log(u1);"}, [1e-200]),
+        ({"dsl": "dim 1; x1 = u1; x2 = 1/u1;"}, [1e-100]),
+        ({"dsl": "dim 1; x1 = u1; x2 = 1/(u1-u1+1e-320);"}, [0.5]),
+        ({"dsl": "dim 1; x1 = u1; x2 = u1^(1/2);"}, [1e-300]),
+        ({"dsl": "dim 1; x1 = u1; x2 = exp(u1);"}, [1000]),
     ],
 )
 def test_point_domain_errors_exit_3(tmp_path, capsys, chart, point):
@@ -478,9 +484,13 @@ FLAT1 = {"flat": {"n0": 1}}
          2, "scene error: malformed composition factor {'catalog': {'name': 'hyperboloid', 'params': {'n': 2}}, "
             "'L1': 1}: factor affine mean curvature must be negative"),
         ({"r": 1, "constants": [1, 1], "factors": 5}, 2, "scene error: malformed composition spec: 'int' object is not iterable"),
+        ({"r": float("inf"), "constants": [1, 1], "factors": [FLAT1]}, 2,
+         "scene error: malformed composition spec: cannot convert float infinity to integer"),
+        ({"r": 1, "constants": [1, 1], "factors": [{"flat": {"n0": float("inf")}}]}, 2,
+         "scene error: malformed composition factor {'flat': {'n0': inf}}: cannot convert float infinity to integer"),
     ],
     ids=["constant-count", "flat-n0-0", "factor-not-object", "factor-params", "flat-no-n0", "factor-L1-positive",
-         "factors-not-list"],
+         "factors-not-list", "r-infinite", "flat-n0-infinite"],
 )
 def test_composition_spec_errors_exit_with_one_line(tmp_path, capsys, composition, code, expected):
     argv = ["check", "--scene", scene_file(tmp_path, {"composition": composition}, {"random": 1})]
@@ -505,6 +515,51 @@ def factor_chart(name) -> dict:
 def test_catalog_name_errors_exit_with_one_line(tmp_path, capsys, chart, code, expected):
     argv = ["check", "--scene", scene_file(tmp_path, chart, {"random": 1})]
     assert error_line(capsys, argv) == (code, expected)
+
+
+H2 = '"chart": {"catalog": "hyperboloid", "params": {"n": 2}}'
+
+
+@pytest.mark.parametrize(
+    "scene, flags, expected",
+    [
+        ('{%s, "tolerances": [1]}' % H2, [], "tolerances must be an object of name: value pairs, got [1]"),
+        ('{%s, "tolerances": {"gauss": "abc"}}' % H2, [], "tolerance 'gauss' must be a finite number, got 'abc'"),
+        ('{%s, "tolerances": {"gauss": 1e400}}' % H2, [], "tolerance 'gauss' must be a finite number, got inf"),
+        ('{%s}' % H2, ["--tol", "gauss=abc"], "tolerance 'gauss' must be a finite number, got 'abc'"),
+        ('{%s}' % H2, ["--tol", "gauss=nan"], "tolerance 'gauss' must be a finite number, got 'nan'"),
+        ('{%s, "tolerances": [1]}' % H2, ["--tol", "gauss=1"],
+         "tolerances must be an object of name: value pairs, got [1]"),
+        ('{%s, "checks": 5}' % H2, [], 'checks must be "all" or a list of check names, got 5'),
+        ('{%s, "checks": "gauss"}' % H2, [], 'checks must be "all" or a list of check names, got \'gauss\''),
+        ('{%s, "checks": [5]}' % H2, [], 'checks must be "all" or a list of check names, got [5]'),
+        ('{"chart": "dsl"}', [], "chart spec must be an object, got 'dsl'"),
+        ('{"chart": {"dsl": 5}}', [], "chart text must be a string, got 5"),
+        ('{%s, "points": {"random": 2, "seed": -1}}' % H2, [], "random point seed must be non-negative, got -1"),
+        ('{%s}' % H2, ["--seed", "-1"], "random point seed must be non-negative, got -1"),
+        ('{%s, "points": {"random": 1e400}}' % H2, [],
+         "malformed random point spec: cannot convert float infinity to integer"),
+    ],
+    ids=["tolerances-list", "tolerance-text", "tolerance-infinite", "tol-flag-text", "tol-flag-nan",
+         "tol-flag-on-tolerances-list", "checks-int", "checks-string", "checks-not-names", "chart-string",
+         "chart-text-int", "seed-negative", "seed-flag-negative", "random-infinite"],
+)
+def test_malformed_scene_values_exit_2_with_one_line(tmp_path, capsys, scene, flags, expected):
+    path = tmp_path / "scene.json"
+    path.write_text(scene)
+    assert error_line(capsys, ["check", "--scene", str(path), *flags]) == (2, f"scene error: {expected}")
+
+
+def test_seed_flag_samples_the_default_point_set(capsys):
+    reports = {}
+    for seed in (None, "0", "5", "6"):
+        argv = ["invariants", "--chart", "hyperboloid(n=2)"] + (["--seed", seed] if seed else [])
+        assert main(argv) == 0
+        reports[seed] = capsys.readouterr().out
+    assert reports["0"] == reports[None]
+    assert len({reports["0"], reports["5"], reports["6"]}) == 3
+    assert reports["5"].count("point[") == 3
+    assert "point[0]: " + cli.fmt_vector(catalog.hyperboloid(2).sample_points(3, 5)[0]) in reports["5"]
 
 
 def test_non_finite_point_exits_2(tmp_path, capsys):

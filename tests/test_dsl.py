@@ -12,7 +12,7 @@ from equiaffine.dsl import (
     ChartParseError,
     DslChart,
     ImmersionError,
-    eval_chart_jet,
+    eval_immersion,
     parse_chart,
 )
 from equiaffine.jets import monomials
@@ -87,17 +87,17 @@ def test_immersion_rank_check():
     # both components constant in u1 at the critical point
     chart = parse_chart("dim 1; x1 = u1^2; x2 = u1^4;")
     with pytest.raises(ImmersionError):
-        eval_chart_jet(chart, np.array([0.0]), 2)
-    comp = eval_chart_jet(chart, np.array([0.5]), 2)
+        eval_immersion(chart, np.array([0.0]), 2)
+    comp = eval_immersion(chart, np.array([0.5]), 2)[0]
     assert comp[0, 0] == pytest.approx(0.25)
 
 
 def test_order_and_point_validation():
     chart = parse_chart(SPHERE)
     with pytest.raises(ValueError):
-        eval_chart_jet(chart, np.array([0.1, 0.2]), 5)
+        eval_immersion(chart, np.array([0.1, 0.2]), 5)
     with pytest.raises(ValueError):
-        eval_chart_jet(chart, np.array([0.1]), 2)
+        eval_immersion(chart, np.array([0.1]), 2)
 
 
 def test_round_trip_through_text():

@@ -12,13 +12,11 @@ from equiaffine.duality import (
     HyperspherePointData,
     LagrangianPointData,
     check_gauss_swap,
-    check_involution,
     check_trace_free,
     curvature_operator,
     dualize,
-    gauss_residual_hypersphere,
-    random_hypersphere_data,
 )
+from helpers import random_hypersphere_data
 
 
 def test_dualize_forward_and_back():
@@ -29,7 +27,10 @@ def test_dualize_forward_and_back():
     assert dual.c == pytest.approx(-data.L1)
     assert np.array_equal(dual.g, data.g)
     assert np.array_equal(dual.sigma, data.A)
-    assert check_involution(data).passed
+    # dualize(dualize(x)) == x componentwise
+    back = dualize(dualize(data))
+    resid = max(np.max(np.abs(back.g - data.g)), np.max(np.abs(back.A - data.A)), abs(back.L1 - data.L1))
+    assert resid <= 1e-15
 
 
 def test_validation():
@@ -96,12 +97,12 @@ def test_curvature_operator_against_pipeline():
     for chart, point in ((hyperboloid(2), [0.2, -0.1]), (flat_hypersphere(2, 1.0), [0.1, 0.3])):
         inv = blaschke_at(chart, point)
         assert check_gauss(inv).passed
-        data = HyperspherePointData.from_invariants(inv)
+        data = HyperspherePointData(g=inv.g, A=inv.A, L1=inv.L1)
         rup = curvature_operator(data.g, data.A, data.L1)
         riem = np.einsum("ml,mijk->ijkl", data.g, rup)
         assert np.max(np.abs(riem - inv.curvature.riemann)) < 1e-10
         rup_pipeline = np.einsum("ml,ijkl->mijk", np.linalg.inv(data.g), inv.curvature.riemann)
-        assert gauss_residual_hypersphere(data, rup_pipeline) < 1e-10
+        assert np.max(np.abs(rup_pipeline - rup)) < 1e-10
 
 
 def test_dual_curvature_sign_flip_explicit():

@@ -169,6 +169,16 @@ def test_domain_errors():
         jets.sqrt(x, 1)
     with pytest.raises(JetDomainError):
         jets.recip(constant(0.0, 1, 2), 1)
+    # Taylor coefficients beyond float range: overflow, or a power of the value that underflows to 0
+    out_of_range = "Taylor coefficients out of float range"
+    with pytest.raises(JetDomainError, match=f"^log of value part 1e-200: {out_of_range}$"):
+        jets.log(constant(1e-200, 1, 4), 1)
+    with pytest.raises(JetDomainError, match=f"^reciprocal of value part 1e-320: {out_of_range}$"):
+        jets.recip(constant(1e-320, 1, 4), 1)
+    with pytest.raises(JetDomainError, match=f"^power 1/2 of value part 1e-300: {out_of_range}$"):
+        jets.sqrt(constant(1e-300, 1, 4), 1)
+    with pytest.raises(JetDomainError, match=f"^exp of value part 1000.0: {out_of_range}$"):
+        jets.exp(constant(1000.0, 1, 4), 1)
 
 
 def test_partial_lowers_order():

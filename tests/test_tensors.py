@@ -9,7 +9,6 @@ from equiaffine.tensors import (
     CurvatureData,
     MetricError,
     MetricField,
-    christoffel,
     christoffel_jets,
     cov_deriv_sym3,
     riemann,
@@ -43,6 +42,12 @@ def metric_field(point, order=3):
     return MetricField(2, comps)
 
 
+def curvature(g: MetricField):
+    """``riemann`` of a metric field, given its Christoffel jets and the
+    inverse of its values."""
+    return riemann(g, christoffel_jets(g), np.linalg.inv(g.values()))
+
+
 def fd_christoffel(point, h=1e-5):
     """Central-difference Levi-Civita oracle from metric values only."""
     n = 2
@@ -65,7 +70,7 @@ def fd_christoffel(point, h=1e-5):
 
 def test_christoffel_matches_finite_differences():
     point = np.array([0.3, -0.4])
-    got = christoffel(metric_field(point))
+    got = christoffel_jets(metric_field(point))[..., 0]
     oracle = fd_christoffel(point)
     assert np.max(np.abs(got - oracle)) < 1e-9
 
@@ -93,13 +98,14 @@ def test_riemann_matches_finite_differences_of_christoffel():
     )
     gval = metric_values(point)
     oracle = np.einsum("ml,mijk->ijkl", gval, rup)
-    got = riemann(metric_field(point))
+    got = curvature(metric_field(point))
     assert np.max(np.abs(got.riemann - oracle)) < 1e-6
-    # the caller's g^{-1} from the same np.linalg.inv gives the same bits
+    # g^{-1} from the metric's jet inverse, as blaschke_at passes it, gives the same curvature
     field = metric_field(point)
-    given = riemann(field, None, np.linalg.inv(field.values()))
-    for name in ("riemann", "ricci", "chi"):
-        assert np.asarray(getattr(given, name)).tobytes() == np.asarray(getattr(got, name)).tobytes()
+    given = riemann(field, christoffel_jets(field), field.inverse[..., 0])
+    assert np.asarray(given.riemann).tobytes() == np.asarray(got.riemann).tobytes()
+    for name in ("ricci", "chi"):
+        assert np.allclose(getattr(given, name), getattr(got, name), rtol=1e-13, atol=1e-13)
 
 
 def sphere_metric(point, n, order=2):
@@ -120,7 +126,7 @@ def sphere_metric(point, n, order=2):
 def test_unit_sphere_curvature(n):
     point = np.full(n, 0.21)
     g = sphere_metric(point, n)
-    curv = riemann(g)
+    curv = curvature(g)
     gval = g.values()
     expect = np.einsum("il,jk->ijkl", gval, gval) - np.einsum("ik,jl->ijkl", gval, gval)
     assert np.max(np.abs(curv.riemann - expect)) < 1e-12
@@ -142,7 +148,7 @@ def test_flat_metric_curvature_zero():
     comps[0, 0] = jet_mul(j00, j00, n) + jet_mul(j10, j10, n)
     comps[0, 1] = comps[1, 0] = jet_mul(j00, j01, n) + jet_mul(j10, j11, n)
     comps[1, 1] = jet_mul(j01, j01, n) + jet_mul(j11, j11, n)
-    curv = riemann(MetricField(n, comps))
+    curv = curvature(MetricField(n, comps))
     assert np.max(np.abs(curv.riemann)) < 1e-12
     assert curv.chi == pytest.approx(0.0, abs=1e-12)
 
@@ -165,7 +171,7 @@ def test_cov_deriv_scalar_times_metric():
     times g plus Christoffel corrections; cross-check by finite differences."""
     point = np.array([0.1, 0.2])
     g = metric_field(point, order=3)
-    gamma = christoffel(g)
+    gamma = christoffel_jets(g)[..., 0]
     n = 2
     u = jet_variables(point, 1)
     f = jet_mul(u[0], u[1], n) + constant(1.0, n, 1)
