@@ -148,7 +148,8 @@ class ComposedChart(ChartDef):
         t = jet_variables(point, order)[..., : idx.K - 1, :]
         comps = []
         for a in range(1, idx.K + 1):
-            e_a = (jets.exp(idx.exponent_row(a) @ t, n) * spec.constants[a - 1])[..., None, :]
+            # log e_a is linear in t: degree bound 1
+            e_a = (jets.exp(idx.exponent_row(a) @ t, n, 1) * spec.constants[a - 1])[..., None, :]
             if a <= spec.r:
                 comps.append(e_a)
             else:

@@ -139,7 +139,8 @@ def _jet_matrix_exp(S: np.ndarray, num_vars: int) -> np.ndarray:
     degree-19 Taylor polynomial, evaluated Paterson-Stockmeyer style as
     sum_j B_j (A^5)^j with B_j = sum_{i<5} A^i / (5j+i)!: 7 jet products
     (A^2..A^5, then 3 Horner steps), not one per degree.  Each matrix of a
-    stack is scaled and squared by its own count."""
+    stack is scaled and squared by its own count.  ``S`` must be linear in
+    the variables (degree bound 1), so A^k has degree bound k."""
     m = S.shape[-2]
     stack = S.reshape((-1,) + S.shape[-3:])
     norms = np.abs(stack[..., 0]).sum(axis=-1).max(axis=-1)
@@ -147,8 +148,8 @@ def _jet_matrix_exp(S: np.ndarray, num_vars: int) -> np.ndarray:
     A = stack * (0.5**squarings)[:, None, None, None]
     powers = [np.zeros_like(stack), A]
     powers[0][..., 0] = np.eye(m)
-    for _ in range(4):
-        powers.append(jet_matmul(powers[-1], A, num_vars))
+    for k in range(1, 5):
+        powers.append(jet_matmul(powers[-1], A, num_vars, (k, 1)))
     A5 = powers.pop()
     blocks = np.tensordot(_EXP_COEFFS, np.array(powers), 1)
     out = blocks[3]

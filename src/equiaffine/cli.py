@@ -161,6 +161,9 @@ def resolve_points(doc, chart) -> np.ndarray:
             count, seed = int(doc["random"]), int(doc.get("seed", 0))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SceneError(f"malformed random point spec: {exc}") from exc
+        for name, value in (("count", doc["random"]), ("seed", doc.get("seed", 0))):
+            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+                raise SceneError(f"random point {name} must be an integer, got {value!r}")
         if seed < 0:
             raise SceneError(f"random point seed must be non-negative, got {seed}")
         if count < 1:
@@ -285,6 +288,8 @@ def run_scene(scene: dict, out) -> int:
             tol[name] = np.nan
         if not np.isfinite(tol[name]):
             raise SceneError(f"tolerance {name!r} must be a finite number, got {value!r}")
+        if tol[name] < 0:
+            raise SceneError(f"tolerance {name!r} must be non-negative, got {value!r}")
     if spec is None:
         checks = [c for c in checks if c not in ("composition", "mean_curvature")]
 

@@ -15,6 +15,16 @@ constant rational exponent, written either as a plain number or as a
 parenthesized fraction, e.g. ``u1^2`` or ``u1^(-3/2)``.  A non-negative
 integer exponent is defined at every base, a negative integer exponent at
 every nonzero base, and any other exponent at positive bases only.
+
+Each chart computes once, from its expression trees alone, an upper bound
+on every node's polynomial degree in u (``degree_bounds``): a constant or
+parameter has bound 0, a variable 1, a sum or difference the larger of
+its operands', a product their sum, an integer power k >= 0 k times its
+base's, a quotient by a constant its numerator's, and a function or other
+power of a constant 0; everything else is unbounded.  Every Taylor
+coefficient of a node above its bound is exactly zero at every point, so
+evaluation hands the bounds to the jet products (see ``jets``), which then
+skip the pairs that would multiply such zeros.
 """
 
 from __future__ import annotations
@@ -89,10 +99,51 @@ class Pow:
     exponent: Fraction
 
 
-def eval_expr(expr, var_jets: np.ndarray, params: dict[str, float]) -> np.ndarray:
+def degree_bounds(exprs, order: int) -> dict[int, int]:
+    """Upper bounds in 0..order on the polynomial degree of every node of
+    the ASTs ``exprs``, keyed by ``id(node)``.  A bound computed for one
+    order serves every lower one, since a bound >= order promises nothing."""
+    bounds: dict[int, int] = {}
+
+    def bound(expr) -> int:
+        if isinstance(expr, (Num, Param)):
+            d = 0
+        elif isinstance(expr, Var):
+            d = 1
+        elif isinstance(expr, Unary):
+            d = bound(expr.arg)
+            if expr.op != "neg" and d:
+                d = order
+        elif isinstance(expr, Bin):
+            da, db = bound(expr.left), bound(expr.right)
+            if expr.op in ("+", "-"):
+                d = max(da, db)
+            elif expr.op == "*":
+                d = da + db
+            else:
+                d = da if db == 0 else order
+        elif isinstance(expr, Pow):
+            d = bound(expr.base)
+            k = expr.exponent
+            if k.denominator == 1 and k >= 0:
+                d = int(k) * d
+            elif d:
+                d = order
+        else:
+            raise TypeError(f"unknown AST node {expr!r}")
+        bounds[id(expr)] = min(d, order)
+        return bounds[id(expr)]
+
+    for expr in exprs:
+        bound(expr)
+    return bounds
+
+
+def eval_expr(expr, var_jets: np.ndarray, params: dict[str, float], bounds) -> np.ndarray:
     """Evaluate an AST on the (n, M) coordinate jets ``var_jets`` (from
     ``jets.jet_variables``) into one (M,) jet; (..., n, M) stacked
-    coordinate jets give (..., M) jets."""
+    coordinate jets give (..., M) jets.  ``bounds`` maps ``id(node)`` to
+    the node's degree bound (``degree_bounds``)."""
     n = var_jets.shape[-2]
     if isinstance(expr, (Num, Param)):
         out = np.zeros(var_jets.shape[:-2] + var_jets.shape[-1:])
@@ -104,20 +155,23 @@ def eval_expr(expr, var_jets: np.ndarray, params: dict[str, float]) -> np.ndarra
     if isinstance(expr, Var):
         return var_jets[..., expr.index, :]
     if isinstance(expr, Unary):
-        arg = eval_expr(expr.arg, var_jets, params)
-        return -arg if expr.op == "neg" else jets.ELEMENTARY[expr.op](arg, n)
+        arg = eval_expr(expr.arg, var_jets, params, bounds)
+        return -arg if expr.op == "neg" else jets.ELEMENTARY[expr.op](arg, n, bounds[id(expr.arg)])
     if isinstance(expr, Bin):
-        a = eval_expr(expr.left, var_jets, params)
-        b = eval_expr(expr.right, var_jets, params)
+        a = eval_expr(expr.left, var_jets, params, bounds)
+        b = eval_expr(expr.right, var_jets, params, bounds)
         if expr.op == "+":
             return a + b
         if expr.op == "-":
             return a - b
+        da, db = bounds[id(expr.left)], bounds[id(expr.right)]
         if expr.op == "*":
-            return jets.jet_mul(a, b, n)
-        return jets.jet_mul(a, jets.recip(b, n), n)
+            return jets.jet_mul(a, b, n, (da, db))
+        inverse_bound = 0 if db == 0 else jets.MAX_ORDER  # 1/b is constant where b is
+        return jets.jet_mul(a, jets.recip(b, n, db), n, (da, inverse_bound))
     if isinstance(expr, Pow):
-        return jets.power(eval_expr(expr.base, var_jets, params), expr.exponent, n)
+        base = eval_expr(expr.base, var_jets, params, bounds)
+        return jets.power(base, expr.exponent, n, bounds[id(expr.base)])
     raise TypeError(f"unknown AST node {expr!r}")
 
 
@@ -199,12 +253,13 @@ class DslChart(ChartDef):
         if len(components) != dim + 1:
             raise ValueError(f"expected {dim + 1} components, got {len(components)}")
         self.components = list(components)
+        self.bounds = degree_bounds(self.components, jets.MAX_ORDER)
 
     def component_jets(self, point, order):
         var_jets = jets.jet_variables(point, order)
         out = np.empty(var_jets.shape[:-2] + (self.ambient_dim, var_jets.shape[-1]))
         for i, c in enumerate(self.components):
-            out[..., i, :] = eval_expr(c, var_jets, self.params)
+            out[..., i, :] = eval_expr(c, var_jets, self.params, self.bounds)
         return out
 
     def to_text(self) -> str:

@@ -21,6 +21,21 @@ treats each stack entry exactly as it would treat that entry alone.
 Multi-indices are enumerated in graded lexicographic order, which makes
 monomials of degree <= k a prefix of the enumeration; truncating a jet
 to a lower order is then just a slice of its last axis.
+
+Degree bounds.  A product may be told an upper degree bound per operand:
+bound d promises that every coefficient of degree > d is exactly zero
+(a constant has bound 0, a linear function bound 1; any d >= order
+promises nothing).  The product then forms only the coefficient pairs
+with deg i <= da and deg j <= db, a filtered product table (the
+monomials of degree <= d are a prefix of the enumeration), and its
+coefficients above degree min(order, da + db) are exactly zero.
+``jet_mul``, ``jet_matmul``, ``power`` and the elementary functions take
+such bounds; a call without one forms every pair.  A caller passes a
+bound only where the structure of a chart guarantees it (a DSL
+expression tree, the linear exponent of a matrix or composition chart),
+never one read off the data.  The result equals the full product up to
+the grouping of its sums, since only pairs with an exactly zero factor
+are left out.
 """
 
 from __future__ import annotations
@@ -81,13 +96,22 @@ def _comb(top: np.ndarray, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _product_table(num_vars: int, order: int):
+def _product_table(num_vars: int, order: int, bound_a: int | None = None, bound_b: int | None = None):
     """Index triples (i, j, k) with monomial_i * monomial_j = monomial_k,
     sorted by k, and the start of each k's run (for ``np.add.reduceat``).
 
     Built block by block over pairs of degrees da + db <= order, so the
     work is the number of triples, not the square of the monomial count.
+    With bounds below ``order`` it keeps the triples with deg i <= bound_a
+    and deg j <= bound_b; its runs then cover the monomials of degree
+    <= min(order, bound_a + bound_b), a prefix of the enumeration.
     """
+    if bound_a is not None:
+        ii, jj, kk, _ = _product_table(num_vars, order)
+        keep = (ii < jet_size(num_vars, bound_a)) & (jj < jet_size(num_vars, bound_b))
+        ii, jj, kk = ii[keep], jj[keep], kk[keep]
+        top = jet_size(num_vars, min(order, bound_a + bound_b))
+        return ii, jj, kk, np.searchsorted(kk, np.arange(top))
     mono = np.array(monomials(num_vars, order), dtype=np.int64).reshape(-1, num_vars)
     # degree d occupies [C(d-1+n, n), C(d+n, n)) in the graded enumeration
     block = [
@@ -105,6 +129,26 @@ def _product_table(num_vars: int, order: int):
     perm = np.lexsort((jj, ii, kk))
     ii, jj, kk = ii[perm], jj[perm], kk[perm]
     return ii, jj, kk, np.searchsorted(kk, np.arange(len(mono)))
+
+
+@lru_cache(maxsize=None)
+def _pairs(num_vars: int, size: int, bounds):
+    """The product table for jets of ``size`` coefficients, filtered by the
+    operands' degree bounds (da, db) when one of them is below the order."""
+    order = jet_order(num_vars, size)
+    if bounds is None or min(bounds) >= order:
+        return _product_table(num_vars, order)
+    return _product_table(num_vars, order, min(bounds[0], order), min(bounds[1], order))
+
+
+def _sum_pairs(prod: np.ndarray, starts: np.ndarray, size: int) -> np.ndarray:
+    """Sum the pair products of each output monomial; the monomials past the
+    table's runs (above a bounded product's degree) stay exactly zero."""
+    if len(starts) == size:
+        return np.add.reduceat(prod, starts, axis=-1)
+    out = np.zeros(prod.shape[:-1] + (size,))
+    np.add.reduceat(prod, starts, axis=-1, out=out[..., : len(starts)])
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -171,10 +215,11 @@ def jet_embed(a: np.ndarray, sub_vars: int, num_vars: int, offset: int) -> np.nd
     return out
 
 
-def jet_mul(a: np.ndarray, b: np.ndarray, num_vars: int) -> np.ndarray:
-    """Entrywise jet product of two jet arrays of one order, broadcasting."""
-    ii, jj, _, starts = _product_table(num_vars, jet_order(num_vars, a.shape[-1]))
-    return np.add.reduceat(a[..., ii] * b[..., jj], starts, axis=-1)
+def jet_mul(a: np.ndarray, b: np.ndarray, num_vars: int, bounds=None) -> np.ndarray:
+    """Entrywise jet product of two jet arrays of one order, broadcasting;
+    ``bounds`` = (da, db) are the operands' degree bounds, if known."""
+    ii, jj, _, starts = _pairs(num_vars, a.shape[-1], bounds)
+    return _sum_pairs(a[..., ii] * b[..., jj], starts, a.shape[-1])
 
 
 def jet_einsum(subscripts: str, a: np.ndarray, b: np.ndarray, num_vars: int) -> np.ndarray:
@@ -184,21 +229,22 @@ def jet_einsum(subscripts: str, a: np.ndarray, b: np.ndarray, num_vars: int) -> 
     ``jet_einsum("ik,kj->ij", A, B, n)``."""
     ins, out = subscripts.split("->")
     sa, sb = ins.split(",")
-    ii, jj, _, starts = _product_table(num_vars, jet_order(num_vars, a.shape[-1]))
+    ii, jj, _, starts = _pairs(num_vars, a.shape[-1], None)
     prod = np.einsum(f"...{sa}Z,...{sb}Z->...{out}Z", a[..., ii], b[..., jj])
     return np.add.reduceat(prod, starts, axis=-1)
 
 
-def jet_matmul(a: np.ndarray, b: np.ndarray, num_vars: int) -> np.ndarray:
-    """Matrix product of (..., m, k, M) and (..., k, p, M) jet arrays.
+def jet_matmul(a: np.ndarray, b: np.ndarray, num_vars: int, bounds=None) -> np.ndarray:
+    """Matrix product of (..., m, k, M) and (..., k, p, M) jet arrays, with
+    the entries' degree bounds (da, db), if known.
 
     Same result as ``jet_einsum("ik,kj->ij", ...)``, but as one batched
     ``np.matmul`` over the coefficient pairs, with the matrix axes taken
     in place (``axes=``), which is several times faster than
     ``np.einsum`` on this pattern."""
-    ii, jj, _, starts = _product_table(num_vars, jet_order(num_vars, a.shape[-1]))
+    ii, jj, _, starts = _pairs(num_vars, a.shape[-1], bounds)
     prod = np.matmul(a[..., ii], b[..., jj], axes=[(-3, -2)] * 3)
-    return np.add.reduceat(prod, starts, axis=-1)
+    return _sum_pairs(prod, starts, a.shape[-1])
 
 
 def jet_gradient(a: np.ndarray, num_vars: int) -> np.ndarray:
@@ -213,18 +259,21 @@ def jet_gradient(a: np.ndarray, num_vars: int) -> np.ndarray:
 
 # -- elementary functions ----------------------------------------------
 #
-# Each takes an (..., M) jet array and the number of variables, and composes
-# the function's Taylor series at each jet's value part with the rest.  The
-# series coefficients are Python floats computed per jet, in array order, so
-# a domain error names the first offending value part, and so does a value
-# part whose coefficients leave float range.
+# Each takes an (..., M) jet array, the number of variables and optionally
+# the array's degree bound, and composes the function's Taylor series at
+# each jet's value part with the rest.  The series coefficients are Python
+# floats computed per jet, in array order, so a domain error names the
+# first offending value part, and so does a value part whose coefficients
+# leave float range.
 
 
-def _compose(x: np.ndarray, num_vars: int, series, name: str) -> np.ndarray:
+def _compose(x: np.ndarray, num_vars: int, series, name: str, bound=None) -> np.ndarray:
     """sum_k c_k (x - x0)^k for every jet of ``x``, with [c_0..c_order] =
     ``series(x0, order)`` at the jet's value part x0, truncated at its order
-    (Horner).  ``name`` names the function in errors."""
+    (Horner; the partial sum after t steps has degree bound t * bound).
+    ``name`` names the function in errors."""
     order = jet_order(num_vars, x.shape[-1])
+    bound = order if bound is None else bound
     values = x[..., 0]
     terms = np.array([_coefficients(series, name, v, order) for v in values.ravel().tolist()]).T  # [degree, jet]
     terms = terms.reshape((order + 1,) + values.shape)
@@ -233,7 +282,7 @@ def _compose(x: np.ndarray, num_vars: int, series, name: str) -> np.ndarray:
     out = np.zeros(x.shape)
     out[..., 0] = terms[order]
     for k in range(order - 1, -1, -1):
-        out = jet_mul(out, dx, num_vars)
+        out = jet_mul(out, dx, num_vars, ((order - 1 - k) * bound, bound))
         constant = out[..., 0]
         constant += terms[k]
     return out
@@ -281,20 +330,21 @@ def _cos_series(value, order):
     return [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
 
 
-def exp(x: np.ndarray, num_vars: int) -> np.ndarray:
-    return _compose(x, num_vars, _exp_series, "exp")
+def exp(x: np.ndarray, num_vars: int, bound=None) -> np.ndarray:
+    return _compose(x, num_vars, _exp_series, "exp", bound)
 
 
-def log(x: np.ndarray, num_vars: int) -> np.ndarray:
-    return _compose(x, num_vars, _log_series, "log")
+def log(x: np.ndarray, num_vars: int, bound=None) -> np.ndarray:
+    return _compose(x, num_vars, _log_series, "log", bound)
 
 
-def recip(x: np.ndarray, num_vars: int) -> np.ndarray:
-    return _compose(x, num_vars, _recip_series, "reciprocal")
+def recip(x: np.ndarray, num_vars: int, bound=None) -> np.ndarray:
+    return _compose(x, num_vars, _recip_series, "reciprocal", bound)
 
 
-def power(x: np.ndarray, p, num_vars: int) -> np.ndarray:
-    """x**p for a rational (or float) constant exponent p.
+def power(x: np.ndarray, p, num_vars: int, bound=None) -> np.ndarray:
+    """x**p for a rational (or float) constant exponent p, with the degree
+    bound of ``x``, if known.
 
     A non-negative integer exponent k takes floor(log2 k) + popcount(k) - 1
     jet products (repeated squaring) and is valid at every value part; a
@@ -303,16 +353,21 @@ def power(x: np.ndarray, p, num_vars: int) -> np.ndarray:
     value part.
     """
     pf = float(p)
+    if bound is None:
+        bound = jet_order(num_vars, x.shape[-1])
     if isinstance(p, (int, Fraction)) and pf == int(pf):
         if pf < 0:
-            return recip(power(x, -int(pf), num_vars), num_vars)
+            return recip(power(x, -int(pf), num_vars, bound), num_vars, -int(pf) * bound)
         k, base, result = int(pf), x, None
-        while k:  # base = x^(2^i) at bit i, a factor of the result where the bit is set
+        step, done = 1, 0  # base = x^step, result = x^done
+        while k:  # step = 2^i at bit i, a factor of the result where the bit is set
             if k & 1:
-                result = base if result is None else jet_mul(result, base, num_vars)
+                result = base if result is None else jet_mul(result, base, num_vars, (done * bound, step * bound))
+                done += step
             k >>= 1
             if k:
-                base = jet_mul(base, base, num_vars)
+                base = jet_mul(base, base, num_vars, (step * bound, step * bound))
+                step *= 2
         if result is None:  # x^0
             result = np.zeros(x.shape)
             result[..., 0] = 1.0
@@ -327,19 +382,19 @@ def power(x: np.ndarray, p, num_vars: int) -> np.ndarray:
             coeff *= (pf - k) / (k + 1)
         return terms
 
-    return _compose(x, num_vars, series, f"power {p}")
+    return _compose(x, num_vars, series, f"power {p}", bound)
 
 
-def sqrt(x: np.ndarray, num_vars: int) -> np.ndarray:
-    return power(x, Fraction(1, 2), num_vars)
+def sqrt(x: np.ndarray, num_vars: int, bound=None) -> np.ndarray:
+    return power(x, Fraction(1, 2), num_vars, bound)
 
 
-def sin(x: np.ndarray, num_vars: int) -> np.ndarray:
-    return _compose(x, num_vars, _sin_series, "sin")
+def sin(x: np.ndarray, num_vars: int, bound=None) -> np.ndarray:
+    return _compose(x, num_vars, _sin_series, "sin", bound)
 
 
-def cos(x: np.ndarray, num_vars: int) -> np.ndarray:
-    return _compose(x, num_vars, _cos_series, "cos")
+def cos(x: np.ndarray, num_vars: int, bound=None) -> np.ndarray:
+    return _compose(x, num_vars, _cos_series, "cos", bound)
 
 
 # the functions of one jet argument that the chart language names

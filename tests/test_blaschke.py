@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from equiaffine import BlaschkeInvariants, blaschke_at, parse_chart
+from equiaffine import BlaschkeInvariants, blaschke_at, jets, parse_chart
 from equiaffine.blaschke import (
     L1_ZERO_TOL,
     ConvexityError,
@@ -379,6 +379,33 @@ def test_one_factorization_per_matrix(monkeypatch, chart):
         monkeypatch.setattr(np.linalg, name, counted)
     blaschke_at(chart, chart.sample_points(4, 5))
     assert calls == {"svd": 2, "eigvalsh": 1, "solve": 4, "det": 2, "inv": 0}
+
+
+@pytest.mark.parametrize(
+    "chart, formed",
+    [
+        # A = S(u) is linear: A^k A forms (k, 1)-bounded pairs, the 3 Horner steps all 1001
+        (sl_so(3), [36, 126, 336, 406, 1001, 1001, 1001]),
+        # the squares u_i^2 are (1, 1)-bounded; sqrt's Horner steps (0, 2), (2, 2), (4, 2), (6, 2)
+        (hyperboloid(20), [441] * 20 + [231, 53361, 94556, 94556]),
+    ],
+    ids=["sl_so", "hyperboloid-20"],
+)
+def test_chart_products_form_only_the_bounded_pairs(monkeypatch, chart, formed):
+    """Chart evaluation forms only the coefficient pairs its degree bounds
+    leave: 3,907 for one sl_so(3) point and 251,524 for one hyperboloid(20)
+    point, where every product forming all pairs would make 7 * 1001 = 7,007
+    and 24 * 135,751 = 3,258,024."""
+    counts = []
+
+    def counted(num_vars, size, bounds, _pairs=jets._pairs):
+        table = _pairs(num_vars, size, bounds)
+        counts.append(len(table[0]))
+        return table
+
+    monkeypatch.setattr(jets, "_pairs", counted)
+    chart.component_jets(chart.sample_points(1, 0)[0], 4)
+    assert counts == formed
 
 
 def test_stack_gate_names_the_first_failing_point():

@@ -539,15 +539,28 @@ H2 = '"chart": {"catalog": "hyperboloid", "params": {"n": 2}}'
         ('{%s}' % H2, ["--seed", "-1"], "random point seed must be non-negative, got -1"),
         ('{%s, "points": {"random": 1e400}}' % H2, [],
          "malformed random point spec: cannot convert float infinity to integer"),
+        ('{%s, "tolerances": {"gauss": -1}}' % H2, [], "tolerance 'gauss' must be non-negative, got -1"),
+        ('{%s}' % H2, ["--tol", "gauss=-1"], "tolerance 'gauss' must be non-negative, got '-1'"),
+        ('{%s, "points": {"random": 2.9, "seed": 1.7}}' % H2, [], "random point count must be an integer, got 2.9"),
+        ('{%s, "points": {"random": 2, "seed": 1.7}}' % H2, [], "random point seed must be an integer, got 1.7"),
+        ('{%s, "points": {"random": true}}' % H2, [], "random point count must be an integer, got True"),
+        ('{%s, "points": {"random": 2, "seed": false}}' % H2, [], "random point seed must be an integer, got False"),
     ],
     ids=["tolerances-list", "tolerance-text", "tolerance-infinite", "tol-flag-text", "tol-flag-nan",
          "tol-flag-on-tolerances-list", "checks-int", "checks-string", "checks-not-names", "chart-string",
-         "chart-text-int", "seed-negative", "seed-flag-negative", "random-infinite"],
+         "chart-text-int", "seed-negative", "seed-flag-negative", "random-infinite", "tolerance-negative",
+         "tol-flag-negative", "random-fractional", "seed-fractional", "random-bool", "seed-bool"],
 )
 def test_malformed_scene_values_exit_2_with_one_line(tmp_path, capsys, scene, flags, expected):
     path = tmp_path / "scene.json"
     path.write_text(scene)
     assert error_line(capsys, ["check", "--scene", str(path), *flags]) == (2, f"scene error: {expected}")
+
+
+def test_integral_float_point_counts_and_seeds_are_integers():
+    chart = catalog.hyperboloid(2)
+    expect = resolve_points({"random": 3, "seed": 2}, chart)
+    assert np.array_equal(resolve_points({"random": 3.0, "seed": 2.0}, chart), expect)
 
 
 def test_seed_flag_samples_the_default_point_set(capsys):

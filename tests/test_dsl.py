@@ -1,21 +1,31 @@
 """Chart expression language: parsing, evaluation, errors, round-trips."""
 
 import math
+from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from equiaffine.dsl import (
     FUNCS,
+    Bin,
     ChartParseError,
     DslChart,
     ImmersionError,
+    Num,
+    Pow,
+    Unary,
+    Var,
+    _children,
+    degree_bounds,
+    eval_expr,
     eval_immersion,
     parse_chart,
 )
-from equiaffine.jets import monomials
+from equiaffine.jets import JetDomainError, jet_size, jet_variables, monomials
 
 SPHERE = "dim 2;\nx1 = u1;\nx2 = u2;\nx3 = sqrt(1 - u1^2 - u2^2);\n"
 
@@ -159,3 +169,77 @@ def test_jets_match_symbolic_derivatives(dim, expr, point):
         want.append(float(d.evalf(30, subs=at)) / np.prod([math.factorial(k) for k in alpha]))
     want = np.array(want)
     assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize(
+    "expr, bound",
+    [
+        ("u1^2*u2", 3),
+        ("0.5*(u1^2+u2^2)", 2),
+        ("u1/2", 1),
+        ("u1/u2", 4),
+        ("sqrt(4)", 0),
+        ("u1^(-1)", 4),
+        ("4^(-1) * u2", 1),
+        ("-u1 + C0", 1),
+        ("u1 - u1", 1),
+        ("u1^3*u2^2", 4),
+        ("(u1 + 1)^0", 0),
+        ("u1^(1/2)", 4),
+        ("exp(u1)", 4),
+        ("sin(C0)*u1^2/cos(1)", 2),
+        ("u1*u1*u1*u1*u1", 4),
+    ],
+)
+def test_degree_bounds_table(expr, bound):
+    chart = parse_chart(f"dim 2; param C0 = 2; x1 = u1; x2 = u2; x3 = {expr};")
+    root = chart.components[2]
+    assert degree_bounds([root], 4)[id(root)] == bound
+    assert chart.bounds[id(root)] == bound
+
+
+def _ast(leaf_values):
+    """Random expression trees over u1, u2 and the constants ``leaf_values``."""
+    leaves = st.one_of(st.builds(Num, leaf_values), st.builds(Var, st.integers(0, 1)))
+    exponents = st.sampled_from([Fraction(k) for k in (0, 1, 2, 3, -1, -2)] + [Fraction(1, 2), Fraction(-3, 2)])
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Unary, st.sampled_from(("neg",) + FUNCS), children),
+            st.builds(Bin, st.sampled_from("+-*/"), children, children),
+            st.builds(Pow, children, exponents),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def _nodes(expr):
+    """Every node of an expression tree, the root first."""
+    todo, out = [expr], []
+    while todo:
+        node = todo.pop()
+        out.append(node)
+        todo.extend(_children(node))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ast(st.floats(min_value=-2.0, max_value=2.0)), st.floats(0.1, 0.9), st.floats(-0.9, -0.1))
+def test_degree_bounds_are_sound(expr, u1, u2):
+    """On random expression trees, the unbounded evaluation of every node
+    is exactly zero above the node's bound, and the bounded evaluation of
+    the tree equals the unbounded one up to rounding."""
+    order = 4
+    bounds = degree_bounds([expr], order)
+    unbounded = defaultdict(lambda: order)
+    var_jets = jet_variables([u1, u2], order)
+    try:
+        with np.errstate(all="raise"):
+            for node in _nodes(expr):
+                full = eval_expr(node, var_jets, {}, unbounded)
+                assert not full[jet_size(2, bounds[id(node)]) :].any(), node
+            want = eval_expr(expr, var_jets, {}, unbounded)
+            got = eval_expr(expr, var_jets, {}, bounds)
+    except (JetDomainError, FloatingPointError):
+        assume(False)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())

@@ -133,9 +133,9 @@ def test_integer_power_products(monkeypatch):
     x = rng.integers(-2, 3, jet_size(2, 4)).astype(float)
     count = Counter()
 
-    def counted(a, b, num_vars):
+    def counted(a, b, num_vars, bounds=None):
         count["mul"] += 1
-        return jet_mul(a, b, num_vars)
+        return jet_mul(a, b, num_vars, bounds)
 
     monkeypatch.setattr(jets, "jet_mul", counted)
     for k in range(9):
@@ -460,3 +460,53 @@ def test_sin_cos_pythagorean(a):
     unit = jet_mul(s, s, 1) + jet_mul(c, c, 1)
     expect = constant(1.0, 1, 4)
     assert np.allclose(unit, expect, atol=1e-12)
+
+
+def bounded_jets(rng, shape, num_vars, order, bound):
+    """Random jets whose coefficients above degree ``bound`` are exactly zero."""
+    a = rng.standard_normal(shape + (jet_size(num_vars, order),))
+    a[..., jet_size(num_vars, min(bound, order)) :] = 0.0
+    return a
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_bounded_products_equal_full_products(num_vars, order, seed):
+    """For every pair of degree bounds, with bounds above the order among
+    them, a product of jets that meet their bounds equals the full product
+    up to the grouping of its sums, and is exactly zero above da + db."""
+    rng = np.random.default_rng(seed)
+    size = jet_size(num_vars, order)
+    for da in range(order + 2):
+        for db in range(order + 2):
+            a = bounded_jets(rng, (2, 3), num_vars, order, da)
+            b = bounded_jets(rng, (3, 2), num_vars, order, db)
+            top = jet_size(num_vars, min(order, da + db))
+            atol = 4 * np.finfo(float).eps * 3 * size * np.abs(a).max() * np.abs(b).max()
+            for full, got in (
+                (jet_mul(a, b.swapaxes(0, 1), num_vars), jet_mul(a, b.swapaxes(0, 1), num_vars, (da, db))),
+                (jet_matmul(a, b, num_vars), jet_matmul(a, b, num_vars, (da, db))),
+            ):
+                assert got.shape == full.shape
+                assert np.allclose(got, full, rtol=0.0, atol=atol)
+                assert not got[..., top:].any() and not full[..., top:].any()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 4), st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_bounded_power_and_exp_equal_full_ones(num_vars, order, bound, seed):
+    """``power`` and ``exp`` of jets that meet a degree bound equal the
+    unbounded calls up to rounding; an integer power k >= 0 is exactly zero
+    above k * bound, and the exp of a constant is a constant."""
+    rng = np.random.default_rng(seed)
+    x = bounded_jets(rng, (3,), num_vars, order, bound) * 0.5
+    x[..., 0] = 1.0 + np.abs(x[..., 0])  # in every exponent's domain
+    for p in (0, 1, 2, 3, 5, 6, -1, -2, Fraction(1, 2), Fraction(-3, 2)):
+        full, got = jets.power(x, p, num_vars), jets.power(x, p, num_vars, bound)
+        assert np.allclose(got, full, rtol=1e-13, atol=1e-13 * np.abs(full).max())
+        if isinstance(p, int) and p >= 0:
+            assert not got[..., jet_size(num_vars, min(order, p * bound)) :].any()
+    full, got = jets.exp(x, num_vars), jets.exp(x, num_vars, bound)
+    assert np.allclose(got, full, rtol=1e-13, atol=1e-13 * np.abs(full).max())
+    if bound == 0:
+        assert not got[..., 1:].any()
