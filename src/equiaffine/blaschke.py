@@ -9,25 +9,35 @@ and Codazzi equations, the hypersphere conditions).
 
 After chart evaluation all jet work runs on jet arrays (see ``jets``),
 at polynomial cost in n.  The determinant form G_ij = det(x_1, ...,
-x_n, x_ij) comes from the conormal nu = det(M) M^{-T} e_{n+1} of
+x_n, x_ij) comes from the conormal nu = det(M) y, y = M^{-T} e_{n+1}, of
 M = [x_1 ... x_n | w], w a constant unit normal: nu holds the cofactors
-of the last column, so G_ij = nu . x_ij exactly.  Then
-g_ij = |det G|^{-1/(n+2)} G_ij.  The affine normal is the metric
+of the last column, so G_ij = nu . x_ij exactly.  The pipeline keeps the
+normalized form G' = y . x_ij = G / det M and works on log-determinants:
+with eps = +-1 making eps G' positive definite,
+
+    g = |det G|^{-1/(n+2)} eps G
+      = exp((2 log|det M| - log det(eps G')) / (n+2)) eps G',
+
+one ``exp`` of a jet whose value part is a sum of logarithms, so no
+determinant is formed and none overflows (det M grows like the n-th
+power of the chart's scale).  The affine normal is the metric
 Laplacian xi = (1/n) Delta_g x, the induced connection comes from
 solving the affine Gauss formula in the frame {x_k, xi}, and the
 recovered transversal coefficient h_ij is checked against g_ij as an
 internal consistency gate.
 
-The conormal, det G, g^{-1} and the frame solve all use ``jet_lu``: one
-solve with the value part plus a nilpotent series, which needs a
-nonsingular value part.  That holds here: M is nonsingular for an
-immersion, G is definite (otherwise ConvexityError is raised first) and
-the frame is nonsingular (otherwise FrameError).
+The conormal with log det M, log det G', g^{-1} and the frame solve all
+use ``jet_lu``: one solve with the value part plus a nilpotent series,
+which needs a nonsingular value part.  That holds here: M is nonsingular
+for an immersion, G' is definite (otherwise ConvexityError is raised
+first) and the frame is nonsingular (otherwise FrameError).
 
-Each value matrix is factorized once per stack.  One SVD of the tangent
-values (``dsl.eval_immersion``) gives the immersion check and w, one
-``eigvalsh`` of G the convexity check and g's SPD check, g's ``jet_lu``
-solve the values of g^{-1}, and the frame's the shape operator B too.
+Each value matrix is factorized once per stack, seven LAPACK calls in
+all.  One SVD of the tangent values (``dsl.eval_immersion``) gives the
+immersion check, w and log|det M0| = sum log sigma_i; one ``eigvalsh``
+of G' the convexity check, log det(eps G'0) and g's SPD check; g's
+``jet_lu`` solve the values of g^{-1}, and the frame's the shape
+operator B too.
 
 Every step also runs on a stack of points: ``blaschke_at`` on a (P, n)
 point stack carries a leading point axis through every jet array, so a
@@ -47,8 +57,8 @@ import numpy as np
 
 from . import tensors
 from .dsl import ChartDef, eval_immersion
+from .jets import exp as jet_exp
 from .jets import jet_einsum, jet_gradient, jet_lu, jet_mul, jet_size
-from .jets import power as jet_power
 from .tensors import MetricField, cov_deriv_sym3, riemann
 
 H_EQUALS_G_TOL = 1e-9
@@ -150,24 +160,27 @@ def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants:
         raise ValueError(f"blaschke_at needs at least one point, got an empty stack of shape {stack.shape}")
     n = chart.dim
     m1 = jet_size(n, 1)
-    x, x1, hess, normal = _chart_derivatives(chart, stack)
-    G = _determinant_form(x1, hess, normal, stack)
+    x, x1, hess, normal, sv = _chart_derivatives(chart, stack)
+    G, log_m = _determinant_form(x1, hess, normal, stack)  # G' = G / det M
     eig = np.linalg.eigvalsh(G[..., 0])
     definite = eig[:, 0] > 0
     k = _first(~definite & ~(eig[:, -1] < 0))
     if k is not None:
         raise ConvexityError(f"chart is not locally strongly convex at {stack[k]} (form eigenvalues {eig[k]})")
     Gp = np.where(definite[:, None, None, None], G, -G)
-    eig_p = np.where(definite[:, None], eig, -eig[:, ::-1])  # eigenvalues of eps G, ascending
+    eig_p = np.where(definite[:, None], eig, -eig[:, ::-1])  # eigenvalues of eps G', ascending
 
-    # Berwald-Blaschke metric g = |det G|^{-1/(n+2)} * (eps G): symmetric as G
-    # is, and its value part's eigenvalues are s0 * eig(eps G), s0 > 0 the
-    # scale's value part, so the SPD gate needs no second eigen-decomposition
+    # Berwald-Blaschke metric g = scale * (eps G') of the module docstring,
+    # the log-determinants' value parts from the SVD and eigvalsh above
+    # (positive past the gates).  g's value eigenvalues are s0 * eig(eps G'),
+    # s0 > 0, so the SPD gate needs no second eigen-decomposition
     try:
-        det_g, _ = jet_lu(Gp, n)
+        log_gp, _ = jet_lu(Gp, n)
     except np.linalg.LinAlgError as exc:
         raise ConvexityError(f"second-order form is degenerate at {stack[_first_singular(Gp[..., 0])]}") from exc
-    scale = jet_power(det_g, -1.0 / (n + 2), n)
+    log_m[:, 0] = np.log(sv).sum(axis=-1)
+    log_gp[:, 0] = np.log(eig_p).sum(axis=-1)
+    scale = jet_exp((2.0 * log_m - log_gp) / (n + 2), n)
     g = jet_mul(scale[:, None, None], Gp, n)
     tensors.check_spd_eigenvalues(scale[:, :1] * eig_p)
     metric = tensors._trusted(MetricField, dim=n, coeffs=g)
@@ -201,7 +214,7 @@ def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants:
     rhs = np.zeros((len(stack), n + 1, pairs + n, m1))
     rhs[:, :, :pairs] = hess[:, rows, cols].swapaxes(1, 2)
     rhs[:, :, pairs:, 0] = jet_gradient(xi, n)[..., 0]
-    _, sol = jet_lu(frame, n, rhs, det=False)  # [coefficient, pair or direction]
+    _, sol = jet_lu(frame, n, rhs, log_det=False)  # [coefficient, pair or direction]
     gamma_ind = np.empty((len(stack), n, n, n, m1))  # induced connection [k, i, j]
     gamma_ind[:, :, rows, cols] = gamma_ind[:, :, cols, rows] = sol[:, :n, :pairs]
     h_val = np.empty((len(stack), n, n))
@@ -293,24 +306,27 @@ def _g_norm2(t: np.ndarray, g_inv: np.ndarray):
 
 def _chart_derivatives(chart: ChartDef, points: np.ndarray):
     """Chart jets x (n+1, M4), first derivatives x1[k, a] = d_k x^a (order 3),
-    second derivatives hess[i, j, a] = d_i d_j x^a (order 2) and a unit
-    normal (n+1,) to the tangents (``eval_immersion``), each with a leading
-    point axis for a (P, n) point stack."""
+    second derivatives hess[i, j, a] = d_i d_j x^a (order 2), a unit normal
+    (n+1,) to the tangents and the tangents' singular values (n,)
+    (``eval_immersion``), each with a leading point axis for a (P, n) point
+    stack."""
     n = chart.dim
-    x, normal = eval_immersion(chart, points, 4)
+    x, normal, sv = eval_immersion(chart, points, 4)
     x1 = jet_gradient(x, n).swapaxes(-3, -2)
     # x_ij = d_j d_i x for j <= i, mirrored
     rows, cols = _lower(n)
     hess = np.empty(x1.shape[:-3] + (n, n, n + 1, jet_size(n, 2)))
     second = jet_gradient(x1, n).swapaxes(-3, -2)  # [i, j, a] = d_j d_i x^a
     hess[..., rows, cols, :, :] = hess[..., cols, rows, :, :] = second[..., rows, cols, :, :]
-    return x, x1, hess, normal
+    return x, x1, hess, normal, sv
 
 
-def _determinant_form(x1: np.ndarray, hess: np.ndarray, normal: np.ndarray, points) -> np.ndarray:
-    """G_ij = det(x_1, ..., x_n, x_ij) as an (n, n, M2) jet array (leading
-    point axes as in x1), as nu . x_ij with the conormal nu of the module
-    docstring, w the constant ``normal``."""
+def _determinant_form(x1: np.ndarray, hess: np.ndarray, normal: np.ndarray, points):
+    """The normalized determinant form G'_ij = det(x_1, ..., x_n, x_ij) / det M
+    as an (n, n, M2) jet array (leading point axes as in x1), as y . x_ij
+    with y = M^{-T} e_{n+1} of the module docstring, w the constant
+    ``normal``; and the series log(det M / det M0), an (M2,) jet with value
+    part 0, from the same solve."""
     n = x1.shape[-3]
     lead = x1.shape[:-3]
     m2 = hess.shape[-1]
@@ -320,15 +336,15 @@ def _determinant_form(x1: np.ndarray, hess: np.ndarray, normal: np.ndarray, poin
     e_last = np.zeros(lead + (n + 1, 1, m2))
     e_last[..., n, 0, 0] = 1.0
     try:
-        det_m, y = jet_lu(mt, n, e_last)
+        log_m, y = jet_lu(mt, n, e_last)
     except np.linalg.LinAlgError as exc:
         k = _first_singular(mt[..., 0].reshape(-1, n + 1, n + 1))
         raise ConvexityError(f"tangents are linearly dependent at {np.reshape(points, (-1, n))[k]}") from exc
-    nu = jet_mul(det_m[..., None, :], y[..., 0, :], n)
-    rows, cols = _lower(n)  # G is symmetric: contract the pairs i >= j only
+    y = y[..., 0, :]
+    rows, cols = _lower(n)  # G' is symmetric: contract the pairs i >= j only
     G = np.empty(lead + (n, n, m2))
-    G[..., rows, cols, :] = G[..., cols, rows, :] = jet_einsum("a,pa->p", nu, hess[..., rows, cols, :, :], n)
-    return G
+    G[..., rows, cols, :] = G[..., cols, rows, :] = jet_einsum("a,pa->p", y, hess[..., rows, cols, :, :], n)
+    return G, log_m
 
 
 def _symmetrize3(t: np.ndarray) -> np.ndarray:

@@ -7,11 +7,12 @@ deterministic structured text (schema: 1): fixed key order, repr float
 formatting, one residual line per check per point, and a summary block.
 
 Exit codes: 0 all checks pass, 1 a check failed (report still emitted),
-2 scene error (unreadable scene file or unwritable report path, parse
-error, malformed, empty, oversized or non-finite input), 3 chart
-construction or domain error at a sample point.  The mean-curvature
-relations of a composition are checked at the first sample point.  Every
-exit code other than 0 and 1 comes with one stderr line.
+2 scene or usage error (unreadable scene file or unwritable report path,
+parse error, malformed, empty, oversized or non-finite input, bad
+command-line arguments), 3 chart construction or domain error at a
+sample point.  The mean-curvature relations of a composition are checked
+at the first sample point.  Every exit code other than 0 and 1 comes
+with one stderr line.
 """
 
 from __future__ import annotations
@@ -162,7 +163,8 @@ def resolve_points(doc, chart) -> np.ndarray:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SceneError(f"malformed random point spec: {exc}") from exc
         for name, value in (("count", doc["random"]), ("seed", doc.get("seed", 0))):
-            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or (isinstance(value, float) and not value.is_integer())):
                 raise SceneError(f"random point {name} must be an integer, got {value!r}")
         if seed < 0:
             raise SceneError(f"random point seed must be non-negative, got {seed}")
@@ -473,11 +475,19 @@ def _one_line(exc: Exception) -> str:
     return " ".join(str(text).split())
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors print one stderr line, without
+    the usage text, and exit 2; its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {' '.join(message.split())}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser, built on the first ``main`` call and shared
     by every later one in the process; nothing changes it once built."""
-    parser = argparse.ArgumentParser(prog="equiaffine", description="equiaffine invariant toolkit")
+    parser = _Parser(prog="equiaffine", description="equiaffine invariant toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (
         ("invariants", "compute pointwise invariants only"),

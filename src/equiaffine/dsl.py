@@ -271,15 +271,16 @@ class DslChart(ChartDef):
         return "\n".join(lines) + "\n"
 
 
-def eval_immersion(chart: ChartDef, point, order: int) -> tuple[np.ndarray, np.ndarray]:
+def eval_immersion(chart: ChartDef, point, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate a chart at a point into its (n+1, M) ambient-coordinate jet
-    array and a unit normal w (n+1,) to its tangent space, or at a (P, n)
-    point stack into a (P, n+1, M) array and a (P, n+1) stack of normals.
+    array, a unit normal w (n+1,) to its tangent space and the tangents'
+    singular values (n,), or at a (P, n) point stack into a (P, n+1, M)
+    array, a (P, n+1) stack of normals and a (P, n) stack of singular values.
 
-    One SVD of the (n, n+1) matrix of tangent values d_k x^a gives both
-    the immersion check's singular values, which must show rank n at every
-    point (``ImmersionError`` names the first point that fails), and w, its
-    last right singular vector."""
+    One SVD of the (n, n+1) matrix T of tangent values d_k x^a gives all
+    three: the singular values, which must show rank n at every point
+    (``ImmersionError`` names the first point that fails), and w, the last
+    right singular vector.  Their product is |det [T; w]|."""
     if not 1 <= order <= jets.MAX_ORDER:
         raise ValueError(f"order must be in 1..{jets.MAX_ORDER}")
     point = np.asarray(point, float)
@@ -293,7 +294,7 @@ def eval_immersion(chart: ChartDef, point, order: int) -> tuple[np.ndarray, np.n
         k = np.argmax(bad)
         raise ImmersionError(f"Jacobian rank-deficient at {point.reshape(-1, chart.dim)[k]} "
                              f"(singular values {sv.reshape(-1, sv.shape[-1])[k]})")
-    return comp, vh[..., -1, :]
+    return comp, vh[..., -1, :], sv
 
 
 # -- tokenizer / parser ---------------------------------------------------

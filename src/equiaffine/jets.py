@@ -290,11 +290,11 @@ def _compose(x: np.ndarray, num_vars: int, series, name: str, bound=None) -> np.
 
 def _coefficients(series, name: str, value: float, order: int) -> list:
     """``series(value, order)``, or ``JetDomainError`` naming the function and
-    the value part when a coefficient leaves float range: it overflows, or
-    divides by a power of the value that underflowed to 0."""
+    the value part when a coefficient overflows (float ``**`` raises, ``*``
+    and ``/`` give inf)."""
     try:
         terms = series(value, order)
-    except (OverflowError, ZeroDivisionError):
+    except OverflowError:
         terms = [math.inf]
     if not all(map(math.isfinite, terms)):
         raise JetDomainError(f"{name} of value part {value}: Taylor coefficients out of float range")
@@ -309,13 +309,15 @@ def _exp_series(value, order):
 def _log_series(value, order):
     if value <= 0.0:
         raise JetDomainError(f"log of non-positive value part {value}")
-    return [math.log(value)] + [(-1.0) ** (k + 1) / (k * value**k) for k in range(1, order + 1)]
+    r = 1.0 / value  # powers of 1/value, not 1/value**k, which overflows at a large value part
+    return [math.log(value)] + [(-1.0) ** (k + 1) / k * r**k for k in range(1, order + 1)]
 
 
 def _recip_series(value, order):
     if value == 0.0:
         raise JetDomainError("reciprocal of a jet with zero value part")
-    return [(-1.0) ** k / value ** (k + 1) for k in range(order + 1)]
+    r = 1.0 / value
+    return [(-1.0) ** k * r ** (k + 1) for k in range(order + 1)]
 
 
 def _sin_series(value, order):
@@ -404,29 +406,33 @@ ELEMENTARY = {"exp": exp, "log": log, "sqrt": sqrt, "sin": sin, "cos": cos}
 # -- linear algebra over jets ------------------------------------------
 
 
-def jet_lu(A: np.ndarray, num_vars: int, B: np.ndarray | None = None, det: bool = True):
-    """Determinant of a square jet matrix and, when ``B`` is given, the
-    solution X of A X = B.
+def jet_lu(A: np.ndarray, num_vars: int, B: np.ndarray | None = None, log_det: bool = True):
+    """Log-determinant series of a square jet matrix and, when ``B`` is
+    given, the solution X of A X = B.
 
     ``A`` is an (..., n, n, M) jet array and ``B`` an (..., n, k, M) one;
-    returns ``(det, X)`` with det of shape (..., M), or None when ``det`` is
-    false (a caller that only solves skips the determinant's series), and X
-    of shape (..., n, k, M), or None.
+    returns ``(L, X)`` with L = log(det A / det A0) of shape (..., M), a jet
+    with value part 0, or None when ``log_det`` is false (a caller that only
+    solves skips its series), and X of shape (..., n, k, M), or None.
     Write A = A0 + N with A0 the value part and N nilpotent (every entry
     has zero value part, so N^(order+1) = 0 under truncation), and
     Y = A0^{-1} N.  Then, exactly at the jet order,
 
         A^{-1} B = sum_{k <= order} (-Y)^k A0^{-1} B,
-        det A = det A0 * exp(sum_{k=1}^{order} (-1)^(k+1) tr(Y^k) / k).
+        L = tr log(I + Y) = sum_{k=1}^{order} (-1)^(k+1) tr(Y^k) / k.
 
     One ``np.linalg.solve`` on the value parts (LAPACK pivots) gives Y and
-    A0^{-1} B; the sum is ``order`` Horner steps.  A singular value part
-    (in any stack entry) raises ``np.linalg.LinAlgError``.
+    A0^{-1} B, the only LAPACK call; the sums are ``order`` steps each.  A
+    singular value part (in any stack entry) raises
+    ``np.linalg.LinAlgError``.  The caller adds the value part log|det A0|
+    from a factorization it already holds, so the determinant itself, which
+    leaves float range long before its logarithm does, is never formed:
+    det A = det A0 * exp(L).
 
-    The determinant is accurate relative to the size of its own series,
-    |det A0| exp(sum_k tr(|Y|^k) / k), not relative to the size of the
-    determinant's terms: for an ill-conditioned value part A0 the series
-    terms cancel, and the high-order coefficients lose relative accuracy.
+    The series is accurate relative to the size of its own terms,
+    sum_k tr(|Y|^k) / k, not relative to the size of the determinant's
+    terms: for an ill-conditioned value part A0 the terms cancel, and the
+    high-order coefficients lose relative accuracy.
     """
     n, size = A.shape[-2], A.shape[-1]
     stack = A.shape[:-3]
@@ -439,21 +445,19 @@ def jet_lu(A: np.ndarray, num_vars: int, B: np.ndarray | None = None, det: bool 
     Y = np.zeros(A.shape)
     Y[..., 1:] = sol[..., :split].reshape(stack + (n, n, size - 1))
 
-    if det:
-        log_det = np.zeros(stack + (size,))  # tr log(I + Y)
+    L = None
+    if log_det:
+        L = np.zeros(stack + (size,))
         power = Y
         for k in range(1, order + 1):
-            log_det += (-1) ** (k + 1) / k * np.trace(power, axis1=-3, axis2=-2)
+            L += (-1) ** (k + 1) / k * np.trace(power, axis1=-3, axis2=-2)
             if k < order:
                 power = jet_matmul(power, Y, num_vars)
-        det = np.linalg.det(A[..., 0])[..., None] * exp(log_det, num_vars)
-    else:
-        det = None
     if B is None:
-        return det, None
+        return L, None
 
     Z = sol[..., split:].reshape(B.shape)
     X = Z
     for _ in range(order):
         X = Z - jet_matmul(Y, X, num_vars)
-    return det, X
+    return L, X

@@ -62,7 +62,7 @@ class MetricField:
         lo = self.coeffs[..., : jet_size(self.dim, self.order - 1)]
         eye = np.zeros(lo.shape)
         eye[..., 0] = np.eye(self.dim)
-        return jet_lu(lo, self.dim, eye, det=False)[1]
+        return jet_lu(lo, self.dim, eye, log_det=False)[1]
 
 
 def _is_symmetric(vals: np.ndarray) -> bool:

@@ -1,6 +1,7 @@
 """Test-only generators and verifiers: random hypersphere point data for the
 algebraic duality identities, the rotated point of the sl_so chart for its
-equivariance checks, and the block sparsity of a composition's cubic form."""
+equivariance checks, the block sparsity of a composition's cubic form, and
+the chart text of a scaled hyperboloid."""
 
 import itertools
 
@@ -60,3 +61,11 @@ def block_sparsity_residual(spec: CompositionSpec, inv) -> float:
 
     mixed = differ(a, b) | differ(a, c) | differ(b, c)
     return float(np.abs(inv.A[mixed]).max(initial=0.0))
+
+
+def scaled_hyperboloid_text(n: int, scale: str) -> str:
+    """Chart text of the hyperboloid x_{n+1} = sqrt(1 + |u|^2) scaled by the
+    decimal literal ``scale``: an affine sphere with L1 = -scale^(-2(n+1)/(n+2))."""
+    us = [f"u{i + 1}" for i in range(n)]
+    coords = "".join(f"x{i + 1} = {scale}*{u}; " for i, u in enumerate(us))
+    return f"dim {n}; {coords}x{n + 1} = {scale}*sqrt(1 + {' + '.join(u + '^2' for u in us)});"

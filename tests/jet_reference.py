@@ -1,13 +1,14 @@
 """Reference jet linear algebra for the tests: a division-free determinant
-to check ``jets.jet_lu`` against, the size of the terms both sum, and a
-term-by-term matrix exponential to check ``catalog._jet_matrix_exp``
+to check ``jets.jet_lu`` against, the determinant rebuilt from
+``jet_lu``'s log-determinant series, the size of the terms both sum, and
+a term-by-term matrix exponential to check ``catalog._jet_matrix_exp``
 against."""
 
 import math
 
 import numpy as np
 
-from equiaffine.jets import jet_matmul, jet_mul, jet_order
+from equiaffine.jets import exp, jet_lu, jet_matmul, jet_mul, jet_order
 
 
 def jet_det(A: np.ndarray, num_vars: int, signed: bool = True) -> np.ndarray:
@@ -39,6 +40,14 @@ def jet_det(A: np.ndarray, num_vars: int, signed: bool = True) -> np.ndarray:
                 nxt[key] = term if key not in nxt else nxt[key] + term
         partial = nxt
     return partial[(1 << n) - 1]
+
+
+def lu_det(A: np.ndarray, num_vars: int, log_det: np.ndarray | None = None) -> np.ndarray:
+    """det A = det A0 * exp(L) of a jet matrix A with value part A0, from
+    the series L = ``jet_lu(A, num_vars)[0]``, or ``log_det`` if given."""
+    if log_det is None:
+        log_det = jet_lu(A, num_vars)[0]
+    return np.linalg.det(A[..., 0])[..., None] * exp(log_det, num_vars)
 
 
 def det_term_scale(A: np.ndarray, num_vars: int) -> np.ndarray:

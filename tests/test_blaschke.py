@@ -1,6 +1,7 @@
 """Invariant pipeline: independent finite-difference oracle, model
 surfaces with known invariants, and the structural identities."""
 
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -34,6 +35,7 @@ from equiaffine.catalog import (
 from equiaffine.cli import DEFAULT_TOL, POINT_CHECKS
 from equiaffine.jets import jet_gradient
 from equiaffine.tensors import CurvatureData
+from helpers import scaled_hyperboloid_text
 from jet_reference import jet_det
 
 GENERIC = (
@@ -211,12 +213,15 @@ def _conormal_cases():
 
 @pytest.mark.parametrize("chart, point", _conormal_cases())
 def test_conormal_form_matches_determinants(chart, point):
-    """G_ij = nu . x_ij equals det(x_1, ..., x_n, x_ij) from the division-free
-    jet_det, coefficient by coefficient."""
+    """det M * G'_ij, with G' = y . x_ij and det M rebuilt from its
+    log-determinant series, equals det(x_1, ..., x_n, x_ij) from the
+    division-free jet_det, coefficient by coefficient."""
     n = chart.dim
-    _, x1, hess, normal = _chart_derivatives(chart, point)
-    G = _determinant_form(x1, hess, normal, point)
+    _, x1, hess, normal, _ = _chart_derivatives(chart, point)
+    G_normalized, log_m = _determinant_form(x1, hess, normal, point)
     m2 = hess.shape[-1]
+    det_m = np.linalg.det(np.concatenate([x1[..., 0], normal[None]])) * jets.exp(log_m, n)  # rows x_k, w
+    G = jets.jet_mul(det_m, G_normalized, n)
 
     def det_jet(i, j):
         columns = np.concatenate([x1[..., :m2], hess[i, j][None]])  # [column, a]
@@ -224,6 +229,17 @@ def test_conormal_form_matches_determinants(chart, point):
 
     ref = np.array([[det_jet(i, j) for j in range(n)] for i in range(n)])
     assert np.allclose(G, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("n, scale", [(12, "1e30"), (3, "1e120")])
+def test_scaled_hyperboloid_has_the_homothety_mean_curvature(n, scale):
+    # det M grows like scale^n: 1e360 here, past float range, while its
+    # logarithm, which is all the pipeline forms, stays small
+    chart = parse_chart(scaled_hyperboloid_text(n, scale))
+    with np.errstate(over="raise", invalid="raise"):
+        invs = blaschke_at(chart, chart.sample_points(3, 1))
+    expected = -math.exp(-2 * (n + 1) / (n + 2) * math.log(float(scale)))
+    assert np.allclose(invs.L1, expected, rtol=1e-12, atol=0.0)
 
 
 def test_hyperboloid_dimension_8():
@@ -368,9 +384,11 @@ def test_stack_rows_equal_single_points_bitwise(chart):
 
 @pytest.mark.parametrize("chart", [hyperboloid(2), sl_so(3)], ids=["hyperboloid", "sl_so"])
 def test_one_factorization_per_matrix(monkeypatch, chart):
-    """One stacked blaschke_at factorizes each matrix once: the tangent
-    Jacobian and the column-scaled frame by SVD, G by eigvalsh, and by LU
-    the conormal matrix, G (with its determinant), g and the frame."""
+    """One stacked blaschke_at factorizes each matrix once, 7 LAPACK calls:
+    the tangent Jacobian and the column-scaled frame by SVD, G' by
+    eigvalsh, and by LU the conormal matrix, G' (for its log-determinant
+    series), g and the frame.  The log-determinants' value parts come from
+    the SVD and eigvalsh, so nothing calls det."""
     calls = dict.fromkeys(("svd", "eigvalsh", "solve", "det", "inv"), 0)
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
@@ -378,7 +396,7 @@ def test_one_factorization_per_matrix(monkeypatch, chart):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     blaschke_at(chart, chart.sample_points(4, 5))
-    assert calls == {"svd": 2, "eigvalsh": 1, "solve": 4, "det": 2, "inv": 0}
+    assert calls == {"svd": 2, "eigvalsh": 1, "solve": 4, "det": 0, "inv": 0}
 
 
 @pytest.mark.parametrize(

@@ -33,6 +33,7 @@ from equiaffine.cli import (
 )
 from equiaffine.dsl import MAX_DEPTH, MAX_DIM
 from equiaffine.jets import jet_size
+from helpers import scaled_hyperboloid_text
 
 
 def run(scene):
@@ -290,7 +291,7 @@ def test_repeated_main_calls_are_independent(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--points", "three"])
     assert exc.value.code == 2
-    assert "usage: equiaffine check" in capsys.readouterr().err
+    assert capsys.readouterr().err == "equiaffine check: error: argument --points: invalid int value: 'three'\n"
     assert main(argv) == 0
     assert capsys.readouterr().out == first
 
@@ -442,6 +443,30 @@ def test_point_domain_errors_exit_3(tmp_path, capsys, chart, point):
     assert line.startswith("chart error: point 0: ")
 
 
+def test_recip_at_a_large_value_part_is_in_float_range(tmp_path, capsys):
+    # 1/u1's Taylor coefficients at 1e200 underflow, so the chart evaluates
+    # and the point fails the convexity gate instead (x2'' = 2e-600 = 0)
+    chart = {"dsl": "dim 1; x1 = u1; x2 = 1/u1;"}
+    code, line = error_line(capsys, ["check", "--scene", scene_file(tmp_path, chart, [[1e200]])])
+    assert (code, line) == (3, "chart error: point 0: chart is not locally strongly convex at [1.e+200] "
+                               "(form eigenvalues [0.])")
+
+
+@pytest.mark.parametrize("n, scale", [(12, "1e30"), (3, "1e120")])
+def test_scaled_hyperboloid_scene_passes(tmp_path, capsys, n, scale):
+    # det M = scale^n is past float range, its logarithm is not.  gauss,
+    # codazzi and gauss_alt are left out: their residuals are absolute and
+    # grow with the metric (scale-aware residuals are open on the ROADMAP);
+    # dual treats the tiny L1 as L1 = 0
+    path = tmp_path / "scene.json"
+    checks = ["apolarity", "ricci", "trace_identity", "hypersphere", "parallel"]
+    path.write_text(json.dumps({"chart": {"dsl": scaled_hyperboloid_text(n, scale)},
+                                "points": {"random": 2, "seed": 1}, "checks": checks}))
+    assert main(["check", "--scene", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "status: pass" in captured.out
+
+
 def test_metric_gate_through_the_pipeline_exits_3(tmp_path, capsys):
     # G is positive definite, so the convexity gate passes, but g's condition
     # number is past the SPD gate's 1 / SPD_RTOL
@@ -545,16 +570,40 @@ H2 = '"chart": {"catalog": "hyperboloid", "params": {"n": 2}}'
         ('{%s, "points": {"random": 2, "seed": 1.7}}' % H2, [], "random point seed must be an integer, got 1.7"),
         ('{%s, "points": {"random": true}}' % H2, [], "random point count must be an integer, got True"),
         ('{%s, "points": {"random": 2, "seed": false}}' % H2, [], "random point seed must be an integer, got False"),
+        ('{%s, "points": {"random": "3"}}' % H2, [], "random point count must be an integer, got '3'"),
+        ('{%s, "points": {"random": 2, "seed": "2"}}' % H2, [], "random point seed must be an integer, got '2'"),
     ],
     ids=["tolerances-list", "tolerance-text", "tolerance-infinite", "tol-flag-text", "tol-flag-nan",
          "tol-flag-on-tolerances-list", "checks-int", "checks-string", "checks-not-names", "chart-string",
          "chart-text-int", "seed-negative", "seed-flag-negative", "random-infinite", "tolerance-negative",
-         "tol-flag-negative", "random-fractional", "seed-fractional", "random-bool", "seed-bool"],
+         "tol-flag-negative", "random-fractional", "seed-fractional", "random-bool", "seed-bool", "random-string",
+         "seed-string"],
 )
 def test_malformed_scene_values_exit_2_with_one_line(tmp_path, capsys, scene, flags, expected):
     path = tmp_path / "scene.json"
     path.write_text(scene)
     assert error_line(capsys, ["check", "--scene", str(path), *flags]) == (2, f"scene error: {expected}")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["check", "--chart", "hyperboloid(n=2)", "--points", "2.5"],
+         "equiaffine check: error: argument --points: invalid int value: '2.5'"),
+        (["check", "--bogus"], "equiaffine: error: unrecognized arguments: --bogus"),
+        ([], "equiaffine: error: the following arguments are required: command"),
+        (["jordan", "run"], "equiaffine jordan: error: argument action: invalid choice: 'run'"),
+    ],
+    ids=["points-float", "unknown-flag", "no-command", "bad-choice"],
+)
+def test_usage_errors_exit_2_with_one_line(capsys, argv, expected):
+    # the message is argparse's, with no usage lines before it (the list of
+    # choices after a bad choice is formatted differently across Pythons)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    lines = capsys.readouterr().err.splitlines()
+    assert exc.value.code == 2
+    assert len(lines) == 1 and lines[0].startswith(expected)
 
 
 def test_integral_float_point_counts_and_seeds_are_integers():

@@ -23,7 +23,7 @@ from equiaffine.jets import (
     jet_variables,
     monomials,
 )
-from jet_reference import det_term_scale, jet_det
+from jet_reference import det_term_scale, jet_det, lu_det
 
 
 def constant(value, num_vars, order) -> np.ndarray:
@@ -169,7 +169,7 @@ def test_domain_errors():
         jets.sqrt(x, 1)
     with pytest.raises(JetDomainError):
         jets.recip(constant(0.0, 1, 2), 1)
-    # Taylor coefficients beyond float range: overflow, or a power of the value that underflows to 0
+    # Taylor coefficients beyond float range, e.g. a power of 1 / value that overflows
     out_of_range = "Taylor coefficients out of float range"
     with pytest.raises(JetDomainError, match=f"^log of value part 1e-200: {out_of_range}$"):
         jets.log(constant(1e-200, 1, 4), 1)
@@ -179,6 +179,18 @@ def test_domain_errors():
         jets.sqrt(constant(1e-300, 1, 4), 1)
     with pytest.raises(JetDomainError, match=f"^exp of value part 1000.0: {out_of_range}$"):
         jets.exp(constant(1000.0, 1, 4), 1)
+
+
+def test_series_at_large_value_parts_stay_finite():
+    # the coefficients are powers of 1 / value, which underflow towards 0 at a
+    # large value part instead of overflowing as 1 / value**k would
+    for value in (1e200, -1e200, 1e300):
+        x = jet_variables([value], 4)[0]
+        r = jets.recip(x, 1)
+        assert np.all(np.isfinite(r)) and r[0] == 1.0 / value
+        assert r[1] == -(1.0 / value) ** 2
+    lg = jets.log(jet_variables([1e200], 4)[0], 1)
+    assert np.all(np.isfinite(lg)) and lg[0] == pytest.approx(200 * np.log(10)) and lg[1] == 1e-200
 
 
 def test_partial_lowers_order():
@@ -326,15 +338,16 @@ def test_jet_lu_against_numpy_and_jet_det(n, num_vars, order, seed):
     rng = np.random.default_rng(seed)
     A = random_jet_matrix(rng, n, num_vars, order, shift=3.0)
     B = rng.standard_normal((n, 2, A.shape[-1]))
-    det, X = jet_lu(A, num_vars, B)
-    ref = jet_det(A, num_vars)
+    log_det, X = jet_lu(A, num_vars, B)
+    assert log_det[0] == 0.0
+    det, ref = lu_det(A, num_vars, log_det), jet_det(A, num_vars)
     assert_det_matches(A, det, ref, num_vars)
     assert det[0] == pytest.approx(np.linalg.det(A[..., 0]), rel=1e-12)
     assert np.allclose(X[..., 0], np.linalg.solve(A[..., 0], B[..., 0]), rtol=1e-10, atol=1e-12)
     assert_solves(A, X, B, num_vars)
     assert jet_lu(A, num_vars)[1] is None
-    # a caller that only solves skips the determinant, not a bit of X
-    skipped, X_only = jet_lu(A, num_vars, B, det=False)
+    # a caller that only solves skips the log-determinant, not a bit of X
+    skipped, X_only = jet_lu(A, num_vars, B, log_det=False)
     assert skipped is None and X_only.tobytes() == X.tobytes()
 
 
@@ -365,7 +378,7 @@ def test_jet_lu_determinant_is_relative_on_ill_conditioned_draws(n, num_vars, or
     # series term alone is too small
     rng = np.random.default_rng(seed)
     A = random_jet_matrix(rng, n, num_vars, order, shift=3.0)
-    det, ref = jet_lu(A, num_vars)[0], jet_det(A, num_vars)
+    det, ref = lu_det(A, num_vars), jet_det(A, num_vars)
     assert_det_matches(A, det, ref, num_vars)
     # a determinant off by 1e-8 of its size is not the determinant
     det_off = det + 1e-8 * np.abs(ref).max() * rng.standard_normal(det.shape)
@@ -381,7 +394,7 @@ def test_jet_lu_derivative_of_determinant():
     direction = rng.standard_normal((n, n))
     A = np.zeros((n, n, 3))
     A[..., 0], A[..., 1] = base, direction
-    det, _ = jet_lu(A, 1)
+    det = lu_det(A, 1)
     assert det[1] == pytest.approx(np.linalg.det(base) * np.trace(np.linalg.solve(base, direction)), rel=1e-10)
 
 
@@ -403,8 +416,8 @@ def test_jet_lu_pivots_past_zero_corner():
     A = random_jet_matrix(rng, 3, 2, 3, shift=0.0)
     A[..., 0] = [[0.0, 1.0, 2.0], [1.0, 0.5, 3.0], [2.0, -1.0, 1.0]]
     B = rng.standard_normal((3, 2, A.shape[-1]))
-    det, X = jet_lu(A, 2, B)
-    ref = jet_det(A, 2)
+    log_det, X = jet_lu(A, 2, B)
+    det, ref = lu_det(A, 2, log_det), jet_det(A, 2)
     assert np.allclose(det, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
     assert np.allclose(jet_matmul(A, X, 2), B, atol=1e-10)
 
@@ -415,8 +428,8 @@ def test_jet_lu_order_4_up_to_n_7(n, num_vars, seed):
     rng = np.random.default_rng(seed)
     A = random_jet_matrix(rng, n, num_vars, 4, shift=3.0 * n)  # well conditioned at every n
     B = rng.standard_normal((n, 3, A.shape[-1]))
-    det, X = jet_lu(A, num_vars, B)
-    ref = jet_det(A, num_vars)
+    log_det, X = jet_lu(A, num_vars, B)
+    det, ref = lu_det(A, num_vars, log_det), jet_det(A, num_vars)
     assert np.allclose(det, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
     assert np.allclose(jet_matmul(A, X, num_vars), B, atol=1e-8 * np.abs(B).max())
 
