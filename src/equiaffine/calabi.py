@@ -38,6 +38,8 @@ class HypersphereFactor:
     def __post_init__(self):
         if self.L1 >= 0:
             raise ValueError("factor affine mean curvature must be negative")
+        if not math.isfinite(self.L1):
+            raise ValueError("factor affine mean curvature must be finite")
         if self.chart.dim != self.dim:
             raise ValueError("factor dim does not match its chart")
 
@@ -111,6 +113,8 @@ class CompositionSpec:
             raise ValueError(f"expected {self.r + self.s} constants")
         if any(c <= 0 for c in self.constants):
             raise ValueError("composition constants must be positive")
+        if not all(map(math.isfinite, self.constants)):
+            raise ValueError("composition constants must be finite")
         if self.dim > MAX_DIM:
             raise ValueError(f"composition dimension {self.dim} is above MAX_DIM = {MAX_DIM}")
 

@@ -9,10 +9,12 @@ formatting, one residual line per check per point, and a summary block.
 Exit codes: 0 all checks pass, 1 a check failed (report still emitted),
 2 scene or usage error (unreadable scene file or unwritable report path,
 parse error, malformed, empty, oversized or non-finite input, bad
-command-line arguments), 3 chart construction or domain error at a
-sample point.  The mean-curvature relations of a composition are checked
-at the first sample point.  Every exit code other than 0 and 1 comes
-with one stderr line.
+command-line arguments), 3 chart parameters out of float range or a
+chart construction or domain error at a sample point (points run in
+stacks; a failing stack is halved down to its first failing point, whose
+error is the scene's).  The mean-curvature relations of a composition are
+checked at the first sample point.  Every exit code other than 0 and 1
+comes with one stderr line.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import argparse
 import functools
 import json
 import sys
-import warnings
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ import numpy as np
 from . import blaschke, calabi, catalog, duality, jordan
 from .blaschke import DEFAULT_TOL, L1_ZERO_TOL, CheckReport, ConsistencyError, ConvexityError, FrameError, blaschke_at
 from .dsl import ChartParseError, ImmersionError, parse_chart
-from .jets import JetDomainError, jet_size
+from .jets import jet_size
 from .tensors import MetricError
 
 SCHEMA_VERSION = 1
@@ -48,9 +48,10 @@ DEFAULT_POINTS = {"random": 3, "seed": 0}
 # Past about 16 points at n = 5 a stack costs more per point, not less.
 STACK_COEFFS = 2048
 
-# failures of the pipeline at one point of a chart (exit code 3)
-POINT_ERRORS = (ConvexityError, FrameError, ImmersionError, ConsistencyError, JetDomainError, MetricError,
-                OverflowError, FloatingPointError, np.linalg.LinAlgError)
+# failures of the pipeline at one point of a chart (exit code 3); ArithmeticError takes
+# in JetDomainError, float overflow, division by zero and numpy's FloatingPointError
+POINT_ERRORS = (ConvexityError, FrameError, ImmersionError, ConsistencyError, MetricError, ArithmeticError,
+                np.linalg.LinAlgError)
 
 
 class SceneError(ValueError):
@@ -83,13 +84,14 @@ def check_line(rep: CheckReport) -> str:
 
 
 def build_chart(name: str, build, *args):
-    """Calls a chart builder; an unknown name or invalid parameters become
-    ``ChartBuildError`` (exit 3)."""
+    """Calls a chart builder, numpy overflow raising; an unknown name or
+    invalid or out-of-range parameters become ``ChartBuildError`` (exit 3)."""
     try:
-        return build(*args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return build(*args)
     except KeyError as exc:
         raise ChartBuildError(*exc.args) from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ArithmeticError) as exc:
         raise ChartBuildError(f"invalid parameters for {name!r}: {exc}") from exc
 
 
@@ -187,17 +189,6 @@ def resolve_points(doc, chart) -> np.ndarray:
     return pts
 
 
-@contextmanager
-def pipeline_stage(name: str):
-    """Run one pipeline stage: numpy overflow raises, and every failure of
-    the pipeline becomes a ChartBuildError (exit 3) naming the stage."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):  # overflowing jets: exit 3, no warning lines
-            yield
-    except POINT_ERRORS as exc:
-        raise ChartBuildError(f"{name}: {exc}") from exc
-
-
 def _dual_reports(invs, tol) -> list[list[CheckReport]]:
     """Per point of a stack: dual_requires_hyperbolic where L1 >= -L1_ZERO_TOL
     (L1 = 0 within rounding is not hyperbolic), else gauss_swap and
@@ -232,25 +223,32 @@ POINT_CHECKS = {
 }
 
 
-def evaluate_points(chart, spec, points, checks, tol, size):
+def evaluate_points(chart, spec, points, checks, tol, size, offset=0):
     """The point blocks' lines, their reports and the scene-level reports,
     from one stacked ``blaschke_at`` call and one call of each check per
-    ``size`` consecutive points.  With size 1 this is the point-by-point
-    run, and its first failure is the scene's."""
+    ``size`` consecutive points, numpy overflow raising.  A failing stack is
+    evaluated again as two halves, in order, down to the first point that
+    fails alone, whose error becomes a ``ChartBuildError`` (exit 3); every
+    row is computed as its point alone.  ``points[0]`` is scene point ``offset``."""
     lines, point_reports, scene_reports, mean_curvature = [], [], [], []
     per_point = [check for name, check in POINT_CHECKS.items() if name in checks]
-    for start in range(0, len(points), size):
-        stack = points[start : start + size]
-        with pipeline_stage(f"point {start}"):
-            invs = blaschke_at(chart, stack)
-            reports = [[] for _ in stack]
-            for check in per_point:
-                for reps, more in zip(reports, check(invs, tol)):
-                    reps.extend(more)
-            if "composition" in checks:
-                scene_reports.extend(calabi.composition_reports(spec, invs, tol["composition"], start))
-            if start == 0 and "mean_curvature" in checks and spec.s >= 1:
-                mean_curvature = calabi.mean_curvature_reports(spec, invs.g[0], invs.A[0], tol["mean_curvature"])
+    for first in range(0, len(points), size):
+        stack, start = points[first : first + size], offset + first
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):  # exit 3, no warning lines
+                invs = blaschke_at(chart, stack)
+                reports = [[] for _ in stack]
+                for check in per_point:
+                    for reps, more in zip(reports, check(invs, tol)):
+                        reps.extend(more)
+                if "composition" in checks:
+                    scene_reports.extend(calabi.composition_reports(spec, invs, tol["composition"], start))
+                if start == 0 and "mean_curvature" in checks and spec.s >= 1:
+                    mean_curvature = calabi.mean_curvature_reports(spec, invs.g[0], invs.A[0], tol["mean_curvature"])
+        except POINT_ERRORS as exc:
+            if len(stack) > 1:  # raises at the first failing point, if one fails alone
+                evaluate_points(chart, spec, stack, checks, tol, (len(stack) + 1) // 2, start)
+            raise ChartBuildError(f"point {start}: {exc}") from exc
         for row, (point, reps) in enumerate(zip(stack, reports)):
             lines.append(f"point[{start + row}]: {fmt_vector(point)}")
             for name in ("L1", "J", "chi"):
@@ -295,16 +293,8 @@ def run_scene(scene: dict, out) -> int:
     if spec is None:
         checks = [c for c in checks if c not in ("composition", "mean_curvature")]
 
-    # Stacks first.  Should anything fail or warn on the way, run the scene
-    # again one point at a time, so that the first failure, its message and
-    # any warning lines are those of the point-by-point order.
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            size = max(1, STACK_COEFFS // jet_size(chart.dim, 4))
-            point_lines, reports, scene_reports = evaluate_points(chart, spec, points, checks, tol, size)
-    except Exception:
-        point_lines, reports, scene_reports = evaluate_points(chart, spec, points, checks, tol, 1)
+    size = max(1, STACK_COEFFS // jet_size(chart.dim, 4))
+    point_lines, reports, scene_reports = evaluate_points(chart, spec, points, checks, tol, size)
 
     lines = [f"schema: {SCHEMA_VERSION}", f"chart: {desc}", f"dim: {chart.dim}", f"points: {len(points)}"]
     lines.extend(point_lines)
@@ -530,7 +520,7 @@ def main(argv=None) -> int:
     except (SceneError, ChartParseError) as exc:
         print(f"scene error: {_one_line(exc)}", file=sys.stderr)
         return 2
-    except (ChartBuildError, KeyError, ConvexityError, ImmersionError) as exc:
+    except (ChartBuildError, KeyError) as exc:
         print(f"chart error: {_one_line(exc)}", file=sys.stderr)
         return 3
     finally:

@@ -14,7 +14,9 @@ functions: exp, log, sqrt, sin, cos.  The power operator ``^`` takes a
 constant rational exponent, written either as a plain number or as a
 parenthesized fraction, e.g. ``u1^2`` or ``u1^(-3/2)``.  A non-negative
 integer exponent is defined at every base, a negative integer exponent at
-every nonzero base, and any other exponent at positive bases only.
+every nonzero base, and any other exponent at positive bases only.  A
+unary minus negates a whole factor, so ``-u1^2`` is ``-(u1^2)``, as in
+Python.
 
 Each chart computes once, from its expression trees alone, an upper bound
 on every node's polynomial degree in u (``degree_bounds``): a constant or
@@ -452,6 +454,8 @@ class _Parser:
         return node
 
     def parse_factor(self, dim, params):
+        if self.peek().kind == "SYM" and self.peek().text == "-":
+            return self.parse_base(dim, params)  # a negation: -a^b is -(a^b)
         node = self.parse_base(dim, params)
         if self.peek().kind == "SYM" and self.peek().text == "^":
             self.next()
@@ -521,7 +525,7 @@ class _Parser:
         if self.nesting > MAX_DEPTH:
             self.error(f"expression nests deeper than MAX_DEPTH = {MAX_DEPTH}", t)
         if t.text == "-":
-            node = Unary("neg", self.parse_base(dim, params))
+            node = Unary("neg", self.parse_factor(dim, params))
         else:
             if t.kind == "IDENT":
                 self.expect("SYM", "(")

@@ -1,21 +1,27 @@
 """CLI: scenes, determinism, subcommands and exit codes."""
 
+import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import equiaffine
 from equiaffine import blaschke, calabi, catalog, cli, duality, jordan
 from equiaffine.blaschke import blaschke_at
 from equiaffine.cli import (
+    ALL_CHECKS,
     DEFAULT_TOL,
     MAX_RANDOM_POINTS,
     SceneError,
@@ -190,6 +196,95 @@ def test_first_failing_point_names_the_error(tmp_path, capsys, monkeypatch, size
     code, line = error_line(capsys, ["check", "--scene", scene_file(tmp_path, chart, [[0.5], [0.0], [-2.0]])])
     assert (code, line) == (3, "chart error: point 1: chart is not locally strongly convex at [0.] "
                                "(form eigenvalues [0.])")
+
+
+def run_main(argv, stdin=""):
+    """Exit code, stdout and stderr of one ``main`` call reading ``stdin``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(sys, "stdin", io.StringIO(stdin)):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# points that fail the quartic chart below alone: a domain error of sqrt or
+# log, jets that overflow, and a vanishing second derivative (convexity gate)
+INJECTED_FAILURES = {"sqrt": -6.0, "log": -3.0, "overflow": 1e200, "convexity": 0.0}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    good=st.lists(st.floats(0.1, 1.0) | st.floats(-1.0, -0.1), min_size=24, max_size=24),
+    count=st.integers(1, 12),
+    failures=st.lists(st.tuples(st.integers(0, 11), st.sampled_from(sorted(INJECTED_FAILURES))), max_size=3),
+    size=st.integers(1, 12),
+)
+def test_failing_scene_report_is_the_same_in_any_stack_size(dim, good, count, failures, size):
+    # the default stack (the whole scene), a drawn size and one point per
+    # stack, the point-by-point reference, give the same exit code, report
+    # and stderr line
+    points = np.reshape(good, (12, 2))[:count, :dim].tolist()
+    for position, kind in failures:
+        points[position % count][0] = INJECTED_FAILURES[kind]
+    coords = "".join(f"x{i + 1} = u{i + 1}; " for i in range(dim))
+    height = "u1^4" + " + u2^2" * (dim == 2) + " + 0 * sqrt(u1 + 5) + 0 * log(u1 + 2)"
+    scene = json.dumps({"chart": {"dsl": f"dim {dim}; {coords}x{dim + 1} = {height};"}, "points": points})
+    runs = []
+    for stack_coeffs in (cli.STACK_COEFFS, size * jet_size(dim, 4), jet_size(dim, 4)):
+        with mock.patch.object(cli, "STACK_COEFFS", stack_coeffs):
+            runs.append(run_main(["check", "--scene", "-"], scene))
+    assert runs[0] == runs[1] == runs[2]
+    code, _, err = runs[0]
+    assert code in (0, 1) if not failures else (code == 3 and len(err.splitlines()) == 1)
+
+
+def overflowing_scene() -> str:
+    """200 seeded points of hyperboloid(n=2), point 150 set to jets that overflow."""
+    points = catalog.get_chart("hyperboloid", {"n": 2}).sample_points(200, 1)
+    points[150] = [0.1, 1e200]
+    return json.dumps({"chart": {"catalog": "hyperboloid", "params": {"n": 2}}, "points": points.tolist()})
+
+
+def test_failing_stack_is_halved_down_to_its_first_failing_point(monkeypatch):
+    sizes = []
+
+    def counted(chart, points):
+        sizes.append(len(points))
+        return blaschke_at(chart, points)
+
+    monkeypatch.setattr(cli, "blaschke_at", counted)
+    assert run_main(["check", "--scene", "-"], overflowing_scene()) == (
+        3, "", "chart error: point 150: overflow encountered in multiply\n")
+    # stacks of 136 and 64 points, then the failing halves of 64 points:
+    # at most 2 + 2 * ceil(log2(64)) calls
+    assert sizes[:2] == [136, 64] and len(sizes) <= 14
+
+
+def test_a_stack_only_failure_is_not_masked(monkeypatch):
+    # every row of a stack must be computed as its point alone; a check that
+    # fails only on stacks of several points must surface, not be replaced
+    # by a point-by-point answer
+    gauss = cli.POINT_CHECKS["gauss"]
+
+    def stack_only_defect(invs, tol):
+        if len(invs.L1) > 1:
+            raise TypeError("stack-only defect")
+        return gauss(invs, tol)
+
+    monkeypatch.setitem(cli.POINT_CHECKS, "gauss", stack_only_defect)
+    with pytest.raises(TypeError, match="stack-only defect"):
+        run({"chart": {"catalog": "hyperboloid", "params": {"n": 2}}, "points": {"random": 5, "seed": 1}})
+
+
+def test_unary_minus_before_a_power_negates_the_power():
+    # -u1^2 - u2^2 is the concave paraboloid 0 - u1^2 - u2^2, an improper
+    # affine sphere (L1 = 0, so the dual check is left out)
+    checks = [name for name in ALL_CHECKS if name != "dual"]
+    runs = [run_main(["check", "--scene", "-"], json.dumps(
+        {"chart": {"dsl": f"dim 2; x1 = u1; x2 = u2; x3 = {height};"}, "checks": checks}))
+        for height in ("-u1^2 - u2^2", "0 - u1^2 - u2^2")]
+    assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][2] == ""
 
 
 def test_composition_lines_match_verify_composition():
@@ -513,13 +608,40 @@ FLAT1 = {"flat": {"n0": 1}}
          "scene error: malformed composition spec: cannot convert float infinity to integer"),
         ({"r": 1, "constants": [1, 1], "factors": [{"flat": {"n0": float("inf")}}]}, 2,
          "scene error: malformed composition factor {'flat': {'n0': inf}}: cannot convert float infinity to integer"),
+        # (-L1)^(n+2) underflows to 0 in the composition constant, inside the stage
+        ({"r": 1, "constants": [1, 1], "factors": [{"catalog": {"name": "hyperboloid", "params": {"n": 2}},
+                                                    "L1": -1e-300}]},
+         3, "chart error: point 0: float division by zero"),
+        # json.loads reads Infinity and NaN
+        ({"r": 1, "constants": [1, 1], "factors": [{"catalog": {"name": "hyperboloid", "params": {"n": 2}},
+                                                    "L1": -math.inf}]},
+         2, "scene error: malformed composition factor {'catalog': {'name': 'hyperboloid', 'params': {'n': 2}}, "
+            "'L1': -inf}: factor affine mean curvature must be finite"),
+        ({"r": 2, "constants": [1, math.inf], "factors": []}, 2,
+         "scene error: malformed composition spec: composition constants must be finite"),
     ],
     ids=["constant-count", "flat-n0-0", "factor-not-object", "factor-params", "flat-no-n0", "factor-L1-positive",
-         "factors-not-list", "r-infinite", "flat-n0-infinite"],
+         "factors-not-list", "r-infinite", "flat-n0-infinite", "factor-L1-underflows", "factor-L1-infinite",
+         "constant-infinite"],
 )
 def test_composition_spec_errors_exit_with_one_line(tmp_path, capsys, composition, code, expected):
     argv = ["check", "--scene", scene_file(tmp_path, {"composition": composition}, {"random": 1})]
     assert error_line(capsys, argv) == (code, expected)
+
+
+@pytest.mark.parametrize(
+    "C0, expected",
+    [
+        # C underflows to 0 in the closed form, then L1 = -1 / ((n + 1) C)
+        ("1e-300", "float division by zero"),
+        ("1e300", "(34, 'Numerical result out of range')"),
+        ("inf", "composition constants must be finite"),
+    ],
+    ids=["underflow", "overflow", "infinite"],
+)
+def test_catalog_parameters_out_of_float_range_exit_3_with_one_line(capsys, C0, expected):
+    argv = ["check", "--chart", f"flat_hypersphere(n0=2, C0={C0})", "--points", "1"]
+    assert error_line(capsys, argv) == (3, f"chart error: invalid parameters for 'flat_hypersphere': {expected}")
 
 
 def factor_chart(name) -> dict:

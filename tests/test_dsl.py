@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from equiaffine.dsl import (
     FUNCS,
+    MAX_DEPTH,
     Bin,
     ChartParseError,
     DslChart,
@@ -117,6 +118,31 @@ def test_round_trip_through_text():
     a = chart.component_jets(pt, 3)
     b = again.component_jets(pt, 3)
     assert np.allclose(a, b, atol=0)
+
+
+def test_unary_minus_negates_a_power():
+    # -u1^2 is -(u1^2), as in Python and sympy; (-u1)^2 keeps its value
+    point = np.array([0.3, -0.7])
+    neg = parse_chart("dim 2; x1 = u1; x2 = u2; x3 = -u1^2 - u2^2;")
+    sub = parse_chart("dim 2; x1 = u1; x2 = u2; x3 = 0 - u1^2 - u2^2;")
+    assert np.array_equal(neg.component_jets(point, 4), sub.component_jets(point, 4))
+    assert neg.components[2].left == Unary("neg", Pow(Var(0), Fraction(2)))
+    square = parse_chart("dim 1; x1 = u1; x2 = (-u1)^2;")
+    assert square.component_jets(np.array([0.5]), 2)[1].tolist() == [0.25, 1.0, 1.0]
+    for chart in (neg, square):
+        again = parse_chart(chart.to_text())
+        assert again.components == chart.components
+    # a chained exponent stays an error after a minus, as without one
+    for text in ("u1^2^3", "-u1^2^3"):
+        with pytest.raises(ChartParseError, match="expected ';', found '\\^'"):
+            parse_chart(f"dim 1; x1 = u1; x2 = {text};")
+
+
+def test_max_depth_counts_each_unary_minus():
+    parse_chart("dim 1; x1 = u1; x2 = " + "-" * (MAX_DEPTH - 2) + "u1^2;")  # negations, power, variable
+    for text in ("-" * (MAX_DEPTH - 1) + "u1^2", "-" * (MAX_DEPTH + 1) + "u1"):
+        with pytest.raises(ChartParseError, match=f"nests deeper than MAX_DEPTH = {MAX_DEPTH}"):
+            parse_chart(f"dim 1; x1 = u1; x2 = {text};")
 
 
 def test_sample_points_reproducible_and_in_domain():
