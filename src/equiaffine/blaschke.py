@@ -33,11 +33,11 @@ for an immersion, G' is definite (otherwise ConvexityError is raised
 first) and the frame is nonsingular (otherwise FrameError).
 
 Each value matrix is factorized once per stack, seven LAPACK calls in
-all.  One SVD of the tangent values (``dsl.eval_immersion``) gives the
-immersion check, w and log|det M0| = sum log sigma_i; one ``eigvalsh``
-of G' the convexity check, log det(eps G'0) and g's SPD check; g's
-``jet_lu`` solve the values of g^{-1}, and the frame's the shape
-operator B too.
+all, plus the chart's own (one ``eigh`` for ``sl_so``).  One SVD of the
+tangent values (``dsl.eval_immersion``) gives the immersion check, w and
+log|det M0| = sum log sigma_i; one ``eigvalsh`` of G' the convexity
+check, log det(eps G'0) and g's SPD check; g's ``jet_lu`` solve the
+values of g^{-1}, and the frame's the shape operator B too.
 
 Every step also runs on a stack of points: ``blaschke_at`` on a (P, n)
 point stack carries a leading point axis through every jet array, so a

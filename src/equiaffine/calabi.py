@@ -182,16 +182,23 @@ class ClosedFormInvariants:
 
 
 def composition_constant(spec: CompositionSpec) -> float:
-    """The constant C controlling the composed mean curvature L1 = -1/((n+1)C)."""
-    idx = spec.index
+    """The constant C controlling the composed mean curvature L1 = -1/((n+1)C);
+    ``ArithmeticError``, naming the constants and factor L1, if out of float range."""
     prod = 1.0
-    for a in range(1, spec.r + 1):
-        prod *= spec.constants[a - 1] ** 2
-    for alpha, f in enumerate(spec.factors, start=1):
-        c = spec.constants[spec.r + alpha - 1]
-        prod *= c ** (2 * (f.dim + 1)) / ((f.dim + 1) ** (f.dim + 1) * (-f.L1) ** (f.dim + 2))
-    n = idx.n
-    return (prod / (n + 1)) ** (1.0 / (n + 2))
+    try:
+        for a in range(1, spec.r + 1):
+            prod *= spec.constants[a - 1] ** 2
+        for alpha, f in enumerate(spec.factors, start=1):
+            c = spec.constants[spec.r + alpha - 1]
+            prod *= c ** (2 * (f.dim + 1)) / ((f.dim + 1) ** (f.dim + 1) * (-f.L1) ** (f.dim + 2))
+    except (OverflowError, ZeroDivisionError):
+        prod = math.nan
+    n = spec.index.n
+    C = (prod / (n + 1)) ** (1.0 / (n + 2))
+    if not 0.0 < C < math.inf:
+        factors = f" and factor L1 {[f.L1 for f in spec.factors]}" if spec.factors else ""
+        raise ArithmeticError(f"composition constant out of float range for constants {list(spec.constants)}{factors}")
+    return C
 
 
 def closed_form(spec: CompositionSpec) -> ClosedFormInvariants:

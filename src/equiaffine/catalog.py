@@ -3,14 +3,15 @@
 Entries: the flat hyperbolic hypersphere x^1 ... x^{n+1} = const (realized
 in composition coordinates), the centered quadrics (unit sphere,
 elliptic paraboloid, hyperboloid), the unimodular symmetric-matrix
-orbit sl_so(m) = {P = exp(S), S trace-free symmetric}, and arbitrary
-graph immersions from chart source text.
+orbit sl_so(m) = {P = exp(S), S trace-free symmetric} (its jets in a local
+chart at each point, see ``MatrixExpChart``), and arbitrary graph
+immersions from chart source text.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -110,8 +111,14 @@ def _symmetric_basis(m: int) -> np.ndarray:
 
 
 class MatrixExpChart(ChartDef):
-    """u -> upper-triangular coordinates of exp(S(u)) with S trace-free
-    symmetric; the image sits on the unimodular hypersurface det = 1."""
+    """u -> upper-triangular coordinates of exp(S(u)), S(u) trace-free
+    symmetric; the image sits on the unimodular hypersurface det = 1.
+
+    The jets at u0 are those of the local chart v -> a E(v) a at v = 0,
+    a = exp(S(u0)/2), E(v) = exp(S(v)): the same point exp(S(u0)), reached
+    by the congruence X -> a X a, which is linear and unimodular.  So L1,
+    J, chi and every check are those of u -> exp(S(u)), while g, A and B
+    are given in the local coordinates v, the same at every point."""
 
     def __init__(self, m: int):
         if m < 3:
@@ -124,41 +131,30 @@ class MatrixExpChart(ChartDef):
         super().__init__(dim, domain_hint=hint)
 
     def component_jets(self, point, order):
-        var = jet_variables(point, order)
-        E = _jet_matrix_exp(np.einsum("vij,...vc->...ijc", self.basis, var), self.dim)
+        w, V = np.linalg.eigh(np.einsum("vij,...v->...ij", self.basis, point))
+        a = (V * np.exp(0.5 * w)[..., None, :]) @ np.swapaxes(V, -1, -2)
         rows, cols = np.triu_indices(self.m)
-        return E[..., rows, cols, :]
+        # (a E a)_rs = sum_jk a_rj a_sk E_jk: one (n+1, m^2) by (m^2, M) product
+        pairs = a[..., rows, :, None] * a[..., cols, None, :]
+        return pairs.reshape(a.shape[:-2] + (len(rows), -1)) @ _base_jets(self.m, order)
 
 
-# 1/k! for k = 0..19; row j holds the coefficients of the block B_j
-_EXP_COEFFS = np.array([1.0 / math.factorial(k) for k in range(20)]).reshape(4, 5)
-
-
-def _jet_matrix_exp(S: np.ndarray, num_vars: int) -> np.ndarray:
-    """exp of an (..., m, m, M) jet matrix: scaling and squaring around the
-    degree-19 Taylor polynomial, evaluated Paterson-Stockmeyer style as
-    sum_j B_j (A^5)^j with B_j = sum_{i<5} A^i / (5j+i)!: 7 jet products
-    (A^2..A^5, then 3 Horner steps), not one per degree.  Each matrix of a
-    stack is scaled and squared by its own count.  ``S`` must be linear in
-    the variables (degree bound 1), so A^k has degree bound k."""
-    m = S.shape[-2]
-    stack = S.reshape((-1,) + S.shape[-3:])
-    norms = np.abs(stack[..., 0]).sum(axis=-1).max(axis=-1)
-    squarings = np.array([max(0, int(np.ceil(np.log2(max(norm, 1e-30) / 0.5)))) for norm in norms])
-    A = stack * (0.5**squarings)[:, None, None, None]
-    powers = [np.zeros_like(stack), A]
-    powers[0][..., 0] = np.eye(m)
-    for k in range(1, 5):
-        powers.append(jet_matmul(powers[-1], A, num_vars, (k, 1)))
-    A5 = powers.pop()
-    blocks = np.tensordot(_EXP_COEFFS, np.array(powers), 1)
-    out = blocks[3]
-    for B in blocks[2::-1]:
-        out = jet_matmul(out, A5, num_vars) + B
-    for level in range(squarings.max()):
-        rows = squarings > level
-        out[rows] = jet_matmul(out[rows], out[rows], num_vars)
-    return out.reshape(S.shape)
+@cache
+def _base_jets(m: int, order: int) -> np.ndarray:
+    """Jets of E(v) = exp(S(v)) at v = 0 as a read-only (m*m, M) array, one
+    row per matrix entry: sum_{k <= order} S(v)^k / k!, exact at the jet
+    order since S is linear; S^k = S^(k-1) S forms (k-1, 1)-bounded pairs."""
+    basis = _symmetric_basis(m)
+    d = len(basis)
+    S = np.einsum("vij,vc->ijc", basis, jet_variables(np.zeros(d), order))
+    E, term = S.copy(), S
+    E[..., 0] = np.eye(m)
+    for k in range(2, order + 1):
+        term = jet_matmul(term, S, d, (k - 1, 1)) / k
+        E += term
+    E = E.reshape(m * m, -1)
+    E.flags.writeable = False
+    return E
 
 
 def sl_so(m: int) -> MatrixExpChart:

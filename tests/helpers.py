@@ -1,7 +1,8 @@
 """Test-only generators and verifiers: random hypersphere point data for the
 algebraic duality identities, the rotated point of the sl_so chart for its
-equivariance checks, the block sparsity of a composition's cubic form, and
-the chart text of a scaled hyperboloid."""
+equivariance checks, the sl_so surface in its own coordinates as the
+generic-point reference, the block sparsity of a composition's cubic form,
+and the chart text of a scaled hyperboloid."""
 
 import itertools
 
@@ -9,7 +10,10 @@ import numpy as np
 
 from equiaffine.calabi import CompositionSpec
 from equiaffine.catalog import MatrixExpChart
+from equiaffine.dsl import ChartDef
 from equiaffine.duality import HyperspherePointData
+from equiaffine.jets import jet_variables
+from jet_reference import jet_matrix_exp
 
 
 def random_hypersphere_data(n: int, rng: np.random.Generator) -> HyperspherePointData:
@@ -41,6 +45,28 @@ def sl_so_point(chart: MatrixExpChart, u, Q: np.ndarray) -> np.ndarray:
     w, V = np.linalg.eigh(Q @ S @ Q.T)
     Sp = (V * w) @ V.T
     return np.array([np.sum(Sp * b) for b in chart.basis])
+
+
+class SeriesExpChart(ChartDef):
+    """sl_so(m) as u -> exp(S(u)) in the coordinates u themselves: the jets
+    at u0 are the term-by-term series of exp(S(u0 + v)), with scaling and
+    squaring (``jet_reference.jet_matrix_exp``), one point at a time.  The
+    generic-point reference for ``catalog.MatrixExpChart``, which reaches u0
+    from the identity by a unimodular congruence."""
+
+    def __init__(self, m: int):
+        chart = MatrixExpChart(m)
+        super().__init__(chart.dim, domain_hint=chart.domain_hint)
+        self.m, self.basis = m, chart.basis
+
+    def component_jets(self, point, order):
+        point = np.asarray(point, float)
+        S = np.einsum("vij,...vc->...ijc", self.basis, jet_variables(point, order))
+        rows, cols = np.triu_indices(self.m)
+        out = np.empty(point.shape[:-1] + (len(rows), S.shape[-1]))
+        for k in np.ndindex(point.shape[:-1]):
+            out[k] = jet_matrix_exp(S[k], self.dim)[rows, cols]
+        return out
 
 
 def block_sparsity_residual(spec: CompositionSpec, inv) -> float:

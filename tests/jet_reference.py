@@ -1,8 +1,7 @@
 """Reference jet linear algebra for the tests: a division-free determinant
 to check ``jets.jet_lu`` against, the determinant rebuilt from
 ``jet_lu``'s log-determinant series, the size of the terms both sum, and
-a term-by-term matrix exponential to check ``catalog._jet_matrix_exp``
-against."""
+a term-by-term matrix exponential to check the ``sl_so`` chart against."""
 
 import math
 

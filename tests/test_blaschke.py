@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from equiaffine import BlaschkeInvariants, blaschke_at, jets, parse_chart
+from equiaffine import BlaschkeInvariants, blaschke_at, catalog, jets, parse_chart
 from equiaffine.blaschke import (
     L1_ZERO_TOL,
     ConvexityError,
@@ -382,38 +382,40 @@ def test_stack_rows_equal_single_points_bitwise(chart):
             assert np.float64(getattr(row, name)).tobytes() == np.float64(getattr(alone, name)).tobytes(), name
 
 
-@pytest.mark.parametrize("chart", [hyperboloid(2), sl_so(3)], ids=["hyperboloid", "sl_so"])
-def test_one_factorization_per_matrix(monkeypatch, chart):
+@pytest.mark.parametrize("chart, eigh", [(hyperboloid(2), 0), (sl_so(3), 1)], ids=["hyperboloid", "sl_so"])
+def test_one_factorization_per_matrix(monkeypatch, chart, eigh):
     """One stacked blaschke_at factorizes each matrix once, 7 LAPACK calls:
     the tangent Jacobian and the column-scaled frame by SVD, G' by
     eigvalsh, and by LU the conormal matrix, G' (for its log-determinant
     series), g and the frame.  The log-determinants' value parts come from
-    the SVD and eigvalsh, so nothing calls det."""
-    calls = dict.fromkeys(("svd", "eigvalsh", "solve", "det", "inv"), 0)
+    the SVD and eigvalsh, so nothing calls det.  The sl_so chart adds one
+    eigh, of the stack of S(u0), for its congruences."""
+    calls = dict.fromkeys(("svd", "eigvalsh", "eigh", "solve", "det", "inv"), 0)
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     blaschke_at(chart, chart.sample_points(4, 5))
-    assert calls == {"svd": 2, "eigvalsh": 1, "solve": 4, "det": 0, "inv": 0}
+    assert calls == {"svd": 2, "eigvalsh": 1, "eigh": eigh, "solve": 4, "det": 0, "inv": 0}
 
 
 @pytest.mark.parametrize(
-    "chart, formed",
+    "chart, cold, warm",
     [
-        # A = S(u) is linear: A^k A forms (k, 1)-bounded pairs, the 3 Horner steps all 1001
-        (sl_so(3), [36, 126, 336, 406, 1001, 1001, 1001]),
+        # S(v) is linear: the base jets' S^(k-1) S form (k-1, 1)-bounded pairs, once
+        (sl_so(3), [36, 126, 336], []),
         # the squares u_i^2 are (1, 1)-bounded; sqrt's Horner steps (0, 2), (2, 2), (4, 2), (6, 2)
-        (hyperboloid(20), [441] * 20 + [231, 53361, 94556, 94556]),
+        (hyperboloid(20), [441] * 20 + [231, 53361, 94556, 94556], [441] * 20 + [231, 53361, 94556, 94556]),
     ],
     ids=["sl_so", "hyperboloid-20"],
 )
-def test_chart_products_form_only_the_bounded_pairs(monkeypatch, chart, formed):
+def test_chart_products_form_only_the_bounded_pairs(monkeypatch, chart, cold, warm):
     """Chart evaluation forms only the coefficient pairs its degree bounds
-    leave: 3,907 for one sl_so(3) point and 251,524 for one hyperboloid(20)
-    point, where every product forming all pairs would make 7 * 1001 = 7,007
-    and 24 * 135,751 = 3,258,024."""
+    leave: 498 for sl_so(3)'s base jets, once per (m, order), and none per
+    point after that; 251,524 for one hyperboloid(20) point.  Products
+    forming all pairs would make 3 * 1001 = 3,003 and 24 * 135,751 =
+    3,258,024."""
     counts = []
 
     def counted(num_vars, size, bounds, _pairs=jets._pairs):
@@ -422,8 +424,11 @@ def test_chart_products_form_only_the_bounded_pairs(monkeypatch, chart, formed):
         return table
 
     monkeypatch.setattr(jets, "_pairs", counted)
-    chart.component_jets(chart.sample_points(1, 0)[0], 4)
-    assert counts == formed
+    catalog._base_jets.cache_clear()
+    for formed in (cold, warm):
+        counts.clear()
+        chart.component_jets(chart.sample_points(1, 0)[0], 4)
+        assert counts == formed
 
 
 def test_stack_gate_names_the_first_failing_point():

@@ -5,11 +5,13 @@ import pytest
 
 from equiaffine.blaschke import blaschke_at, check_codazzi, check_hypersphere, nabla_A_norm
 from equiaffine import catalog
+from equiaffine.cli import DEFAULT_TOL, POINT_CHECKS
 from equiaffine.calabi import ComposedChart, CompositionSpec, compose_chart
 from equiaffine.catalog import (
     ENTRIES,
     MatrixExpChart,
     TransformedChart,
+    _symmetric_basis,
     elliptic_paraboloid,
     flat_factor,
     flat_hypersphere,
@@ -21,7 +23,8 @@ from equiaffine.catalog import (
 )
 from equiaffine.dsl import DslChart, eval_immersion
 from equiaffine.jets import jet_matmul, jet_size, jet_variables
-from helpers import sl_so_point
+import jet_reference
+from helpers import SeriesExpChart, sl_so_point
 from jet_reference import jet_matrix_exp, lu_det
 
 SAMPLE_PARAMS = {
@@ -199,44 +202,100 @@ def test_matrix_exp_chart_against_scipy_style_series():
     assert np.linalg.det(expS) == pytest.approx(1.0, rel=1e-12)
 
 
-# (m, value-part inf-norm of S, squarings the exponential needs there)
+def _full_matrix(m, jets):
+    """The symmetric (..., m, m, M) jet matrix of upper-triangular chart components."""
+    rows, cols = np.triu_indices(m)
+    X = np.empty(jets.shape[:-2] + (m, m, jets.shape[-1]))
+    X[..., rows, cols, :] = X[..., cols, rows, :] = jets
+    return X
+
+
+def _negate_odd(jets, d):
+    """The order-4 jets of f(-v) from those of f(v): odd degrees change sign."""
+    out = jets.copy()
+    for k in (1, 3):
+        out[..., jet_size(d, k - 1) : jet_size(d, k)] *= -1
+    return out
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_base_jets_match_series_reference_and_exact_identities(m):
+    E = catalog._base_jets(m, 4).reshape(m, m, -1)
+    d = m * (m + 1) // 2 - 1
+    assert not catalog._base_jets(m, 4).flags.writeable
+    S = np.einsum("vij,vc->ijc", _symmetric_basis(m), jet_variables(np.zeros(d), 4))
+    assert np.abs(E - jet_matrix_exp(S, d)).max() <= 1e-15
+    # tr S = 0 as a jet, so det exp(S) = exp(tr S) = 1 to every order
+    det = lu_det(E, d)
+    assert det[0] == pytest.approx(1.0, abs=1e-14)
+    assert np.abs(det[1:]).max() <= 1e-14
+    product = jet_matmul(E, _negate_odd(E, d), d)
+    product[..., 0] -= np.eye(m)
+    assert np.abs(product).max() <= 1e-14
+
+
+# (m, value-part inf-norm of S(u0), squarings the series reference takes there)
 EXP_POINTS = [(m, norm, s) for m in (3, 4) for norm, s in ((0.3, 0), (0.8, 1), (1.6, 2), (3.2, 3))]
 
 
-def _exp_input(m, norm):
-    """The order-4 jet matrix S(u) of sl_so(m) at a point u with |S(u)|_inf = norm."""
+def _exp_point(m, norm):
+    """A point u0 of sl_so(m) with |S(u0)|_inf = norm."""
     chart = MatrixExpChart(m)
     u = np.random.default_rng(5).uniform(-1.0, 1.0, chart.dim)
-    u *= norm / np.abs(np.einsum("vij,v->ij", chart.basis, u)).sum(axis=1).max()
-    return np.einsum("vij,vc->ijc", chart.basis, jet_variables(u, 4)), chart.dim
+    return u * norm / np.abs(np.einsum("vij,v->ij", chart.basis, u)).sum(axis=1).max()
 
 
 @pytest.mark.parametrize("m, norm, squarings", EXP_POINTS)
 def test_jet_matrix_exp_matches_series_reference(m, norm, squarings, monkeypatch):
-    S, d = _exp_input(m, norm)
+    """At u0, the local chart v -> a E(v) a and the series exp(S(u0 + v)) are
+    two parametrizations of one surface near one point: the same point,
+    L1, J, chi, spectrum of g^-1 B and |nabla A|, and every check passes."""
+    point = _exp_point(m, norm)[None]
+    chart, ref = sl_so(m), SeriesExpChart(m)
     calls = []
 
     def counting_matmul(*args):
         calls.append(1)
         return jet_matmul(*args)
 
-    monkeypatch.setattr(catalog, "jet_matmul", counting_matmul)
-    E = catalog._jet_matrix_exp(S, d)
-    assert len(calls) == 7 + squarings
-    ref = jet_matrix_exp(S, d)
-    for k in range(5):  # each degree block against its own scale
-        block = slice(jet_size(d, k - 1) if k else 0, jet_size(d, k))
-        assert np.abs(E[..., block] - ref[..., block]).max() <= 1e-14 * np.abs(ref[..., block]).max()
+    monkeypatch.setattr(jet_reference, "jet_matmul", counting_matmul)
+    a, b = blaschke_at(chart, point), blaschke_at(ref, point)
+    assert len(calls) == 17 + squarings  # the reference scales and squares
+    values, expect = chart.component_jets(point, 0), ref.component_jets(point, 0)
+    assert np.abs(values - expect).max() <= 1e-14 * np.abs(expect).max()
+    for name in ("L1", "J", "chi"):
+        assert abs(getattr(a, name)[0] - getattr(b, name)[0]) <= 1e-14, name
+    sa, sb = (np.sort(np.linalg.eigvals(inv.g_inv[0] @ inv.B[0]).real) for inv in (a, b))
+    assert np.abs(sa - sb).max() <= 1e-14
+    assert max(nabla_A_norm(a)[0], nabla_A_norm(b)[0]) <= 1e-13
+    for invs in (a, b):
+        for name, entry in POINT_CHECKS.items():
+            assert all(rep.passed for reps in entry(invs, DEFAULT_TOL) for rep in reps), name
 
 
 @pytest.mark.parametrize("m, norm, squarings", EXP_POINTS)
 def test_jet_matrix_exp_exact_identities(m, norm, squarings):
-    S, d = _exp_input(m, norm)
-    E = catalog._jet_matrix_exp(S, d)
-    # tr S = 0 as a jet, so det exp(S) = exp(tr S) = 1 to every order
-    det = lu_det(E, d)
+    """The chart's matrix X(v) = a E(v) a at u0 keeps E's exact identities:
+    det X = 1 to every order, and X(v) X(0)^-1 X(-v) X(0)^-1 = I."""
+    d = m * (m + 1) // 2 - 1
+    X = _full_matrix(m, sl_so(m).component_jets(_exp_point(m, norm), 4))
+    det = lu_det(X, d)
     assert det[0] == pytest.approx(1.0, abs=1e-13)
     assert np.abs(det[1:]).max() <= 1e-13
-    product = jet_matmul(E, catalog._jet_matrix_exp(-S, d), d)
+    inverse = np.zeros_like(X)
+    inverse[..., 0] = np.linalg.inv(X[..., 0])
+    product = jet_matmul(jet_matmul(X, inverse, d), jet_matmul(_negate_odd(X, d), inverse, d), d)
     product[..., 0] -= np.eye(m)
     assert np.abs(product).max() <= 1e-13
+
+
+def test_sl_so_metric_and_forms_are_those_of_the_base_point():
+    """Every point is a unimodular image of the base jets, so g, A and B in
+    the local coordinates v are their values at u = 0."""
+    chart = sl_so(3)
+    base = blaschke_at(chart, np.zeros(chart.dim))
+    invs = blaschke_at(chart, chart.sample_points(5, 11))
+    for name in ("g", "A", "B"):
+        value = getattr(base, name)
+        assert np.abs(getattr(invs, name) - value).max() <= 1e-12 * np.abs(value).max(), name
+    assert np.abs(invs.L1 - -0.52487003541948).max() <= 1e-13

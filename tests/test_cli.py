@@ -120,6 +120,31 @@ HYPERBOLOID_COMPOSITION = {
 }
 
 
+# r=1 plus sl_so(m=3), n=6, at 3 points, all checks
+SL3_COMPOSITION = {
+    "chart": {
+        "composition": {
+            "r": 1,
+            "constants": [1.0, 1.0],
+            "factors": [{"catalog": {"name": "sl_so", "params": {"m": 3}}, "L1": -0.52487003541948}],
+        }
+    },
+    "points": {"random": 3, "seed": 2},
+    "checks": "all",
+}
+
+
+def test_sl_so_factor_composition_scene(monkeypatch):
+    code, report = run(SL3_COMPOSITION)
+    assert code == 0 and "status: pass" in report and "FAIL" not in report
+    for name in ("composition_g", "composition_A", "composition_sphere", "composition_L1"):
+        assert report.count(f"check {name}[") == 3, name
+    assert report.count("check hypersphere_shape") == 3 and "check mean_curvature_diag[1]" in report
+    # the same report from stacks of one point
+    monkeypatch.setattr(cli, "STACK_COEFFS", jet_size(6, 4))
+    assert run(SL3_COMPOSITION) == (0, report)
+
+
 def test_composition_scene_runs_pipeline_once_per_point(monkeypatch):
     calls = []
 
@@ -611,7 +636,8 @@ FLAT1 = {"flat": {"n0": 1}}
         # (-L1)^(n+2) underflows to 0 in the composition constant, inside the stage
         ({"r": 1, "constants": [1, 1], "factors": [{"catalog": {"name": "hyperboloid", "params": {"n": 2}},
                                                     "L1": -1e-300}]},
-         3, "chart error: point 0: float division by zero"),
+         3, "chart error: point 0: composition constant out of float range for constants [1.0, 1.0] "
+            "and factor L1 [-1e-300]"),
         # json.loads reads Infinity and NaN
         ({"r": 1, "constants": [1, 1], "factors": [{"catalog": {"name": "hyperboloid", "params": {"n": 2}},
                                                     "L1": -math.inf}]},
@@ -632,9 +658,9 @@ def test_composition_spec_errors_exit_with_one_line(tmp_path, capsys, compositio
 @pytest.mark.parametrize(
     "C0, expected",
     [
-        # C underflows to 0 in the closed form, then L1 = -1 / ((n + 1) C)
-        ("1e-300", "float division by zero"),
-        ("1e300", "(34, 'Numerical result out of range')"),
+        # C0^2 underflows to 0, so does C; C0^2 overflows Python float **
+        ("1e-300", "composition constant out of float range for constants [1.0, 1.0, 1e-300]"),
+        ("1e300", "composition constant out of float range for constants [1.0, 1.0, 1e+300]"),
         ("inf", "composition constants must be finite"),
     ],
     ids=["underflow", "overflow", "infinite"],
