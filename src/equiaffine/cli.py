@@ -104,6 +104,28 @@ def catalog_chart(name, params):
     return build_chart(name, catalog.get_chart, name, params)
 
 
+def _integral(value) -> bool:
+    """A scene integer is an int or an integral float, never a bool or text."""
+    return not isinstance(value, bool) and (isinstance(value, int) or isinstance(value, float) and value.is_integer())
+
+
+def _integer(name: str, value) -> int:
+    """int(value) for an integer-valued scene key; int() runs first, so its
+    own errors (infinity, NaN) keep their messages.  Raises ValueError."""
+    count = int(value)
+    if not _integral(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return count
+
+
+def _number(name: str, value) -> float:
+    """float(value) for a number-valued scene key, which refuses a bool.
+    Raises ValueError."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def build_factor(fd) -> calabi.HypersphereFactor:
     """One composition factor. A malformed factor document raises
     ``SceneError`` (exit 2); invalid chart parameters ``ChartBuildError``."""
@@ -114,8 +136,9 @@ def build_factor(fd) -> calabi.HypersphereFactor:
     try:
         if "flat" in fd:
             args = fd["flat"]
-            return build_chart("flat", catalog.flat_factor, int(args["n0"]), float(args.get("C0", 1.0)))
-        name, L1 = fd["catalog"]["name"], float(fd["L1"])
+            n0, C0 = _integer("n0", args["n0"]), _number("C0", args.get("C0", 1.0))
+            return build_chart("flat", catalog.flat_factor, n0, C0)
+        name, L1 = fd["catalog"]["name"], _number("L1", fd["L1"])
         chart = catalog_chart(name, fd["catalog"].get("params"))
         return calabi.HypersphereFactor(chart=chart, L1=L1, dim=chart.dim)
     except (SceneError, ChartBuildError):
@@ -126,8 +149,8 @@ def build_factor(fd) -> calabi.HypersphereFactor:
 
 def build_composition(spec_doc: dict) -> calabi.CompositionSpec:
     try:
-        r = int(spec_doc["r"])
-        constants = tuple(float(c) for c in spec_doc["constants"])
+        r = _integer("r", spec_doc["r"])
+        constants = tuple(_number("constant", c) for c in spec_doc["constants"])
         factor_docs = list(spec_doc.get("factors", []))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SceneError(f"malformed composition spec: {exc}") from exc
@@ -165,8 +188,7 @@ def resolve_points(doc, chart) -> np.ndarray:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SceneError(f"malformed random point spec: {exc}") from exc
         for name, value in (("count", doc["random"]), ("seed", doc.get("seed", 0))):
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or (isinstance(value, float) and not value.is_integer())):
+            if not _integral(value):
                 raise SceneError(f"random point {name} must be an integer, got {value!r}")
         if seed < 0:
             raise SceneError(f"random point seed must be non-negative, got {seed}")
@@ -283,7 +305,7 @@ def run_scene(scene: dict, out) -> int:
         if name not in tol:
             raise SceneError(f"unknown tolerance name {name!r}")
         try:  # a number, or text as --tol gives it
-            tol[name] = float(value)
+            tol[name] = np.nan if isinstance(value, bool) else float(value)
         except (TypeError, ValueError):
             tol[name] = np.nan
         if not np.isfinite(tol[name]):

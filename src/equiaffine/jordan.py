@@ -14,15 +14,15 @@ so a matrix with diagonal (xi1, xi2, xi3) and octonion entries x1, x2,
 x3 has coordinates (xi1, xi2, xi3, x1, x2, x3).  Note the F-basis
 vectors have trace-form norm squared 2, not 1.
 
-An element of the Albert algebra is its (..., 27) coordinate array; the
-(3, 3, 8) entry layout appears only where the octonion matrix product
-needs it (_mat_mul and bracket_operator).  The kernels broadcast over
-leading axes: oct_mul takes (..., 8) stacks, jordan_mul, jordan_inner,
-jordan_cross, jordan_det and mult_operator (..., 27) coordinate stacks,
-_mat_mul and bracket_operator (..., 3, 3, 8) entry stacks.  Each
-contracts the whole stack with its structure tensor in one flat matmul
-and then makes one batched product with the other operand, so a check
-over many samples is one call, not a Python loop.
+An element of the Albert algebra is its (..., 27) coordinate array.
+Products go through two cached, read-only structure tensors, each
+contracted with a whole stack in one flat matmul: jordan_table (27^3) for
+jordan_mul, jordan_inner, jordan_cross, jordan_det and mult_operator, and
+bracket_table (72 x 27*72, the images [U_a, e_b] of the 72 real entry
+coordinates) for bracket_operator.  The (3, 3, 8) entry layout appears
+only in the table builds and in bracket_operator's skew and Hermitian
+validation.  oct_mul takes (..., 8) stacks, bracket_operator (..., 3, 3, 8)
+stacks, the others (..., 27) stacks: a check over many samples is one call.
 
 The equivariant-orbit data built from this algebra (base point C * I3,
 induced metric g_o, cubic form A_o on the traceless part) is packaged by
@@ -62,15 +62,11 @@ def oct_table() -> np.ndarray:
 
 def oct_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Octonion product; broadcasts over leading axes: b times the
-    left-multiplication tables of a, built for the whole stack at once."""
+    left-multiplication tables L_a[j, k] = sum_i a_i M[i, j, k] of the whole
+    stack, built with one flat matmul."""
     a, b = np.asarray(a, float), np.asarray(b, float)
-    return (b[..., None, :] @ _left_tables(a))[..., 0, :]
-
-
-def _left_tables(a: np.ndarray) -> np.ndarray:
-    """(..., 8, 8) tables L_a[j, k] = sum_i a_i M[i, j, k] of an (..., 8) stack."""
     flat = a.reshape(-1, OCT_DIM) @ oct_table().reshape(OCT_DIM, -1)
-    return flat.reshape(a.shape[:-1] + (OCT_DIM, OCT_DIM))
+    return (b[..., None, :] @ flat.reshape(a.shape[:-1] + (OCT_DIM, OCT_DIM)))[..., 0, :]
 
 
 def oct_conj(a: np.ndarray) -> np.ndarray:
@@ -119,30 +115,10 @@ def _from_entries(entries: np.ndarray) -> np.ndarray:
     return entries[..., _ROW, _COL, _OCT]
 
 
-def _mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Plain (non-Hermitian) product of 3x3 octonion matrices; broadcasts
-    over leading axes.  The entries of a are contracted with the octonion
-    table first, L[p, q, j, k] = sum_i a[p, q, i] M[i, j, k], then L with b
-    over (q, j) as one matmul per member: no 6-axis temporary."""
-    a, b = np.asarray(a, float), np.asarray(b, float)
-    left = _left_tables(a)  # p, q, j, k
-    lhs = np.moveaxis(left, -1, -3).reshape(left.shape[:-4] + (3, OCT_DIM, 3 * OCT_DIM))  # p, k, (q, j)
-    rhs = b.swapaxes(-1, -2).reshape(b.shape[:-3] + (3 * OCT_DIM, 3))  # (q, j), r
-    return (lhs @ rhs[..., None, :, :]).swapaxes(-1, -2)
-
-
-@lru_cache(maxsize=1)
-def _basis_entries() -> np.ndarray:
-    """(27, 3, 3, 8) entries of the frozen coordinate basis E1, E2, E3, F_i(e_k)."""
-    stack = _entries(np.eye(JORDAN_DIM))
-    stack.setflags(write=False)
-    return stack
-
-
 @lru_cache(maxsize=1)
 def jordan_table() -> np.ndarray:
     """Structure tensor P with coords(X o Y)[c] = sum_ab P[a, b, c] x_a y_b."""
-    B = _basis_entries()
+    B = _entries(np.eye(JORDAN_DIM))
     prods = np.einsum("apqi,bqrj,ijk->abprk", B, B, oct_table(), optimize=True)
     prods = 0.5 * (prods + prods.swapaxes(0, 1))
     table = np.ascontiguousarray(_from_entries(prods))
@@ -150,14 +126,36 @@ def jordan_table() -> np.ndarray:
     return table
 
 
-def jordan_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """coords(X o Y) of (..., 27) coordinate stacks; broadcasts over leading axes.
+@lru_cache(maxsize=1)
+def bracket_table() -> np.ndarray:
+    """(72, 27 * 72) table: row a holds the entries of [U_a, e_b] = U_a e_b -
+    e_b U_a for b = 0..26, U_a the unit at entry coordinate a = (p0, q0, i).
+    U_a e_b is row q0 of e_b left-multiplied by e_i, put in row p0; e_b U_a
+    is column p0 of e_b right-multiplied by e_i, put in column q0."""
+    B, M = _entries(np.eye(JORDAN_DIM)), oct_table()
+    left = np.einsum("bqrj,ijk->qibrk", B, M)  # q0, i, b, column r, k
+    right = np.einsum("bpqj,jik->qibpk", B, M)  # p0, i, b, row p, k
+    table = np.zeros((3, 3, OCT_DIM, JORDAN_DIM, 3, 3, OCT_DIM))  # p0, q0, i, b, p, r, k
+    for p in range(3):
+        table[p, :, :, :, p] += left
+        table[:, p, :, :, :, p] -= right
+    table = table.reshape(9 * OCT_DIM, -1)
+    table.setflags(write=False)
+    return table
 
-    One flat matmul gives the tables L_x[b, c] = coords(X o e_b)[c] of the
-    whole stack, then y L_x: the one Jordan-product kernel."""
-    x, y = np.asarray(x, float), np.asarray(y, float)
+
+def _mul_tables(x: np.ndarray) -> np.ndarray:
+    """(..., 27, 27) tables L_x[b, c] = coords(X o e_b)[c] of a (..., 27)
+    coordinate stack, from one flat matmul with the structure tensor."""
     flat = x.reshape(-1, JORDAN_DIM) @ jordan_table().reshape(JORDAN_DIM, -1)
-    return (y[..., None, :] @ flat.reshape(x.shape[:-1] + (JORDAN_DIM, JORDAN_DIM)))[..., 0, :]
+    return flat.reshape(x.shape[:-1] + (JORDAN_DIM, JORDAN_DIM))
+
+
+def jordan_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """coords(X o Y) of (..., 27) coordinate stacks; broadcasts over leading
+    axes: y times the tables L_x of the whole stack, the one Jordan-product kernel."""
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    return (y[..., None, :] @ _mul_tables(x))[..., 0, :]
 
 
 def _trace(x: np.ndarray) -> np.ndarray:
@@ -188,7 +186,7 @@ def jordan_det(x: np.ndarray) -> np.ndarray:
 def mult_operator(t: np.ndarray) -> np.ndarray:
     """27x27 matrix of X -> T o X in the frozen basis, column b = T o e_b;
     a (..., 27) coordinate stack gives a (..., 27, 27) stack."""
-    return jordan_mul(np.asarray(t, float)[..., None, :], np.eye(JORDAN_DIM)).swapaxes(-1, -2)
+    return _mul_tables(np.asarray(t, float)).swapaxes(-1, -2)
 
 
 def bracket_operator(A: np.ndarray) -> np.ndarray:
@@ -204,9 +202,8 @@ def bracket_operator(A: np.ndarray) -> np.ndarray:
         raise ValueError("expected a (..., 3, 3, 8) stack of octonion matrices")
     if not _negligible(A + oct_conj(A).swapaxes(-3, -2), A, 3):
         raise ValueError("matrix is not octonion skew-Hermitian")
-    B, A = _basis_entries(), A[..., None, :, :, :]
-    imgs = _mat_mul(A, B)
-    imgs -= _mat_mul(B, A)  # (..., 27, 3, 3, 8), in place: one such array, not three
+    flat = A.reshape(-1, 9 * OCT_DIM) @ bracket_table()
+    imgs = flat.reshape(A.shape[:-3] + (JORDAN_DIM, 3, 3, OCT_DIM))  # entries of [A, e_b]
     herm = oct_conj(imgs).swapaxes(-3, -2)
     herm -= imgs  # conj(imgs)^t - imgs, in the conjugate's buffer
     if not _negligible(herm, imgs, 4):
@@ -277,7 +274,9 @@ def e6_embedding_data(L1: float) -> EmbeddingData:
     V = traceless_basis()
     Q = np.linalg.solve(np.linalg.cholesky((V * g_w) @ V.T), V)
     gram = (Q * g_w) @ Q.T
-    A_o = np.einsum("ia,jb,abc,kc->ijk", Q, Q, jordan_table(), Q * w, optimize=True) / 3.0
+    # A_o[i, j, k] = sum_abc Q[i, a] Q[j, b] P[a, b, c] w_c Q[k, c], contracted c, a, then b
+    Pk = (jordan_table().reshape(-1, JORDAN_DIM) @ (Q * w).T).reshape(JORDAN_DIM, -1)  # a, (b, k)
+    A_o = Q @ (Q @ Pk).reshape(n, JORDAN_DIM, n) / 3.0
     return EmbeddingData(L1=L1, C=C, x_o=x_o, on_basis=Q, g_o=gram, A_o=A_o)
 
 

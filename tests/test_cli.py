@@ -645,10 +645,28 @@ FLAT1 = {"flat": {"n0": 1}}
             "'L1': -inf}: factor affine mean curvature must be finite"),
         ({"r": 2, "constants": [1, math.inf], "factors": []}, 2,
          "scene error: malformed composition spec: composition constants must be finite"),
+        # int() and float() would run r = 2.9 as 2 and true as 1
+        ({"r": 2.9, "constants": [1, 1, 1], "factors": []}, 2,
+         "scene error: malformed composition spec: r must be an integer, got 2.9"),
+        ({"r": True, "constants": [1, 1, 1], "factors": []}, 2,
+         "scene error: malformed composition spec: r must be an integer, got True"),
+        ({"r": 2, "constants": [1, True], "factors": []}, 2,
+         "scene error: malformed composition spec: constant must be a number, got True"),
+        ({"r": 1, "constants": [1, 1], "factors": [{"flat": {"n0": True}}]}, 2,
+         "scene error: malformed composition factor {'flat': {'n0': True}}: n0 must be an integer, got True"),
+        ({"r": 1, "constants": [1, 1], "factors": [{"flat": {"n0": 2.5}}]}, 2,
+         "scene error: malformed composition factor {'flat': {'n0': 2.5}}: n0 must be an integer, got 2.5"),
+        ({"r": 1, "constants": [1, 1], "factors": [{"flat": {"n0": 2, "C0": True}}]}, 2,
+         "scene error: malformed composition factor {'flat': {'n0': 2, 'C0': True}}: C0 must be a number, got True"),
+        ({"r": 1, "constants": [1, 1], "factors": [{"catalog": {"name": "hyperboloid", "params": {"n": 2}},
+                                                    "L1": True}]},
+         2, "scene error: malformed composition factor {'catalog': {'name': 'hyperboloid', 'params': {'n': 2}}, "
+            "'L1': True}: L1 must be a number, got True"),
     ],
     ids=["constant-count", "flat-n0-0", "factor-not-object", "factor-params", "flat-no-n0", "factor-L1-positive",
          "factors-not-list", "r-infinite", "flat-n0-infinite", "factor-L1-underflows", "factor-L1-infinite",
-         "constant-infinite"],
+         "constant-infinite", "r-fractional", "r-bool", "constant-bool", "flat-n0-bool", "flat-n0-fractional",
+         "flat-C0-bool", "factor-L1-bool"],
 )
 def test_composition_spec_errors_exit_with_one_line(tmp_path, capsys, composition, code, expected):
     argv = ["check", "--scene", scene_file(tmp_path, {"composition": composition}, {"random": 1})]
@@ -720,12 +738,13 @@ H2 = '"chart": {"catalog": "hyperboloid", "params": {"n": 2}}'
         ('{%s, "points": {"random": 2, "seed": false}}' % H2, [], "random point seed must be an integer, got False"),
         ('{%s, "points": {"random": "3"}}' % H2, [], "random point count must be an integer, got '3'"),
         ('{%s, "points": {"random": 2, "seed": "2"}}' % H2, [], "random point seed must be an integer, got '2'"),
+        ('{%s, "tolerances": {"gauss": true}}' % H2, [], "tolerance 'gauss' must be a finite number, got True"),
     ],
     ids=["tolerances-list", "tolerance-text", "tolerance-infinite", "tol-flag-text", "tol-flag-nan",
          "tol-flag-on-tolerances-list", "checks-int", "checks-string", "checks-not-names", "chart-string",
          "chart-text-int", "seed-negative", "seed-flag-negative", "random-infinite", "tolerance-negative",
          "tol-flag-negative", "random-fractional", "seed-fractional", "random-bool", "seed-bool", "random-string",
-         "seed-string"],
+         "seed-string", "tolerance-bool"],
 )
 def test_malformed_scene_values_exit_2_with_one_line(tmp_path, capsys, scene, flags, expected):
     path = tmp_path / "scene.json"

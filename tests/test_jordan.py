@@ -1,18 +1,24 @@
 """Octonion and Albert-algebra arithmetic plus the orbit embedding data."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import equiaffine
 from equiaffine.jordan import (
     EmbeddingData,
     _entries,
     _from_entries,
-    _mat_mul,
     apolarity_residual,
     bracket_operator,
+    bracket_table,
     e6_embedding_data,
     gaussf_residual,
     hypersphere_residual,
@@ -272,11 +278,26 @@ def hermitian_coords(m):
     return _from_entries(m)
 
 
+def mat_mul(a, b):
+    """Plain (non-Hermitian) product of 3x3 octonion matrices, entry (p, r)
+    the sum over q of oct_mul(a[p, q], b[q, r]); broadcasts, no structure tensor."""
+    return oct_mul(a[..., :, :, None, :], b[..., None, :, :, :]).sum(axis=-3)
+
+
 def mat_mul_product(x, y):
     """Coordinates of (XY + YX) / 2 from plain octonion matrix products of
     the entries, without the table."""
     X, Y = _entries(x), _entries(y)
-    return hermitian_coords(0.5 * (_mat_mul(X, Y) + _mat_mul(Y, X)))
+    return hermitian_coords(0.5 * (mat_mul(X, Y) + mat_mul(Y, X)))
+
+
+def random_skew(rng, shape=()):
+    """Random skew members, conj(A)^t = -A, with imaginary diagonal entries."""
+    A = random_skew_offdiag(rng, shape)
+    d = [0, 1, 2]
+    A[..., d, d, 1:] = rng.standard_normal(tuple(shape) + (3, 7))
+    assert np.array_equal(oct_conj(A).swapaxes(-3, -2), -A)
+    return A
 
 
 def random_hermitian(rng):
@@ -304,9 +325,43 @@ def test_operators_match_per_basis_columns():
     T = random_hermitian(rng)
     cols = [mat_mul_product(T, e) for e in basis]
     assert np.max(np.abs(mult_operator(T) - np.array(cols).T)) < 1e-13
-    A = random_skew_offdiag(rng)
-    cols = [hermitian_coords(_mat_mul(A, e) - _mat_mul(e, A)) for e in _entries(basis)]
-    assert np.max(np.abs(bracket_operator(A) - np.array(cols).T)) < 1e-13
+    # zero-diagonal members and members with imaginary diagonal entries
+    for A in (random_skew_offdiag(rng), *random_skew(rng, (10,))):
+        cols = [hermitian_coords(mat_mul(A, e) - mat_mul(e, A)) for e in _entries(basis)]
+        assert np.max(np.abs(bracket_operator(A) - np.array(cols).T)) < 1e-13
+
+
+def test_bracket_table_read_only_and_integral():
+    table = bracket_table()
+    assert table.shape == (72, 27 * 72)
+    assert not table.flags.writeable
+    assert set(np.unique(table)) <= {-1.0, 0.0, 1.0}
+    # row a holds the entries of [U_a, e_b] for the unit coordinate U_a
+    U = np.eye(72).reshape(72, 3, 3, 8)
+    basis = _entries(np.eye(27))
+    for a in (0, 13, 40, 71):
+        want = mat_mul(U[a], basis) - mat_mul(basis, U[a])
+        assert np.array_equal(table[a], want.ravel())
+
+
+def test_mult_operator_columns_are_jordan_products():
+    rng = np.random.default_rng(22)
+    T = random_traceless_coords(rng, (3,))
+    ops = mult_operator(T)
+    for b, e in enumerate(np.eye(27)):
+        assert np.array_equal(ops[..., b], jordan_mul(T, e))
+
+
+def test_importing_the_cli_builds_no_table():
+    # a fresh process: the tables are built on first use, not at import
+    code = (
+        "import equiaffine.cli; from equiaffine import jordan; "
+        "print([f.cache_info().currsize for f in (jordan.oct_table, jordan.jordan_table, jordan.bracket_table)])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(equiaffine.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0]"
 
 
 def test_cubic_form_matches_triple_loop_formula():
@@ -353,13 +408,12 @@ def test_operators_on_stacks_match_per_member_calls():
     ops = mult_operator(T)
     assert ops.shape == (4, 3, 27, 27)
     for idx in np.ndindex(4, 3):
-        want = mult_operator(T[idx])
-        assert np.max(np.abs(ops[idx] - want)) < 1e-14 * np.abs(want).max()
-    A = random_skew_offdiag(rng, (5,))
-    ops = bracket_operator(A)
-    assert ops.shape == (5, 27, 27)
-    for member, op in zip(A, ops):
-        assert np.max(np.abs(op - bracket_operator(member))) < 1e-14 * np.abs(op).max()
+        assert np.array_equal(ops[idx], mult_operator(T[idx]))
+    for A in (random_skew_offdiag(rng, (5,)), random_skew(rng, (5,))):
+        ops = bracket_operator(A)
+        assert ops.shape == (5, 27, 27)
+        for member, op in zip(A, ops):
+            assert np.array_equal(op, bracket_operator(member))
 
 
 def test_stacked_draws_follow_the_per_sample_stream():
