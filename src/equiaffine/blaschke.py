@@ -58,7 +58,7 @@ import numpy as np
 from . import tensors
 from .dsl import ChartDef, eval_immersion
 from .jets import exp as jet_exp
-from .jets import jet_einsum, jet_gradient, jet_lu, jet_mul, jet_size
+from .jets import jet_einsum, jet_gradient, jet_hessian, jet_lu, jet_mul, jet_size
 from .tensors import MetricField, cov_deriv_sym3, riemann
 
 H_EQUALS_G_TOL = 1e-9
@@ -127,23 +127,26 @@ class BlaschkeInvariants:
     # internals kept for the structural checks
     _A_jets: np.ndarray = field(repr=False, default=None)  # (n, n, n, M1) order-1 jet array
     _gamma_hat: np.ndarray = field(repr=False, default=None)  # Levi-Civita values
-    _nabla_A: np.ndarray = field(repr=False, default=None)  # A_ijk,l values
-    _sphere: tuple = field(repr=False, default=None)  # hypersphere_residuals()
+    _terms: dict = field(repr=False, init=False, compare=False, default_factory=dict)  # see term()
 
     @property
     def dim(self) -> int:
         return self.point.shape[-1]
 
-    def nabla_A(self) -> np.ndarray:
-        if self._nabla_A is None:
-            self._nabla_A = cov_deriv_sym3(self._A_jets, self._gamma_hat)
-        return self._nabla_A
+    def term(self, name: str):
+        """The check term ``name`` of ``TERMS``, built on first use and then
+        shared, read-only, by every check on this bundle."""
+        if name not in self._terms:
+            value = TERMS[name](self)
+            for array in value if isinstance(value, tuple) else (value,):
+                if isinstance(array, np.ndarray):
+                    array.flags.writeable = False
+            self._terms[name] = value
+        return self._terms[name]
 
-    def hypersphere_residuals(self) -> tuple[np.ndarray, np.ndarray]:
-        """(max|B - L1 g|, max|xi + L1 x|) per point, computed once per bundle."""
-        if self._sphere is None:
-            self._sphere = _hypersphere_residuals(self)
-        return self._sphere
+    def nabla_A(self) -> np.ndarray:
+        """A_ijk,l values (the ``nabla_A`` term)."""
+        return self.term("nabla_A")
 
 
 def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants:
@@ -160,7 +163,7 @@ def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants:
         raise ValueError(f"blaschke_at needs at least one point, got an empty stack of shape {stack.shape}")
     n = chart.dim
     m1 = jet_size(n, 1)
-    x, x1, hess, normal, sv = _chart_derivatives(chart, stack)
+    x, x1, hess, normal, sv = _chart_derivatives(chart, stack)  # x1, hess of order 2
     G, log_m = _determinant_form(x1, hess, normal, stack)  # G' = G / det M
     eig = np.linalg.eigvalsh(G[..., 0])
     definite = eig[:, 0] > 0
@@ -213,7 +216,7 @@ def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants:
     pairs = len(rows)
     rhs = np.zeros((len(stack), n + 1, pairs + n, m1))
     rhs[:, :, :pairs] = hess[:, rows, cols].swapaxes(1, 2)
-    rhs[:, :, pairs:, 0] = jet_gradient(xi, n)[..., 0]
+    rhs[:, :, pairs:, 0] = xi[..., 1 : n + 1]  # the degree-1 coefficients: [a, i] = d_i xi^a
     _, sol = jet_lu(frame, n, rhs, log_det=False)  # [coefficient, pair or direction]
     gamma_ind = np.empty((len(stack), n, n, n, m1))  # induced connection [k, i, j]
     gamma_ind[:, :, rows, cols] = gamma_ind[:, :, cols, rows] = sol[:, :n, :pairs]
@@ -305,19 +308,15 @@ def _g_norm2(t: np.ndarray, g_inv: np.ndarray):
 
 
 def _chart_derivatives(chart: ChartDef, points: np.ndarray):
-    """Chart jets x (n+1, M4), first derivatives x1[k, a] = d_k x^a (order 3),
-    second derivatives hess[i, j, a] = d_i d_j x^a (order 2), a unit normal
-    (n+1,) to the tangents and the tangents' singular values (n,)
-    (``eval_immersion``), each with a leading point axis for a (P, n) point
-    stack."""
+    """Chart jets x (n+1, M4), first derivatives x1[k, a] = d_k x^a and the
+    symmetric second derivatives hess[i, j, a] = d_i d_j x^a, both of order
+    2 and each one gather from x, a unit normal (n+1,) to the tangents and
+    the tangents' singular values (n,) (``eval_immersion``), each with a
+    leading point axis for a (P, n) point stack."""
     n = chart.dim
     x, normal, sv = eval_immersion(chart, points, 4)
-    x1 = jet_gradient(x, n).swapaxes(-3, -2)
-    # x_ij = d_j d_i x for j <= i, mirrored
-    rows, cols = _lower(n)
-    hess = np.empty(x1.shape[:-3] + (n, n, n + 1, jet_size(n, 2)))
-    second = jet_gradient(x1, n).swapaxes(-3, -2)  # [i, j, a] = d_j d_i x^a
-    hess[..., rows, cols, :, :] = hess[..., cols, rows, :, :] = second[..., rows, cols, :, :]
+    x1 = jet_gradient(x[..., : jet_size(n, 3)], n).swapaxes(-3, -2)
+    hess = jet_hessian(x, n).swapaxes(-4, -3).swapaxes(-3, -2)  # [a, i, j] to [i, j, a]
     return x, x1, hess, normal, sv
 
 
@@ -340,11 +339,7 @@ def _determinant_form(x1: np.ndarray, hess: np.ndarray, normal: np.ndarray, poin
     except np.linalg.LinAlgError as exc:
         k = _first_singular(mt[..., 0].reshape(-1, n + 1, n + 1))
         raise ConvexityError(f"tangents are linearly dependent at {np.reshape(points, (-1, n))[k]}") from exc
-    y = y[..., 0, :]
-    rows, cols = _lower(n)  # G' is symmetric: contract the pairs i >= j only
-    G = np.empty(lead + (n, n, m2))
-    G[..., rows, cols, :] = G[..., cols, rows, :] = jet_einsum("a,pa->p", y, hess[..., rows, cols, :, :], n)
-    return G, log_m
+    return jet_einsum("a,ija->ij", y[..., 0, :], hess, n), log_m
 
 
 def _symmetrize3(t: np.ndarray) -> np.ndarray:
@@ -389,6 +384,45 @@ def point_reports(name: str, residual: np.ndarray, tolerance: float) -> CheckRep
     return [CheckReport(name, r, tolerance) for r in residual.tolist()]
 
 
+# -- check terms ------------------------------------------------------------
+#
+# The tensors that several checks build from one bundle, built on first use
+# by ``BlaschkeInvariants.term`` and then shared.  The index placements of
+# an outer product a_pq b_rs are transposed views of one product, each
+# bitwise the einsum of that placement (a product, no sum).
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_pq b_rs of two (..., n, n) stacks as one (..., n, n, n, n) array."""
+    return a[..., :, :, None, None] * b[..., None, None, :, :]
+
+
+def _placed(t: np.ndarray, placement: str) -> np.ndarray:
+    """The view of an outer product t = a_pq b_rs (``_outer``) indexed
+    [i, j, k, l] for ``placement``, e.g. "il,jk" for a_il b_jk."""
+    labels = placement.replace(",", "")
+    lead = t.ndim - 4
+    return t.transpose(*range(lead), *(lead + labels.index(c) for c in "ijkl"))
+
+
+def _A_comm(inv: BlaschkeInvariants) -> tuple[np.ndarray, np.ndarray]:
+    """The two terms A^m_ik A_jlm and A^m_il A_jkm of [A, A]_ijkl."""
+    A_up = inv.term("A_up")
+    return np.einsum("...mik,...jlm->...ijkl", A_up, inv.A), np.einsum("...mil,...jkm->...ijkl", A_up, inv.A)
+
+
+# name -> term(inv); each entry looks its functions up at call time
+TERMS = {
+    "nabla_A": lambda inv: cov_deriv_sym3(inv._A_jets, inv._gamma_hat),  # A_ijk,l
+    "curl_nabla_A": lambda inv: inv.nabla_A() - inv.nabla_A().swapaxes(-2, -1),  # A_ijk,l - A_ijl,k
+    "div_nabla_A": lambda inv: np.einsum("...lm,...ijml->...ij", inv.g_inv, inv.nabla_A()),  # A^m_ij,m
+    "A_up": lambda inv: np.einsum("...mp,...ikp->...mik", inv.g_inv, inv.A),  # A^m_ik
+    "A_comm": _A_comm,
+    "g_B": lambda inv: _outer(inv.g, inv.B),  # g_pq B_rs
+    "hypersphere": lambda inv: _hypersphere_residuals(inv),
+}
+
+
 def check_apolarity(inv: BlaschkeInvariants,
                     tolerance: float = DEFAULT_TOL["apolarity"]) -> CheckReport | list[CheckReport]:
     """Residual of the apolarity condition g^{ij} A_ijk = 0."""
@@ -396,30 +430,20 @@ def check_apolarity(inv: BlaschkeInvariants,
     return point_reports("apolarity", max_per_point(inv, trace), tolerance)
 
 
-def gauss_rhs(g: np.ndarray, g_inv: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Right-hand side of the affine Gauss equation for R_ijkl (leading
-    point axes broadcast)."""
-    A_up = np.einsum("...mp,...ikp->...mik", g_inv, A)  # A^m_ik
-    comm = np.einsum("...mik,...jlm->...ijkl", A_up, A) - np.einsum("...mil,...jkm->...ijkl", A_up, A)
-    wedge = 0.5 * (
-        np.einsum("...il,...jk->...ijkl", g, B)
-        + np.einsum("...jk,...il->...ijkl", g, B)
-        - np.einsum("...ik,...jl->...ijkl", g, B)
-        - np.einsum("...jl,...ik->...ijkl", g, B)
-    )
-    return comm + wedge
-
-
 def check_gauss(inv: BlaschkeInvariants, tolerance: float = DEFAULT_TOL["gauss"]) -> CheckReport | list[CheckReport]:
-    """Affine Gauss equation: curvature of g against A- and B-terms."""
-    rhs = gauss_rhs(inv.g, inv.g_inv, inv.A, inv.B)
+    """Affine Gauss equation: R_ijkl = [A, A]_ijkl + (g_il B_jk + g_jk B_il
+    - g_ik B_jl - g_jl B_ik) / 2."""
+    comm_1, comm_2 = inv.term("A_comm")
+    gB = inv.term("g_B")
+    wedge = 0.5 * (_placed(gB, "il,jk") + _placed(gB, "jk,il") - _placed(gB, "ik,jl") - _placed(gB, "jl,ik"))
+    rhs = (comm_1 - comm_2) + wedge
     return point_reports("gauss", max_per_point(inv, inv.curvature.riemann - rhs), tolerance)
 
 
 def check_ricci(inv: BlaschkeInvariants, tolerance: float = DEFAULT_TOL["ricci"]) -> CheckReport | list[CheckReport]:
     """Contracted Gauss identity for the Ricci tensor."""
     n = inv.dim
-    A_up = np.einsum("...mp,...ilp->...mil", inv.g_inv, inv.A)
+    A_up = inv.term("A_up")
     rhs = (
         np.einsum("...kil,...ljk->...ij", A_up, A_up)
         + 0.5 * n * _per_point(inv.L1, 2) * inv.g
@@ -428,48 +452,37 @@ def check_ricci(inv: BlaschkeInvariants, tolerance: float = DEFAULT_TOL["ricci"]
     return point_reports("ricci", max_per_point(inv, inv.curvature.ricci - rhs), tolerance)
 
 
-def codazzi_rhs(g: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # symmetric in (i, j) like the left-hand side, antisymmetric in (k, l)
-    return 0.5 * (
-        np.einsum("...ik,...jl->...ijkl", g, B)
-        + np.einsum("...jk,...il->...ijkl", g, B)
-        - np.einsum("...il,...jk->...ijkl", g, B)
-        - np.einsum("...jl,...ik->...ijkl", g, B)
-    )
-
-
 def check_codazzi(inv: BlaschkeInvariants,
                   tolerance: float = DEFAULT_TOL["codazzi"]) -> CheckReport | list[CheckReport]:
-    """Codazzi equation for the cubic form: antisymmetrized nabla A."""
-    na = inv.nabla_A()
-    lhs = na - na.swapaxes(-2, -1)  # A_ijk,l - A_ijl,k
-    return point_reports("codazzi", max_per_point(inv, lhs - codazzi_rhs(inv.g, inv.B)), tolerance)
+    """Codazzi equation for the cubic form: A_ijk,l - A_ijl,k = (g_ik B_jl
+    + g_jk B_il - g_il B_jk - g_jl B_ik) / 2, symmetric in (i, j) like the
+    left-hand side, antisymmetric in (k, l)."""
+    gB = inv.term("g_B")
+    rhs = 0.5 * (_placed(gB, "ik,jl") + _placed(gB, "jk,il") - _placed(gB, "il,jk") - _placed(gB, "jl,ik"))
+    return point_reports("codazzi", max_per_point(inv, inv.term("curl_nabla_A") - rhs), tolerance)
 
 
 def check_trace_identity(inv: BlaschkeInvariants,
                          tolerance: float = DEFAULT_TOL["trace_identity"]) -> CheckReport | list[CheckReport]:
     """Contracted Codazzi identity: div A = (n/2)(L1 g - B)."""
     n = inv.dim
-    div = np.einsum("...lm,...ijml->...ij", inv.g_inv, inv.nabla_A())
     rhs = 0.5 * n * (_per_point(inv.L1, 2) * inv.g - inv.B)
-    return point_reports("trace_identity", max_per_point(inv, div - rhs), tolerance)
+    return point_reports("trace_identity", max_per_point(inv, inv.term("div_nabla_A") - rhs), tolerance)
 
 
 def check_gauss_alt(inv: BlaschkeInvariants,
                     tolerance: float = DEFAULT_TOL["gauss_alt"]) -> CheckReport | list[CheckReport]:
     """Alternative Gauss form expressed through chi, J and nabla A."""
     n = inv.dim
-    g, ginv, A = inv.g, inv.g_inv, inv.A
-    na = inv.nabla_A()
-    div = np.einsum("...mp,...jlpm->...jl", ginv, na)  # A^m_{jl,m}
-    A_up = np.einsum("...mp,...ikp->...mik", ginv, A)
+    gg = _outer(inv.g, inv.g)
+    g_div = _outer(inv.g, inv.term("div_nabla_A"))
+    comm_1, comm_2 = inv.term("A_comm")
     rhs = (
-        na - na.swapaxes(-2, -1)
-        + _per_point(inv.chi - inv.J, 4)
-        * (np.einsum("...il,...jk->...ijkl", g, g) - np.einsum("...ik,...jl->...ijkl", g, g))
-        + (2.0 / n) * (np.einsum("...ik,...jl->...ijkl", g, div) - np.einsum("...il,...jk->...ijkl", g, div))
-        + np.einsum("...mik,...jlm->...ijkl", A_up, A)
-        - np.einsum("...mil,...jkm->...ijkl", A_up, A)
+        inv.term("curl_nabla_A")
+        + _per_point(inv.chi - inv.J, 4) * (_placed(gg, "il,jk") - _placed(gg, "ik,jl"))
+        + (2.0 / n) * (_placed(g_div, "ik,jl") - _placed(g_div, "il,jk"))
+        + comm_1
+        - comm_2
     )
     return point_reports("gauss_alt", max_per_point(inv, inv.curvature.riemann - rhs), tolerance)
 
@@ -485,9 +498,9 @@ def _hypersphere_residuals(inv: BlaschkeInvariants) -> tuple[np.ndarray, np.ndar
 def check_hypersphere(inv: BlaschkeInvariants, tolerance: float = DEFAULT_TOL["hypersphere"]):
     """Affine hypersphere tests: B = L1 g, and xi = -L1 x for proper spheres
     centered at the origin.  Returns (shape-operator report, center report),
-    one such pair per point for a stack, from the bundle's cached
-    ``hypersphere_residuals()``."""
-    resid_b, resid_c = inv.hypersphere_residuals()
+    one such pair per point for a stack, from the bundle's ``hypersphere``
+    term."""
+    resid_b, resid_c = inv.term("hypersphere")
     shape = point_reports("hypersphere_shape", resid_b, tolerance)
     center = point_reports("hypersphere_center", resid_c, tolerance)
     return (shape, center) if isinstance(shape, CheckReport) else list(zip(shape, center))

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import jets
 from .blaschke import DEFAULT_TOL, BlaschkeInvariants, CheckReport, blaschke_at, max_per_point
 from .dsl import MAX_DIM, ChartDef
-from .jets import jet_embed, jet_mul, jet_variables
+from .jets import jet_embed, jet_mul
 
 
 @dataclass(frozen=True)
@@ -130,9 +131,22 @@ class CompositionSpec:
     def dim(self) -> int:
         return self.index.n
 
+    @cached_property
+    def closed_form(self) -> ClosedFormInvariants:
+        """``closed_form(self)``, built on first use and kept, so a spec's
+        closed forms are computed once."""
+        return closed_form(self)
+
+
+_FACTORIALS = np.array([math.factorial(k) for k in range(jets.MAX_ORDER + 1)], float)
+
 
 class ComposedChart(ChartDef):
-    """The Calabi composition chart in (t, p_1, ..., p_s) coordinates."""
+    """The Calabi composition chart in (t, p_1, ..., p_s) coordinates.
+
+    Its weights e_a = c_a exp(row_a . t) have linear exponents, so their
+    jets at t0 are in closed form: the coefficient of the monomial
+    u^alpha is c_a exp(row_a . t0) row_a^alpha / alpha!."""
 
     def __init__(self, spec: CompositionSpec):
         self.spec = spec
@@ -144,23 +158,35 @@ class ComposedChart(ChartDef):
             hi.extend(f.chart.domain_hint[1])
         super().__init__(idx.n, domain_hint=(np.array(lo), np.array(hi)))
         self.index_map = idx
+        self.rows = np.array([idx.exponent_row(a) for a in range(1, idx.K + 1)])  # (K, K-1)
+        self._weight_coeffs = {}  # order -> (K, M) read-only array, see weight_coeffs
+
+    def weight_coeffs(self, order: int) -> np.ndarray:
+        """c_a row_a^alpha / alpha! for every weight a (rows) and monomial
+        alpha of the jet order (columns), zero where alpha involves a factor
+        coordinate; built once per order, read-only."""
+        if order not in self._weight_coeffs:
+            t = self.index_map.K - 1  # the t coordinates come first
+            mono = np.array(jets.monomials(self.dim, order)).reshape(-1, self.dim)
+            terms = (self.rows[:, None, :] ** mono[:, :t] / _FACTORIALS[mono[:, :t]]).prod(axis=-1)
+            coeffs = np.where(mono[:, t:].any(axis=1), 0.0, np.array(self.spec.constants)[:, None] * terms)
+            coeffs.flags.writeable = False
+            self._weight_coeffs[order] = coeffs
+        return self._weight_coeffs[order]
 
     def component_jets(self, point, order):
         spec, idx = self.spec, self.index_map
         n = idx.n
         point = np.asarray(point, float)
-        t = jet_variables(point, order)[..., : idx.K - 1, :]
-        comps = []
-        for a in range(1, idx.K + 1):
-            # log e_a is linear in t: degree bound 1
-            e_a = (jets.exp(idx.exponent_row(a) @ t, n, 1) * spec.constants[a - 1])[..., None, :]
-            if a <= spec.r:
-                comps.append(e_a)
-            else:
-                factor = spec.factors[a - spec.r - 1]
-                sl = idx.factor_slice(a - spec.r)
-                sub = factor.chart.component_jets(point[..., sl], order)
-                comps.append(jet_mul(e_a, jet_embed(sub, factor.dim, n, sl.start), n))
+        # exp(row_a . t0) as order-0 jets: a value out of float range raises exp's error
+        scale = jets.exp((point[..., : idx.K - 1] @ self.rows.T)[..., None], n)
+        weights = scale * self.weight_coeffs(order)  # (..., K, M): the jets of e_a
+        comps = [weights[..., : spec.r, :]]
+        for alpha, factor in enumerate(spec.factors, start=1):
+            sl = idx.factor_slice(alpha)
+            sub = factor.chart.jets_at(point[..., sl], order)
+            e_a = weights[..., spec.r + alpha - 1, None, :]
+            comps.append(jet_mul(e_a, jet_embed(sub, factor.dim, n, sl.start), n))
         return np.concatenate(comps, axis=-2)
 
 
@@ -240,6 +266,8 @@ def closed_form(spec: CompositionSpec) -> ClosedFormInvariants:
             if b_tilde <= K - 1:
                 A_ft[alpha - 1, b_tilde - 1] = 1.0 / idx.weight(b_tilde)
 
+    for array in (g_t, A_ttt, A_ft):
+        array.flags.writeable = False
     return ClosedFormInvariants(
         C=C,
         L1=L1,
@@ -256,7 +284,7 @@ def expected_invariants(spec: CompositionSpec, points) -> tuple[np.ndarray, np.n
     point stack gives (P, n, n) and (P, n, n, n) arrays from one stacked
     pipeline call per factor."""
     idx = spec.index
-    cf = closed_form(spec)
+    cf = spec.closed_form
     n = idx.n
     points = np.asarray(points, float)
     stack = np.atleast_2d(points)
@@ -294,11 +322,11 @@ def composition_reports(spec: CompositionSpec, invs: BlaschkeInvariants, toleran
     and the hypersphere property), with one stacked factor pipeline call
     per factor."""
     g_exp, a_exp = expected_invariants(spec, invs.point)
-    L1 = closed_form(spec).L1
+    L1 = spec.closed_form.L1
     resid_g = max_per_point(invs, invs.g - g_exp).tolist()
     resid_a = max_per_point(invs, invs.A - a_exp).tolist()
     resid_l1 = np.abs(invs.L1 - L1).tolist()
-    resid_b, resid_c = (r.tolist() for r in invs.hypersphere_residuals())
+    resid_b, resid_c = (r.tolist() for r in invs.term("hypersphere"))
     reports = []
     for k, (g, a, l1, b, c) in enumerate(zip(resid_g, resid_a, resid_l1, resid_b, resid_c), start):
         reports += [
@@ -325,7 +353,7 @@ def mean_curvature_reports(spec: CompositionSpec, g: np.ndarray, A: np.ndarray,
     and g(H_a,H_b) = L1 for a != b, from the Blaschke metric g (n, n) and
     cubic form A (n, n, n) of the composed chart at any one point."""
     idx = spec.index
-    cf = closed_form(spec)
+    cf = spec.closed_form
     tsl = idx.t_slice()
     g_t = g[tsl, tsl]
     g_t_inv = np.linalg.inv(g_t)

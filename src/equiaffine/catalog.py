@@ -11,12 +11,12 @@ immersions from chart source text.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
-from .calabi import CompositionSpec, HypersphereFactor, closed_form, compose_chart
-from .dsl import MAX_DIM, ChartDef, DslChart, parse_chart
+from .calabi import CompositionSpec, HypersphereFactor, compose_chart
+from .dsl import MAX_DIM, ChartDef, DslChart, parse_chart, parse_source
 from .jets import jet_matmul, jet_variables
 
 
@@ -45,15 +45,25 @@ def flat_hypersphere(n0: int, C0: float = 1.0) -> ChartDef:
         raise ValueError("flat_hypersphere needs C0 > 0")
     constants = (1.0,) * n0 + (float(C0),)
     spec = CompositionSpec(r=n0 + 1, factors=(), constants=constants)
-    chart = compose_chart(spec)
-    chart.spec_closed_form = closed_form(spec)
-    return chart
+    spec.closed_form  # built now, so that constants out of float range fail as parameter errors
+    return compose_chart(spec)
 
 
 def flat_factor(n0: int, C0: float = 1.0) -> HypersphereFactor:
     """A flat hypersphere packaged as a composition factor."""
     chart = flat_hypersphere(n0, C0)
-    return HypersphereFactor(chart=chart, L1=chart.spec_closed_form.L1, dim=n0)
+    return HypersphereFactor(chart=chart, L1=chart.spec.closed_form.L1, dim=n0)
+
+
+@lru_cache(maxsize=3 * MAX_DIM)
+def _parse_quadric(text: str) -> tuple[int, tuple]:
+    """The dimension and the (immutable) component expression trees of a
+    quadric's ``_quadric_text``, shared by every chart built from that text.
+    Keyed by the text, which parses only when built from an int
+    n <= MAX_DIM, so a parameter of another type (a bool, 2.0) never shares
+    an entry: one per quadric kind and dimension."""
+    dim, components, _ = parse_source(text)
+    return dim, components
 
 
 def _quadric_text(n: int, kind: str) -> str:
@@ -77,24 +87,27 @@ def unit_sphere(n: int) -> DslChart:
         raise ValueError("unit_sphere needs n >= 1")
     text = _quadric_text(n, "sphere")
     hint = (-0.35 * np.ones(n) / np.sqrt(n), 0.35 * np.ones(n) / np.sqrt(n))
-    return parse_chart(text, domain_hint=hint)
+    return DslChart(*_parse_quadric(text), domain_hint=hint)
 
 
 def elliptic_paraboloid(n: int) -> DslChart:
     if n < 1:
         raise ValueError("elliptic_paraboloid needs n >= 1")
-    return parse_chart(_quadric_text(n, "paraboloid"))
+    return DslChart(*_parse_quadric(_quadric_text(n, "paraboloid")))
 
 
 def hyperboloid(n: int) -> DslChart:
     """Upper sheet of x_{n+1}^2 - sum x_i^2 = 1, a hyperbolic hypersphere."""
     if n < 1:
         raise ValueError("hyperboloid needs n >= 1")
-    return parse_chart(_quadric_text(n, "hyperboloid"))
+    return DslChart(*_parse_quadric(_quadric_text(n, "hyperboloid")))
 
 
+@lru_cache(maxsize=MAX_DIM, typed=True)
 def _symmetric_basis(m: int) -> np.ndarray:
-    """Frobenius-orthonormal basis of trace-free symmetric m x m matrices, as (d, m, m)."""
+    """Frobenius-orthonormal basis of trace-free symmetric m x m matrices, as
+    a read-only (d, m, m) array, built once per m (typed: m = 3.0 fails as
+    before instead of sharing the entry of m = 3)."""
     basis = []
     for d in range(1, m):
         v = np.zeros(m)
@@ -107,7 +120,9 @@ def _symmetric_basis(m: int) -> np.ndarray:
             mat = np.zeros((m, m))
             mat[i, j] = mat[j, i] = 1.0 / np.sqrt(2.0)
             basis.append(mat)
-    return np.array(basis)
+    basis = np.array(basis)
+    basis.flags.writeable = False
+    return basis
 
 
 class MatrixExpChart(ChartDef):

@@ -96,11 +96,14 @@ def build_chart(name: str, build, *args):
 
 
 def catalog_chart(name, params):
-    """A catalog chart by name. A name that is not a string raises
-    ``SceneError`` (exit 2); an unknown name or invalid parameters
-    ``ChartBuildError`` (exit 3)."""
+    """A catalog chart by name. A name that is not a string or a bool
+    parameter raises ``SceneError`` (exit 2); an unknown name or invalid
+    parameters ``ChartBuildError`` (exit 3)."""
     if not isinstance(name, str):
         raise SceneError(f"catalog chart name must be a string, got {name!r}")
+    for key, value in (params.items() if isinstance(params, dict) else ()):
+        if isinstance(value, bool):
+            raise SceneError(f"catalog parameter {key!r} of {name!r} must not be a bool, got {value!r}")
     return build_chart(name, catalog.get_chart, name, params)
 
 
@@ -119,9 +122,9 @@ def _integer(name: str, value) -> int:
 
 
 def _number(name: str, value) -> float:
-    """float(value) for a number-valued scene key, which refuses a bool.
-    Raises ValueError."""
-    if isinstance(value, bool):
+    """float(value) for a number-valued scene key, which refuses a bool and
+    text. Raises ValueError."""
+    if isinstance(value, (bool, str)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
 

@@ -239,9 +239,23 @@ class ChartDef:
             domain_hint = (-0.5 * np.ones(dim), 0.5 * np.ones(dim))
         self.domain_hint = (np.asarray(domain_hint[0], float), np.asarray(domain_hint[1], float))
         self.params = dict(params or {})
+        self._last_jets = None  # (key, jets) of the last ``jets_at`` call
 
     def component_jets(self, point: np.ndarray, order: int) -> np.ndarray:
         raise NotImplementedError
+
+    def jets_at(self, point, order: int) -> np.ndarray:
+        """``component_jets`` at a point or point stack, read-only.  The last
+        result is kept, so the same points at the same order (a composition
+        factor's stack, evaluated by the composed chart and then by the
+        factor's own pipeline) are evaluated once."""
+        point = np.asarray(point, float)
+        key = (order, point.shape, point.tobytes())
+        if self._last_jets is None or self._last_jets[0] != key:
+            out = self.component_jets(point, order)
+            out.flags.writeable = False
+            self._last_jets = (key, out)
+        return self._last_jets[1]
 
     def sample_points(self, count: int, seed: int) -> np.ndarray:
         lo, hi = self.domain_hint
@@ -288,7 +302,7 @@ def eval_immersion(chart: ChartDef, point, order: int) -> tuple[np.ndarray, np.n
     point = np.asarray(point, float)
     if point.ndim not in (1, 2) or point.shape[-1] != chart.dim:
         raise ValueError(f"point must have dimension {chart.dim}")
-    comp = chart.component_jets(point, order)
+    comp = chart.jets_at(point, order)
     tangents = comp[..., 1 : chart.dim + 1].swapaxes(-1, -2)  # degree-1 block: [k, a] = d_k x^a
     _, sv, vh = np.linalg.svd(tangents)
     bad = sv[..., -1] <= 1e-10 * np.maximum(sv[..., 0], 1.0)
@@ -537,7 +551,13 @@ class _Parser:
         return node
 
 
+def parse_source(text: str) -> tuple[int, tuple, dict]:
+    """Parse chart source text into (dim, component expression trees, params)."""
+    dim, comps, params = _Parser(text).parse_file()
+    return dim, tuple(comps), params
+
+
 def parse_chart(text: str, domain_hint=None) -> DslChart:
     """Parse chart source text into a DslChart."""
-    dim, comps, params = _Parser(text).parse_file()
+    dim, comps, params = parse_source(text)
     return DslChart(dim, comps, params=params, domain_hint=domain_hint)

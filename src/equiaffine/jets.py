@@ -32,10 +32,9 @@ coefficients above degree min(order, da + db) are exactly zero.
 ``jet_mul``, ``jet_matmul``, ``power`` and the elementary functions take
 such bounds; a call without one forms every pair.  A caller passes a
 bound only where the structure of a chart guarantees it (a DSL
-expression tree, the linear exponent of a matrix or composition chart),
-never one read off the data.  The result equals the full product up to
-the grouping of its sums, since only pairs with an exactly zero factor
-are left out.
+expression tree, the linear exponent of a matrix chart), never one read
+off the data.  The result equals the full product up to the grouping of
+its sums, since only pairs with an exactly zero factor are left out.
 """
 
 from __future__ import annotations
@@ -164,6 +163,27 @@ def _gradient_table(num_vars: int, order: int):
     return src, (mono_lo.T + 1).astype(float)
 
 
+@lru_cache(maxsize=(MAX_ORDER - 1) * 26)  # every order >= 2 up to dsl.MAX_DIM = 26 variables
+def _hessian_table(num_vars: int, order: int):
+    """Source indices and factors of d/du_i d/du_j on Taylor coefficients,
+    for every pair (i, j), as symmetric read-only (num_vars, num_vars, M'')
+    arrays.
+
+    Maps the order-`order` coefficient array to an order-`order-2` one:
+    coeff''[beta] = (beta_i + 1)(beta_j + 1 + delta_ij) coeff[beta + e_i + e_j],
+    the factors of ``jet_gradient`` taken twice, in one product.  Up to
+    ``MAX_ORDER`` at most one of the two is not a power of 2, so a
+    coefficient is rounded once either way and equals the two chained
+    gathers' bitwise (for normal floats)."""
+    mono_lo = np.array(monomials(num_vars, order - 2), dtype=np.int64).reshape(-1, num_vars)
+    eye = np.eye(num_vars, dtype=np.int64)
+    src = _rank(mono_lo + (eye[:, None, None, :] + eye[None, :, None, :]), num_vars)
+    fac = (mono_lo.T + 1)[:, None, :] * (mono_lo.T + 1 + eye[:, :, None])
+    fac = fac.astype(float)
+    src.flags.writeable = fac.flags.writeable = False
+    return src, fac
+
+
 # -- jet arrays ------------------------------------------------------------
 
 
@@ -254,6 +274,17 @@ def jet_gradient(a: np.ndarray, num_vars: int) -> np.ndarray:
     if order < 1:
         raise ValueError("cannot differentiate order-0 jets")
     src, fac = _gradient_table(num_vars, order)
+    return a[..., src] * fac
+
+
+def jet_hessian(a: np.ndarray, num_vars: int) -> np.ndarray:
+    """All second partials of a jet array, two orders lower, from one
+    gather: shape (..., M) -> (..., num_vars, num_vars, M''), entry
+    [..., i, j, :] = d/du_i d/du_j, equal to ``jet_gradient`` taken twice."""
+    order = jet_order(num_vars, a.shape[-1])
+    if order < 2:
+        raise ValueError("second partials need jets of order >= 2")
+    src, fac = _hessian_table(num_vars, order)
     return a[..., src] * fac
 
 

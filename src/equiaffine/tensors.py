@@ -131,11 +131,11 @@ def riemann(g: MetricField, gamma_jets: np.ndarray, g_inv: np.ndarray) -> Curvat
         raise ValueError("riemann needs metric jets of order >= 2")
     n = g.dim
     gamma = gamma_jets[..., 0]
-    dgamma = jet_gradient(gamma_jets, n)[..., 0]  # [k, i, j, l] = d_l Gamma^k_ij
+    dgamma = gamma_jets[..., 1 : n + 1]  # degree-1 coefficients: [k, i, j, l] = d_l Gamma^k_ij
     # Rup[m, i, j, k]: R(d_i, d_j) d_k = Rup[m, i, j, k] d_m
     rup = (
-        np.einsum("...mjki->...mijk", dgamma)
-        - np.einsum("...mikj->...mijk", dgamma)
+        dgamma.swapaxes(-1, -2).swapaxes(-2, -3)  # [m, i, j, k] = d_i Gamma^m_jk
+        - dgamma.swapaxes(-2, -1)  # d_j Gamma^m_ik
         + np.einsum("...mil,...ljk->...mijk", gamma, gamma)
         - np.einsum("...mjl,...lik->...mijk", gamma, gamma)
     )
@@ -166,7 +166,7 @@ def cov_deriv_sym3(a: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     # of the result sum in one order for a point alone and in a stack
     lead = a.ndim - 4
     out = np.empty(a.shape[:lead] + (n,) * 4).transpose(*range(lead), lead + 2, lead + 3, lead + 1, lead)
-    out[...] = jet_gradient(a, n)[..., 0]
+    out[...] = a[..., 1 : n + 1]  # the degree-1 coefficients: d_l A_ijk
     out -= np.einsum("...mli,...mjk->...ijkl", gamma, avals)
     out -= np.einsum("...mlj,...imk->...ijkl", gamma, avals)
     out -= np.einsum("...mlk,...ijm->...ijkl", gamma, avals)

@@ -10,6 +10,7 @@ import pytest
 from equiaffine import BlaschkeInvariants, blaschke_at, catalog, jets, parse_chart
 from equiaffine.blaschke import (
     L1_ZERO_TOL,
+    TERMS,
     ConvexityError,
     _chart_derivatives,
     _determinant_form,
@@ -311,7 +312,7 @@ def test_frame_test_is_column_scaled(n0):
     from equiaffine.catalog import flat_hypersphere
 
     chart = flat_hypersphere(n0, 1e8)
-    L1 = chart.spec_closed_form.L1
+    L1 = chart.spec.closed_form.L1
     for point in chart.sample_points(4, 1):
         assert blaschke_at(chart, point).L1 == pytest.approx(L1, rel=1e-12)
 
@@ -346,7 +347,7 @@ def test_stack_cases_cover_the_catalog():
     assert {case.id for case in _stack_cases()} >= set(ENTRIES)
 
 
-_FIELDS = tuple(f.name for f in fields(BlaschkeInvariants) if f.name not in ("curvature", "_nabla_A", "_sphere"))
+_FIELDS = tuple(f.name for f in fields(BlaschkeInvariants) if f.init and f.name != "curvature")
 _CURVATURE_FIELDS = tuple(f.name for f in fields(CurvatureData))
 
 
@@ -499,3 +500,14 @@ def test_mixed_stack_takes_each_rows_branch():
     assert [c for c, flat in zip(centers, improper) if flat] == [0.0, 0.0]
     # without the L1 = 0 convention the center residual would be |xi| there
     assert all(np.max(np.abs(inv.xi)) > 0.1 for inv, flat in zip(invs, improper) if flat)
+
+
+@pytest.mark.parametrize("points", [1, 3], ids=["one-point", "stack"])
+def test_check_terms_are_built_once_and_read_only(points):
+    chart = hyperboloid(3)
+    inv = blaschke_at(chart, chart.sample_points(3, 2)[0] if points == 1 else chart.sample_points(3, 2))
+    for name in TERMS:
+        value = inv.term(name)
+        assert inv.term(name) is value, name
+        for array in value if isinstance(value, tuple) else (value,):
+            assert np.ndim(array) == 0 or not array.flags.writeable, name  # one point's residuals are scalars

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from equiaffine import jets
 from equiaffine.blaschke import blaschke_at
 from equiaffine.calabi import (
     CompositionIndex,
@@ -168,3 +169,39 @@ def test_nested_composition_factor():
     reports = verify_composition(outer, compose_chart(outer).sample_points(2, 3), 1e-6)
     for rep in reports:
         assert rep.passed, rep
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CompositionSpec(r=1, factors=(HypersphereFactor(hyperboloid(2), -1.0, 2),), constants=(1.0, 1.0)),
+        CompositionSpec(r=3, factors=(), constants=(1.0, 2.0, 0.5)),
+        CompositionSpec(r=4, factors=(), constants=(1.5, 1.0, 0.7, 3.0)),
+        CompositionSpec(r=2, factors=(flat_factor(1, 1.0), flat_factor(2, 1.3)), constants=(1.0, 2.0, 0.5, 3.0)),
+    ],
+    ids=["K2", "K3", "K4", "K4-factors"],
+)
+def test_closed_form_weights_match_the_exponential_of_the_linear_jet(spec):
+    # the jets of e_a = c_a exp(row_a . t) are c_a exp(row_a . t0) row_a^alpha / alpha!;
+    # against the Horner series of exp on the linear jet row_a . t
+    chart = compose_chart(spec)
+    idx = chart.index_map
+    points = chart.sample_points(5, 3)
+    for order in range(5):
+        coeffs = chart.weight_coeffs(order)
+        assert chart.weight_coeffs(order) is coeffs and not coeffs.flags.writeable  # built once per order
+        t = jets.jet_variables(points, order)[..., : idx.K - 1, :]
+        scale = np.exp(points[:, : idx.K - 1] @ chart.rows.T)
+        for a in range(1, idx.K + 1):
+            want = jets.exp(idx.exponent_row(a) @ t, idx.n) * spec.constants[a - 1]
+            got = scale[:, a - 1, None] * coeffs[a - 1]
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+def test_closed_form_is_built_once_per_spec():
+    spec = CompositionSpec(r=1, factors=(flat_factor(2, 1.0),), constants=(1.0, 1.0))
+    cf = spec.closed_form
+    assert spec.closed_form is cf
+    for array in (cf.g_t_block, cf.A_ttt, cf.A_factor_t):
+        assert not array.flags.writeable
+    assert closed_form(spec).L1 == cf.L1

@@ -1,11 +1,14 @@
 """Catalog charts: expected invariants, equivariance, unimodular maps."""
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
 from equiaffine.blaschke import blaschke_at, check_codazzi, check_hypersphere, nabla_A_norm
 from equiaffine import catalog
-from equiaffine.cli import DEFAULT_TOL, POINT_CHECKS
+from equiaffine.cli import DEFAULT_TOL, POINT_CHECKS, main
 from equiaffine.calabi import ComposedChart, CompositionSpec, compose_chart
 from equiaffine.catalog import (
     ENTRIES,
@@ -299,3 +302,39 @@ def test_sl_so_metric_and_forms_are_those_of_the_base_point():
         value = getattr(base, name)
         assert np.abs(getattr(invs, name) - value).max() <= 1e-12 * np.abs(value).max(), name
     assert np.abs(invs.L1 - -0.52487003541948).max() <= 1e-13
+
+
+def test_cached_charts_and_bases_are_read_only_and_shared():
+    # sl_so's basis: one read-only array per m, typed, so m = 3.0 fails as before
+    basis = _symmetric_basis(3)
+    assert _symmetric_basis(3) is basis and sl_so(3).basis is basis and not basis.flags.writeable
+    with pytest.raises(TypeError):
+        sl_so(3.0)
+    # quadrics: one parse per text, shared by new chart objects
+    a, b = hyperboloid(2), hyperboloid(2)
+    assert a is not b and a.components is not b.components
+    assert all(x is y for x, y in zip(a.components, b.components))
+    assert isinstance(catalog._parse_quadric(catalog._quadric_text(2, "hyperboloid"))[1], tuple)
+    for bad in (2.0, True):
+        with pytest.raises((TypeError, ValueError)):
+            hyperboloid(bad)
+    # a chart keeps its last evaluation, read-only
+    point = a.sample_points(2, 1)
+    jets = a.jets_at(point, 4)
+    assert a.jets_at(point.copy(), 4) is jets and not jets.flags.writeable
+    assert a.jets_at(point, 3) is not jets
+    assert np.array_equal(jets, b.component_jets(point, 4))
+
+
+def test_repeated_catalog_charts_give_equal_reports():
+    # the second chart of each kind is built from the cached parse or basis
+    def report(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        return code, out.getvalue()
+
+    for chart in ("hyperboloid(n=2)", "unit_sphere(n=3)", "elliptic_paraboloid(n=2)", "sl_so(m=3)",
+                  "flat_hypersphere(n0=2)"):
+        argv = ["check", "--chart", chart, "--points", "3", "--seed", "5"]
+        assert report(argv) == report(argv)

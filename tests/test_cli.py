@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import equiaffine
-from equiaffine import blaschke, calabi, catalog, cli, duality, jordan
+from equiaffine import blaschke, calabi, catalog, cli, dsl, duality, jordan
 from equiaffine.blaschke import blaschke_at
 from equiaffine.cli import (
     ALL_CHECKS,
@@ -179,12 +179,29 @@ def test_composition_scene_runs_each_check_once_per_stack(monkeypatch):
         count(blaschke, name)
     for name in ("check_gauss_swap", "check_trace_free"):
         count(duality, name)
+    count(calabi, "closed_form")
+    for name, build in blaschke.TERMS.items():
+        def counted_term(inv, _name=f"term {name}", _build=build):
+            calls[_name] += 1
+            return _build(inv)
+        monkeypatch.setitem(blaschke.TERMS, name, counted_term)
+    evaluate = dsl.DslChart.component_jets
+
+    def counted_jets(chart, point, order):
+        calls["hyperboloid jets"] += 1
+        return evaluate(chart, point, order)
+
+    monkeypatch.setattr(dsl.DslChart, "component_jets", counted_jets)
     code, _ = run(HYPERBOLOID_COMPOSITION)
     assert code == 0
-    # the 4 points are one stack: one call of each check, one nabla A and one
-    # computation of the hypersphere residuals (which composition_reports reuses)
+    # the 4 points are one stack: one call of each check, and each term they
+    # share built once (nabla A, the hypersphere residuals, which
+    # composition_reports reuses, ...); one closed form for the spec, and
+    # one evaluation of the factor's jets, shared by the composed chart and
+    # the factor pipeline
     assert calls == {**dict.fromkeys(checks, 1), "cov_deriv_sym3": 1, "_hypersphere_residuals": 1,
-                     "check_gauss_swap": 1, "check_trace_free": 1}
+                     "check_gauss_swap": 1, "check_trace_free": 1, "closed_form": 1,
+                     **{f"term {name}": 1 for name in blaschke.TERMS}, "hyperboloid jets": 1}
 
 
 def test_scene_report_is_the_same_in_any_stack_size(monkeypatch):
@@ -662,11 +679,23 @@ FLAT1 = {"flat": {"n0": 1}}
                                                     "L1": True}]},
          2, "scene error: malformed composition factor {'catalog': {'name': 'hyperboloid', 'params': {'n': 2}}, "
             "'L1': True}: L1 must be a number, got True"),
+        # float() would run the text "1" as 1.0
+        ({"r": 1, "constants": ["1", "1"], "factors": [FLAT1]}, 2,
+         "scene error: malformed composition spec: constant must be a number, got '1'"),
+        ({"r": 1, "constants": [1, 1], "factors": [{"catalog": {"name": "hyperboloid", "params": {"n": 2}},
+                                                    "L1": "-1"}]},
+         2, "scene error: malformed composition factor {'catalog': {'name': 'hyperboloid', 'params': {'n': 2}}, "
+            "'L1': '-1'}: L1 must be a number, got '-1'"),
+        ({"r": 1, "constants": [1, 1], "factors": [{"flat": {"n0": 2, "C0": "2"}}]}, 2,
+         "scene error: malformed composition factor {'flat': {'n0': 2, 'C0': '2'}}: C0 must be a number, got '2'"),
+        ({"r": 1, "constants": [1, 1], "factors": [{"catalog": {"name": "hyperboloid", "params": {"n": True}},
+                                                    "L1": -1}]},
+         2, "scene error: catalog parameter 'n' of 'hyperboloid' must not be a bool, got True"),
     ],
     ids=["constant-count", "flat-n0-0", "factor-not-object", "factor-params", "flat-no-n0", "factor-L1-positive",
          "factors-not-list", "r-infinite", "flat-n0-infinite", "factor-L1-underflows", "factor-L1-infinite",
          "constant-infinite", "r-fractional", "r-bool", "constant-bool", "flat-n0-bool", "flat-n0-fractional",
-         "flat-C0-bool", "factor-L1-bool"],
+         "flat-C0-bool", "factor-L1-bool", "constant-text", "factor-L1-text", "flat-C0-text", "factor-param-bool"],
 )
 def test_composition_spec_errors_exit_with_one_line(tmp_path, capsys, composition, code, expected):
     argv = ["check", "--scene", scene_file(tmp_path, {"composition": composition}, {"random": 1})]
@@ -686,6 +715,31 @@ def test_composition_spec_errors_exit_with_one_line(tmp_path, capsys, compositio
 def test_catalog_parameters_out_of_float_range_exit_3_with_one_line(capsys, C0, expected):
     argv = ["check", "--chart", f"flat_hypersphere(n0=2, C0={C0})", "--points", "1"]
     assert error_line(capsys, argv) == (3, f"chart error: invalid parameters for 'flat_hypersphere': {expected}")
+
+
+@pytest.mark.parametrize(
+    "chart, code, expected",
+    [
+        # float(True) would run C0 = true as C0 = 1.0
+        ({"catalog": "flat_hypersphere", "params": {"n0": 2, "C0": True}}, 2,
+         "scene error: catalog parameter 'C0' of 'flat_hypersphere' must not be a bool, got True"),
+        ({"catalog": "flat_hypersphere", "params": {"n0": True}}, 2,
+         "scene error: catalog parameter 'n0' of 'flat_hypersphere' must not be a bool, got True"),
+        ({"catalog": "hyperboloid", "params": {"n": False}}, 2,
+         "scene error: catalog parameter 'n' of 'hyperboloid' must not be a bool, got False"),
+        # a float n fails as before, never sharing the cached parse of an int n it equals
+        ({"catalog": "hyperboloid", "params": {"n": 2.0}}, 3,
+         "chart error: invalid parameters for 'hyperboloid': 'float' object cannot be interpreted as an integer"),
+        ({"catalog": "hyperboloid", "params": {"n": 1.0}}, 3,
+         "chart error: invalid parameters for 'hyperboloid': 'float' object cannot be interpreted as an integer"),
+    ],
+    ids=["flat-C0-bool", "flat-n0-bool", "hyperboloid-n-bool", "hyperboloid-n-2.0", "hyperboloid-n-1.0"],
+)
+def test_catalog_parameters_of_another_type_exit_with_one_line(tmp_path, capsys, chart, code, expected):
+    for n in (1, 2):
+        catalog.hyperboloid(n)  # cached before the call
+    argv = ["check", "--scene", scene_file(tmp_path, chart, {"random": 1})]
+    assert error_line(capsys, argv) == (code, expected)
 
 
 def factor_chart(name) -> dict:
@@ -854,7 +908,7 @@ OVER = MAX_DIM + 1
 def test_dimension_above_max_dim_exits_with_one_line(tmp_path, capsys, monkeypatch, chart, code, expected):
     # catalog charts are refused before their text or basis is built
     if "catalog" in chart:
-        for name in ("parse_chart", "_symmetric_basis", "compose_chart"):
+        for name in ("parse_chart", "parse_source", "_symmetric_basis", "compose_chart"):
             monkeypatch.setattr(catalog, name, lambda *a, **k: pytest.fail("a chart was built"))
     argv = ["check", "--scene", scene_file(tmp_path, chart, {"random": 1})]
     assert error_line(capsys, argv) == (code, expected)

@@ -1,0 +1,35 @@
+"""Golden reports: three fixed-point scenes whose CLI reports must not move
+by a byte.
+
+Each ``golden/<command>_<name>.json`` scene has its report in
+``golden/<command>_<name>.txt``.  A change that moves a report byte on
+purpose regenerates the file and shows the move in its diff:
+
+    PYTHONPATH=src python -m equiaffine.cli check --scene tests/golden/check_hyperboloid_n2.json \\
+        > tests/golden/check_hyperboloid_n2.txt
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from equiaffine.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SCENES = sorted(GOLDEN.glob("*.json"))
+
+
+def test_golden_scenes_are_the_three_fixed_point_scenes():
+    assert [path.stem for path in SCENES] == [
+        "check_composition_r1_hyperboloid_n2", "check_hyperboloid_n2", "dual_sl_so_m3"]
+
+
+@pytest.mark.parametrize("scene", SCENES, ids=[path.stem for path in SCENES])
+def test_report_matches_its_golden_file_byte_for_byte(scene):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([scene.stem.split("_")[0], "--scene", str(scene)])
+    assert code == 0
+    assert out.getvalue().encode() == scene.with_suffix(".txt").read_bytes()

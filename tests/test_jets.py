@@ -15,6 +15,7 @@ from equiaffine.jets import (
     jet_einsum,
     jet_embed,
     jet_gradient,
+    jet_hessian,
     jet_lu,
     jet_matmul,
     jet_mul,
@@ -523,3 +524,21 @@ def test_bounded_power_and_exp_equal_full_ones(num_vars, order, bound, seed):
     assert np.allclose(got, full, rtol=1e-13, atol=1e-13 * np.abs(full).max())
     if bound == 0:
         assert not got[..., 1:].any()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_derivative_gathers_equal_chained_gradients_bitwise(n):
+    # the pipeline's gathers: all second partials in one (jet_hessian), the
+    # first partials at order 2 from the order-3 truncation, and degree-1
+    # coefficients as slices; against jet_gradient taken once or twice
+    rng = np.random.default_rng(n)
+    for order in range(2, 5):
+        a = rng.standard_normal((2, 3, jet_size(n, order))) * 10.0 ** rng.uniform(-8, 8, (2, 3, 1))
+        twice = jet_gradient(jet_gradient(a, n), n)  # [i, j] = d_j d_i
+        assert jet_hessian(a, n).tobytes() == twice.tobytes()
+        assert jet_hessian(a, n).tobytes() == twice.swapaxes(-3, -2).tobytes()
+        lower = jet_size(n, order - 1)
+        assert jet_gradient(a[..., :lower], n).tobytes() == jet_gradient(a, n)[..., : jet_size(n, order - 2)].tobytes()
+        assert a[..., 1 : n + 1].tobytes() == np.ascontiguousarray(jet_gradient(a, n)[..., 0]).tobytes()
+    with pytest.raises(ValueError):
+        jet_hessian(np.zeros(jet_size(n, 1)), n)
