@@ -176,6 +176,10 @@ def sl_so(m: int) -> MatrixExpChart:
     return MatrixExpChart(m)
 
 
+def graph(text: str) -> ChartDef:
+    return parse_chart(text)
+
+
 class TransformedChart(ChartDef):
     """A chart post-composed with the ambient affine map x -> M x + b."""
 
@@ -246,17 +250,21 @@ ENTRIES = {
         name="graph",
         summary="arbitrary immersion from chart source text",
         params={"text": "chart source (dim/param/component declarations)"},
-        builder=lambda text: parse_chart(text),
+        builder=graph,
         expected={},
     ),
 }
 
 
+def entry(name: str) -> CatalogEntry:
+    """The catalog entry of a name; raises KeyError for unknown names."""
+    try:
+        return ENTRIES[name]
+    except KeyError:
+        raise KeyError(f"unknown catalog chart {name!r}; see catalog.ENTRIES") from None
+
+
 def get_chart(name: str, params: dict | None = None) -> ChartDef:
     """Build a catalog chart by name; raises KeyError for unknown names
     and ValueError for invalid parameters."""
-    try:
-        entry = ENTRIES[name]
-    except KeyError:
-        raise KeyError(f"unknown catalog chart {name!r}; see catalog.ENTRIES") from None
-    return entry.builder(**(params or {}))
+    return entry(name).builder(**(params or {}))

@@ -7,20 +7,20 @@ deterministic structured text (schema: 1): fixed key order, repr float
 formatting, one residual line per check per point, and a summary block.
 
 Exit codes: 0 all checks pass, 1 a check failed (report still emitted),
-2 scene or usage error (unreadable scene file or unwritable report path,
-parse error, malformed, empty, oversized or non-finite input, bad
-command-line arguments), 3 chart parameters out of float range or a
-chart construction or domain error at a sample point (points run in
-stacks; a failing stack is halved down to its first failing point, whose
-error is the scene's).  The mean-curvature relations of a composition are
-checked at the first sample point.  Every exit code other than 0 and 1
-comes with one stderr line.
+2 scene or usage error (a document that ``SCENE_GRAMMAR`` refuses, an
+unreadable scene file or report path, chart text that does not parse),
+3 chart parameters out of range or a chart that fails at a sample point
+(a failing stack of points is halved down to its first failing point,
+whose error is the scene's).  Exit codes 2 and 3 print one stderr line.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import functools
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -80,138 +80,151 @@ def check_line(rep: CheckReport) -> str:
     return f"check {rep.check_name}: residual={fmt(rep.residual)} tol={fmt(rep.tolerance)} {status}"
 
 
-# -- scene resolution -------------------------------------------------------
+# -- scenes -----------------------------------------------------------------
+
+# a key of a scene object: its kind, its default (a document, read like a
+# given one, or REQUIRED, inspect's "no default", for a key that must be
+# given) and the least and the most value it may take
+REQUIRED = inspect.Parameter.empty
+Key = collections.namedtuple("Key", "kind default least most", defaults=(REQUIRED, None, None))
+
+# Every object of a scene document by name: a dict of its keys; a list of
+# variants, of which a document gives exactly one, told apart by the
+# variant's first key; or the set of texts it may be.  The other kinds are
+# "integer" (an int or an integral float), "number" (a finite int or
+# float), "text", "list <kind>", "object" (a dict its builder reads against
+# its annotated parameters, see parameter_grammar) and a tuple of kinds told
+# apart by JSON type; a bool is of no kind.
+SCENE_GRAMMAR = {
+    "scene": {"chart": Key("chart"), "points": Key(("list list number", "random points"), DEFAULT_POINTS),
+              "checks": Key(("all", "list check"), "all"), "tolerances": Key("tolerances", {})},
+    "chart": [{"catalog": Key("text"), "params": Key("object", {})}, {"dsl": Key("text")},
+              {"composition": Key("composition")}],
+    "composition": {"r": Key("integer"), "constants": Key("list number"), "factors": Key("list factor", [])},
+    "factor": [{"flat": Key("object")}, {"catalog": Key("factor catalog"), "L1": Key("number")}],
+    "factor catalog": {"name": Key("text"), "params": Key("object", {})},
+    "random points": {"random": Key("integer", least=1, most=MAX_RANDOM_POINTS),
+                      "seed": Key("integer", 0, least=0)},
+    "tolerances": {name: Key("number", tol, least=0) for name, tol in DEFAULT_TOL.items()},
+    "all": frozenset({"all"}),
+    "check": frozenset(ALL_CHECKS) | {"invariants"},
+}
+
+@functools.cache
+def _kind(kind) -> tuple:
+    """The JSON type and the description of the documents of a kind."""
+    if isinstance(kind, tuple):
+        types, descriptions = zip(*map(_kind, kind))
+        return types, " or ".join(descriptions)
+    if isinstance(SCENE_GRAMMAR.get(kind), frozenset):
+        return str, " or ".join(map(repr, sorted(SCENE_GRAMMAR[kind])))
+    scalars = {"integer": ((int, float), "an integer"), "number": ((int, float), "a finite number"),
+               "text": (str, "a string"), "list": (list, "a list")}
+    return scalars.get(kind.split()[0], (dict, "an object"))
 
 
-def build_chart(name: str, build, *args):
-    """Calls a chart builder, numpy overflow raising; an unknown name or
-    invalid or out-of-range parameters become ``ChartBuildError`` (exit 3)."""
+def read(kind, doc, where: str = ""):
+    """``doc``, the document at ``where`` in a scene, read as a ``kind`` of
+    ``SCENE_GRAMMAR``: integers as int, numbers as float, objects with their
+    defaults filled in.  Any other document raises ``SceneError`` (exit 2)
+    naming its place."""
+    if isinstance(kind, tuple):
+        kind = next((k for k in kind if isinstance(doc, _kind(k)[0])), kind)
+    (json_type, description), grammar = _kind(kind), SCENE_GRAMMAR.get(kind)
+    if isinstance(doc, bool) or not isinstance(doc, json_type) or (
+            kind == "integer" and isinstance(doc, float) and not doc.is_integer()
+            or kind == "number" and not abs(doc) <= sys.float_info.max  # also NaN and ints past float range
+            or isinstance(grammar, frozenset) and doc not in grammar):
+        raise SceneError(f"{where or 'scene'} must be {description}, got {doc!r}")
+    if kind in ("integer", "number"):
+        return int(doc) if kind == "integer" else float(doc)
+    if kind.startswith("list "):
+        return [read(kind[5:], item, f"{where}[{i}]") for i, item in enumerate(doc)]
+    if isinstance(grammar, list):  # the variant whose first key the document gives
+        given = [variant for variant in grammar if next(iter(variant)) in doc]
+        if len(given) != 1:
+            raise SceneError(f"{where} needs exactly one of {[next(iter(v)) for v in grammar]}, got {sorted(doc)}")
+        grammar = given[0]
+    return read_object(grammar, doc, where) if isinstance(grammar, dict) else doc
+
+
+def read_object(grammar: dict, doc: dict, where: str) -> dict:
+    """An object document read by ``grammar``, a dict of ``Key``s; see ``read``."""
+    if doc.keys() - grammar.keys():
+        raise SceneError(f"unknown key {min(doc.keys() - grammar.keys())!r} in {where or 'scene'}")
+    values = {}
+    for key, (kind, default, least, most) in grammar.items():
+        if key not in doc and default is REQUIRED:
+            raise SceneError(f"{where or 'scene'} needs key {key!r}")
+        place = f"{where}.{key}" if where else key
+        value = values[key] = read(kind, doc.get(key, default), place)
+        if least is not None and value < least:
+            raise SceneError(f"{place} must be at least {least}, got {doc[key]!r}")
+        if most is not None and value > most:
+            raise SceneError(f"{place} must be at most {most}, got {doc[key]!r}")
+    return values
+
+
+@functools.cache
+def parameter_grammar(build) -> dict:
+    """The grammar of a chart builder's parameters, from their annotations and defaults."""
+    kinds = {int: "integer", float: "number", str: "text"}
+    return {p.name: Key(kinds[p.annotation], p.default)
+            for p in inspect.signature(build, eval_str=True).parameters.values()}
+
+
+def build_chart(name: str, build, params: dict, where: str):
+    """``build(**params)``, the parameters read by ``build``'s signature, numpy
+    overflow raising; parameters out of range raise ``ChartBuildError`` (exit 3)."""
+    params = read_object(parameter_grammar(build), params, where)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return build(*args)
-    except KeyError as exc:
-        raise ChartBuildError(*exc.args) from exc
-    except (ValueError, TypeError, ArithmeticError) as exc:
+            return build(**params)
+    except (ValueError, ArithmeticError) as exc:
         raise ChartBuildError(f"invalid parameters for {name!r}: {exc}") from exc
 
 
-def catalog_chart(name, params):
-    """A catalog chart by name. A name that is not a string or a bool
-    parameter raises ``SceneError`` (exit 2); an unknown name or invalid
-    parameters ``ChartBuildError`` (exit 3)."""
-    if not isinstance(name, str):
-        raise SceneError(f"catalog chart name must be a string, got {name!r}")
-    for key, value in (params.items() if isinstance(params, dict) else ()):
-        if isinstance(value, bool):
-            raise SceneError(f"catalog parameter {key!r} of {name!r} must not be a bool, got {value!r}")
-    return build_chart(name, catalog.get_chart, name, params)
-
-
-def _integral(value) -> bool:
-    """A scene integer is an int or an integral float, never a bool or text."""
-    return not isinstance(value, bool) and (isinstance(value, int) or isinstance(value, float) and value.is_integer())
-
-
-def _integer(name: str, value) -> int:
-    """int(value) for an integer-valued scene key; int() runs first, so its
-    own errors (infinity, NaN) keep their messages.  Raises ValueError."""
-    count = int(value)
-    if not _integral(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return count
-
-
-def _number(name: str, value) -> float:
-    """float(value) for a number-valued scene key, which refuses a bool and
-    text. Raises ValueError."""
-    if isinstance(value, (bool, str)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def build_factor(fd) -> calabi.HypersphereFactor:
-    """One composition factor. A malformed factor document raises
-    ``SceneError`` (exit 2); invalid chart parameters ``ChartBuildError``."""
-    if not isinstance(fd, dict) or not {"flat", "catalog"} & fd.keys():
-        raise SceneError(f"unknown factor spec {fd!r}")
-    if "catalog" in fd and "L1" not in fd:
-        raise SceneError("catalog composition factors need an explicit L1")
+def build_factor(doc: dict, where: str) -> calabi.HypersphereFactor:
+    """One composition factor from its read document."""
+    if "flat" in doc:
+        return build_chart("flat", catalog.flat_factor, doc["flat"], f"{where}.flat")
+    name = doc["catalog"]["name"]
+    chart = build_chart(name, catalog.entry(name).builder, doc["catalog"]["params"], f"{where}.catalog.params")
     try:
-        if "flat" in fd:
-            args = fd["flat"]
-            n0, C0 = _integer("n0", args["n0"]), _number("C0", args.get("C0", 1.0))
-            return build_chart("flat", catalog.flat_factor, n0, C0)
-        name, L1 = fd["catalog"]["name"], _number("L1", fd["L1"])
-        chart = catalog_chart(name, fd["catalog"].get("params"))
-        return calabi.HypersphereFactor(chart=chart, L1=L1, dim=chart.dim)
-    except (SceneError, ChartBuildError):
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise SceneError(f"malformed composition factor {fd!r}: {exc}") from exc
-
-
-def build_composition(spec_doc: dict) -> calabi.CompositionSpec:
-    try:
-        r = _integer("r", spec_doc["r"])
-        constants = tuple(_number("constant", c) for c in spec_doc["constants"])
-        factor_docs = list(spec_doc.get("factors", []))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SceneError(f"malformed composition spec: {exc}") from exc
-    factors = tuple(build_factor(fd) for fd in factor_docs)
-    try:
-        return calabi.CompositionSpec(r=r, factors=factors, constants=constants)
+        return calabi.HypersphereFactor(chart=chart, L1=doc["L1"], dim=chart.dim)
     except ValueError as exc:
-        raise SceneError(f"malformed composition spec: {exc}") from exc
+        raise SceneError(f"{where}: {exc}") from exc
 
 
 def resolve_chart(doc: dict):
-    """Returns (chart, composition_spec_or_None, description)."""
-    if not isinstance(doc, dict):
-        raise SceneError(f"chart spec must be an object, got {doc!r}")
+    """(chart, composition spec or None, description) of a read chart
+    document; an unknown catalog name raises KeyError (exit 3)."""
     if "catalog" in doc:
         name = doc["catalog"]
-        chart = catalog_chart(name, doc.get("params"))
+        chart = build_chart(name, catalog.entry(name).builder, doc["params"], "chart.params")
         spec = chart.spec if isinstance(chart, calabi.ComposedChart) else None
         return chart, spec, f"catalog:{name}"
     if "dsl" in doc:
-        if not isinstance(doc["dsl"], str):
-            raise SceneError(f"chart text must be a string, got {doc['dsl']!r}")
-        chart = parse_chart(doc["dsl"])  # ChartParseError propagates (exit 2)
-        return chart, None, "inline-dsl"
-    if "composition" in doc:
-        spec = build_composition(doc["composition"])
-        return calabi.compose_chart(spec), spec, f"composition(r={spec.r},s={spec.s})"
-    raise SceneError("chart spec needs one of: catalog, dsl, composition")
+        return parse_chart(doc["dsl"]), None, "inline-dsl"  # ChartParseError propagates (exit 2)
+    doc = doc["composition"]
+    factors = tuple(build_factor(fd, f"chart.composition.factors[{i}]") for i, fd in enumerate(doc["factors"]))
+    try:
+        spec = calabi.CompositionSpec(r=doc["r"], factors=factors, constants=doc["constants"])
+    except ValueError as exc:
+        raise SceneError(f"chart.composition: {exc}") from exc
+    return calabi.compose_chart(spec), spec, f"composition(r={spec.r},s={spec.s})"
 
 
 def resolve_points(doc, chart) -> np.ndarray:
+    """The (P, n) points of a read point document, random or listed ones."""
     if isinstance(doc, dict):
-        try:
-            count, seed = int(doc["random"]), int(doc.get("seed", 0))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise SceneError(f"malformed random point spec: {exc}") from exc
-        for name, value in (("count", doc["random"]), ("seed", doc.get("seed", 0))):
-            if not _integral(value):
-                raise SceneError(f"random point {name} must be an integer, got {value!r}")
-        if seed < 0:
-            raise SceneError(f"random point seed must be non-negative, got {seed}")
-        if count < 1:
-            raise SceneError(f"random point count must be at least 1, got {count}")
-        if count > MAX_RANDOM_POINTS:
-            raise SceneError(f"random point count must be at most {MAX_RANDOM_POINTS}, got {count}")
-        return chart.sample_points(count, seed)
-    try:
-        pts = np.asarray(doc, float)
-    except (TypeError, ValueError) as exc:
-        raise SceneError(f"malformed point list: {exc}") from exc
-    if pts.size == 0:
+        return chart.sample_points(doc["random"], doc["seed"])
+    if not doc:
         raise SceneError("point list is empty")
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != chart.dim:
-        raise SceneError(f"points have dimension {pts.shape[1]}, chart has {chart.dim}")
-    if not np.all(np.isfinite(pts)):
-        raise SceneError("point coordinates must be finite")
-    return pts
+    for k, point in enumerate(doc):
+        if len(point) != chart.dim:
+            raise SceneError(f"points[{k}] has dimension {len(point)}, chart has {chart.dim}")
+    return np.array(doc)
 
 
 def _dual_reports(invs, tol) -> list[list[CheckReport]]:
@@ -283,43 +296,16 @@ def evaluate_points(chart, spec, points, checks, tol, size, offset=0):
     return lines, point_reports, scene_reports + mean_curvature
 
 
-def scene_tolerances(scene: dict) -> dict:
-    """The scene's tolerance overrides, an object of name: value pairs;
-    anything else raises ``SceneError``."""
-    tolerances = scene.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise SceneError(f"tolerances must be an object of name: value pairs, got {tolerances!r}")
-    return tolerances
-
-
 def run_scene(scene: dict, out) -> int:
-    chart, spec, desc = resolve_chart(scene.get("chart", {}))
-    points = resolve_points(scene.get("points", DEFAULT_POINTS), chart)
-    checks = scene.get("checks", "all")
-    if checks == "all":
-        checks = list(ALL_CHECKS)
-    if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
-        raise SceneError(f'checks must be "all" or a list of check names, got {checks!r}')
-    unknown = [c for c in checks if c not in ALL_CHECKS and c != "invariants"]
-    if unknown:
-        raise SceneError(f"unknown checks: {', '.join(unknown)}")
-    tol = dict(DEFAULT_TOL)
-    for name, value in scene_tolerances(scene).items():
-        if name not in tol:
-            raise SceneError(f"unknown tolerance name {name!r}")
-        try:  # a number, or text as --tol gives it
-            tol[name] = np.nan if isinstance(value, bool) else float(value)
-        except (TypeError, ValueError):
-            tol[name] = np.nan
-        if not np.isfinite(tol[name]):
-            raise SceneError(f"tolerance {name!r} must be a finite number, got {value!r}")
-        if tol[name] < 0:
-            raise SceneError(f"tolerance {name!r} must be non-negative, got {value!r}")
+    scene = read("scene", scene)
+    chart, spec, desc = resolve_chart(scene["chart"])
+    points = resolve_points(scene["points"], chart)
+    checks = list(ALL_CHECKS) if scene["checks"] == "all" else scene["checks"]
     if spec is None:
         checks = [c for c in checks if c not in ("composition", "mean_curvature")]
 
     size = max(1, STACK_COEFFS // jet_size(chart.dim, 4))
-    point_lines, reports, scene_reports = evaluate_points(chart, spec, points, checks, tol, size)
+    point_lines, reports, scene_reports = evaluate_points(chart, spec, points, checks, scene["tolerances"], size)
 
     lines = [f"schema: {SCHEMA_VERSION}", f"chart: {desc}", f"dim: {chart.dim}", f"points: {len(points)}"]
     lines.extend(point_lines)
@@ -419,6 +405,14 @@ def catalog_list(out) -> int:
 # -- argument handling ------------------------------------------------------
 
 
+def _flag_value(text: str):
+    """A --chart parameter or --tol value: an int, a float, or else the text."""
+    for parse in (int, float):
+        with contextlib.suppress(ValueError):
+            return parse(text)
+    return text
+
+
 def parse_chart_flag(text: str) -> dict:
     """--chart 'name(k=v, ...)' to a scene chart document."""
     text = text.strip()
@@ -433,13 +427,7 @@ def parse_chart_flag(text: str) -> dict:
             if "=" not in item:
                 raise SceneError(f"malformed --chart parameter {item!r}")
             key, value = (s.strip() for s in item.split("=", 1))
-            try:
-                params[key] = int(value)
-            except ValueError:
-                try:
-                    params[key] = float(value)
-                except ValueError:
-                    params[key] = value
+            params[key] = _flag_value(value)
     return {"catalog": name.strip(), "params": params}
 
 
@@ -451,16 +439,14 @@ def load_scene(args) -> dict:
             raise SceneError(f"cannot read scene: {exc}") from exc
         try:
             scene = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SceneError(f"scene JSON parse error: {exc.msg} (line {exc.lineno}, column {exc.colno})")
+        except (ValueError, RecursionError) as exc:  # also too many digits or too deep a nesting
+            raise SceneError(f"scene JSON parse error: {exc}") from exc
         if not isinstance(scene, dict):
             raise SceneError("scene document must be a JSON object")
     else:
         scene = {}
     if args.chart:
         scene["chart"] = parse_chart_flag(args.chart)
-    if "chart" not in scene:
-        raise SceneError("no chart given: use --chart or a scene file")
     if args.points is not None:
         scene["points"] = {"random": args.points}
     if args.seed is not None:
@@ -471,7 +457,9 @@ def load_scene(args) -> dict:
         if "=" not in item:
             raise SceneError(f"malformed --tol value {item!r} (expected name=value)")
         name, value = item.split("=", 1)
-        scene["tolerances"] = {**scene_tolerances(scene), name.strip(): value}  # run_scene checks the value
+        tolerances = scene.setdefault("tolerances", {})
+        if isinstance(tolerances, dict):  # else run_scene refuses the tolerances
+            tolerances[name.strip()] = _flag_value(value)
     return scene
 
 

@@ -25,7 +25,6 @@ from equiaffine.cli import (
     DEFAULT_TOL,
     MAX_RANDOM_POINTS,
     SceneError,
-    build_composition,
     build_parser,
     catalog_list,
     check_line,
@@ -33,6 +32,7 @@ from equiaffine.cli import (
     jordan_selftest,
     main,
     parse_chart_flag,
+    read,
     resolve_chart,
     resolve_points,
     run_scene,
@@ -221,7 +221,7 @@ def test_scene_report_is_the_same_in_any_stack_size(monkeypatch):
         _, whole = run(scene)
         with monkeypatch.context() as patch:
             patch.setattr(cli, "blaschke_at", counted)
-            dim = resolve_chart(scene["chart"])[0].dim
+            dim = resolve_chart(read("chart", scene["chart"], "chart"))[0].dim
             patch.setattr(cli, "STACK_COEFFS", 2 * jet_size(dim, 4))  # two points per stack
             assert run(scene) == (0, whole)
         assert sizes == [2, 2, 2, 1]
@@ -331,7 +331,7 @@ def test_unary_minus_before_a_power_negates_the_power():
 
 def test_composition_lines_match_verify_composition():
     _, report = run(HYPERBOLOID_COMPOSITION)
-    spec = build_composition(HYPERBOLOID_COMPOSITION["chart"]["composition"])
+    spec = resolve_chart(read("chart", HYPERBOLOID_COMPOSITION["chart"], "chart"))[1]
     want = calabi.verify_composition(spec, HYPERBOLOID_COMPOSITION["points"], DEFAULT_TOL["composition"])
     got = [line for line in report.splitlines() if line.startswith("check composition_")]
     assert got == [check_line(rep) for rep in want]
@@ -634,22 +634,23 @@ FLAT1 = {"flat": {"n0": 1}}
     "composition, code, expected",
     [
         ({"r": 2, "constants": [1, 1, 1], "factors": [FLAT1, FLAT1]}, 2,
-         "scene error: malformed composition spec: expected 4 constants"),
+         "scene error: chart.composition: expected 4 constants"),
         ({"r": 1, "constants": [1, 1], "factors": [{"flat": {"n0": 0}}]}, 3,
          "chart error: invalid parameters for 'flat': flat_hypersphere needs n0 >= 1"),
-        ({"r": 1, "constants": [1, 1], "factors": ["flat"]}, 2, "scene error: unknown factor spec 'flat'"),
+        ({"r": 1, "constants": [1, 1], "factors": ["flat"]}, 2,
+         "scene error: chart.composition.factors[0] must be an object, got 'flat'"),
         ({"r": 1, "constants": [1, 1], "factors": [{"catalog": {"name": "hyperboloid", "params": {"n": 0}}, "L1": -1}]},
          3, "chart error: invalid parameters for 'hyperboloid': hyperboloid needs n >= 1"),
         ({"r": 1, "constants": [1, 1], "factors": [{"flat": {}}]}, 2,
-         "scene error: malformed composition factor {'flat': {}}: 'n0'"),
+         "scene error: chart.composition.factors[0].flat needs key 'n0'"),
         ({"r": 1, "constants": [1, 1], "factors": [{"catalog": {"name": "hyperboloid", "params": {"n": 2}}, "L1": 1}]},
-         2, "scene error: malformed composition factor {'catalog': {'name': 'hyperboloid', 'params': {'n': 2}}, "
-            "'L1': 1}: factor affine mean curvature must be negative"),
-        ({"r": 1, "constants": [1, 1], "factors": 5}, 2, "scene error: malformed composition spec: 'int' object is not iterable"),
+         2, "scene error: chart.composition.factors[0]: factor affine mean curvature must be negative"),
+        ({"r": 1, "constants": [1, 1], "factors": 5}, 2,
+         "scene error: chart.composition.factors must be a list, got 5"),
         ({"r": float("inf"), "constants": [1, 1], "factors": [FLAT1]}, 2,
-         "scene error: malformed composition spec: cannot convert float infinity to integer"),
+         "scene error: chart.composition.r must be an integer, got inf"),
         ({"r": 1, "constants": [1, 1], "factors": [{"flat": {"n0": float("inf")}}]}, 2,
-         "scene error: malformed composition factor {'flat': {'n0': inf}}: cannot convert float infinity to integer"),
+         "scene error: chart.composition.factors[0].flat.n0 must be an integer, got inf"),
         # (-L1)^(n+2) underflows to 0 in the composition constant, inside the stage
         ({"r": 1, "constants": [1, 1], "factors": [{"catalog": {"name": "hyperboloid", "params": {"n": 2}},
                                                     "L1": -1e-300}]},
@@ -658,39 +659,36 @@ FLAT1 = {"flat": {"n0": 1}}
         # json.loads reads Infinity and NaN
         ({"r": 1, "constants": [1, 1], "factors": [{"catalog": {"name": "hyperboloid", "params": {"n": 2}},
                                                     "L1": -math.inf}]},
-         2, "scene error: malformed composition factor {'catalog': {'name': 'hyperboloid', 'params': {'n': 2}}, "
-            "'L1': -inf}: factor affine mean curvature must be finite"),
+         2, "scene error: chart.composition.factors[0].L1 must be a finite number, got -inf"),
         ({"r": 2, "constants": [1, math.inf], "factors": []}, 2,
-         "scene error: malformed composition spec: composition constants must be finite"),
+         "scene error: chart.composition.constants[1] must be a finite number, got inf"),
         # int() and float() would run r = 2.9 as 2 and true as 1
         ({"r": 2.9, "constants": [1, 1, 1], "factors": []}, 2,
-         "scene error: malformed composition spec: r must be an integer, got 2.9"),
+         "scene error: chart.composition.r must be an integer, got 2.9"),
         ({"r": True, "constants": [1, 1, 1], "factors": []}, 2,
-         "scene error: malformed composition spec: r must be an integer, got True"),
+         "scene error: chart.composition.r must be an integer, got True"),
         ({"r": 2, "constants": [1, True], "factors": []}, 2,
-         "scene error: malformed composition spec: constant must be a number, got True"),
+         "scene error: chart.composition.constants[1] must be a finite number, got True"),
         ({"r": 1, "constants": [1, 1], "factors": [{"flat": {"n0": True}}]}, 2,
-         "scene error: malformed composition factor {'flat': {'n0': True}}: n0 must be an integer, got True"),
+         "scene error: chart.composition.factors[0].flat.n0 must be an integer, got True"),
         ({"r": 1, "constants": [1, 1], "factors": [{"flat": {"n0": 2.5}}]}, 2,
-         "scene error: malformed composition factor {'flat': {'n0': 2.5}}: n0 must be an integer, got 2.5"),
+         "scene error: chart.composition.factors[0].flat.n0 must be an integer, got 2.5"),
         ({"r": 1, "constants": [1, 1], "factors": [{"flat": {"n0": 2, "C0": True}}]}, 2,
-         "scene error: malformed composition factor {'flat': {'n0': 2, 'C0': True}}: C0 must be a number, got True"),
+         "scene error: chart.composition.factors[0].flat.C0 must be a finite number, got True"),
         ({"r": 1, "constants": [1, 1], "factors": [{"catalog": {"name": "hyperboloid", "params": {"n": 2}},
                                                     "L1": True}]},
-         2, "scene error: malformed composition factor {'catalog': {'name': 'hyperboloid', 'params': {'n': 2}}, "
-            "'L1': True}: L1 must be a number, got True"),
+         2, "scene error: chart.composition.factors[0].L1 must be a finite number, got True"),
         # float() would run the text "1" as 1.0
         ({"r": 1, "constants": ["1", "1"], "factors": [FLAT1]}, 2,
-         "scene error: malformed composition spec: constant must be a number, got '1'"),
+         "scene error: chart.composition.constants[0] must be a finite number, got '1'"),
         ({"r": 1, "constants": [1, 1], "factors": [{"catalog": {"name": "hyperboloid", "params": {"n": 2}},
                                                     "L1": "-1"}]},
-         2, "scene error: malformed composition factor {'catalog': {'name': 'hyperboloid', 'params': {'n': 2}}, "
-            "'L1': '-1'}: L1 must be a number, got '-1'"),
+         2, "scene error: chart.composition.factors[0].L1 must be a finite number, got '-1'"),
         ({"r": 1, "constants": [1, 1], "factors": [{"flat": {"n0": 2, "C0": "2"}}]}, 2,
-         "scene error: malformed composition factor {'flat': {'n0': 2, 'C0': '2'}}: C0 must be a number, got '2'"),
+         "scene error: chart.composition.factors[0].flat.C0 must be a finite number, got '2'"),
         ({"r": 1, "constants": [1, 1], "factors": [{"catalog": {"name": "hyperboloid", "params": {"n": True}},
                                                     "L1": -1}]},
-         2, "scene error: catalog parameter 'n' of 'hyperboloid' must not be a bool, got True"),
+         2, "scene error: chart.composition.factors[0].catalog.params.n must be an integer, got True"),
     ],
     ids=["constant-count", "flat-n0-0", "factor-not-object", "factor-params", "flat-no-n0", "factor-L1-positive",
          "factors-not-list", "r-infinite", "flat-n0-infinite", "factor-L1-underflows", "factor-L1-infinite",
@@ -708,9 +706,8 @@ def test_composition_spec_errors_exit_with_one_line(tmp_path, capsys, compositio
         # C0^2 underflows to 0, so does C; C0^2 overflows Python float **
         ("1e-300", "composition constant out of float range for constants [1.0, 1.0, 1e-300]"),
         ("1e300", "composition constant out of float range for constants [1.0, 1.0, 1e+300]"),
-        ("inf", "composition constants must be finite"),
     ],
-    ids=["underflow", "overflow", "infinite"],
+    ids=["underflow", "overflow"],
 )
 def test_catalog_parameters_out_of_float_range_exit_3_with_one_line(capsys, C0, expected):
     argv = ["check", "--chart", f"flat_hypersphere(n0=2, C0={C0})", "--points", "1"]
@@ -722,23 +719,34 @@ def test_catalog_parameters_out_of_float_range_exit_3_with_one_line(capsys, C0, 
     [
         # float(True) would run C0 = true as C0 = 1.0
         ({"catalog": "flat_hypersphere", "params": {"n0": 2, "C0": True}}, 2,
-         "scene error: catalog parameter 'C0' of 'flat_hypersphere' must not be a bool, got True"),
+         "scene error: chart.params.C0 must be a finite number, got True"),
         ({"catalog": "flat_hypersphere", "params": {"n0": True}}, 2,
-         "scene error: catalog parameter 'n0' of 'flat_hypersphere' must not be a bool, got True"),
+         "scene error: chart.params.n0 must be an integer, got True"),
         ({"catalog": "hyperboloid", "params": {"n": False}}, 2,
-         "scene error: catalog parameter 'n' of 'hyperboloid' must not be a bool, got False"),
-        # a float n fails as before, never sharing the cached parse of an int n it equals
-        ({"catalog": "hyperboloid", "params": {"n": 2.0}}, 3,
-         "chart error: invalid parameters for 'hyperboloid': 'float' object cannot be interpreted as an integer"),
-        ({"catalog": "hyperboloid", "params": {"n": 1.0}}, 3,
-         "chart error: invalid parameters for 'hyperboloid': 'float' object cannot be interpreted as an integer"),
+         "scene error: chart.params.n must be an integer, got False"),
+        # an integral float n is the integer n, as a point count or r is
+        ({"catalog": "hyperboloid", "params": {"n": 2.0}}, 0, {"catalog": "hyperboloid", "params": {"n": 2}}),
+        ({"catalog": "hyperboloid", "params": {"n": 1.0}}, 0, {"catalog": "hyperboloid", "params": {"n": 1}}),
+        # the builders raised TypeError for these
+        ({"catalog": "hyperboloid"}, 2, "scene error: chart.params needs key 'n'"),
+        ({"catalog": "hyperboloid", "params": {"n": "2"}}, 2,
+         "scene error: chart.params.n must be an integer, got '2'"),
+        ({"catalog": "graph", "params": {"text": 5}}, 2, "scene error: chart.params.text must be a string, got 5"),
+        ({"catalog": "hyperboloid", "params": [1]}, 2, "scene error: chart.params must be an object, got [1]"),
+        ({"catalog": "hyperboloid", "params": {"n": 2, "m": 3}}, 2, "scene error: unknown key 'm' in chart.params"),
     ],
-    ids=["flat-C0-bool", "flat-n0-bool", "hyperboloid-n-bool", "hyperboloid-n-2.0", "hyperboloid-n-1.0"],
+    ids=["flat-C0-bool", "flat-n0-bool", "hyperboloid-n-bool", "hyperboloid-n-2.0", "hyperboloid-n-1.0",
+         "hyperboloid-no-n", "hyperboloid-n-text", "graph-text-int", "params-list", "params-unknown-key"],
 )
 def test_catalog_parameters_of_another_type_exit_with_one_line(tmp_path, capsys, chart, code, expected):
     for n in (1, 2):
         catalog.hyperboloid(n)  # cached before the call
     argv = ["check", "--scene", scene_file(tmp_path, chart, {"random": 1})]
+    if code == 0:  # the report of the expected chart
+        assert main(["check", "--scene", scene_file(tmp_path, expected, {"random": 1})]) == 0
+        expected = capsys.readouterr().out
+        assert (main(argv), capsys.readouterr().out) == (0, expected)
+        return
     assert error_line(capsys, argv) == (code, expected)
 
 
@@ -752,8 +760,8 @@ def factor_chart(name) -> dict:
     [
         ({"catalog": "nope"}, 3, "chart error: unknown catalog chart 'nope'; see catalog.ENTRIES"),
         (factor_chart("nope"), 3, "chart error: unknown catalog chart 'nope'; see catalog.ENTRIES"),
-        ({"catalog": ["x"]}, 2, "scene error: catalog chart name must be a string, got ['x']"),
-        (factor_chart(["x"]), 2, "scene error: catalog chart name must be a string, got ['x']"),
+        ({"catalog": ["x"]}, 2, "scene error: chart.catalog must be a string, got ['x']"),
+        (factor_chart(["x"]), 2, "scene error: chart.composition.factors[0].catalog.name must be a string, got ['x']"),
     ],
     ids=["unknown", "unknown-factor", "not-a-string", "not-a-string-factor"],
 )
@@ -768,37 +776,58 @@ H2 = '"chart": {"catalog": "hyperboloid", "params": {"n": 2}}'
 @pytest.mark.parametrize(
     "scene, flags, expected",
     [
-        ('{%s, "tolerances": [1]}' % H2, [], "tolerances must be an object of name: value pairs, got [1]"),
-        ('{%s, "tolerances": {"gauss": "abc"}}' % H2, [], "tolerance 'gauss' must be a finite number, got 'abc'"),
-        ('{%s, "tolerances": {"gauss": 1e400}}' % H2, [], "tolerance 'gauss' must be a finite number, got inf"),
-        ('{%s}' % H2, ["--tol", "gauss=abc"], "tolerance 'gauss' must be a finite number, got 'abc'"),
-        ('{%s}' % H2, ["--tol", "gauss=nan"], "tolerance 'gauss' must be a finite number, got 'nan'"),
+        ('{%s, "tolerances": [1]}' % H2, [], "tolerances must be an object, got [1]"),
+        ('{%s, "tolerances": {"gauss": "abc"}}' % H2, [], "tolerances.gauss must be a finite number, got 'abc'"),
+        ('{%s, "tolerances": {"gauss": 1e400}}' % H2, [], "tolerances.gauss must be a finite number, got inf"),
+        ('{%s}' % H2, ["--tol", "gauss=abc"], "tolerances.gauss must be a finite number, got 'abc'"),
+        ('{%s}' % H2, ["--tol", "gauss=nan"], "tolerances.gauss must be a finite number, got nan"),
         ('{%s, "tolerances": [1]}' % H2, ["--tol", "gauss=1"],
-         "tolerances must be an object of name: value pairs, got [1]"),
-        ('{%s, "checks": 5}' % H2, [], 'checks must be "all" or a list of check names, got 5'),
-        ('{%s, "checks": "gauss"}' % H2, [], 'checks must be "all" or a list of check names, got \'gauss\''),
-        ('{%s, "checks": [5]}' % H2, [], 'checks must be "all" or a list of check names, got [5]'),
-        ('{"chart": "dsl"}', [], "chart spec must be an object, got 'dsl'"),
-        ('{"chart": {"dsl": 5}}', [], "chart text must be a string, got 5"),
-        ('{%s, "points": {"random": 2, "seed": -1}}' % H2, [], "random point seed must be non-negative, got -1"),
-        ('{%s}' % H2, ["--seed", "-1"], "random point seed must be non-negative, got -1"),
+         "tolerances must be an object, got [1]"),
+        ('{%s, "checks": 5}' % H2, [], "checks must be 'all' or a list, got 5"),
+        ('{%s, "checks": "gauss"}' % H2, [], "checks must be 'all', got 'gauss'"),
+        ('{%s, "checks": [5]}' % H2, [],
+         "checks[0] must be 'apolarity' or 'codazzi' or 'composition' or 'dual' or 'gauss' or 'gauss_alt' or "
+         "'hypersphere' or 'invariants' or 'mean_curvature' or 'parallel' or 'ricci' or 'trace_identity', got 5"),
+        ('{"chart": "dsl"}', [], "chart must be an object, got 'dsl'"),
+        ('{"chart": {"dsl": 5}}', [], "chart.dsl must be a string, got 5"),
+        ('{%s, "points": {"random": 2, "seed": -1}}' % H2, [], "points.seed must be at least 0, got -1"),
+        ('{%s}' % H2, ["--seed", "-1"], "points.seed must be at least 0, got -1"),
         ('{%s, "points": {"random": 1e400}}' % H2, [],
-         "malformed random point spec: cannot convert float infinity to integer"),
-        ('{%s, "tolerances": {"gauss": -1}}' % H2, [], "tolerance 'gauss' must be non-negative, got -1"),
-        ('{%s}' % H2, ["--tol", "gauss=-1"], "tolerance 'gauss' must be non-negative, got '-1'"),
-        ('{%s, "points": {"random": 2.9, "seed": 1.7}}' % H2, [], "random point count must be an integer, got 2.9"),
-        ('{%s, "points": {"random": 2, "seed": 1.7}}' % H2, [], "random point seed must be an integer, got 1.7"),
-        ('{%s, "points": {"random": true}}' % H2, [], "random point count must be an integer, got True"),
-        ('{%s, "points": {"random": 2, "seed": false}}' % H2, [], "random point seed must be an integer, got False"),
-        ('{%s, "points": {"random": "3"}}' % H2, [], "random point count must be an integer, got '3'"),
-        ('{%s, "points": {"random": 2, "seed": "2"}}' % H2, [], "random point seed must be an integer, got '2'"),
-        ('{%s, "tolerances": {"gauss": true}}' % H2, [], "tolerance 'gauss' must be a finite number, got True"),
+         "points.random must be an integer, got inf"),
+        ('{%s, "tolerances": {"gauss": -1}}' % H2, [], "tolerances.gauss must be at least 0, got -1"),
+        ('{%s}' % H2, ["--tol", "gauss=-1"], "tolerances.gauss must be at least 0, got -1"),
+        ('{%s, "points": {"random": 2.9, "seed": 1.7}}' % H2, [], "points.random must be an integer, got 2.9"),
+        ('{%s, "points": {"random": 2, "seed": 1.7}}' % H2, [], "points.seed must be an integer, got 1.7"),
+        ('{%s, "points": {"random": true}}' % H2, [], "points.random must be an integer, got True"),
+        ('{%s, "points": {"random": 2, "seed": false}}' % H2, [], "points.seed must be an integer, got False"),
+        ('{%s, "points": {"random": "3"}}' % H2, [], "points.random must be an integer, got '3'"),
+        ('{%s, "points": {"random": 2, "seed": "2"}}' % H2, [], "points.seed must be an integer, got '2'"),
+        ('{%s, "tolerances": {"gauss": true}}' % H2, [], "tolerances.gauss must be a finite number, got True"),
+        # float() would run text as a number, and np.asarray() text and bool coordinates
+        ('{%s, "tolerances": {"gauss": "1e-6"}}' % H2, [], "tolerances.gauss must be a finite number, got '1e-6'"),
+        ('{%s, "points": [["0.1", "0.2"]]}' % H2, [], "points[0][0] must be a finite number, got '0.1'"),
+        ('{%s, "points": [[0.1, true]]}' % H2, [], "points[0][1] must be a finite number, got True"),
+        ('{%s, "points": [[[0.1, 0.2]]]}' % H2, [], "points[0][0] must be a finite number, got [0.1, 0.2]"),
+        # unknown and conflicting keys were ignored
+        ('{%s, "points": {"random": 2, "sed": 3}}' % H2, [], "unknown key 'sed' in points"),
+        ('{"chart": {"composition": {"r": 1, "constants": [1, 1], "factors": [{"flat": {"n0": 2, "junk": 3}}]}}}', [],
+         "unknown key 'junk' in chart.composition.factors[0].flat"),
+        ('{"chart": {"catalog": "hyperboloid", "params": {"n": 2}, "dsl": "dim 1; x1 = u1; x2 = u1^2;"}}', [],
+         "chart needs exactly one of ['catalog', 'dsl', 'composition'], got ['catalog', 'dsl', 'params']"),
+        ('{"chart": {"composition": {"r": 1, "constants": [1, 1], "factors": [{"flat": {"n0": 1}, "L1": -1, '
+         '"catalog": {"name": "hyperboloid", "params": {"n": 2}}}]}}}', [],
+         "chart.composition.factors[0] needs exactly one of ['flat', 'catalog'], got ['L1', 'catalog', 'flat']"),
+        # --chart reads C0=inf as a float, which the scene's number rule refuses
+        ('{%s}' % H2, ["--chart", "flat_hypersphere(n0=2, C0=inf)"],
+         "chart.params.C0 must be a finite number, got inf"),
     ],
     ids=["tolerances-list", "tolerance-text", "tolerance-infinite", "tol-flag-text", "tol-flag-nan",
          "tol-flag-on-tolerances-list", "checks-int", "checks-string", "checks-not-names", "chart-string",
          "chart-text-int", "seed-negative", "seed-flag-negative", "random-infinite", "tolerance-negative",
          "tol-flag-negative", "random-fractional", "seed-fractional", "random-bool", "seed-bool", "random-string",
-         "seed-string", "tolerance-bool"],
+         "seed-string", "tolerance-bool", "tolerance-numeric-text", "coordinate-text", "coordinate-bool",
+         "coordinate-list", "random-unknown-key", "flat-unknown-key", "chart-two-kinds", "factor-two-kinds",
+         "chart-flag-C0-infinite"],
 )
 def test_malformed_scene_values_exit_2_with_one_line(tmp_path, capsys, scene, flags, expected):
     path = tmp_path / "scene.json"
@@ -829,8 +858,8 @@ def test_usage_errors_exit_2_with_one_line(capsys, argv, expected):
 
 def test_integral_float_point_counts_and_seeds_are_integers():
     chart = catalog.hyperboloid(2)
-    expect = resolve_points({"random": 3, "seed": 2}, chart)
-    assert np.array_equal(resolve_points({"random": 3.0, "seed": 2.0}, chart), expect)
+    expect = resolve_points(read("random points", {"random": 3, "seed": 2}), chart)
+    assert np.array_equal(resolve_points(read("random points", {"random": 3.0, "seed": 2.0}), chart), expect)
 
 
 def test_seed_flag_samples_the_default_point_set(capsys):
@@ -849,7 +878,7 @@ def test_non_finite_point_exits_2(tmp_path, capsys):
     chart = {"catalog": "hyperboloid", "params": {"n": 2}}
     code, line = error_line(capsys, ["check", "--scene", scene_file(tmp_path, chart, [[float("nan"), 0.1]])])
     assert code == 2
-    assert line == "scene error: point coordinates must be finite"
+    assert line == "scene error: points[0][0] must be a finite number, got nan"
 
 
 @pytest.mark.parametrize("points", [{"random": -3}, {"random": 0}, []])
@@ -863,7 +892,7 @@ def test_empty_point_set_exits_2(tmp_path, capsys, points):
 def test_negative_points_flag_exits_2(capsys):
     code, line = error_line(capsys, ["check", "--chart", "hyperboloid(n=2)", "--points", "-3"])
     assert code == 2
-    assert line == "scene error: random point count must be at least 1, got -3"
+    assert line == "scene error: points.random must be at least 1, got -3"
 
 
 def test_random_point_count_above_cap_exits_2(tmp_path, capsys, monkeypatch):
@@ -875,8 +904,9 @@ def test_random_point_count_above_cap_exits_2(tmp_path, capsys, monkeypatch):
                  ["check", "--scene", scene_file(tmp_path, chart, {"random": over, "seed": 1})]):
         code, line = error_line(capsys, argv)
         assert code == 2
-        assert line == "scene error: random point count must be at most 10000, got 10001"
-    points = resolve_points({"random": MAX_RANDOM_POINTS}, catalog.get_chart("hyperboloid", {"n": 2}))
+        assert line == "scene error: points.random must be at most 10000, got 10001"
+    at_cap = read("random points", {"random": MAX_RANDOM_POINTS})
+    points = resolve_points(at_cap, catalog.get_chart("hyperboloid", {"n": 2}))
     assert points.shape == (10000, 2)
 
 
@@ -901,7 +931,7 @@ OVER = MAX_DIM + 1
         # r + s - 1 + n_1 = 2 + 1 - 1 + 25
         ({"composition": {"r": 2, "constants": [1, 1, 1],
                           "factors": [{"catalog": {"name": "hyperboloid", "params": {"n": OVER - 2}}, "L1": -1}]}}, 2,
-         f"scene error: malformed composition spec: composition dimension {OVER} is above MAX_DIM = {MAX_DIM}"),
+         f"scene error: chart.composition: composition dimension {OVER} is above MAX_DIM = {MAX_DIM}"),
     ],
     ids=["dsl", "hyperboloid", "unit_sphere", "elliptic_paraboloid", "flat_hypersphere", "sl_so", "composition"],
 )
@@ -955,7 +985,7 @@ def test_max_dim_charts_still_build():
     assert catalog.sl_so(6).dim == 20
     factor = {"catalog": {"name": "hyperboloid", "params": {"n": MAX_DIM - 1}}, "L1": -1}
     spec = {"r": 1, "constants": [1, 1], "factors": [factor]}
-    assert build_composition(spec).dim == MAX_DIM
+    assert resolve_chart(read("chart", {"composition": spec}, "chart"))[0].dim == MAX_DIM
 
 
 def test_overflowing_point_prints_one_stderr_line():
