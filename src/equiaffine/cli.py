@@ -87,64 +87,75 @@ def check_line(rep: CheckReport) -> str:
 # given) and the least and the most value it may take
 REQUIRED = inspect.Parameter.empty
 Key = collections.namedtuple("Key", "kind default least most", defaults=(REQUIRED, None, None))
+ListOf = collections.namedtuple("ListOf", "kind")  # the kind of a list of documents of one kind
 
-# Every object of a scene document by name: a dict of its keys; a list of
-# variants, of which a document gives exactly one, told apart by the
-# variant's first key; or the set of texts it may be.  The other kinds are
-# "integer" (an int or an integral float), "number" (a finite int or
-# float), "text", "list <kind>", "object" (a dict its builder reads against
-# its annotated parameters, see parameter_grammar) and a tuple of kinds told
-# apart by JSON type; a bool is of no kind.
+
+class OneOf(dict):
+    """An object's variants by the key that picks each; a document gives exactly one of the keys."""
+
+
+# Every object of a scene document by name: a dict of its keys, a OneOf of its
+# variants, or a tuple of kinds told apart by JSON type.  A key's kind is a
+# name of this table, a ListOf, the frozenset of the texts it may be, "integer"
+# (an int or an integral float), "number" (a finite int or float), "text" or
+# "object" (a dict read against a builder's annotated parameters, see
+# parameter_grammar).
 SCENE_GRAMMAR = {
-    "scene": {"chart": Key("chart"), "points": Key(("list list number", "random points"), DEFAULT_POINTS),
-              "checks": Key(("all", "list check"), "all"), "tolerances": Key("tolerances", {})},
-    "chart": [{"catalog": Key("text"), "params": Key("object", {})}, {"dsl": Key("text")},
-              {"composition": Key("composition")}],
-    "composition": {"r": Key("integer"), "constants": Key("list number"), "factors": Key("list factor", [])},
-    "factor": [{"flat": Key("object")}, {"catalog": Key("factor catalog"), "L1": Key("number")}],
+    "scene": {"chart": Key("chart"), "points": Key("points", DEFAULT_POINTS), "checks": Key("checks", "all"),
+              "tolerances": Key("tolerances", {})},
+    "chart": OneOf(catalog={"catalog": Key("text"), "params": Key("object", {})}, dsl={"dsl": Key("text")},
+                   composition={"composition": Key("composition")}),
+    "composition": {"r": Key("integer"), "constants": Key(ListOf("number")), "factors": Key(ListOf("factor"), [])},
+    "factor": OneOf(flat={"flat": Key("object")}, catalog={"catalog": Key("factor catalog"), "L1": Key("number")}),
     "factor catalog": {"name": Key("text"), "params": Key("object", {})},
+    # a list of points, or of the coordinates of one point, or the one coordinate of one point
+    "points": (ListOf("point"), "number", "random points"),
+    "point": (ListOf("number"), "number"),
     "random points": {"random": Key("integer", least=1, most=MAX_RANDOM_POINTS),
                       "seed": Key("integer", 0, least=0)},
     "tolerances": {name: Key("number", tol, least=0) for name, tol in DEFAULT_TOL.items()},
-    "all": frozenset({"all"}),
-    "check": frozenset(ALL_CHECKS) | {"invariants"},
+    "checks": (frozenset({"all"}), ListOf(frozenset(ALL_CHECKS) | {"invariants"})),
 }
+
 
 @functools.cache
 def _kind(kind) -> tuple:
     """The JSON type and the description of the documents of a kind."""
-    if isinstance(kind, tuple):
-        types, descriptions = zip(*map(_kind, kind))
+    grammar = SCENE_GRAMMAR.get(kind)
+    if isinstance(kind, ListOf):
+        return list, "a list"
+    if isinstance(grammar, tuple):
+        types, descriptions = zip(*map(_kind, grammar))
         return types, " or ".join(descriptions)
-    if isinstance(SCENE_GRAMMAR.get(kind), frozenset):
-        return str, " or ".join(map(repr, sorted(SCENE_GRAMMAR[kind])))
-    scalars = {"integer": ((int, float), "an integer"), "number": ((int, float), "a finite number"),
-               "text": (str, "a string"), "list": (list, "a list")}
-    return scalars.get(kind.split()[0], (dict, "an object"))
+    if isinstance(kind, frozenset):
+        return str, " or ".join(map(repr, sorted(kind)))
+    kinds = {"integer": ((int, float), "an integer"), "number": ((int, float), "a finite number"),
+             "text": (str, "a string"), "object": (dict, "an object")}
+    return kinds["object" if isinstance(grammar, dict) else kind]
 
 
 def read(kind, doc, where: str = ""):
     """``doc``, the document at ``where`` in a scene, read as a ``kind`` of
     ``SCENE_GRAMMAR``: integers as int, numbers as float, objects with their
-    defaults filled in.  Any other document raises ``SceneError`` (exit 2)
-    naming its place."""
-    if isinstance(kind, tuple):
-        kind = next((k for k in kind if isinstance(doc, _kind(k)[0])), kind)
+    defaults filled in.  Any other document, a bool too, raises ``SceneError``
+    (exit 2) naming its place."""
+    if isinstance(SCENE_GRAMMAR.get(kind), tuple):  # the first kind of the document's JSON type
+        kind = next((k for k in SCENE_GRAMMAR[kind] if isinstance(doc, _kind(k)[0])), kind)
     (json_type, description), grammar = _kind(kind), SCENE_GRAMMAR.get(kind)
     if isinstance(doc, bool) or not isinstance(doc, json_type) or (
             kind == "integer" and isinstance(doc, float) and not doc.is_integer()
             or kind == "number" and not abs(doc) <= sys.float_info.max  # also NaN and ints past float range
-            or isinstance(grammar, frozenset) and doc not in grammar):
+            or isinstance(kind, frozenset) and doc not in kind):
         raise SceneError(f"{where or 'scene'} must be {description}, got {doc!r}")
     if kind in ("integer", "number"):
         return int(doc) if kind == "integer" else float(doc)
-    if kind.startswith("list "):
-        return [read(kind[5:], item, f"{where}[{i}]") for i, item in enumerate(doc)]
-    if isinstance(grammar, list):  # the variant whose first key the document gives
-        given = [variant for variant in grammar if next(iter(variant)) in doc]
+    if isinstance(kind, ListOf):
+        return [read(kind.kind, item, f"{where}[{i}]") for i, item in enumerate(doc)]
+    if isinstance(grammar, OneOf):
+        given = [key for key in grammar if key in doc]
         if len(given) != 1:
-            raise SceneError(f"{where} needs exactly one of {[next(iter(v)) for v in grammar]}, got {sorted(doc)}")
-        grammar = given[0]
+            raise SceneError(f"{where} needs exactly one of {list(grammar)}, got {sorted(doc)}")
+        grammar = grammar[given[0]]
     return read_object(grammar, doc, where) if isinstance(grammar, dict) else doc
 
 
@@ -219,9 +230,13 @@ def resolve_points(doc, chart) -> np.ndarray:
     """The (P, n) points of a read point document, random or listed ones."""
     if isinstance(doc, dict):
         return chart.sample_points(doc["random"], doc["seed"])
+    if not isinstance(doc, list) or doc and not any(isinstance(item, list) for item in doc):
+        doc = [doc if isinstance(doc, list) else [doc]]  # one point or its one coordinate
     if not doc:
         raise SceneError("point list is empty")
     for k, point in enumerate(doc):
+        if not isinstance(point, list):
+            raise SceneError(f"points[{k}] must be a list, got {point!r}")
         if len(point) != chart.dim:
             raise SceneError(f"points[{k}] has dimension {len(point)}, chart has {chart.dim}")
     return np.array(doc)

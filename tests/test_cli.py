@@ -553,8 +553,8 @@ def error_line(capsys, argv):
     return code, err.strip()
 
 
-def scene_file(tmp_path, chart, points):
-    path = tmp_path / "scene.json"
+def scene_file(tmp_path, chart, points, name="scene.json"):
+    path = tmp_path / name
     path.write_text(json.dumps({"chart": chart, "points": points}))
     return str(path)
 
@@ -743,7 +743,7 @@ def test_catalog_parameters_of_another_type_exit_with_one_line(tmp_path, capsys,
         catalog.hyperboloid(n)  # cached before the call
     argv = ["check", "--scene", scene_file(tmp_path, chart, {"random": 1})]
     if code == 0:  # the report of the expected chart
-        assert main(["check", "--scene", scene_file(tmp_path, expected, {"random": 1})]) == 0
+        assert main(["check", "--scene", scene_file(tmp_path, expected, {"random": 1}, "expected.json")]) == 0
         expected = capsys.readouterr().out
         assert (main(argv), capsys.readouterr().out) == (0, expected)
         return
@@ -817,6 +817,10 @@ H2 = '"chart": {"catalog": "hyperboloid", "params": {"n": 2}}'
         ('{"chart": {"composition": {"r": 1, "constants": [1, 1], "factors": [{"flat": {"n0": 1}, "L1": -1, '
          '"catalog": {"name": "hyperboloid", "params": {"n": 2}}}]}}}', [],
          "chart.composition.factors[0] needs exactly one of ['flat', 'catalog'], got ['L1', 'catalog', 'flat']"),
+        # a point list mixing points and numbers, and text for points
+        ('{%s, "points": [[0.1, 0.2], 0.3]}' % H2, [], "points[1] must be a list, got 0.3"),
+        ('{%s, "points": [0.1, [0.2]]}' % H2, [], "points[0] must be a list, got 0.1"),
+        ('{%s, "points": "0.1"}' % H2, [], "points must be a list or a finite number or an object, got '0.1'"),
         # --chart reads C0=inf as a float, which the scene's number rule refuses
         ('{%s}' % H2, ["--chart", "flat_hypersphere(n0=2, C0=inf)"],
          "chart.params.C0 must be a finite number, got inf"),
@@ -827,7 +831,7 @@ H2 = '"chart": {"catalog": "hyperboloid", "params": {"n": 2}}'
          "tol-flag-negative", "random-fractional", "seed-fractional", "random-bool", "seed-bool", "random-string",
          "seed-string", "tolerance-bool", "tolerance-numeric-text", "coordinate-text", "coordinate-bool",
          "coordinate-list", "random-unknown-key", "flat-unknown-key", "chart-two-kinds", "factor-two-kinds",
-         "chart-flag-C0-infinite"],
+         "points-mixed", "points-mixed-number-first", "points-text", "chart-flag-C0-infinite"],
 )
 def test_malformed_scene_values_exit_2_with_one_line(tmp_path, capsys, scene, flags, expected):
     path = tmp_path / "scene.json"
@@ -854,6 +858,20 @@ def test_usage_errors_exit_2_with_one_line(capsys, argv, expected):
     lines = capsys.readouterr().err.splitlines()
     assert exc.value.code == 2
     assert len(lines) == 1 and lines[0].startswith(expected)
+
+
+@pytest.mark.parametrize(
+    "chart, points",
+    [({"catalog": "hyperboloid", "params": {"n": 2}}, [0.1, 0.2]),
+     ({"dsl": "dim 1; x1 = u1; x2 = sqrt(1 + u1^2);"}, 0.5)],
+    ids=["coordinate-list", "one-coordinate"],
+)
+def test_one_point_given_alone_is_a_list_of_one_point(tmp_path, capsys, chart, points):
+    listed = main(["check", "--scene", scene_file(tmp_path, chart, np.atleast_2d(points).tolist(), "listed.json")])
+    expected = capsys.readouterr().out
+    code = main(["check", "--scene", scene_file(tmp_path, chart, points)])
+    assert (code, capsys.readouterr().out) == (listed, expected)
+    assert expected.count("point[") == 1
 
 
 def test_integral_float_point_counts_and_seeds_are_integers():

@@ -47,8 +47,10 @@ LIST_SIZES = {"points": 5, "factors": 1}
 
 def documents(kind, key=""):
     """Documents of a kind of the scene grammar; ``key`` is the key they sit under."""
-    if isinstance(kind, tuple):
-        return st.one_of([documents(k, key) for k in kind])
+    if isinstance(kind, cli.ListOf):
+        return st.lists(documents(kind.kind, key), max_size=LIST_SIZES.get(key, 3))
+    if isinstance(kind, frozenset):
+        return st.sampled_from(sorted(kind))
     if kind == "integer":
         return st.sampled_from(INTEGERS.get(key, [0, 1, 2, 2.0, 10**30, 1e300]))
     if kind == "number":
@@ -57,13 +59,11 @@ def documents(kind, key=""):
         return st.sampled_from(TEXTS[key])
     if kind == "object":
         return objects(PARAMETERS, every_key_optional=True)
-    if kind.startswith("list "):
-        return st.lists(documents(kind[5:], key), max_size=LIST_SIZES.get(key, 3))
     grammar = cli.SCENE_GRAMMAR[kind]
-    if isinstance(grammar, frozenset):
-        return st.sampled_from(sorted(grammar))
-    if isinstance(grammar, list):
-        return st.one_of([objects(variant) for variant in grammar])
+    if isinstance(grammar, tuple):
+        return st.one_of([documents(k, key) for k in grammar])
+    if isinstance(grammar, cli.OneOf):
+        return st.one_of([objects(variant) for variant in grammar.values()])
     return objects(grammar)
 
 
@@ -86,10 +86,10 @@ def places(doc, path=""):
 
 
 def variants(obj):
-    """The variant list of the grammar an object of a document belongs to, if any."""
+    """The ``OneOf`` of the grammar an object of a document belongs to, if any."""
     for grammar in cli.SCENE_GRAMMAR.values():
-        if isinstance(grammar, list) and obj.keys() <= {k for variant in grammar for k in variant}:
-            if obj.keys() & {next(iter(variant)) for variant in grammar}:
+        if isinstance(grammar, cli.OneOf) and obj.keys() <= {k for variant in grammar.values() for k in variant}:
+            if obj.keys() & grammar.keys():
                 return grammar
     return None
 
@@ -111,10 +111,8 @@ def scene_documents(draw):
         objs = [c[k] for c, k, _ in inside if isinstance(c[k], dict) and variants(c[k])]
         if objs:
             obj = draw(st.sampled_from(objs))
-            others = [variant for variant in variants(obj) if next(iter(variant)) not in obj]
-            other = draw(st.sampled_from(others))
-            key, spec = next(iter(other.items()))
-            obj[key] = draw(documents(spec.kind, key))
+            key = draw(st.sampled_from([key for key in variants(obj) if key not in obj]))
+            obj[key] = draw(documents(variants(obj)[key][key].kind, key))
     return doc
 
 
@@ -153,16 +151,18 @@ def test_any_scene_document_keeps_the_error_contract(text, command):
 
 # valid scenes that give every key of the grammar and every builder parameter;
 # numbers are floats and integers ints, so a fractional value is of the wrong
-# kind exactly where the document holds an int
-FLAT = {"catalog": "flat_hypersphere", "params": {"n0": 1, "C0": 1.0}}
+# kind exactly where the document holds an int; every chart has at least 2
+# dimensions, so a list of numbers or a number given as the points (one point)
+# is of the wrong dimension
+FLAT = {"catalog": "flat_hypersphere", "params": {"n0": 2, "C0": 1.0}}
 BASES = [
     {"chart": FLAT, "points": {"random": 1, "seed": 0}, "checks": ["apolarity", "hypersphere"],
      "tolerances": {name: float(tol) for name, tol in cli.DEFAULT_TOL.items()}},
     {"chart": {"composition": {"r": 0, "constants": [1.0, 1.0], "factors": [
         {"flat": {"n0": 1, "C0": 1.0}}, {"catalog": {"name": "hyperboloid", "params": {"n": 1}}, "L1": -1.0}]}},
      "points": [[0.1, 0.2, 0.3]], "checks": "all"},
-    {"chart": {"dsl": CHART_TEXTS[0]}, "points": [[0.5]]},
-    {"chart": {"catalog": "graph", "params": {"text": CHART_TEXTS[0]}}, "points": {"random": 2}},
+    {"chart": {"dsl": CHART_TEXTS[2]}, "points": [[0.5, 0.5]]},
+    {"chart": {"catalog": "graph", "params": {"text": CHART_TEXTS[2]}}, "points": {"random": 2}},
     {"chart": {"catalog": "sl_so", "params": {"m": 3}}, "points": [[0.0] * 5], "checks": ["apolarity"]},
 ]
 
@@ -171,8 +171,9 @@ def grammar_keys(skip=()):
     """Every key of the grammar's objects but those named in ``skip``, and every builder parameter."""
     keys = set(PARAMETERS)
     for name, grammar in cli.SCENE_GRAMMAR.items():
-        for obj in grammar if isinstance(grammar, list) else [grammar] if isinstance(grammar, dict) else []:
-            keys |= obj.keys() if name not in skip else set()
+        objs = grammar.values() if isinstance(grammar, cli.OneOf) else [grammar] if isinstance(grammar, dict) else []
+        for obj in objs if name not in skip else []:
+            keys |= obj.keys()
     return keys
 
 
@@ -216,7 +217,7 @@ def wrong_scenes():
             yield doc, f"unknown key 'junk' in {place}"
             if variants(obj):
                 doc = copy.deepcopy(base)
-                other = next(next(iter(v)) for v in variants(obj) if next(iter(v)) not in obj)
+                other = next(key for key in variants(obj) if key not in obj)
                 list(objects_in(doc))[index][0][other] = {}
                 yield doc, f"{place} needs exactly one of"
 
