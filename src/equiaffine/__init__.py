@@ -8,8 +8,8 @@ duality (hypersphere / minimal-Lagrangian correspondence), jordan
 cli (batch front end).
 """
 
-from .blaschke import BlaschkeInvariants, CheckReport, blaschke_at
-from .calabi import CompositionSpec, HypersphereFactor, closed_form, compose_chart, verify_composition
+from .blaschke import BlaschkeInvariants, blaschke_at
+from .calabi import CompositionSpec, HypersphereFactor, closed_form, compose_chart
 from .catalog import get_chart
 from .dsl import ChartDef, DslChart, parse_chart
 
@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlaschkeInvariants",
-    "CheckReport",
     "ChartDef",
     "CompositionSpec",
     "DslChart",
@@ -27,6 +26,5 @@ __all__ = [
     "compose_chart",
     "get_chart",
     "parse_chart",
-    "verify_composition",
     "__version__",
 ]

@@ -65,22 +65,6 @@ H_EQUALS_G_TOL = 1e-9
 TAU_TOL = 1e-9
 L1_ZERO_TOL = 1e-12  # |L1| at or below this counts as L1 = 0 (improper affine sphere)
 
-# the default tolerance of each check, by its scene name: every check
-# function's default and the CLI's table
-DEFAULT_TOL = {
-    "apolarity": 1e-8,
-    "gauss": 1e-6,
-    "ricci": 1e-6,
-    "codazzi": 1e-6,
-    "trace_identity": 1e-6,
-    "gauss_alt": 1e-6,
-    "hypersphere": 1e-6,
-    "parallel": 1e-6,
-    "dual": 1e-12,
-    "composition": 1e-6,
-    "mean_curvature": 1e-6,
-}
-
 
 class ConvexityError(ValueError):
     """The second-order determinant form is indefinite at the point."""
@@ -92,17 +76,6 @@ class FrameError(ValueError):
 
 class ConsistencyError(RuntimeError):
     """Internal cross-check (h = g or tau = 0) failed beyond tolerance."""
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    check_name: str
-    residual: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.tolerance
 
 
 @dataclass
@@ -126,7 +99,6 @@ class BlaschkeInvariants:
     curvature: tensors.CurvatureData = field(repr=False, default=None)
     # internals kept for the structural checks
     _A_jets: np.ndarray = field(repr=False, default=None)  # (n, n, n, M1) order-1 jet array
-    _gamma_hat: np.ndarray = field(repr=False, default=None)  # Levi-Civita values
     _terms: dict = field(repr=False, init=False, compare=False, default_factory=dict)  # see term()
 
     @property
@@ -191,9 +163,8 @@ def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants:
     ginv = np.ascontiguousarray(metric.inverse[..., 0])  # a fixed layout, as for the checks' einsums
     g1 = metric.coeffs[..., :m1]
 
-    # Levi-Civita of g: order-1 jets and their values
+    # Levi-Civita of g: order-1 jets
     gamma_hat_jets = tensors.christoffel_jets(metric)
-    gamma_hat = gamma_hat_jets[..., 0]
 
     # xi = (1/n) g^{ij} (x_ij - Gamma^k_ij x_k), as order-1 jets
     x1 = x1[..., :m1]
@@ -263,7 +234,6 @@ def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants:
         position=x[row, :, 0],
         curvature=tensors.CurvatureData(curv.christoffel[row], curv.riemann[row], curv.ricci[row], curv.chi[row]),
         _A_jets=a_jets[row],
-        _gamma_hat=gamma_hat[row],
     )
 
 
@@ -357,10 +327,10 @@ def _symmetrize3(t: np.ndarray) -> np.ndarray:
 # -- structural checks ----------------------------------------------------
 #
 # Each check takes the invariants of one point or of a point stack from
-# ``blaschke_at``, and returns one report (or value) for one point and a
-# list of one per point for a stack.  The contractions are ``...`` einsums
-# over the leading point axis, so a stack row gets the bits its point gets
-# alone.
+# ``blaschke_at`` and returns {report name: residual}, each residual of
+# shape () for one point and (P,) for a stack (``max_per_point``).  The
+# contractions are ``...`` einsums over the leading point axis, so a stack
+# row gets the bits its point gets alone.
 
 
 def _per_point(x, k: int):
@@ -374,14 +344,6 @@ def max_per_point(data, x: np.ndarray) -> np.ndarray:
     ``g`` has shape (..., n, n): over every axis of x but the point axis of
     a stack (shape () for one point, (P,) for a stack)."""
     return np.abs(x).max(axis=tuple(range(data.g.ndim - 2, x.ndim)))
-
-
-def point_reports(name: str, residual: np.ndarray, tolerance: float) -> CheckReport | list[CheckReport]:
-    """One report for a one-point residual of shape (), a list of one per
-    point for a (P,) vector of residuals."""
-    if residual.ndim == 0:
-        return CheckReport(name, float(residual), tolerance)
-    return [CheckReport(name, r, tolerance) for r in residual.tolist()]
 
 
 # -- check terms ------------------------------------------------------------
@@ -413,7 +375,7 @@ def _A_comm(inv: BlaschkeInvariants) -> tuple[np.ndarray, np.ndarray]:
 
 # name -> term(inv); each entry looks its functions up at call time
 TERMS = {
-    "nabla_A": lambda inv: cov_deriv_sym3(inv._A_jets, inv._gamma_hat),  # A_ijk,l
+    "nabla_A": lambda inv: cov_deriv_sym3(inv._A_jets, inv.curvature.christoffel),  # A_ijk,l
     "curl_nabla_A": lambda inv: inv.nabla_A() - inv.nabla_A().swapaxes(-2, -1),  # A_ijk,l - A_ijl,k
     "div_nabla_A": lambda inv: np.einsum("...lm,...ijml->...ij", inv.g_inv, inv.nabla_A()),  # A^m_ij,m
     "A_up": lambda inv: np.einsum("...mp,...ikp->...mik", inv.g_inv, inv.A),  # A^m_ik
@@ -423,24 +385,23 @@ TERMS = {
 }
 
 
-def check_apolarity(inv: BlaschkeInvariants,
-                    tolerance: float = DEFAULT_TOL["apolarity"]) -> CheckReport | list[CheckReport]:
+def check_apolarity(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
     """Residual of the apolarity condition g^{ij} A_ijk = 0."""
     trace = np.einsum("...ij,...ijk->...k", inv.g_inv, inv.A)
-    return point_reports("apolarity", max_per_point(inv, trace), tolerance)
+    return {"apolarity": max_per_point(inv, trace)}
 
 
-def check_gauss(inv: BlaschkeInvariants, tolerance: float = DEFAULT_TOL["gauss"]) -> CheckReport | list[CheckReport]:
+def check_gauss(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
     """Affine Gauss equation: R_ijkl = [A, A]_ijkl + (g_il B_jk + g_jk B_il
     - g_ik B_jl - g_jl B_ik) / 2."""
     comm_1, comm_2 = inv.term("A_comm")
     gB = inv.term("g_B")
     wedge = 0.5 * (_placed(gB, "il,jk") + _placed(gB, "jk,il") - _placed(gB, "ik,jl") - _placed(gB, "jl,ik"))
     rhs = (comm_1 - comm_2) + wedge
-    return point_reports("gauss", max_per_point(inv, inv.curvature.riemann - rhs), tolerance)
+    return {"gauss": max_per_point(inv, inv.curvature.riemann - rhs)}
 
 
-def check_ricci(inv: BlaschkeInvariants, tolerance: float = DEFAULT_TOL["ricci"]) -> CheckReport | list[CheckReport]:
+def check_ricci(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
     """Contracted Gauss identity for the Ricci tensor."""
     n = inv.dim
     A_up = inv.term("A_up")
@@ -449,29 +410,26 @@ def check_ricci(inv: BlaschkeInvariants, tolerance: float = DEFAULT_TOL["ricci"]
         + 0.5 * n * _per_point(inv.L1, 2) * inv.g
         + 0.5 * (n - 2) * inv.B
     )
-    return point_reports("ricci", max_per_point(inv, inv.curvature.ricci - rhs), tolerance)
+    return {"ricci": max_per_point(inv, inv.curvature.ricci - rhs)}
 
 
-def check_codazzi(inv: BlaschkeInvariants,
-                  tolerance: float = DEFAULT_TOL["codazzi"]) -> CheckReport | list[CheckReport]:
+def check_codazzi(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
     """Codazzi equation for the cubic form: A_ijk,l - A_ijl,k = (g_ik B_jl
     + g_jk B_il - g_il B_jk - g_jl B_ik) / 2, symmetric in (i, j) like the
     left-hand side, antisymmetric in (k, l)."""
     gB = inv.term("g_B")
     rhs = 0.5 * (_placed(gB, "ik,jl") + _placed(gB, "jk,il") - _placed(gB, "il,jk") - _placed(gB, "jl,ik"))
-    return point_reports("codazzi", max_per_point(inv, inv.term("curl_nabla_A") - rhs), tolerance)
+    return {"codazzi": max_per_point(inv, inv.term("curl_nabla_A") - rhs)}
 
 
-def check_trace_identity(inv: BlaschkeInvariants,
-                         tolerance: float = DEFAULT_TOL["trace_identity"]) -> CheckReport | list[CheckReport]:
+def check_trace_identity(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
     """Contracted Codazzi identity: div A = (n/2)(L1 g - B)."""
     n = inv.dim
     rhs = 0.5 * n * (_per_point(inv.L1, 2) * inv.g - inv.B)
-    return point_reports("trace_identity", max_per_point(inv, inv.term("div_nabla_A") - rhs), tolerance)
+    return {"trace_identity": max_per_point(inv, inv.term("div_nabla_A") - rhs)}
 
 
-def check_gauss_alt(inv: BlaschkeInvariants,
-                    tolerance: float = DEFAULT_TOL["gauss_alt"]) -> CheckReport | list[CheckReport]:
+def check_gauss_alt(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
     """Alternative Gauss form expressed through chi, J and nabla A."""
     n = inv.dim
     gg = _outer(inv.g, inv.g)
@@ -484,7 +442,7 @@ def check_gauss_alt(inv: BlaschkeInvariants,
         + comm_1
         - comm_2
     )
-    return point_reports("gauss_alt", max_per_point(inv, inv.curvature.riemann - rhs), tolerance)
+    return {"gauss_alt": max_per_point(inv, inv.curvature.riemann - rhs)}
 
 
 def _hypersphere_residuals(inv: BlaschkeInvariants) -> tuple[np.ndarray, np.ndarray]:
@@ -495,18 +453,14 @@ def _hypersphere_residuals(inv: BlaschkeInvariants) -> tuple[np.ndarray, np.ndar
     return resid_b, np.where(np.abs(inv.L1) > L1_ZERO_TOL, resid_c, 0.0)
 
 
-def check_hypersphere(inv: BlaschkeInvariants, tolerance: float = DEFAULT_TOL["hypersphere"]):
-    """Affine hypersphere tests: B = L1 g, and xi = -L1 x for proper spheres
-    centered at the origin.  Returns (shape-operator report, center report),
-    one such pair per point for a stack, from the bundle's ``hypersphere``
-    term."""
+def check_hypersphere(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
+    """Affine hypersphere tests: B = L1 g (``hypersphere_shape``), and
+    xi = -L1 x for proper spheres centered at the origin
+    (``hypersphere_center``), from the bundle's ``hypersphere`` term."""
     resid_b, resid_c = inv.term("hypersphere")
-    shape = point_reports("hypersphere_shape", resid_b, tolerance)
-    center = point_reports("hypersphere_center", resid_c, tolerance)
-    return (shape, center) if isinstance(shape, CheckReport) else list(zip(shape, center))
+    return {"hypersphere_shape": resid_b, "hypersphere_center": resid_c}
 
 
-def nabla_A_norm(inv: BlaschkeInvariants) -> float | list[float]:
-    """The g-norm of nabla A (parallelism test), one per point for a stack."""
-    norm = np.sqrt(np.maximum(_g_norm2(inv.nabla_A(), inv.g_inv), 0.0))
-    return norm.tolist()
+def nabla_A_norm(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
+    """The g-norm of nabla A (``parallel``: parallelism test)."""
+    return {"parallel": np.sqrt(np.maximum(_g_norm2(inv.nabla_A(), inv.g_inv), 0.0))}

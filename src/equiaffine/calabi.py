@@ -4,8 +4,8 @@ A composition takes r point factors and s hyperbolic affine hyperspheres
 x_alpha (all with affine center at the origin) plus K = r + s positive
 constants, and produces a new hyperbolic affine hypersphere of dimension
 n = sum(n_alpha) + K - 1.  This module builds the composed chart, the
-closed-form metric / cubic-form components, and cross-verifies both
-against the full Blaschke pipeline.
+closed-form metric / cubic-form components, and the residuals of the full
+Blaschke pipeline against both.
 
 Index bookkeeping (the error-prone part) is centralized in
 CompositionIndex: coordinates are ordered (t^1..t^{K-1}, factor-1 point,
@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import jets
-from .blaschke import DEFAULT_TOL, BlaschkeInvariants, CheckReport, blaschke_at, max_per_point
+from .blaschke import BlaschkeInvariants, blaschke_at, max_per_point
 from .dsl import MAX_DIM, ChartDef
 from .jets import jet_embed, jet_mul
 
@@ -34,15 +34,16 @@ class HypersphereFactor:
 
     chart: ChartDef
     L1: float  # affine mean curvature of the factor, < 0
-    dim: int
 
     def __post_init__(self):
         if self.L1 >= 0:
             raise ValueError("factor affine mean curvature must be negative")
         if not math.isfinite(self.L1):
             raise ValueError("factor affine mean curvature must be finite")
-        if self.chart.dim != self.dim:
-            raise ValueError("factor dim does not match its chart")
+
+    @property
+    def dim(self) -> int:
+        return self.chart.dim
 
 
 class CompositionIndex:
@@ -234,7 +235,7 @@ def closed_form(spec: CompositionSpec) -> ClosedFormInvariants:
     ((n_{l+1}+1) f_l) and A_lll = g_ll (1/f_l - 1/(n_{l+1}+1)),
     A_llm = g_ll / f_m for l < m, which reduce to the published case
     table and keep the whole family internally consistent (the pipeline
-    cross-check in verify_composition enforces this).
+    cross-check of composition_residuals enforces this).
     """
     idx = spec.index
     C = composition_constant(spec)
@@ -314,44 +315,27 @@ def expected_invariants(spec: CompositionSpec, points) -> tuple[np.ndarray, np.n
     return (g, A) if points.ndim == 2 else (g[0], A[0])
 
 
-def composition_reports(spec: CompositionSpec, invs: BlaschkeInvariants, tolerance: float = DEFAULT_TOL["composition"],
-                        start: int = 0) -> list[CheckReport]:
-    """The composition_*[k] reports, k = start, start + 1, ...: the Blaschke
-    invariants invs of the composed chart at a stack of P points
-    (``blaschke_at`` on a (P, n) stack) against the closed forms (g, A, L1
-    and the hypersphere property), with one stacked factor pipeline call
-    per factor."""
+def composition_residuals(spec: CompositionSpec, invs: BlaschkeInvariants) -> dict[str, np.ndarray]:
+    """The residuals composition_g, _A, _L1 and _sphere, one per point, of
+    the Blaschke invariants invs of the composed chart at a stack of P
+    points (``blaschke_at`` on a (P, n) stack) against the closed forms (g,
+    A, L1 and the hypersphere property), with one stacked factor pipeline
+    call per factor."""
     g_exp, a_exp = expected_invariants(spec, invs.point)
-    L1 = spec.closed_form.L1
-    resid_g = max_per_point(invs, invs.g - g_exp).tolist()
-    resid_a = max_per_point(invs, invs.A - a_exp).tolist()
-    resid_l1 = np.abs(invs.L1 - L1).tolist()
-    resid_b, resid_c = (r.tolist() for r in invs.term("hypersphere"))
-    reports = []
-    for k, (g, a, l1, b, c) in enumerate(zip(resid_g, resid_a, resid_l1, resid_b, resid_c), start):
-        reports += [
-            CheckReport(f"composition_g[{k}]", g, tolerance),
-            CheckReport(f"composition_A[{k}]", a, tolerance),
-            CheckReport(f"composition_L1[{k}]", l1, tolerance),
-            CheckReport(f"composition_sphere[{k}]", max(b, c), tolerance),
-        ]
-    return reports
+    resid_b, resid_c = invs.term("hypersphere")
+    return {
+        "composition_g": max_per_point(invs, invs.g - g_exp),
+        "composition_A": max_per_point(invs, invs.A - a_exp),
+        "composition_L1": np.abs(invs.L1 - spec.closed_form.L1),
+        "composition_sphere": np.maximum(resid_b, resid_c),
+    }
 
 
-def verify_composition(spec: CompositionSpec, sample_points,
-                       tolerance: float = DEFAULT_TOL["composition"]) -> list[CheckReport]:
-    """Run the Blaschke pipeline on the composed chart at the sample points
-    (one stacked call) and compare it with the closed forms (see
-    composition_reports)."""
-    points = np.atleast_2d(np.asarray(sample_points, float))
-    return composition_reports(spec, blaschke_at(compose_chart(spec), points), tolerance)
-
-
-def mean_curvature_reports(spec: CompositionSpec, g: np.ndarray, A: np.ndarray,
-                           tolerance: float = DEFAULT_TOL["mean_curvature"]) -> list[CheckReport]:
-    """The factor mean-curvature identities g(H_a,H_a) = (n-n_a)/(n_a+1) * (-L1)
-    and g(H_a,H_b) = L1 for a != b, from the Blaschke metric g (n, n) and
-    cubic form A (n, n, n) of the composed chart at any one point."""
+def mean_curvature_residuals(spec: CompositionSpec, g: np.ndarray, A: np.ndarray) -> dict[str, float]:
+    """The residuals of the factor mean-curvature identities g(H_a,H_a) =
+    (n-n_a)/(n_a+1) * (-L1) and g(H_a,H_b) = L1 for a != b, by report name,
+    from the Blaschke metric g (n, n) and cubic form A (n, n, n) of the
+    composed chart at any one point."""
     idx = spec.index
     cf = spec.closed_form
     tsl = idx.t_slice()
@@ -367,13 +351,11 @@ def mean_curvature_reports(spec: CompositionSpec, g: np.ndarray, A: np.ndarray,
         sigma0 = np.einsum("lm,ijm->ijl", g_t_inv, A[sl, sl, tsl])
         H[alpha - 1] = np.einsum("ij,ijl->l", g_a_inv, sigma0) / spec.factors[alpha - 1].dim
 
-    reports = []
+    residuals = {}
     gram = H @ g_t @ H.T
     for a in range(spec.s):
         expected = (idx.n - spec.factors[a].dim) / (spec.factors[a].dim + 1) * (-cf.L1)
-        reports.append(CheckReport(f"mean_curvature_diag[{a + 1}]", abs(gram[a, a] - expected), tolerance))
+        residuals[f"mean_curvature_diag[{a + 1}]"] = float(abs(gram[a, a] - expected))
         for b in range(a + 1, spec.s):
-            reports.append(
-                CheckReport(f"mean_curvature_cross[{a + 1},{b + 1}]", abs(gram[a, b] - cf.L1), tolerance)
-            )
-    return reports
+            residuals[f"mean_curvature_cross[{a + 1},{b + 1}]"] = float(abs(gram[a, b] - cf.L1))
+    return residuals

@@ -52,7 +52,7 @@ def flat_hypersphere(n0: int, C0: float = 1.0) -> ChartDef:
 def flat_factor(n0: int, C0: float = 1.0) -> HypersphereFactor:
     """A flat hypersphere packaged as a composition factor."""
     chart = flat_hypersphere(n0, C0)
-    return HypersphereFactor(chart=chart, L1=chart.spec.closed_form.L1, dim=n0)
+    return HypersphereFactor(chart=chart, L1=chart.spec.closed_form.L1)
 
 
 @lru_cache(maxsize=3 * MAX_DIM)

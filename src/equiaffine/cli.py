@@ -5,6 +5,8 @@ source, or a composition spec), a point set (explicit or seeded random),
 a set of checks and optional tolerance overrides.  Reports are
 deterministic structured text (schema: 1): fixed key order, repr float
 formatting, one residual line per check per point, and a summary block.
+The library's checks return residuals; the table ``CHECKS`` holds every
+scene check, and only this module makes reports.
 
 Exit codes: 0 all checks pass, 1 a check failed (report still emitted),
 2 scene or usage error (a document that ``SCENE_GRAMMAR`` refuses, an
@@ -23,19 +25,18 @@ import functools
 import inspect
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import blaschke, calabi, catalog, duality, jordan
-from .blaschke import DEFAULT_TOL, L1_ZERO_TOL, CheckReport, ConsistencyError, ConvexityError, FrameError, blaschke_at
+from .blaschke import L1_ZERO_TOL, ConsistencyError, ConvexityError, FrameError, blaschke_at
 from .dsl import ChartParseError, ImmersionError, parse_chart
 from .jets import jet_size
 from .tensors import MetricError
 
 SCHEMA_VERSION = 1
-
-ALL_CHECKS = tuple(DEFAULT_TOL)
 
 # a scene's random point set is sampled in full before the first point runs
 MAX_RANDOM_POINTS = 10_000
@@ -62,6 +63,17 @@ class ChartBuildError(ValueError):
     """Chart cannot be constructed or evaluated (exit code 3)."""
 
 
+@dataclass(frozen=True)
+class CheckReport:
+    check_name: str
+    residual: float
+    tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        return self.residual <= self.tolerance
+
+
 def fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
@@ -78,6 +90,58 @@ def check_line(rep: CheckReport) -> str:
     """The report line of one check: ``check <name>: residual=.. tol=.. pass|FAIL``."""
     status = "pass" if rep.passed else "FAIL"
     return f"check {rep.check_name}: residual={fmt(rep.residual)} tol={fmt(rep.tolerance)} {status}"
+
+
+# -- checks -----------------------------------------------------------------
+
+
+def _dual_reports(invs, tol) -> list[list[CheckReport]]:
+    """Per point of a stack: dual_requires_hyperbolic where L1 >= -L1_ZERO_TOL
+    (L1 = 0 within rounding is not hyperbolic), else gauss_swap and
+    minimality on the dual data of the other points, built once."""
+    requires = invs.L1 >= -L1_ZERO_TOL
+    reports = [[CheckReport("dual_requires_hyperbolic", abs(L1) + 1.0, 0.0)] if req else []
+               for req, L1 in zip(requires.tolist(), invs.L1.tolist())]
+    hyperbolic = np.flatnonzero(~requires)
+    if len(hyperbolic):
+        data = duality.HyperspherePointData(g=invs.g[hyperbolic], A=invs.A[hyperbolic], L1=invs.L1[hyperbolic])
+        swap = duality.check_gauss_swap(data).tolist()
+        free = duality.check_trace_free(duality.dualize(data)).tolist()
+        for k, swap_k, free_k in zip(hyperbolic.tolist(), swap, free):
+            reports[k] += [CheckReport("gauss_swap", swap_k, tol["dual"]),
+                           CheckReport("minimality", free_k, tol["apolarity"])]
+    return reports
+
+
+# A scene check: its default tolerance, its scope and its residuals, by the
+# scope.  "point": residuals(invs) = {report name: one residual per point} of
+# the invariants invs of a point stack (blaschke_at on a (P, n) stack),
+# reported in each point's block.  "rows": residuals(invs, tol) = each point's
+# reports, for report names that depend on the point.  "composition":
+# residuals(spec, invs) = {report name: one residual per point} of a
+# composition spec, reported after the point blocks as name[k] for point k.
+# "scene": residuals(spec, invs) = {report name: residual} of a composition's
+# first point, reported once after those.
+Check = collections.namedtuple("Check", "tol scope residuals")
+
+# every scene check in report order; entries look their functions up at call
+# time, so wrappers installed by module attribute see them
+CHECKS = {
+    "apolarity": Check(1e-8, "point", lambda invs: blaschke.check_apolarity(invs)),
+    "gauss": Check(1e-6, "point", lambda invs: blaschke.check_gauss(invs)),
+    "ricci": Check(1e-6, "point", lambda invs: blaschke.check_ricci(invs)),
+    "codazzi": Check(1e-6, "point", lambda invs: blaschke.check_codazzi(invs)),
+    "trace_identity": Check(1e-6, "point", lambda invs: blaschke.check_trace_identity(invs)),
+    "gauss_alt": Check(1e-6, "point", lambda invs: blaschke.check_gauss_alt(invs)),
+    "hypersphere": Check(1e-6, "point", lambda invs: blaschke.check_hypersphere(invs)),
+    "parallel": Check(1e-6, "point", lambda invs: blaschke.nabla_A_norm(invs)),
+    "dual": Check(1e-12, "rows", _dual_reports),
+    "composition": Check(1e-6, "composition", lambda spec, invs: calabi.composition_residuals(spec, invs)),
+    "mean_curvature": Check(1e-6, "scene",
+                            lambda spec, invs: calabi.mean_curvature_residuals(spec, invs.g[0], invs.A[0])),
+}
+
+DEFAULT_TOL = {name: check.tol for name, check in CHECKS.items()}
 
 
 # -- scenes -----------------------------------------------------------------
@@ -114,7 +178,7 @@ SCENE_GRAMMAR = {
     "random points": {"random": Key("integer", least=1, most=MAX_RANDOM_POINTS),
                       "seed": Key("integer", 0, least=0)},
     "tolerances": {name: Key("number", tol, least=0) for name, tol in DEFAULT_TOL.items()},
-    "checks": (frozenset({"all"}), ListOf(frozenset(ALL_CHECKS) | {"invariants"})),
+    "checks": (frozenset({"all"}), ListOf(frozenset(CHECKS) | {"invariants"})),
 }
 
 
@@ -191,6 +255,8 @@ def build_chart(name: str, build, params: dict, where: str):
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return build(**params)
+    except ChartParseError:  # chart text that does not parse (exit 2)
+        raise
     except (ValueError, ArithmeticError) as exc:
         raise ChartBuildError(f"invalid parameters for {name!r}: {exc}") from exc
 
@@ -202,7 +268,7 @@ def build_factor(doc: dict, where: str) -> calabi.HypersphereFactor:
     name = doc["catalog"]["name"]
     chart = build_chart(name, catalog.entry(name).builder, doc["catalog"]["params"], f"{where}.catalog.params")
     try:
-        return calabi.HypersphereFactor(chart=chart, L1=doc["L1"], dim=chart.dim)
+        return calabi.HypersphereFactor(chart=chart, L1=doc["L1"])
     except ValueError as exc:
         raise SceneError(f"{where}: {exc}") from exc
 
@@ -242,38 +308,40 @@ def resolve_points(doc, chart) -> np.ndarray:
     return np.array(doc)
 
 
-def _dual_reports(invs, tol) -> list[list[CheckReport]]:
-    """Per point of a stack: dual_requires_hyperbolic where L1 >= -L1_ZERO_TOL
-    (L1 = 0 within rounding is not hyperbolic), else gauss_swap and
-    minimality on the dual data of the other points, built once."""
-    requires = invs.L1 >= -L1_ZERO_TOL
-    reports = [[CheckReport("dual_requires_hyperbolic", abs(L1) + 1.0, 0.0)] if req else []
-               for req, L1 in zip(requires.tolist(), invs.L1.tolist())]
-    hyperbolic = np.flatnonzero(~requires)
-    if len(hyperbolic):
-        data = duality.HyperspherePointData(g=invs.g[hyperbolic], A=invs.A[hyperbolic], L1=invs.L1[hyperbolic])
-        swap = duality.check_gauss_swap(data, tol["dual"])
-        free = duality.check_trace_free(duality.dualize(data), tol["apolarity"])
-        for k, pair in zip(hyperbolic.tolist(), zip(swap, free)):
-            reports[k].extend(pair)
+def point_reports(invs, checks, tol) -> list[list[CheckReport]]:
+    """Each point's report rows of the invariants invs of a point stack: the
+    reports of the "point" and "rows" checks among ``checks`` (names of
+    ``CHECKS``, in its order) at the tolerances ``tol``."""
+    rows = [[] for _ in range(len(invs.L1))]
+    for name in checks:
+        check = CHECKS[name]
+        if check.scope == "rows":
+            more = check.residuals(invs, tol)
+        elif check.scope == "point":
+            more = zip(*([CheckReport(report, r, tol[name]) for r in residual.tolist()]
+                         for report, residual in check.residuals(invs).items()))
+        else:
+            continue
+        for row, reps in zip(rows, more):
+            row.extend(reps)
+    return rows
+
+
+def composition_reports(spec, invs, checks, tol, start) -> dict[str, list[CheckReport]]:
+    """The reports of the "composition" checks among ``checks`` on the
+    invariants invs of a point stack whose first point is scene point
+    ``start``, and of the "scene" checks if it is 0, by check name."""
+    reports = {}
+    for name in checks:
+        check = CHECKS[name]
+        if check.scope == "composition":
+            residuals = check.residuals(spec, invs)
+            per_point = zip(*(residual.tolist() for residual in residuals.values()))
+            reports[name] = [CheckReport(f"{report}[{k}]", r, tol[name])
+                             for k, point in enumerate(per_point, start) for report, r in zip(residuals, point)]
+        elif check.scope == "scene" and start == 0:
+            reports[name] = [CheckReport(report, r, tol[name]) for report, r in check.residuals(spec, invs).items()]
     return reports
-
-
-# per-point checks in report order, name -> check(invs, tol) -> one list of reports per
-# point of the invariants invs of a point stack (blaschke_at on a (P, n) stack); entries
-# look their functions up at call time, so wrappers installed by module attribute see them
-POINT_CHECKS = {
-    "apolarity": lambda invs, tol: [[rep] for rep in blaschke.check_apolarity(invs, tol["apolarity"])],
-    "gauss": lambda invs, tol: [[rep] for rep in blaschke.check_gauss(invs, tol["gauss"])],
-    "ricci": lambda invs, tol: [[rep] for rep in blaschke.check_ricci(invs, tol["ricci"])],
-    "codazzi": lambda invs, tol: [[rep] for rep in blaschke.check_codazzi(invs, tol["codazzi"])],
-    "trace_identity": lambda invs, tol: [[rep] for rep in blaschke.check_trace_identity(invs, tol["trace_identity"])],
-    "gauss_alt": lambda invs, tol: [[rep] for rep in blaschke.check_gauss_alt(invs, tol["gauss_alt"])],
-    "hypersphere": lambda invs, tol: [list(pair) for pair in blaschke.check_hypersphere(invs, tol["hypersphere"])],
-    "parallel": lambda invs, tol: [[CheckReport("parallel", norm, tol["parallel"])]
-                                   for norm in blaschke.nabla_A_norm(invs)],
-    "dual": _dual_reports,
-}
 
 
 def evaluate_points(chart, spec, points, checks, tol, size, offset=0):
@@ -283,21 +351,15 @@ def evaluate_points(chart, spec, points, checks, tol, size, offset=0):
     evaluated again as two halves, in order, down to the first point that
     fails alone, whose error becomes a ``ChartBuildError`` (exit 3); every
     row is computed as its point alone.  ``points[0]`` is scene point ``offset``."""
-    lines, point_reports, scene_reports, mean_curvature = [], [], [], []
-    per_point = [check for name, check in POINT_CHECKS.items() if name in checks]
+    lines, all_point_reports, scene_reports = [], [], collections.defaultdict(list)
     for first in range(0, len(points), size):
         stack, start = points[first : first + size], offset + first
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):  # exit 3, no warning lines
                 invs = blaschke_at(chart, stack)
-                reports = [[] for _ in stack]
-                for check in per_point:
-                    for reps, more in zip(reports, check(invs, tol)):
-                        reps.extend(more)
-                if "composition" in checks:
-                    scene_reports.extend(calabi.composition_reports(spec, invs, tol["composition"], start))
-                if start == 0 and "mean_curvature" in checks and spec.s >= 1:
-                    mean_curvature = calabi.mean_curvature_reports(spec, invs.g[0], invs.A[0], tol["mean_curvature"])
+                reports = point_reports(invs, checks, tol)
+                for name, more in composition_reports(spec, invs, checks, tol, start).items():
+                    scene_reports[name] += more
         except POINT_ERRORS as exc:
             if len(stack) > 1:  # raises at the first failing point, if one fails alone
                 evaluate_points(chart, spec, stack, checks, tol, (len(stack) + 1) // 2, start)
@@ -307,17 +369,16 @@ def evaluate_points(chart, spec, points, checks, tol, size, offset=0):
             for name in ("L1", "J", "chi"):
                 lines.append(f"  {name}: {fmt(getattr(invs, name)[row])}")
             lines.extend("  " + check_line(rep) for rep in reps)
-            point_reports.extend(reps)
-    return lines, point_reports, scene_reports + mean_curvature
+            all_point_reports.extend(reps)
+    return lines, all_point_reports, [rep for name in checks for rep in scene_reports[name]]
 
 
 def run_scene(scene: dict, out) -> int:
     scene = read("scene", scene)
     chart, spec, desc = resolve_chart(scene["chart"])
     points = resolve_points(scene["points"], chart)
-    checks = list(ALL_CHECKS) if scene["checks"] == "all" else scene["checks"]
-    if spec is None:
-        checks = [c for c in checks if c not in ("composition", "mean_curvature")]
+    checks = [name for name, check in CHECKS.items() if (scene["checks"] == "all" or name in scene["checks"])
+              and (spec is not None or check.scope in ("point", "rows"))]
 
     size = max(1, STACK_COEFFS // jet_size(chart.dim, 4))
     point_lines, reports, scene_reports = evaluate_points(chart, spec, points, checks, scene["tolerances"], size)
@@ -466,8 +527,9 @@ def load_scene(args) -> dict:
         scene["points"] = {"random": args.points}
     if args.seed is not None:
         points = scene.setdefault("points", dict(DEFAULT_POINTS))
-        if isinstance(points, dict):
-            points["seed"] = args.seed
+        if not isinstance(points, dict):
+            raise SceneError("--seed applies only to random points")
+        points["seed"] = args.seed
     for item in args.tol or []:
         if "=" not in item:
             raise SceneError(f"malformed --tol value {item!r} (expected name=value)")
@@ -538,8 +600,8 @@ def main(argv=None) -> int:
         if args.command == "catalog":
             return catalog_list(out)
         scene = load_scene(args)
-        if args.command == "invariants":
-            scene["checks"] = []
+        if args.command == "invariants":  # read the scene, its checks too, then run it without checks
+            scene = {**read("scene", scene), "checks": []}
         elif args.command == "compose":
             scene.setdefault("checks", ["composition", "mean_curvature", "hypersphere"])
         elif args.command == "dual":

@@ -12,9 +12,9 @@ sides are validated through their Gauss-type equations
 and trace-freeness of A, which on the Lagrangian side is the minimality
 condition and on the hypersphere side is apolarity.
 
-Point data may also hold a stack of P points (g of shape (P, n, n), L1 or c
-a (P,) vector), validated once for the stack; the checks then return one
-report per point.
+The checks return residuals: of shape () for one point's data, and (P,),
+one per point, for data that hold a stack of P points (g of shape
+(P, n, n), L1 or c a (P,) vector), validated once for the stack.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import DEFAULT_TOL, CheckReport, max_per_point, point_reports
+from .blaschke import max_per_point
 from .tensors import _trusted
 
 
@@ -122,27 +122,24 @@ def curvature_operator(g: np.ndarray, A: np.ndarray, c) -> np.ndarray:
     return np.asarray(c)[..., None, None, None, None] * wedge - comm
 
 
-def check_gauss_swap(data: HyperspherePointData,
-                     tolerance: float = DEFAULT_TOL["dual"]) -> CheckReport | list[CheckReport]:
+def check_gauss_swap(data: HyperspherePointData) -> np.ndarray:
     """Verify that dualizing flips the curvature operator exactly.
 
     The hypersphere Gauss equation determines R from (g, A, L1); the dual
     Lagrangian Gauss equation determines R~ from (g, sigma, c).  The swap
     identity is R~ = -R, which holds algebraically; this check evaluates
-    both sides numerically and reports the residual (one per point for a
-    stack).
+    both sides numerically and returns the residual.
     """
     dual = dualize(data)
     r_hyp = curvature_operator(data.g, data.A, data.L1)
     r_lag = -curvature_operator(dual.g, dual.sigma, -dual.c)
-    return point_reports("gauss_swap", max_per_point(data, r_lag - (-r_hyp)), tolerance)
+    return max_per_point(data, r_lag - (-r_hyp))
 
 
-def check_trace_free(data, tolerance: float = DEFAULT_TOL["apolarity"]) -> CheckReport | list[CheckReport]:
+def check_trace_free(data) -> np.ndarray:
     """Trace-freeness g^{ij} T_ijk = 0: apolarity on the hypersphere side,
     minimality on the Lagrangian side.  The contraction is literally the
     same, which is the point of the check."""
     cubic = data.A if isinstance(data, HyperspherePointData) else data.sigma
     trace = np.einsum("...ij,...ijk->...k", np.linalg.inv(data.g), cubic)
-    name = "apolarity" if isinstance(data, HyperspherePointData) else "minimality"
-    return point_reports(name, max_per_point(data, trace), tolerance)
+    return max_per_point(data, trace)

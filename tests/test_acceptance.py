@@ -22,9 +22,9 @@ from equiaffine.blaschke import (
 from equiaffine.calabi import (
     CompositionSpec,
     closed_form,
+    composition_residuals,
     compose_chart,
-    mean_curvature_reports,
-    verify_composition,
+    mean_curvature_residuals,
 )
 from equiaffine.catalog import (
     TransformedChart,
@@ -92,8 +92,8 @@ def test_criterion_3_composition_oracle_equivalence():
     for spec in specs.values():
         chart = compose_chart(spec)
         points = chart.sample_points(5, 101)
-        for rep in verify_composition(spec, points, 1e-6):
-            worst = max(worst, rep.residual)
+        for residual in composition_residuals(spec, blaschke_at(chart, points)).values():
+            worst = max(worst, float(np.max(residual)))
         inv = blaschke_at(chart, points[0])
         sparsity = max(sparsity, block_sparsity_residual(spec, inv))
     elapsed = time.time() - t0
@@ -106,9 +106,9 @@ def test_criterion_4_mean_curvature_relations():
     chart = compose_chart(spec)
     lo, hi = chart.domain_hint
     inv = blaschke_at(chart, 0.5 * (lo + hi))  # t = 0, each factor at its domain midpoint
-    reports = mean_curvature_reports(spec, inv.g, inv.A, tolerance=1e-6)
-    worst = max(r.residual for r in reports)
-    assert any("cross" in r.check_name for r in reports)
+    residuals = mean_curvature_residuals(spec, inv.g, inv.A)
+    worst = max(residuals.values())
+    assert any("cross" in name for name in residuals)
     report(4, "factor mean-curvature relations", worst < 1e-6, f"max_err={worst:.2e}")
 
 
@@ -119,8 +119,7 @@ def test_criterion_5_quadrics():
             inv = blaschke_at(chart, point)
             worst_a = max(worst_a, float(np.max(np.abs(inv.A))))
             worst_j = max(worst_j, abs(inv.J))
-            shape, center = check_hypersphere(inv, 1e-8)
-            worst_sphere = max(worst_sphere, shape.residual, center.residual)
+            worst_sphere = max(worst_sphere, *check_hypersphere(inv).values())
             if L1 is not None:
                 worst_l1 = max(worst_l1, abs(inv.L1 - L1))
     ok = worst_a < 1e-8 and worst_j < 1e-10 and worst_sphere < 1e-8 and worst_l1 < 1e-8
@@ -133,16 +132,13 @@ def test_criterion_6_sl3_symmetric_space():
     worst = 0.0
     for point in chart.sample_points(5, 41):
         inv = blaschke_at(chart, point)
-        shape, center = check_hypersphere(inv, 1e-6)
-        norm = nabla_A_norm(inv)
         worst = max(
             worst,
-            shape.residual,
-            center.residual,
-            norm,
-            check_apolarity(inv, 1e-6).residual,
-            check_gauss(inv).residual,
-            check_codazzi(inv).residual,
+            *check_hypersphere(inv).values(),
+            nabla_A_norm(inv)["parallel"],
+            check_apolarity(inv)["apolarity"],
+            check_gauss(inv)["gauss"],
+            check_codazzi(inv)["codazzi"],
         )
     # rotation equivariance of the eigen-invariants
     rng = np.random.default_rng(43)
@@ -176,13 +172,13 @@ def test_criterion_7_duality_swap():
     for _ in range(100):
         n = int(rng.integers(2, 7))
         data = random_hypersphere_data(n, rng)
-        worst = max(worst, check_gauss_swap(data, 1e-12).residual)
+        worst = max(worst, check_gauss_swap(data))
         # apolarity and minimality are the identical contraction
         g_inv = np.linalg.inv(data.g)
         hyp = np.einsum("ij,ijk->k", g_inv, data.A)
         lag = np.einsum("ij,ijk->k", np.linalg.inv(dualize(data).g), dualize(data).sigma)
         assert np.array_equal(hyp, lag)
-        assert check_trace_free(data, 1e-10).passed
+        assert check_trace_free(data) <= 1e-10
     report(7, "duality gauss swap", worst < 1e-12, f"max_resid={worst:.2e}")
 
 

@@ -33,7 +33,7 @@ from equiaffine.catalog import (
     random_unimodular,
     sl_so,
 )
-from equiaffine.cli import DEFAULT_TOL, POINT_CHECKS
+from equiaffine.cli import CHECKS, DEFAULT_TOL, point_reports
 from equiaffine.jets import jet_gradient
 from equiaffine.tensors import CurvatureData
 from helpers import scaled_hyperboloid_text
@@ -165,8 +165,7 @@ def test_hyperboloid_hyperbolic_sphere():
     assert inv.L1 == pytest.approx(-1.0, abs=1e-12)
     assert inv.chi == pytest.approx(-1.0, abs=1e-12)
     assert np.max(np.abs(inv.xi - inv.position)) < 1e-12
-    shape, center = check_hypersphere(inv, 1e-10)
-    assert shape.passed and center.passed
+    assert max(check_hypersphere(inv).values()) <= 1e-10
 
 
 def test_orientation_insensitive():
@@ -259,16 +258,20 @@ def test_hyperboloid_dimension_14():
     assert np.max(np.abs(inv.B - inv.L1 * inv.g)) < 1e-10
 
 
+STRUCTURAL_CHECKS = (check_apolarity, check_gauss, check_ricci, check_codazzi, check_trace_identity, check_gauss_alt)
+
+
+def assert_structural_identities(inv):
+    """Every structural check's residual is within its default tolerance."""
+    for check in STRUCTURAL_CHECKS:
+        ((name, residual),) = check(inv).items()
+        assert residual <= DEFAULT_TOL[name], (name, residual)
+
+
 def test_structural_identities_generic_surface():
     chart = parse_chart(GENERIC)
     for point in ([0.15, -0.1], [0.05, 0.2]):
-        inv = blaschke_at(chart, point)
-        assert check_apolarity(inv).passed
-        assert check_gauss(inv).passed
-        assert check_ricci(inv).passed
-        assert check_codazzi(inv).passed
-        assert check_trace_identity(inv).passed
-        assert check_gauss_alt(inv).passed
+        assert_structural_identities(blaschke_at(chart, point))
 
 
 def test_structural_identities_dim3():
@@ -276,23 +279,16 @@ def test_structural_identities_dim3():
         "dim 3; x1 = u1; x2 = u2; x3 = u3; "
         "x4 = 0.5*(u1^2 + u2^2 + u3^2) + 0.05*u1*u2*u3 + 0.02*u1^3;"
     )
-    point = [0.1, 0.15, -0.05]
-    inv = blaschke_at(chart, point)
-    assert check_apolarity(inv).passed
-    assert check_gauss(inv).passed
-    assert check_ricci(inv).passed
-    assert check_codazzi(inv).passed
-    assert check_trace_identity(inv).passed
-    assert check_gauss_alt(inv).passed
+    assert_structural_identities(blaschke_at(chart, [0.1, 0.15, -0.05]))
 
 
 def test_nabla_a_norm_zero_on_quadric_positive_generic():
     quadric = parse_chart("dim 2; x1 = u1; x2 = u2; x3 = sqrt(1 + u1^2 + u2^2);")
     inv = blaschke_at(quadric, [0.1, 0.2])
-    assert nabla_A_norm(inv) < 1e-10 and check_codazzi(inv).passed
+    assert nabla_A_norm(inv)["parallel"] < 1e-10 and check_codazzi(inv)["codazzi"] <= DEFAULT_TOL["codazzi"]
     generic = parse_chart(GENERIC)
     inv = blaschke_at(generic, [0.15, -0.1])
-    assert nabla_A_norm(inv) > 1e-3 and check_codazzi(inv).passed
+    assert nabla_A_norm(inv)["parallel"] > 1e-3 and check_codazzi(inv)["codazzi"] <= DEFAULT_TOL["codazzi"]
 
 
 def test_pick_invariant_relation_on_flat_sphere():
@@ -327,7 +323,7 @@ def test_curvature_scalar_consistency():
 
 
 def _stack_cases():
-    spec = CompositionSpec(r=0, factors=(flat_factor(1, 1.0), HypersphereFactor(hyperboloid(2), -1.0, 2)),
+    spec = CompositionSpec(r=0, factors=(flat_factor(1, 1.0), HypersphereFactor(hyperboloid(2), -1.0)),
                            constants=(1.0, 1.5))
     charts = {
         "flat_hypersphere": get_chart("flat_hypersphere", {"n0": 2}),
@@ -453,22 +449,24 @@ def _bits(reports):
 
 
 def assert_stacked_checks_match_points(stacked):
-    """Every POINT_CHECKS entry on the stacked invariants gives each row the
-    bits of the entry on that row's point alone (the stack of P = 1), and
-    every check function on the stack the bits of its one-point call."""
+    """Every check function on the stacked invariants gives each point the
+    bits of its call on that point's invariants alone, and the CLI's report
+    rows of every point check (``point_reports``) give each row the bits of
+    that row's point alone (the stack of P = 1)."""
     size = len(stacked.point)
     invs = [_take(stacked, k) for k in range(size)]
     assert stacked.L1.shape == stacked.J.shape == stacked.chi.shape == (size,)
-    for name, entry in POINT_CHECKS.items():
-        rows = entry(stacked, DEFAULT_TOL)
-        assert len(rows) == size
-        for k, row in enumerate(rows):
-            assert _bits(row) == _bits(entry(_take(stacked, slice(k, k + 1)), DEFAULT_TOL)[0]), (name, k)
-    one_report = (check_apolarity, check_gauss, check_ricci, check_codazzi, check_trace_identity, check_gauss_alt)
-    for check in one_report:
-        assert _bits(check(stacked)) == _bits([check(inv) for inv in invs]), check.__name__
-    assert [_bits(pair) for pair in check_hypersphere(stacked)] == [_bits(check_hypersphere(inv)) for inv in invs]
-    assert [x.hex() for x in nabla_A_norm(stacked)] == [nabla_A_norm(inv).hex() for inv in invs]
+    for check in STRUCTURAL_CHECKS + (check_hypersphere, nabla_A_norm):
+        residuals = check(stacked)
+        alone = [check(inv) for inv in invs]
+        assert list(residuals) == list(alone[0]), check.__name__
+        for name, residual in residuals.items():
+            assert residual.shape == (size,), (check.__name__, name)
+            assert [r.hex() for r in residual.tolist()] == [float(one[name]).hex() for one in alone], name
+    rows = point_reports(stacked, list(CHECKS), DEFAULT_TOL)
+    assert len(rows) == size
+    for k, row in enumerate(rows):
+        assert _bits(row) == _bits(point_reports(_take(stacked, slice(k, k + 1)), list(CHECKS), DEFAULT_TOL)[0]), k
 
 
 def _check_stack_cases():
@@ -492,11 +490,11 @@ def test_mixed_stack_takes_each_rows_branch():
     stacked = _stack(invs)
     assert_stacked_checks_match_points(stacked)
 
-    dual = [[rep.check_name for rep in reps] for reps in POINT_CHECKS["dual"](stacked, DEFAULT_TOL)]
+    dual = [[rep.check_name for rep in reps] for reps in point_reports(stacked, ["dual"], DEFAULT_TOL)]
     assert dual == [["gauss_swap", "minimality"], ["dual_requires_hyperbolic"], ["dual_requires_hyperbolic"]] * 2
     improper = [abs(inv.L1) <= L1_ZERO_TOL for inv in invs]
     assert improper == [False, False, True] * 2
-    centers = [center.residual for _, center in check_hypersphere(stacked)]
+    centers = check_hypersphere(stacked)["hypersphere_center"].tolist()
     assert [c for c, flat in zip(centers, improper) if flat] == [0.0, 0.0]
     # without the L1 = 0 convention the center residual would be |xi| there
     assert all(np.max(np.abs(inv.xi)) > 0.1 for inv, flat in zip(invs, improper) if flat)

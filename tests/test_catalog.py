@@ -8,7 +8,7 @@ import pytest
 
 from equiaffine.blaschke import blaschke_at, check_codazzi, check_hypersphere, nabla_A_norm
 from equiaffine import catalog
-from equiaffine.cli import DEFAULT_TOL, POINT_CHECKS, main
+from equiaffine.cli import CHECKS, DEFAULT_TOL, main, point_reports
 from equiaffine.calabi import ComposedChart, CompositionSpec, compose_chart
 from equiaffine.catalog import (
     ENTRIES,
@@ -75,9 +75,9 @@ def test_entry_expected_invariants_hold(name):
         if "J" in expected:
             assert inv.J == pytest.approx(expected["J"], abs=1e-10)
         if expected.get("is_sphere"):
-            assert all(rep.passed for rep in check_hypersphere(inv, 1e-10))
+            assert max(check_hypersphere(inv).values()) <= 1e-10
         if expected.get("is_parallel"):
-            assert nabla_A_norm(inv) < 1e-10
+            assert nabla_A_norm(inv)["parallel"] < 1e-10
         if expected.get("L1_negative"):
             assert inv.L1 < 0
         if expected.get("J_equals_minus_L1"):
@@ -126,8 +126,7 @@ def test_quadrics_expected_invariants(builder, params, L1):
         assert inv.L1 == pytest.approx(L1, abs=1e-10)
         assert np.max(np.abs(inv.A)) < 1e-10
         assert abs(inv.J) < 1e-12
-        shape, center = check_hypersphere(inv, 1e-10)
-        assert shape.passed and center.passed
+        assert max(check_hypersphere(inv).values()) <= 1e-10
 
 
 def test_sl_so3_hypersphere_and_parallel():
@@ -138,9 +137,8 @@ def test_sl_so3_hypersphere_and_parallel():
         inv = blaschke_at(chart, point)
         assert inv.L1 < 0
         L1s.append(inv.L1)
-        shape, center = check_hypersphere(inv, 1e-8)
-        assert shape.passed and center.passed
-        assert nabla_A_norm(inv) < 1e-10 and check_codazzi(inv).passed
+        assert max(check_hypersphere(inv).values()) <= 1e-8
+        assert nabla_A_norm(inv)["parallel"] < 1e-10 and check_codazzi(inv)["codazzi"] <= DEFAULT_TOL["codazzi"]
     # homogeneous: the same mean curvature at every point
     assert np.ptp(L1s) < 1e-10
 
@@ -270,10 +268,10 @@ def test_jet_matrix_exp_matches_series_reference(m, norm, squarings, monkeypatch
         assert abs(getattr(a, name)[0] - getattr(b, name)[0]) <= 1e-14, name
     sa, sb = (np.sort(np.linalg.eigvals(inv.g_inv[0] @ inv.B[0]).real) for inv in (a, b))
     assert np.abs(sa - sb).max() <= 1e-14
-    assert max(nabla_A_norm(a)[0], nabla_A_norm(b)[0]) <= 1e-13
+    assert max(nabla_A_norm(a)["parallel"][0], nabla_A_norm(b)["parallel"][0]) <= 1e-13
     for invs in (a, b):
-        for name, entry in POINT_CHECKS.items():
-            assert all(rep.passed for reps in entry(invs, DEFAULT_TOL) for rep in reps), name
+        for rep in point_reports(invs, list(CHECKS), DEFAULT_TOL)[0]:
+            assert rep.passed, rep
 
 
 @pytest.mark.parametrize("m, norm, squarings", EXP_POINTS)

@@ -21,7 +21,7 @@ import equiaffine
 from equiaffine import blaschke, calabi, catalog, cli, dsl, duality, jordan
 from equiaffine.blaschke import blaschke_at
 from equiaffine.cli import (
-    ALL_CHECKS,
+    CHECKS,
     DEFAULT_TOL,
     MAX_RANDOM_POINTS,
     SceneError,
@@ -307,14 +307,14 @@ def test_a_stack_only_failure_is_not_masked(monkeypatch):
     # every row of a stack must be computed as its point alone; a check that
     # fails only on stacks of several points must surface, not be replaced
     # by a point-by-point answer
-    gauss = cli.POINT_CHECKS["gauss"]
+    gauss = cli.CHECKS["gauss"]
 
-    def stack_only_defect(invs, tol):
+    def stack_only_defect(invs):
         if len(invs.L1) > 1:
             raise TypeError("stack-only defect")
-        return gauss(invs, tol)
+        return gauss.residuals(invs)
 
-    monkeypatch.setitem(cli.POINT_CHECKS, "gauss", stack_only_defect)
+    monkeypatch.setitem(cli.CHECKS, "gauss", gauss._replace(residuals=stack_only_defect))
     with pytest.raises(TypeError, match="stack-only defect"):
         run({"chart": {"catalog": "hyperboloid", "params": {"n": 2}}, "points": {"random": 5, "seed": 1}})
 
@@ -322,7 +322,7 @@ def test_a_stack_only_failure_is_not_masked(monkeypatch):
 def test_unary_minus_before_a_power_negates_the_power():
     # -u1^2 - u2^2 is the concave paraboloid 0 - u1^2 - u2^2, an improper
     # affine sphere (L1 = 0, so the dual check is left out)
-    checks = [name for name in ALL_CHECKS if name != "dual"]
+    checks = [name for name in CHECKS if name != "dual"]
     runs = [run_main(["check", "--scene", "-"], json.dumps(
         {"chart": {"dsl": f"dim 2; x1 = u1; x2 = u2; x3 = {height};"}, "checks": checks}))
         for height in ("-u1^2 - u2^2", "0 - u1^2 - u2^2")]
@@ -331,8 +331,10 @@ def test_unary_minus_before_a_power_negates_the_power():
 
 def test_composition_lines_match_verify_composition():
     _, report = run(HYPERBOLOID_COMPOSITION)
-    spec = resolve_chart(read("chart", HYPERBOLOID_COMPOSITION["chart"], "chart"))[1]
-    want = calabi.verify_composition(spec, HYPERBOLOID_COMPOSITION["points"], DEFAULT_TOL["composition"])
+    chart, spec, _ = resolve_chart(read("chart", HYPERBOLOID_COMPOSITION["chart"], "chart"))
+    residuals = calabi.composition_residuals(spec, blaschke_at(chart, HYPERBOLOID_COMPOSITION["points"]))
+    want = [cli.CheckReport(f"{name}[{k}]", residual[k], DEFAULT_TOL["composition"])
+            for k in range(4) for name, residual in residuals.items()]
     got = [line for line in report.splitlines() if line.startswith("check composition_")]
     assert got == [check_line(rep) for rep in want]
     assert len(got) == 16
@@ -446,6 +448,31 @@ def test_invariants_subcommand_no_checks(capsys):
     assert main(["invariants", "--chart", "unit_sphere(n=2)", "--points", "1", "--seed", "0"]) == 0
     text = capsys.readouterr().out
     assert "L1: " in text and "check " not in text
+
+
+@pytest.mark.parametrize("command", ["invariants", "check"])
+def test_invariants_reads_the_scene_checks_as_check_does(tmp_path, capsys, command):
+    # invariants runs no checks, but a scene whose checks are malformed is
+    # refused as check refuses it
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"chart": {"catalog": "hyperboloid", "params": {"n": 2}}, "checks": 5}))
+    assert error_line(capsys, [command, "--scene", str(path)]) == (
+        2, "scene error: checks must be 'all' or a list, got 5")
+
+
+@pytest.mark.parametrize("points", [[[0.1, 0.2]], [0.1, 0.2]], ids=["point-list", "one-point"])
+def test_seed_flag_with_listed_points_exits_2(tmp_path, capsys, points):
+    path = scene_file(tmp_path, {"catalog": "hyperboloid", "params": {"n": 2}}, points)
+    assert error_line(capsys, ["invariants", "--scene", path, "--seed", "5"]) == (
+        2, "scene error: --seed applies only to random points")
+    # --points replaces the listed points with random ones, which take the seed
+    assert main(["invariants", "--scene", path, "--points", "2", "--seed", "5"]) == 0
+
+
+def test_unparsable_chart_text_exits_2_inline_or_as_a_graph(tmp_path, capsys):
+    lines = [error_line(capsys, ["check", "--scene", scene_file(tmp_path, chart, {"random": 1})])
+             for chart in ({"dsl": "dim 0;"}, {"catalog": "graph", "params": {"text": "dim 0;"}})]
+    assert lines == [(2, "scene error: dim must be a positive integer (line 1, column 5)")] * 2
 
 
 JORDAN_CHECKS = [

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from equiaffine.blaschke import blaschke_at, check_gauss
 from equiaffine.catalog import flat_hypersphere, hyperboloid
+from equiaffine.cli import DEFAULT_TOL
 from equiaffine.duality import (
     DualityError,
     HyperspherePointData,
@@ -52,9 +53,10 @@ def test_stacked_data_gives_one_report_per_point():
     stacked = HyperspherePointData(g=np.array([d.g for d in points]), A=np.array([d.A for d in points]),
                                    L1=np.array([d.L1 for d in points]))
     assert stacked.dim == 3
-    assert check_gauss_swap(stacked) == [check_gauss_swap(d) for d in points]
-    assert check_trace_free(stacked) == [check_trace_free(d) for d in points]
-    assert check_trace_free(dualize(stacked)) == [check_trace_free(dualize(d)) for d in points]
+    for check in (check_gauss_swap, check_trace_free, lambda data: check_trace_free(dualize(data))):
+        residuals = check(stacked)
+        assert residuals.shape == (4,)
+        assert [r.hex() for r in residuals.tolist()] == [float(check(d)).hex() for d in points]
     # every point is validated, and the constants must match the point axis
     with pytest.raises(DualityError):
         HyperspherePointData(g=stacked.g, A=stacked.A, L1=np.array([-1.0, -1.0, 0.5, -1.0]))
@@ -71,9 +73,9 @@ def test_gauss_swap_on_random_instances():
     for _ in range(100):
         n = int(rng.integers(2, 6))
         data = random_hypersphere_data(n, rng)
-        rep = check_gauss_swap(data, 1e-12)
-        worst = max(worst, rep.residual)
-        assert rep.passed
+        residual = check_gauss_swap(data)
+        worst = max(worst, residual)
+        assert residual <= DEFAULT_TOL["dual"]
     assert worst < 1e-12
 
 
@@ -86,9 +88,7 @@ def test_trace_free_contraction_identical_on_both_sides():
     hyp = np.einsum("ij,ijk->k", g_inv, data.A)
     lag = np.einsum("ij,ijk->k", np.linalg.inv(dual.g), dual.sigma)
     assert np.array_equal(hyp, lag)
-    assert check_trace_free(data).passed
-    assert check_trace_free(dual).passed
-    assert check_trace_free(dual).check_name == "minimality"
+    assert check_trace_free(data) == check_trace_free(dual) <= DEFAULT_TOL["apolarity"]
 
 
 def test_curvature_operator_against_pipeline():
@@ -96,7 +96,7 @@ def test_curvature_operator_against_pipeline():
     must reproduce the pipeline's Riemann tensor."""
     for chart, point in ((hyperboloid(2), [0.2, -0.1]), (flat_hypersphere(2, 1.0), [0.1, 0.3])):
         inv = blaschke_at(chart, point)
-        assert check_gauss(inv).passed
+        assert check_gauss(inv)["gauss"] <= DEFAULT_TOL["gauss"]
         data = HyperspherePointData(g=inv.g, A=inv.A, L1=inv.L1)
         rup = curvature_operator(data.g, data.A, data.L1)
         riem = np.einsum("ml,mijk->ijkl", data.g, rup)
@@ -124,8 +124,8 @@ def test_dual_curvature_sign_flip_explicit():
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=10**6))
 def test_gauss_swap_property(n, seed):
     data = random_hypersphere_data(n, np.random.default_rng(seed))
-    assert check_gauss_swap(data).passed
-    assert check_trace_free(data, 1e-10).passed
+    assert check_gauss_swap(data) <= DEFAULT_TOL["dual"]
+    assert check_trace_free(data) <= 1e-10
 
 
 def test_first_bianchi_for_operator_curvature():
