@@ -3,21 +3,21 @@
 Entries: the flat hyperbolic hypersphere x^1 ... x^{n+1} = const (realized
 in composition coordinates), the centered quadrics (unit sphere,
 elliptic paraboloid, hyperboloid), the unimodular symmetric-matrix
-orbit sl_so(m) = {P = exp(S), S trace-free symmetric} (its jets in a local
-chart at each point, see ``MatrixExpChart``), and arbitrary graph
-immersions from chart source text.
+orbit sl_so(m) = {P = exp(S), S trace-free symmetric}, and arbitrary graph
+immersions from chart source text.  ``OrbitChart`` is the one chart class
+of an orbit u -> exp(u·X) x0; sl_so(m) is one, given by its generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .calabi import CompositionSpec, HypersphereFactor, compose_chart
 from .dsl import MAX_DIM, ChartDef, DslChart, parse_chart, parse_source
-from .jets import jet_matmul, jet_variables
+from .jets import _gradient_table, jet_size
 
 
 @dataclass(frozen=True)
@@ -103,111 +103,86 @@ def hyperboloid(n: int) -> DslChart:
     return DslChart(*_parse_quadric(_quadric_text(n, "hyperboloid")))
 
 
-@lru_cache(maxsize=MAX_DIM, typed=True)
 def _symmetric_basis(m: int) -> np.ndarray:
     """Frobenius-orthonormal basis of trace-free symmetric m x m matrices, as
-    a read-only (d, m, m) array, built once per m (typed: m = 3.0 fails as
-    before instead of sharing the entry of m = 3)."""
+    a (d, m, m) array."""
     basis = []
     for d in range(1, m):
         v = np.zeros(m)
         v[:d] = 1.0
         v[d] = -d
-        mat = np.diag(v / np.linalg.norm(v))
-        basis.append(mat)
+        basis.append(np.diag(v / np.linalg.norm(v)))
     for i in range(m):
         for j in range(i + 1, m):
             mat = np.zeros((m, m))
             mat[i, j] = mat[j, i] = 1.0 / np.sqrt(2.0)
             basis.append(mat)
-    basis = np.array(basis)
-    basis.flags.writeable = False
-    return basis
+    return np.array(basis)
 
 
-class MatrixExpChart(ChartDef):
-    """u -> upper-triangular coordinates of exp(S(u)), S(u) trace-free
-    symmetric; the image sits on the unimodular hypersurface det = 1.
+class OrbitChart(ChartDef):
+    """u -> exp(u·X) x0, for generators X (n, n+1, n+1) self-adjoint in the
+    positive diagonal form q (n+1,).  Its jets at u0 are those of
+    v -> exp(u0·X) exp(v·X) x0 at v = 0, so g, A and B are in these local
+    coordinates v.  They show the orbit near u0 only if the X_i span a Lie
+    triple system ([[X_i, X_j], X_k] in span{X_l}) whose brackets annihilate
+    x0; other generators are not refused, and show x0's invariants."""
 
-    The jets at u0 are those of the local chart v -> a E(v) a at v = 0,
-    a = exp(S(u0)/2), E(v) = exp(S(v)): the same point exp(S(u0)), reached
-    by the congruence X -> a X a, which is linear and unimodular.  So L1,
-    J, chi and every check are those of u -> exp(S(u)), while g, A and B
-    are given in the local coordinates v, the same at every point."""
+    def __init__(self, X, x0, q, domain_hint=None):
+        self.X = np.asarray(X, float)
+        super().__init__(len(self.X), domain_hint=domain_hint)
+        self.x0 = np.asarray(x0, float)
+        self.root_q = np.sqrt(np.asarray(q, float))
+        self._base = {}
 
-    def __init__(self, m: int):
-        if m < 3:
-            raise ValueError("sl_so needs m >= 3")
-        dim = m * (m + 1) // 2 - 1
-        _check_dim(dim)
-        self.m = m
-        self.basis = _symmetric_basis(m)
-        hint = (-0.25 * np.ones(dim), 0.25 * np.ones(dim))
-        super().__init__(dim, domain_hint=hint)
+    def base_jets(self, order: int) -> np.ndarray:
+        """Jets of exp(v·X) x0 at v = 0, read-only (n+1, M), built once per
+        order with no jet product: Euler's identity sum_i v_i d_i f = (v·X) f
+        gives c_alpha = (1/|alpha|) sum_i X_i c_{alpha - e_i}."""
+        if order not in self._base:
+            c = np.zeros((self.ambient_dim, jet_size(self.dim, order)))
+            c[:, 0] = self.x0
+            child = _gradient_table(self.dim, order)[0]  # child[i, beta] = beta + e_i, one-to-one in beta
+            lo, hi = 0, 1  # the monomials of degree k - 1
+            for k in range(1, order + 1):
+                for i, Xi in enumerate(self.X):
+                    c[:, child[i, lo:hi]] += Xi @ c[:, lo:hi]
+                lo, hi = hi, jet_size(self.dim, k)
+                c[:, lo:hi] /= k
+            c.flags.writeable = False
+            self._base[order] = c
+        return self._base[order]
 
     def component_jets(self, point, order):
-        w, V = np.linalg.eigh(np.einsum("vij,...v->...ij", self.basis, point))
-        a = (V * np.exp(0.5 * w)[..., None, :]) @ np.swapaxes(V, -1, -2)
-        rows, cols = np.triu_indices(self.m)
-        # (a E a)_rs = sum_jk a_rj a_sk E_jk: one (n+1, m^2) by (m^2, M) product
-        pairs = a[..., rows, :, None] * a[..., cols, None, :]
-        return pairs.reshape(a.shape[:-2] + (len(rows), -1)) @ _base_jets(self.m, order)
+        # exp(U) = q^-1/2 V e^w V^t q^1/2, from the eigenpairs of q^1/2 U q^-1/2
+        U = np.einsum("vab,...v->...ab", self.X, point)
+        r = self.root_q
+        w, V = np.linalg.eigh(r[:, None] * U / r)
+        expU = (V / r[:, None] * np.exp(w)[..., None, :]) @ (np.swapaxes(V, -1, -2) * r)
+        return expU @ self.base_jets(order)
 
 
-@cache
-def _base_jets(m: int, order: int) -> np.ndarray:
-    """Jets of E(v) = exp(S(v)) at v = 0 as a read-only (m*m, M) array, one
-    row per matrix entry: sum_{k <= order} S(v)^k / k!, exact at the jet
-    order since S is linear; S^k = S^(k-1) S forms (k-1, 1)-bounded pairs."""
-    basis = _symmetric_basis(m)
-    d = len(basis)
-    S = np.einsum("vij,vc->ijc", basis, jet_variables(np.zeros(d), order))
-    E, term = S.copy(), S
-    E[..., 0] = np.eye(m)
-    for k in range(2, order + 1):
-        term = jet_matmul(term, S, d, (k - 1, 1)) / k
-        E += term
-    E = E.reshape(m * m, -1)
-    E.flags.writeable = False
-    return E
-
-
-def sl_so(m: int) -> MatrixExpChart:
-    return MatrixExpChart(m)
+@lru_cache(maxsize=MAX_DIM, typed=True)
+def sl_so(m: int) -> OrbitChart:
+    """u -> exp(S(u)) = exp(L(S(u))) I in upper-triangular coordinates, built
+    once per m: generators the Jordan multiplications L(B) P = (B P + P B)/2
+    by ``_symmetric_basis(m)``, q the trace form (1 on the diagonal, 2 off)."""
+    if m < 3:
+        raise ValueError("sl_so needs m >= 3")
+    dim = m * (m + 1) // 2 - 1
+    _check_dim(dim)
+    rows, cols = np.triu_indices(m)
+    unit = np.zeros((dim + 1, m, m))  # the symmetric matrix of each coordinate
+    unit[:, rows, cols] = unit[:, cols, rows] = np.eye(dim + 1)
+    BP = np.einsum("vij,bjk->vbik", _symmetric_basis(m), unit)
+    X = (0.5 * (BP + np.swapaxes(BP, -1, -2)))[..., rows, cols].swapaxes(-1, -2)
+    diagonal = rows == cols
+    hint = (-0.25 * np.ones(dim), 0.25 * np.ones(dim))
+    return OrbitChart(X, diagonal.astype(float), np.where(diagonal, 1.0, 2.0), hint)
 
 
 def graph(text: str) -> ChartDef:
     return parse_chart(text)
-
-
-class TransformedChart(ChartDef):
-    """A chart post-composed with the ambient affine map x -> M x + b."""
-
-    def __init__(self, base: ChartDef, M: np.ndarray, b=None):
-        M = np.asarray(M, float)
-        if M.shape != (base.ambient_dim, base.ambient_dim):
-            raise ValueError("transform matrix must match the ambient dimension")
-        super().__init__(base.dim, domain_hint=base.domain_hint)
-        self.base = base
-        self.M = M
-        self.b = np.zeros(base.ambient_dim) if b is None else np.asarray(b, float)
-
-    def component_jets(self, point, order):
-        out = np.matmul(self.M, self.base.component_jets(point, order))
-        out[..., 0] += self.b
-        return out
-
-
-def random_unimodular(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random well-conditioned matrix with det = 1."""
-    M = rng.standard_normal((n, n)) * 0.5 + np.eye(n)
-    d = np.linalg.det(M)
-    if abs(d) < 1e-6:
-        return random_unimodular(n, rng)
-    M /= abs(d) ** (1.0 / n)
-    if np.linalg.det(M) < 0:
-        M[0] = -M[0]
-    return M
 
 
 ENTRIES = {

@@ -29,12 +29,12 @@ promises nothing).  The product then forms only the coefficient pairs
 with deg i <= da and deg j <= db, a filtered product table (the
 monomials of degree <= d are a prefix of the enumeration), and its
 coefficients above degree min(order, da + db) are exactly zero.
-``jet_mul``, ``jet_matmul``, ``power`` and the elementary functions take
-such bounds; a call without one forms every pair.  A caller passes a
-bound only where the structure of a chart guarantees it (a DSL
-expression tree, the linear exponent of a matrix chart), never one read
-off the data.  The result equals the full product up to the grouping of
-its sums, since only pairs with an exactly zero factor are left out.
+``jet_mul``, ``power`` and the elementary functions take such bounds; a
+call without one forms every pair.  A caller passes a bound only where
+the structure of a chart guarantees it (a DSL expression tree), never
+one read off the data.  The result equals the full product up to the
+grouping of its sums, since only pairs with an exactly zero factor are
+left out.
 """
 
 from __future__ import annotations
@@ -140,16 +140,6 @@ def _pairs(num_vars: int, size: int, bounds):
     return _product_table(num_vars, order, min(bounds[0], order), min(bounds[1], order))
 
 
-def _sum_pairs(prod: np.ndarray, starts: np.ndarray, size: int) -> np.ndarray:
-    """Sum the pair products of each output monomial; the monomials past the
-    table's runs (above a bounded product's degree) stay exactly zero."""
-    if len(starts) == size:
-        return np.add.reduceat(prod, starts, axis=-1)
-    out = np.zeros(prod.shape[:-1] + (size,))
-    np.add.reduceat(prod, starts, axis=-1, out=out[..., : len(starts)])
-    return out
-
-
 @lru_cache(maxsize=None)
 def _gradient_table(num_vars: int, order: int):
     """Source indices and factors of d/du_v on Taylor coefficients, for
@@ -239,7 +229,12 @@ def jet_mul(a: np.ndarray, b: np.ndarray, num_vars: int, bounds=None) -> np.ndar
     """Entrywise jet product of two jet arrays of one order, broadcasting;
     ``bounds`` = (da, db) are the operands' degree bounds, if known."""
     ii, jj, _, starts = _pairs(num_vars, a.shape[-1], bounds)
-    return _sum_pairs(a[..., ii] * b[..., jj], starts, a.shape[-1])
+    prod = a[..., ii] * b[..., jj]
+    if len(starts) == a.shape[-1]:
+        return np.add.reduceat(prod, starts, axis=-1)
+    out = np.zeros(prod.shape[:-1] + a.shape[-1:])  # above the bounded product's degree: exactly zero
+    np.add.reduceat(prod, starts, axis=-1, out=out[..., : len(starts)])
+    return out
 
 
 def jet_einsum(subscripts: str, a: np.ndarray, b: np.ndarray, num_vars: int) -> np.ndarray:
@@ -254,17 +249,16 @@ def jet_einsum(subscripts: str, a: np.ndarray, b: np.ndarray, num_vars: int) -> 
     return np.add.reduceat(prod, starts, axis=-1)
 
 
-def jet_matmul(a: np.ndarray, b: np.ndarray, num_vars: int, bounds=None) -> np.ndarray:
-    """Matrix product of (..., m, k, M) and (..., k, p, M) jet arrays, with
-    the entries' degree bounds (da, db), if known.
+def jet_matmul(a: np.ndarray, b: np.ndarray, num_vars: int) -> np.ndarray:
+    """Matrix product of (..., m, k, M) and (..., k, p, M) jet arrays.
 
     Same result as ``jet_einsum("ik,kj->ij", ...)``, but as one batched
     ``np.matmul`` over the coefficient pairs, with the matrix axes taken
     in place (``axes=``), which is several times faster than
     ``np.einsum`` on this pattern."""
-    ii, jj, _, starts = _pairs(num_vars, a.shape[-1], bounds)
+    ii, jj, _, starts = _pairs(num_vars, a.shape[-1], None)
     prod = np.matmul(a[..., ii], b[..., jj], axes=[(-3, -2)] * 3)
-    return _sum_pairs(prod, starts, a.shape[-1])
+    return np.add.reduceat(prod, starts, axis=-1)
 
 
 def jet_gradient(a: np.ndarray, num_vars: int) -> np.ndarray:

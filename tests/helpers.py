@@ -1,15 +1,16 @@
-"""Test-only generators and verifiers: random hypersphere point data for the
-algebraic duality identities, the rotated point of the sl_so chart for its
-equivariance checks, the sl_so surface in its own coordinates as the
-generic-point reference, the block sparsity of a composition's cubic form,
-and the chart text of a scaled hyperboloid."""
+"""Test-only charts, generators and verifiers: random hypersphere point data
+for the algebraic duality identities, the rotated point of the sl_so chart
+for its equivariance checks, the sl_so surface in its own coordinates as
+the generic-point reference, a chart moved by an ambient affine map and a
+random unimodular matrix for the invariance checks, the block sparsity of
+a composition's cubic form, and the chart text of a scaled hyperboloid."""
 
 import itertools
 
 import numpy as np
 
 from equiaffine.calabi import CompositionSpec
-from equiaffine.catalog import MatrixExpChart
+from equiaffine.catalog import _symmetric_basis, sl_so
 from equiaffine.dsl import ChartDef
 from equiaffine.duality import HyperspherePointData
 from equiaffine.jets import jet_variables
@@ -35,29 +36,31 @@ def random_hypersphere_data(n: int, rng: np.random.Generator) -> HyperspherePoin
     return HyperspherePointData(g=g, A=A, L1=L1)
 
 
-def sl_so_point(chart: MatrixExpChart, u, Q: np.ndarray) -> np.ndarray:
-    """Coordinates u' with exp(S(u')) = Q exp(S(u)) Q^t for orthogonal Q.
+def sl_so_point(m: int, u, Q: np.ndarray) -> np.ndarray:
+    """Coordinates u' of sl_so(m) with exp(S(u')) = Q exp(S(u)) Q^t for
+    orthogonal Q.
 
     Conjugation by Q preserves the hypersurface, so invariants at u and
     u' must agree; used for the rotation-equivariance checks.
     """
-    S = sum(float(ui) * b for ui, b in zip(np.asarray(u, float), chart.basis))
+    basis = _symmetric_basis(m)
+    S = sum(float(ui) * b for ui, b in zip(np.asarray(u, float), basis))
     w, V = np.linalg.eigh(Q @ S @ Q.T)
     Sp = (V * w) @ V.T
-    return np.array([np.sum(Sp * b) for b in chart.basis])
+    return np.array([np.sum(Sp * b) for b in basis])
 
 
 class SeriesExpChart(ChartDef):
     """sl_so(m) as u -> exp(S(u)) in the coordinates u themselves: the jets
     at u0 are the term-by-term series of exp(S(u0 + v)), with scaling and
     squaring (``jet_reference.jet_matrix_exp``), one point at a time.  The
-    generic-point reference for ``catalog.MatrixExpChart``, which reaches u0
-    from the identity by a unimodular congruence."""
+    generic-point reference for ``catalog.sl_so``, whose orbit chart moves
+    its base jets from the identity to u0 by the linear map exp(u0·X)."""
 
     def __init__(self, m: int):
-        chart = MatrixExpChart(m)
+        chart = sl_so(m)
         super().__init__(chart.dim, domain_hint=chart.domain_hint)
-        self.m, self.basis = m, chart.basis
+        self.m, self.basis = m, _symmetric_basis(m)
 
     def component_jets(self, point, order):
         point = np.asarray(point, float)
@@ -67,6 +70,36 @@ class SeriesExpChart(ChartDef):
         for k in np.ndindex(point.shape[:-1]):
             out[k] = jet_matrix_exp(S[k], self.dim)[rows, cols]
         return out
+
+
+class TransformedChart(ChartDef):
+    """A chart post-composed with the ambient affine map x -> M x + b."""
+
+    def __init__(self, base: ChartDef, M: np.ndarray, b=None):
+        M = np.asarray(M, float)
+        if M.shape != (base.ambient_dim, base.ambient_dim):
+            raise ValueError("transform matrix must match the ambient dimension")
+        super().__init__(base.dim, domain_hint=base.domain_hint)
+        self.base = base
+        self.M = M
+        self.b = np.zeros(base.ambient_dim) if b is None else np.asarray(b, float)
+
+    def component_jets(self, point, order):
+        out = np.matmul(self.M, self.base.component_jets(point, order))
+        out[..., 0] += self.b
+        return out
+
+
+def random_unimodular(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random well-conditioned matrix with det = 1."""
+    M = rng.standard_normal((n, n)) * 0.5 + np.eye(n)
+    d = np.linalg.det(M)
+    if abs(d) < 1e-6:
+        return random_unimodular(n, rng)
+    M /= abs(d) ** (1.0 / n)
+    if np.linalg.det(M) < 0:
+        M[0] = -M[0]
+    return M
 
 
 def block_sparsity_residual(spec: CompositionSpec, inv) -> float:

@@ -27,18 +27,22 @@ from equiaffine.calabi import (
     mean_curvature_residuals,
 )
 from equiaffine.catalog import (
-    TransformedChart,
     elliptic_paraboloid,
     flat_factor,
     flat_hypersphere,
     hyperboloid,
-    random_unimodular,
     sl_so,
     unit_sphere,
 )
 from equiaffine.cli import jordan_selftest
 from equiaffine.duality import check_gauss_swap, check_trace_free, dualize
-from helpers import block_sparsity_residual, random_hypersphere_data, sl_so_point
+from helpers import (
+    TransformedChart,
+    block_sparsity_residual,
+    random_hypersphere_data,
+    random_unimodular,
+    sl_so_point,
+)
 
 
 def report(num, name, passed, detail=""):
@@ -146,7 +150,7 @@ def test_criterion_6_sl3_symmetric_space():
     Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     if np.linalg.det(Q) < 0:
         Q[:, 0] = -Q[:, 0]
-    a, b = blaschke_at(chart, u), blaschke_at(chart, sl_so_point(chart, u, Q))
+    a, b = blaschke_at(chart, u), blaschke_at(chart, sl_so_point(3, u, Q))
     equiv = max(
         abs(a.L1 - b.L1),
         abs(a.J - b.J),

@@ -26,17 +26,15 @@ from equiaffine.blaschke import (
 from equiaffine.calabi import CompositionSpec, HypersphereFactor, compose_chart
 from equiaffine.catalog import (
     ENTRIES,
-    TransformedChart,
     flat_factor,
     get_chart,
     hyperboloid,
-    random_unimodular,
     sl_so,
 )
 from equiaffine.cli import CHECKS, DEFAULT_TOL, point_reports
 from equiaffine.jets import jet_gradient
 from equiaffine.tensors import CurvatureData
-from helpers import scaled_hyperboloid_text
+from helpers import TransformedChart, random_unimodular, scaled_hyperboloid_text
 from jet_reference import jet_det
 
 GENERIC = (
@@ -386,7 +384,7 @@ def test_one_factorization_per_matrix(monkeypatch, chart, eigh):
     eigvalsh, and by LU the conormal matrix, G' (for its log-determinant
     series), g and the frame.  The log-determinants' value parts come from
     the SVD and eigvalsh, so nothing calls det.  The sl_so chart adds one
-    eigh, of the stack of S(u0), for its congruences."""
+    eigh, of the stack of u0·X, for its maps exp(u0·X)."""
     calls = dict.fromkeys(("svd", "eigvalsh", "eigh", "solve", "det", "inv"), 0)
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
@@ -398,21 +396,20 @@ def test_one_factorization_per_matrix(monkeypatch, chart, eigh):
 
 
 @pytest.mark.parametrize(
-    "chart, cold, warm",
+    "build, cold, warm",
     [
-        # S(v) is linear: the base jets' S^(k-1) S form (k-1, 1)-bounded pairs, once
-        (sl_so(3), [36, 126, 336], []),
+        # the orbit chart's base jets are a recursion of matrix-vector products
+        (lambda: sl_so(3), [], []),
         # the squares u_i^2 are (1, 1)-bounded; sqrt's Horner steps (0, 2), (2, 2), (4, 2), (6, 2)
-        (hyperboloid(20), [441] * 20 + [231, 53361, 94556, 94556], [441] * 20 + [231, 53361, 94556, 94556]),
+        (lambda: hyperboloid(20), [441] * 20 + [231, 53361, 94556, 94556], [441] * 20 + [231, 53361, 94556, 94556]),
     ],
     ids=["sl_so", "hyperboloid-20"],
 )
-def test_chart_products_form_only_the_bounded_pairs(monkeypatch, chart, cold, warm):
+def test_chart_products_form_only_the_bounded_pairs(monkeypatch, build, cold, warm):
     """Chart evaluation forms only the coefficient pairs its degree bounds
-    leave: 498 for sl_so(3)'s base jets, once per (m, order), and none per
-    point after that; 251,524 for one hyperboloid(20) point.  Products
-    forming all pairs would make 3 * 1001 = 3,003 and 24 * 135,751 =
-    3,258,024."""
+    leave: none for sl_so(3), on a chart built anew (its base jets built
+    cold) or after that; 251,524 for one hyperboloid(20) point.  Products
+    forming all pairs would make 24 * 135,751 = 3,258,024."""
     counts = []
 
     def counted(num_vars, size, bounds, _pairs=jets._pairs):
@@ -421,7 +418,8 @@ def test_chart_products_form_only_the_bounded_pairs(monkeypatch, chart, cold, wa
         return table
 
     monkeypatch.setattr(jets, "_pairs", counted)
-    catalog._base_jets.cache_clear()
+    catalog.sl_so.cache_clear()
+    chart = build()
     for formed in (cold, warm):
         counts.clear()
         chart.component_jets(chart.sample_points(1, 0)[0], 4)

@@ -12,22 +12,21 @@ from equiaffine.cli import CHECKS, DEFAULT_TOL, main, point_reports
 from equiaffine.calabi import ComposedChart, CompositionSpec, compose_chart
 from equiaffine.catalog import (
     ENTRIES,
-    MatrixExpChart,
-    TransformedChart,
+    OrbitChart,
     _symmetric_basis,
     elliptic_paraboloid,
     flat_factor,
     flat_hypersphere,
     get_chart,
     hyperboloid,
-    random_unimodular,
     sl_so,
     unit_sphere,
 )
 from equiaffine.dsl import DslChart, eval_immersion
 from equiaffine.jets import jet_matmul, jet_size, jet_variables
+from equiaffine.jordan import _I3, _OCT, jordan_table
 import jet_reference
-from helpers import SeriesExpChart, sl_so_point
+from helpers import SeriesExpChart, TransformedChart, random_unimodular, sl_so_point
 from jet_reference import jet_matrix_exp, lu_det
 
 SAMPLE_PARAMS = {
@@ -90,7 +89,7 @@ def test_chart_contract_float_jet_array(order):
     spec = CompositionSpec(r=1, factors=(flat_factor(1, 1.5),), constants=(1.0, 2.0))
     moved = TransformedChart(unit_sphere(2), random_unimodular(3, np.random.default_rng(3)), b=[1.0, 2.0, 3.0])
     charts = [hyperboloid(2), sl_so(3), compose_chart(spec), moved]
-    assert [type(c) for c in charts] == [DslChart, MatrixExpChart, ComposedChart, TransformedChart]
+    assert [type(c) for c in charts] == [DslChart, OrbitChart, ComposedChart, TransformedChart]
     for chart in charts:
         comp = chart.component_jets(chart.sample_points(1, 5)[0], order)
         assert isinstance(comp, np.ndarray) and comp.dtype == np.float64
@@ -160,7 +159,7 @@ def test_sl_so3_rotation_equivariance():
         Q, _ = np.linalg.qr(M)
         if np.linalg.det(Q) < 0:
             Q[:, 0] = -Q[:, 0]
-        u2 = sl_so_point(chart, u, Q)
+        u2 = sl_so_point(3, u, Q)
         a, b = blaschke_at(chart, u), blaschke_at(chart, u2)
         worst = max(worst, abs(a.L1 - b.L1), abs(a.J - b.J), abs(a.chi - b.chi))
         ga, gb = np.linalg.eigvalsh(a.g), np.linalg.eigvalsh(b.g)
@@ -191,10 +190,10 @@ def test_unimodular_invariance_of_invariants():
 
 
 def test_matrix_exp_chart_against_scipy_style_series():
-    chart = MatrixExpChart(3)
+    chart = sl_so(3)
     rng = np.random.default_rng(31)
     u = rng.uniform(-0.3, 0.3, 5)
-    S = sum(float(v) * b for v, b in zip(u, chart.basis))
+    S = sum(float(v) * b for v, b in zip(u, _symmetric_basis(3)))
     w, V = np.linalg.eigh(S)
     expS = (V * np.exp(w)) @ V.T
     vals = chart.component_jets(u, 1)[:, 0]
@@ -221,9 +220,15 @@ def _negate_odd(jets, d):
 
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_base_jets_match_series_reference_and_exact_identities(m):
-    E = catalog._base_jets(m, 4).reshape(m, m, -1)
-    d = m * (m + 1) // 2 - 1
-    assert not catalog._base_jets(m, 4).flags.writeable
+    chart = sl_so(m)
+    base = chart.base_jets(4)
+    d = chart.dim
+    # the series of exp(v·X) x0 (at m = 5 its 15 x 15 products gather
+    # 65 MB operands), and of E(v) = exp(S(v)), whose upper triangle it is
+    if m < 5:
+        vX = np.einsum("vab,vc->abc", chart.X, jet_variables(np.zeros(d), 4))
+        assert np.abs(base - np.einsum("abc,b->ac", jet_matrix_exp(vX, d), chart.x0)).max() <= 1e-15
+    E = _full_matrix(m, base)
     S = np.einsum("vij,vc->ijc", _symmetric_basis(m), jet_variables(np.zeros(d), 4))
     assert np.abs(E - jet_matrix_exp(S, d)).max() <= 1e-15
     # tr S = 0 as a jet, so det exp(S) = exp(tr S) = 1 to every order
@@ -241,14 +246,13 @@ EXP_POINTS = [(m, norm, s) for m in (3, 4) for norm, s in ((0.3, 0), (0.8, 1), (
 
 def _exp_point(m, norm):
     """A point u0 of sl_so(m) with |S(u0)|_inf = norm."""
-    chart = MatrixExpChart(m)
-    u = np.random.default_rng(5).uniform(-1.0, 1.0, chart.dim)
-    return u * norm / np.abs(np.einsum("vij,v->ij", chart.basis, u)).sum(axis=1).max()
+    u = np.random.default_rng(5).uniform(-1.0, 1.0, m * (m + 1) // 2 - 1)
+    return u * norm / np.abs(np.einsum("vij,v->ij", _symmetric_basis(m), u)).sum(axis=1).max()
 
 
 @pytest.mark.parametrize("m, norm, squarings", EXP_POINTS)
 def test_jet_matrix_exp_matches_series_reference(m, norm, squarings, monkeypatch):
-    """At u0, the local chart v -> a E(v) a and the series exp(S(u0 + v)) are
+    """At u0, the local chart v -> exp(u0·X) E(v) and the series exp(S(u0 + v)) are
     two parametrizations of one surface near one point: the same point,
     L1, J, chi, spectrum of g^-1 B and |nabla A|, and every check passes."""
     point = _exp_point(m, norm)[None]
@@ -276,16 +280,17 @@ def test_jet_matrix_exp_matches_series_reference(m, norm, squarings, monkeypatch
 
 @pytest.mark.parametrize("m, norm, squarings", EXP_POINTS)
 def test_jet_matrix_exp_exact_identities(m, norm, squarings):
-    """The chart's matrix X(v) = a E(v) a at u0 keeps E's exact identities:
-    det X = 1 to every order, and X(v) X(0)^-1 X(-v) X(0)^-1 = I."""
+    """The chart's matrix P(v) = exp(u0·X) E(v) at u0, that is a E(v) a with
+    a = exp(S(u0)/2), keeps E's exact identities: det P = 1 to every order,
+    and P(v) P(0)^-1 P(-v) P(0)^-1 = I."""
     d = m * (m + 1) // 2 - 1
-    X = _full_matrix(m, sl_so(m).component_jets(_exp_point(m, norm), 4))
-    det = lu_det(X, d)
+    P = _full_matrix(m, sl_so(m).component_jets(_exp_point(m, norm), 4))
+    det = lu_det(P, d)
     assert det[0] == pytest.approx(1.0, abs=1e-13)
     assert np.abs(det[1:]).max() <= 1e-13
-    inverse = np.zeros_like(X)
-    inverse[..., 0] = np.linalg.inv(X[..., 0])
-    product = jet_matmul(jet_matmul(X, inverse, d), jet_matmul(_negate_odd(X, d), inverse, d), d)
+    inverse = np.zeros_like(P)
+    inverse[..., 0] = np.linalg.inv(P[..., 0])
+    product = jet_matmul(jet_matmul(P, inverse, d), jet_matmul(_negate_odd(P, d), inverse, d), d)
     product[..., 0] -= np.eye(m)
     assert np.abs(product).max() <= 1e-13
 
@@ -302,10 +307,66 @@ def test_sl_so_metric_and_forms_are_those_of_the_base_point():
     assert np.abs(invs.L1 - -0.52487003541948).max() <= 1e-13
 
 
-def test_cached_charts_and_bases_are_read_only_and_shared():
-    # sl_so's basis: one read-only array per m, typed, so m = 3.0 fails as before
+def _triple_defect(X):
+    """Relative least-squares defect of the brackets [[X_i, X_j], X_k] in
+    span{X_l}: 0 exactly when the X_i span a Lie triple system."""
+    d, N = X.shape[:2]
+    span = X.reshape(d, -1).T
+    C = X[:, None] @ X[None] - X[None] @ X[:, None]  # [X_i, X_j]
+    worst = 0.0
+    for k in range(d):
+        T = (C @ X[k] - X[k] @ C).reshape(-1, N * N).T
+        coef = np.linalg.lstsq(span, T, rcond=None)[0]
+        worst = max(worst, np.linalg.norm(span @ coef - T) / np.linalg.norm(T))
+    return worst
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_sl_so_generators_span_a_lie_triple_system(m):
+    """The translated jets show the orbit only if [[X_i, X_j], X_k] lies in
+    span{X_l} and the brackets [X_i, X_j] annihilate x0 (see OrbitChart)."""
+    chart = sl_so(m)
+    X, q = chart.X, chart.root_q**2
+    assert np.abs(q[:, None] * X - np.swapaxes(q[:, None] * X, -1, -2)).max() <= 1e-15  # self-adjoint in q
+    assert _triple_defect(X) <= 1e-13
+    brackets = X[:, None] @ X[None] - X[None] @ X[:, None]
+    assert np.abs(brackets @ chart.x0).max() <= 1e-14
+
+
+def test_triple_defect_shows_random_generators():
+    """Two random traceless symmetric generators at n = 2 span no Lie
+    triple system: the defect is of order 1."""
+    raw = np.random.default_rng(7).standard_normal((2, 3, 3))
+    X = raw + np.swapaxes(raw, -1, -2)
+    X -= np.trace(X, axis1=-2, axis2=-1)[:, None, None] * np.eye(3) / 3
+    assert _triple_defect(X) > 0.1
+
+
+def test_real_albert_orbit_matches_sl_so3():
+    """Herm(3, R) from the Albert algebra's structure tensor: the orbit of
+    I3 under the Jordan multiplications by sl_so(3)'s basis, written in the
+    real coordinates (E1, E2, E3, F1, F2, F3) of ``jordan``, gives sl_so(3)'s
+    L1, J and chi at the same points.  A wrong ``jordan_table`` entry or a
+    wrong sl_so generator moves them."""
+    real = np.flatnonzero(_OCT == 0)
+    table = jordan_table()[np.ix_(real, real, real)]
     basis = _symmetric_basis(3)
-    assert _symmetric_basis(3) is basis and sl_so(3).basis is basis and not basis.flags.writeable
+    B = basis[:, [0, 1, 2, 1, 2, 0], [0, 1, 2, 2, 0, 1]]  # the coordinates of each basis matrix
+    X = np.einsum("va,abc->vcb", B, table)  # X_v y = B_v o y
+    herm = OrbitChart(X, _I3[real], (1.0, 1.0, 1.0, 2.0, 2.0, 2.0))
+    chart = sl_so(3)
+    points = chart.sample_points(4, 37) * 4
+    a, b = blaschke_at(chart, points), blaschke_at(herm, points)
+    for name in ("L1", "J", "chi"):
+        assert np.abs(getattr(a, name) - getattr(b, name)).max() <= 1e-13, name
+
+
+def test_cached_charts_and_bases_are_read_only_and_shared():
+    # sl_so: one chart per m, typed, so m = 3.0 fails as before; its base jets
+    # are built once per order, read-only
+    chart = sl_so(3)
+    assert sl_so(3) is chart and chart.base_jets(4) is chart.base_jets(4)
+    assert not chart.base_jets(4).flags.writeable
     with pytest.raises(TypeError):
         sl_so(3.0)
     # quadrics: one parse per text, shared by new chart objects

@@ -494,16 +494,13 @@ def test_bounded_products_equal_full_products(num_vars, order, seed):
     for da in range(order + 2):
         for db in range(order + 2):
             a = bounded_jets(rng, (2, 3), num_vars, order, da)
-            b = bounded_jets(rng, (3, 2), num_vars, order, db)
+            b = bounded_jets(rng, (3, 2), num_vars, order, db).swapaxes(0, 1)
             top = jet_size(num_vars, min(order, da + db))
             atol = 4 * np.finfo(float).eps * 3 * size * np.abs(a).max() * np.abs(b).max()
-            for full, got in (
-                (jet_mul(a, b.swapaxes(0, 1), num_vars), jet_mul(a, b.swapaxes(0, 1), num_vars, (da, db))),
-                (jet_matmul(a, b, num_vars), jet_matmul(a, b, num_vars, (da, db))),
-            ):
-                assert got.shape == full.shape
-                assert np.allclose(got, full, rtol=0.0, atol=atol)
-                assert not got[..., top:].any() and not full[..., top:].any()
+            full, got = jet_mul(a, b, num_vars), jet_mul(a, b, num_vars, (da, db))
+            assert got.shape == full.shape
+            assert np.allclose(got, full, rtol=0.0, atol=atol)
+            assert not got[..., top:].any() and not full[..., top:].any()
 
 
 @settings(max_examples=30, deadline=None)
