@@ -27,6 +27,10 @@ power of a constant 0; everything else is unbounded.  Every Taylor
 coefficient of a node above its bound is exactly zero at every point, so
 evaluation hands the bounds to the jet products (see ``jets``), which then
 skip the pairs that would multiply such zeros.
+
+Besides ``DslChart``, this module defines ``OrbitChart``, the orbit
+u -> exp(u·X) x0 of the catalog's symmetric examples and of a Calabi
+composition's weights.
 """
 
 from __future__ import annotations
@@ -261,6 +265,48 @@ class ChartDef:
         lo, hi = self.domain_hint
         rng = np.random.default_rng(seed)
         return lo + (hi - lo) * rng.random((count, self.dim))
+
+
+class OrbitChart(ChartDef):
+    """u -> exp(u·X) x0, for generators X (n, n+1, n+1) self-adjoint in the
+    positive diagonal form q (n+1,).  Its jets at u0 are those of
+    v -> exp(u0·X) exp(v·X) x0 at v = 0, so g, A and B are in these local
+    coordinates v.  They show the orbit near u0 only if the X_i span a Lie
+    triple system ([[X_i, X_j], X_k] in span{X_l}) whose brackets annihilate
+    x0; other generators are not refused, and show x0's invariants."""
+
+    def __init__(self, X, x0, q, domain_hint=None):
+        self.X = np.asarray(X, float)
+        super().__init__(len(self.X), domain_hint=domain_hint)
+        self.x0 = np.asarray(x0, float)
+        self.root_q = np.sqrt(np.asarray(q, float))
+        self._base = {}
+
+    def base_jets(self, order: int) -> np.ndarray:
+        """Jets of exp(v·X) x0 at v = 0, read-only (n+1, M), built once per
+        order with no jet product: Euler's identity sum_i v_i d_i f = (v·X) f
+        gives c_alpha = (1/|alpha|) sum_i X_i c_{alpha - e_i}."""
+        if order not in self._base:
+            c = np.zeros((self.ambient_dim, jets.jet_size(self.dim, order)))
+            c[:, 0] = self.x0
+            child = jets._gradient_table(self.dim, order)[0]  # child[i, beta] = beta + e_i, one-to-one in beta
+            lo, hi = 0, 1  # the monomials of degree k - 1
+            for k in range(1, order + 1):
+                for i, Xi in enumerate(self.X):
+                    c[:, child[i, lo:hi]] += Xi @ c[:, lo:hi]
+                lo, hi = hi, jets.jet_size(self.dim, k)
+                c[:, lo:hi] /= k
+            c.flags.writeable = False
+            self._base[order] = c
+        return self._base[order]
+
+    def component_jets(self, point, order):
+        # exp(U) = q^-1/2 V e^w V^t q^1/2, from the eigenpairs of q^1/2 U q^-1/2
+        U = np.einsum("vab,...v->...ab", self.X, point)
+        r = self.root_q
+        w, V = np.linalg.eigh(r[:, None] * U / r)
+        expU = (V / r[:, None] * np.exp(w)[..., None, :]) @ (np.swapaxes(V, -1, -2) * r)
+        return expU @ self.base_jets(order)
 
 
 class DslChart(ChartDef):

@@ -109,10 +109,9 @@ def block_sparsity_residual(spec: CompositionSpec, inv) -> float:
     Allowed triples (with 0 the t-block): (0,0,0), (a,a,0) and permutations,
     and (a,a,a); everything mixing two different factors must vanish.
     """
-    idx = spec.index
-    labels = np.zeros(idx.n, dtype=int)
-    for alpha in range(1, spec.s + 1):
-        labels[idx.factor_slice(alpha)] = alpha
+    labels = np.zeros(spec.dim, dtype=int)
+    for alpha, sl in enumerate(spec.slices, start=1):
+        labels[sl] = alpha
     a, b, c = labels[:, None, None], labels[None, :, None], labels[None, None, :]
 
     def differ(x, y):  # two different nonzero labels

@@ -8,7 +8,6 @@ import pytest
 from equiaffine import jets
 from equiaffine.blaschke import blaschke_at
 from equiaffine.calabi import (
-    CompositionIndex,
     CompositionSpec,
     HypersphereFactor,
     closed_form,
@@ -36,24 +35,24 @@ def pure_point_spec(n0, C0):
 
 
 def test_index_bookkeeping():
-    idx = CompositionIndex(2, [1, 3])
-    assert idx.K == 4 and idx.n == 1 + 3 + 3
-    assert [idx.weight(a) for a in (1, 2, 3, 4)] == [1, 2, 4, 8]
-    assert idx.t_coord(3) == 2
-    assert idx.factor_coord(1, 1) == 3
-    assert idx.factor_coord(2, 1) == 4
-    assert idx.factor_slice(2) == slice(4, 7)
-    with pytest.raises(IndexError):
-        idx.factor_coord(1, 2)
+    spec = CompositionSpec(r=2, factors=(flat_factor(1), flat_factor(3)), constants=(1.0,) * 4)
+    assert spec.K == 4 and spec.dim == 1 + 3 + 3
+    assert spec.n_a.tolist() == [0, 0, 1, 3]
+    assert spec.f_a.tolist() == [1, 2, 4, 8]
+    assert spec.slices == (slice(3, 4), slice(4, 7))
+    # row a: -1/(n_a + 1) at t^{a-1}, 1/f_b at t^b for b >= a
+    want = [[1, 1 / 2, 1 / 4], [-1, 1 / 2, 1 / 4], [0, -1 / 2, 1 / 4], [0, 0, -1 / 4]]
+    assert spec.exponents.tolist() == want
+    for array in (spec.n_a, spec.f_a, spec.exponents):
+        assert not array.flags.writeable
+    assert spec.exponents is spec.exponents and spec.slices is spec.slices  # built once per spec
 
 
 def test_exponent_rows_unimodular():
     # each t-translation rescales the K exponential factors with total
     # weighted exponent zero, so the composed chart is invariant in shape
-    idx = CompositionIndex(1, [2, 1])
-    for lam in range(idx.K - 1):
-        total = sum((idx.factor_dim(a) + 1) * idx.exponent_row(a)[lam] for a in range(1, idx.K + 1))
-        assert total == pytest.approx(0.0, abs=1e-14)
+    spec = CompositionSpec(r=1, factors=(flat_factor(2), flat_factor(1)), constants=(1.0,) * 3)
+    np.testing.assert_allclose((spec.n_a + 1) @ spec.exponents, 0.0, rtol=0, atol=1e-14)
 
 
 def test_spec_validation():
@@ -186,20 +185,39 @@ def test_nested_composition_factor():
     ids=["K2", "K3", "K4", "K4-factors"],
 )
 def test_closed_form_weights_match_the_exponential_of_the_linear_jet(spec):
-    # the jets of e_a = c_a exp(row_a . t) are c_a exp(row_a . t0) row_a^alpha / alpha!;
-    # against the Horner series of exp on the linear jet row_a . t
+    # the jets of e_a = c_a exp(row_a . t), the orbit exp(t·X) c of the
+    # constants under X_lam = diag(exponents[:, lam]), against the Horner series
+    # of exp on the linear jet row_a . t
     chart = compose_chart(spec)
-    idx = chart.index_map
-    points = chart.sample_points(5, 3)
+    T = spec.K - 1
+    points = chart.sample_points(5, 3)[:, :T]
     for order in range(5):
-        coeffs = chart.weight_coeffs(order)
-        assert chart.weight_coeffs(order) is coeffs and not coeffs.flags.writeable  # built once per order
-        t = jets.jet_variables(points, order)[..., : idx.K - 1, :]
-        scale = np.exp(points[:, : idx.K - 1] @ chart.rows.T)
-        for a in range(1, idx.K + 1):
-            want = jets.exp(idx.exponent_row(a) @ t, idx.n) * spec.constants[a - 1]
-            got = scale[:, a - 1, None] * coeffs[a - 1]
-            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+        base = chart.weights.base_jets(order)
+        assert chart.weights.base_jets(order) is base and not base.flags.writeable  # built once per order
+        got = chart.weights.component_jets(points, order)
+        t = jets.jet_variables(points, order)
+        for a in range(spec.K):
+            want = jets.exp(spec.exponents[a] @ t, T) * spec.constants[a]
+            np.testing.assert_allclose(got[:, a], want, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CompositionSpec(r=1, factors=(HypersphereFactor(hyperboloid(2), -1.0),), constants=(1.0, 1.0)),
+        CompositionSpec(r=1, factors=(flat_factor(2, 1.0), flat_factor(2, 0.7)), constants=(1.0, 2.0, 0.5)),
+        CompositionSpec(r=0, factors=(flat_factor(1), flat_factor(2), flat_factor(1, 3.0)), constants=(1.0, 0.5, 2.0)),
+        CompositionSpec(r=4, factors=(), constants=(1.5, 1.0, 0.7, 3.0)),
+    ],
+    ids=["K2", "K3-factors", "K3-spheres", "K4-points"],
+)
+def test_closed_form_factor_rows_equal_the_exponent_rows_bitwise(spec):
+    # two formulas written apart: the closed form's A_{i~ j~ lam} coefficients
+    # and the composed chart's exponent rows of the sphere factors
+    got = closed_form(spec).A_factor_t
+    want = spec.exponents[spec.r :]
+    assert got.shape == want.shape == (spec.s, spec.K - 1)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_closed_form_is_built_once_per_spec():

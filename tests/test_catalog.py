@@ -107,6 +107,20 @@ def test_flat_hypersphere_base_point_and_level():
         assert np.prod(vals) == pytest.approx(2.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("n0, C0", [(2, 1.0), (3, 2.5), (5, 0.3)])
+def test_flat_hypersphere_L1_matches_its_formula(n0, C0):
+    """x^1 ... x^N = C0 with N = n0 + 1 coordinates has the composition
+    constant C = (C0^2 / N)^(1/(N+1)) and L1 = -1/(N C), so
+
+        L1 = -N^-1 N^(1/(N+1)) C0^(-2/(N+1)) = -N^(-N/(N+1)) C0^(-2/(N+1)),
+
+    here computed without calabi."""
+    N = n0 + 1
+    expect = -(N ** (-N / (N + 1))) * C0 ** (-2 / (N + 1))
+    L1 = flat_hypersphere(n0, C0).spec.closed_form.L1
+    assert abs(L1 - expect) <= 1e-15 * abs(expect)
+
+
 @pytest.mark.parametrize(
     "builder, params, L1",
     [

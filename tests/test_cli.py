@@ -599,6 +599,8 @@ def scene_file(tmp_path, chart, points, name="scene.json"):
         ({"dsl": "dim 1; x1 = u1; x2 = 1/(u1-u1+1e-320);"}, [0.5]),
         ({"dsl": "dim 1; x1 = u1; x2 = u1^(1/2);"}, [1e-300]),
         ({"dsl": "dim 1; x1 = u1; x2 = exp(u1);"}, [1000]),
+        # a composition weight exp(800 t) past float range
+        (HYPERBOLOID_COMPOSITION["chart"], [800.0, 0.1, 0.2]),
     ],
 )
 def test_point_domain_errors_exit_3(tmp_path, capsys, chart, point):
