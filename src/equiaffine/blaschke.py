@@ -26,11 +26,14 @@ solving the affine Gauss formula in the frame {x_k, xi}, and the
 recovered transversal coefficient h_ij is checked against g_ij as an
 internal consistency gate.
 
-The conormal with log det M, log det G', g^{-1} and the frame solve all
-use ``jet_lu``: one solve with the value part plus a nilpotent series,
-which needs a nonsingular value part.  That holds here: M is nonsingular
-for an immersion, G' is definite (otherwise ConvexityError is raised
-first) and the frame is nonsingular (otherwise FrameError).
+All jet linear algebra is four ``jet_lu`` calls in ``blaschke_at`` (the
+first through ``_determinant_form``): the conormal with log det M, log
+det G', the order-1 jets of g^{-1}, and the frame solve.  Each is one
+solve with the value part plus a nilpotent series, which needs a
+nonsingular value part.  That holds here: M is nonsingular for an
+immersion, G' is definite (otherwise ConvexityError is raised first), g
+is positive definite (otherwise MetricError) and the frame is
+nonsingular (otherwise FrameError).
 
 Each value matrix is factorized once per stack, seven LAPACK calls in
 all, plus the chart's own (one ``eigh`` for ``sl_so``).  One SVD of the
@@ -59,8 +62,9 @@ from . import tensors
 from .dsl import ChartDef, eval_immersion
 from .jets import exp as jet_exp
 from .jets import jet_einsum, jet_gradient, jet_hessian, jet_lu, jet_mul, jet_size
-from .tensors import MetricField, cov_deriv_sym3, riemann
+from .tensors import cov_deriv_sym3, riemann
 
+ORDER = 4  # the jet order of the chart evaluation that the pipeline starts from
 H_EQUALS_G_TOL = 1e-9
 TAU_TOL = 1e-9
 L1_ZERO_TOL = 1e-12  # |L1| at or below this counts as L1 = 0 (improper affine sphere)
@@ -94,7 +98,6 @@ class BlaschkeInvariants:
     L1: np.ndarray
     J: np.ndarray
     chi: np.ndarray
-    frame: np.ndarray  # (n+1, n+1) columns x_1..x_n, xi
     position: np.ndarray  # (n+1,) ambient position of the point
     curvature: tensors.CurvatureData = field(repr=False, default=None)
     # internals kept for the structural checks
@@ -122,7 +125,7 @@ class BlaschkeInvariants:
 
 
 def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants:
-    """Compute all Blaschke data of a chart at a point (from order-4 jets).
+    """Compute all Blaschke data of a chart at a point (from chart jets of order ``ORDER``).
 
     An (n,) point gives the invariants of that point; a (P, n) point stack
     gives them with a leading point axis on every field, from one pass of
@@ -158,19 +161,21 @@ def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants:
     scale = jet_exp((2.0 * log_m - log_gp) / (n + 2), n)
     g = jet_mul(scale[:, None, None], Gp, n)
     tensors.check_spd_eigenvalues(scale[:, :1] * eig_p)
-    metric = tensors._trusted(MetricField, dim=n, coeffs=g)
-    gval = metric.values()
-    ginv = np.ascontiguousarray(metric.inverse[..., 0])  # a fixed layout, as for the checks' einsums
-    g1 = metric.coeffs[..., :m1]
+    gval = g[..., 0]
+    g1 = g[..., :m1]
 
-    # Levi-Civita of g: order-1 jets
-    gamma_hat_jets = tensors.christoffel_jets(metric)
+    # g^{ij} as order-1 jets, and Levi-Civita of g: order-1 jets
+    eye = np.zeros(g1.shape)
+    eye[..., 0] = np.eye(n)
+    _, ginv_jets = jet_lu(g1, n, eye, log_det=False)
+    ginv = np.ascontiguousarray(ginv_jets[..., 0])  # a fixed layout, as for the checks' einsums
+    gamma_hat_jets = tensors.christoffel_jets(g, ginv_jets)
 
     # xi = (1/n) g^{ij} (x_ij - Gamma^k_ij x_k), as order-1 jets
     x1 = x1[..., :m1]
     hess = hess[..., :m1]
     lap = hess - jet_einsum("kij,ka->ija", gamma_hat_jets, x1, n)
-    xi = jet_einsum("ij,ija->a", metric.inverse, lap, n) * (1.0 / n)
+    xi = jet_einsum("ij,ija->a", ginv_jets, lap, n) * (1.0 / n)
 
     # frame {x_1, ..., x_n, xi}: solve x_ij = Gamma^k_ij x_k + h_ij xi
     frame = np.concatenate([x1, xi[:, None]], axis=1).swapaxes(1, 2)  # [a, column]
@@ -217,7 +222,7 @@ def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants:
     L1 = np.trace(B_up, axis1=1, axis2=2) / n
 
     J = _g_norm2(A, ginv) / (n * (n - 1)) if n > 1 else np.zeros(len(stack))
-    curv = riemann(metric, gamma_hat_jets, ginv)
+    curv = riemann(gval, gamma_hat_jets, ginv)
 
     row = 0 if points.ndim == 1 else ...  # one point: drop the point axis
     return BlaschkeInvariants(
@@ -230,7 +235,6 @@ def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants:
         L1=L1[row],
         J=J[row],
         chi=curv.chi[row],
-        frame=frame_val[row],
         position=x[row, :, 0],
         curvature=tensors.CurvatureData(curv.christoffel[row], curv.riemann[row], curv.ricci[row], curv.chi[row]),
         _A_jets=a_jets[row],
@@ -278,14 +282,14 @@ def _g_norm2(t: np.ndarray, g_inv: np.ndarray):
 
 
 def _chart_derivatives(chart: ChartDef, points: np.ndarray):
-    """Chart jets x (n+1, M4), first derivatives x1[k, a] = d_k x^a and the
-    symmetric second derivatives hess[i, j, a] = d_i d_j x^a, both of order
-    2 and each one gather from x, a unit normal (n+1,) to the tangents and
-    the tangents' singular values (n,) (``eval_immersion``), each with a
-    leading point axis for a (P, n) point stack."""
+    """Chart jets x (n+1, M) of order ``ORDER``, first derivatives x1[k, a] =
+    d_k x^a and the symmetric second derivatives hess[i, j, a] = d_i d_j x^a,
+    both of order 2 and each one gather from x, a unit normal (n+1,) to the
+    tangents and the tangents' singular values (n,) (``eval_immersion``),
+    each with a leading point axis for a (P, n) point stack."""
     n = chart.dim
-    x, normal, sv = eval_immersion(chart, points, 4)
-    x1 = jet_gradient(x[..., : jet_size(n, 3)], n).swapaxes(-3, -2)
+    x, normal, sv = eval_immersion(chart, points, ORDER)
+    x1 = jet_gradient(x[..., : jet_size(n, ORDER - 1)], n).swapaxes(-3, -2)
     hess = jet_hessian(x, n).swapaxes(-4, -3).swapaxes(-3, -2)  # [a, i, j] to [i, j, a]
     return x, x1, hess, normal, sv
 

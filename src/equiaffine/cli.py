@@ -44,9 +44,10 @@ MAX_RANDOM_POINTS = 10_000
 # the point set of a scene that names none
 DEFAULT_POINTS = {"random": 3, "seed": 0}
 
-# order-4 jet coefficients (points x jet size) in one stacked pipeline call,
-# at least one point: 136 points at n = 2, 16 at n = 5, one from n = 12 up.
-# Past about 16 points at n = 5 a stack costs more per point, not less.
+# jet coefficients of order blaschke.ORDER (points x jet size) in one
+# stacked pipeline call, at least one point: 136 points at n = 2, 16 at
+# n = 5, one from n = 12 up.  Past about 16 points at n = 5 a stack costs
+# more per point, not less.
 STACK_COEFFS = 2048
 
 # failures of the pipeline at one point of a chart (exit code 3); ArithmeticError takes
@@ -380,7 +381,7 @@ def run_scene(scene: dict, out) -> int:
     checks = [name for name, check in CHECKS.items() if (scene["checks"] == "all" or name in scene["checks"])
               and (spec is not None or check.scope in ("point", "rows"))]
 
-    size = max(1, STACK_COEFFS // jet_size(chart.dim, 4))
+    size = max(1, STACK_COEFFS // jet_size(chart.dim, blaschke.ORDER))
     point_lines, reports, scene_reports = evaluate_points(chart, spec, points, checks, scene["tolerances"], size)
 
     lines = [f"schema: {SCHEMA_VERSION}", f"chart: {desc}", f"dim: {chart.dim}", f"points: {len(points)}"]
@@ -503,8 +504,20 @@ def parse_chart_flag(text: str) -> dict:
             if "=" not in item:
                 raise SceneError(f"malformed --chart parameter {item!r}")
             key, value = (s.strip() for s in item.split("=", 1))
+            if key in params:
+                raise SceneError(f"repeated --chart parameter {key!r}")
             params[key] = _flag_value(value)
     return {"catalog": name.strip(), "params": params}
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict, refusing a key given twice (``json.loads`` alone keeps the last)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SceneError(f"repeated key {key!r} in a scene object")
+        obj[key] = value
+    return obj
 
 
 def load_scene(args) -> dict:
@@ -514,7 +527,9 @@ def load_scene(args) -> dict:
         except (OSError, UnicodeDecodeError) as exc:
             raise SceneError(f"cannot read scene: {exc}") from exc
         try:
-            scene = json.loads(text)
+            scene = json.loads(text, object_pairs_hook=_unique_keys)
+        except SceneError:
+            raise
         except (ValueError, RecursionError) as exc:  # also too many digits or too deep a nesting
             raise SceneError(f"scene JSON parse error: {exc}") from exc
         if not isinstance(scene, dict):

@@ -351,7 +351,7 @@ def eval_immersion(chart: ChartDef, point, order: int) -> tuple[np.ndarray, np.n
     comp = chart.jets_at(point, order)
     tangents = comp[..., 1 : chart.dim + 1].swapaxes(-1, -2)  # degree-1 block: [k, a] = d_k x^a
     _, sv, vh = np.linalg.svd(tangents)
-    bad = sv[..., -1] <= 1e-10 * np.maximum(sv[..., 0], 1.0)
+    bad = sv[..., -1] <= 1e-10 * sv[..., 0]  # relative, so at any scale; an all-zero Jacobian too
     if bad.any():
         k = np.argmax(bad)
         raise ImmersionError(f"Jacobian rank-deficient at {point.reshape(-1, chart.dim)[k]} "
@@ -603,7 +603,7 @@ def parse_source(text: str) -> tuple[int, tuple, dict]:
     return dim, tuple(comps), params
 
 
-def parse_chart(text: str, domain_hint=None) -> DslChart:
+def parse_chart(text: str) -> DslChart:
     """Parse chart source text into a DslChart."""
     dim, comps, params = parse_source(text)
-    return DslChart(dim, comps, params=params, domain_hint=domain_hint)
+    return DslChart(dim, comps, params=params)

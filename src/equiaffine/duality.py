@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blaschke import max_per_point
-from .tensors import _trusted
 
 
 class DualityError(ValueError):
@@ -90,6 +89,15 @@ class HyperspherePointData:
     @property
     def dim(self) -> int:
         return self.g.shape[-1]
+
+
+def _trusted(cls, **values):
+    """An instance of a frozen dataclass, valid by construction, built
+    without re-running the checks of ``__post_init__``."""
+    data = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(data, name, value)
+    return data
 
 
 def dualize(data):

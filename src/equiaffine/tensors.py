@@ -1,11 +1,13 @@
 """Intrinsic Riemannian tensor calculus on jet-valued metric fields.
 
 A metric field is an (n, n, M) symmetric jet array (see ``jets``)
-expanded around one point, and the outputs (Christoffel symbols,
-curvature, covariant derivatives) are plain numeric arrays at that point.
-Every routine also takes a stack of such fields, one per point of a point
-stack, as leading axes, and computes each stack entry exactly as it would
-compute that entry alone.
+expanded around one point.  The routines take plain arrays (the metric's
+jets or values and those of its inverse, which the caller forms) and
+return the Christoffel symbols as jets and the curvature and covariant
+derivatives as plain numeric arrays at that point.  Every routine also
+takes a stack of such fields, one per point of a point stack, as leading
+axes, and computes each stack entry exactly as it would compute that
+entry alone.
 
 Curvature conventions: R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
 - nabla_[X,Y] Z, with fully covariant components
@@ -17,64 +19,16 @@ With these signs the unit round sphere has chi = +1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .jets import jet_einsum, jet_gradient, jet_lu, jet_order, jet_size
+from .jets import jet_einsum, jet_gradient
 
 SPD_RTOL = 1e-10
 
 
 class MetricError(ValueError):
     """Raised for metrics that are not symmetric positive definite."""
-
-
-@dataclass(frozen=True)
-class MetricField:
-    """Symmetric positive definite metric given as jets around a point,
-    in the ``dim`` chart variables; leading axes of ``coeffs`` stack one
-    metric per point."""
-
-    dim: int
-    coeffs: np.ndarray  # (..., n, n, M) jet array
-
-    def __post_init__(self):
-        if self.coeffs.ndim < 3 or self.coeffs.shape[-3:-1] != (self.dim, self.dim):
-            raise MetricError("metric component array must be n x n")
-        vals = self.values()
-        if not _is_symmetric(vals):
-            raise MetricError("metric value part is not symmetric")
-        check_spd_eigenvalues(np.linalg.eigvalsh(vals))
-
-    def values(self) -> np.ndarray:
-        return self.coeffs[..., 0]
-
-    @property
-    def order(self) -> int:
-        return jet_order(self.dim, self.coeffs.shape[-1])
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        """g^{ij} as an (..., n, n, M') jet array, one order below the metric."""
-        if self.order < 1:
-            raise ValueError("the jet inverse needs metric jets of order >= 1")
-        lo = self.coeffs[..., : jet_size(self.dim, self.order - 1)]
-        eye = np.zeros(lo.shape)
-        eye[..., 0] = np.eye(self.dim)
-        return jet_lu(lo, self.dim, eye, log_det=False)[1]
-
-
-def _is_symmetric(vals: np.ndarray) -> bool:
-    """Whether every matrix of an (..., n, n) stack equals its transpose
-    within 1e-12 of its largest entry: the predicate of
-    ``np.allclose(v, v.T, atol=1e-12 * (1 + |v|max))`` (default rtol), per
-    matrix, without its per-call overhead."""
-    vt = np.swapaxes(vals, -1, -2)
-    atol = 1e-12 * (1 + np.abs(vals).max(axis=(-2, -1), keepdims=True))
-    with np.errstate(invalid="ignore"):
-        close = (np.abs(vals - vt) <= atol + 1e-05 * np.abs(vt)) & np.isfinite(vt) | (vals == vt)
-    return bool(close.all())
 
 
 def check_spd_eigenvalues(eig: np.ndarray) -> None:
@@ -87,15 +41,6 @@ def check_spd_eigenvalues(eig: np.ndarray) -> None:
         raise MetricError(f"metric value part is not positive definite (eigenvalues {eig})")
 
 
-def _trusted(cls, **values):
-    """An instance of a frozen dataclass, valid by construction, built
-    without re-running the checks of ``__post_init__``."""
-    data = object.__new__(cls)
-    for name, value in values.items():
-        object.__setattr__(data, name, value)
-    return data
-
-
 @dataclass(frozen=True)
 class CurvatureData:
     christoffel: np.ndarray  # Gamma^k_ij, shape (n, n, n) indexed [k, i, j]
@@ -104,17 +49,17 @@ class CurvatureData:
     chi: float  # an array of one value per point for a stack
 
 
-def christoffel_jets(g: MetricField) -> np.ndarray:
+def christoffel_jets(g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
     """Levi-Civita symbols Gamma^k_ij = g^{kl}(d_i g_jl + d_j g_il - d_l g_ij)/2
-    as an (..., n, n, n, M') jet array indexed [k, i, j], one order below the
-    metric; ``[..., 0]`` holds their values."""
-    if g.order < 1:
-        raise ValueError("christoffel needs metric jets of order >= 1")
-    d = _last_index_first(jet_gradient(g.coeffs, g.dim))  # d[l, i, j] = d_l g_ij
+    of the (..., n, n, M) metric jets g, given the jets g_inv of its inverse
+    one order below, as an (..., n, n, n, M') jet array indexed [k, i, j] of
+    g_inv's order; ``[..., 0]`` holds their values."""
+    n = g.shape[-2]
+    d = _last_index_first(jet_gradient(g, n))  # d[l, i, j] = d_l g_ij
     # bracket[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij; contiguous, so that
     # the contraction below sums in one order whatever the stack size
     bracket = np.ascontiguousarray(_last_index_first(d) + d.swapaxes(-4, -2) - d)
-    return 0.5 * jet_einsum("kl,lij->kij", g.inverse, bracket, g.dim)
+    return 0.5 * jet_einsum("kl,lij->kij", g_inv, bracket, n)
 
 
 def _last_index_first(a: np.ndarray) -> np.ndarray:
@@ -122,14 +67,12 @@ def _last_index_first(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-2, -3).swapaxes(-3, -4)
 
 
-def riemann(g: MetricField, gamma_jets: np.ndarray, g_inv: np.ndarray) -> CurvatureData:
-    """Full curvature data of a metric field (needs jet order >= 2), given
-    the metric's ``christoffel_jets`` and the inverse ``g_inv`` of its
-    values; for a stack of fields every field of the result, chi too, is
-    stacked."""
-    if g.order < 2:
-        raise ValueError("riemann needs metric jets of order >= 2")
-    n = g.dim
+def riemann(g: np.ndarray, gamma_jets: np.ndarray, g_inv: np.ndarray) -> CurvatureData:
+    """Full curvature data of a metric with (..., n, n) values g and inverse
+    g_inv, given its ``christoffel_jets`` (of order >= 1, so from metric jets
+    of order >= 2); for a stack of metrics every field of the result, chi
+    too, is stacked."""
+    n = g.shape[-1]
     gamma = gamma_jets[..., 0]
     dgamma = gamma_jets[..., 1 : n + 1]  # degree-1 coefficients: [k, i, j, l] = d_l Gamma^k_ij
     # Rup[m, i, j, k]: R(d_i, d_j) d_k = Rup[m, i, j, k] d_m
@@ -139,13 +82,12 @@ def riemann(g: MetricField, gamma_jets: np.ndarray, g_inv: np.ndarray) -> Curvat
         + np.einsum("...mil,...ljk->...mijk", gamma, gamma)
         - np.einsum("...mjl,...lik->...mijk", gamma, gamma)
     )
-    gval = g.values()
-    riem = np.einsum("...ml,...mijk->...ijkl", gval, rup)
+    riem = np.einsum("...ml,...mijk->...ijkl", g, rup)
     ricci = np.einsum("...kl,...kijl->...ij", g_inv, riem)
     if n > 1:
         chi = np.einsum("...il,...jk,...ijkl->...", g_inv, g_inv, riem) / (n * (n - 1))
     else:
-        chi = np.zeros(gval.shape[:-2])
+        chi = np.zeros(g.shape[:-2])
     return CurvatureData(christoffel=gamma, riemann=riem, ricci=ricci, chi=chi)
 
 

@@ -633,6 +633,18 @@ def test_scaled_hyperboloid_scene_passes(tmp_path, capsys, n, scale):
     assert captured.err == "" and "status: pass" in captured.out
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e-30])
+def test_hyperboloid_below_unit_scale_runs(tmp_path, capsys, scale):
+    # the immersion test is relative to the largest singular value, so
+    # tangents of size 1e-12 are no rank deficiency; L1 = -scale^(-3/2)
+    chart = {"dsl": scaled_hyperboloid_text(2, repr(scale))}
+    assert main(["invariants", "--scene", scene_file(tmp_path, chart, {"random": 2, "seed": 1})]) == 0
+    captured = capsys.readouterr()
+    L1 = [float(value) for value in re.findall(r"^  L1: (.*)$", captured.out, flags=re.MULTILINE)]
+    assert captured.err == "" and len(L1) == 2
+    assert np.allclose(L1, -scale ** -1.5, rtol=1e-12, atol=0.0)
+
+
 def test_metric_gate_through_the_pipeline_exits_3(tmp_path, capsys):
     # G is positive definite, so the convexity gate passes, but g's condition
     # number is past the SPD gate's 1 / SPD_RTOL
@@ -853,6 +865,10 @@ H2 = '"chart": {"catalog": "hyperboloid", "params": {"n": 2}}'
         # --chart reads C0=inf as a float, which the scene's number rule refuses
         ('{%s}' % H2, ["--chart", "flat_hypersphere(n0=2, C0=inf)"],
          "chart.params.C0 must be a finite number, got inf"),
+        # a repeated key ran with its last value
+        ('{"chart": {"catalog": "hyperboloid", "params": {"n": 2, "n": 3}}}', [],
+         "repeated key 'n' in a scene object"),
+        ('{%s}' % H2, ["--chart", "hyperboloid(n=2,n=3)"], "repeated --chart parameter 'n'"),
     ],
     ids=["tolerances-list", "tolerance-text", "tolerance-infinite", "tol-flag-text", "tol-flag-nan",
          "tol-flag-on-tolerances-list", "checks-int", "checks-string", "checks-not-names", "chart-string",
@@ -860,12 +876,19 @@ H2 = '"chart": {"catalog": "hyperboloid", "params": {"n": 2}}'
          "tol-flag-negative", "random-fractional", "seed-fractional", "random-bool", "seed-bool", "random-string",
          "seed-string", "tolerance-bool", "tolerance-numeric-text", "coordinate-text", "coordinate-bool",
          "coordinate-list", "random-unknown-key", "flat-unknown-key", "chart-two-kinds", "factor-two-kinds",
-         "points-mixed", "points-mixed-number-first", "points-text", "chart-flag-C0-infinite"],
+         "points-mixed", "points-mixed-number-first", "points-text", "chart-flag-C0-infinite", "repeated-key",
+         "chart-flag-repeated-parameter"],
 )
 def test_malformed_scene_values_exit_2_with_one_line(tmp_path, capsys, scene, flags, expected):
     path = tmp_path / "scene.json"
     path.write_text(scene)
     assert error_line(capsys, ["check", "--scene", str(path), *flags]) == (2, f"scene error: {expected}")
+
+
+def test_a_repeated_tol_flag_keeps_its_last_value(capsys):
+    # unlike a repeated scene key or --chart parameter; the first value alone would exit 2
+    assert main(["check", "--chart", "hyperboloid(n=2)", "--tol", "gauss=-1", "--tol", "gauss=1"]) == 0
+    assert "check gauss: residual=" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,7 @@ from equiaffine.dsl import (
     eval_expr,
     eval_immersion,
     parse_chart,
+    parse_source,
 )
 from equiaffine.jets import JetDomainError, jet_size, jet_variables, monomials
 
@@ -146,7 +147,7 @@ def test_max_depth_counts_each_unary_minus():
 
 
 def test_sample_points_reproducible_and_in_domain():
-    chart = parse_chart(SPHERE, domain_hint=([-0.2, -0.1], [0.3, 0.4]))
+    chart = DslChart(*parse_source(SPHERE), domain_hint=([-0.2, -0.1], [0.3, 0.4]))
     p1 = chart.sample_points(4, 9)
     p2 = chart.sample_points(4, 9)
     assert np.array_equal(p1, p2)

@@ -1,11 +1,12 @@
 """The CLI's scene error contract, generated from ``cli.SCENE_GRAMMAR``.
 
-Any scene document makes ``main`` exit 0, 1, 2 or 3 without a traceback;
-exits 2 and 3 print exactly one stderr line, and a report's summary counts
-its check lines.  The documents come from the grammar and the catalog
-builders' signatures, so a key added to either is drawn too.  Every drawn
-chart has at most 3 dimensions and every point set at most 5 points, so
-the work of one example is bounded by construction.
+Any scene document, and any scene flags (``--chart``, ``--points``,
+``--seed``, ``--tol``) with or without one, make ``main`` exit 0, 1, 2 or 3
+without a traceback; exits 2 and 3 print exactly one stderr line, and a
+report's summary counts its check lines.  The documents and flags come from
+the grammar and the catalog builders' signatures, so a key added to either
+is drawn too.  Every drawn chart has at most 3 dimensions and every point
+set at most 5 points, so the work of one example is bounded by construction.
 """
 
 import contextlib
@@ -120,7 +121,10 @@ def run_main(argv, stdin):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             mock.patch.object(sys, "stdin", io.StringIO(stdin)):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # a usage error
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -129,7 +133,7 @@ def assert_contract(code, out, err):
     assert "Traceback" not in err
     if code in (2, 3):
         assert out == "" and len(err.splitlines()) == 1
-        assert err.startswith(("scene error: ", "chart error: "))
+        assert err.startswith(("scene error: ", "chart error: ", "equiaffine "))  # the last: argparse usage
         return
     assert err == ""
     checks = re.findall(r"^ *check .*: residual=.* (pass|FAIL)$", out, flags=re.MULTILINE)
@@ -147,6 +151,58 @@ def assert_contract(code, out, err):
 @example(text='{"chart": {"dsl": "%s"}, "points": [[[0.5]]]}' % CHART_TEXTS[0], command="check")
 def test_any_scene_document_keeps_the_error_contract(text, command):
     assert_contract(*run_main([command, "--scene", "-"], text))
+
+
+# the values of a flag, or of a --chart parameter by its kind: every chart
+# has at most 2 dimensions (sl_so(m <= 2) fails to build, 10**30 is past MAX_DIM)
+FLAG_VALUES = {"--points": [2, 1, 5], "--seed": [1, 0, 7], "integer": [2, 1, 0, 2.0, 10**30],
+               "number": [1.0, 0.5, 2, 1e300], "text": CHART_TEXTS}
+
+
+@st.composite
+def scene_flags(draw, chart=False):
+    """Scene flags: ``--chart`` (always if ``chart``) with a catalog name and
+    its builder's parameters, ``--points``, ``--seed`` and ``--tol`` for the
+    names of ``cli.CHECKS``, with values from ``FLAG_VALUES``; as drawn or
+    with one value of ``WRONG``, one more --chart parameter from
+    ``PARAMETERS`` (its builder's, repeated, or another) or one unknown --tol name."""
+    name = draw(st.sampled_from(sorted(catalog.ENTRIES))) if chart or draw(st.booleans()) else None
+    grammar = cli.parameter_grammar(catalog.entry(name).builder) if name else {}
+    params = [[key, draw(st.sampled_from(FLAG_VALUES[spec.kind]))] for key, spec in grammar.items()
+              if spec.default is cli.REQUIRED or draw(st.booleans())]
+    flags = [[flag, draw(st.sampled_from(FLAG_VALUES[flag]))] for flag in ("--points", "--seed") if draw(st.booleans())]
+    tols = [[check, draw(st.sampled_from(FLAG_VALUES["number"]))]
+            for check in draw(st.lists(st.sampled_from(sorted(cli.CHECKS)), max_size=2))]
+    how = draw(st.sampled_from(["as drawn", "wrong value", "another parameter", "unknown name"]))
+    if how == "wrong value" and params + flags + tols:
+        draw(st.sampled_from(params + flags + tols))[1] = draw(st.sampled_from(WRONG))
+    elif how == "another parameter" and name:
+        key = draw(st.sampled_from(sorted(PARAMETERS)))
+        params.append([key, draw(st.sampled_from(FLAG_VALUES[PARAMETERS[key].kind]))])
+    elif how == "unknown name":
+        tols.append(["junk", draw(st.sampled_from(FLAG_VALUES["number"]))])
+    argv = ["--chart", f"{name}({', '.join(f'{key}={value}' for key, value in params)})"] if name else []
+    for flag, value in flags:
+        argv += [flag, str(value)]
+    for check, value in tols:
+        argv += ["--tol", f"{check}={value}"]
+    return argv
+
+
+# (scene text or None, flags): with no scene document the flags name the chart
+SCENE_AND_FLAGS = st.tuples(st.none(), scene_flags(chart=True)) | st.tuples(scene_documents().map(json.dumps),
+                                                                             scene_flags())
+
+
+@settings(max_examples=150, deadline=None)
+@given(scene_and_flags=SCENE_AND_FLAGS, command=st.sampled_from(COMMANDS))
+@example(scene_and_flags=(None, ["--chart", "hyperboloid(n=2, n=3)", "--points", "2"]), command="check")
+@example(scene_and_flags=(None, ["--chart", "hyperboloid(n=2)", "--tol", "gauss=1", "--tol", "gauss=x"]),
+         command="check")
+def test_any_scene_flags_keep_the_error_contract(scene_and_flags, command):
+    text, argv = scene_and_flags
+    scene = [] if text is None else ["--scene", "-"]
+    assert_contract(*run_main([command, *scene, *argv], text or ""))
 
 
 # valid scenes that give every key of the grammar and every builder parameter;

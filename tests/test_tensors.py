@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from equiaffine import jets
-from equiaffine.jets import jet_mul, jet_size, jet_variables
+from equiaffine.jets import jet_lu, jet_mul, jet_order, jet_size, jet_variables
 from equiaffine.tensors import (
     CurvatureData,
     MetricError,
-    MetricField,
+    check_spd_eigenvalues,
     christoffel_jets,
     cov_deriv_sym3,
     riemann,
@@ -39,13 +39,23 @@ def metric_field(point, order=3):
     comps[0, 0] = jet_mul(u, u, 2) + jets.sin(v, 2) * 0.2 + constant(1.0, 2, order)
     comps[0, 1] = comps[1, 0] = jet_mul(u, v, 2) * 0.3
     comps[1, 1] = jet_mul(v, v, 2) + u * 0.1 + constant(2.0, 2, order)
-    return MetricField(2, comps)
+    return comps
 
 
-def curvature(g: MetricField):
-    """``riemann`` of a metric field, given its Christoffel jets and the
-    inverse of its values."""
-    return riemann(g, christoffel_jets(g), np.linalg.inv(g.values()))
+def inverse_jets(g):
+    """g^{ij} of the (n, n, M) metric jets g as jets one order below, formed
+    as blaschke_at forms them."""
+    n = g.shape[-2]
+    lo = g[..., : jet_size(n, jet_order(n, g.shape[-1]) - 1)]
+    eye = np.zeros(lo.shape)
+    eye[..., 0] = np.eye(n)
+    return jet_lu(lo, n, eye, log_det=False)[1]
+
+
+def curvature(g):
+    """``riemann`` of metric jets g, given their Christoffel jets and the
+    inverse of their values."""
+    return riemann(g[..., 0], christoffel_jets(g, inverse_jets(g)), np.linalg.inv(g[..., 0]))
 
 
 def fd_christoffel(point, h=1e-5):
@@ -70,7 +80,8 @@ def fd_christoffel(point, h=1e-5):
 
 def test_christoffel_matches_finite_differences():
     point = np.array([0.3, -0.4])
-    got = christoffel_jets(metric_field(point))[..., 0]
+    g = metric_field(point)
+    got = christoffel_jets(g, inverse_jets(g))[..., 0]
     oracle = fd_christoffel(point)
     assert np.max(np.abs(got - oracle)) < 1e-9
 
@@ -101,8 +112,9 @@ def test_riemann_matches_finite_differences_of_christoffel():
     got = curvature(metric_field(point))
     assert np.max(np.abs(got.riemann - oracle)) < 1e-6
     # g^{-1} from the metric's jet inverse, as blaschke_at passes it, gives the same curvature
-    field = metric_field(point)
-    given = riemann(field, christoffel_jets(field), field.inverse[..., 0])
+    g = metric_field(point)
+    g_inv = inverse_jets(g)
+    given = riemann(g[..., 0], christoffel_jets(g, g_inv), g_inv[..., 0])
     assert np.asarray(given.riemann).tobytes() == np.asarray(got.riemann).tobytes()
     for name in ("ricci", "chi"):
         assert np.allclose(getattr(given, name), getattr(got, name), rtol=1e-13, atol=1e-13)
@@ -119,7 +131,7 @@ def sphere_metric(point, n, order=2):
     for i in range(n):
         for j in range(n):
             comps[i, j] = jet_mul(jet_mul(u[i], u[j], n), w, n) + constant(1.0 if i == j else 0.0, n, order)
-    return MetricField(n, comps)
+    return comps
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -127,7 +139,7 @@ def test_unit_sphere_curvature(n):
     point = np.full(n, 0.21)
     g = sphere_metric(point, n)
     curv = curvature(g)
-    gval = g.values()
+    gval = g[..., 0]
     expect = np.einsum("il,jk->ijkl", gval, gval) - np.einsum("ik,jl->ijkl", gval, gval)
     assert np.max(np.abs(curv.riemann - expect)) < 1e-12
     assert curv.chi == pytest.approx(1.0, abs=1e-12)
@@ -148,22 +160,15 @@ def test_flat_metric_curvature_zero():
     comps[0, 0] = jet_mul(j00, j00, n) + jet_mul(j10, j10, n)
     comps[0, 1] = comps[1, 0] = jet_mul(j00, j01, n) + jet_mul(j10, j11, n)
     comps[1, 1] = jet_mul(j01, j01, n) + jet_mul(j11, j11, n)
-    curv = curvature(MetricField(n, comps))
+    curv = curvature(comps)
     assert np.max(np.abs(curv.riemann)) < 1e-12
     assert curv.chi == pytest.approx(0.0, abs=1e-12)
 
 
 def test_metric_validation():
-    comps = np.empty((2, 2, jet_size(2, 2)))
-    comps[0, 0] = constant(1.0, 2, 2)
-    comps[0, 1] = constant(2.0, 2, 2)
-    comps[1, 0] = constant(2.0, 2, 2)
-    comps[1, 1] = constant(1.0, 2, 2)  # eigenvalues 3, -1
+    vals = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
     with pytest.raises(MetricError):
-        MetricField(2, comps)
-    comps[1, 0] = constant(2.1, 2, 2)
-    with pytest.raises(MetricError):
-        MetricField(2, comps)
+        check_spd_eigenvalues(np.linalg.eigvalsh(vals))
 
 
 def test_cov_deriv_scalar_times_metric():
@@ -171,13 +176,13 @@ def test_cov_deriv_scalar_times_metric():
     times g plus Christoffel corrections; cross-check by finite differences."""
     point = np.array([0.1, 0.2])
     g = metric_field(point, order=3)
-    gamma = christoffel_jets(g)[..., 0]
+    gamma = christoffel_jets(g, inverse_jets(g))[..., 0]
     n = 2
     u = jet_variables(point, 1)
     f = jet_mul(u[0], u[1], n) + constant(1.0, n, 1)
 
     a_jets = np.empty((n, n, n, jet_size(n, 1)))
-    g1 = g.coeffs[..., : jet_size(n, 1)]
+    g1 = g[..., : jet_size(n, 1)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
