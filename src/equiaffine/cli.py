@@ -105,7 +105,9 @@ def _dual_reports(invs, tol) -> list[list[CheckReport]]:
                for req, L1 in zip(requires.tolist(), invs.L1.tolist())]
     hyperbolic = np.flatnonzero(~requires)
     if len(hyperbolic):
-        data = duality.HyperspherePointData(g=invs.g[hyperbolic], A=invs.A[hyperbolic], L1=invs.L1[hyperbolic])
+        # blaschke_at has gated g (relative SPD test) and formed g_inv already
+        data = duality._trusted(duality.HyperspherePointData, g=invs.g[hyperbolic], A=invs.A[hyperbolic],
+                                L1=invs.L1[hyperbolic], g_inv=invs.g_inv[hyperbolic])
         swap = duality.check_gauss_swap(data).tolist()
         free = duality.check_trace_free(duality.dualize(data)).tolist()
         for k, swap_k, free_k in zip(hyperbolic.tolist(), swap, free):

@@ -105,40 +105,41 @@ class Pow:
     exponent: Fraction
 
 
-def degree_bounds(exprs, order: int) -> dict[int, int]:
-    """Upper bounds in 0..order on the polynomial degree of every node of
-    the ASTs ``exprs``, keyed by ``id(node)``.  A bound computed for one
-    order serves every lower one, since a bound >= order promises nothing."""
-    bounds: dict[int, int] = {}
+def degree_bounds(exprs) -> dict[int, int | None]:
+    """Upper bounds on the polynomial degree of every node of the ASTs
+    ``exprs``, keyed by ``id(node)``, None for a node that is no polynomial.
+    They hold at every jet order; a product clamps them to its own."""
+    bounds: dict[int, int | None] = {}
 
-    def bound(expr) -> int:
+    def bound(expr) -> int | None:
         if isinstance(expr, (Num, Param)):
             d = 0
         elif isinstance(expr, Var):
             d = 1
         elif isinstance(expr, Unary):
             d = bound(expr.arg)
-            if expr.op != "neg" and d:
-                d = order
+            if expr.op != "neg" and d != 0:
+                d = None
         elif isinstance(expr, Bin):
             da, db = bound(expr.left), bound(expr.right)
-            if expr.op in ("+", "-"):
-                d = max(da, db)
-            elif expr.op == "*":
-                d = da + db
+            if expr.op == "/":
+                d = da if db == 0 else None
+            elif None in (da, db):
+                d = None
             else:
-                d = da if db == 0 else order
+                d = max(da, db) if expr.op in "+-" else da + db
         elif isinstance(expr, Pow):
-            d = bound(expr.base)
-            k = expr.exponent
-            if k.denominator == 1 and k >= 0:
+            d, k = bound(expr.base), expr.exponent
+            if k == 0 or d == 0:
+                d = 0
+            elif d is not None and k.denominator == 1 and k > 0:
                 d = int(k) * d
-            elif d:
-                d = order
+            else:
+                d = None
         else:
             raise TypeError(f"unknown AST node {expr!r}")
-        bounds[id(expr)] = min(d, order)
-        return bounds[id(expr)]
+        bounds[id(expr)] = d
+        return d
 
     for expr in exprs:
         bound(expr)
@@ -173,7 +174,7 @@ def eval_expr(expr, var_jets: np.ndarray, params: dict[str, float], bounds) -> n
         da, db = bounds[id(expr.left)], bounds[id(expr.right)]
         if expr.op == "*":
             return jets.jet_mul(a, b, n, (da, db))
-        inverse_bound = 0 if db == 0 else jets.MAX_ORDER  # 1/b is constant where b is
+        inverse_bound = 0 if db == 0 else None  # 1/b is constant where b is
         return jets.jet_mul(a, jets.recip(b, n, db), n, (da, inverse_bound))
     if isinstance(expr, Pow):
         base = eval_expr(expr.base, var_jets, params, bounds)
@@ -289,7 +290,7 @@ class OrbitChart(ChartDef):
         if order not in self._base:
             c = np.zeros((self.ambient_dim, jets.jet_size(self.dim, order)))
             c[:, 0] = self.x0
-            child = jets._gradient_table(self.dim, order)[0]  # child[i, beta] = beta + e_i, one-to-one in beta
+            child = jets.jet_index(self.dim, c.shape[-1]).gradient[0]  # child[i, beta] = beta + e_i, one-to-one in beta
             lo, hi = 0, 1  # the monomials of degree k - 1
             for k in range(1, order + 1):
                 for i, Xi in enumerate(self.X):
@@ -315,7 +316,7 @@ class DslChart(ChartDef):
         if len(components) != dim + 1:
             raise ValueError(f"expected {dim + 1} components, got {len(components)}")
         self.components = list(components)
-        self.bounds = degree_bounds(self.components, jets.MAX_ORDER)
+        self.bounds = degree_bounds(self.components)
 
     def component_jets(self, point, order):
         var_jets = jets.jet_variables(point, order)
@@ -343,8 +344,8 @@ def eval_immersion(chart: ChartDef, point, order: int) -> tuple[np.ndarray, np.n
     three: the singular values, which must show rank n at every point
     (``ImmersionError`` names the first point that fails), and w, the last
     right singular vector.  Their product is |det [T; w]|."""
-    if not 1 <= order <= jets.MAX_ORDER:
-        raise ValueError(f"order must be in 1..{jets.MAX_ORDER}")
+    if order < 1:
+        raise ValueError(f"order must be at least 1, got {order}")
     point = np.asarray(point, float)
     if point.ndim not in (1, 2) or point.shape[-1] != chart.dim:
         raise ValueError(f"point must have dimension {chart.dim}")

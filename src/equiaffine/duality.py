@@ -20,6 +20,7 @@ one per point, for data that hold a stack of P points (g of shape
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,22 +31,39 @@ class DualityError(ValueError):
     """Raised for data that cannot sit on either side of the duality."""
 
 
-def _check_shapes(g: np.ndarray, cubic: np.ndarray, constant) -> None:
-    """One point's (or a stack's) metric, cubic tensor and constant agree in
-    dimension and in point axes."""
-    n = g.shape[-1]
-    lead = g.shape[:-2]
-    if g.shape[-2:] != (n, n) or cubic.shape != lead + (n, n, n) or np.shape(constant) != lead:
-        raise DualityError("shape mismatch between metric and cubic data")
-
-
 def _check_definite(g: np.ndarray) -> None:
     if (np.linalg.eigvalsh(g)[..., 0] <= 0).any():
         raise DualityError("metric must be positive definite")
 
 
+class _PointData:
+    """What both sides' point data share: validation, the metric g and its inverse."""
+
+    def _validate(self, cubic: str, constant, sign_error: str) -> None:
+        """Make g and the cubic tensor float arrays; check that they and
+        ``constant`` agree in shape, ``constant`` > 0 and g is definite."""
+        g = np.asarray(self.g, float)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, cubic, np.asarray(getattr(self, cubic), float))
+        n, lead = g.shape[-1], g.shape[:-2]
+        if g.shape[-2:] != (n, n) or getattr(self, cubic).shape != lead + (n, n, n) or np.shape(constant) != lead:
+            raise DualityError("shape mismatch between metric and cubic data")
+        if (np.asarray(constant) <= 0).any():
+            raise DualityError(sign_error)
+        _check_definite(g)
+
+    @property
+    def dim(self) -> int:
+        return self.g.shape[-1]
+
+    @cached_property
+    def g_inv(self) -> np.ndarray:
+        """The inverse metric, formed on first use unless given to ``_trusted``."""
+        return np.linalg.inv(self.g)
+
+
 @dataclass(frozen=True)
-class LagrangianPointData:
+class LagrangianPointData(_PointData):
     """Pointwise minimal-Lagrangian data: metric, second fundamental form
     (fully lowered, totally symmetric), and the sectional constant c > 0."""
 
@@ -54,22 +72,11 @@ class LagrangianPointData:
     c: float
 
     def __post_init__(self):
-        g = np.asarray(self.g, float)
-        sigma = np.asarray(self.sigma, float)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "sigma", sigma)
-        _check_shapes(g, sigma, self.c)
-        if (np.asarray(self.c) <= 0).any():
-            raise DualityError("the ambient sectional constant c must be positive")
-        _check_definite(g)
-
-    @property
-    def dim(self) -> int:
-        return self.g.shape[-1]
+        self._validate("sigma", self.c, "the ambient sectional constant c must be positive")
 
 
 @dataclass(frozen=True)
-class HyperspherePointData:
+class HyperspherePointData(_PointData):
     """Pointwise hyperbolic affine hypersphere data (L1 < 0)."""
 
     g: np.ndarray
@@ -77,23 +84,12 @@ class HyperspherePointData:
     L1: float
 
     def __post_init__(self):
-        g = np.asarray(self.g, float)
-        A = np.asarray(self.A, float)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "A", A)
-        _check_shapes(g, A, self.L1)
-        if (np.asarray(self.L1) >= 0).any():
-            raise DualityError("hypersphere data must be hyperbolic (L1 < 0)")
-        _check_definite(g)
-
-    @property
-    def dim(self) -> int:
-        return self.g.shape[-1]
+        self._validate("A", -np.asarray(self.L1), "hypersphere data must be hyperbolic (L1 < 0)")
 
 
 def _trusted(cls, **values):
-    """An instance of a frozen dataclass, valid by construction, built
-    without re-running the checks of ``__post_init__``."""
+    """An instance of a frozen dataclass, valid by construction, built without
+    re-running the checks of ``__post_init__``; ``g_inv`` may be given too."""
     data = object.__new__(cls)
     for name, value in values.items():
         object.__setattr__(data, name, value)
@@ -106,23 +102,23 @@ def dualize(data):
     The metric is kept, the cubic tensor is reused verbatim, and the
     curvature constant flips sign: c = -L1 going forward, L1 = -c going
     back.  Applying dualize twice is the identity.  The input was validated
-    when it was built, and the result keeps its metric, shapes and the
-    sign of its constant, so the result is not validated again.
+    when it was built, and the result keeps its metric, g_inv, shapes and
+    the sign of its constant, so the result is not validated again.
     """
     if isinstance(data, HyperspherePointData):
-        return _trusted(LagrangianPointData, g=data.g, sigma=data.A, c=-data.L1)
+        return _trusted(LagrangianPointData, g=data.g, sigma=data.A, c=-data.L1, g_inv=data.g_inv)
     if isinstance(data, LagrangianPointData):
-        return _trusted(HyperspherePointData, g=data.g, A=data.sigma, L1=-data.c)
+        return _trusted(HyperspherePointData, g=data.g, A=data.sigma, L1=-data.c, g_inv=data.g_inv)
     raise TypeError("dualize expects hypersphere or Lagrangian point data")
 
 
-def curvature_operator(g: np.ndarray, A: np.ndarray, c) -> np.ndarray:
+def curvature_operator(data: HyperspherePointData) -> np.ndarray:
     """R(d_i, d_j) d_k as Rup[m, i, j, k] for the hypersphere-side Gauss
-    equation with constant c: R = c (g wedge id) - [A, A] (leading point
-    axes broadcast, c one value per point)."""
-    g_inv = np.linalg.inv(g)
+    equation of (g, A, L1): R = L1 (g wedge id) - [A, A] (leading point
+    axes broadcast, L1 one value per point)."""
+    g, c = data.g, data.L1
     n = g.shape[-1]
-    A_up = np.einsum("...mp,...ikp->...mik", g_inv, A)  # shape operator A^m_ik of d_i
+    A_up = np.einsum("...mp,...ikp->...mik", data.g_inv, data.A)  # shape operator A^m_ik of d_i
     # [A_X, A_Y] Z with X = d_i, Y = d_j, Z = d_k
     comm = np.einsum("...mil,...ljk->...mijk", A_up, A_up) - np.einsum("...mjl,...lik->...mijk", A_up, A_up)
     eye = np.eye(n)
@@ -139,8 +135,8 @@ def check_gauss_swap(data: HyperspherePointData) -> np.ndarray:
     both sides numerically and returns the residual.
     """
     dual = dualize(data)
-    r_hyp = curvature_operator(data.g, data.A, data.L1)
-    r_lag = -curvature_operator(dual.g, dual.sigma, -dual.c)
+    r_hyp = curvature_operator(data)
+    r_lag = -curvature_operator(dualize(dual))  # (g, sigma, -c): the Lagrangian side's operator
     return max_per_point(data, r_lag - (-r_hyp))
 
 
@@ -149,5 +145,5 @@ def check_trace_free(data) -> np.ndarray:
     minimality on the Lagrangian side.  The contraction is literally the
     same, which is the point of the check."""
     cubic = data.A if isinstance(data, HyperspherePointData) else data.sigma
-    trace = np.einsum("...ij,...ijk->...k", np.linalg.inv(data.g), cubic)
+    trace = np.einsum("...ij,...ijk->...k", data.g_inv, cubic)
     return max_per_point(data, trace)

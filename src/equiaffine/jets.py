@@ -20,59 +20,156 @@ treats each stack entry exactly as it would treat that entry alone.
 
 Multi-indices are enumerated in graded lexicographic order, which makes
 monomials of degree <= k a prefix of the enumeration; truncating a jet
-to a lower order is then just a slice of its last axis.
+to a lower order is then just a slice of its last axis.  Jets may have
+any order, which their coefficient count fixes.  One ``JetIndex`` per
+number of variables and order holds the enumeration and every table read
+off it; ``jet_index``, the module's one cache, keeps ``INDEX_CACHE`` of them.
 
 Degree bounds.  A product may be told an upper degree bound per operand:
 bound d promises that every coefficient of degree > d is exactly zero
-(a constant has bound 0, a linear function bound 1; any d >= order
-promises nothing).  The product then forms only the coefficient pairs
-with deg i <= da and deg j <= db, a filtered product table (the
-monomials of degree <= d are a prefix of the enumeration), and its
-coefficients above degree min(order, da + db) are exactly zero.
-``jet_mul``, ``power`` and the elementary functions take such bounds; a
-call without one forms every pair.  A caller passes a bound only where
-the structure of a chart guarantees it (a DSL expression tree), never
-one read off the data.  The result equals the full product up to the
-grouping of its sums, since only pairs with an exactly zero factor are
-left out.
+(a constant has bound 0, a linear function bound 1; None, or any
+d >= order, promises nothing).  The product then forms only the
+coefficient pairs with deg i <= da and deg j <= db, so its coefficients
+above degree min(order, da + db) are exactly zero, and it equals the
+full product up to the grouping of its sums.  ``jet_mul``, ``power`` and
+the elementary functions take such bounds; a caller passes them only
+where the structure of a chart guarantees them (a DSL expression tree),
+never read off the data.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-MAX_ORDER = 4
+# the jet indices kept at once: orders 0..5 in up to 26 variables (dsl.MAX_DIM)
+INDEX_CACHE = 6 * 26
 
 
 class JetDomainError(ArithmeticError):
     """Raised when an elementary function is applied outside its domain."""
 
 
-@lru_cache(maxsize=None)
-def monomials(num_vars: int, order: int) -> tuple[tuple[int, ...], ...]:
-    """All exponent tuples with total degree <= order, graded-lex sorted."""
-    result = []
-    for deg in range(order + 1):
-        level = []
+def _read_only(*arrays):
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays if len(arrays) > 1 else arrays[0]
 
-        def build(prefix, remaining, slots):
-            if slots == 1:
-                level.append(prefix + (remaining,))
-                return
-            for k in range(remaining, -1, -1):
-                build(prefix + (k,), remaining - k, slots - 1)
 
-        build((), deg, num_vars)
-        result.extend(level)
-    return tuple(result)
+class JetIndex:
+    """The monomials of jets in ``num_vars`` variables with ``size``
+    coefficients, as (size, num_vars) exponent rows (``monomials``: degree
+    blocks, each lexicographically descending), and the read-only tables
+    read off them on first use: ``products``, ``gradient``, ``hessian`` and
+    ``embedding``."""
+
+    def __init__(self, num_vars: int, size: int):
+        tails = [[] for _ in range(num_vars + 1)]  # tails[k][d]: the degree-d monomials in the last k variables
+        count = 0
+        while count < size:  # one degree at a time, up to the order that ``size`` fixes
+            d = len(tails[1])
+            tails[1].append(np.full((1, 1), d, dtype=np.int64))
+            for k in range(2, num_vars + 1):  # first exponent e = d, ..., 0, then the rest
+                parts = [np.pad(tails[k - 1][d - e], ((0, 0), (1, 0)), constant_values=e) for e in range(d, -1, -1)]
+                tails[k].append(np.concatenate(parts))
+            count += len(tails[num_vars][d])
+        if count != size or count == 0:
+            raise ValueError(f"{size} coefficients match no jet order in {num_vars} variables")
+        self.num_vars, self.size, self.order = num_vars, size, len(tails[1]) - 1
+        self.monomials = _read_only(np.concatenate(tails[num_vars]))
+        self._products, self._embeddings = {}, {}
+
+    def products(self, bounds=None):
+        """Index triples (i, j, k) with monomial_i * monomial_j = monomial_k,
+        sorted by k, and the start of each k's run (for ``np.add.reduceat``).
+        With degree bounds (da, db), clamped to the order here, the full
+        table's triples with deg i <= da and deg j <= db, in its order, whose
+        runs cover the monomials of degree <= min(order, da + db)."""
+        table = self._products.get(bounds)  # keyed by None and by clamped bounds
+        if table is None:
+            n, order = self.num_vars, self.order
+            key = tuple(order if d is None else min(d, order) for d in bounds or (None, None))
+            if key not in self._products:
+                ii, jj, kk, _ = self._products[key] = self._full_products
+                if key != (order, order):
+                    keep = (ii < jet_size(n, key[0])) & (jj < jet_size(n, key[1]))
+                    ii, jj, kk = ii[keep], jj[keep], kk[keep]
+                    top = np.arange(jet_size(n, min(order, sum(key))))
+                    self._products[key] = _read_only(ii, jj, kk, np.searchsorted(kk, top))
+            table = self._products[None if bounds is None else key] = self._products[key]
+        return table
+
+    @cached_property
+    def _full_products(self):
+        """The full product table, built block by block over pairs of degrees
+        da + db <= order (degree d holds monomials C(d-1+n, n)..C(d+n, n) - 1),
+        so the work is the number of triples, not the square of their count."""
+        n, order, mono = self.num_vars, self.order, self.monomials
+        block = [np.arange(jet_size(n, d - 1), jet_size(n, d)) for d in range(order + 1)]
+        pairs = [
+            np.meshgrid(block[da], block[db], indexing="ij")
+            for da in range(order + 1)
+            for db in range(order + 1 - da)
+        ]
+        ii = np.concatenate([i.ravel() for i, _ in pairs])
+        jj = np.concatenate([j.ravel() for _, j in pairs])
+        kk = _rank(mono[ii] + mono[jj], n)
+        perm = np.lexsort((jj, ii, kk))
+        ii, jj, kk = ii[perm], jj[perm], kk[perm]
+        return _read_only(ii, jj, kk, np.searchsorted(kk, np.arange(self.size)))
+
+    @cached_property
+    def gradient(self):
+        """Source indices and factors of d/du_v on Taylor coefficients, for
+        every variable v, as (num_vars, M') arrays.
+
+        Maps the order-`order` coefficient array to an order-`order-1` one:
+        coeff'[beta] = (beta_v + 1) * coeff[beta + e_v]."""
+        n = self.num_vars
+        mono_lo = self.monomials[: jet_size(n, self.order - 1)]
+        src = _rank(mono_lo[None, :, :] + np.eye(n, dtype=np.int64)[:, None, :], n)
+        return _read_only(src, (mono_lo.T + 1).astype(float))
+
+    @cached_property
+    def hessian(self):
+        """Source indices and factors of d/du_i d/du_j on Taylor coefficients,
+        for every pair (i, j), as symmetric (num_vars, num_vars, M'') arrays.
+
+        Maps the order-`order` coefficient array to an order-`order-2` one:
+        coeff''[beta] = (beta_i + 1)(beta_j + 1 + delta_ij) coeff[beta + e_i + e_j],
+        the factors of ``gradient`` taken twice, in one product.  Up to
+        order 5 at most one of the two is not a power of 2, so a coefficient
+        is rounded once either way and equals the two chained gathers'
+        bitwise (for normal floats)."""
+        n = self.num_vars
+        mono_lo = self.monomials[: jet_size(n, self.order - 2)]
+        eye = np.eye(n, dtype=np.int64)
+        src = _rank(mono_lo + (eye[:, None, None, :] + eye[None, :, None, :]), n)
+        fac = (mono_lo.T + 1)[:, None, :] * (mono_lo.T + 1 + eye[:, :, None])
+        return _read_only(src, fac.astype(float))
+
+    def embedding(self, num_vars: int, offset: int) -> np.ndarray:
+        """Positions of these monomials among the monomials of the same order
+        in ``num_vars`` variables, variable i becoming ``offset + i``."""
+        key = (num_vars, offset)
+        if key not in self._embeddings:
+            big = np.zeros((self.size, num_vars), dtype=np.int64)
+            big[:, offset : offset + self.num_vars] = self.monomials
+            self._embeddings[key] = _read_only(_rank(big, num_vars))
+        return self._embeddings[key]
+
+
+@lru_cache(maxsize=INDEX_CACHE)
+def jet_index(num_vars: int, size: int) -> JetIndex:
+    """The ``JetIndex`` of jets in ``num_vars`` variables with ``size`` coefficients."""
+    return JetIndex(num_vars, size)
 
 
 def _rank(exps: np.ndarray, num_vars: int) -> np.ndarray:
-    """Position in ``monomials`` of each exponent row of ``exps``.
+    """Position in the graded enumeration of each exponent row of ``exps``.
 
     Within a degree block the enumeration is lexicographically descending,
     so the monomials before ``e`` in its block are those whose first
@@ -94,102 +191,13 @@ def _comb(top: np.ndarray, k: int) -> np.ndarray:
     return table[top]
 
 
-@lru_cache(maxsize=None)
-def _product_table(num_vars: int, order: int, bound_a: int | None = None, bound_b: int | None = None):
-    """Index triples (i, j, k) with monomial_i * monomial_j = monomial_k,
-    sorted by k, and the start of each k's run (for ``np.add.reduceat``).
-
-    Built block by block over pairs of degrees da + db <= order, so the
-    work is the number of triples, not the square of the monomial count.
-    With bounds below ``order`` it keeps the triples with deg i <= bound_a
-    and deg j <= bound_b; its runs then cover the monomials of degree
-    <= min(order, bound_a + bound_b), a prefix of the enumeration.
-    """
-    if bound_a is not None:
-        ii, jj, kk, _ = _product_table(num_vars, order)
-        keep = (ii < jet_size(num_vars, bound_a)) & (jj < jet_size(num_vars, bound_b))
-        ii, jj, kk = ii[keep], jj[keep], kk[keep]
-        top = jet_size(num_vars, min(order, bound_a + bound_b))
-        return ii, jj, kk, np.searchsorted(kk, np.arange(top))
-    mono = np.array(monomials(num_vars, order), dtype=np.int64).reshape(-1, num_vars)
-    # degree d occupies [C(d-1+n, n), C(d+n, n)) in the graded enumeration
-    block = [
-        np.arange(math.comb(d - 1 + num_vars, num_vars), math.comb(d + num_vars, num_vars))
-        for d in range(order + 1)
-    ]
-    pairs = [
-        np.meshgrid(block[da], block[db], indexing="ij")
-        for da in range(order + 1)
-        for db in range(order + 1 - da)
-    ]
-    ii = np.concatenate([i.ravel() for i, _ in pairs])
-    jj = np.concatenate([j.ravel() for _, j in pairs])
-    kk = _rank(mono[ii] + mono[jj], num_vars)
-    perm = np.lexsort((jj, ii, kk))
-    ii, jj, kk = ii[perm], jj[perm], kk[perm]
-    return ii, jj, kk, np.searchsorted(kk, np.arange(len(mono)))
-
-
-@lru_cache(maxsize=None)
-def _pairs(num_vars: int, size: int, bounds):
-    """The product table for jets of ``size`` coefficients, filtered by the
-    operands' degree bounds (da, db) when one of them is below the order."""
-    order = jet_order(num_vars, size)
-    if bounds is None or min(bounds) >= order:
-        return _product_table(num_vars, order)
-    return _product_table(num_vars, order, min(bounds[0], order), min(bounds[1], order))
-
-
-@lru_cache(maxsize=None)
-def _gradient_table(num_vars: int, order: int):
-    """Source indices and factors of d/du_v on Taylor coefficients, for
-    every variable v, as (num_vars, M') arrays.
-
-    Maps the order-`order` coefficient array to an order-`order-1` one:
-    coeff'[beta] = (beta_v + 1) * coeff[beta + e_v].
-    """
-    mono_lo = np.array(monomials(num_vars, order - 1), dtype=np.int64).reshape(-1, num_vars)
-    src = _rank(mono_lo[None, :, :] + np.eye(num_vars, dtype=np.int64)[:, None, :], num_vars)
-    return src, (mono_lo.T + 1).astype(float)
-
-
-@lru_cache(maxsize=(MAX_ORDER - 1) * 26)  # every order >= 2 up to dsl.MAX_DIM = 26 variables
-def _hessian_table(num_vars: int, order: int):
-    """Source indices and factors of d/du_i d/du_j on Taylor coefficients,
-    for every pair (i, j), as symmetric read-only (num_vars, num_vars, M'')
-    arrays.
-
-    Maps the order-`order` coefficient array to an order-`order-2` one:
-    coeff''[beta] = (beta_i + 1)(beta_j + 1 + delta_ij) coeff[beta + e_i + e_j],
-    the factors of ``jet_gradient`` taken twice, in one product.  Up to
-    ``MAX_ORDER`` at most one of the two is not a power of 2, so a
-    coefficient is rounded once either way and equals the two chained
-    gathers' bitwise (for normal floats)."""
-    mono_lo = np.array(monomials(num_vars, order - 2), dtype=np.int64).reshape(-1, num_vars)
-    eye = np.eye(num_vars, dtype=np.int64)
-    src = _rank(mono_lo + (eye[:, None, None, :] + eye[None, :, None, :]), num_vars)
-    fac = (mono_lo.T + 1)[:, None, :] * (mono_lo.T + 1 + eye[:, :, None])
-    fac = fac.astype(float)
-    src.flags.writeable = fac.flags.writeable = False
-    return src, fac
-
-
 # -- jet arrays ------------------------------------------------------------
 
 
 def jet_size(num_vars: int, order: int) -> int:
-    """Number of Taylor coefficients of a jet; a jet array truncates to a
-    lower order by slicing its last axis to this length."""
-    return len(monomials(num_vars, order))
-
-
-@lru_cache(maxsize=None)
-def jet_order(num_vars: int, size: int) -> int:
-    """Truncation order of jets in ``num_vars`` variables with ``size`` coefficients."""
-    for order in range(MAX_ORDER + 1):
-        if len(monomials(num_vars, order)) == size:
-            return order
-    raise ValueError(f"{size} coefficients match no jet order in {num_vars} variables")
+    """Number of Taylor coefficients of a jet, C(num_vars + order, num_vars);
+    a jet array truncates to a lower order by slicing its last axis to this length."""
+    return math.comb(num_vars + order, num_vars)
 
 
 def jet_variables(point, order: int) -> np.ndarray:
@@ -206,29 +214,21 @@ def jet_variables(point, order: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _embed_index(sub_vars: int, num_vars: int, offset: int, order: int) -> np.ndarray:
-    mono = np.array(monomials(sub_vars, order), dtype=np.int64).reshape(-1, sub_vars)
-    big = np.zeros((len(mono), num_vars), dtype=np.int64)
-    big[:, offset : offset + sub_vars] = mono
-    return _rank(big, num_vars)
-
-
 def jet_embed(a: np.ndarray, sub_vars: int, num_vars: int, offset: int) -> np.ndarray:
     """Re-read a jet array in ``sub_vars`` variables as one in ``num_vars``
     variables, variable i becoming variable ``offset + i``."""
     if offset + sub_vars > num_vars:
         raise ValueError("embedded variables exceed target dimension")
-    order = jet_order(sub_vars, a.shape[-1])
-    out = np.zeros(a.shape[:-1] + (jet_size(num_vars, order),))
-    out[..., _embed_index(sub_vars, num_vars, offset, order)] = a
+    sub = jet_index(sub_vars, a.shape[-1])
+    out = np.zeros(a.shape[:-1] + (jet_size(num_vars, sub.order),))
+    out[..., sub.embedding(num_vars, offset)] = a
     return out
 
 
 def jet_mul(a: np.ndarray, b: np.ndarray, num_vars: int, bounds=None) -> np.ndarray:
     """Entrywise jet product of two jet arrays of one order, broadcasting;
     ``bounds`` = (da, db) are the operands' degree bounds, if known."""
-    ii, jj, _, starts = _pairs(num_vars, a.shape[-1], bounds)
+    ii, jj, _, starts = jet_index(num_vars, a.shape[-1]).products(bounds)
     prod = a[..., ii] * b[..., jj]
     if len(starts) == a.shape[-1]:
         return np.add.reduceat(prod, starts, axis=-1)
@@ -244,7 +244,7 @@ def jet_einsum(subscripts: str, a: np.ndarray, b: np.ndarray, num_vars: int) -> 
     ``jet_einsum("ik,kj->ij", A, B, n)``."""
     ins, out = subscripts.split("->")
     sa, sb = ins.split(",")
-    ii, jj, _, starts = _pairs(num_vars, a.shape[-1], None)
+    ii, jj, _, starts = jet_index(num_vars, a.shape[-1]).products()
     prod = np.einsum(f"...{sa}Z,...{sb}Z->...{out}Z", a[..., ii], b[..., jj])
     return np.add.reduceat(prod, starts, axis=-1)
 
@@ -256,7 +256,7 @@ def jet_matmul(a: np.ndarray, b: np.ndarray, num_vars: int) -> np.ndarray:
     ``np.matmul`` over the coefficient pairs, with the matrix axes taken
     in place (``axes=``), which is several times faster than
     ``np.einsum`` on this pattern."""
-    ii, jj, _, starts = _pairs(num_vars, a.shape[-1], None)
+    ii, jj, _, starts = jet_index(num_vars, a.shape[-1]).products()
     prod = np.matmul(a[..., ii], b[..., jj], axes=[(-3, -2)] * 3)
     return np.add.reduceat(prod, starts, axis=-1)
 
@@ -264,10 +264,10 @@ def jet_matmul(a: np.ndarray, b: np.ndarray, num_vars: int) -> np.ndarray:
 def jet_gradient(a: np.ndarray, num_vars: int) -> np.ndarray:
     """All first partials of a jet array, one order lower:
     shape (..., M) -> (..., num_vars, M'), entry [..., v, :] = d/du_v."""
-    order = jet_order(num_vars, a.shape[-1])
-    if order < 1:
+    index = jet_index(num_vars, a.shape[-1])
+    if index.order < 1:
         raise ValueError("cannot differentiate order-0 jets")
-    src, fac = _gradient_table(num_vars, order)
+    src, fac = index.gradient
     return a[..., src] * fac
 
 
@@ -275,10 +275,10 @@ def jet_hessian(a: np.ndarray, num_vars: int) -> np.ndarray:
     """All second partials of a jet array, two orders lower, from one
     gather: shape (..., M) -> (..., num_vars, num_vars, M''), entry
     [..., i, j, :] = d/du_i d/du_j, equal to ``jet_gradient`` taken twice."""
-    order = jet_order(num_vars, a.shape[-1])
-    if order < 2:
+    index = jet_index(num_vars, a.shape[-1])
+    if index.order < 2:
         raise ValueError("second partials need jets of order >= 2")
-    src, fac = _hessian_table(num_vars, order)
+    src, fac = index.hessian
     return a[..., src] * fac
 
 
@@ -297,7 +297,7 @@ def _compose(x: np.ndarray, num_vars: int, series, name: str, bound=None) -> np.
     ``series(x0, order)`` at the jet's value part x0, truncated at its order
     (Horner; the partial sum after t steps has degree bound t * bound).
     ``name`` names the function in errors."""
-    order = jet_order(num_vars, x.shape[-1])
+    order = jet_index(num_vars, x.shape[-1]).order
     bound = order if bound is None else bound
     values = x[..., 0]
     terms = np.array([_coefficients(series, name, v, order) for v in values.ravel().tolist()]).T  # [degree, jet]
@@ -380,8 +380,7 @@ def power(x: np.ndarray, p, num_vars: int, bound=None) -> np.ndarray:
     value part.
     """
     pf = float(p)
-    if bound is None:
-        bound = jet_order(num_vars, x.shape[-1])
+    bound = jet_index(num_vars, x.shape[-1]).order if bound is None else bound
     if isinstance(p, (int, Fraction)) and pf == int(pf):
         if pf < 0:
             return recip(power(x, -int(pf), num_vars, bound), num_vars, -int(pf) * bound)
@@ -461,7 +460,7 @@ def jet_lu(A: np.ndarray, num_vars: int, B: np.ndarray | None = None, log_det: b
     """
     n, size = A.shape[-2], A.shape[-1]
     stack = A.shape[:-3]
-    order = jet_order(num_vars, size)
+    order = jet_index(num_vars, size).order
     split = n * (size - 1)  # columns of N in the one right-hand side [N | B]
     rhs = A[..., 1:].reshape(stack + (n, split))
     if B is not None:

@@ -1,13 +1,20 @@
 """Reference jet linear algebra for the tests: a division-free determinant
 to check ``jets.jet_lu`` against, the determinant rebuilt from
 ``jet_lu``'s log-determinant series, the size of the terms both sum, and
-a term-by-term matrix exponential to check the ``sl_so`` chart against."""
+a term-by-term matrix exponential to check the ``sl_so`` chart against,
+and the enumeration of a jet index as exponent tuples."""
 
 import math
 
 import numpy as np
 
-from equiaffine.jets import exp, jet_lu, jet_matmul, jet_mul, jet_order
+from equiaffine.jets import exp, jet_index, jet_lu, jet_matmul, jet_mul, jet_size
+
+
+def monomials(num_vars: int, order: int) -> list[tuple[int, ...]]:
+    """The exponent tuples of jets of ``order`` in ``num_vars`` variables, in
+    the order of their coefficients (``jet_index``'s enumeration)."""
+    return [tuple(m) for m in jet_index(num_vars, jet_size(num_vars, order)).monomials.tolist()]
 
 
 def jet_det(A: np.ndarray, num_vars: int, signed: bool = True) -> np.ndarray:
@@ -60,7 +67,7 @@ def det_term_scale(A: np.ndarray, num_vars: int) -> np.ndarray:
     A0 = A[..., 0]
     Y = np.zeros(A.shape)
     Y[..., 1:] = np.abs(np.linalg.solve(A0, A[..., 1:].reshape(n, -1))).reshape(n, n, size - 1)
-    order = jet_order(num_vars, size)
+    order = jet_index(num_vars, size).order
     log_sum, power = np.zeros(size), Y
     for k in range(1, order + 1):
         log_sum += np.trace(power) / k
@@ -91,3 +98,49 @@ def jet_matrix_exp(S: np.ndarray, num_vars: int) -> np.ndarray:
     for _ in range(squarings):
         out = jet_matmul(out, out, num_vars)
     return out
+
+
+def ref_mul(a: np.ndarray, b: np.ndarray, num_vars: int) -> np.ndarray:
+    """The truncated Cauchy product of two (M,) jets, pair by pair over
+    exponent tuples, without a product table."""
+    mono = monomials(num_vars, jet_index(num_vars, len(a)).order)
+    position = {m: i for i, m in enumerate(mono)}
+    out = np.zeros(len(a))
+    for i, mi in enumerate(mono):
+        for j, mj in enumerate(mono):
+            k = position.get(tuple(x + y for x, y in zip(mi, mj)))  # None above the order
+            if k is not None:
+                out[k] += a[i] * b[j]
+    return out
+
+
+def ref_matmul(A: np.ndarray, B: np.ndarray, num_vars: int) -> np.ndarray:
+    """Matrix product of (m, k, M) and (k, p, M) jet arrays by ``ref_mul``."""
+    out = np.zeros((A.shape[0], B.shape[1], A.shape[-1]))
+    for i in range(A.shape[0]):
+        for j in range(B.shape[1]):
+            for k in range(A.shape[1]):
+                out[i, j] += ref_mul(A[i, k], B[k, j], num_vars)
+    return out
+
+
+def ref_series(x: np.ndarray, coeffs, num_vars: int) -> np.ndarray:
+    """sum_k coeffs[k] (x - x0)^k of an (M,) jet x with value part x0, the
+    powers by ``ref_mul``."""
+    dx = x.copy()
+    dx[0] = 0.0
+    out, term = np.zeros(len(x)), np.zeros(len(x))
+    term[0] = 1.0
+    for c in coeffs:
+        out += c * term
+        term = ref_mul(term, dx, num_vars)
+    return out
+
+
+def power_coefficients(x0: float, p, order: int) -> list[float]:
+    """Taylor coefficients C(p, k) x0^(p - k), k = 0..order, of y -> y^p at x0."""
+    coeffs, binom = [], 1.0
+    for k in range(order + 1):
+        coeffs.append(binom * x0 ** (float(p) - k))
+        binom *= (float(p) - k) / (k + 1)
+    return coeffs

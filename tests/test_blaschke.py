@@ -413,12 +413,12 @@ def test_chart_products_form_only_the_bounded_pairs(monkeypatch, build, cold, wa
     forming all pairs would make 24 * 135,751 = 3,258,024."""
     counts = []
 
-    def counted(num_vars, size, bounds, _pairs=jets._pairs):
-        table = _pairs(num_vars, size, bounds)
+    def counted(index, bounds=None, _products=jets.JetIndex.products):
+        table = _products(index, bounds)
         counts.append(len(table[0]))
         return table
 
-    monkeypatch.setattr(jets, "_pairs", counted)
+    monkeypatch.setattr(jets.JetIndex, "products", counted)
     catalog.sl_so.cache_clear()
     chart = build()
     for formed in (cold, warm):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import equiaffine
-from equiaffine import blaschke, calabi, catalog, cli, dsl, duality, jordan
+from equiaffine import blaschke, calabi, catalog, cli, dsl, duality, jordan, tensors
 from equiaffine.blaschke import blaschke_at
 from equiaffine.cli import (
     CHECKS,
@@ -1086,14 +1086,18 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys):
 
 def test_dual_check_validates_the_metric_once_per_stack(monkeypatch, capsys):
     calls = []
-    check_definite = duality._check_definite
 
-    def counted(g):
-        calls.append(g.shape)
-        return check_definite(g)
+    def counted(name, check):
+        def wrapper(values):
+            calls.append((name, values.shape))
+            return check(values)
+        return wrapper
 
-    monkeypatch.setattr(duality, "_check_definite", counted)
+    monkeypatch.setattr(tensors, "check_spd_eigenvalues", counted("spd", tensors.check_spd_eigenvalues))
+    monkeypatch.setattr(duality, "_check_definite", counted("definite", duality._check_definite))
+    monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
     assert main(["dual", "--chart", "sl_so(m=3)", "--points", "4", "--seed", "1"]) == 0
     capsys.readouterr()
-    # HyperspherePointData validates the stack; dualize's results are valid by construction
-    assert calls == [(4, 5, 5)]
+    # blaschke_at gates the stack's metric by its eigenvalues and forms g_inv;
+    # the dual check reads both off the bundle and validates nothing again
+    assert calls == [("spd", (4, 5))]

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from equiaffine.dsl import (
@@ -27,7 +27,9 @@ from equiaffine.dsl import (
     parse_chart,
     parse_source,
 )
-from equiaffine.jets import JetDomainError, jet_size, jet_variables, monomials
+from equiaffine import jets
+from equiaffine.jets import JetDomainError, jet_mul, jet_size, jet_variables
+from jet_reference import monomials
 
 SPHERE = "dim 2;\nx1 = u1;\nx2 = u2;\nx3 = sqrt(1 - u1^2 - u2^2);\n"
 
@@ -107,7 +109,8 @@ def test_immersion_rank_check():
 def test_order_and_point_validation():
     chart = parse_chart(SPHERE)
     with pytest.raises(ValueError):
-        eval_immersion(chart, np.array([0.1, 0.2]), 5)
+        eval_immersion(chart, np.array([0.1, 0.2]), 0)
+    assert eval_immersion(chart, np.array([0.1, 0.2]), 5)[0].shape == (3, jet_size(2, 5))  # no order cap
     with pytest.raises(ValueError):
         eval_immersion(chart, np.array([0.1]), 2)
 
@@ -219,10 +222,23 @@ def test_jets_match_symbolic_derivatives(dim, expr, point):
     ],
 )
 def test_degree_bounds_table(expr, bound):
+    """The bounds as an order-4 product clamps them (None: unbounded)."""
     chart = parse_chart(f"dim 2; param C0 = 2; x1 = u1; x2 = u2; x3 = {expr};")
     root = chart.components[2]
-    assert degree_bounds([root], 4)[id(root)] == bound
-    assert chart.bounds[id(root)] == bound
+    for got in (degree_bounds([root])[id(root)], chart.bounds[id(root)]):
+        assert (4 if got is None else min(got, 4)) == bound
+
+
+@pytest.mark.parametrize(
+    "expr, bound",
+    [("u1^3*u2^2", 5), ("u1*u1*u1*u1*u1", 5), ("(u1^3)^2", 6), ("(u1*u2)^4 / 3", 8), ("sqrt(4)", 0),
+     ("exp(u1)", None), ("u1/u2", None), ("u1^(-1)", None), ("u1^(1/2)", None), ("exp(u1)^0", 0)],
+)
+def test_degree_bounds_are_unclamped(expr, bound):
+    """Bounds hold at every jet order: past any order, or None for a node
+    that is no polynomial."""
+    root = parse_chart(f"dim 2; x1 = u1; x2 = u2; x3 = {expr};").components[2]
+    assert degree_bounds([root])[id(root)] == bound
 
 
 def _ast(leaf_values):
@@ -257,16 +273,121 @@ def test_degree_bounds_are_sound(expr, u1, u2):
     is exactly zero above the node's bound, and the bounded evaluation of
     the tree equals the unbounded one up to rounding."""
     order = 4
-    bounds = degree_bounds([expr], order)
-    unbounded = defaultdict(lambda: order)
+    bounds = degree_bounds([expr])
+    unbounded = defaultdict(lambda: None)
     var_jets = jet_variables([u1, u2], order)
     try:
         with np.errstate(all="raise"):
             for node in _nodes(expr):
                 full = eval_expr(node, var_jets, {}, unbounded)
-                assert not full[jet_size(2, bounds[id(node)]) :].any(), node
+                assert bounds[id(node)] is None or not full[jet_size(2, bounds[id(node)]) :].any(), node
             want = eval_expr(expr, var_jets, {}, unbounded)
             got = eval_expr(expr, var_jets, {}, bounds)
     except (JetDomainError, FloatingPointError):
         assume(False)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def _ast_of_depth(dim: int, depth: int, polynomial: bool = False):
+    """Expression trees over u1..u{dim} of at most ``depth`` levels: sums,
+    differences, products, quotients by constants and by expressions,
+    integer powers (nested ones past order 5 too), rational powers and the
+    five functions, or with ``polynomial`` only sums, differences, products
+    and integer powers k >= 0 of the variables, so that products of
+    polynomials of degree 2 and more are common."""
+    leaves = st.builds(Var, st.integers(0, dim - 1))
+    if not polynomial:
+        leaves = st.one_of(st.builds(Num, st.floats(-2.0, 2.0)), leaves)
+    if depth == 1:
+        return leaves
+    poly = _ast_of_depth(dim, depth - 1, polynomial=True)
+    branches = [leaves] * (depth <= 3) + [st.builds(Bin, st.sampled_from("+-*"), poly, poly),
+                st.builds(Pow, poly, st.sampled_from([Fraction(k) for k in (0, 2, 3, 6)]))]
+    if not polynomial:
+        child = _ast_of_depth(dim, depth - 1)
+        exponents = st.sampled_from([Fraction(k) for k in (1, 2, 4, -1, -2)] + [Fraction(1, 2), Fraction(-3, 2)])
+        constants = st.builds(Num, st.floats(0.25, 4.0) | st.floats(-4.0, -0.25))
+        branches += [
+            st.builds(Unary, st.sampled_from(("neg",) + FUNCS), child),
+            st.builds(Bin, st.sampled_from("+-*/"), child, child),
+            st.builds(Bin, st.just("*"), child, child),
+            st.builds(Bin, st.just("/"), child, constants),
+            st.builds(Pow, child, exponents),
+        ]
+    return st.one_of(branches)
+
+
+def _series_sizes(func, x: np.ndarray, sizes: np.ndarray, n: int) -> np.ndarray:
+    """sum_k |c_k| D^k with c_k the Taylor coefficients of ``func`` at the
+    value part of x and D the sizes of x's other terms."""
+    order = jets.jet_index(n, len(x)).order
+    coeffs = np.abs(func(jet_variables([x[0]], order)[0], 1))
+    d = sizes.copy()
+    d[0] = 0.0
+    out = np.zeros(len(x))
+    for c in coeffs[::-1]:
+        out = jet_mul(out, d, n)
+        out[0] += c
+    return out
+
+
+def _with_term_sizes(expr, var_jets: np.ndarray):
+    """(jet, sizes): the unbounded evaluation of an AST and, coefficient by
+    coefficient, the sum of the absolute values of the terms it adds up."""
+    n = var_jets.shape[-2]
+    if isinstance(expr, (Num, Var)):
+        value = eval_expr(expr, var_jets, {}, {})
+        return value, np.abs(value)
+    if isinstance(expr, Unary):
+        x, sx = _with_term_sizes(expr.arg, var_jets)
+        if expr.op == "neg":
+            return -x, sx
+        func = jets.ELEMENTARY[expr.op]
+        return func(x, n), _series_sizes(func, x, sx, n)
+    if isinstance(expr, Bin):
+        (a, sa), (b, sb) = _with_term_sizes(expr.left, var_jets), _with_term_sizes(expr.right, var_jets)
+        if expr.op in "+-":
+            return (a + b if expr.op == "+" else a - b), sa + sb
+        if expr.op == "*":
+            return jet_mul(a, b, n), jet_mul(sa, sb, n)
+        return jet_mul(a, jets.recip(b, n), n), jet_mul(sa, _series_sizes(jets.recip, b, sb, n), n)
+    x, sx = _with_term_sizes(expr.base, var_jets)
+    k = expr.exponent
+    if k.denominator == 1 and k >= 0:
+        return jets.power(x, k, n), jets.power(sx, k, n)
+    if k.denominator == 1:
+        y, sy = jets.power(x, -k, n), jets.power(sx, -k, n)
+        return jets.recip(y, n), _series_sizes(jets.recip, y, sy, n)
+    func = lambda y, m: jets.power(y, k, m)  # noqa: E731
+    return func(x, n), _series_sizes(func, x, sx, n)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.integers(1, 3).flatmap(lambda dim: st.tuples(
+    _ast_of_depth(dim, 6), st.lists(st.floats(0.1, 0.9), min_size=dim, max_size=dim))))
+@example((Bin("*", Pow(Pow(Var(0), Fraction(3)), Fraction(2)), Bin("+", Var(0), Num(1.0))), [0.5]))
+@example((Bin("/", Pow(Bin("*", Var(0), Var(1)), Fraction(4)), Num(3.0)), [0.5, 0.3]))
+@example((Bin("*", Bin("*", Bin("+", Pow(Var(0), Fraction(2)), Var(1)), Bin("-", Pow(Var(1), Fraction(2)), Var(2))), Var(0)),
+          [0.5, 0.3, 0.7]))
+@example((Bin("*", Bin("/", Var(0), Bin("+", Var(1), Num(2.0))), Var(0)), [0.5, 0.3]))
+@example((Bin("*", Unary("sin", Var(0)), Var(1)), [0.5, 0.3]))
+def test_degree_bounds_never_change_a_coefficient(case):
+    """A chart's degree bounds leave every coefficient of its evaluation as
+    the unbounded evaluation gives it, at orders 1 to 5, up to rounding
+    relative to the sum of the absolute values of the terms; points where
+    a function is outside its domain or a value leaves float range are
+    skipped."""
+    expr, point = case
+    dim = len(point)
+    chart = DslChart(dim, [Var(i) for i in range(dim)] + [expr])
+    unbounded = defaultdict(lambda: None)
+    try:
+        with np.errstate(all="raise"):
+            for order in range(1, 6):
+                var_jets = jet_variables(point, order)
+                got = chart.component_jets(np.array(point), order)[dim]
+                want = eval_expr(expr, var_jets, {}, unbounded)
+                _, sizes = _with_term_sizes(expr, var_jets)
+                assert np.all(np.abs(got - want) <= 1e-12 * sizes), order
+    except (JetDomainError, FloatingPointError):
+        assume(False)

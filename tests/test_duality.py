@@ -98,7 +98,7 @@ def test_curvature_operator_against_pipeline():
         inv = blaschke_at(chart, point)
         assert check_gauss(inv)["gauss"] <= DEFAULT_TOL["gauss"]
         data = HyperspherePointData(g=inv.g, A=inv.A, L1=inv.L1)
-        rup = curvature_operator(data.g, data.A, data.L1)
+        rup = curvature_operator(data)
         riem = np.einsum("ml,mijk->ijkl", data.g, rup)
         assert np.max(np.abs(riem - inv.curvature.riemann)) < 1e-10
         rup_pipeline = np.einsum("ml,ijkl->mijk", np.linalg.inv(data.g), inv.curvature.riemann)
@@ -109,7 +109,7 @@ def test_dual_curvature_sign_flip_explicit():
     rng = np.random.default_rng(8)
     data = random_hypersphere_data(3, rng)
     dual = dualize(data)
-    r_hyp = curvature_operator(data.g, data.A, data.L1)
+    r_hyp = curvature_operator(data)
     # Lagrangian side: R~ = c (g wedge id) + [sigma, sigma], written out directly
     g_inv = np.linalg.inv(dual.g)
     A_up = np.einsum("mp,ikp->mik", g_inv, dual.sigma)
@@ -132,6 +132,6 @@ def test_first_bianchi_for_operator_curvature():
     # R(X,Y)Z + R(Y,Z)X + R(Z,X)Y = 0 for the Gauss-form curvature
     rng = np.random.default_rng(21)
     data = random_hypersphere_data(4, rng)
-    r = curvature_operator(data.g, data.A, data.L1)
+    r = curvature_operator(data)
     cyc = r + r.transpose(0, 2, 3, 1) + r.transpose(0, 3, 1, 2)
     assert np.max(np.abs(cyc)) < 1e-12

@@ -1,5 +1,6 @@
 """Jet-array arithmetic against analytic derivatives and ring axioms."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from equiaffine import jets, parse_chart
 from equiaffine.jets import (
     JetDomainError,
-    _product_table,
     jet_einsum,
     jet_embed,
     jet_gradient,
@@ -19,12 +19,20 @@ from equiaffine.jets import (
     jet_lu,
     jet_matmul,
     jet_mul,
-    jet_order,
+    jet_index,
     jet_size,
     jet_variables,
-    monomials,
 )
-from jet_reference import det_term_scale, jet_det, lu_det
+from jet_reference import (
+    det_term_scale,
+    jet_det,
+    lu_det,
+    monomials,
+    power_coefficients,
+    ref_matmul,
+    ref_mul,
+    ref_series,
+)
 
 
 def constant(value, num_vars, order) -> np.ndarray:
@@ -41,7 +49,7 @@ def index_map(num_vars, order) -> dict:
 
 def coefficient(a, num_vars, alpha) -> float:
     """The coefficient of u^alpha in the jet ``a``."""
-    return float(a[index_map(num_vars, jet_order(num_vars, len(a)))[alpha]])
+    return float(a[index_map(num_vars, jet_index(num_vars, len(a)).order)[alpha]])
 
 
 def test_monomials_graded_prefix():
@@ -51,6 +59,11 @@ def test_monomials_graded_prefix():
     assert all(sum(a) <= 4 for a in upper)
     # degree-k slab sizes: C(k + n - 1, n - 1)
     assert sum(1 for a in upper if sum(a) == 3) == 10
+    # every exponent tuple once, by degree, each degree lexicographically descending
+    for num_vars in range(1, 5):
+        mono = monomials(num_vars, 5)
+        assert len(set(mono)) == len(mono) == math.comb(num_vars + 5, 5)
+        assert mono == sorted(mono, key=lambda m: (sum(m), [-e for e in m]))
 
 
 def test_variable_and_constant_coefficients():
@@ -198,7 +211,7 @@ def test_partial_lowers_order():
     u, v = jet_variables([1.0, 2.0], 4)
     f = jets.exp(jet_mul(u, v, 2), 2)
     fu = jet_gradient(f, 2)[0]
-    assert jet_order(2, len(fu)) == 3
+    assert jet_index(2, len(fu)).order == 3
     assert fu[0] == pytest.approx(2.0 * np.exp(2.0))
     # mixed second derivative d^2 f / du dv = e^{uv} (1 + uv)
     assert jet_gradient(fu, 2)[1, 0] == pytest.approx(np.exp(2.0) * (1 + 2.0))
@@ -208,7 +221,7 @@ def test_embed_shifts_variables():
     u = jet_variables([0.4], 3)[0]
     f = jets.sin(u, 1)
     g = jet_embed(f, 1, 3, 1)
-    assert jet_order(3, len(g)) == 3
+    assert jet_index(3, len(g)).order == 3
     assert g[0] == f[0]
     assert jet_gradient(g, 3)[:, 0].tolist() == pytest.approx([0.0, np.cos(0.4), 0.0])
 
@@ -246,7 +259,7 @@ def test_truncate_is_prefix_slice():
     u = jet_variables([0.4, 0.0], 4)[0]
     f = jets.exp(u, 2)
     t = f[: jet_size(2, 2)]
-    assert jet_order(2, len(t)) == 2
+    assert jet_index(2, len(t)).order == 2
     assert t[0] == f[0]
     assert jet_gradient(t, 2)[:, 0].tolist() == jet_gradient(f, 2)[:, 0].tolist()
 
@@ -304,7 +317,7 @@ def test_product_table_matches_all_pairs_reference(num_vars, order):
         for j, b in enumerate(mono)
         if sum(a) + sum(b) <= order
     }
-    ii, jj, kk, starts = _product_table(num_vars, order)
+    ii, jj, kk, starts = jet_index(num_vars, len(mono)).products()
     assert len(ii) == len(expect)
     assert set(zip(ii.tolist(), jj.tolist(), kk.tolist())) == expect
     assert np.all(np.diff(kk) >= 0) and kk[starts].tolist() == list(range(len(mono)))
@@ -529,7 +542,7 @@ def test_derivative_gathers_equal_chained_gradients_bitwise(n):
     # first partials at order 2 from the order-3 truncation, and degree-1
     # coefficients as slices; against jet_gradient taken once or twice
     rng = np.random.default_rng(n)
-    for order in range(2, 5):
+    for order in range(2, 6):
         a = rng.standard_normal((2, 3, jet_size(n, order))) * 10.0 ** rng.uniform(-8, 8, (2, 3, 1))
         twice = jet_gradient(jet_gradient(a, n), n)  # [i, j] = d_j d_i
         assert jet_hessian(a, n).tobytes() == twice.tobytes()
@@ -539,3 +552,65 @@ def test_derivative_gathers_equal_chained_gradients_bitwise(n):
         assert a[..., 1 : n + 1].tobytes() == np.ascontiguousarray(jet_gradient(a, n)[..., 0]).tobytes()
     with pytest.raises(ValueError):
         jet_hessian(np.zeros(jet_size(n, 1)), n)
+
+
+@pytest.mark.parametrize("num_vars", [1, 2, 3])
+def test_order_5_runs_without_a_cap(num_vars):
+    """Jets of order 5 against the reference arithmetic of ``jet_reference``,
+    each up to rounding relative to the size of the terms summed: products,
+    matrix products, ``jet_lu``'s solve and log-determinant, and exp, log,
+    sqrt and power."""
+    order, n = 5, 3
+    rng = np.random.default_rng(50 + num_vars)
+    size = jet_size(num_vars, order)
+    assert jet_index(num_vars, size).order == order
+    eps = np.finfo(float).eps
+
+    a, b = rng.standard_normal((2, n, size))
+    got = jet_mul(a, b, num_vars)
+    for k in range(n):
+        terms = ref_mul(np.abs(a[k]), np.abs(b[k]), num_vars)
+        assert np.all(np.abs(got[k] - ref_mul(a[k], b[k], num_vars)) <= 4 * eps * size * terms)
+
+    A = random_jet_matrix(rng, n, num_vars, order, shift=3.0)
+    B = rng.standard_normal((n, 2, size))
+    terms = ref_matmul(np.abs(A), np.abs(B), num_vars)
+    assert np.all(np.abs(jet_matmul(A, B, num_vars) - ref_matmul(A, B, num_vars)) <= 4 * eps * n * size * terms)
+
+    log_det, X = jet_lu(A, num_vars, B)
+    residual = ref_matmul(A, X, num_vars) - B
+    assert np.all(np.abs(residual) <= 100 * eps * n * size * ref_matmul(np.abs(A), np.abs(X), num_vars))
+    assert_det_matches(A, lu_det(A, num_vars, log_det), jet_det(A, num_vars), num_vars)
+
+    x = rng.standard_normal(size) * 0.3
+    x[0] = 1.5
+    x0, dx = x[0], np.abs(x)
+    cases = [
+        (jets.exp(x, num_vars), [math.exp(x0) / math.factorial(k) for k in range(order + 1)]),
+        (jets.log(x, num_vars), [math.log(x0)] + [(-1) ** (k + 1) / (k * x0**k) for k in range(1, order + 1)]),
+        (jets.sqrt(x, num_vars), power_coefficients(x0, Fraction(1, 2), order)),
+    ]
+    cases += [(jets.power(x, p, num_vars), power_coefficients(x0, p, order)) for p in (3, -2, Fraction(-3, 2))]
+    for got, coeffs in cases:
+        terms = ref_series(dx, np.abs(coeffs), num_vars)
+        assert np.all(np.abs(got - ref_series(x, coeffs, num_vars)) <= 100 * eps * size * terms)
+
+
+def test_index_cache_stays_bounded():
+    """Building more (n, order) indices than the cache holds keeps it at its
+    bound, and an evicted index, built again, gives bitwise-equal tables."""
+    def tables(index):
+        return [index.monomials, *index.products(), *index.products((2, 1)), *index.gradient, *index.hessian,
+                index.embedding(5, 1)]
+
+    first = jet_index(3, jet_size(3, 4))
+    before = [table.copy() for table in tables(first)]
+    for order in range(jets.INDEX_CACHE + 1):
+        jet_index(1, jet_size(1, order))
+        assert jet_index.cache_info().currsize <= jets.INDEX_CACHE
+    assert jet_index.cache_info().currsize == jets.INDEX_CACHE
+    again = jet_index(3, jet_size(3, 4))
+    assert again is not first
+    after = tables(again)
+    assert [t.dtype for t in after] == [t.dtype for t in before]
+    assert all(np.array_equal(x, y) for x, y in zip(after, before))

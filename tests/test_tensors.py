@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from equiaffine import jets
-from equiaffine.jets import jet_lu, jet_mul, jet_order, jet_size, jet_variables
+from equiaffine.jets import jet_index, jet_lu, jet_mul, jet_size, jet_variables
 from equiaffine.tensors import (
     CurvatureData,
     MetricError,
@@ -46,7 +46,7 @@ def inverse_jets(g):
     """g^{ij} of the (n, n, M) metric jets g as jets one order below, formed
     as blaschke_at forms them."""
     n = g.shape[-2]
-    lo = g[..., : jet_size(n, jet_order(n, g.shape[-1]) - 1)]
+    lo = g[..., : jet_size(n, jet_index(n, g.shape[-1]).order - 1)]
     eye = np.zeros(lo.shape)
     eye[..., 0] = np.eye(n)
     return jet_lu(lo, n, eye, log_det=False)[1]
