@@ -10,13 +10,14 @@ one expression per ambient coordinate::
     x3 = C0 * exp(-u1 - u2);
 
 Variables are u1..uN, components must be x1..x{N+1}.  Supported
-functions: exp, log, sqrt, sin, cos.  The power operator ``^`` takes a
-constant rational exponent, written either as a plain number or as a
-parenthesized fraction, e.g. ``u1^2`` or ``u1^(-3/2)``.  A non-negative
-integer exponent is defined at every base, a negative integer exponent at
-every nonzero base, and any other exponent at positive bases only.  A
-unary minus negates a whole factor, so ``-u1^2`` is ``-(u1^2)``, as in
-Python.
+functions: exp, log, sqrt, sin, cos.  Each declaration comes once, and a
+parameter named like a variable or a function is refused.  The power
+operator ``^`` takes a constant rational exponent, written either as a
+plain number or as a parenthesized fraction, e.g. ``u1^2`` or
+``u1^(-3/2)``.  A non-negative integer exponent is defined at every base,
+a negative integer exponent at every nonzero base, and any other exponent
+at positive bases only.  A unary minus negates a whole factor, so
+``-u1^2`` is ``-(u1^2)``, as in Python.
 
 Each chart computes once, from its expression trees alone, an upper bound
 on every node's polynomial degree in u (``degree_bounds``): a constant or
@@ -290,7 +291,7 @@ class OrbitChart(ChartDef):
         if order not in self._base:
             c = np.zeros((self.ambient_dim, jets.jet_size(self.dim, order)))
             c[:, 0] = self.x0
-            child = jets.jet_index(self.dim, c.shape[-1]).gradient[0]  # child[i, beta] = beta + e_i, one-to-one in beta
+            child = jets.jet_index(self.dim, c.shape[-1]).successors  # child[i, beta] = beta + e_i, one-to-one in beta
             lo, hi = 0, 1  # the monomials of degree k - 1
             for k in range(1, order + 1):
                 for i, Xi in enumerate(self.X):
@@ -474,6 +475,12 @@ class _Parser:
                     self.error(f"dim {dim} is above MAX_DIM = {MAX_DIM}", num)
             elif t.text == "param":
                 name = self.expect("IDENT")
+                if name.text in params:
+                    self.error(f"duplicate param {name.text!r}", name)
+                if name.text in FUNCS:  # the function, or the variable below, would be read instead
+                    self.error(f"param {name.text!r} names a function", name)
+                if _is_variable(name.text):
+                    self.error(f"param {name.text!r} names a variable", name)
                 self.expect("SYM", "=")
                 sign = 1.0
                 if self.peek().kind == "SYM" and self.peek().text == "-":
@@ -488,6 +495,8 @@ class _Parser:
                 idx = int(t.text[1:])
                 if not 1 <= idx <= dim + 1:
                     self.error(f"component {t.text} out of range for dim {dim}", t)
+                if idx in comps:
+                    self.error(f"duplicate component {t.text}", t)
                 eq = self.expect("SYM", "=")
                 comps[idx] = self.parse_expr(dim, params)
                 if _expr_depth(comps[idx]) > MAX_DEPTH:
@@ -571,7 +580,7 @@ class _Parser:
             return Num(self.number()[0])
         t = self.next()
         if t.kind == "IDENT" and t.text not in FUNCS:
-            if t.text.startswith("u") and t.text[1:].isdigit():
+            if _is_variable(t.text):
                 idx = int(t.text[1:])
                 if not 1 <= idx <= dim:
                     self.error(f"variable {t.text} exceeds dim {dim}", t)
@@ -596,6 +605,10 @@ class _Parser:
                 node = Unary(t.text, node)
         self.nesting -= 1
         return node
+
+
+def _is_variable(name: str) -> bool:
+    return name.startswith("u") and name[1:].isdigit()
 
 
 def parse_source(text: str) -> tuple[int, tuple, dict]:

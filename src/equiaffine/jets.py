@@ -21,9 +21,13 @@ treats each stack entry exactly as it would treat that entry alone.
 Multi-indices are enumerated in graded lexicographic order, which makes
 monomials of degree <= k a prefix of the enumeration; truncating a jet
 to a lower order is then just a slice of its last axis.  Jets may have
-any order, which their coefficient count fixes.  One ``JetIndex`` per
-number of variables and order holds the enumeration and every table read
-off it; ``jet_index``, the module's one cache, keeps ``INDEX_CACHE`` of them.
+any order, which their coefficient count fixes.  Adding e_v keeps the
+lexicographic order, so it maps each degree block one-to-one and in order
+onto the next block's monomials with a nonzero v-th exponent: the
+enumeration and the position of every monomial plus e_v (its successors)
+follow from that, and every other table from the successors.  One
+``JetIndex`` per number of variables and order holds them; ``jet_index``,
+the module's one cache, keeps ``INDEX_CACHE`` of them.
 
 Degree bounds.  A product may be told an upper degree bound per operand:
 bound d promises that every coefficient of degree > d is exactly zero
@@ -62,24 +66,36 @@ def _read_only(*arrays):
 class JetIndex:
     """The monomials of jets in ``num_vars`` variables with ``size``
     coefficients, as (size, num_vars) exponent rows (``monomials``: degree
-    blocks, each lexicographically descending), and the read-only tables
-    read off them on first use: ``products``, ``gradient``, ``hessian`` and
-    ``embedding``."""
+    blocks, each lexicographically descending), their ``successors``, and
+    the read-only tables read off them on first use: ``products``,
+    ``gradient``, ``hessian`` and ``embedding``.
+
+    Adding e_v keeps the lexicographic order, so it maps the degree-d
+    block one-to-one and in order onto the degree-(d+1) monomials whose
+    v-th exponent is nonzero.  Block d+1 is therefore, for v = 0, 1, ...,
+    the rows of block d with no nonzero exponent before v (a suffix) plus
+    e_v; ``successors[v, b]``, the position of monomial b + e_v for every b
+    of degree < order, is the v-th row of block d+1's nonzero pattern; and
+    every monomial k > 0 is its parent ``_parent[k]`` plus e_v, v its first
+    variable ``_first[k]`` (num_vars for the constant)."""
 
     def __init__(self, num_vars: int, size: int):
-        tails = [[] for _ in range(num_vars + 1)]  # tails[k][d]: the degree-d monomials in the last k variables
-        count = 0
-        while count < size:  # one degree at a time, up to the order that ``size`` fixes
-            d = len(tails[1])
-            tails[1].append(np.full((1, 1), d, dtype=np.int64))
-            for k in range(2, num_vars + 1):  # first exponent e = d, ..., 0, then the rest
-                parts = [np.pad(tails[k - 1][d - e], ((0, 0), (1, 0)), constant_values=e) for e in range(d, -1, -1)]
-                tails[k].append(np.concatenate(parts))
-            count += len(tails[num_vars][d])
-        if count != size or count == 0:
+        n = num_vars
+        blocks, first, parent = [np.zeros((1, n), np.int64)], [np.array([n])], [np.zeros(1, np.int64)]
+        successors, count = [np.zeros((n, 0), np.int64)], 1
+        while count < size:  # block d+1 from block d, up to the order that ``size`` fixes
+            prev, lo = blocks[-1], count - len(blocks[-1])
+            cut = np.searchsorted(first[-1], np.arange(n))  # prev[cut[v]:]: no nonzero exponent before v
+            blocks.append(np.concatenate([prev[c:] + e for c, e in zip(cut, np.eye(n, dtype=np.int64))]))
+            first.append(np.repeat(np.arange(n), len(prev) - cut))
+            parent.append(np.concatenate([np.arange(lo + c, count) for c in cut]))
+            successors.append(count + np.nonzero(blocks[-1].T)[1].reshape(n, len(prev)))
+            count += len(blocks[-1])
+        if count != size:
             raise ValueError(f"{size} coefficients match no jet order in {num_vars} variables")
-        self.num_vars, self.size, self.order = num_vars, size, len(tails[1]) - 1
-        self.monomials = _read_only(np.concatenate(tails[num_vars]))
+        self.num_vars, self.size, self.order = num_vars, size, len(blocks) - 1
+        self.monomials, self.successors = _read_only(np.concatenate(blocks), np.concatenate(successors, axis=1))
+        self._first, self._parent = np.concatenate(first), np.concatenate(parent)
         self._products, self._embeddings = {}, {}
 
     def products(self, bounds=None):
@@ -104,19 +120,22 @@ class JetIndex:
 
     @cached_property
     def _full_products(self):
-        """The full product table, built block by block over pairs of degrees
-        da + db <= order (degree d holds monomials C(d-1+n, n)..C(d+n, n) - 1),
-        so the work is the number of triples, not the square of their count."""
-        n, order, mono = self.num_vars, self.order, self.monomials
-        block = [np.arange(jet_size(n, d - 1), jet_size(n, d)) for d in range(order + 1)]
-        pairs = [
-            np.meshgrid(block[da], block[db], indexing="ij")
-            for da in range(order + 1)
-            for db in range(order + 1 - da)
-        ]
-        ii = np.concatenate([i.ravel() for i, _ in pairs])
-        jj = np.concatenate([j.ravel() for _, j in pairs])
-        kk = _rank(mono[ii] + mono[jj], n)
+        """The full product table, built one degree of j at a time: for j =
+        p + e_v (its parent and first variable), i + j = (i + p) + e_v, so
+        pos(i + j) = successors[v, pos(i + p)], and the work is the number
+        of triples."""
+        n, order = self.num_vars, self.order
+        sums = np.arange(self.size)[:, None]  # sums[i, j] = pos(i + j), j in block d, deg i <= order - d
+        ii, jj, kk = [], [], []
+        for d in range(order + 1):
+            lo, hi = jet_size(n, d - 1), jet_size(n, d)
+            if d:
+                parent = self._parent[lo:hi] - jet_size(n, d - 2)
+                sums = self.successors[self._first[lo:hi], sums[: jet_size(n, order - d), parent]]
+            ii.append(np.repeat(np.arange(len(sums)), hi - lo))
+            jj.append(np.tile(np.arange(lo, hi), len(sums)))
+            kk.append(sums.ravel())
+        ii, jj, kk = map(np.concatenate, (ii, jj, kk))
         perm = np.lexsort((jj, ii, kk))
         ii, jj, kk = ii[perm], jj[perm], kk[perm]
         return _read_only(ii, jj, kk, np.searchsorted(kk, np.arange(self.size)))
@@ -128,10 +147,8 @@ class JetIndex:
 
         Maps the order-`order` coefficient array to an order-`order-1` one:
         coeff'[beta] = (beta_v + 1) * coeff[beta + e_v]."""
-        n = self.num_vars
-        mono_lo = self.monomials[: jet_size(n, self.order - 1)]
-        src = _rank(mono_lo[None, :, :] + np.eye(n, dtype=np.int64)[:, None, :], n)
-        return _read_only(src, (mono_lo.T + 1).astype(float))
+        mono_lo = self.monomials[: self.successors.shape[1]]
+        return self.successors, _read_only((mono_lo.T + 1).astype(float))
 
     @cached_property
     def hessian(self):
@@ -146,19 +163,22 @@ class JetIndex:
         bitwise (for normal floats)."""
         n = self.num_vars
         mono_lo = self.monomials[: jet_size(n, self.order - 2)]
-        eye = np.eye(n, dtype=np.int64)
-        src = _rank(mono_lo + (eye[:, None, None, :] + eye[None, :, None, :]), n)
-        fac = (mono_lo.T + 1)[:, None, :] * (mono_lo.T + 1 + eye[:, :, None])
+        src = self.successors[:, self.successors[:, : len(mono_lo)]]
+        fac = (mono_lo.T + 1)[:, None, :] * (mono_lo.T + 1 + np.eye(n, dtype=np.int64)[:, :, None])
         return _read_only(src, fac.astype(float))
 
     def embedding(self, num_vars: int, offset: int) -> np.ndarray:
         """Positions of these monomials among the monomials of the same order
-        in ``num_vars`` variables, variable i becoming ``offset + i``."""
+        in ``num_vars`` variables, variable i becoming ``offset + i``: the
+        parents walked through the target index's successors."""
         key = (num_vars, offset)
         if key not in self._embeddings:
-            big = np.zeros((self.size, num_vars), dtype=np.int64)
-            big[:, offset : offset + self.num_vars] = self.monomials
-            self._embeddings[key] = _read_only(_rank(big, num_vars))
+            successors = jet_index(num_vars, jet_size(num_vars, self.order)).successors
+            pos = np.zeros(self.size, dtype=np.int64)
+            for d in range(1, self.order + 1):
+                lo, hi = jet_size(self.num_vars, d - 1), jet_size(self.num_vars, d)
+                pos[lo:hi] = successors[offset + self._first[lo:hi], pos[self._parent[lo:hi]]]
+            self._embeddings[key] = _read_only(pos)
         return self._embeddings[key]
 
 
@@ -166,29 +186,6 @@ class JetIndex:
 def jet_index(num_vars: int, size: int) -> JetIndex:
     """The ``JetIndex`` of jets in ``num_vars`` variables with ``size`` coefficients."""
     return JetIndex(num_vars, size)
-
-
-def _rank(exps: np.ndarray, num_vars: int) -> np.ndarray:
-    """Position in the graded enumeration of each exponent row of ``exps``.
-
-    Within a degree block the enumeration is lexicographically descending,
-    so the monomials before ``e`` in its block are those whose first
-    differing exponent t is larger; with r the degree left after e_0..e_{t-1}
-    they number C(r - e_t + m, m + 1), m = num_vars - t - 2 (hockey stick).
-    """
-    r = exps.sum(axis=-1)
-    rank = _comb(r + num_vars - 1, num_vars)  # monomials of lower degree
-    for t in range(num_vars - 1):
-        m = num_vars - t - 2
-        rank = rank + _comb(r - exps[..., t] + m, m + 1)
-        r = r - exps[..., t]
-    return rank
-
-
-def _comb(top: np.ndarray, k: int) -> np.ndarray:
-    """Elementwise C(top, k) for small non-negative integer ``top``."""
-    table = np.array([math.comb(t, k) for t in range(int(top.max(initial=0)) + 1)])
-    return table[top]
 
 
 # -- jet arrays ------------------------------------------------------------
@@ -217,8 +214,8 @@ def jet_variables(point, order: int) -> np.ndarray:
 def jet_embed(a: np.ndarray, sub_vars: int, num_vars: int, offset: int) -> np.ndarray:
     """Re-read a jet array in ``sub_vars`` variables as one in ``num_vars``
     variables, variable i becoming variable ``offset + i``."""
-    if offset + sub_vars > num_vars:
-        raise ValueError("embedded variables exceed target dimension")
+    if offset < 0 or offset + sub_vars > num_vars:
+        raise ValueError("embedded variables outside the target dimension")
     sub = jet_index(sub_vars, a.shape[-1])
     out = np.zeros(a.shape[:-1] + (jet_size(num_vars, sub.order),))
     out[..., sub.embedding(num_vars, offset)] = a

@@ -475,6 +475,13 @@ def test_unparsable_chart_text_exits_2_inline_or_as_a_graph(tmp_path, capsys):
     assert lines == [(2, "scene error: dim must be a positive integer (line 1, column 5)")] * 2
 
 
+def test_repeated_chart_declaration_exits_2(tmp_path, capsys):
+    # the last of two x2 lines would otherwise win silently
+    path = scene_file(tmp_path, {"dsl": "dim 1; x1 = u1; x2 = u1; x2 = 2 * u1;"}, {"random": 1})
+    assert error_line(capsys, ["check", "--scene", path]) == (
+        2, "scene error: duplicate component x2 (line 1, column 26)")
+
+
 JORDAN_CHECKS = [
     ("octonion_norm_multiplicative", "1e-12"),
     ("octonion_alternative", "1e-12"),

@@ -83,6 +83,10 @@ def test_negative_param_and_fraction_exponent():
         ("dim 1; x1 = u1; x2 = u1^(1e300/1e-300);", "exponent is out of range"),
         ("dim 1; x1 = u1; x2 = " + "(" * 2000 + "u1" + ")" * 2000 + ";", "nests deeper than MAX_DEPTH = 200"),
         ("dim 1; x1 = u1; x2 = u1" + " + u1" * 3000 + ";", "nests deeper than MAX_DEPTH = 200"),
+        ("dim 1; param a = 1; param a = 2; x1 = u1; x2 = a;", "duplicate param 'a' (line 1, column 27)"),
+        ("dim 1; x1 = u1; x2 = u1; x2 = 2 * u1;", "duplicate component x2 (line 1, column 26)"),
+        ("dim 1; param u1 = 2; x1 = u1; x2 = u1;", "param 'u1' names a variable (line 1, column 14)"),
+        ("dim 1; param exp = 2; x1 = u1; x2 = exp(u1);", "param 'exp' names a function (line 1, column 14)"),
     ],
 )
 def test_parse_errors(text, fragment):

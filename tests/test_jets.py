@@ -1,14 +1,19 @@
 """Jet-array arithmetic against analytic derivatives and ring axioms."""
 
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import equiaffine
 from equiaffine import jets, parse_chart
 from equiaffine.jets import (
     JetDomainError,
@@ -239,8 +244,9 @@ def test_jet_embed_matches_monomial_loop(sub_vars, num_vars):
                 big[offset : offset + sub_vars] = m
                 expect[:, idx[tuple(big)]] = c
             assert np.array_equal(jet_embed(a, sub_vars, num_vars, offset), expect)
-        with pytest.raises(ValueError):
-            jet_embed(a, sub_vars, num_vars, num_vars - sub_vars + 1)
+        for offset in (-1, num_vars - sub_vars + 1):
+            with pytest.raises(ValueError):
+                jet_embed(a, sub_vars, num_vars, offset)
 
 
 def test_jet_variables_are_coordinate_jets():
@@ -321,6 +327,39 @@ def test_product_table_matches_all_pairs_reference(num_vars, order):
     assert len(ii) == len(expect)
     assert set(zip(ii.tolist(), jj.tolist(), kk.tolist())) == expect
     assert np.all(np.diff(kk) >= 0) and kk[starts].tolist() == list(range(len(mono)))
+
+
+@pytest.mark.parametrize("num_vars", range(1, 6))
+def test_successors_and_hessian_sources_match_brute_force(num_vars):
+    """``successors[v, b]`` is the position of monomial b + e_v, and the
+    hessian source [i, j, b] that of b + e_i + e_j, at orders 0 to 5."""
+    eye = [tuple(e) for e in np.eye(num_vars, dtype=int).tolist()]
+    for order in range(6):
+        index, idx = jet_index(num_vars, jet_size(num_vars, order)), index_map(num_vars, order)
+        mono = monomials(num_vars, order)
+        lower = mono[: jet_size(num_vars, order - 1)]
+        expect = [[idx[tuple(np.add(b, e))] for b in lower] for e in eye]
+        assert index.successors.shape == (num_vars, len(lower))
+        assert index.successors.tolist() == expect
+        if order >= 2:
+            lower = mono[: jet_size(num_vars, order - 2)]
+            expect = [[[idx[tuple(np.add(b, ei) + ej)] for b in lower] for ej in eye] for ei in eye]
+            assert index.hessian[0].tolist() == expect
+
+
+def test_product_table_build_stays_small():
+    """The full product table in 20 variables at order 5 (1.2 million
+    triples) raises a fresh process's peak memory by less than 200 MB."""
+    code = (
+        "import resource; from equiaffine.jets import jet_index, jet_size; "
+        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+        "jet_index(20, jet_size(20, 5)).products(); "
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(equiaffine.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 200 * 1024  # ru_maxrss counts KiB on Linux
 
 
 def random_jet_matrix(rng, n, num_vars, order, shift):
