@@ -5,8 +5,8 @@ in composition coordinates), the centered quadrics (unit sphere,
 elliptic paraboloid, hyperboloid), the unimodular symmetric-matrix
 orbit sl_so(m) = {P = exp(S), S trace-free symmetric}, and arbitrary graph
 immersions from chart source text.  ``OrbitChart`` (defined in ``dsl``) is
-the one chart class of an orbit u -> exp(u·X) x0; sl_so(m) is one, given
-by its generators.
+the one chart class of an orbit u -> exp(u·X) x0; sl_so(m) is one, its
+generators read off the Jordan algebra Sym(m, R) in ``jordan``.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 
 from .calabi import CompositionSpec, HypersphereFactor, compose_chart
 from .dsl import MAX_DIM, ChartDef, DslChart, OrbitChart, parse_chart, parse_source
+from .jordan import hermitian_table, trace_orthonormal_basis
 
 
 @dataclass(frozen=True)
@@ -103,37 +104,18 @@ def hyperboloid(n: int) -> DslChart:
     return DslChart(*_parse_quadric(_quadric_text(n, "hyperboloid")))
 
 
-def _symmetric_basis(m: int) -> np.ndarray:
-    """Frobenius-orthonormal basis of trace-free symmetric m x m matrices, as
-    a (d, m, m) array."""
-    basis = []
-    for d in range(1, m):
-        v = np.zeros(m)
-        v[:d] = 1.0
-        v[d] = -d
-        basis.append(np.diag(v / np.linalg.norm(v)))
-    for i in range(m):
-        for j in range(i + 1, m):
-            mat = np.zeros((m, m))
-            mat[i, j] = mat[j, i] = 1.0 / np.sqrt(2.0)
-            basis.append(mat)
-    return np.array(basis)
-
-
 @lru_cache(maxsize=MAX_DIM, typed=True)
 def sl_so(m: int) -> OrbitChart:
     """u -> exp(S(u)) = exp(L(S(u))) I in upper-triangular coordinates, built
-    once per m: generators the Jordan multiplications L(B) P = (B P + P B)/2
-    by ``_symmetric_basis(m)``, q the trace form (1 on the diagonal, 2 off)."""
+    once per m: generators the multiplications L(B) P = (B P + P B)/2 of Sym(m, R)'s
+    table by its trace_orthonormal_basis, q the trace form (1 on the diagonal, 2 off)."""
     if m < 3:
         raise ValueError("sl_so needs m >= 3")
     dim = m * (m + 1) // 2 - 1
     _check_dim(dim)
     rows, cols = np.triu_indices(m)
-    unit = np.zeros((dim + 1, m, m))  # the symmetric matrix of each coordinate
-    unit[:, rows, cols] = unit[:, cols, rows] = np.eye(dim + 1)
-    BP = np.einsum("vij,bjk->vbik", _symmetric_basis(m), unit)
-    X = (0.5 * (BP + np.swapaxes(BP, -1, -2)))[..., rows, cols].swapaxes(-1, -2)
+    table = hermitian_table(rows, cols, np.zeros_like(rows))
+    X = np.einsum("va,abc->vcb", trace_orthonormal_basis(rows, cols), table)  # X_v y = B_v o y
     diagonal = rows == cols
     hint = (-0.25 * np.ones(dim), 0.25 * np.ones(dim))
     return OrbitChart(X, diagonal.astype(float), np.where(diagonal, 1.0, 2.0), hint)

@@ -1,12 +1,14 @@
-"""Octonion and exceptional Jordan-algebra arithmetic.
+"""Octonion and Hermitian-matrix Jordan-algebra arithmetic.
 
 Octonions are built by Cayley-Dickson doubling from the reals with the
 convention (a, b)(c, d) = (ac - conj(d) b, da + b conj(c)), basis ordered
-(1, e1, ..., e7).  The Albert algebra is the 27-dimensional space of 3x3
-octonion Hermitian matrices with the symmetrized product X o Y =
-(XY + YX)/2, trace inner product, Freudenthal cross product and cubic
-determinant.  The coordinate basis is frozen as (E1, E2, E3,
-F1(e0..e7), F2(e0..e7), F3(e0..e7)) with
+(1, e1, ..., e7).  Jordan algebras of Hermitian matrices, X o Y =
+(XY + YX)/2, are read off a coordinate layout (see _entries) by
+hermitian_table and trace_orthonormal_basis: catalog.sl_so reads Sym(m, R)
+in upper-triangular coordinates.  The Albert algebra is the 27-dimensional
+space of 3x3 octonion Hermitian matrices with trace inner product,
+Freudenthal cross product and cubic determinant.  Its layout is frozen as
+(E1, E2, E3, F1(e0..e7), F2(e0..e7), F3(e0..e7)) with
 
     F1(x) = [[0,0,0],[0,0,x],[0,conj(x),0]]   (and cyclic for F2, F3),
 
@@ -16,13 +18,14 @@ vectors have trace-form norm squared 2, not 1.
 
 An element of the Albert algebra is its (..., 27) coordinate array.
 Products go through two cached, read-only structure tensors, each
-contracted with a whole stack in one flat matmul: jordan_table (27^3) for
-jordan_mul, jordan_inner, jordan_cross, jordan_det and mult_operator, and
-bracket_table (72 x 27*72, the images [U_a, e_b] of the 72 real entry
-coordinates) for bracket_operator.  The (3, 3, 8) entry layout appears
-only in the table builds and in bracket_operator's skew and Hermitian
-validation.  oct_mul takes (..., 8) stacks, bracket_operator (..., 3, 3, 8)
-stacks, the others (..., 27) stacks: a check over many samples is one call.
+contracted with a whole stack in one flat matmul: jordan_table (27^3, the
+Albert layout's hermitian_table) for jordan_mul, jordan_inner,
+jordan_cross, jordan_det and mult_operator, and bracket_table (72 x 27*72,
+the images [U_a, e_b] of the 72 real entry coordinates) for
+bracket_operator.  The (3, 3, 8) entry layout appears only in the table
+builds and in bracket_operator's skew and Hermitian validation.  oct_mul
+takes (..., 8) stacks, bracket_operator (..., 3, 3, 8) stacks, the others
+(..., 27) stacks: a check over many samples is one call.
 
 The equivariant-orbit data built from this algebra (base point C * I3,
 induced metric g_o, cubic form A_o on the traceless part) is packaged by
@@ -83,11 +86,11 @@ def oct_norm(a: np.ndarray):
     return np.linalg.norm(np.asarray(a, float), axis=-1)
 
 
-# entries[_ROW[c], _COL[c], _OCT[c]] is coordinate c; the mirrored entry
-# entries[_COL[c], _ROW[c], _OCT[c]] holds _CONJ_SIGNS[_OCT[c]] times it
+# the Albert layout: entries[_ROW[c], _COL[c], _OCT[c]] is coordinate c
 _ROW = np.array([0, 1, 2] + [1] * 8 + [2] * 8 + [0] * 8)
 _COL = np.array([0, 1, 2] + [2] * 8 + [0] * 8 + [1] * 8)
 _OCT = np.array([0, 0, 0] + list(range(OCT_DIM)) * 3)
+_ALBERT = (_ROW, _COL, _OCT)
 _I3 = np.repeat([1.0, 0.0], [3, JORDAN_DIM - 3])  # coordinates of the identity
 
 
@@ -102,28 +105,52 @@ def _negligible(diff: np.ndarray, ref: np.ndarray, ndim: int) -> bool:
     return not np.any(largest(diff) > 1e-12 * np.maximum(1.0, largest(ref)))
 
 
-def _entries(coords: np.ndarray) -> np.ndarray:
-    """(..., 3, 3, 8) Hermitian entries of (..., 27) coordinates."""
-    m = np.zeros(coords.shape[:-1] + (3, 3, OCT_DIM))
-    m[..., _COL, _ROW, _OCT] = coords * _CONJ_SIGNS[_OCT]
-    m[..., _ROW, _COL, _OCT] = coords
-    return m
+def _entries(coords: np.ndarray, rows, cols, units) -> np.ndarray:
+    """(..., m, m, d) Hermitian entries of (..., N) coordinates in the layout (rows,
+    cols, units): coordinate c is the real part along octonion unit units[c] of
+    entry (rows[c], cols[c]), and the mirrored entry holds its conjugate."""
+    out = np.zeros(coords.shape[:-1] + (rows.max() + 1,) * 2 + (units.max() + 1,))
+    out[..., cols, rows, units] = coords * _CONJ_SIGNS[units]
+    out[..., rows, cols, units] = coords
+    return out
 
 
-def _from_entries(entries: np.ndarray) -> np.ndarray:
-    """(..., 27) coordinates of (..., 3, 3, 8) Hermitian entries."""
-    return entries[..., _ROW, _COL, _OCT]
+def _from_entries(entries: np.ndarray, rows, cols, units) -> np.ndarray:
+    """(..., N) coordinates in the layout (rows, cols, units) of Hermitian entries."""
+    return entries[..., rows, cols, units]
+
+
+def hermitian_table(rows, cols, units) -> np.ndarray:
+    """Read-only structure tensor P of the Hermitian matrices with coordinate
+    layout (rows, cols, units): coords(X o Y)[c] = sum_ab P[a, b, c] x_a y_b,
+    from the entry products over the first d = max(units) + 1 octonion units."""
+    B = _entries(np.eye(len(rows)), rows, cols, units)
+    d = B.shape[-1]
+    prods = np.einsum("apqi,bqrj,ijk->abprk", B, B, oct_table()[:d, :d, :d], optimize=True)
+    prods = 0.5 * (prods + prods.swapaxes(0, 1))
+    table = np.ascontiguousarray(_from_entries(prods, rows, cols, units))
+    table.setflags(write=False)
+    return table
+
+
+def trace_orthonormal_basis(rows, cols) -> np.ndarray:
+    """(N - 1, N) coordinates of a traceless basis, orthonormal in the trace
+    form tr(X o Y) = sum_c w_c x_c y_c (w_c = 1 on the diagonal, 2 off it):
+    first diag(1, ..., 1, -k, 0, ...) / sqrt(k (k + 1)) for k = 1..m-1, then
+    each off-diagonal coordinate over sqrt 2, in layout order."""
+    diagonal = rows == cols
+    m, N = np.count_nonzero(diagonal), len(rows)
+    v = np.tril(np.ones((m - 1, m))) - np.eye(m - 1, m, 1) * np.arange(1.0, m)[:, None]
+    basis = np.zeros((N - 1, N))
+    basis[: m - 1, diagonal] = (v / np.linalg.norm(v, axis=1, keepdims=True))[:, rows[diagonal]]
+    basis[m - 1 :, ~diagonal] = np.eye(N - m) / np.sqrt(2.0)
+    return basis
 
 
 @lru_cache(maxsize=1)
 def jordan_table() -> np.ndarray:
-    """Structure tensor P with coords(X o Y)[c] = sum_ab P[a, b, c] x_a y_b."""
-    B = _entries(np.eye(JORDAN_DIM))
-    prods = np.einsum("apqi,bqrj,ijk->abprk", B, B, oct_table(), optimize=True)
-    prods = 0.5 * (prods + prods.swapaxes(0, 1))
-    table = np.ascontiguousarray(_from_entries(prods))
-    table.setflags(write=False)
-    return table
+    """The Albert algebra's structure tensor, hermitian_table of its layout."""
+    return hermitian_table(*_ALBERT)
 
 
 @lru_cache(maxsize=1)
@@ -132,7 +159,7 @@ def bracket_table() -> np.ndarray:
     e_b U_a for b = 0..26, U_a the unit at entry coordinate a = (p0, q0, i).
     U_a e_b is row q0 of e_b left-multiplied by e_i, put in row p0; e_b U_a
     is column p0 of e_b right-multiplied by e_i, put in column q0."""
-    B, M = _entries(np.eye(JORDAN_DIM)), oct_table()
+    B, M = _entries(np.eye(JORDAN_DIM), *_ALBERT), oct_table()
     left = np.einsum("bqrj,ijk->qibrk", B, M)  # q0, i, b, column r, k
     right = np.einsum("bpqj,jik->qibpk", B, M)  # p0, i, b, row p, k
     table = np.zeros((3, 3, OCT_DIM, JORDAN_DIM, 3, 3, OCT_DIM))  # p0, q0, i, b, p, r, k
@@ -208,7 +235,7 @@ def bracket_operator(A: np.ndarray) -> np.ndarray:
     herm -= imgs  # conj(imgs)^t - imgs, in the conjugate's buffer
     if not _negligible(herm, imgs, 4):
         raise ValueError("bracket image is not octonion Hermitian")
-    return _from_entries(imgs).swapaxes(-1, -2)
+    return _from_entries(imgs, *_ALBERT).swapaxes(-1, -2)
 
 
 def random_skew_offdiag(rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
@@ -220,14 +247,6 @@ def random_skew_offdiag(rng: np.random.Generator, shape: tuple = ()) -> np.ndarr
     a[..., rows, cols, :] = x
     a[..., cols, rows, :] = -oct_conj(x)
     return a
-
-
-def traceless_basis() -> np.ndarray:
-    """(26, 27) coordinates of a (non-orthogonal) basis of the traceless
-    part: E1 - E2, E2 - E3, then the F_i(e_k)."""
-    basis = np.eye(JORDAN_DIM)[1:]
-    basis[:2, :3] = [[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]]
-    return basis
 
 
 def random_traceless_coords(rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
@@ -259,10 +278,11 @@ def e6_embedding_data(L1: float) -> EmbeddingData:
 
     C = sqrt(3) (-3 L1)^(-(n+2)/2) with n = 26; g_o(X, Y) =
     -(1/(3 L1)) tr(X o Y) on traceless matrices; A_o(X, Y, Z) =
-    g_o(-L1 (X o Y - tr(X o Y) I3 / 3), Z) = (X o Y, Z) / 3.
+    g_o(-L1 (X o Y - tr(X o Y) I3 / 3), Z) = (X o Y, Z) / 3.  The
+    g_o-orthonormal basis is sqrt(-3 L1) trace_orthonormal_basis.
     """
-    if L1 >= 0:
-        raise ValueError("the orbit construction needs L1 < 0")
+    if not np.isfinite(L1) or L1 >= 0:
+        raise ValueError("the orbit construction needs a finite L1 < 0")
     n = JORDAN_DIM - 1
     C = np.sqrt(3.0) * (-3.0 * L1) ** (-(n + 2) / 2.0)
     x_o = C * _I3
@@ -270,9 +290,7 @@ def e6_embedding_data(L1: float) -> EmbeddingData:
     # tr(X o Y) = sum_c w_c x_c y_c: the F-basis vectors have norm squared 2
     w = np.repeat([1.0, 2.0], [3, JORDAN_DIM - 3])
     g_w = w / (-3.0 * L1)
-    # Gram-Schmidt in g_o, in basis order: Q = L^-1 V for the Gram matrix L L^t
-    V = traceless_basis()
-    Q = np.linalg.solve(np.linalg.cholesky((V * g_w) @ V.T), V)
+    Q = np.sqrt(-3.0 * L1) * trace_orthonormal_basis(_ROW, _COL)
     gram = (Q * g_w) @ Q.T
     # A_o[i, j, k] = sum_abc Q[i, a] Q[j, b] P[a, b, c] w_c Q[k, c], contracted c, a, then b
     Pk = (jordan_table().reshape(-1, JORDAN_DIM) @ (Q * w).T).reshape(JORDAN_DIM, -1)  # a, (b, k)

@@ -1,5 +1,6 @@
 """Test-only charts, generators and verifiers: random hypersphere point data
-for the algebraic duality identities, the rotated point of the sl_so chart
+for the algebraic duality identities, the closed-form matrix basis of
+sl_so(m)'s trace-free symmetric matrices, the rotated point of the sl_so chart
 for its equivariance checks, the sl_so surface in its own coordinates as
 the generic-point reference, a chart moved by an ambient affine map and a
 random unimodular matrix for the invariance checks, the block sparsity of
@@ -10,7 +11,7 @@ import itertools
 import numpy as np
 
 from equiaffine.calabi import CompositionSpec
-from equiaffine.catalog import _symmetric_basis, sl_so
+from equiaffine.catalog import sl_so
 from equiaffine.dsl import ChartDef
 from equiaffine.duality import HyperspherePointData
 from equiaffine.jets import jet_variables
@@ -34,6 +35,23 @@ def random_hypersphere_data(n: int, rng: np.random.Generator) -> HyperspherePoin
     A -= corr / (n + 2)
     L1 = -float(rng.uniform(0.2, 3.0))
     return HyperspherePointData(g=g, A=A, L1=L1)
+
+
+def _symmetric_basis(m: int) -> np.ndarray:
+    """Frobenius-orthonormal basis of trace-free symmetric m x m matrices, as
+    a (d, m, m) array."""
+    basis = []
+    for d in range(1, m):
+        v = np.zeros(m)
+        v[:d] = 1.0
+        v[d] = -d
+        basis.append(np.diag(v / np.linalg.norm(v)))
+    for i in range(m):
+        for j in range(i + 1, m):
+            mat = np.zeros((m, m))
+            mat[i, j] = mat[j, i] = 1.0 / np.sqrt(2.0)
+            basis.append(mat)
+    return np.array(basis)
 
 
 def sl_so_point(m: int, u, Q: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ from equiaffine.calabi import ComposedChart, CompositionSpec, compose_chart
 from equiaffine.catalog import (
     ENTRIES,
     OrbitChart,
-    _symmetric_basis,
     elliptic_paraboloid,
     flat_factor,
     flat_hypersphere,
@@ -24,9 +23,9 @@ from equiaffine.catalog import (
 )
 from equiaffine.dsl import DslChart, eval_immersion
 from equiaffine.jets import jet_matmul, jet_size, jet_variables
-from equiaffine.jordan import _I3, _OCT, jordan_table
+from equiaffine.jordan import _I3, _OCT, jordan_table, trace_orthonormal_basis
 import jet_reference
-from helpers import SeriesExpChart, TransformedChart, random_unimodular, sl_so_point
+from helpers import SeriesExpChart, TransformedChart, _symmetric_basis, random_unimodular, sl_so_point
 from jet_reference import jet_matrix_exp, lu_det
 
 SAMPLE_PARAMS = {
@@ -319,6 +318,21 @@ def test_sl_so_metric_and_forms_are_those_of_the_base_point():
         value = getattr(base, name)
         assert np.abs(getattr(invs, name) - value).max() <= 1e-12 * np.abs(value).max(), name
     assert np.abs(invs.L1 - -0.52487003541948).max() <= 1e-13
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_sl_so_generators_equal_the_matrix_construction_bitwise(m):
+    """The Sym(m, R) table's multiplications by its trace-orthonormal basis
+    are, bit for bit, the closed-form basis B_v and the matrix products
+    L(B_v) P = (B_v P + P B_v)/2 on the unit matrix P of each coordinate."""
+    rows, cols = np.triu_indices(m)
+    basis = _symmetric_basis(m)
+    assert np.array_equal(trace_orthonormal_basis(rows, cols), basis[:, rows, cols])
+    unit = np.zeros((len(rows), m, m))
+    unit[:, rows, cols] = unit[:, cols, rows] = np.eye(len(rows))
+    BP = np.einsum("vij,bjk->vbik", basis, unit)
+    X = (0.5 * (BP + np.swapaxes(BP, -1, -2)))[..., rows, cols].swapaxes(-1, -2)
+    assert np.array_equal(sl_so(m).X, X)
 
 
 def _triple_defect(X):

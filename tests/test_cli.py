@@ -503,7 +503,7 @@ def test_jordan_selftest_all_pass():
     assert jordan_selftest(out) == 0
     lines = out.getvalue().splitlines()
     assert lines[:2] == ["schema: 1", "suite: jordan"]
-    # names, order, tolerances and status; the residual digits vary with numpy and BLAS
+    # names, order, tolerances and status; test_golden.py pins the whole report
     pattern = re.compile(r"check (\w+): residual=(\S+) tol=(\S+) (pass|FAIL)")
     rows = [pattern.fullmatch(line).groups() for line in lines[2:14]]
     assert [(name, tol) for name, _, tol, _ in rows] == JORDAN_CHECKS
@@ -1013,9 +1013,9 @@ OVER = MAX_DIM + 1
     ids=["dsl", "hyperboloid", "unit_sphere", "elliptic_paraboloid", "flat_hypersphere", "sl_so", "composition"],
 )
 def test_dimension_above_max_dim_exits_with_one_line(tmp_path, capsys, monkeypatch, chart, code, expected):
-    # catalog charts are refused before their text or basis is built
+    # catalog charts are refused before their text or Jordan table is built
     if "catalog" in chart:
-        for name in ("parse_chart", "parse_source", "_symmetric_basis", "compose_chart"):
+        for name in ("parse_chart", "parse_source", "hermitian_table", "compose_chart"):
             monkeypatch.setattr(catalog, name, lambda *a, **k: pytest.fail("a chart was built"))
     argv = ["check", "--scene", scene_file(tmp_path, chart, {"random": 1})]
     assert error_line(capsys, argv) == (code, expected)

@@ -1,12 +1,14 @@
-"""Golden reports: three fixed-point scenes whose CLI reports must not move
-by a byte.
+"""Golden reports: three fixed-point scenes and the ``jordan selftest``,
+whose CLI reports must not move by a byte.
 
 Each ``golden/<command>_<name>.json`` scene has its report in
-``golden/<command>_<name>.txt``.  A change that moves a report byte on
-purpose regenerates the file and shows the move in its diff:
+``golden/<command>_<name>.txt``, and ``golden/jordan_selftest.txt`` is the
+selftest's report.  A change that moves a report byte on purpose
+regenerates the file and shows the move in its diff:
 
     PYTHONPATH=src python -m equiaffine.cli check --scene tests/golden/check_hyperboloid_n2.json \\
         > tests/golden/check_hyperboloid_n2.txt
+    PYTHONPATH=src python -m equiaffine.cli jordan selftest > tests/golden/jordan_selftest.txt
 """
 
 import contextlib
@@ -33,3 +35,11 @@ def test_report_matches_its_golden_file_byte_for_byte(scene):
         code = main([scene.stem.split("_")[0], "--scene", str(scene)])
     assert code == 0
     assert out.getvalue().encode() == scene.with_suffix(".txt").read_bytes()
+
+
+def test_jordan_selftest_matches_its_golden_file_byte_for_byte():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["jordan", "selftest"])
+    assert code == 0
+    assert out.getvalue().encode() == (GOLDEN / "jordan_selftest.txt").read_bytes()

@@ -13,6 +13,10 @@ from hypothesis.extra.numpy import arrays
 
 import equiaffine
 from equiaffine.jordan import (
+    _ALBERT,
+    _COL,
+    _OCT,
+    _ROW,
     EmbeddingData,
     _entries,
     _from_entries,
@@ -21,6 +25,7 @@ from equiaffine.jordan import (
     bracket_table,
     e6_embedding_data,
     gaussf_residual,
+    hermitian_table,
     hypersphere_residual,
     jordan_cross,
     jordan_det,
@@ -35,7 +40,7 @@ from equiaffine.jordan import (
     oct_table,
     random_skew_offdiag,
     random_traceless_coords,
-    traceless_basis,
+    trace_orthonormal_basis,
 )
 
 octonions = arrays(np.float64, 8, elements=st.floats(min_value=-3, max_value=3))
@@ -105,9 +110,9 @@ def test_jordan_matrix_construction_and_coords():
     assert X[:3].sum() == pytest.approx(0.0, abs=1e-14)
     Y = rng.standard_normal((4, 27))
     for Z in (X, Y, X + Y, 2.5 * X - Y):
-        entries = _entries(Z)
+        entries = _entries(Z, *_ALBERT)
         assert entries.shape == Z.shape[:-1] + (3, 3, 8)
-        assert np.array_equal(_from_entries(entries), Z)
+        assert np.array_equal(_from_entries(entries, *_ALBERT), Z)
         assert np.array_equal(oct_conj(entries).swapaxes(-3, -2), entries)
 
 
@@ -229,10 +234,52 @@ def test_bracket_operator_rejects_non_skew():
 
 
 def test_traceless_basis_spans():
-    mats = traceless_basis()
+    mats = trace_orthonormal_basis(_ROW, _COL)
     assert mats.shape == (26, 27)
     assert np.linalg.matrix_rank(mats) == 26
     assert mats[:, :3].sum(axis=-1) == pytest.approx(np.zeros(26), abs=1e-15)
+
+
+# every layout the code builds: Sym(m, R) in sl_so(m)'s upper-triangular
+# coordinates for m = 3..6, and the Albert algebra
+LAYOUTS = [(*np.triu_indices(m), np.zeros(m * (m + 1) // 2, int)) for m in range(3, 7)] + [_ALBERT]
+LAYOUT_IDS = [f"sym{m}" for m in range(3, 7)] + ["albert"]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS, ids=LAYOUT_IDS)
+def test_hermitian_table_is_a_jordan_algebra(layout):
+    rows, cols, _ = layout
+    P = hermitian_table(*layout)
+    N = len(rows)
+    assert P.shape == (N, N, N) and not P.flags.writeable
+    assert np.array_equal(P, P.transpose(1, 0, 2))
+    # the identity coordinates act as the unit
+    assert np.array_equal(np.einsum("a,abc->bc", (rows == cols).astype(float), P), np.eye(N))
+    # the Jordan identity x^2 o (x o y) = x o (x^2 o y) at random elements
+    x, y = np.random.default_rng(23).standard_normal((2, 10, N))
+
+    def mul(a, b):
+        return np.einsum("...a,...b,abc->...c", a, b, P)
+
+    x2 = mul(x, x)
+    lhs, rhs = mul(x2, mul(x, y)), mul(x, mul(x2, y))
+    assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(lhs).max()
+
+
+@pytest.mark.parametrize("layout", LAYOUTS, ids=LAYOUT_IDS)
+def test_trace_orthonormal_basis_is_traceless_and_orthonormal(layout):
+    rows, cols, _ = layout
+    Q = trace_orthonormal_basis(rows, cols)
+    assert Q.shape == (len(rows) - 1, len(rows))
+    assert np.abs(Q[:, rows == cols].sum(axis=-1)).max() <= 1e-15
+    gram = (Q * np.where(rows == cols, 1.0, 2.0)) @ Q.T
+    assert np.abs(gram - np.eye(len(Q))).max() <= 1e-15
+
+
+def test_real_albert_layout_gives_the_real_sub_table():
+    real = np.flatnonzero(_OCT == 0)
+    P = hermitian_table(_ROW[real], _COL[real], _OCT[real])
+    assert np.array_equal(P, jordan_table()[np.ix_(real, real, real)])
 
 
 def test_embedding_data_reference_values():
@@ -242,8 +289,9 @@ def test_embedding_data_reference_values():
     assert jordan_det(data.x_o) == pytest.approx(3.0 * np.sqrt(3.0))
     assert data.dim == 26
     assert data.on_basis.shape == (26, 27)
-    with pytest.raises(ValueError):
-        e6_embedding_data(0.5)
+    for L1 in (0.5, np.nan, -np.inf):
+        with pytest.raises(ValueError):
+            e6_embedding_data(L1)
 
 
 @pytest.mark.parametrize("L1", [-1.0 / 3.0, -0.2, -1.5])
@@ -275,7 +323,7 @@ def hermitian_coords(m):
     axes = (-3, -2, -1)
     skew = np.abs(oct_conj(m).swapaxes(-3, -2) - m).max(axis=axes)
     assert np.all(skew <= 1e-12 * np.maximum(1.0, np.abs(m).max(axis=axes)))
-    return _from_entries(m)
+    return _from_entries(m, *_ALBERT)
 
 
 def mat_mul(a, b):
@@ -287,7 +335,7 @@ def mat_mul(a, b):
 def mat_mul_product(x, y):
     """Coordinates of (XY + YX) / 2 from plain octonion matrix products of
     the entries, without the table."""
-    X, Y = _entries(x), _entries(y)
+    X, Y = _entries(x, *_ALBERT), _entries(y, *_ALBERT)
     return hermitian_coords(0.5 * (mat_mul(X, Y) + mat_mul(Y, X)))
 
 
@@ -327,7 +375,7 @@ def test_operators_match_per_basis_columns():
     assert np.max(np.abs(mult_operator(T) - np.array(cols).T)) < 1e-13
     # zero-diagonal members and members with imaginary diagonal entries
     for A in (random_skew_offdiag(rng), *random_skew(rng, (10,))):
-        cols = [hermitian_coords(mat_mul(A, e) - mat_mul(e, A)) for e in _entries(basis)]
+        cols = [hermitian_coords(mat_mul(A, e) - mat_mul(e, A)) for e in _entries(basis, *_ALBERT)]
         assert np.max(np.abs(bracket_operator(A) - np.array(cols).T)) < 1e-13
 
 
@@ -338,7 +386,7 @@ def test_bracket_table_read_only_and_integral():
     assert set(np.unique(table)) <= {-1.0, 0.0, 1.0}
     # row a holds the entries of [U_a, e_b] for the unit coordinate U_a
     U = np.eye(72).reshape(72, 3, 3, 8)
-    basis = _entries(np.eye(27))
+    basis = _entries(np.eye(27), *_ALBERT)
     for a in (0, 13, 40, 71):
         want = mat_mul(U[a], basis) - mat_mul(basis, U[a])
         assert np.array_equal(table[a], want.ravel())
