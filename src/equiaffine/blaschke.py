@@ -67,7 +67,7 @@ from .tensors import cov_deriv_sym3, riemann
 ORDER = 4  # the jet order of the chart evaluation that the pipeline starts from
 H_EQUALS_G_TOL = 1e-9
 TAU_TOL = 1e-9
-L1_ZERO_TOL = 1e-12  # |L1| at or below this counts as L1 = 0 (improper affine sphere)
+L1_ZERO_TOL = 1e-12  # |L1| at or below this times |xi| / |x| counts as L1 = 0 (see is_improper)
 
 
 class ConvexityError(ValueError):
@@ -449,12 +449,22 @@ def check_gauss_alt(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
     return {"gauss_alt": max_per_point(inv, inv.curvature.riemann - rhs)}
 
 
+def is_improper(inv: BlaschkeInvariants) -> np.ndarray:
+    """Whether L1 = 0 within rounding at each point (shape () for one point,
+    (P,) for a stack): |L1| max|x| <= ``L1_ZERO_TOL`` max|xi|.  The ratio
+    |L1| max|x| / max|xi| is 1 on a proper affine sphere centred at the
+    origin (xi = -L1 x), rounding noise on an improper one, and a homothety
+    x -> lambda x leaves it unchanged (L1 and |xi| / |x| both scale by
+    lambda^(-2(n+1)/(n+2))), so the decision holds at any scale."""
+    return np.abs(inv.L1) * np.abs(inv.position).max(axis=-1) <= L1_ZERO_TOL * np.abs(inv.xi).max(axis=-1)
+
+
 def _hypersphere_residuals(inv: BlaschkeInvariants) -> tuple[np.ndarray, np.ndarray]:
     """(max|B - L1 g|, max|xi + L1 x|) at each point; the center residual is
-    0 by convention when L1 = 0 (``L1_ZERO_TOL``)."""
+    0 by convention when L1 = 0 (``is_improper``)."""
     resid_b = max_per_point(inv, inv.B - _per_point(inv.L1, 2) * inv.g)
     resid_c = max_per_point(inv, inv.xi + _per_point(inv.L1, 1) * inv.position)
-    return resid_b, np.where(np.abs(inv.L1) > L1_ZERO_TOL, resid_c, 0.0)
+    return resid_b, np.where(is_improper(inv), 0.0, resid_c)
 
 
 def check_hypersphere(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:

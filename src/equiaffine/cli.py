@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import blaschke, calabi, catalog, duality, jordan
-from .blaschke import L1_ZERO_TOL, ConsistencyError, ConvexityError, FrameError, blaschke_at
+from .blaschke import ConsistencyError, ConvexityError, FrameError, blaschke_at
 from .dsl import ChartParseError, ImmersionError, parse_chart
 from .jets import jet_size
 from .tensors import MetricError
@@ -49,6 +49,12 @@ DEFAULT_POINTS = {"random": 3, "seed": 0}
 # n = 5, one from n = 12 up.  Past about 16 points at n = 5 a stack costs
 # more per point, not less.
 STACK_COEFFS = 2048
+
+# the read chart documents whose resolved charts ``cached_chart`` keeps.  An
+# entry keeps its charts alive, each with its last evaluation
+# (``ChartDef.jets_at``): about 6 MB for one point at n = 26, twice that for
+# a composition in 26 variables (its weights' base jets too), kilobytes at n <= 12
+CHART_CACHE = 8
 
 # failures of the pipeline at one point of a chart (exit code 3); ArithmeticError takes
 # in JetDomainError, float overflow, division by zero and numpy's FloatingPointError
@@ -97,10 +103,10 @@ def check_line(rep: CheckReport) -> str:
 
 
 def _dual_reports(invs, tol) -> list[list[CheckReport]]:
-    """Per point of a stack: dual_requires_hyperbolic where L1 >= -L1_ZERO_TOL
-    (L1 = 0 within rounding is not hyperbolic), else gauss_swap and
+    """Per point of a stack: dual_requires_hyperbolic where L1 >= 0 or L1 = 0
+    within rounding (``blaschke.is_improper``), else gauss_swap and
     minimality on the dual data of the other points, built once."""
-    requires = invs.L1 >= -L1_ZERO_TOL
+    requires = (invs.L1 >= 0) | blaschke.is_improper(invs)
     reports = [[CheckReport("dual_requires_hyperbolic", abs(L1) + 1.0, 0.0)] if req else []
                for req, L1 in zip(requires.tolist(), invs.L1.tolist())]
     hyperbolic = np.flatnonzero(~requires)
@@ -278,7 +284,27 @@ def build_factor(doc: dict, where: str) -> calabi.HypersphereFactor:
 
 def resolve_chart(doc: dict):
     """(chart, composition spec or None, description) of a read chart
-    document; an unknown catalog name raises KeyError (exit 3)."""
+    document, built on the first call with that document in the process and
+    then shared (``cached_chart``); an unknown catalog name raises KeyError
+    (exit 3)."""
+    try:
+        text = json.dumps(doc)
+    except (TypeError, ValueError):  # a value no JSON document holds: built uncached, to its error
+        return _resolve(doc)
+    return cached_chart(text)
+
+
+@functools.lru_cache(maxsize=CHART_CACHE)
+def cached_chart(text: str):
+    """``_resolve`` of the read chart document whose JSON text is
+    ``text``, kept for later scenes with the same text, so 2, 2.0 and true
+    are different documents.  A document that fails raises each time and is
+    not kept."""
+    return _resolve(json.loads(text))
+
+
+def _resolve(doc: dict):
+    """``resolve_chart``'s result, built anew."""
     if "catalog" in doc:
         name = doc["catalog"]
         chart = build_chart(name, catalog.entry(name).builder, doc["params"], "chart.params")

@@ -228,6 +228,14 @@ def print_expr(expr) -> str:
 # -- charts --------------------------------------------------------------
 
 
+def _read_only_copy(values) -> np.ndarray:
+    """A read-only float copy of ``values``: the arrays a chart exposes, which
+    every scene that shares the chart reads."""
+    array = np.array(values, float)
+    array.flags.writeable = False
+    return array
+
+
 class ChartDef:
     """A parametrized immersion u in R^n -> R^{n+1}.
 
@@ -235,7 +243,9 @@ class ChartDef:
     coordinates x^1..x^{n+1} at a point as a float (n+1, jet_size(n, order))
     jet array (see ``jets``), and at each point of a (..., n) point stack
     as an (..., n+1, M) one; evaluation, Jacobian rank checking and
-    sampling live here.
+    sampling live here.  Nothing writes to a chart once it is built, and
+    the arrays it exposes are read-only, so one chart may serve any number
+    of scenes (the CLI resolves each chart document once per process).
     """
 
     def __init__(self, dim: int, domain_hint=None, params=None):
@@ -243,7 +253,7 @@ class ChartDef:
         self.ambient_dim = dim + 1
         if domain_hint is None:
             domain_hint = (-0.5 * np.ones(dim), 0.5 * np.ones(dim))
-        self.domain_hint = (np.asarray(domain_hint[0], float), np.asarray(domain_hint[1], float))
+        self.domain_hint = (_read_only_copy(domain_hint[0]), _read_only_copy(domain_hint[1]))
         self.params = dict(params or {})
         self._last_jets = None  # (key, jets) of the last ``jets_at`` call
 
@@ -254,7 +264,9 @@ class ChartDef:
         """``component_jets`` at a point or point stack, read-only.  The last
         result is kept, so the same points at the same order (a composition
         factor's stack, evaluated by the composed chart and then by the
-        factor's own pipeline) are evaluated once."""
+        factor's own pipeline) are evaluated once.  It lives as long as the
+        chart: for a chart the CLI resolved, across scenes, until its chart
+        document leaves the CLI's chart cache."""
         point = np.asarray(point, float)
         key = (order, point.shape, point.tobytes())
         if self._last_jets is None or self._last_jets[0] != key:
@@ -278,10 +290,10 @@ class OrbitChart(ChartDef):
     x0; other generators are not refused, and show x0's invariants."""
 
     def __init__(self, X, x0, q, domain_hint=None):
-        self.X = np.asarray(X, float)
+        self.X = _read_only_copy(X)
         super().__init__(len(self.X), domain_hint=domain_hint)
-        self.x0 = np.asarray(x0, float)
-        self.root_q = np.sqrt(np.asarray(q, float))
+        self.x0 = _read_only_copy(x0)
+        self.root_q = _read_only_copy(np.sqrt(q))
         self._base = {}
 
     def base_jets(self, order: int) -> np.ndarray:

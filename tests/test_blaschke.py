@@ -6,10 +6,11 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from equiaffine import BlaschkeInvariants, blaschke_at, catalog, jets, parse_chart
 from equiaffine.blaschke import (
-    L1_ZERO_TOL,
     TERMS,
     ConvexityError,
     _chart_derivatives,
@@ -21,6 +22,7 @@ from equiaffine.blaschke import (
     check_hypersphere,
     check_ricci,
     check_trace_identity,
+    is_improper,
     nabla_A_norm,
 )
 from equiaffine.calabi import CompositionSpec, HypersphereFactor, compose_chart
@@ -239,6 +241,31 @@ def test_scaled_hyperboloid_has_the_homothety_mean_curvature(n, scale):
         invs = blaschke_at(chart, chart.sample_points(3, 1))
     expected = -math.exp(-2 * (n + 1) / (n + 2) * math.log(float(scale)))
     assert np.allclose(invs.L1, expected, rtol=1e-12, atol=0.0)
+
+
+HOMOTHETY_CHARTS = {"hyperboloid(3)": lambda: hyperboloid(3), "sl_so(3)": lambda: sl_so(3),
+                    "flat_hypersphere(2)": lambda: catalog.flat_hypersphere(2),
+                    "unit_sphere(2)": lambda: catalog.unit_sphere(2)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(HOMOTHETY_CHARTS)), exponent=st.floats(-30.0, 30.0), seed=st.integers(0, 9))
+@example(name="unit_sphere(2)", exponent=-30.0, seed=0)
+@example(name="sl_so(3)", exponent=30.0, seed=0)
+def test_homothety_scales_the_invariants(name, exponent, seed):
+    # x -> lambda x scales L1, J and chi by lambda^(-2(n+1)/(n+2)).  Each is
+    # compared with the largest of them at lambda = 1, since J is 0 on the
+    # quadrics and chi is 0 on the flat sphere
+    chart = HOMOTHETY_CHARTS[name]()
+    point = chart.sample_points(1, seed)[0]
+    lam, n = 10.0**exponent, chart.dim
+    base = blaschke_at(chart, point)
+    scaled = blaschke_at(TransformedChart(chart, lam * np.eye(n + 1)), point)
+    factor = lam ** (-2 * (n + 1) / (n + 2))
+    size = max(abs(base.L1), abs(base.J), abs(base.chi))
+    for invariant in ("L1", "J", "chi"):
+        error = abs(getattr(scaled, invariant) / factor - getattr(base, invariant))
+        assert error <= 1e-12 * size, (invariant, error, size)
 
 
 def test_hyperboloid_dimension_8():
@@ -491,7 +518,7 @@ def test_mixed_stack_takes_each_rows_branch():
 
     dual = [[rep.check_name for rep in reps] for reps in point_reports(stacked, ["dual"], DEFAULT_TOL)]
     assert dual == [["gauss_swap", "minimality"], ["dual_requires_hyperbolic"], ["dual_requires_hyperbolic"]] * 2
-    improper = [abs(inv.L1) <= L1_ZERO_TOL for inv in invs]
+    improper = [bool(is_improper(inv)) for inv in invs]
     assert improper == [False, False, True] * 2
     centers = check_hypersphere(stacked)["hypersphere_center"].tolist()
     assert [c for c, flat in zip(centers, improper) if flat] == [0.0, 0.0]

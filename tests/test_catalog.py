@@ -21,7 +21,7 @@ from equiaffine.catalog import (
     sl_so,
     unit_sphere,
 )
-from equiaffine.dsl import DslChart, eval_immersion
+from equiaffine.dsl import DslChart, OrbitChart, eval_immersion
 from equiaffine.jets import jet_matmul, jet_size, jet_variables
 from equiaffine.jordan import _I3, _OCT, jordan_table, trace_orthonormal_basis
 import jet_reference
@@ -411,6 +411,22 @@ def test_cached_charts_and_bases_are_read_only_and_shared():
     assert a.jets_at(point.copy(), 4) is jets and not jets.flags.writeable
     assert a.jets_at(point, 3) is not jets
     assert np.array_equal(jets, b.component_jets(point, 4))
+
+
+def test_chart_arrays_are_read_only():
+    # one chart may serve many scenes, so nothing it exposes can be written
+    composition = catalog.flat_hypersphere(2)
+    charts = [hyperboloid(2), catalog.unit_sphere(2), sl_so(3), composition, composition.weights,
+              catalog.graph("dim 1; x1 = u1; x2 = exp(u1);")]
+    for chart in charts:
+        arrays = list(chart.domain_hint)
+        if isinstance(chart, OrbitChart):
+            arrays += [chart.X, chart.x0, chart.root_q]
+        assert not any(array.flags.writeable for array in arrays), type(chart).__name__
+    # the arrays a chart is built from stay the caller's, writeable
+    X, x0 = np.zeros((1, 2, 2)), np.ones(2)
+    OrbitChart(X, x0, np.ones(2), (-np.ones(1), np.ones(1)))
+    assert X.flags.writeable and x0.flags.writeable
 
 
 def test_repeated_catalog_charts_give_equal_reports():

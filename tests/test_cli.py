@@ -192,16 +192,31 @@ def test_composition_scene_runs_each_check_once_per_stack(monkeypatch):
         return evaluate(chart, point, order)
 
     monkeypatch.setattr(dsl.DslChart, "component_jets", counted_jets)
-    code, _ = run(HYPERBOLOID_COMPOSITION)
+    built = dsl.ChartDef.__init__
+
+    def counted_build(chart, *args, **kwargs):
+        calls["chart built"] += 1
+        built(chart, *args, **kwargs)
+
+    monkeypatch.setattr(dsl.ChartDef, "__init__", counted_build)
+    cli.cached_chart.cache_clear()
+    code, first = run(HYPERBOLOID_COMPOSITION)
     assert code == 0
     # the 4 points are one stack: one call of each check, and each term they
     # share built once (nabla A, the hypersphere residuals, which
     # composition_reports reuses, ...); one closed form for the spec, and
     # one evaluation of the factor's jets, shared by the composed chart and
-    # the factor pipeline
-    assert calls == {**dict.fromkeys(checks, 1), "cov_deriv_sym3": 1, "_hypersphere_residuals": 1,
-                     "check_gauss_swap": 1, "check_trace_free": 1, "closed_form": 1,
-                     **{f"term {name}": 1 for name in blaschke.TERMS}, "hyperboloid jets": 1}
+    # the factor pipeline; three charts: the factor, the weights' orbit and
+    # the composed chart
+    per_run = {**dict.fromkeys(checks, 1), "cov_deriv_sym3": 1, "_hypersphere_residuals": 1,
+               "check_gauss_swap": 1, "check_trace_free": 1, **{f"term {name}": 1 for name in blaschke.TERMS}}
+    assert calls == {**per_run, "closed_form": 1, "hyperboloid jets": 1, "chart built": 3}
+    # the same scene again reuses the resolved chart, its spec's closed form
+    # and its charts' last evaluation: every check runs, nothing is built
+    calls.clear()
+    code, again = run(HYPERBOLOID_COMPOSITION)
+    assert code == 0 and again == first
+    assert calls == per_run
 
 
 def test_scene_report_is_the_same_in_any_stack_size(monkeypatch):
@@ -435,6 +450,50 @@ def test_repeated_main_calls_are_independent(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_a_chart_document_is_resolved_once_per_process():
+    def resolved(chart):
+        return resolve_chart(read("chart", chart, "chart"))
+
+    cli.cached_chart.cache_clear()
+    two, three = ({"catalog": "hyperboloid", "params": {"n": n}} for n in (2, 3))
+    first = resolved(two)
+    assert resolved(json.loads(json.dumps(two))) is first  # the same document, read again
+    assert resolved(three)[0].dim == 3 and resolved(three) is not first
+    # typed: 2.0 reads as the integer 2 but is another document, and true is refused
+    assert resolved({"catalog": "hyperboloid", "params": {"n": 2.0}}) is not first
+    one = resolved({"catalog": "hyperboloid", "params": {"n": 1}})
+    with pytest.raises(SceneError, match="must be an integer, got True"):
+        resolved({"catalog": "hyperboloid", "params": {"n": True}})
+    assert resolved({"catalog": "hyperboloid", "params": {"n": 1}}) is one
+    # a value that no JSON document holds is read uncached, to its scene error
+    with pytest.raises(SceneError, match="chart.params.n must be an integer"):
+        resolved({"catalog": "hyperboloid", "params": {"n": np.int64(2)}})
+    composition = HYPERBOLOID_COMPOSITION["chart"]
+    assert resolved(composition) is resolved(composition)
+    assert cli.cached_chart.cache_info().currsize == 5
+    # bounded: the oldest documents leave first
+    for n in range(1, cli.CHART_CACHE + 2):
+        resolved({"catalog": "unit_sphere", "params": {"n": n}})
+    assert cli.cached_chart.cache_info().currsize == cli.CHART_CACHE
+    assert resolved(two) is not first
+
+
+@pytest.mark.parametrize("chart, code, expected", [
+    ({"catalog": "hyperboloid", "params": {"n": 0}},
+     3, "chart error: invalid parameters for 'hyperboloid': hyperboloid needs n >= 1"),
+    ({"dsl": "dim 1; x1 = u1;"}, 2, "scene error: missing components: x2 (line 1, column 16)"),
+    ({"composition": {"r": 1, "constants": [1.0], "factors": []}},
+     2, "scene error: chart.composition: a composition needs at least two factors"),
+])
+def test_a_failing_chart_document_fails_alike_every_time(tmp_path, capsys, chart, code, expected):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"chart": chart, "points": {"random": 1}}))
+    for _ in range(2):
+        assert main(["check", "--scene", str(scene)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == expected + "\n"
+
+
 def test_out_applies_to_its_own_call_only(tmp_path, capsys):
     report = tmp_path / "report.txt"
     argv = ["check", "--chart", "hyperboloid(n=2)", "--points", "1"]
@@ -629,8 +688,7 @@ def test_recip_at_a_large_value_part_is_in_float_range(tmp_path, capsys):
 def test_scaled_hyperboloid_scene_passes(tmp_path, capsys, n, scale):
     # det M = scale^n is past float range, its logarithm is not.  gauss,
     # codazzi and gauss_alt are left out: their residuals are absolute and
-    # grow with the metric (scale-aware residuals are open on the ROADMAP);
-    # dual treats the tiny L1 as L1 = 0
+    # grow with the metric (scale-aware residuals are open on the ROADMAP)
     path = tmp_path / "scene.json"
     checks = ["apolarity", "ricci", "trace_identity", "hypersphere", "parallel"]
     path.write_text(json.dumps({"chart": {"dsl": scaled_hyperboloid_text(n, scale)},
@@ -638,6 +696,22 @@ def test_scaled_hyperboloid_scene_passes(tmp_path, capsys, n, scale):
     assert main(["check", "--scene", str(path)]) == 0
     captured = capsys.readouterr()
     assert captured.err == "" and "status: pass" in captured.out
+
+
+@pytest.mark.parametrize("n", [2, 12])
+def test_scaled_hyperboloid_is_a_proper_hyperbolic_sphere(tmp_path, capsys, n):
+    # L1 = -1e30^(-2(n+1)/(n+2)) is tiny (-1.0e-45 at n = 2), yet the sphere
+    # is proper and hyperbolic at any scale: L1 = 0 is decided relative to
+    # |xi| / |x|, so the center is checked and the dual is built
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"chart": {"dsl": scaled_hyperboloid_text(n, "1e30")},
+                                "points": {"random": 2, "seed": 1}, "checks": ["hypersphere", "dual"]}))
+    assert main(["check", "--scene", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "status: pass" in captured.out
+    assert captured.out.count("check gauss_swap") == 2 and "dual_requires_hyperbolic" not in captured.out
+    centers = re.findall(r"check hypersphere_center: residual=(\S+)", captured.out)
+    assert len(centers) == 2 and all(float(c) > 0.0 for c in centers)
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-30])

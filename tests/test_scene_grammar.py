@@ -153,6 +153,50 @@ def test_any_scene_document_keeps_the_error_contract(text, command):
     assert_contract(*run_main([command, "--scene", "-"], text))
 
 
+# charts of at most 3 dimensions, each with its dimension: the quadrics,
+# chart text with exp and a composition
+POINT_CHARTS = [
+    *(({"catalog": name, "params": {"n": n}}, n)
+      for name in ("unit_sphere", "elliptic_paraboloid", "hyperboloid") for n in (1, 2, 3)),
+    ({"dsl": "dim 2; x1 = exp(u1); x2 = exp(u2); x3 = exp(-u1 - u2);"}, 2),
+    ({"composition": {"r": 1, "constants": [1.0, 1.0],
+                      "factors": [{"catalog": {"name": "hyperboloid", "params": {"n": 2}}, "L1": -1.0}]}}, 3),
+]
+
+# coordinates at and near the float limits (the largest, its square root,
+# the smallest normal, the smallest subnormal), of both signs, and any finite one
+EXTREME = [sys.float_info.max, 1e308, 1e154, 1e30, 0.5, 1e-30, 1e-154, sys.float_info.min, 5e-324, 0.0]
+COORDINATES = st.one_of(st.sampled_from(EXTREME + [-x for x in EXTREME]), st.floats(allow_nan=False,
+                                                                                    allow_infinity=False))
+
+
+@st.composite
+def extreme_point_scenes(draw):
+    """A chart of at most 3 dimensions with 1 to 5 points of extreme, mixed
+    and subnormal coordinates, and the place of one coordinate."""
+    chart, dim = draw(st.sampled_from(POINT_CHARTS))
+    points = draw(st.lists(st.lists(COORDINATES, min_size=dim, max_size=dim), min_size=1, max_size=5))
+    k, i = draw(st.integers(0, len(points) - 1)), draw(st.integers(0, dim - 1))
+    return {"chart": chart, "points": points}, (k, i)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scene_and_place=extreme_point_scenes(), command=st.sampled_from(COMMANDS),
+       non_finite=st.sampled_from([math.nan, math.inf, -math.inf]))
+@example(scene_and_place=({"chart": POINT_CHARTS[8][0], "points": [[1e308, 1e308, 0.0]]}, (0, 0)),
+         command="check", non_finite=math.nan)
+@example(scene_and_place=({"chart": POINT_CHARTS[-1][0], "points": [[5e-324, 0.0, 1e154]]}, (0, 2)),
+         command="compose", non_finite=math.inf)
+def test_extreme_point_values_keep_the_error_contract(scene_and_place, command, non_finite):
+    scene, (k, i) = scene_and_place
+    assert_contract(*run_main([command, "--scene", "-"], json.dumps(scene)))
+    # the same scene with one coordinate not finite exits 2 with one line
+    scene["points"][k][i] = non_finite
+    code, out, err = run_main([command, "--scene", "-"], json.dumps(scene))
+    assert_contract(code, out, err)
+    assert code == 2 and err.startswith(f"scene error: points[{k}][{i}] must be a finite number")
+
+
 # the values of a flag, or of a --chart parameter by its kind: every chart
 # has at most 2 dimensions (sl_so(m <= 2) fails to build, 10**30 is past MAX_DIM)
 FLAG_VALUES = {"--points": [2, 1, 5], "--seed": [1, 0, 7], "integer": [2, 1, 0, 2.0, 10**30],
