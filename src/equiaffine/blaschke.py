@@ -35,6 +35,13 @@ immersion, G' is definite (otherwise ConvexityError is raised first), g
 is positive definite (otherwise MetricError) and the frame is
 nonsingular (otherwise FrameError).
 
+Every contraction of jet arrays is one ``jets.jet_matmul``, a batched
+matrix product over the coefficient pairs, on views that make the index
+pairs (i, j) one matrix axis: G' = y . x_ij over the n(n+1)/2 pairs
+i >= j only, mirrored, so G' is exactly symmetric; Gamma^k_ij x_k and
+g^{ij}(x_ij - Gamma^k_ij x_k) for xi; g_kl (Gamma - hat-Gamma)^l_ij for
+A; and g^{kl}[dg]_lij in ``tensors.christoffel_jets``.
+
 Each value matrix is factorized once per stack, seven LAPACK calls in
 all, plus the chart's own (one ``eigh`` for ``sl_so``).  One SVD of the
 tangent values (``dsl.eval_immersion``) gives the immersion check, w and
@@ -61,7 +68,7 @@ import numpy as np
 from . import tensors
 from .dsl import ChartDef, eval_immersion
 from .jets import exp as jet_exp
-from .jets import jet_einsum, jet_gradient, jet_hessian, jet_lu, jet_mul, jet_size
+from .jets import jet_gradient, jet_hessian, jet_lu, jet_matmul, jet_mul, jet_size
 from .tensors import cov_deriv_sym3, riemann
 
 ORDER = 4  # the jet order of the chart evaluation that the pipeline starts from
@@ -171,11 +178,13 @@ def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants:
     ginv = np.ascontiguousarray(ginv_jets[..., 0])  # a fixed layout, as for the checks' einsums
     gamma_hat_jets = tensors.christoffel_jets(g, ginv_jets)
 
-    # xi = (1/n) g^{ij} (x_ij - Gamma^k_ij x_k), as order-1 jets
+    # xi = (1/n) g^{ij} (x_ij - Gamma^k_ij x_k), as order-1 jets, the pairs
+    # (i, j) as one matrix axis of each product
     x1 = x1[..., :m1]
     hess = hess[..., :m1]
-    lap = hess - jet_einsum("kij,ka->ija", gamma_hat_jets, x1, n)
-    xi = jet_einsum("ij,ija->a", ginv_jets, lap, n) * (1.0 / n)
+    gamma_x = jet_matmul(gamma_hat_jets.reshape(-1, n, n * n, m1).swapaxes(1, 2), x1, n)  # [ij, a]
+    lap = hess - gamma_x.reshape(hess.shape)
+    xi = jet_matmul(ginv_jets.reshape(-1, 1, n * n, m1), lap.reshape(-1, n * n, n + 1, m1), n)[:, 0] * (1.0 / n)
 
     # frame {x_1, ..., x_n, xi}: solve x_ij = Gamma^k_ij x_k + h_ij xi
     frame = np.concatenate([x1, xi[:, None]], axis=1).swapaxes(1, 2)  # [a, column]
@@ -206,7 +215,8 @@ def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants:
         )
 
     # Fubini-Pick form: A^k_ij = Gamma^k_ij - hat-Gamma^k_ij, lowered with g
-    a_jets = jet_einsum("kl,lij->ijk", g1, gamma_ind - gamma_hat_jets, n)
+    diff = (gamma_ind - gamma_hat_jets).reshape(-1, n, n * n, m1)  # [l, ij]
+    a_jets = jet_matmul(diff.swapaxes(1, 2), g1.swapaxes(1, 2), n).reshape(gamma_ind.shape)  # [i, j, k]
     A = _symmetrize3(a_jets[..., 0])
 
     # shape operator: xi_i = -B^k_i x_k + tau_i xi; the right-hand side has no
@@ -298,8 +308,9 @@ def _determinant_form(x1: np.ndarray, hess: np.ndarray, normal: np.ndarray, poin
     """The normalized determinant form G'_ij = det(x_1, ..., x_n, x_ij) / det M
     as an (n, n, M2) jet array (leading point axes as in x1), as y . x_ij
     with y = M^{-T} e_{n+1} of the module docstring, w the constant
-    ``normal``; and the series log(det M / det M0), an (M2,) jet with value
-    part 0, from the same solve."""
+    ``normal``, formed for i >= j and mirrored; and the series
+    log(det M / det M0), an (M2,) jet with value part 0, from the same
+    solve."""
     n = x1.shape[-3]
     lead = x1.shape[:-3]
     m2 = hess.shape[-1]
@@ -313,7 +324,11 @@ def _determinant_form(x1: np.ndarray, hess: np.ndarray, normal: np.ndarray, poin
     except np.linalg.LinAlgError as exc:
         k = _first_singular(mt[..., 0].reshape(-1, n + 1, n + 1))
         raise ConvexityError(f"tangents are linearly dependent at {np.reshape(points, (-1, n))[k]}") from exc
-    return jet_einsum("a,ija->ij", y[..., 0, :], hess, n), log_m
+    # y . x_ij over the distinct pairs i >= j only, mirrored: G' is exactly symmetric
+    rows, cols = _lower(n)
+    G = np.empty(lead + (n, n, m2))
+    G[..., rows, cols, :] = G[..., cols, rows, :] = jet_matmul(hess[..., rows, cols, :, :], y, n)[..., 0, :]
+    return G, log_m
 
 
 def _symmetrize3(t: np.ndarray) -> np.ndarray:

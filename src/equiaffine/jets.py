@@ -12,11 +12,13 @@ There is one representation: a jet array, a float ndarray whose last axis
 holds the coefficients of one jet per entry; the other axes are tensor
 indices, and a single jet is an (M,) vector.  Sums and scalar multiples
 are plain array arithmetic; products are batched over the whole array
-(one gather of coefficient pairs and one segmented sum per call), and the
-elementary functions compose their Taylor series with every jet of an
-(..., M) array.  Every routine here also accepts leading stack axes in
-front of the tensor axes (one jet array per point of a point stack), and
-treats each stack entry exactly as it would treat that entry alone.
+(one gather of coefficient pairs and one segmented sum per call), every
+contraction of tensor axes is one ``jet_matmul`` (a batched matrix
+product over the same pairs), and the elementary functions compose their
+Taylor series with every jet of an (..., M) array.  Every routine here
+also accepts leading stack axes in front of the tensor axes (one jet
+array per point of a point stack), and treats each stack entry exactly
+as it would treat that entry alone.
 
 Multi-indices are enumerated in graded lexicographic order, which makes
 monomials of degree <= k a prefix of the enumeration; truncating a jet
@@ -234,25 +236,12 @@ def jet_mul(a: np.ndarray, b: np.ndarray, num_vars: int, bounds=None) -> np.ndar
     return out
 
 
-def jet_einsum(subscripts: str, a: np.ndarray, b: np.ndarray, num_vars: int) -> np.ndarray:
-    """Bilinear contraction of two jet arrays: ``np.einsum`` over the tensor
-    axes (explicit ``->`` form, no ellipsis; leading stack axes broadcast),
-    the jet product on the coefficient axis, e.g.
-    ``jet_einsum("ik,kj->ij", A, B, n)``."""
-    ins, out = subscripts.split("->")
-    sa, sb = ins.split(",")
-    ii, jj, _, starts = jet_index(num_vars, a.shape[-1]).products()
-    prod = np.einsum(f"...{sa}Z,...{sb}Z->...{out}Z", a[..., ii], b[..., jj])
-    return np.add.reduceat(prod, starts, axis=-1)
-
-
 def jet_matmul(a: np.ndarray, b: np.ndarray, num_vars: int) -> np.ndarray:
-    """Matrix product of (..., m, k, M) and (..., k, p, M) jet arrays.
-
-    Same result as ``jet_einsum("ik,kj->ij", ...)``, but as one batched
-    ``np.matmul`` over the coefficient pairs, with the matrix axes taken
-    in place (``axes=``), which is several times faster than
-    ``np.einsum`` on this pattern."""
+    """Matrix product of (..., m, k, M) and (..., k, p, M) jet arrays, the
+    one kernel that contracts jet arrays: one batched ``np.matmul`` over the
+    coefficient pairs, with the matrix axes taken in place (``axes=``), and
+    one segmented sum.  Other contractions are this one on reshaped or
+    transposed views of their operands."""
     ii, jj, _, starts = jet_index(num_vars, a.shape[-1]).products()
     prod = np.matmul(a[..., ii], b[..., jj], axes=[(-3, -2)] * 3)
     return np.add.reduceat(prod, starts, axis=-1)
@@ -304,7 +293,9 @@ def _compose(x: np.ndarray, num_vars: int, series, name: str, bound=None) -> np.
     out = np.zeros(x.shape)
     out[..., 0] = terms[order]
     for k in range(order - 1, -1, -1):
-        out = jet_mul(out, dx, num_vars, ((order - 1 - k) * bound, bound))
+        # the first step's ``out`` is a constant, so its product with dx is a
+        # scaling: the one term per coefficient that a bound-0 product sums
+        out = out[..., :1] * dx if k == order - 1 else jet_mul(out, dx, num_vars, ((order - 1 - k) * bound, bound))
         constant = out[..., 0]
         constant += terms[k]
     return out

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import jet_einsum, jet_gradient
+from .jets import jet_gradient, jet_matmul
 
 SPD_RTOL = 1e-10
 
@@ -59,7 +59,8 @@ def christoffel_jets(g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
     # bracket[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij; contiguous, so that
     # the contraction below sums in one order whatever the stack size
     bracket = np.ascontiguousarray(_last_index_first(d) + d.swapaxes(-4, -2) - d)
-    return 0.5 * jet_einsum("kl,lij->kij", g_inv, bracket, n)
+    pairs = jet_matmul(g_inv, bracket.reshape(bracket.shape[:-3] + (n * n, -1)), n)  # [k, ij]
+    return 0.5 * pairs.reshape(bracket.shape)
 
 
 def _last_index_first(a: np.ndarray) -> np.ndarray:

@@ -17,7 +17,6 @@ import equiaffine
 from equiaffine import jets, parse_chart
 from equiaffine.jets import (
     JetDomainError,
-    jet_einsum,
     jet_embed,
     jet_gradient,
     jet_hessian,
@@ -212,6 +211,16 @@ def test_series_at_large_value_parts_stay_finite():
     assert np.all(np.isfinite(lg)) and lg[0] == pytest.approx(200 * np.log(10)) and lg[1] == 1e-200
 
 
+def test_elementary_functions_of_order_0_jets_are_their_values():
+    # an order-0 jet is its value part, so the series has no Horner step
+    x = jet_variables([0.3, 1.7], 0)
+    for name, func in jets.ELEMENTARY.items():
+        got = func(x, 2)
+        assert got.shape == (2, 1), name
+        assert got[:, 0] == pytest.approx([getattr(math, name)(v) for v in (0.3, 1.7)], rel=1e-15), name
+    assert jets.recip(x, 2)[:, 0].tolist() == [1.0 / 0.3, 1.0 / 1.7]
+
+
 def test_partial_lowers_order():
     u, v = jet_variables([1.0, 2.0], 4)
     f = jets.exp(jet_mul(u, v, 2), 2)
@@ -282,7 +291,7 @@ def test_jet_solve_and_inverse_roundtrip():
     eye = np.zeros((n, n, mat.shape[-1]))
     eye[..., 0] = np.eye(n)
     X = jet_lu(mat, 2, eye)[1]
-    prod_val = jet_einsum("ik,kj->ij", mat, X, 2)[..., 0]
+    prod_val = ref_matmul(mat, X, 2)[..., 0]
     assert np.allclose(prod_val, np.eye(n), atol=1e-12)
 
 
@@ -374,7 +383,7 @@ def assert_solves(A, X, B, num_vars):
     size of the terms summed: each coefficient of A X sums at most
     ``n * M`` products of size ``max|A| max|X|``."""
     atol = 1e-13 * np.abs(A).max() * np.abs(X).max() * A.shape[0] * A.shape[-1]
-    assert np.allclose(jet_einsum("ik,kj->ij", A, X, num_vars), B, rtol=0.0, atol=atol)
+    assert np.allclose(ref_matmul(A, X, num_vars), B, rtol=0.0, atol=atol)
     assert np.allclose(jet_matmul(A, X, num_vars), B, rtol=0.0, atol=atol)
 
 
@@ -487,12 +496,31 @@ def test_jet_lu_order_4_up_to_n_7(n, num_vars, seed):
     assert np.allclose(jet_matmul(A, X, num_vars), B, atol=1e-8 * np.abs(B).max())
 
 
-def test_jet_matmul_batched_matches_einsum():
+def _contraction_operands(rng, shape, points, size):
+    """The operands of a contraction in ``shape`` of ``test_jet_matmul_matches_reference``."""
+    if shape == "column":  # G'_ij = y . x_ij: the pairs (i, j) against one (..., k, 1) column
+        return rng.standard_normal((points, 6, 4, size)), rng.standard_normal((points, 4, 1, size))
+    if shape == "pairs-left":  # Gamma^k_ij x_k: a transposed reshaped view [ij, k] on the left
+        gamma = rng.standard_normal((points, 3, 3, 3, size))
+        return gamma.reshape(points, 3, 9, size).swapaxes(1, 2), rng.standard_normal((points, 3, 4, size))
+    return rng.standard_normal((points, 2, 3, size)), rng.standard_normal((points, 3, 5, size))
+
+
+@pytest.mark.parametrize("points", [1, 4])
+@pytest.mark.parametrize("shape", ["matrix", "column", "pairs-left"])
+def test_jet_matmul_matches_reference(shape, points):
+    """``jet_matmul`` on the operand shapes the pipeline contracts, with a
+    leading point axis, against ``ref_matmul`` point by point, up to
+    rounding relative to the size of the terms summed."""
     rng = np.random.default_rng(3)
-    size = jet_size(2, 3)
-    a = rng.standard_normal((4, 2, 3, size))
-    b = rng.standard_normal((4, 3, 5, size))
-    assert np.allclose(jet_matmul(a, b, 2), jet_einsum("bik,bkj->bij", a, b, 2), atol=1e-12)
+    num_vars, size = 2, jet_size(2, 3)
+    a, b = _contraction_operands(rng, shape, points, size)
+    got = jet_matmul(a, b, num_vars)
+    assert got.shape == (points, a.shape[1], b.shape[2], size)
+    eps = np.finfo(float).eps
+    for k in range(points):
+        terms = ref_matmul(np.abs(a[k]), np.abs(b[k]), num_vars)
+        assert np.all(np.abs(got[k] - ref_matmul(a[k], b[k], num_vars)) <= 4 * eps * a.shape[2] * size * terms)
 
 
 small = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
