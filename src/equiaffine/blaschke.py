@@ -8,46 +8,60 @@ structural identities tying them together (apolarity, the affine Gauss
 and Codazzi equations, the hypersphere conditions).
 
 After chart evaluation all jet work runs on jet arrays (see ``jets``),
-at polynomial cost in n.  The determinant form G_ij = det(x_1, ...,
-x_n, x_ij) comes from the conormal nu = det(M) y, y = M^{-T} e_{n+1}, of
-M = [x_1 ... x_n | w], w a constant unit normal: nu holds the cofactors
-of the last column, so G_ij = nu . x_ij exactly.  The pipeline keeps the
-normalized form G' = y . x_ij = G / det M and works on log-determinants:
-with eps = +-1 making eps G' positive definite,
+at polynomial cost in n.  It starts from the affine Gauss formula for
+the constant unit normal w of M = [x_1 ... x_n | w],
 
-    g = |det G|^{-1/(n+2)} eps G
-      = exp((2 log|det M| - log det(eps G')) / (n+2)) eps G',
+    x_ij = Gamma'^k_ij x_k + G'_ij w,    (Gamma'_ij, G'_ij) = M^{-1} x_ij,
+
+with both coefficients read off one jet solve for M^{-T}: its last
+column y = M^{-T} e_{n+1} is the conormal divided by det M, so G'_ij =
+y . x_ij = det(x_1, ..., x_n, x_ij) / det M, and its column k gives
+Gamma'^k_ij.  The pipeline works on log-determinants: with eps = +-1
+making eps G' positive definite,
+
+    g = |det G|^{-1/(n+2)} eps G = exp(ell) eps G',
+    ell = (2 log|det M| - log det(eps G')) / (n+2),
 
 one ``exp`` of a jet whose value part is a sum of logarithms, so no
 determinant is formed and none overflows (det M grows like the n-th
-power of the chart's scale).  The affine normal is the metric
-Laplacian xi = (1/n) Delta_g x, the induced connection comes from
-solving the affine Gauss formula in the frame {x_k, xi}, and the
-recovered transversal coefficient h_ij is checked against g_ij as an
-internal consistency gate.
+power of the chart's scale).  The affine normal follows from the change
+of transversal (Nomizu and Sasaki, Affine Differential Geometry, 1994,
+Ch. II): for xi = phi w + Z^k x_k the Gauss formula becomes x_ij =
+(Gamma'^k_ij - h_ij Z^k) x_k + h_ij xi with h = G' / phi, and the
+xi-component of d_i xi is tau_i = d_i log|phi| + h_ik Z^k.  The Blaschke
+conditions h = g and tau = 0 fix phi = eps exp(-ell) and Z^k = g^{kl}
+d_l ell, so that
 
-All jet linear algebra is four ``jet_lu`` calls in ``blaschke_at`` (the
-first through ``_determinant_form``): the conormal with log det M, log
-det G', the order-1 jets of g^{-1}, and the frame solve.  Each is one
-solve with the value part plus a nilpotent series, which needs a
-nonsingular value part.  That holds here: M is nonsingular for an
-immersion, G' is definite (otherwise ConvexityError is raised first), g
-is positive definite (otherwise MetricError) and the frame is
-nonsingular (otherwise FrameError).
+    xi = eps exp(-ell) w + Z^k x_k,
+    Gamma^k_ij = Gamma'^k_ij - g_ij Z^k,
+    B^k_i = -(d_i Z^k + Gamma'^k_il Z^l)    (d_i xi = -B^k_i x_k),
+
+and det(x_1, ..., x_n, xi) = phi det M = +-sqrt(det g), the equiaffine
+volume condition, by the choice of ell.  h = g and tau = 0 hold by
+construction, so nothing checks them.
+
+All jet linear algebra is three ``jet_lu`` calls in ``blaschke_at`` (the
+first through ``_determinant_form``): M^{-T} with log det M, log det G',
+and the order-1 jets of g^{-1}.  Each is one solve with the value part
+plus a nilpotent series, which needs a nonsingular value part.  That
+holds here: M's singular values are the tangents' and 1 (w is a unit
+vector orthogonal to them), which the immersion check bounds, G' is
+definite (otherwise ConvexityError is raised first) and g is positive
+definite (otherwise MetricError).
 
 Every contraction of jet arrays is one ``jets.jet_matmul``, a batched
 matrix product over the coefficient pairs, on views that make the index
-pairs (i, j) one matrix axis: G' = y . x_ij over the n(n+1)/2 pairs
-i >= j only, mirrored, so G' is exactly symmetric; Gamma^k_ij x_k and
-g^{ij}(x_ij - Gamma^k_ij x_k) for xi; g_kl (Gamma - hat-Gamma)^l_ij for
-A; and g^{kl}[dg]_lij in ``tensors.christoffel_jets``.
+pairs (i, j) one matrix axis: G' (order 2) and Gamma' (order 1) from x_ij
+over the n(n+1)/2 pairs i >= j only, mirrored, so both are exactly
+symmetric; Z^k = g^{kl} d_l ell; g_kl (Gamma - hat-Gamma)^l_ij for A;
+and g^{kl}[dg]_lij in ``tensors.christoffel_jets``.
 
-Each value matrix is factorized once per stack, seven LAPACK calls in
+Each value matrix is factorized once per stack, five LAPACK calls in
 all, plus the chart's own (one ``eigh`` for ``sl_so``).  One SVD of the
 tangent values (``dsl.eval_immersion``) gives the immersion check, w and
 log|det M0| = sum log sigma_i; one ``eigvalsh`` of G' the convexity
-check, log det(eps G'0) and g's SPD check; g's ``jet_lu`` solve the
-values of g^{-1}, and the frame's the shape operator B too.
+check, log det(eps G'0) and g's SPD check; and the three ``jet_lu``
+solves one LU each.
 
 Every step also runs on a stack of points: ``blaschke_at`` on a (P, n)
 point stack carries a leading point axis through every jet array, so a
@@ -72,21 +86,11 @@ from .jets import jet_gradient, jet_hessian, jet_lu, jet_matmul, jet_mul, jet_si
 from .tensors import cov_deriv_sym3, riemann
 
 ORDER = 4  # the jet order of the chart evaluation that the pipeline starts from
-H_EQUALS_G_TOL = 1e-9
-TAU_TOL = 1e-9
 L1_ZERO_TOL = 1e-12  # |L1| at or below this times |xi| / |x| counts as L1 = 0 (see is_improper)
 
 
 class ConvexityError(ValueError):
     """The second-order determinant form is indefinite at the point."""
-
-
-class FrameError(ValueError):
-    """Tangents plus affine normal fail to span the ambient space."""
-
-
-class ConsistencyError(RuntimeError):
-    """Internal cross-check (h = g or tau = 0) failed beyond tolerance."""
 
 
 @dataclass
@@ -145,17 +149,18 @@ def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants:
         raise ValueError(f"blaschke_at needs at least one point, got an empty stack of shape {stack.shape}")
     n = chart.dim
     m1 = jet_size(n, 1)
-    x, x1, hess, normal, sv = _chart_derivatives(chart, stack)  # x1, hess of order 2
-    G, log_m = _determinant_form(x1, hess, normal, stack)  # G' = G / det M
+    x, x1, hess, normal, sv = _chart_derivatives(chart, stack)  # x1, hess (pairs i >= j) of order 2
+    G, gamma_w, log_m = _determinant_form(x1, hess, normal, stack)  # G' = G / det M; Gamma' of order 1
     eig = np.linalg.eigvalsh(G[..., 0])
     definite = eig[:, 0] > 0
     k = _first(~definite & ~(eig[:, -1] < 0))
     if k is not None:
         raise ConvexityError(f"chart is not locally strongly convex at {stack[k]} (form eigenvalues {eig[k]})")
-    Gp = np.where(definite[:, None, None, None], G, -G)
+    eps = np.where(definite, 1.0, -1.0)
+    Gp = eps[:, None, None, None] * G
     eig_p = np.where(definite[:, None], eig, -eig[:, ::-1])  # eigenvalues of eps G', ascending
 
-    # Berwald-Blaschke metric g = scale * (eps G') of the module docstring,
+    # Berwald-Blaschke metric g = exp(ell) eps G' of the module docstring,
     # the log-determinants' value parts from the SVD and eigvalsh above
     # (positive past the gates).  g's value eigenvalues are s0 * eig(eps G'),
     # s0 > 0, so the SPD gate needs no second eigen-decomposition
@@ -165,7 +170,8 @@ def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants:
         raise ConvexityError(f"second-order form is degenerate at {stack[_first_singular(Gp[..., 0])]}") from exc
     log_m[:, 0] = np.log(sv).sum(axis=-1)
     log_gp[:, 0] = np.log(eig_p).sum(axis=-1)
-    scale = jet_exp((2.0 * log_m - log_gp) / (n + 2), n)
+    ell = (2.0 * log_m - log_gp) / (n + 2)
+    scale = jet_exp(ell, n)
     g = jet_mul(scale[:, None, None], Gp, n)
     tensors.check_spd_eigenvalues(scale[:, :1] * eig_p)
     gval = g[..., 0]
@@ -178,55 +184,19 @@ def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants:
     ginv = np.ascontiguousarray(ginv_jets[..., 0])  # a fixed layout, as for the checks' einsums
     gamma_hat_jets = tensors.christoffel_jets(g, ginv_jets)
 
-    # xi = (1/n) g^{ij} (x_ij - Gamma^k_ij x_k), as order-1 jets, the pairs
-    # (i, j) as one matrix axis of each product
-    x1 = x1[..., :m1]
-    hess = hess[..., :m1]
-    gamma_x = jet_matmul(gamma_hat_jets.reshape(-1, n, n * n, m1).swapaxes(1, 2), x1, n)  # [ij, a]
-    lap = hess - gamma_x.reshape(hess.shape)
-    xi = jet_matmul(ginv_jets.reshape(-1, 1, n * n, m1), lap.reshape(-1, n * n, n + 1, m1), n)[:, 0] * (1.0 / n)
-
-    # frame {x_1, ..., x_n, xi}: solve x_ij = Gamma^k_ij x_k + h_ij xi
-    frame = np.concatenate([x1, xi[:, None]], axis=1).swapaxes(1, 2)  # [a, column]
-    frame_val = frame[..., 0]
-    # singular values of the column-scaled frame: a chart scaled along one
-    # axis (x^{n+1} = C0 / ...) stretches columns, not the frame's rank
-    norms = np.linalg.norm(frame_val, axis=1)
-    sv = np.linalg.svd(frame_val / np.where(norms > 0, norms, 1.0)[:, None], compute_uv=False)
-    k = _first(sv[:, -1] <= 1e-12 * sv[:, 0])
-    if k is not None:
-        raise FrameError(f"frame {{x_k, xi}} is singular at {stack[k]}")
-    # one solve for both: the pairs (i, j) of x_ij, then xi_i = d_i xi (value parts)
-    rows, cols = _lower(n)
-    pairs = len(rows)
-    rhs = np.zeros((len(stack), n + 1, pairs + n, m1))
-    rhs[:, :, :pairs] = hess[:, rows, cols].swapaxes(1, 2)
-    rhs[:, :, pairs:, 0] = xi[..., 1 : n + 1]  # the degree-1 coefficients: [a, i] = d_i xi^a
-    _, sol = jet_lu(frame, n, rhs, log_det=False)  # [coefficient, pair or direction]
-    gamma_ind = np.empty((len(stack), n, n, n, m1))  # induced connection [k, i, j]
-    gamma_ind[:, :, rows, cols] = gamma_ind[:, :, cols, rows] = sol[:, :n, :pairs]
-    h_val = np.empty((len(stack), n, n))
-    h_val[:, rows, cols] = h_val[:, cols, rows] = sol[:, n, :pairs, 0]
-    h_resid = np.max(np.abs(h_val - gval), axis=(1, 2))
-    k = _first(h_resid > H_EQUALS_G_TOL * np.maximum(1.0, np.max(np.abs(gval), axis=(1, 2))))
-    if k is not None:
-        raise ConsistencyError(
-            f"transversal coefficient h differs from g by {h_resid[k]:.3e} at {stack[k]}"
-        )
+    # the affine normal xi = eps exp(-ell) w + Z^k x_k, Z^k = g^{kl} d_l ell
+    # as order-1 jets [k], and the induced connection Gamma = Gamma' - g Z
+    Z = jet_matmul(ginv_jets, jet_gradient(ell, n)[..., None, :], n)[..., 0, :]
+    xi = (eps * np.exp(-ell[:, 0]))[:, None] * normal + np.einsum("...k,...ka->...a", Z[..., 0], x1[..., 0])
+    gamma_ind = gamma_w - jet_mul(Z[:, :, None, None], g1[:, None], n)  # [k, i, j]
 
     # Fubini-Pick form: A^k_ij = Gamma^k_ij - hat-Gamma^k_ij, lowered with g
     diff = (gamma_ind - gamma_hat_jets).reshape(-1, n, n * n, m1)  # [l, ij]
     a_jets = jet_matmul(diff.swapaxes(1, 2), g1.swapaxes(1, 2), n).reshape(gamma_ind.shape)  # [i, j, k]
     A = _symmetrize3(a_jets[..., 0])
 
-    # shape operator: xi_i = -B^k_i x_k + tau_i xi; the right-hand side has no
-    # higher-order part, so the solution's value part is the plain solve
-    coeff = sol[:, :, pairs:, 0]  # (P, n+1, n): columns per direction i
-    B_up = -coeff[:, :n, :]  # B^k_i
-    tau = coeff[:, n, :]
-    k = _first(np.max(np.abs(tau), axis=1) > TAU_TOL * np.maximum(1.0, np.max(np.abs(B_up), axis=(1, 2))))
-    if k is not None:
-        raise ConsistencyError(f"equiaffine normalization failed: tau = {tau[k]}")
+    # shape operator: d_i xi = -B^k_i x_k, B^k_i = -(d_i Z^k + Gamma'^k_il Z^l)
+    B_up = -(Z[..., 1 : n + 1] + np.einsum("...kil,...l->...ki", gamma_w[..., 0], Z[..., 0]))
     Bv = np.einsum("...jk,...ki->...ij", gval, B_up)
     Bv = 0.5 * (Bv + Bv.swapaxes(1, 2))
     L1 = np.trace(B_up, axis1=1, axis2=2) / n
@@ -241,7 +211,7 @@ def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants:
         g_inv=ginv[row],
         A=A[row],
         B=Bv[row],
-        xi=xi[row, :, 0],
+        xi=xi[row],
         L1=L1[row],
         J=J[row],
         chi=curv.chi[row],
@@ -293,42 +263,47 @@ def _g_norm2(t: np.ndarray, g_inv: np.ndarray):
 
 def _chart_derivatives(chart: ChartDef, points: np.ndarray):
     """Chart jets x (n+1, M) of order ``ORDER``, first derivatives x1[k, a] =
-    d_k x^a and the symmetric second derivatives hess[i, j, a] = d_i d_j x^a,
-    both of order 2 and each one gather from x, a unit normal (n+1,) to the
-    tangents and the tangents' singular values (n,) (``eval_immersion``),
-    each with a leading point axis for a (P, n) point stack."""
+    d_k x^a and second derivatives hess[p, a] = d_i d_j x^a over the pairs
+    i >= j (``jet_hessian``), both of order 2 and each one gather from x, a
+    unit normal (n+1,) to the tangents and the tangents' singular values
+    (n,) (``eval_immersion``), each with a leading point axis for a (P, n)
+    point stack."""
     n = chart.dim
     x, normal, sv = eval_immersion(chart, points, ORDER)
     x1 = jet_gradient(x[..., : jet_size(n, ORDER - 1)], n).swapaxes(-3, -2)
-    hess = jet_hessian(x, n).swapaxes(-4, -3).swapaxes(-3, -2)  # [a, i, j] to [i, j, a]
+    hess = jet_hessian(x, n).swapaxes(-3, -2)  # [a, p] to [p, a]
     return x, x1, hess, normal, sv
 
 
 def _determinant_form(x1: np.ndarray, hess: np.ndarray, normal: np.ndarray, points):
-    """The normalized determinant form G'_ij = det(x_1, ..., x_n, x_ij) / det M
-    as an (n, n, M2) jet array (leading point axes as in x1), as y . x_ij
-    with y = M^{-T} e_{n+1} of the module docstring, w the constant
-    ``normal``, formed for i >= j and mirrored; and the series
-    log(det M / det M0), an (M2,) jet with value part 0, from the same
-    solve."""
+    """The Gauss formula x_ij = Gamma'^k_ij x_k + G'_ij w for the constant
+    ``normal`` w, from M^{-T} of the module docstring: the normalized
+    determinant form G'_ij = det(x_1, ..., x_n, x_ij) / det M as an (n, n,
+    M2) jet array, the connection Gamma' as an (n, n, n, M1) jet array
+    indexed [k, i, j], each formed for i >= j and mirrored (leading point
+    axes as in x1), and the series log(det M / det M0), an (M2,) jet with
+    value part 0, from the same solve."""
     n = x1.shape[-3]
     lead = x1.shape[:-3]
-    m2 = hess.shape[-1]
+    m1, m2 = jet_size(n, 1), hess.shape[-1]
     mt = np.zeros(lead + (n + 1, n + 1, m2))
     mt[..., :n, :, :] = x1[..., :m2]
     mt[..., n, :, 0] = normal
-    e_last = np.zeros(lead + (n + 1, 1, m2))
-    e_last[..., n, 0, 0] = 1.0
+    eye = np.zeros(mt.shape)
+    eye[..., 0] = np.eye(n + 1)
     try:
-        log_m, y = jet_lu(mt, n, e_last)
+        log_m, m_inv_t = jet_lu(mt, n, eye)  # M^{-T}: (M^{-1} x_ij)_k = its column k . x_ij
     except np.linalg.LinAlgError as exc:
         k = _first_singular(mt[..., 0].reshape(-1, n + 1, n + 1))
         raise ConvexityError(f"tangents are linearly dependent at {np.reshape(points, (-1, n))[k]}") from exc
-    # y . x_ij over the distinct pairs i >= j only, mirrored: G' is exactly symmetric
+    # over the distinct pairs i >= j only, mirrored: G' and Gamma' are exactly symmetric
     rows, cols = _lower(n)
     G = np.empty(lead + (n, n, m2))
-    G[..., rows, cols, :] = G[..., cols, rows, :] = jet_matmul(hess[..., rows, cols, :, :], y, n)[..., 0, :]
-    return G, log_m
+    G[..., rows, cols, :] = G[..., cols, rows, :] = jet_matmul(hess, m_inv_t[..., n:, :], n)[..., 0, :]
+    gamma = np.empty(lead + (n, n, n, m1))
+    gamma[..., rows, cols, :] = gamma[..., cols, rows, :] = jet_matmul(
+        hess[..., :m1], m_inv_t[..., :n, :m1], n).swapaxes(-3, -2)
+    return G, gamma, log_m
 
 
 def _symmetrize3(t: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import blaschke, calabi, catalog, duality, jordan
-from .blaschke import ConsistencyError, ConvexityError, FrameError, blaschke_at
+from .blaschke import ConvexityError, blaschke_at
 from .dsl import ChartParseError, ImmersionError, parse_chart
 from .jets import jet_size
 from .tensors import MetricError
@@ -58,8 +58,7 @@ CHART_CACHE = 8
 
 # failures of the pipeline at one point of a chart (exit code 3); ArithmeticError takes
 # in JetDomainError, float overflow, division by zero and numpy's FloatingPointError
-POINT_ERRORS = (ConvexityError, FrameError, ImmersionError, ConsistencyError, MetricError, ArithmeticError,
-                np.linalg.LinAlgError)
+POINT_ERRORS = (ConvexityError, ImmersionError, MetricError, ArithmeticError, np.linalg.LinAlgError)
 
 
 class SceneError(ValueError):

@@ -155,7 +155,8 @@ class JetIndex:
     @cached_property
     def hessian(self):
         """Source indices and factors of d/du_i d/du_j on Taylor coefficients,
-        for every pair (i, j), as symmetric (num_vars, num_vars, M'') arrays.
+        for the distinct pairs i >= j in ``np.tril_indices`` order, as
+        (num_vars (num_vars + 1) / 2, M'') arrays.
 
         Maps the order-`order` coefficient array to an order-`order-2` one:
         coeff''[beta] = (beta_i + 1)(beta_j + 1 + delta_ij) coeff[beta + e_i + e_j],
@@ -164,9 +165,10 @@ class JetIndex:
         is rounded once either way and equals the two chained gathers'
         bitwise (for normal floats)."""
         n = self.num_vars
+        rows, cols = np.tril_indices(n)
         mono_lo = self.monomials[: jet_size(n, self.order - 2)]
-        src = self.successors[:, self.successors[:, : len(mono_lo)]]
-        fac = (mono_lo.T + 1)[:, None, :] * (mono_lo.T + 1 + np.eye(n, dtype=np.int64)[:, :, None])
+        src = self.successors[rows[:, None], self.successors[cols, : len(mono_lo)]]
+        fac = (mono_lo.T[rows] + 1) * (mono_lo.T[cols] + 1 + (rows == cols)[:, None])
         return _read_only(src, fac.astype(float))
 
     def embedding(self, num_vars: int, offset: int) -> np.ndarray:
@@ -258,9 +260,11 @@ def jet_gradient(a: np.ndarray, num_vars: int) -> np.ndarray:
 
 
 def jet_hessian(a: np.ndarray, num_vars: int) -> np.ndarray:
-    """All second partials of a jet array, two orders lower, from one
-    gather: shape (..., M) -> (..., num_vars, num_vars, M''), entry
-    [..., i, j, :] = d/du_i d/du_j, equal to ``jet_gradient`` taken twice."""
+    """The second partials of a jet array over the distinct pairs i >= j,
+    two orders lower, from one gather: shape (..., M) -> (..., num_vars
+    (num_vars + 1) / 2, M''), entry [..., p, :] = d/du_i d/du_j for the
+    p-th pair (i, j) of ``np.tril_indices(num_vars)``, equal to
+    ``jet_gradient`` taken twice."""
     index = jet_index(num_vars, a.shape[-1])
     if index.order < 2:
         raise ValueError("second partials need jets of order >= 2")

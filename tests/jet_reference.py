@@ -2,13 +2,17 @@
 to check ``jets.jet_lu`` against, the determinant rebuilt from
 ``jet_lu``'s log-determinant series, the size of the terms both sum, and
 a term-by-term matrix exponential to check the ``sl_so`` chart against,
-and the enumeration of a jet index as exponent tuples."""
+and the enumeration of a jet index as exponent tuples.  Also a second
+route to the Blaschke data of one point, to check ``blaschke_at``'s
+change of transversal against: the affine normal as the metric Laplacian
+and the affine Gauss formula solved in the frame {x_k, xi}."""
 
 import math
 
 import numpy as np
 
-from equiaffine.jets import exp, jet_index, jet_lu, jet_matmul, jet_mul, jet_size
+from equiaffine.jets import exp, jet_gradient, jet_index, jet_lu, jet_matmul, jet_mul, jet_size
+from equiaffine.tensors import christoffel_jets
 
 
 def monomials(num_vars: int, order: int) -> list[tuple[int, ...]]:
@@ -144,3 +148,68 @@ def power_coefficients(x0: float, p, order: int) -> list[float]:
         coeffs.append(binom * x0 ** (float(p) - k))
         binom *= (float(p) - k) / (k + 1)
     return coeffs
+
+
+# -- the Blaschke data of one point by the frame solve ----------------------
+#
+# Arguments are one point's jet arrays from ``blaschke._chart_derivatives``
+# and ``blaschke._determinant_form``: tangents x1[k, a], the full symmetric
+# second derivatives hess[i, j, a] (both of order >= 1), the constant unit
+# normal w, G' and log(det M / det M0) of order 2.  Results are order-1 jets.
+
+
+def blaschke_metric(x1: np.ndarray, normal: np.ndarray, G: np.ndarray, log_m: np.ndarray, num_vars: int):
+    """(eps, ell, g): eps = +-1 making eps G' positive definite, the log
+    scale ell = (2 log|det M| - log det(eps G')) / (n+2) and the order-2
+    metric jets g = exp(ell) eps G', the value parts from slogdet."""
+    n = num_vars
+    eps = 1.0 if np.linalg.eigvalsh(G[..., 0])[0] > 0 else -1.0
+    log_gp = jet_lu(eps * G, n)[0]
+    log_gp[0] = np.linalg.slogdet(eps * G[..., 0])[1]
+    log_m = log_m.copy()
+    log_m[0] = np.linalg.slogdet(np.concatenate([x1[..., 0], normal[None]]))[1]
+    ell = (2.0 * log_m - log_gp) / (n + 2)
+    return eps, ell, jet_mul(exp(ell, n)[None, None], eps * G, n)
+
+
+def laplacian_normal(x1: np.ndarray, hess: np.ndarray, g: np.ndarray, num_vars: int):
+    """(xi, g_inv, hat-Gamma): the affine normal as the metric Laplacian
+    xi = (1/n) g^{ij} (x_ij - hat-Gamma^k_ij x_k), the inverse metric and the
+    Levi-Civita symbols [k, i, j] of the order-2 metric jets g."""
+    n = num_vars
+    m1 = jet_size(n, 1)
+    eye = np.zeros((n, n, m1))
+    eye[..., 0] = np.eye(n)
+    _, g_inv = jet_lu(g[..., :m1], n, eye, log_det=False)
+    gamma_hat = christoffel_jets(g, g_inv)
+    gamma_x = jet_matmul(gamma_hat.reshape(n, n * n, m1).swapaxes(0, 1), x1[..., :m1], n)  # [ij, a]
+    lap = hess[..., :m1].reshape(n * n, n + 1, m1) - gamma_x
+    xi = jet_matmul(g_inv.reshape(1, n * n, m1), lap, n)[0] * (1.0 / n)
+    return xi, g_inv, gamma_hat
+
+
+def closed_form_normal(x1: np.ndarray, normal: np.ndarray, eps: float, ell: np.ndarray, g_inv: np.ndarray,
+                       num_vars: int) -> np.ndarray:
+    """The affine normal from the change of transversal, xi = eps exp(-ell) w
+    + Z^k x_k with Z^k = g^{kl} d_l ell, as (n+1, M1) jets."""
+    n = num_vars
+    m1 = jet_size(n, 1)
+    Z = jet_matmul(g_inv, jet_gradient(ell, n)[:, None], n)[:, 0]
+    return jet_matmul(Z[None], x1[..., :m1], n)[0] + eps * normal[:, None] * exp(-ell[:m1], n)
+
+
+def frame_solve(x1: np.ndarray, hess: np.ndarray, xi: np.ndarray, num_vars: int):
+    """(Gamma, h, B^k_i, tau): the affine Gauss formula x_ij = Gamma^k_ij x_k
+    + h_ij xi and the Weingarten formula d_i xi = -B^k_i x_k + tau_i xi solved
+    in the frame {x_1, ..., x_n, xi} of the (n+1, M1) normal jets xi, with
+    Gamma [k, i, j] as order-1 jets and the values of h [i, j], B [k, i] and
+    tau [i]."""
+    n = num_vars
+    m1 = jet_size(n, 1)
+    frame = np.concatenate([x1[..., :m1], xi[None]]).swapaxes(0, 1)  # [a, column]
+    rhs = np.zeros((n + 1, n * n + n, m1))
+    rhs[:, : n * n] = hess[..., :m1].reshape(n * n, n + 1, m1).swapaxes(0, 1)
+    rhs[:, n * n :, 0] = xi[:, 1 : n + 1]  # the degree-1 coefficients: [a, i] = d_i xi^a
+    _, sol = jet_lu(frame, n, rhs, log_det=False)
+    coeff = sol[:, n * n :, 0]
+    return sol[:n, : n * n].reshape(n, n, n, m1), sol[n, : n * n, 0].reshape(n, n), -coeff[:n], coeff[n]

@@ -36,6 +36,7 @@ from equiaffine.catalog import (
 from equiaffine.cli import CHECKS, DEFAULT_TOL, point_reports
 from equiaffine.jets import jet_gradient
 from equiaffine.tensors import CurvatureData
+import jet_reference
 from helpers import TransformedChart, random_unimodular, scaled_hyperboloid_text
 from jet_reference import jet_det
 
@@ -198,7 +199,7 @@ def test_dependent_tangents_raise_convexity_error():
     x1 = np.zeros((2, 3, 10))
     x1[0, 0, 0] = x1[1, 0, 0] = 1.0  # x_1 = x_2 at value level
     with pytest.raises(ConvexityError):
-        _determinant_form(x1, np.zeros((2, 2, 3, 6)), np.linalg.svd(x1[..., 0])[2][-1], [0.0, 0.0])
+        _determinant_form(x1, np.zeros((3, 3, 6)), np.linalg.svd(x1[..., 0])[2][-1], [0.0, 0.0])
 
 
 def _conormal_cases():
@@ -215,20 +216,81 @@ def _conormal_cases():
 def test_conormal_form_matches_determinants(chart, point):
     """det M * G'_ij, with G' = y . x_ij and det M rebuilt from its
     log-determinant series, equals det(x_1, ..., x_n, x_ij) from the
-    division-free jet_det, coefficient by coefficient."""
+    division-free jet_det, coefficient by coefficient; and by Cramer's rule
+    det M * Gamma'^k_ij equals det M with its column k replaced by x_ij."""
     n = chart.dim
     _, x1, hess, normal, _ = _chart_derivatives(chart, point)
-    G_normalized, log_m = _determinant_form(x1, hess, normal, point)
-    m2 = hess.shape[-1]
+    G_normalized, gamma_w, log_m = _determinant_form(x1, hess, normal, point)
+    m1, m2 = n + 1, hess.shape[-1]
     det_m = np.linalg.det(np.concatenate([x1[..., 0], normal[None]])) * jets.exp(log_m, n)  # rows x_k, w
     G = jets.jet_mul(det_m, G_normalized, n)
+    gamma = jets.jet_mul(det_m[:m1], gamma_w, n)
+    columns = np.zeros((n + 1, n + 1, m2))  # [column, a]: x_1, ..., x_n, w
+    columns[:n] = x1[..., :m2]
+    columns[n, :, 0] = normal
 
-    def det_jet(i, j):
-        columns = np.concatenate([x1[..., :m2], hess[i, j][None]])  # [column, a]
-        return jet_det(columns.transpose(1, 0, 2), n)
+    def det_jet(column, x_ij, size):
+        replaced = columns[..., :size].copy()
+        replaced[column] = x_ij[..., :size]
+        return jet_det(replaced.transpose(1, 0, 2), n)
 
-    ref = np.array([[det_jet(i, j) for j in range(n)] for i in range(n)])
-    assert np.allclose(G, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    ref_G, ref_gamma = np.zeros(G.shape), np.zeros(gamma.shape)
+    for p, (i, j) in enumerate(zip(*np.tril_indices(n))):
+        ref_G[i, j] = ref_G[j, i] = det_jet(n, hess[p], m2)
+        for k in range(n):
+            ref_gamma[k, i, j] = ref_gamma[k, j, i] = det_jet(k, hess[p], m1)
+    assert np.allclose(G, ref_G, rtol=1e-12, atol=1e-12 * np.abs(ref_G).max())
+    assert np.allclose(gamma, ref_gamma, rtol=1e-12, atol=1e-12 * np.abs(ref_gamma).max())
+
+
+def _frame_cases():
+    spec = CompositionSpec(r=1, factors=(HypersphereFactor(hyperboloid(2), -1.0),), constants=(1.0, 1.0))
+    cubic_3 = "dim 3; x1 = u1; x2 = u2; x3 = u3; x4 = 0.5*(u1^2 + u2^2 + u3^2) + 0.05*u1*u2*u3 + 0.02*u1^3;"
+    cases = {
+        "cubic-n2": (parse_chart(GENERIC), 3),
+        "cubic-n3": (parse_chart(cubic_3), 3),
+        "composition": (compose_chart(spec), 3),
+        "flat_hypersphere-C0-1e8": (catalog.flat_hypersphere(2, 1e8), 3),
+        "sl_so-m4": (sl_so(4), 2),
+        "hyperboloid-n9-P6": (hyperboloid(9), 6),
+    }
+    return [pytest.param(chart, size, id=name) for name, (chart, size) in cases.items()]
+
+
+@pytest.mark.parametrize("chart, size", _frame_cases())
+def test_change_of_transversal_matches_the_frame_solve(chart, size):
+    """xi, B, A and L1 from the change of transversal equal, to 1e-12 of the
+    largest entry, those of the metric Laplacian xi and the solve of the
+    affine Gauss formula in the frame {x_k, xi} (``jet_reference``); and the
+    frame solve on the closed-form normal gives h = g and tau = 0."""
+    n = chart.dim
+    points = chart.sample_points(size, 3)
+    invs = blaschke_at(chart, points)
+    rows, cols = np.tril_indices(n)
+    for k, point in enumerate(points):
+        _, x1, pairs, normal, _ = _chart_derivatives(chart, point)
+        G, _, log_m = _determinant_form(x1, pairs, normal, point)
+        hess = np.empty((n, n) + pairs.shape[1:])
+        hess[rows, cols] = hess[cols, rows] = pairs
+        eps, ell, g = jet_reference.blaschke_metric(x1, normal, G, log_m, n)
+        xi, g_inv, gamma_hat = jet_reference.laplacian_normal(x1, hess, g, n)
+        gamma, h, B_up, tau = jet_reference.frame_solve(x1, hess, xi, n)
+        g0 = g[..., 0]
+        lowered = np.einsum("kl,lij->ijk", g0, (gamma - gamma_hat)[..., 0])
+        # A is the difference of two connections: sized by their terms, as it is 0 on quadrics
+        a_size = np.abs(g0).max() * max(np.abs(gamma[..., 0]).max(), np.abs(gamma_hat[..., 0]).max())
+        expected = {"xi": (xi[:, 0], np.abs(xi[:, 0]).max()), "B": (g0 @ B_up, np.abs(g0 @ B_up).max()),
+                    "A": (lowered, a_size), "L1": (np.trace(B_up) / n, np.abs(B_up).max())}
+        for name, (ref, size) in expected.items():
+            error = np.abs(getattr(invs, name)[k] - ref).max()
+            assert error <= 1e-12 * size, (name, error, size)
+
+        closed = jet_reference.closed_form_normal(x1, normal, eps, ell, g_inv, n)
+        assert np.abs(closed[:, 0] - invs.xi[k]).max() <= 1e-12 * np.abs(invs.xi[k]).max()
+        _, h, _, tau = jet_reference.frame_solve(x1, hess, closed, n)
+        assert np.abs(h - g0).max() <= 1e-12 * np.abs(g0).max()
+        # tau_i xi is a term of d_i xi
+        assert np.abs(tau).max() <= 1e-12 * np.abs(closed[:, 1:]).max() / np.abs(closed[:, 0]).max()
 
 
 @pytest.mark.parametrize("n, scale", [(12, "1e30"), (3, "1e120"), (2, "1e-12"), (2, "1e-30")])
@@ -329,8 +391,9 @@ def test_pick_invariant_relation_on_flat_sphere():
 
 @pytest.mark.parametrize("n0", [1, 2])
 def test_frame_test_is_column_scaled(n0):
-    # C0 = 1e8 stretches the frame's columns apart: the raw singular-value
-    # ratio is 7e-14, under the 1e-12 gate, yet the frame is far from singular
+    # C0 = 1e8 stretches the frame {x_k, xi}'s columns apart: its raw
+    # singular-value ratio is 7e-14, yet the frame is far from singular, and
+    # the affine normal comes from M = [x_k | w], with no frame to test
     from equiaffine.catalog import flat_hypersphere
 
     chart = flat_hypersphere(n0, 1e8)
@@ -415,12 +478,12 @@ def test_stack_rows_equal_single_points_bitwise(chart, size):
 
 @pytest.mark.parametrize("chart, eigh", [(hyperboloid(2), 0), (sl_so(3), 1)], ids=["hyperboloid", "sl_so"])
 def test_one_factorization_per_matrix(monkeypatch, chart, eigh):
-    """One stacked blaschke_at factorizes each matrix once, 7 LAPACK calls:
-    the tangent Jacobian and the column-scaled frame by SVD, G' by
-    eigvalsh, and by LU the conormal matrix, G' (for its log-determinant
-    series), g and the frame.  The log-determinants' value parts come from
-    the SVD and eigvalsh, so nothing calls det.  The sl_so chart adds one
-    eigh, of the stack of u0·X, for its maps exp(u0·X)."""
+    """One stacked blaschke_at factorizes each matrix once, 5 LAPACK calls:
+    the tangent Jacobian by SVD, G' by eigvalsh, and by LU the matrix M =
+    [x_k | w] (its inverse gives G' and the connection Gamma'), G' (for its
+    log-determinant series) and g.  The log-determinants' value parts come
+    from the SVD and eigvalsh, so nothing calls det.  The sl_so chart adds
+    one eigh, of the stack of u0·X, for its maps exp(u0·X)."""
     calls = dict.fromkeys(("svd", "eigvalsh", "eigh", "solve", "det", "inv"), 0)
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
@@ -428,7 +491,7 @@ def test_one_factorization_per_matrix(monkeypatch, chart, eigh):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     blaschke_at(chart, chart.sample_points(4, 5))
-    assert calls == {"svd": 2, "eigvalsh": 1, "eigh": eigh, "solve": 4, "det": 0, "inv": 0}
+    assert calls == {"svd": 1, "eigvalsh": 1, "eigh": eigh, "solve": 3, "det": 0, "inv": 0}
 
 
 @pytest.mark.parametrize(
