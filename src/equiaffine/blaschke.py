@@ -13,10 +13,9 @@ the constant unit normal w of M = [x_1 ... x_n | w],
 
     x_ij = Gamma'^k_ij x_k + G'_ij w,    (Gamma'_ij, G'_ij) = M^{-1} x_ij,
 
-with both coefficients read off one jet solve for M^{-T}: its last
-column y = M^{-T} e_{n+1} is the conormal divided by det M, so G'_ij =
-y . x_ij = det(x_1, ..., x_n, x_ij) / det M, and its column k gives
-Gamma'^k_ij.  The pipeline works on log-determinants: with eps = +-1
+with both coefficients read off the jets of M^{-T}: its last column y =
+M^{-T} e_{n+1} is the conormal divided by det M, so G'_ij = y . x_ij =
+det(x_1, ..., x_n, x_ij) / det M, and its column k gives Gamma'^k_ij.  The pipeline works on log-determinants: with eps = +-1
 making eps G' positive definite,
 
     g = |det G|^{-1/(n+2)} eps G = exp(ell) eps G',
@@ -40,12 +39,14 @@ and det(x_1, ..., x_n, xi) = phi det M = +-sqrt(det g), the equiaffine
 volume condition, by the choice of ell.  h = g and tau = 0 hold by
 construction, so nothing checks them.
 
-All jet linear algebra is three ``jet_lu`` calls in ``blaschke_at`` (the
-first through ``_determinant_form``): M^{-T} with log det M, log det G',
-and the order-1 jets of g^{-1}.  Each is one solve with the value part
-plus a nilpotent series, which needs a nonsingular value part.  That
-holds here: M's singular values are the tangents' and 1 (w is a unit
-vector orthogonal to them), which the immersion check bounds, G' is
+All jet linear algebra is four ``jet_lu`` calls in ``blaschke_at``, each
+formed only to the order it is read at: through ``_determinant_form``,
+the column y of M^{-T} at order 2 with log det M, and its other n
+columns at order 1 (all that Gamma' needs); then log det G', and the
+order-1 jets of g^{-1}.  Each is a nilpotent series from the inverse of
+its value part, which the caller passes, so none calls LAPACK.  Those
+inverses exist here: M's singular values are the tangents' and 1 (w is a
+unit vector orthogonal to them), which the immersion check bounds, G' is
 definite (otherwise ConvexityError is raised first) and g is positive
 definite (otherwise MetricError).
 
@@ -56,12 +57,14 @@ over the n(n+1)/2 pairs i >= j only, mirrored, so both are exactly
 symmetric; Z^k = g^{kl} d_l ell; g_kl (Gamma - hat-Gamma)^l_ij for A;
 and g^{kl}[dg]_lij in ``tensors.christoffel_jets``.
 
-Each value matrix is factorized once per stack, five LAPACK calls in
-all, plus the chart's own (one ``eigh`` for ``sl_so``).  One SVD of the
-tangent values (``dsl.eval_immersion``) gives the immersion check, w and
-log|det M0| = sum log sigma_i; one ``eigvalsh`` of G' the convexity
-check, log det(eps G'0) and g's SPD check; and the three ``jet_lu``
-solves one LU each.
+Each value matrix is factorized once per stack, two LAPACK calls in
+all, plus the chart's own (one ``eigh`` for ``sl_so``).  One SVD T = U S
+V^T of the tangent values (``dsl.eval_immersion``) gives the immersion
+check, log|det M0| = sum log sigma_i and M0^{-T} = [V S^{-1} U^T | w],
+refined once so that each entry is accurate at its own coordinate's
+scale; one ``eigh`` G'0 = Q diag(lambda) Q^T gives the convexity check,
+log det(eps G'0), g's SPD check and (eps G'0)^{-1} = eps Q diag(1/lambda)
+Q^T, which divided by g's positive scale s0 = exp(ell0) is g0^{-1}.
 
 Every step also runs on a stack of points: ``blaschke_at`` on a (P, n)
 point stack carries a leading point axis through every jet array, so a
@@ -149,9 +152,9 @@ def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants:
         raise ValueError(f"blaschke_at needs at least one point, got an empty stack of shape {stack.shape}")
     n = chart.dim
     m1 = jet_size(n, 1)
-    x, x1, hess, normal, sv = _chart_derivatives(chart, stack)  # x1, hess (pairs i >= j) of order 2
-    G, gamma_w, log_m = _determinant_form(x1, hess, normal, stack)  # G' = G / det M; Gamma' of order 1
-    eig = np.linalg.eigvalsh(G[..., 0])
+    x, x1, hess, m_inv_t0, sv = _chart_derivatives(chart, stack)  # x1, hess (pairs i >= j) of order 2
+    G, gamma_w, log_m = _determinant_form(x1, hess, m_inv_t0)  # G' = G / det M; Gamma' of order 1
+    eig, vec = np.linalg.eigh(G[..., 0])
     definite = eig[:, 0] > 0
     k = _first(~definite & ~(eig[:, -1] < 0))
     if k is not None:
@@ -159,15 +162,13 @@ def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants:
     eps = np.where(definite, 1.0, -1.0)
     Gp = eps[:, None, None, None] * G
     eig_p = np.where(definite[:, None], eig, -eig[:, ::-1])  # eigenvalues of eps G', ascending
+    gp_inv0 = eps[:, None, None] * np.matmul(vec / eig[:, None, :], vec.swapaxes(-1, -2))  # (eps G'0)^{-1}
 
     # Berwald-Blaschke metric g = exp(ell) eps G' of the module docstring,
-    # the log-determinants' value parts from the SVD and eigvalsh above
+    # the log-determinants' value parts from the SVD and eigh above
     # (positive past the gates).  g's value eigenvalues are s0 * eig(eps G'),
     # s0 > 0, so the SPD gate needs no second eigen-decomposition
-    try:
-        log_gp, _ = jet_lu(Gp, n)
-    except np.linalg.LinAlgError as exc:
-        raise ConvexityError(f"second-order form is degenerate at {stack[_first_singular(Gp[..., 0])]}") from exc
+    log_gp, _ = jet_lu(Gp, gp_inv0, n)
     log_m[:, 0] = np.log(sv).sum(axis=-1)
     log_gp[:, 0] = np.log(eig_p).sum(axis=-1)
     ell = (2.0 * log_m - log_gp) / (n + 2)
@@ -177,17 +178,16 @@ def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants:
     gval = g[..., 0]
     g1 = g[..., :m1]
 
-    # g^{ij} as order-1 jets, and Levi-Civita of g: order-1 jets
-    eye = np.zeros(g1.shape)
-    eye[..., 0] = np.eye(n)
-    _, ginv_jets = jet_lu(g1, n, eye, log_det=False)
+    # g^{ij} as order-1 jets, from g0^{-1} = (eps G'0)^{-1} / s0, and Levi-Civita of g: order-1 jets
+    _, ginv_jets = jet_lu(g1, gp_inv0 / scale[:, :1, None], n, np.eye(n), log_det=False)
     ginv = np.ascontiguousarray(ginv_jets[..., 0])  # a fixed layout, as for the checks' einsums
     gamma_hat_jets = tensors.christoffel_jets(g, ginv_jets)
 
     # the affine normal xi = eps exp(-ell) w + Z^k x_k, Z^k = g^{kl} d_l ell
     # as order-1 jets [k], and the induced connection Gamma = Gamma' - g Z
     Z = jet_matmul(ginv_jets, jet_gradient(ell, n)[..., None, :], n)[..., 0, :]
-    xi = (eps * np.exp(-ell[:, 0]))[:, None] * normal + np.einsum("...k,...ka->...a", Z[..., 0], x1[..., 0])
+    w = m_inv_t0[..., n]
+    xi = (eps * np.exp(-ell[:, 0]))[:, None] * w + np.einsum("...k,...ka->...a", Z[..., 0], x1[..., 0])
     gamma_ind = gamma_w - jet_mul(Z[:, :, None, None], g1[:, None], n)  # [k, i, j]
 
     # Fubini-Pick form: A^k_ij = Gamma^k_ij - hat-Gamma^k_ij, lowered with g
@@ -226,17 +226,6 @@ def _first(mask: np.ndarray):
     return int(np.argmax(mask)) if mask.any() else None
 
 
-def _first_singular(values: np.ndarray) -> int:
-    """Index of the first matrix of a stack that LAPACK's LU cannot solve
-    with, when a stacked solve raised ``LinAlgError``."""
-    for k, value in enumerate(values):
-        try:
-            np.linalg.inv(value)
-        except np.linalg.LinAlgError:
-            return k
-    raise np.linalg.LinAlgError("no singular matrix in the stack")
-
-
 @functools.cache
 def _lower(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the lower triangle, diagonal included
@@ -264,45 +253,43 @@ def _g_norm2(t: np.ndarray, g_inv: np.ndarray):
 def _chart_derivatives(chart: ChartDef, points: np.ndarray):
     """Chart jets x (n+1, M) of order ``ORDER``, first derivatives x1[k, a] =
     d_k x^a and second derivatives hess[p, a] = d_i d_j x^a over the pairs
-    i >= j (``jet_hessian``), both of order 2 and each one gather from x, a
-    unit normal (n+1,) to the tangents and the tangents' singular values
-    (n,) (``eval_immersion``), each with a leading point axis for a (P, n)
-    point stack."""
+    i >= j (``jet_hessian``), both of order 2 and each one gather from x,
+    the value part M0^{-T} (n+1, n+1) of the module docstring, whose last
+    column is the unit normal w, and the tangents' singular values (n,)
+    (``eval_immersion``), each with a leading point axis for a (P, n) point
+    stack."""
     n = chart.dim
-    x, normal, sv = eval_immersion(chart, points, ORDER)
+    x, m_inv_t0, sv = eval_immersion(chart, points, ORDER)
     x1 = jet_gradient(x[..., : jet_size(n, ORDER - 1)], n).swapaxes(-3, -2)
     hess = jet_hessian(x, n).swapaxes(-3, -2)  # [a, p] to [p, a]
-    return x, x1, hess, normal, sv
+    return x, x1, hess, m_inv_t0, sv
 
 
-def _determinant_form(x1: np.ndarray, hess: np.ndarray, normal: np.ndarray, points):
+def _determinant_form(x1: np.ndarray, hess: np.ndarray, m_inv_t0: np.ndarray):
     """The Gauss formula x_ij = Gamma'^k_ij x_k + G'_ij w for the constant
-    ``normal`` w, from M^{-T} of the module docstring: the normalized
-    determinant form G'_ij = det(x_1, ..., x_n, x_ij) / det M as an (n, n,
-    M2) jet array, the connection Gamma' as an (n, n, n, M1) jet array
-    indexed [k, i, j], each formed for i >= j and mirrored (leading point
-    axes as in x1), and the series log(det M / det M0), an (M2,) jet with
-    value part 0, from the same solve."""
+    normal w, from M^{-T} of the module docstring, given its value part
+    ``m_inv_t0`` (last column w): the normalized determinant form G'_ij =
+    det(x_1, ..., x_n, x_ij) / det M = y . x_ij as an (n, n, M2) jet array,
+    y the conormal column of M^{-T} at order 2, the connection Gamma' as an
+    (n, n, n, M1) jet array indexed [k, i, j] from its other columns at
+    order 1, each formed for i >= j and mirrored (leading point axes as in
+    x1), and the series log(det M / det M0), an (M2,) jet with value part
+    0, from the first of the two ``jet_lu`` calls."""
     n = x1.shape[-3]
     lead = x1.shape[:-3]
     m1, m2 = jet_size(n, 1), hess.shape[-1]
     mt = np.zeros(lead + (n + 1, n + 1, m2))
     mt[..., :n, :, :] = x1[..., :m2]
-    mt[..., n, :, 0] = normal
-    eye = np.zeros(mt.shape)
-    eye[..., 0] = np.eye(n + 1)
-    try:
-        log_m, m_inv_t = jet_lu(mt, n, eye)  # M^{-T}: (M^{-1} x_ij)_k = its column k . x_ij
-    except np.linalg.LinAlgError as exc:
-        k = _first_singular(mt[..., 0].reshape(-1, n + 1, n + 1))
-        raise ConvexityError(f"tangents are linearly dependent at {np.reshape(points, (-1, n))[k]}") from exc
+    mt[..., n, :, 0] = m_inv_t0[..., n]
+    eye = np.eye(n + 1)
+    log_m, y = jet_lu(mt, m_inv_t0, n, eye[:, n:])
+    _, m_inv_t = jet_lu(mt[..., :m1], m_inv_t0, n, eye[:, :n], log_det=False)
     # over the distinct pairs i >= j only, mirrored: G' and Gamma' are exactly symmetric
     rows, cols = _lower(n)
     G = np.empty(lead + (n, n, m2))
-    G[..., rows, cols, :] = G[..., cols, rows, :] = jet_matmul(hess, m_inv_t[..., n:, :], n)[..., 0, :]
+    G[..., rows, cols, :] = G[..., cols, rows, :] = jet_matmul(hess, y, n)[..., 0, :]
     gamma = np.empty(lead + (n, n, n, m1))
-    gamma[..., rows, cols, :] = gamma[..., cols, rows, :] = jet_matmul(
-        hess[..., :m1], m_inv_t[..., :n, :m1], n).swapaxes(-3, -2)
+    gamma[..., rows, cols, :] = gamma[..., cols, rows, :] = jet_matmul(hess[..., :m1], m_inv_t, n).swapaxes(-3, -2)
     return G, gamma, log_m
 
 

@@ -349,14 +349,17 @@ class DslChart(ChartDef):
 
 def eval_immersion(chart: ChartDef, point, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate a chart at a point into its (n+1, M) ambient-coordinate jet
-    array, a unit normal w (n+1,) to its tangent space and the tangents'
-    singular values (n,), or at a (P, n) point stack into a (P, n+1, M)
-    array, a (P, n+1) stack of normals and a (P, n) stack of singular values.
+    array, the (n+1, n+1) inverse of [T; w] (T the (n, n+1) tangent values
+    d_k x^a, w a unit normal to them and the inverse's last column) and the
+    tangents' singular values (n,); at a (P, n) point stack, each with a
+    leading point axis.
 
-    One SVD of the (n, n+1) matrix T of tangent values d_k x^a gives all
-    three: the singular values, which must show rank n at every point
-    (``ImmersionError`` names the first point that fails), and w, the last
-    right singular vector.  Their product is |det [T; w]|."""
+    One SVD T = U S V^T gives all three: the singular values, which must
+    show rank n at every point (``ImmersionError`` names the first point
+    that fails), and [V S^{-1} U^T | v], v the last right singular vector,
+    refined once, X + X (I - [T; v] X), so that each entry is accurate at
+    its own ambient coordinate's scale, as an LU solve's would be.  The
+    product of the singular values is |det [T; w]|."""
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
     point = np.asarray(point, float)
@@ -364,13 +367,16 @@ def eval_immersion(chart: ChartDef, point, order: int) -> tuple[np.ndarray, np.n
         raise ValueError(f"point must have dimension {chart.dim}")
     comp = chart.jets_at(point, order)
     tangents = comp[..., 1 : chart.dim + 1].swapaxes(-1, -2)  # degree-1 block: [k, a] = d_k x^a
-    _, sv, vh = np.linalg.svd(tangents)
+    u, sv, vh = np.linalg.svd(tangents)
     bad = sv[..., -1] <= 1e-10 * sv[..., 0]  # relative, so at any scale; an all-zero Jacobian too
     if bad.any():
         k = np.argmax(bad)
         raise ImmersionError(f"Jacobian rank-deficient at {point.reshape(-1, chart.dim)[k]} "
                              f"(singular values {sv.reshape(-1, sv.shape[-1])[k]})")
-    return comp, vh[..., -1, :], sv
+    inverse = vh.swapaxes(-1, -2).copy()
+    inverse[..., :-1] = np.matmul(inverse[..., :-1] / sv[..., None, :], u.swapaxes(-1, -2))
+    residual = np.eye(chart.dim + 1) - np.matmul(np.concatenate([tangents, vh[..., -1:, :]], axis=-2), inverse)
+    return comp, inverse + np.matmul(inverse, residual), sv
 
 
 # -- tokenizer / parser ---------------------------------------------------

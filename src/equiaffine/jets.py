@@ -422,28 +422,33 @@ ELEMENTARY = {"exp": exp, "log": log, "sqrt": sqrt, "sin": sin, "cos": cos}
 # -- linear algebra over jets ------------------------------------------
 
 
-def jet_lu(A: np.ndarray, num_vars: int, B: np.ndarray | None = None, log_det: bool = True):
+def jet_lu(A: np.ndarray, inv0: np.ndarray, num_vars: int, B: np.ndarray | None = None, log_det: bool = True):
     """Log-determinant series of a square jet matrix and, when ``B`` is
-    given, the solution X of A X = B.
+    given, the jets of A^{-1} B, from the inverse of A's value part.
 
-    ``A`` is an (..., n, n, M) jet array and ``B`` an (..., n, k, M) one;
-    returns ``(L, X)`` with L = log(det A / det A0) of shape (..., M), a jet
-    with value part 0, or None when ``log_det`` is false (a caller that only
+    ``A`` is an (..., n, n, M) jet array, ``inv0`` the (..., n, n) inverse
+    of its value part A0, which the caller supplies from a factorization it
+    already holds, and ``B`` a constant (..., n, k) right-hand side; returns
+    ``(L, X)`` with L = log(det A / det A0) of shape (..., M), a jet with
+    value part 0, or None when ``log_det`` is false (a caller that only
     solves skips its series), and X of shape (..., n, k, M), or None.
-    Write A = A0 + N with A0 the value part and N nilpotent (every entry
-    has zero value part, so N^(order+1) = 0 under truncation), and
-    Y = A0^{-1} N.  Then, exactly at the jet order,
+    Write A = A0 + N with N nilpotent (every entry has zero value part, so
+    N^(order+1) = 0 under truncation), and Y = A0^{-1} N.  Then, exactly at
+    the jet order,
 
         A^{-1} B = sum_{k <= order} (-Y)^k A0^{-1} B,
         L = tr log(I + Y) = sum_{k=1}^{order} (-1)^(k+1) tr(Y^k) / k.
 
-    One ``np.linalg.solve`` on the value parts (LAPACK pivots) gives Y and
-    A0^{-1} B, the only LAPACK call; the sums are ``order`` steps each.  A
-    singular value part (in any stack entry) raises
-    ``np.linalg.LinAlgError``.  The caller adds the value part log|det A0|
-    from a factorization it already holds, so the determinant itself, which
-    leaves float range long before its logarithm does, is never formed:
-    det A = det A0 * exp(L).
+    No LAPACK call: Y is one matrix product with ``inv0``.  The solution is
+    a Horner sum whose first step, Y times the constant A0^{-1} B, is one
+    value product per coefficient, so an order-1 inverse takes no
+    ``jet_matmul``.  tr(Y^k) is the entrywise jet product of Y^ceil(k/2)
+    with the transpose of Y^floor(k/2), summed (one ``jet_matmul`` of the
+    two flattened), so the series forms matrix powers up to ceil(order/2)
+    only, and none at order 2.  The caller adds the value part log|det A0|
+    from its factorization, so the determinant itself, which leaves float
+    range long before its logarithm does, is never formed: det A = det A0 *
+    exp(L).
 
     The series is accurate relative to the size of its own terms,
     sum_k tr(|Y|^k) / k, not relative to the size of the determinant's
@@ -453,27 +458,27 @@ def jet_lu(A: np.ndarray, num_vars: int, B: np.ndarray | None = None, log_det: b
     n, size = A.shape[-2], A.shape[-1]
     stack = A.shape[:-3]
     order = jet_index(num_vars, size).order
-    split = n * (size - 1)  # columns of N in the one right-hand side [N | B]
-    rhs = A[..., 1:].reshape(stack + (n, split))
-    if B is not None:
-        rhs = np.concatenate([rhs, B.reshape(stack + (n, -1))], axis=-1)
-    sol = np.linalg.solve(A[..., 0], rhs)
-    Y = np.zeros(A.shape)
-    Y[..., 1:] = sol[..., :split].reshape(stack + (n, n, size - 1))
+    Y = np.matmul(inv0, A.reshape(stack + (n, -1))).reshape(A.shape)
+    Y[..., 0] = 0.0  # A0^{-1} N: N is A without its value part
 
     L = None
     if log_det:
-        L = np.zeros(stack + (size,))
-        power = Y
-        for k in range(1, order + 1):
-            L += (-1) ** (k + 1) / k * np.trace(power, axis1=-3, axis2=-2)
-            if k < order:
-                power = jet_matmul(power, Y, num_vars)
+        powers = [None, Y]  # powers[j] = Y^j
+        for _ in range(2, (order + 1) // 2 + 1):
+            powers.append(jet_matmul(powers[-1], Y, num_vars))
+        L = np.trace(Y, axis1=-3, axis2=-2)
+        for k in range(2, order + 1):  # tr(Y^a Y^b) = vec(Y^a) . vec((Y^b)^T)
+            row = powers[(k + 1) // 2].reshape(stack + (1, n * n, size))
+            column = powers[k // 2].swapaxes(-3, -2).reshape(stack + (n * n, 1, size))
+            L += (-1) ** (k + 1) / k * jet_matmul(row, column, num_vars)[..., 0, 0, :]
     if B is None:
         return L, None
 
-    Z = sol[..., split:].reshape(B.shape)
-    X = Z
-    for _ in range(order):
-        X = Z - jet_matmul(Y, X, num_vars)
+    Z = np.matmul(inv0, B)
+    X = np.zeros(Z.shape + (size,))
+    X[..., 0] = Z
+    X[..., 1:] = -np.matmul(Y[..., 1:], Z[..., None], axes=[(-3, -2)] * 3)  # Y times a constant: per coefficient
+    for _ in range(order - 1):
+        X = -jet_matmul(Y, X, num_vars)
+        X[..., 0] = Z  # Y X has value part 0
     return L, X

@@ -1,11 +1,13 @@
 """Reference jet linear algebra for the tests: a division-free determinant
-to check ``jets.jet_lu`` against, the determinant rebuilt from
-``jet_lu``'s log-determinant series, the size of the terms both sum, and
-a term-by-term matrix exponential to check the ``sl_so`` chart against,
-and the enumeration of a jet index as exponent tuples.  Also a second
-route to the Blaschke data of one point, to check ``blaschke_at``'s
-change of transversal against: the affine normal as the metric Laplacian
-and the affine Gauss formula solved in the frame {x_k, xi}."""
+and a solve-based series (``lu_series``: one LAPACK solve with the value
+part, jet-valued right-hand sides) to check ``jets.jet_lu`` against, the
+determinant rebuilt from ``jet_lu``'s log-determinant series, the size of
+the terms both sum, and a term-by-term matrix exponential to check the
+``sl_so`` chart against, and the enumeration of a jet index as exponent
+tuples.  Also a second route to the Blaschke data of one point, to check
+``blaschke_at``'s change of transversal against: the affine normal as the
+metric Laplacian and the affine Gauss formula solved in the frame
+{x_k, xi}, all jet linear algebra by ``lu_series``."""
 
 import math
 
@@ -52,11 +54,47 @@ def jet_det(A: np.ndarray, num_vars: int, signed: bool = True) -> np.ndarray:
     return partial[(1 << n) - 1]
 
 
+def lu_series(A: np.ndarray, num_vars: int, B: np.ndarray | None = None, log_det: bool = True):
+    """``jets.jet_lu``'s (L, X) by one LU solve with the value part A0 on
+    [N | B], for a jet-valued (..., n, k, M) right-hand side B: the Horner
+    sum X = sum_k (-Y)^k A0^{-1} B with Y = A0^{-1} N, each step a
+    ``jet_matmul``, and L = sum_k (-1)^(k+1) tr(Y^k) / k by the powers
+    Y^k.  A singular value part raises ``np.linalg.LinAlgError``."""
+    n, size = A.shape[-2], A.shape[-1]
+    stack = A.shape[:-3]
+    order = jet_index(num_vars, size).order
+    split = n * (size - 1)  # columns of N in the one right-hand side [N | B]
+    rhs = A[..., 1:].reshape(stack + (n, split))
+    if B is not None:
+        rhs = np.concatenate([rhs, B.reshape(stack + (n, -1))], axis=-1)
+    sol = np.linalg.solve(A[..., 0], rhs)
+    Y = np.zeros(A.shape)
+    Y[..., 1:] = sol[..., :split].reshape(stack + (n, n, size - 1))
+
+    L = None
+    if log_det:
+        L = np.zeros(stack + (size,))
+        power = Y
+        for k in range(1, order + 1):
+            L += (-1) ** (k + 1) / k * np.trace(power, axis1=-3, axis2=-2)
+            if k < order:
+                power = jet_matmul(power, Y, num_vars)
+    if B is None:
+        return L, None
+
+    Z = sol[..., split:].reshape(B.shape)
+    X = Z
+    for _ in range(order):
+        X = Z - jet_matmul(Y, X, num_vars)
+    return L, X
+
+
 def lu_det(A: np.ndarray, num_vars: int, log_det: np.ndarray | None = None) -> np.ndarray:
     """det A = det A0 * exp(L) of a jet matrix A with value part A0, from
-    the series L = ``jet_lu(A, num_vars)[0]``, or ``log_det`` if given."""
+    the series L = ``jet_lu``'s with the inverse of A0 from numpy, or
+    ``log_det`` if given."""
     if log_det is None:
-        log_det = jet_lu(A, num_vars)[0]
+        log_det = jet_lu(A, np.linalg.inv(A[..., 0]), num_vars)[0]
     return np.linalg.det(A[..., 0])[..., None] * exp(log_det, num_vars)
 
 
@@ -164,7 +202,7 @@ def blaschke_metric(x1: np.ndarray, normal: np.ndarray, G: np.ndarray, log_m: np
     metric jets g = exp(ell) eps G', the value parts from slogdet."""
     n = num_vars
     eps = 1.0 if np.linalg.eigvalsh(G[..., 0])[0] > 0 else -1.0
-    log_gp = jet_lu(eps * G, n)[0]
+    log_gp = lu_series(eps * G, n)[0]
     log_gp[0] = np.linalg.slogdet(eps * G[..., 0])[1]
     log_m = log_m.copy()
     log_m[0] = np.linalg.slogdet(np.concatenate([x1[..., 0], normal[None]]))[1]
@@ -180,7 +218,7 @@ def laplacian_normal(x1: np.ndarray, hess: np.ndarray, g: np.ndarray, num_vars: 
     m1 = jet_size(n, 1)
     eye = np.zeros((n, n, m1))
     eye[..., 0] = np.eye(n)
-    _, g_inv = jet_lu(g[..., :m1], n, eye, log_det=False)
+    _, g_inv = lu_series(g[..., :m1], n, eye, log_det=False)
     gamma_hat = christoffel_jets(g, g_inv)
     gamma_x = jet_matmul(gamma_hat.reshape(n, n * n, m1).swapaxes(0, 1), x1[..., :m1], n)  # [ij, a]
     lap = hess[..., :m1].reshape(n * n, n + 1, m1) - gamma_x
@@ -210,6 +248,6 @@ def frame_solve(x1: np.ndarray, hess: np.ndarray, xi: np.ndarray, num_vars: int)
     rhs = np.zeros((n + 1, n * n + n, m1))
     rhs[:, : n * n] = hess[..., :m1].reshape(n * n, n + 1, m1).swapaxes(0, 1)
     rhs[:, n * n :, 0] = xi[:, 1 : n + 1]  # the degree-1 coefficients: [a, i] = d_i xi^a
-    _, sol = jet_lu(frame, n, rhs, log_det=False)
+    _, sol = lu_series(frame, n, rhs, log_det=False)
     coeff = sol[:, n * n :, 0]
     return sol[:n, : n * n].reshape(n, n, n, m1), sol[n, : n * n, 0].reshape(n, n), -coeff[:n], coeff[n]

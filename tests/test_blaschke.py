@@ -1,6 +1,7 @@
 """Invariant pipeline: independent finite-difference oracle, model
 surfaces with known invariants, and the structural identities."""
 
+import json
 import math
 from dataclasses import fields
 
@@ -33,7 +34,8 @@ from equiaffine.catalog import (
     hyperboloid,
     sl_so,
 )
-from equiaffine.cli import CHECKS, DEFAULT_TOL, point_reports
+from equiaffine.cli import CHECKS, DEFAULT_TOL, main, point_reports
+from equiaffine.dsl import ImmersionError
 from equiaffine.jets import jet_gradient
 from equiaffine.tensors import CurvatureData
 import jet_reference
@@ -195,11 +197,17 @@ def test_degenerate_form_raises_convexity_error(n):
             blaschke_at(parse_chart(f"dim {n}; {coords}x{n + 1} = {last};"), np.full(n, 0.1))
 
 
-def test_dependent_tangents_raise_convexity_error():
-    x1 = np.zeros((2, 3, 10))
-    x1[0, 0, 0] = x1[1, 0, 0] = 1.0  # x_1 = x_2 at value level
-    with pytest.raises(ConvexityError):
-        _determinant_form(x1, np.zeros((3, 3, 6)), np.linalg.svd(x1[..., 0])[2][-1], [0.0, 0.0])
+def test_dependent_tangents_raise_immersion_error(tmp_path, capsys):
+    # every coordinate a function of u1 + u2, so x_1 = x_2: the immersion gate
+    # stops the point before any jet linear algebra, and the CLI exits 3 with one line
+    text = "dim 2; x1 = u1 + u2; x2 = 2*(u1 + u2); x3 = (u1 + u2)^2;"
+    with pytest.raises(ImmersionError):
+        blaschke_at(parse_chart(text), [0.1, 0.2])
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"chart": {"dsl": text}, "points": [[0.1, 0.2]]}))
+    assert main(["check", "--scene", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("chart error: point 0: Jacobian rank-deficient")
 
 
 def _conormal_cases():
@@ -219,8 +227,9 @@ def test_conormal_form_matches_determinants(chart, point):
     division-free jet_det, coefficient by coefficient; and by Cramer's rule
     det M * Gamma'^k_ij equals det M with its column k replaced by x_ij."""
     n = chart.dim
-    _, x1, hess, normal, _ = _chart_derivatives(chart, point)
-    G_normalized, gamma_w, log_m = _determinant_form(x1, hess, normal, point)
+    _, x1, hess, m_inv_t0, _ = _chart_derivatives(chart, point)
+    G_normalized, gamma_w, log_m = _determinant_form(x1, hess, m_inv_t0)
+    normal = m_inv_t0[:, n]
     m1, m2 = n + 1, hess.shape[-1]
     det_m = np.linalg.det(np.concatenate([x1[..., 0], normal[None]])) * jets.exp(log_m, n)  # rows x_k, w
     G = jets.jet_mul(det_m, G_normalized, n)
@@ -268,8 +277,9 @@ def test_change_of_transversal_matches_the_frame_solve(chart, size):
     invs = blaschke_at(chart, points)
     rows, cols = np.tril_indices(n)
     for k, point in enumerate(points):
-        _, x1, pairs, normal, _ = _chart_derivatives(chart, point)
-        G, _, log_m = _determinant_form(x1, pairs, normal, point)
+        _, x1, pairs, m_inv_t0, _ = _chart_derivatives(chart, point)
+        G, _, log_m = _determinant_form(x1, pairs, m_inv_t0)
+        normal = m_inv_t0[:, n]
         hess = np.empty((n, n) + pairs.shape[1:])
         hess[rows, cols] = hess[cols, rows] = pairs
         eps, ell, g = jet_reference.blaschke_metric(x1, normal, G, log_m, n)
@@ -478,12 +488,13 @@ def test_stack_rows_equal_single_points_bitwise(chart, size):
 
 @pytest.mark.parametrize("chart, eigh", [(hyperboloid(2), 0), (sl_so(3), 1)], ids=["hyperboloid", "sl_so"])
 def test_one_factorization_per_matrix(monkeypatch, chart, eigh):
-    """One stacked blaschke_at factorizes each matrix once, 5 LAPACK calls:
-    the tangent Jacobian by SVD, G' by eigvalsh, and by LU the matrix M =
-    [x_k | w] (its inverse gives G' and the connection Gamma'), G' (for its
-    log-determinant series) and g.  The log-determinants' value parts come
-    from the SVD and eigvalsh, so nothing calls det.  The sl_so chart adds
-    one eigh, of the stack of u0·X, for its maps exp(u0·X)."""
+    """One stacked blaschke_at factorizes each matrix once, 2 LAPACK calls:
+    the tangent Jacobian by SVD, which also gives the inverse of M0 = [x_k |
+    w]^T's value part, and G' by eigh, which also gives the inverses of
+    G'0 and g0.  ``jet_lu`` reads those inverses and solves nothing, and the
+    log-determinants' value parts come from the same two factorizations, so
+    nothing calls solve, det or inv.  The sl_so chart adds one eigh, of the
+    stack of u0·X, for its maps exp(u0·X)."""
     calls = dict.fromkeys(("svd", "eigvalsh", "eigh", "solve", "det", "inv"), 0)
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
@@ -491,7 +502,7 @@ def test_one_factorization_per_matrix(monkeypatch, chart, eigh):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     blaschke_at(chart, chart.sample_points(4, 5))
-    assert calls == {"svd": 1, "eigvalsh": 1, "eigh": eigh, "solve": 3, "det": 0, "inv": 0}
+    assert calls == {"svd": 1, "eigvalsh": 0, "eigh": 1 + eigh, "solve": 0, "det": 0, "inv": 0}
 
 
 @pytest.mark.parametrize(

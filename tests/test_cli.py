@@ -684,6 +684,18 @@ def test_recip_at_a_large_value_part_is_in_float_range(tmp_path, capsys):
                                "(form eigenvalues [0.])")
 
 
+@pytest.mark.parametrize("point", [[1e8, 0.1], [1e30, 0.1]])
+def test_far_hyperboloid_point_fails_the_convexity_gate_with_one_line(tmp_path, capsys, point):
+    # the hyperboloid is convex everywhere, but this far out the chart's own
+    # second-order jets cancel and G'0 has a diagonal entry of exactly 0.0,
+    # so the form's eigenvalues come out of opposite sign: the point exits 3
+    # with one line, not a traceback or a division by that zero
+    chart = {"catalog": "hyperboloid", "params": {"n": 2}}
+    code, line = error_line(capsys, ["check", "--scene", scene_file(tmp_path, chart, [point])])
+    assert code == 3
+    assert line.startswith("chart error: point 0: chart is not locally strongly convex")
+
+
 @pytest.mark.parametrize("n, scale", [(12, "1e30"), (3, "1e120")])
 def test_scaled_hyperboloid_scene_passes(tmp_path, capsys, n, scale):
     # det M = scale^n is past float range, its logarithm is not.  gauss,

@@ -31,6 +31,7 @@ from jet_reference import (
     det_term_scale,
     jet_det,
     lu_det,
+    lu_series,
     monomials,
     power_coefficients,
     ref_matmul,
@@ -288,9 +289,7 @@ def test_jet_solve_and_inverse_roundtrip():
     )
     for i in range(n):
         mat[i, i, 0] += 5.0
-    eye = np.zeros((n, n, mat.shape[-1]))
-    eye[..., 0] = np.eye(n)
-    X = jet_lu(mat, 2, eye)[1]
+    X = jet_lu(mat, np.linalg.inv(mat[..., 0]), 2, np.eye(n))[1]
     prod_val = ref_matmul(mat, X, 2)[..., 0]
     assert np.allclose(prod_val, np.eye(n), atol=1e-12)
 
@@ -380,6 +379,13 @@ def random_jet_matrix(rng, n, num_vars, order, shift):
     return coeffs
 
 
+def solve(A, num_vars, B):
+    """A^{-1} B for a jet-valued right-hand side B: ``jet_lu``'s inverse of
+    A, from numpy's inverse of the value part, times B."""
+    inverse = jet_lu(A, np.linalg.inv(A[..., 0]), num_vars, np.eye(A.shape[-2]), log_det=False)[1]
+    return jet_matmul(inverse, B, num_vars)
+
+
 def assert_solves(A, X, B, num_vars):
     """A X = B as jets, derivatives included, up to rounding relative to the
     size of the terms summed: each coefficient of A X sums at most
@@ -402,17 +408,19 @@ def test_jet_lu_against_numpy_and_jet_det(n, num_vars, order, seed):
     rng = np.random.default_rng(seed)
     A = random_jet_matrix(rng, n, num_vars, order, shift=3.0)
     B = rng.standard_normal((n, 2, A.shape[-1]))
-    log_det, X = jet_lu(A, num_vars, B)
+    inv0 = np.linalg.inv(A[..., 0])
+    log_det, inverse = jet_lu(A, inv0, num_vars, np.eye(n))
+    X = jet_matmul(inverse, B, num_vars)
     assert log_det[0] == 0.0
     det, ref = lu_det(A, num_vars, log_det), jet_det(A, num_vars)
     assert_det_matches(A, det, ref, num_vars)
     assert det[0] == pytest.approx(np.linalg.det(A[..., 0]), rel=1e-12)
     assert np.allclose(X[..., 0], np.linalg.solve(A[..., 0], B[..., 0]), rtol=1e-10, atol=1e-12)
     assert_solves(A, X, B, num_vars)
-    assert jet_lu(A, num_vars)[1] is None
-    # a caller that only solves skips the log-determinant, not a bit of X
-    skipped, X_only = jet_lu(A, num_vars, B, log_det=False)
-    assert skipped is None and X_only.tobytes() == X.tobytes()
+    assert jet_lu(A, inv0, num_vars)[1] is None
+    # a caller that only solves skips the log-determinant, not a bit of the inverse
+    skipped, inverse_only = jet_lu(A, inv0, num_vars, np.eye(n), log_det=False)
+    assert skipped is None and inverse_only.tobytes() == inverse.tobytes()
 
 
 @pytest.mark.parametrize("seed", [1110, 2614])
@@ -424,8 +432,9 @@ def test_jet_lu_residual_is_relative_on_ill_conditioned_draws(seed):
     n, num_vars, order = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(0, 5))
     A = random_jet_matrix(rng, n, num_vars, order, shift=3.0)
     B = rng.standard_normal((n, 2, A.shape[-1]))
-    _, X = jet_lu(A, num_vars, B)
+    X = solve(A, num_vars, B)
     assert_solves(A, X, B, num_vars)
+    assert_solves(A, lu_series(A, num_vars, B)[1], B, num_vars)  # the reference, to the same tolerance
     # a solution off by 1e-8 of its size is not a solution
     X_off = X + 1e-8 * np.abs(X).max() * rng.standard_normal(X.shape)
     with pytest.raises(AssertionError):
@@ -444,6 +453,7 @@ def test_jet_lu_determinant_is_relative_on_ill_conditioned_draws(n, num_vars, or
     A = random_jet_matrix(rng, n, num_vars, order, shift=3.0)
     det, ref = lu_det(A, num_vars), jet_det(A, num_vars)
     assert_det_matches(A, det, ref, num_vars)
+    assert_det_matches(A, lu_det(A, num_vars, lu_series(A, num_vars)[0]), ref, num_vars)  # the reference too
     # a determinant off by 1e-8 of its size is not the determinant
     det_off = det + 1e-8 * np.abs(ref).max() * rng.standard_normal(det.shape)
     with pytest.raises(AssertionError):
@@ -463,24 +473,29 @@ def test_jet_lu_derivative_of_determinant():
 
 
 def test_jet_lu_zero_pivot_raises():
-    # first column has a vanishing value part: jet_det copes, LU cannot
+    # first column has a vanishing value part: jet_det copes, while the value
+    # part has no inverse to pass to jet_lu and the reference LU raises
     t = jet_variables([0.0], 2)[0]
     one = constant(1.0, 1, 2)
     A = np.array([[t, one], [t * 2.0, one]])
     assert coefficient(jet_det(A, 1), 1, (1,)) == pytest.approx(-1.0)
     with pytest.raises(np.linalg.LinAlgError):
-        jet_lu(A, 1)
+        np.linalg.inv(A[..., 0])
     with pytest.raises(np.linalg.LinAlgError):
-        jet_lu(A, 1, np.array([[one], [one]]))
+        lu_series(A, 1)
+    with pytest.raises(np.linalg.LinAlgError):
+        lu_series(A, 1, np.array([[one], [one]]))
 
 
 def test_jet_lu_pivots_past_zero_corner():
-    # nonsingular value part whose (0, 0) entry vanishes: solvable only with pivoting
+    # nonsingular value part whose (0, 0) entry vanishes: an LU needs pivoting,
+    # the series from the value part's inverse does not
     rng = np.random.default_rng(11)
     A = random_jet_matrix(rng, 3, 2, 3, shift=0.0)
     A[..., 0] = [[0.0, 1.0, 2.0], [1.0, 0.5, 3.0], [2.0, -1.0, 1.0]]
     B = rng.standard_normal((3, 2, A.shape[-1]))
-    log_det, X = jet_lu(A, 2, B)
+    log_det = jet_lu(A, np.linalg.inv(A[..., 0]), 2)[0]
+    X = solve(A, 2, B)
     det, ref = lu_det(A, 2, log_det), jet_det(A, 2)
     assert np.allclose(det, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
     assert np.allclose(jet_matmul(A, X, 2), B, atol=1e-10)
@@ -492,10 +507,55 @@ def test_jet_lu_order_4_up_to_n_7(n, num_vars, seed):
     rng = np.random.default_rng(seed)
     A = random_jet_matrix(rng, n, num_vars, 4, shift=3.0 * n)  # well conditioned at every n
     B = rng.standard_normal((n, 3, A.shape[-1]))
-    log_det, X = jet_lu(A, num_vars, B)
+    log_det = jet_lu(A, np.linalg.inv(A[..., 0]), num_vars)[0]
+    X = solve(A, num_vars, B)
     det, ref = lu_det(A, num_vars, log_det), jet_det(A, num_vars)
     assert np.allclose(det, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
     assert np.allclose(jet_matmul(A, X, num_vars), B, atol=1e-8 * np.abs(B).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 3), st.integers(1, 4), st.sampled_from([1, 4]), st.integers(0, 2**32 - 1))
+def test_jet_lu_matches_the_solve_reference(n, num_vars, order, points, seed):
+    """The series from the value part's inverse equal the solve-based
+    reference (``lu_series``) to rounding, on stacks of ``points`` matrices:
+    the log-determinant, and the inverse and the solution for a constant
+    right-hand side, each coefficient within 1e-12 of the largest."""
+    rng = np.random.default_rng(seed)
+    A = np.array([random_jet_matrix(rng, n, num_vars, order, shift=3.0 * n) for _ in range(points)])
+    B = rng.standard_normal((points, n, 2))
+    inv0 = np.linalg.inv(A[..., 0])
+    eye = np.zeros(A.shape)
+    eye[..., 0] = np.eye(n)
+    rhs = np.zeros(B.shape + A.shape[-1:])
+    rhs[..., 0] = B
+    for got, ref in [(jet_lu(A, inv0, num_vars)[0], lu_series(A, num_vars)[0]),
+                     (jet_lu(A, inv0, num_vars, np.eye(n))[1], lu_series(A, num_vars, eye)[1]),
+                     (jet_lu(A, inv0, num_vars, B)[1], lu_series(A, num_vars, rhs)[1])]:
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [2, 9, 14])
+def test_jet_lu_stack_rows_equal_single_matrices_bitwise(n):
+    """Each row of a stacked ``jet_lu`` (log-determinant and solution) equals
+    that row's matrix alone, bit for bit, for stacks of 1, 3 and 6 at the
+    pipeline's shapes: the (n+1)-matrix M at order 2 with its conormal
+    column and at order 1 with the rest, and the n-matrices G' (order 2) and
+    g (order 1)."""
+    rng = np.random.default_rng(n)
+    cases = [(n + 1, 2, np.eye(n + 1)[:, n:]), (n + 1, 1, np.eye(n + 1)[:, :n]), (n, 2, None), (n, 1, np.eye(n))]
+    for size, order, B in cases:
+        for points in (1, 3, 6):
+            A = np.array([random_jet_matrix(rng, size, n, order, shift=3.0 * size) for _ in range(points)])
+            inv0 = np.linalg.inv(A[..., 0])
+            stacked = jet_lu(A, inv0, n, B)
+            for k in range(points):
+                alone = jet_lu(A[k], inv0[k], n, B)
+                for got, want in zip(stacked, alone):
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        assert got[k].tobytes() == want.tobytes(), (size, order, points, k)
 
 
 def _contraction_operands(rng, shape, points, size):
@@ -648,7 +708,8 @@ def test_order_5_runs_without_a_cap(num_vars):
     terms = ref_matmul(np.abs(A), np.abs(B), num_vars)
     assert np.all(np.abs(jet_matmul(A, B, num_vars) - ref_matmul(A, B, num_vars)) <= 4 * eps * n * size * terms)
 
-    log_det, X = jet_lu(A, num_vars, B)
+    log_det = jet_lu(A, np.linalg.inv(A[..., 0]), num_vars)[0]
+    X = solve(A, num_vars, B)
     residual = ref_matmul(A, X, num_vars) - B
     assert np.all(np.abs(residual) <= 100 * eps * n * size * ref_matmul(np.abs(A), np.abs(X), num_vars))
     assert_det_matches(A, lu_det(A, num_vars, log_det), jet_det(A, num_vars), num_vars)

@@ -44,12 +44,10 @@ def metric_field(point, order=3):
 
 def inverse_jets(g):
     """g^{ij} of the (n, n, M) metric jets g as jets one order below, formed
-    as blaschke_at forms them."""
+    as blaschke_at forms them, from the inverse of their values."""
     n = g.shape[-2]
     lo = g[..., : jet_size(n, jet_index(n, g.shape[-1]).order - 1)]
-    eye = np.zeros(lo.shape)
-    eye[..., 0] = np.eye(n)
-    return jet_lu(lo, n, eye, log_det=False)[1]
+    return jet_lu(lo, np.linalg.inv(lo[..., 0]), n, np.eye(n), log_det=False)[1]
 
 
 def curvature(g):
