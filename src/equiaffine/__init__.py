@@ -2,8 +2,8 @@
 
 Submodules: jets (truncated Taylor arithmetic), dsl (chart expression
 language), tensors (Riemannian calculus on jets), blaschke (invariant
-pipeline and structural checks), calabi (multi-factor compositions),
-duality (hypersphere / minimal-Lagrangian correspondence), jordan
+pipeline and structural checks, the hypersphere / minimal-Lagrangian
+duality among them), calabi (multi-factor compositions), jordan
 (octonion and Albert-algebra arithmetic), catalog (named charts),
 cli (batch front end).
 """

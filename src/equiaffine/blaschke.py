@@ -5,7 +5,8 @@ Fubini-Pick cubic form A, the affine second fundamental form B, the
 affine normal xi, the affine mean curvature L1, the Pick invariant J and
 the normalized scalar curvature chi, and evaluates the residuals of the
 structural identities tying them together (apolarity, the affine Gauss
-and Codazzi equations, the hypersphere conditions).
+and Codazzi equations, the hypersphere conditions, the duality with
+minimal Lagrangian data).
 
 After chart evaluation all jet work runs on jet arrays (see ``jets``),
 at polynomial cost in n.  It starts from the affine Gauss formula for
@@ -64,7 +65,8 @@ check, log|det M0| = sum log sigma_i and M0^{-T} = [V S^{-1} U^T | w],
 refined once so that each entry is accurate at its own coordinate's
 scale; one ``eigh`` G'0 = Q diag(lambda) Q^T gives the convexity check,
 log det(eps G'0), g's SPD check and (eps G'0)^{-1} = eps Q diag(1/lambda)
-Q^T, which divided by g's positive scale s0 = exp(ell0) is g0^{-1}.
+Q^T, refined once as M0^{-T} is, which divided by g's positive scale s0 =
+exp(ell0) is g0^{-1}.
 
 Every step also runs on a stack of points: ``blaschke_at`` on a (P, n)
 point stack carries a leading point axis through every jet array, so a
@@ -163,6 +165,7 @@ def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants:
     Gp = eps[:, None, None, None] * G
     eig_p = np.where(definite[:, None], eig, -eig[:, ::-1])  # eigenvalues of eps G', ascending
     gp_inv0 = eps[:, None, None] * np.matmul(vec / eig[:, None, :], vec.swapaxes(-1, -2))  # (eps G'0)^{-1}
+    gp_inv0 = gp_inv0 + np.matmul(gp_inv0, np.eye(n) - np.matmul(Gp[..., 0], gp_inv0))  # refined once
 
     # Berwald-Blaschke metric g = exp(ell) eps G' of the module docstring,
     # the log-determinants' value parts from the SVD and eigh above
@@ -362,6 +365,7 @@ TERMS = {
     "A_up": lambda inv: np.einsum("...mp,...ikp->...mik", inv.g_inv, inv.A),  # A^m_ik
     "A_comm": _A_comm,
     "g_B": lambda inv: _outer(inv.g, inv.B),  # g_pq B_rs
+    "g_g": lambda inv: _outer(inv.g, inv.g),  # g_pq g_rs
     "hypersphere": lambda inv: _hypersphere_residuals(inv),
 }
 
@@ -380,6 +384,30 @@ def check_gauss(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
     wedge = 0.5 * (_placed(gB, "il,jk") + _placed(gB, "jk,il") - _placed(gB, "ik,jl") - _placed(gB, "jl,ik"))
     rhs = (comm_1 - comm_2) + wedge
     return {"gauss": max_per_point(inv, inv.curvature.riemann - rhs)}
+
+
+def check_dual(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
+    """The duality with minimal Lagrangian data (g, sigma = A, c = -L1).
+
+    ``gauss_swap`` holds the pipeline's curvature R, measured from the
+    metric jets, against the Lagrangian Gauss equation of the dual data,
+    R~_ijkl = c (g_il g_jk - g_ik g_jl) - [sigma, sigma]_ijkl, which is -R
+    on a hyperbolic affine hypersphere (B = L1 g in ``check_gauss``):
+    max|R - [A, A] - L1 (g_il g_jk - g_ik g_jl)|, divided by the largest of
+    max|R|, of the two terms of [A, A] and of |L1| max|g g|, so it reads
+    the same at any scale (0 where all of them are 0).  By the Gauss
+    equation the difference is the Kulkarni-Nomizu product of g with
+    B - L1 g, which from n = 3 up vanishes only where B = L1 g; at n = 2
+    it vanishes on any surface.  ``minimality``, the trace-freeness of
+    sigma, is the apolarity of A, the same numbers."""
+    comm_1, comm_2 = inv.term("A_comm")
+    gg = inv.term("g_g")
+    riem = inv.curvature.riemann
+    swap = riem - (comm_1 - comm_2) - _per_point(inv.L1, 4) * (_placed(gg, "il,jk") - _placed(gg, "ik,jl"))
+    scale = np.max([max_per_point(inv, riem), max_per_point(inv, comm_1), max_per_point(inv, comm_2),
+                    np.abs(inv.L1) * max_per_point(inv, gg)], axis=0)
+    return {"gauss_swap": max_per_point(inv, swap) / np.maximum(scale, np.finfo(float).tiny),
+            "minimality": check_apolarity(inv)["apolarity"]}
 
 
 def check_ricci(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
@@ -413,7 +441,7 @@ def check_trace_identity(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
 def check_gauss_alt(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
     """Alternative Gauss form expressed through chi, J and nabla A."""
     n = inv.dim
-    gg = _outer(inv.g, inv.g)
+    gg = inv.term("g_g")
     g_div = _outer(inv.g, inv.term("div_nabla_A"))
     comm_1, comm_2 = inv.term("A_comm")
     rhs = (

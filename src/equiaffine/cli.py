@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import blaschke, calabi, catalog, duality, jordan
+from . import blaschke, calabi, catalog, jordan
 from .blaschke import ConvexityError, blaschke_at
 from .dsl import ChartParseError, ImmersionError, parse_chart
 from .jets import jet_size
@@ -98,27 +98,32 @@ def check_line(rep: CheckReport) -> str:
     return f"check {rep.check_name}: residual={fmt(rep.residual)} tol={fmt(rep.tolerance)} {status}"
 
 
+def write_report(out, lines: list[str], reports: list[CheckReport], max_residual: bool) -> int:
+    """Write a report, the schema line, ``lines`` and the summary block of
+    ``reports`` (with their largest residual if ``max_residual``), and
+    return its exit code: 0 if every report passed, else 1."""
+    failed = sum(not rep.passed for rep in reports)
+    summary = [f"  checks: {len(reports)}", f"  failed: {failed}"]
+    if max_residual:
+        summary.append(f"  max_residual: {fmt(max((rep.residual for rep in reports), default=0.0))}")
+    summary.append(f"  status: {'pass' if not failed else 'FAIL'}")
+    out.write("\n".join([f"schema: {SCHEMA_VERSION}", *lines, "summary:", *summary]) + "\n")
+    return 1 if failed else 0
+
+
 # -- checks -----------------------------------------------------------------
 
 
 def _dual_reports(invs, tol) -> list[list[CheckReport]]:
     """Per point of a stack: dual_requires_hyperbolic where L1 >= 0 or L1 = 0
-    within rounding (``blaschke.is_improper``), else gauss_swap and
-    minimality on the dual data of the other points, built once."""
+    within rounding (``blaschke.is_improper``), else the gauss_swap and
+    minimality residuals of ``blaschke.check_dual``, one call for the stack."""
     requires = (invs.L1 >= 0) | blaschke.is_improper(invs)
-    reports = [[CheckReport("dual_requires_hyperbolic", abs(L1) + 1.0, 0.0)] if req else []
-               for req, L1 in zip(requires.tolist(), invs.L1.tolist())]
-    hyperbolic = np.flatnonzero(~requires)
-    if len(hyperbolic):
-        # blaschke_at has gated g (relative SPD test) and formed g_inv already
-        data = duality._trusted(duality.HyperspherePointData, g=invs.g[hyperbolic], A=invs.A[hyperbolic],
-                                L1=invs.L1[hyperbolic], g_inv=invs.g_inv[hyperbolic])
-        swap = duality.check_gauss_swap(data).tolist()
-        free = duality.check_trace_free(duality.dualize(data)).tolist()
-        for k, swap_k, free_k in zip(hyperbolic.tolist(), swap, free):
-            reports[k] += [CheckReport("gauss_swap", swap_k, tol["dual"]),
-                           CheckReport("minimality", free_k, tol["apolarity"])]
-    return reports
+    dual = blaschke.check_dual(invs)
+    return [[CheckReport("dual_requires_hyperbolic", abs(L1) + 1.0, 0.0)] if req else
+            [CheckReport("gauss_swap", swap, tol["dual"]), CheckReport("minimality", free, tol["apolarity"])]
+            for req, L1, swap, free in zip(requires.tolist(), invs.L1.tolist(), dual["gauss_swap"].tolist(),
+                                           dual["minimality"].tolist())]
 
 
 # A scene check: its default tolerance, its scope and its residuals, by the
@@ -411,20 +416,9 @@ def run_scene(scene: dict, out) -> int:
     size = max(1, STACK_COEFFS // jet_size(chart.dim, blaschke.ORDER))
     point_lines, reports, scene_reports = evaluate_points(chart, spec, points, checks, scene["tolerances"], size)
 
-    lines = [f"schema: {SCHEMA_VERSION}", f"chart: {desc}", f"dim: {chart.dim}", f"points: {len(points)}"]
-    lines.extend(point_lines)
-    lines.extend(check_line(rep) for rep in scene_reports)
-    all_reports = reports + scene_reports
-
-    worst = max((r.residual for r in all_reports), default=0.0)
-    failed = [r for r in all_reports if not r.passed]
-    lines.append("summary:")
-    lines.append(f"  checks: {len(all_reports)}")
-    lines.append(f"  failed: {len(failed)}")
-    lines.append(f"  max_residual: {fmt(worst)}")
-    lines.append(f"  status: {'pass' if not failed else 'FAIL'}")
-    out.write("\n".join(lines) + "\n")
-    return 0 if not failed else 1
+    lines = [f"chart: {desc}", f"dim: {chart.dim}", f"points: {len(points)}", *point_lines,
+             *map(check_line, scene_reports)]
+    return write_report(out, lines, reports + scene_reports, max_residual=True)
 
 
 # -- jordan selftest --------------------------------------------------------
@@ -484,15 +478,7 @@ def jordan_selftest(out) -> int:
     rows.append(CheckReport("metric_positive_definite", max(0.0, -float(np.linalg.eigvalsh(data.g_o)[0])), 0.0))
     rows.append(CheckReport("cubic_form_apolar", jordan.apolarity_residual(data), 1e-10))
 
-    lines = [f"schema: {SCHEMA_VERSION}", "suite: jordan"]
-    lines.extend(check_line(rep) for rep in rows)
-    failed = [r for r in rows if not r.passed]
-    lines.append("summary:")
-    lines.append(f"  checks: {len(rows)}")
-    lines.append(f"  failed: {len(failed)}")
-    lines.append(f"  status: {'pass' if not failed else 'FAIL'}")
-    out.write("\n".join(lines) + "\n")
-    return 0 if not failed else 1
+    return write_report(out, ["suite: jordan", *map(check_line, rows)], rows, max_residual=False)
 
 
 def catalog_list(out) -> int:

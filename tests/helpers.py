@@ -1,40 +1,17 @@
-"""Test-only charts, generators and verifiers: random hypersphere point data
-for the algebraic duality identities, the closed-form matrix basis of
+"""Test-only charts, generators and verifiers: the closed-form matrix basis of
 sl_so(m)'s trace-free symmetric matrices, the rotated point of the sl_so chart
 for its equivariance checks, the sl_so surface in its own coordinates as
 the generic-point reference, a chart moved by an ambient affine map and a
 random unimodular matrix for the invariance checks, the block sparsity of
 a composition's cubic form, and the chart text of a scaled hyperboloid."""
 
-import itertools
-
 import numpy as np
 
 from equiaffine.calabi import CompositionSpec
 from equiaffine.catalog import sl_so
 from equiaffine.dsl import ChartDef
-from equiaffine.duality import HyperspherePointData
 from equiaffine.jets import jet_variables
 from jet_reference import jet_matrix_exp
-
-
-def random_hypersphere_data(n: int, rng: np.random.Generator) -> HyperspherePointData:
-    """Random pointwise data (SPD g, symmetric apolar A, L1 < 0) for
-    property tests of the purely algebraic identities."""
-    m = rng.standard_normal((n, n))
-    g = m @ m.T + n * np.eye(n)
-    raw = rng.standard_normal((n, n, n))
-    A = np.zeros_like(raw)
-    for perm in itertools.permutations(range(3)):
-        A += raw.transpose(perm)
-    A /= 6.0
-    # project out the trace so apolarity holds
-    g_inv = np.linalg.inv(g)
-    tr = np.einsum("ij,ijk->k", g_inv, A)
-    corr = np.einsum("ij,k->ijk", g, tr) + np.einsum("ik,j->ijk", g, tr) + np.einsum("jk,i->ijk", g, tr)
-    A -= corr / (n + 2)
-    L1 = -float(rng.uniform(0.2, 3.0))
-    return HyperspherePointData(g=g, A=A, L1=L1)
 
 
 def _symmetric_basis(m: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import equiaffine
-from equiaffine import blaschke, calabi, catalog, cli, dsl, duality, jordan, tensors
+from equiaffine import blaschke, calabi, catalog, cli, dsl, jordan, tensors
 from equiaffine.blaschke import blaschke_at
 from equiaffine.cli import (
     CHECKS,
@@ -174,11 +174,9 @@ def test_composition_scene_runs_each_check_once_per_stack(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     checks = ("check_apolarity", "check_gauss", "check_ricci", "check_codazzi", "check_trace_identity",
-              "check_gauss_alt", "check_hypersphere", "nabla_A_norm")
+              "check_gauss_alt", "check_hypersphere", "nabla_A_norm", "check_dual")
     for name in checks + ("cov_deriv_sym3", "_hypersphere_residuals"):
         count(blaschke, name)
-    for name in ("check_gauss_swap", "check_trace_free"):
-        count(duality, name)
     count(calabi, "closed_form")
     for name, build in blaschke.TERMS.items():
         def counted_term(inv, _name=f"term {name}", _build=build):
@@ -207,9 +205,10 @@ def test_composition_scene_runs_each_check_once_per_stack(monkeypatch):
     # composition_reports reuses, ...); one closed form for the spec, and
     # one evaluation of the factor's jets, shared by the composed chart and
     # the factor pipeline; three charts: the factor, the weights' orbit and
-    # the composed chart
-    per_run = {**dict.fromkeys(checks, 1), "cov_deriv_sym3": 1, "_hypersphere_residuals": 1,
-               "check_gauss_swap": 1, "check_trace_free": 1, **{f"term {name}": 1 for name in blaschke.TERMS}}
+    # the composed chart.  check_dual reads its minimality off
+    # check_apolarity, so that runs twice
+    per_run = {**dict.fromkeys(checks, 1), "check_apolarity": 2, "cov_deriv_sym3": 1, "_hypersphere_residuals": 1,
+               **{f"term {name}": 1 for name in blaschke.TERMS}}
     assert calls == {**per_run, "closed_form": 1, "hyperboloid jets": 1, "chart built": 3}
     # the same scene again reuses the resolved chart, its spec's closed form
     # and its charts' last evaluation: every check runs, nothing is built
@@ -635,6 +634,15 @@ def test_dual_treats_rounding_level_l1_as_zero(capsys):
         assert main(["dual", "--chart", chart, "--points", "3", "--seed", "1"]) == 0
         text = capsys.readouterr().out
         assert text.count("check gauss_swap") == 3 and "dual_requires_hyperbolic" not in text
+
+
+def test_dual_at_the_paraboloid_vertex_reports_requires_hyperbolic(tmp_path, capsys):
+    # R, A and L1 are all exactly 0 there; the dual check runs on the whole
+    # stack, and its residual must not be 0 / 0 (which would exit 3)
+    chart = {"catalog": "elliptic_paraboloid", "params": {"n": 3}}
+    assert main(["dual", "--scene", scene_file(tmp_path, chart, [[0, 0, 0]])]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and "check dual_requires_hyperbolic: residual=1.0 tol=0.0 FAIL" in captured.out
 
 
 def error_line(capsys, argv):
@@ -1180,17 +1188,19 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys):
 def test_dual_check_validates_the_metric_once_per_stack(monkeypatch, capsys):
     calls = []
 
-    def counted(name, check):
-        def wrapper(values):
-            calls.append((name, values.shape))
-            return check(values)
+    def counted(name, check, shape=np.shape):
+        def wrapper(*args, **kwargs):
+            calls.append((name, shape(args[0])))
+            return check(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(tensors, "check_spd_eigenvalues", counted("spd", tensors.check_spd_eigenvalues))
-    monkeypatch.setattr(duality, "_check_definite", counted("definite", duality._check_definite))
-    monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
-    assert main(["dual", "--chart", "sl_so(m=3)", "--points", "4", "--seed", "1"]) == 0
+    for name in ("inv", "eigvalsh", "eigh", "solve"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(blaschke, "check_dual", counted("dual", blaschke.check_dual, lambda invs: invs.point.shape))
+    assert main(["dual", "--chart", "hyperboloid(n=5)", "--points", "4", "--seed", "1"]) == 0
     capsys.readouterr()
-    # blaschke_at gates the stack's metric by its eigenvalues and forms g_inv;
-    # the dual check reads both off the bundle and validates nothing again
-    assert calls == [("spd", (4, 5))]
+    # blaschke_at gates the stack's metric by its eigenvalues and forms g_inv
+    # from its one eigh of G'; the dual check, one call on the whole stack,
+    # reads both off the bundle and factorizes and validates nothing again
+    assert calls == [("eigh", (4, 5, 5)), ("spd", (4, 5)), ("dual", (4, 5))]
