@@ -346,15 +346,21 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _placed(t: np.ndarray, placement: str) -> np.ndarray:
     """The view of an outer product t = a_pq b_rs (``_outer``) indexed
     [i, j, k, l] for ``placement``, e.g. "il,jk" for a_il b_jk."""
+    return t.transpose(_placement_axes(placement, t.ndim - 4))
+
+
+@functools.cache
+def _placement_axes(placement: str, lead: int) -> tuple[int, ...]:
+    """The axes of ``_placed``'s transpose for ``lead`` leading axes."""
     labels = placement.replace(",", "")
-    lead = t.ndim - 4
-    return t.transpose(*range(lead), *(lead + labels.index(c) for c in "ijkl"))
+    return (*range(lead), *(lead + labels.index(c) for c in "ijkl"))
 
 
 def _A_comm(inv: BlaschkeInvariants) -> tuple[np.ndarray, np.ndarray]:
-    """The two terms A^m_ik A_jlm and A^m_il A_jkm of [A, A]_ijkl."""
-    A_up = inv.term("A_up")
-    return np.einsum("...mik,...jlm->...ijkl", A_up, inv.A), np.einsum("...mil,...jkm->...ijkl", A_up, inv.A)
+    """The two terms A^m_ik A_jlm and A^m_il A_jkm of [A, A]_ijkl, the second
+    the first with k and l swapped (a view)."""
+    comm = np.einsum("...mik,...jlm->...ijkl", inv.term("A_up"), inv.A)
+    return comm, comm.swapaxes(-2, -1)
 
 
 # name -> term(inv); each entry looks its functions up at call time
@@ -364,6 +370,8 @@ TERMS = {
     "div_nabla_A": lambda inv: np.einsum("...lm,...ijml->...ij", inv.g_inv, inv.nabla_A()),  # A^m_ij,m
     "A_up": lambda inv: np.einsum("...mp,...ikp->...mik", inv.g_inv, inv.A),  # A^m_ik
     "A_comm": _A_comm,
+    "apolarity": lambda inv: max_per_point(inv, np.einsum("...ij,...ijk->...k", inv.g_inv, inv.A)),  # max|g^ij A_ijk|
+    "improper": lambda inv: is_improper(inv),
     "g_B": lambda inv: _outer(inv.g, inv.B),  # g_pq B_rs
     "g_g": lambda inv: _outer(inv.g, inv.g),  # g_pq g_rs
     "hypersphere": lambda inv: _hypersphere_residuals(inv),
@@ -371,9 +379,9 @@ TERMS = {
 
 
 def check_apolarity(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
-    """Residual of the apolarity condition g^{ij} A_ijk = 0."""
-    trace = np.einsum("...ij,...ijk->...k", inv.g_inv, inv.A)
-    return {"apolarity": max_per_point(inv, trace)}
+    """Residual of the apolarity condition g^{ij} A_ijk = 0 (the bundle's
+    ``apolarity`` term)."""
+    return {"apolarity": inv.term("apolarity")}
 
 
 def check_gauss(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
@@ -399,15 +407,15 @@ def check_dual(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
     equation the difference is the Kulkarni-Nomizu product of g with
     B - L1 g, which from n = 3 up vanishes only where B = L1 g; at n = 2
     it vanishes on any surface.  ``minimality``, the trace-freeness of
-    sigma, is the apolarity of A, the same numbers."""
+    sigma, is the apolarity of A: the bundle's ``apolarity`` term."""
     comm_1, comm_2 = inv.term("A_comm")
     gg = inv.term("g_g")
     riem = inv.curvature.riemann
     swap = riem - (comm_1 - comm_2) - _per_point(inv.L1, 4) * (_placed(gg, "il,jk") - _placed(gg, "ik,jl"))
-    scale = np.max([max_per_point(inv, riem), max_per_point(inv, comm_1), max_per_point(inv, comm_2),
-                    np.abs(inv.L1) * max_per_point(inv, gg)], axis=0)
+    scale = np.maximum(np.maximum(max_per_point(inv, riem), max_per_point(inv, comm_1)),
+                       np.maximum(max_per_point(inv, comm_2), np.abs(inv.L1) * max_per_point(inv, gg)))
     return {"gauss_swap": max_per_point(inv, swap) / np.maximum(scale, np.finfo(float).tiny),
-            "minimality": check_apolarity(inv)["apolarity"]}
+            "minimality": inv.term("apolarity")}
 
 
 def check_ricci(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
@@ -466,10 +474,10 @@ def is_improper(inv: BlaschkeInvariants) -> np.ndarray:
 
 def _hypersphere_residuals(inv: BlaschkeInvariants) -> tuple[np.ndarray, np.ndarray]:
     """(max|B - L1 g|, max|xi + L1 x|) at each point; the center residual is
-    0 by convention when L1 = 0 (``is_improper``)."""
+    0 by convention when L1 = 0 (the bundle's ``improper`` term)."""
     resid_b = max_per_point(inv, inv.B - _per_point(inv.L1, 2) * inv.g)
     resid_c = max_per_point(inv, inv.xi + _per_point(inv.L1, 1) * inv.position)
-    return resid_b, np.where(is_improper(inv), 0.0, resid_c)
+    return resid_b, np.where(inv.term("improper"), 0.0, resid_c)
 
 
 def check_hypersphere(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:

@@ -25,8 +25,8 @@ import functools
 import inspect
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +69,7 @@ class ChartBuildError(ValueError):
     """Chart cannot be constructed or evaluated (exit code 3)."""
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     check_name: str
     residual: float
     tolerance: float
@@ -81,6 +80,8 @@ class CheckReport:
 
 
 def fmt(x) -> str:
+    if type(x) is float:
+        return repr(x)
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     if isinstance(x, (int, np.integer)):
@@ -89,7 +90,7 @@ def fmt(x) -> str:
 
 
 def fmt_vector(v) -> str:
-    return "[" + ", ".join(repr(float(x)) for x in np.asarray(v, float).ravel()) + "]"
+    return "[" + ", ".join(map(repr, np.asarray(v, float).ravel().tolist())) + "]"
 
 
 def check_line(rep: CheckReport) -> str:
@@ -116,9 +117,9 @@ def write_report(out, lines: list[str], reports: list[CheckReport], max_residual
 
 def _dual_reports(invs, tol) -> list[list[CheckReport]]:
     """Per point of a stack: dual_requires_hyperbolic where L1 >= 0 or L1 = 0
-    within rounding (``blaschke.is_improper``), else the gauss_swap and
+    within rounding (the bundle's ``improper`` term), else the gauss_swap and
     minimality residuals of ``blaschke.check_dual``, one call for the stack."""
-    requires = (invs.L1 >= 0) | blaschke.is_improper(invs)
+    requires = (invs.L1 >= 0) | invs.term("improper")
     dual = blaschke.check_dual(invs)
     return [[CheckReport("dual_requires_hyperbolic", abs(L1) + 1.0, 0.0)] if req else
             [CheckReport("gauss_swap", swap, tol["dual"]), CheckReport("minimality", free, tol["apolarity"])]
@@ -397,10 +398,10 @@ def evaluate_points(chart, spec, points, checks, tol, size, offset=0):
             if len(stack) > 1:  # raises at the first failing point, if one fails alone
                 evaluate_points(chart, spec, stack, checks, tol, (len(stack) + 1) // 2, start)
             raise ChartBuildError(f"point {start}: {exc}") from exc
-        for row, (point, reps) in enumerate(zip(stack, reports)):
-            lines.append(f"point[{start + row}]: {fmt_vector(point)}")
-            for name in ("L1", "J", "chi"):
-                lines.append(f"  {name}: {fmt(getattr(invs, name)[row])}")
+        scalars = zip(invs.L1.tolist(), invs.J.tolist(), invs.chi.tolist())
+        for row, (point, (L1, J, chi), reps) in enumerate(zip(stack.tolist(), scalars, reports)):
+            lines += (f"point[{start + row}]: {fmt_vector(point)}", f"  L1: {fmt(L1)}", f"  J: {fmt(J)}",
+                      f"  chi: {fmt(chi)}")
             lines.extend("  " + check_line(rep) for rep in reps)
             all_point_reports.extend(reps)
     return lines, all_point_reports, [rep for name in checks for rep in scene_reports[name]]

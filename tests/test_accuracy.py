@@ -5,8 +5,8 @@ invariants are known in closed form and measures the error in units of
 machine epsilon, its mean and its max over the points.  The hyperboloid
 x_{n+1}^2 - |x|^2 = 1 has L1 = -1 exactly; ``flat_hypersphere`` has
 constant g, A and L1 in its composition coordinates, given by
-``calabi.closed_form``.  Errors are relative to the largest entry of the
-closed form.
+``calabi.closed_form``, and so has the t-block of g and A of any Calabi
+composition.  Errors are relative to the largest entry of the closed form.
 
 The bounds are the measured figures (seed 7, numpy 2 on x86-64) with
 headroom: 1.4 times the measured mean and 1.5 times the measured max,
@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from equiaffine import blaschke_at
+from equiaffine.calabi import CompositionSpec, HypersphereFactor, compose_chart
 from equiaffine.catalog import flat_hypersphere, hyperboloid
 
 EPS = np.finfo(float).eps
@@ -62,4 +63,22 @@ def test_flat_hypersphere_against_its_closed_form(n0, name, mean_bound, max_boun
     exact = {"L1": chart.spec.closed_form.L1, "g": chart.spec.closed_form.g_t_block,
              "A": chart.spec.closed_form.A_ttt}[name]
     err = errors(chart, 100, lambda inv: relative(getattr(inv, name), exact))
+    assert err.mean() <= mean_bound and err.max() <= max_bound, (err.mean(), err.max())
+
+
+# (invariant, mean bound, max bound) of the r = 1 composition with one
+# hyperboloid(2) factor (L1 = -1) and constants (1, 1), the chart of the
+# golden composition scene, n = 3: L1, and the t-blocks of g and A (the
+# first coordinate), relative errors / eps over 100 points; measured mean
+# and max: L1 1.00, 3.1; g 0.72, 2.9; A 1.10, 3.6
+COMPOSITION = [("L1", 1.4, 5.0), ("g", 1.1, 4.5), ("A", 1.6, 5.5)]
+
+
+@pytest.mark.parametrize("name, mean_bound, max_bound", COMPOSITION, ids=[name for name, *_ in COMPOSITION])
+def test_composition_t_block_against_its_closed_form(name, mean_bound, max_bound):
+    spec = CompositionSpec(r=1, factors=(HypersphereFactor(hyperboloid(2), -1.0),), constants=(1.0, 1.0))
+    closed, t = spec.closed_form, spec.K - 1
+    exact, block = {"L1": (closed.L1, ()), "g": (closed.g_t_block, (slice(t),) * 2),
+                    "A": (closed.A_ttt, (slice(t),) * 3)}[name]
+    err = errors(compose_chart(spec), 100, lambda inv: relative(getattr(inv, name)[block], exact))
     assert err.mean() <= mean_bound and err.max() <= max_bound, (err.mean(), err.max())

@@ -18,6 +18,7 @@ from equiaffine.blaschke import (
     _determinant_form,
     check_apolarity,
     check_codazzi,
+    check_dual,
     check_gauss,
     check_gauss_alt,
     check_hypersphere,
@@ -30,11 +31,12 @@ from equiaffine.calabi import CompositionSpec, HypersphereFactor, compose_chart
 from equiaffine.catalog import (
     ENTRIES,
     flat_factor,
+    flat_hypersphere,
     get_chart,
     hyperboloid,
     sl_so,
 )
-from equiaffine.cli import CHECKS, DEFAULT_TOL, main, point_reports
+from equiaffine.cli import CHECKS, DEFAULT_TOL, _dual_reports, main, point_reports
 from equiaffine.dsl import ImmersionError
 from equiaffine.jets import jet_gradient
 from equiaffine.tensors import CurvatureData
@@ -618,3 +620,44 @@ def test_check_terms_are_built_once_and_read_only(points):
         assert inv.term(name) is value, name
         for array in value if isinstance(value, tuple) else (value,):
             assert np.ndim(array) == 0 or not array.flags.writeable, name  # one point's residuals are scalars
+
+
+def _shared_term_stacks():
+    """Stacks of hyperbolic, elliptic and improper affine spheres at n = 3,
+    the paraboloid's with its vertex first."""
+    cases = []
+    for name in ("hyperboloid", "unit_sphere", "elliptic_paraboloid"):
+        chart = get_chart(name, {"n": 3})
+        points = chart.sample_points(4, 9)
+        if name == "elliptic_paraboloid":
+            points[0] = 0.0
+        cases.append(pytest.param(chart, points, name == "hyperboloid", id=name))
+    return cases
+
+
+@pytest.mark.parametrize("chart, points, hyperbolic", _shared_term_stacks())
+def test_minimality_and_apolarity_read_the_apolarity_term(chart, points, hyperbolic):
+    inv = blaschke_at(chart, points)
+    direct = np.abs(np.einsum("...ij,...ijk->...k", inv.g_inv, inv.A)).max(axis=-1)
+    assert check_apolarity(inv)["apolarity"].tobytes() == direct.tobytes()
+    assert check_dual(inv)["minimality"].tobytes() == direct.tobytes()
+
+
+@pytest.mark.parametrize("chart, points, hyperbolic", _shared_term_stacks())
+def test_dual_requires_hyperbolic_exactly_where_l1_is_not_negative(chart, points, hyperbolic):
+    inv = blaschke_at(chart, points)
+    requires = [reps[0].check_name == "dual_requires_hyperbolic" for reps in _dual_reports(inv, DEFAULT_TOL)]
+    alone = [blaschke_at(chart, point) for point in points]
+    want = [bool(one.L1 >= 0 or is_improper(one)) for one in alone]
+    assert requires == want == [not hyperbolic] * len(points)
+
+
+@pytest.mark.parametrize("n", [2, 8])
+@pytest.mark.parametrize("size", [1, 3])
+def test_second_commutator_term_is_the_first_with_k_and_l_swapped(n, size):
+    chart = flat_hypersphere(n)
+    inv = blaschke_at(chart, chart.sample_points(size, 3))
+    _, comm_2 = inv.term("A_comm")
+    want = np.einsum("...mil,...jkm->...ijkl", inv.term("A_up"), inv.A)
+    assert np.abs(want).max() > 0.1  # a cubic form that is not rounding noise
+    assert comm_2.shape == want.shape and comm_2.tobytes() == want.tobytes()

@@ -175,7 +175,7 @@ def test_composition_scene_runs_each_check_once_per_stack(monkeypatch):
 
     checks = ("check_apolarity", "check_gauss", "check_ricci", "check_codazzi", "check_trace_identity",
               "check_gauss_alt", "check_hypersphere", "nabla_A_norm", "check_dual")
-    for name in checks + ("cov_deriv_sym3", "_hypersphere_residuals"):
+    for name in checks + ("cov_deriv_sym3", "_hypersphere_residuals", "is_improper"):
         count(blaschke, name)
     count(calabi, "closed_form")
     for name, build in blaschke.TERMS.items():
@@ -205,9 +205,9 @@ def test_composition_scene_runs_each_check_once_per_stack(monkeypatch):
     # composition_reports reuses, ...); one closed form for the spec, and
     # one evaluation of the factor's jets, shared by the composed chart and
     # the factor pipeline; three charts: the factor, the weights' orbit and
-    # the composed chart.  check_dual reads its minimality off
-    # check_apolarity, so that runs twice
-    per_run = {**dict.fromkeys(checks, 1), "check_apolarity": 2, "cov_deriv_sym3": 1, "_hypersphere_residuals": 1,
+    # the composed chart.  check_dual's minimality is the apolarity term, and
+    # the dual rows read the improper term that the hypersphere term built
+    per_run = {**dict.fromkeys(checks, 1), "cov_deriv_sym3": 1, "_hypersphere_residuals": 1, "is_improper": 1,
                **{f"term {name}": 1 for name in blaschke.TERMS}}
     assert calls == {**per_run, "closed_form": 1, "hyperboloid jets": 1, "chart built": 3}
     # the same scene again reuses the resolved chart, its spec's closed form
