@@ -370,10 +370,13 @@ TERMS = {
     "div_nabla_A": lambda inv: np.einsum("...lm,...ijml->...ij", inv.g_inv, inv.nabla_A()),  # A^m_ij,m
     "A_up": lambda inv: np.einsum("...mp,...ikp->...mik", inv.g_inv, inv.A),  # A^m_ik
     "A_comm": _A_comm,
+    "AA": lambda inv: np.subtract(*inv.term("A_comm")),  # [A, A]_ijkl
     "apolarity": lambda inv: max_per_point(inv, np.einsum("...ij,...ijk->...k", inv.g_inv, inv.A)),  # max|g^ij A_ijk|
     "improper": lambda inv: is_improper(inv),
     "g_B": lambda inv: _outer(inv.g, inv.B),  # g_pq B_rs
     "g_g": lambda inv: _outer(inv.g, inv.g),  # g_pq g_rs
+    # g_il g_jk - g_ik g_jl
+    "gg_wedge": lambda inv: _placed(inv.term("g_g"), "il,jk") - _placed(inv.term("g_g"), "ik,jl"),
     "hypersphere": lambda inv: _hypersphere_residuals(inv),
 }
 
@@ -387,10 +390,9 @@ def check_apolarity(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
 def check_gauss(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
     """Affine Gauss equation: R_ijkl = [A, A]_ijkl + (g_il B_jk + g_jk B_il
     - g_ik B_jl - g_jl B_ik) / 2."""
-    comm_1, comm_2 = inv.term("A_comm")
     gB = inv.term("g_B")
     wedge = 0.5 * (_placed(gB, "il,jk") + _placed(gB, "jk,il") - _placed(gB, "ik,jl") - _placed(gB, "jl,ik"))
-    rhs = (comm_1 - comm_2) + wedge
+    rhs = inv.term("AA") + wedge
     return {"gauss": max_per_point(inv, inv.curvature.riemann - rhs)}
 
 
@@ -411,7 +413,7 @@ def check_dual(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
     comm_1, comm_2 = inv.term("A_comm")
     gg = inv.term("g_g")
     riem = inv.curvature.riemann
-    swap = riem - (comm_1 - comm_2) - _per_point(inv.L1, 4) * (_placed(gg, "il,jk") - _placed(gg, "ik,jl"))
+    swap = riem - inv.term("AA") - _per_point(inv.L1, 4) * inv.term("gg_wedge")
     scale = np.maximum(np.maximum(max_per_point(inv, riem), max_per_point(inv, comm_1)),
                        np.maximum(max_per_point(inv, comm_2), np.abs(inv.L1) * max_per_point(inv, gg)))
     return {"gauss_swap": max_per_point(inv, swap) / np.maximum(scale, np.finfo(float).tiny),
@@ -449,12 +451,11 @@ def check_trace_identity(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
 def check_gauss_alt(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
     """Alternative Gauss form expressed through chi, J and nabla A."""
     n = inv.dim
-    gg = inv.term("g_g")
     g_div = _outer(inv.g, inv.term("div_nabla_A"))
     comm_1, comm_2 = inv.term("A_comm")
     rhs = (
         inv.term("curl_nabla_A")
-        + _per_point(inv.chi - inv.J, 4) * (_placed(gg, "il,jk") - _placed(gg, "ik,jl"))
+        + _per_point(inv.chi - inv.J, 4) * inv.term("gg_wedge")
         + (2.0 / n) * (_placed(g_div, "ik,jl") - _placed(g_div, "il,jk"))
         + comm_1
         - comm_2

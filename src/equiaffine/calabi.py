@@ -268,28 +268,30 @@ def composition_residuals(spec: CompositionSpec, invs: BlaschkeInvariants) -> di
     }
 
 
-def mean_curvature_residuals(spec: CompositionSpec, g: np.ndarray, A: np.ndarray) -> dict[str, float]:
+def mean_curvature_residuals(spec: CompositionSpec, invs: BlaschkeInvariants) -> dict[str, np.ndarray]:
     """The residuals of the factor mean-curvature identities g(H_a,H_a) =
-    (n-n_a)/(n_a+1) * (-L1) and g(H_a,H_b) = L1 for a != b, by report name,
-    from the Blaschke metric g (n, n) and cubic form A (n, n, n) of the
-    composed chart at any one point."""
+    (n-n_a)/(n_a+1) * (-L1) and g(H_a,H_b) = L1 for a != b, one per point,
+    by report name, from the Blaschke metric g and cubic form A of the
+    invariants invs of the composed chart (``blaschke_at`` on one point or
+    a (P, n) stack); none without sphere factors."""
     cf = spec.closed_form
     T = spec.K - 1
-    g_t = g[:T, :T]
+    g, A = invs.g, invs.A
+    g_t = g[..., :T, :T]
     g_t_inv = np.linalg.inv(g_t)
 
-    H = np.zeros((spec.s, T))
+    H = np.zeros((*g.shape[:-2], spec.s, T))
     for alpha, (factor, sl) in enumerate(zip(spec.factors, spec.slices)):
-        g_a_inv = np.linalg.inv(g[sl, sl])
+        g_a_inv = np.linalg.inv(g[..., sl, sl])
         # sigma^lam_{i~ j~} = g^{lam mu} A_{i~ j~ mu} (g is block diagonal)
-        sigma0 = np.einsum("lm,ijm->ijl", g_t_inv, A[sl, sl, :T])
-        H[alpha] = np.einsum("ij,ijl->l", g_a_inv, sigma0) / factor.dim
+        sigma0 = np.einsum("...lm,...ijm->...ijl", g_t_inv, A[..., sl, sl, :T])
+        H[..., alpha, :] = np.einsum("...ij,...ijl->...l", g_a_inv, sigma0) / factor.dim
 
     residuals = {}
-    gram = H @ g_t @ H.T
+    gram = H @ g_t @ H.swapaxes(-2, -1)
     for a in range(spec.s):
         expected = (spec.dim - spec.factors[a].dim) / (spec.factors[a].dim + 1) * (-cf.L1)
-        residuals[f"mean_curvature_diag[{a + 1}]"] = float(abs(gram[a, a] - expected))
+        residuals[f"mean_curvature_diag[{a + 1}]"] = np.abs(gram[..., a, a] - expected)
         for b in range(a + 1, spec.s):
-            residuals[f"mean_curvature_cross[{a + 1},{b + 1}]"] = float(abs(gram[a, b] - cf.L1))
+            residuals[f"mean_curvature_cross[{a + 1},{b + 1}]"] = np.abs(gram[..., a, b] - cf.L1)
     return residuals

@@ -128,31 +128,29 @@ def _dual_reports(invs, tol) -> list[list[CheckReport]]:
 
 
 # A scene check: its default tolerance, its scope and its residuals, by the
-# scope.  "point": residuals(invs) = {report name: one residual per point} of
-# the invariants invs of a point stack (blaschke_at on a (P, n) stack),
-# reported in each point's block.  "rows": residuals(invs, tol) = each point's
-# reports, for report names that depend on the point.  "composition":
-# residuals(spec, invs) = {report name: one residual per point} of a
-# composition spec, reported after the point blocks as name[k] for point k.
-# "scene": residuals(spec, invs) = {report name: residual} of a composition's
-# first point, reported once after those.
+# scope; either way each point's reports go in that point's block.  "point":
+# residuals(invs, spec) = {report name: one residual per point} of the
+# invariants invs of a point stack (blaschke_at on a (P, n) stack) and the
+# scene's composition spec (None for any other chart; a composition check
+# reports nothing then).  "rows": residuals(invs, tol) = each point's
+# reports, for report names that depend on the point.
 Check = collections.namedtuple("Check", "tol scope residuals")
 
 # every scene check in report order; entries look their functions up at call
 # time, so wrappers installed by module attribute see them
 CHECKS = {
-    "apolarity": Check(1e-8, "point", lambda invs: blaschke.check_apolarity(invs)),
-    "gauss": Check(1e-6, "point", lambda invs: blaschke.check_gauss(invs)),
-    "ricci": Check(1e-6, "point", lambda invs: blaschke.check_ricci(invs)),
-    "codazzi": Check(1e-6, "point", lambda invs: blaschke.check_codazzi(invs)),
-    "trace_identity": Check(1e-6, "point", lambda invs: blaschke.check_trace_identity(invs)),
-    "gauss_alt": Check(1e-6, "point", lambda invs: blaschke.check_gauss_alt(invs)),
-    "hypersphere": Check(1e-6, "point", lambda invs: blaschke.check_hypersphere(invs)),
-    "parallel": Check(1e-6, "point", lambda invs: blaschke.nabla_A_norm(invs)),
+    "apolarity": Check(1e-8, "point", lambda invs, spec: blaschke.check_apolarity(invs)),
+    "gauss": Check(1e-6, "point", lambda invs, spec: blaschke.check_gauss(invs)),
+    "ricci": Check(1e-6, "point", lambda invs, spec: blaschke.check_ricci(invs)),
+    "codazzi": Check(1e-6, "point", lambda invs, spec: blaschke.check_codazzi(invs)),
+    "trace_identity": Check(1e-6, "point", lambda invs, spec: blaschke.check_trace_identity(invs)),
+    "gauss_alt": Check(1e-6, "point", lambda invs, spec: blaschke.check_gauss_alt(invs)),
+    "hypersphere": Check(1e-6, "point", lambda invs, spec: blaschke.check_hypersphere(invs)),
+    "parallel": Check(1e-6, "point", lambda invs, spec: blaschke.nabla_A_norm(invs)),
     "dual": Check(1e-12, "rows", _dual_reports),
-    "composition": Check(1e-6, "composition", lambda spec, invs: calabi.composition_residuals(spec, invs)),
-    "mean_curvature": Check(1e-6, "scene",
-                            lambda spec, invs: calabi.mean_curvature_residuals(spec, invs.g[0], invs.A[0])),
+    "composition": Check(1e-6, "point", lambda invs, spec: calabi.composition_residuals(spec, invs) if spec else {}),
+    "mean_curvature": Check(1e-6, "point",
+                            lambda invs, spec: calabi.mean_curvature_residuals(spec, invs) if spec else {}),
 }
 
 DEFAULT_TOL = {name: check.tol for name, check in CHECKS.items()}
@@ -342,58 +340,37 @@ def resolve_points(doc, chart) -> np.ndarray:
     return np.array(doc)
 
 
-def point_reports(invs, checks, tol) -> list[list[CheckReport]]:
-    """Each point's report rows of the invariants invs of a point stack: the
-    reports of the "point" and "rows" checks among ``checks`` (names of
-    ``CHECKS``, in its order) at the tolerances ``tol``."""
+def point_reports(invs, spec, checks, tol) -> list[list[CheckReport]]:
+    """Each point's report rows of the invariants invs of a point stack and
+    the scene's composition spec (or None): the reports of the checks among
+    ``checks`` (names of ``CHECKS``, in its order) at the tolerances ``tol``."""
     rows = [[] for _ in range(len(invs.L1))]
     for name in checks:
         check = CHECKS[name]
         if check.scope == "rows":
             more = check.residuals(invs, tol)
-        elif check.scope == "point":
-            more = zip(*([CheckReport(report, r, tol[name]) for r in residual.tolist()]
-                         for report, residual in check.residuals(invs).items()))
         else:
-            continue
+            more = zip(*([CheckReport(report, r, tol[name]) for r in residual.tolist()]
+                         for report, residual in check.residuals(invs, spec).items()))
         for row, reps in zip(rows, more):
             row.extend(reps)
     return rows
 
 
-def composition_reports(spec, invs, checks, tol, start) -> dict[str, list[CheckReport]]:
-    """The reports of the "composition" checks among ``checks`` on the
-    invariants invs of a point stack whose first point is scene point
-    ``start``, and of the "scene" checks if it is 0, by check name."""
-    reports = {}
-    for name in checks:
-        check = CHECKS[name]
-        if check.scope == "composition":
-            residuals = check.residuals(spec, invs)
-            per_point = zip(*(residual.tolist() for residual in residuals.values()))
-            reports[name] = [CheckReport(f"{report}[{k}]", r, tol[name])
-                             for k, point in enumerate(per_point, start) for report, r in zip(residuals, point)]
-        elif check.scope == "scene" and start == 0:
-            reports[name] = [CheckReport(report, r, tol[name]) for report, r in check.residuals(spec, invs).items()]
-    return reports
-
-
 def evaluate_points(chart, spec, points, checks, tol, size, offset=0):
-    """The point blocks' lines, their reports and the scene-level reports,
-    from one stacked ``blaschke_at`` call and one call of each check per
-    ``size`` consecutive points, numpy overflow raising.  A failing stack is
-    evaluated again as two halves, in order, down to the first point that
-    fails alone, whose error becomes a ``ChartBuildError`` (exit 3); every
-    row is computed as its point alone.  ``points[0]`` is scene point ``offset``."""
-    lines, all_point_reports, scene_reports = [], [], collections.defaultdict(list)
+    """The point blocks' lines and their reports, from one stacked
+    ``blaschke_at`` call and one call of each check per ``size`` consecutive
+    points, numpy overflow raising.  A failing stack is evaluated again as
+    two halves, in order, down to the first point that fails alone, whose
+    error becomes a ``ChartBuildError`` (exit 3); every row is computed as
+    its point alone.  ``points[0]`` is scene point ``offset``."""
+    lines, all_reports = [], []
     for first in range(0, len(points), size):
         stack, start = points[first : first + size], offset + first
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):  # exit 3, no warning lines
                 invs = blaschke_at(chart, stack)
-                reports = point_reports(invs, checks, tol)
-                for name, more in composition_reports(spec, invs, checks, tol, start).items():
-                    scene_reports[name] += more
+                reports = point_reports(invs, spec, checks, tol)
         except POINT_ERRORS as exc:
             if len(stack) > 1:  # raises at the first failing point, if one fails alone
                 evaluate_points(chart, spec, stack, checks, tol, (len(stack) + 1) // 2, start)
@@ -403,23 +380,20 @@ def evaluate_points(chart, spec, points, checks, tol, size, offset=0):
             lines += (f"point[{start + row}]: {fmt_vector(point)}", f"  L1: {fmt(L1)}", f"  J: {fmt(J)}",
                       f"  chi: {fmt(chi)}")
             lines.extend("  " + check_line(rep) for rep in reps)
-            all_point_reports.extend(reps)
-    return lines, all_point_reports, [rep for name in checks for rep in scene_reports[name]]
+            all_reports.extend(reps)
+    return lines, all_reports
 
 
 def run_scene(scene: dict, out) -> int:
     scene = read("scene", scene)
     chart, spec, desc = resolve_chart(scene["chart"])
     points = resolve_points(scene["points"], chart)
-    checks = [name for name, check in CHECKS.items() if (scene["checks"] == "all" or name in scene["checks"])
-              and (spec is not None or check.scope in ("point", "rows"))]
+    checks = [name for name in CHECKS if scene["checks"] == "all" or name in scene["checks"]]
 
     size = max(1, STACK_COEFFS // jet_size(chart.dim, blaschke.ORDER))
-    point_lines, reports, scene_reports = evaluate_points(chart, spec, points, checks, scene["tolerances"], size)
-
-    lines = [f"chart: {desc}", f"dim: {chart.dim}", f"points: {len(points)}", *point_lines,
-             *map(check_line, scene_reports)]
-    return write_report(out, lines, reports + scene_reports, max_residual=True)
+    point_lines, reports = evaluate_points(chart, spec, points, checks, scene["tolerances"], size)
+    lines = [f"chart: {desc}", f"dim: {chart.dim}", f"points: {len(points)}", *point_lines]
+    return write_report(out, lines, reports, max_residual=True)
 
 
 # -- jordan selftest --------------------------------------------------------

@@ -109,7 +109,7 @@ def test_criterion_4_mean_curvature_relations():
     chart = compose_chart(spec)
     lo, hi = chart.domain_hint
     inv = blaschke_at(chart, 0.5 * (lo + hi))  # t = 0, each factor at its domain midpoint
-    residuals = mean_curvature_residuals(spec, inv.g, inv.A)
+    residuals = mean_curvature_residuals(spec, inv)
     worst = max(residuals.values())
     assert any("cross" in name for name in residuals)
     report(4, "factor mean-curvature relations", worst < 1e-6, f"max_err={worst:.2e}")

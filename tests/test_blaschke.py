@@ -559,11 +559,12 @@ def _bits(reports):
     return [(rep.check_name, float(rep.residual).hex(), rep.tolerance) for rep in reports]
 
 
-def assert_stacked_checks_match_points(stacked):
+def assert_stacked_checks_match_points(stacked, spec=None):
     """Every check function on the stacked invariants gives each point the
     bits of its call on that point's invariants alone, and the CLI's report
-    rows of every point check (``point_reports``) give each row the bits of
-    that row's point alone (the stack of P = 1)."""
+    rows of every check (``point_reports``, with the composition ``spec``
+    of the chart, if any) give each row the bits of that row's point alone
+    (the stack of P = 1)."""
     size = len(stacked.point)
     invs = [_take(stacked, k) for k in range(size)]
     assert stacked.L1.shape == stacked.J.shape == stacked.chi.shape == (size,)
@@ -574,10 +575,11 @@ def assert_stacked_checks_match_points(stacked):
         for name, residual in residuals.items():
             assert residual.shape == (size,), (check.__name__, name)
             assert [r.hex() for r in residual.tolist()] == [float(one[name]).hex() for one in alone], name
-    rows = point_reports(stacked, list(CHECKS), DEFAULT_TOL)
+    rows = point_reports(stacked, spec, list(CHECKS), DEFAULT_TOL)
     assert len(rows) == size
     for k, row in enumerate(rows):
-        assert _bits(row) == _bits(point_reports(_take(stacked, slice(k, k + 1)), list(CHECKS), DEFAULT_TOL)[0]), k
+        alone = point_reports(_take(stacked, slice(k, k + 1)), spec, list(CHECKS), DEFAULT_TOL)[0]
+        assert _bits(row) == _bits(alone), k
 
 
 def _check_stack_cases():
@@ -590,7 +592,7 @@ def _check_stack_cases():
 
 @pytest.mark.parametrize("chart, size", _check_stack_cases())
 def test_stacked_checks_equal_one_point_checks_bitwise(chart, size):
-    assert_stacked_checks_match_points(blaschke_at(chart, chart.sample_points(size, 13)))
+    assert_stacked_checks_match_points(blaschke_at(chart, chart.sample_points(size, 13)), getattr(chart, "spec", None))
 
 
 def test_mixed_stack_takes_each_rows_branch():
@@ -601,7 +603,7 @@ def test_mixed_stack_takes_each_rows_branch():
     stacked = _stack(invs)
     assert_stacked_checks_match_points(stacked)
 
-    dual = [[rep.check_name for rep in reps] for reps in point_reports(stacked, ["dual"], DEFAULT_TOL)]
+    dual = [[rep.check_name for rep in reps] for reps in point_reports(stacked, None, ["dual"], DEFAULT_TOL)]
     assert dual == [["gauss_swap", "minimality"], ["dual_requires_hyperbolic"], ["dual_requires_hyperbolic"]] * 2
     improper = [bool(is_improper(inv)) for inv in invs]
     assert improper == [False, False, True] * 2

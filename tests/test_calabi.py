@@ -17,7 +17,7 @@ from equiaffine.calabi import (
     expected_invariants,
     mean_curvature_residuals,
 )
-from equiaffine.catalog import flat_factor, hyperboloid
+from equiaffine.catalog import flat_factor, flat_hypersphere, hyperboloid, sl_so
 from equiaffine.cli import DEFAULT_TOL
 from helpers import block_sparsity_residual
 
@@ -146,8 +146,31 @@ def test_mean_curvature_relations():
         chart = compose_chart(s)
         lo, hi = chart.domain_hint
         inv = blaschke_at(chart, 0.5 * (lo + hi))
-        for name, residual in mean_curvature_residuals(s, inv.g, inv.A).items():
+        for name, residual in mean_curvature_residuals(s, inv).items():
             assert residual <= DEFAULT_TOL["mean_curvature"], (name, residual)
+
+
+def test_stacked_mean_curvature_rows_equal_one_point_calls_bitwise():
+    # n = 2 + 5 + (K - 1) = 9, with a diag relation per factor and a cross relation
+    spec = CompositionSpec(r=1, factors=(HypersphereFactor(hyperboloid(2), -1.0),
+                                         HypersphereFactor(sl_so(3), -0.52487003541948)),
+                           constants=(1.0, 1.0, 1.0))
+    chart = compose_chart(spec)
+    points = chart.sample_points(6, 3)
+    stacked = mean_curvature_residuals(spec, blaschke_at(chart, points))
+    assert list(stacked) == ["mean_curvature_diag[1]", "mean_curvature_cross[1,2]", "mean_curvature_diag[2]"]
+    for k, point in enumerate(points):
+        alone = mean_curvature_residuals(spec, blaschke_at(chart, point))
+        assert list(alone) == list(stacked)
+        for name, residual in stacked.items():
+            assert residual.shape == (6,), name
+            assert residual[k].tobytes() == np.asarray(alone[name]).tobytes(), (k, name)
+            assert residual[k] <= DEFAULT_TOL["mean_curvature"], (k, name)
+
+
+def test_mean_curvature_of_a_composition_without_sphere_factors_is_empty():
+    chart = flat_hypersphere(2, 1.5)  # s = 0: three point factors
+    assert mean_curvature_residuals(chart.spec, blaschke_at(chart, chart.sample_points(3, 1))) == {}
 
 
 def test_composed_chart_is_hypersphere_everywhere():

@@ -287,7 +287,7 @@ def test_jet_matrix_exp_matches_series_reference(m, norm, squarings, monkeypatch
     assert np.abs(sa - sb).max() <= 1e-14
     assert max(nabla_A_norm(a)["parallel"][0], nabla_A_norm(b)["parallel"][0]) <= 1e-13
     for invs in (a, b):
-        for rep in point_reports(invs, list(CHECKS), DEFAULT_TOL)[0]:
+        for rep in point_reports(invs, None, list(CHECKS), DEFAULT_TOL)[0]:
             assert rep.passed, rep
 
 

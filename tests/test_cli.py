@@ -102,8 +102,9 @@ def test_composition_scene():
     }
     code, report = run(scene)
     assert code == 0
-    assert "composition_g[0]" in report
-    assert "mean_curvature_diag[1]" in report
+    # each point's block holds its composition and mean-curvature lines
+    assert report.count("\n  check composition_g: ") == 2
+    assert report.count("\n  check mean_curvature_diag[1]: ") == 2
 
 
 # r=1 plus hyperboloid(n=2), n=3, at 4 points, all checks
@@ -137,9 +138,9 @@ SL3_COMPOSITION = {
 def test_sl_so_factor_composition_scene(monkeypatch):
     code, report = run(SL3_COMPOSITION)
     assert code == 0 and "status: pass" in report and "FAIL" not in report
-    for name in ("composition_g", "composition_A", "composition_sphere", "composition_L1"):
-        assert report.count(f"check {name}[") == 3, name
-    assert report.count("check hypersphere_shape") == 3 and "check mean_curvature_diag[1]" in report
+    for name in ("composition_g", "composition_A", "composition_sphere", "composition_L1", "mean_curvature_diag[1]"):
+        assert report.count(f"  check {name}: ") == 3, name
+    assert report.count("check hypersphere_shape") == 3
     # the same report from stacks of one point
     monkeypatch.setattr(cli, "STACK_COEFFS", jet_size(6, 4))
     assert run(SL3_COMPOSITION) == (0, report)
@@ -156,7 +157,7 @@ def test_composition_scene_runs_pipeline_once_per_point(monkeypatch):
     monkeypatch.setattr(calabi, "blaschke_at", counted)
     code, _ = run(HYPERBOLOID_COMPOSITION)
     assert code == 0
-    # one stack of the 4 composed points (point 0 also serves the
+    # one stack of the 4 composed points (which also serves the
     # mean-curvature relations), one stack of their 4 factor points
     assert calls == [(True, (4, 3)), (False, (4, 2))]
 
@@ -177,7 +178,8 @@ def test_composition_scene_runs_each_check_once_per_stack(monkeypatch):
               "check_gauss_alt", "check_hypersphere", "nabla_A_norm", "check_dual")
     for name in checks + ("cov_deriv_sym3", "_hypersphere_residuals", "is_improper"):
         count(blaschke, name)
-    count(calabi, "closed_form")
+    for name in ("closed_form", "composition_residuals", "mean_curvature_residuals"):
+        count(calabi, name)
     for name, build in blaschke.TERMS.items():
         def counted_term(inv, _name=f"term {name}", _build=build):
             calls[_name] += 1
@@ -202,12 +204,13 @@ def test_composition_scene_runs_each_check_once_per_stack(monkeypatch):
     assert code == 0
     # the 4 points are one stack: one call of each check, and each term they
     # share built once (nabla A, the hypersphere residuals, which
-    # composition_reports reuses, ...); one closed form for the spec, and
+    # composition_residuals reuses, ...); one closed form for the spec, and
     # one evaluation of the factor's jets, shared by the composed chart and
     # the factor pipeline; three charts: the factor, the weights' orbit and
     # the composed chart.  check_dual's minimality is the apolarity term, and
     # the dual rows read the improper term that the hypersphere term built
     per_run = {**dict.fromkeys(checks, 1), "cov_deriv_sym3": 1, "_hypersphere_residuals": 1, "is_improper": 1,
+               "composition_residuals": 1, "mean_curvature_residuals": 1,
                **{f"term {name}": 1 for name in blaschke.TERMS}}
     assert calls == {**per_run, "closed_form": 1, "hyperboloid jets": 1, "chart built": 3}
     # the same scene again reuses the resolved chart, its spec's closed form
@@ -323,10 +326,10 @@ def test_a_stack_only_failure_is_not_masked(monkeypatch):
     # by a point-by-point answer
     gauss = cli.CHECKS["gauss"]
 
-    def stack_only_defect(invs):
+    def stack_only_defect(invs, spec):
         if len(invs.L1) > 1:
             raise TypeError("stack-only defect")
-        return gauss.residuals(invs)
+        return gauss.residuals(invs, spec)
 
     monkeypatch.setitem(cli.CHECKS, "gauss", gauss._replace(residuals=stack_only_defect))
     with pytest.raises(TypeError, match="stack-only defect"):
@@ -347,11 +350,14 @@ def test_composition_lines_match_verify_composition():
     _, report = run(HYPERBOLOID_COMPOSITION)
     chart, spec, _ = resolve_chart(read("chart", HYPERBOLOID_COMPOSITION["chart"], "chart"))
     residuals = calabi.composition_residuals(spec, blaschke_at(chart, HYPERBOLOID_COMPOSITION["points"]))
-    want = [cli.CheckReport(f"{name}[{k}]", residual[k], DEFAULT_TOL["composition"])
+    want = [cli.CheckReport(name, residual[k], DEFAULT_TOL["composition"])
             for k in range(4) for name, residual in residuals.items()]
-    got = [line for line in report.splitlines() if line.startswith("check composition_")]
-    assert got == [check_line(rep) for rep in want]
+    got = [line for line in report.splitlines() if line.startswith("  check composition_")]
+    assert got == ["  " + check_line(rep) for rep in want]
     assert len(got) == 16
+    # in each point's block, after its dual lines
+    blocks = report.split("\npoint[")[1:]
+    assert all(block.split("\n")[15:19] == got[4 * k : 4 * k + 4] for k, block in enumerate(blocks))
 
 
 def test_nested_composition_scene_passes(monkeypatch):
@@ -756,13 +762,13 @@ def test_metric_gate_through_the_pipeline_exits_3(tmp_path, capsys):
 
 
 def test_mean_curvature_point_domain_error_exits_3(tmp_path, capsys):
-    # the mean-curvature relations use point 0's invariants, so the factor's
-    # domain midpoint u1 = 0 (outside log's domain) is never evaluated
+    # the mean-curvature relations use each point's invariants, so the
+    # factor's domain midpoint u1 = 0 (outside log's domain) is never evaluated
     text = "dim 2; x1 = u1; x2 = u2; x3 = sqrt(1 + u1^2 + u2^2) + 0 * log(u1);"
     factor = {"catalog": {"name": "graph", "params": {"text": text}}, "L1": -1}
     chart = {"composition": {"r": 1, "constants": [1, 1], "factors": [factor]}}
     assert main(["check", "--scene", scene_file(tmp_path, chart, [[0.1, 0.2, 0.1], [0.0, 0.3, -0.1]])]) == 0
-    assert "check mean_curvature_diag[1]" in capsys.readouterr().out
+    assert capsys.readouterr().out.count("  check mean_curvature_diag[1]: ") == 2
     # a point 0 with u1 = 0 fails there
     code, line = error_line(capsys, ["check", "--scene", scene_file(tmp_path, chart, [[0.1, 0.0, 0.1]])])
     assert code == 3
