@@ -3,14 +3,18 @@
 Entries: the flat hyperbolic hypersphere x^1 ... x^{n+1} = const (realized
 in composition coordinates), the centered quadrics (unit sphere,
 elliptic paraboloid, hyperboloid), the unimodular symmetric-matrix
-orbit sl_so(m) = {P = exp(S), S trace-free symmetric}, and arbitrary graph
+orbit sl_so(m) = {P = exp(S), S trace-free symmetric}, the unimodular 3x3
+Hermitian orbits herm3(d) over R, C, H and O, and arbitrary graph
 immersions from chart source text.  ``OrbitChart`` (defined in ``dsl``) is
-the one chart class of an orbit u -> exp(u·X) x0; sl_so(m) is one, its
-generators read off the Jordan algebra Sym(m, R) in ``jordan``.
+the one chart class of an orbit u -> exp(u·X) x0; sl_so(m) and herm3(d) are
+built by one Hermitian orbit builder, their generators read off a Jordan
+algebra of Hermitian matrices in ``jordan`` (Sym(m, R), or the Albert
+algebra's layout restricted to d octonion units).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -18,7 +22,7 @@ import numpy as np
 
 from .calabi import CompositionSpec, HypersphereFactor, compose_chart
 from .dsl import MAX_DIM, ChartDef, DslChart, OrbitChart, parse_chart, parse_source
-from .jordan import hermitian_table, trace_orthonormal_basis
+from .jordan import _ALBERT, _OCT, hermitian_table, trace_orthonormal_basis
 
 
 @dataclass(frozen=True)
@@ -104,21 +108,38 @@ def hyperboloid(n: int) -> DslChart:
     return DslChart(*_parse_quadric(_quadric_text(n, "hyperboloid")))
 
 
-@lru_cache(maxsize=MAX_DIM, typed=True)
-def sl_so(m: int) -> OrbitChart:
-    """u -> exp(S(u)) = exp(L(S(u))) I in upper-triangular coordinates, built
-    once per m: generators the multiplications L(B) P = (B P + P B)/2 of Sym(m, R)'s
-    table by its trace_orthonormal_basis, q the trace form (1 on the diagonal, 2 off)."""
-    if m < 3:
-        raise ValueError("sl_so needs m >= 3")
-    dim = m * (m + 1) // 2 - 1
-    _check_dim(dim)
-    rows, cols = np.triu_indices(m)
-    table = hermitian_table(rows, cols, np.zeros_like(rows))
+def _hermitian_orbit(rows, cols, units) -> OrbitChart:
+    """u -> exp(L(B(u))) I, the orbit of the identity under the Jordan
+    multiplications L(B) Y = B o Y of the Hermitian matrices with coordinate
+    layout (rows, cols, units): generators from the layout's hermitian_table and
+    its trace_orthonormal_basis B_v, q the trace form (1 on the diagonal, 2 off)."""
+    dim = len(rows) - 1
+    table = hermitian_table(rows, cols, units)
     X = np.einsum("va,abc->vcb", trace_orthonormal_basis(rows, cols), table)  # X_v y = B_v o y
     diagonal = rows == cols
     hint = (-0.25 * np.ones(dim), 0.25 * np.ones(dim))
     return OrbitChart(X, diagonal.astype(float), np.where(diagonal, 1.0, 2.0), hint)
+
+
+@lru_cache(maxsize=MAX_DIM, typed=True)
+def sl_so(m: int) -> OrbitChart:
+    """u -> exp(S(u)) = exp(L(S(u))) I, the Hermitian orbit of Sym(m, R) in
+    upper-triangular coordinates, built once per m."""
+    if operator.index(m) < 3:  # m = 3.0 raises TypeError
+        raise ValueError("sl_so needs m >= 3")
+    _check_dim(m * (m + 1) // 2 - 1)
+    rows, cols = np.triu_indices(m)
+    return _hermitian_orbit(rows, cols, np.zeros_like(rows))
+
+
+@lru_cache(maxsize=4, typed=True)
+def herm3(d: int) -> OrbitChart:
+    """The Hermitian orbit of Herm(3, K) for K = R, C, H, O (d = 1, 2, 4, 8),
+    in the Albert layout's coordinates over the first d octonion units: the
+    unimodular level set det = 1, of dimension n = 3d + 2, built once per d."""
+    if operator.index(d) not in (1, 2, 4, 8):
+        raise ValueError("herm3 needs d in (1, 2, 4, 8)")
+    return _hermitian_orbit(*(a[_OCT < d] for a in _ALBERT))
 
 
 def graph(text: str) -> ChartDef:
@@ -159,6 +180,13 @@ ENTRIES = {
         summary="unimodular symmetric-matrix orbit exp(trace-free symmetric), det = 1",
         params={"m": "matrix size (>= 3)"},
         builder=sl_so,
+        expected={"is_sphere": True, "is_parallel": True, "L1_negative": True},
+    ),
+    "herm3": CatalogEntry(
+        name="herm3",
+        summary="unimodular 3x3 Hermitian orbit over R, C, H or O, det = 1, n = 3d + 2",
+        params={"d": "division algebra dimension (1, 2, 4 or 8)"},
+        builder=herm3,
         expected={"is_sphere": True, "is_parallel": True, "L1_negative": True},
     ),
     "graph": CatalogEntry(

@@ -433,6 +433,7 @@ def _stack_cases():
         "hyperboloid": get_chart("hyperboloid", {"n": 3}),
         "hyperboloid-n9": get_chart("hyperboloid", {"n": 9}),
         "sl_so": get_chart("sl_so", {"m": 3}),
+        "herm3": get_chart("herm3", {"d": 2}),
         "graph": get_chart("graph", {"text": GENERIC}),
         "composition": compose_chart(spec),
         "transformed": TransformedChart(hyperboloid(2), random_unimodular(3, np.random.default_rng(4))),

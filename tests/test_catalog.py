@@ -17,13 +17,14 @@ from equiaffine.catalog import (
     flat_factor,
     flat_hypersphere,
     get_chart,
+    herm3,
     hyperboloid,
     sl_so,
     unit_sphere,
 )
 from equiaffine.dsl import DslChart, OrbitChart, eval_immersion
 from equiaffine.jets import jet_matmul, jet_size, jet_variables
-from equiaffine.jordan import _I3, _OCT, jordan_table, trace_orthonormal_basis
+from equiaffine.jordan import trace_orthonormal_basis
 import jet_reference
 from helpers import SeriesExpChart, TransformedChart, _symmetric_basis, random_unimodular, sl_so_point
 from jet_reference import jet_matrix_exp, lu_det
@@ -34,6 +35,7 @@ SAMPLE_PARAMS = {
     "elliptic_paraboloid": {"n": 2},
     "hyperboloid": {"n": 2},
     "sl_so": {"m": 3},
+    "herm3": {"d": 2},
     "graph": {"text": "dim 1; x1 = u1; x2 = exp(u1);"},
 }
 
@@ -47,6 +49,8 @@ def test_get_chart_dispatch_and_errors():
         get_chart("flat_hypersphere", {"n0": 0})
     with pytest.raises(ValueError):
         get_chart("sl_so", {"m": 2})
+    with pytest.raises(ValueError):
+        get_chart("herm3", {"d": 3})
     with pytest.raises(ValueError):
         get_chart("flat_hypersphere", {"n0": 2, "C0": -1.0})
 
@@ -349,16 +353,25 @@ def _triple_defect(X):
     return worst
 
 
-@pytest.mark.parametrize("m", [3, 4, 5, 6])
-def test_sl_so_generators_span_a_lie_triple_system(m):
+def assert_lie_triple_system(chart):
     """The translated jets show the orbit only if [[X_i, X_j], X_k] lies in
-    span{X_l} and the brackets [X_i, X_j] annihilate x0 (see OrbitChart)."""
-    chart = sl_so(m)
+    span{X_l} and the brackets [X_i, X_j] annihilate x0 (see OrbitChart); the
+    X_i are self-adjoint in q."""
     X, q = chart.X, chart.root_q**2
-    assert np.abs(q[:, None] * X - np.swapaxes(q[:, None] * X, -1, -2)).max() <= 1e-15  # self-adjoint in q
+    assert np.abs(q[:, None] * X - np.swapaxes(q[:, None] * X, -1, -2)).max() <= 1e-15
     assert _triple_defect(X) <= 1e-13
     brackets = X[:, None] @ X[None] - X[None] @ X[:, None]
     assert np.abs(brackets @ chart.x0).max() <= 1e-14
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_sl_so_generators_span_a_lie_triple_system(m):
+    assert_lie_triple_system(sl_so(m))
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8])
+def test_herm3_generators_span_a_lie_triple_system(d):
+    assert_lie_triple_system(herm3(d))
 
 
 def test_triple_defect_shows_random_generators():
@@ -371,22 +384,37 @@ def test_triple_defect_shows_random_generators():
 
 
 def test_real_albert_orbit_matches_sl_so3():
-    """Herm(3, R) from the Albert algebra's structure tensor: the orbit of
-    I3 under the Jordan multiplications by sl_so(3)'s basis, written in the
-    real coordinates (E1, E2, E3, F1, F2, F3) of ``jordan``, gives sl_so(3)'s
-    L1, J and chi at the same points.  A wrong ``jordan_table`` entry or a
-    wrong sl_so generator moves them."""
-    real = np.flatnonzero(_OCT == 0)
-    table = jordan_table()[np.ix_(real, real, real)]
-    basis = _symmetric_basis(3)
-    B = basis[:, [0, 1, 2, 1, 2, 0], [0, 1, 2, 2, 0, 1]]  # the coordinates of each basis matrix
-    X = np.einsum("va,abc->vcb", B, table)  # X_v y = B_v o y
-    herm = OrbitChart(X, _I3[real], (1.0, 1.0, 1.0, 2.0, 2.0, 2.0))
-    chart = sl_so(3)
+    """herm3(1), Herm(3, R) in the Albert layout's real coordinates (E1, E2,
+    E3, F1, F2, F3), is sl_so(3) with its off-diagonal coordinates in another
+    order: the same matrices, L1, J and chi at the same points.  A wrong
+    ``jordan_table`` entry or a wrong generator of either chart moves them."""
+    chart, herm = sl_so(3), herm3(1)
     points = chart.sample_points(4, 37) * 4
-    a, b = blaschke_at(chart, points), blaschke_at(herm, points)
+    moved = points[:, [0, 1, 4, 3, 2]]  # sl_so's entries (0, 1), (0, 2), (1, 2) are herm3's F3, F2, F1
+    # sl_so's entries (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2) are herm3's coordinates 0, 5, 4, 1, 3, 2
+    entries = herm.component_jets(moved, 0)[:, [0, 5, 4, 1, 3, 2]]
+    assert np.abs(chart.component_jets(points, 0) - entries).max() <= 1e-14
+    a, b = blaschke_at(chart, points), blaschke_at(herm, moved)
     for name in ("L1", "J", "chi"):
         assert np.abs(getattr(a, name) - getattr(b, name)).max() <= 1e-13, name
+
+
+@pytest.mark.parametrize("d, ratio", [(1, -7 / 16), (2, -5 / 14), (4, -4 / 13)])
+def test_herm3_J_over_L1_is_the_rank_3_value(d, ratio):
+    """J / L1 = -(N + 1) / (4 (N - 2)) on Herm(3, K), N = 3d + 3 the
+    dimension of the algebra, at every sample point."""
+    inv = blaschke_at(herm3(d), herm3(d).sample_points(3, 5))
+    assert np.abs(inv.J / inv.L1 - ratio).max() <= 1e-13
+
+
+def test_herm3_octonions_match_the_albert_level_set():
+    """herm3(8), the paper's 26-dimensional example, at one point: J / L1 =
+    -7/25, and L1 is the value measured on the Albert level set N(x) = 1, a
+    different chart."""
+    chart = herm3(8)
+    inv = blaschke_at(chart, chart.sample_points(1, 1)[0])
+    assert inv.J / inv.L1 == pytest.approx(-7 / 25, abs=1e-13)
+    assert inv.L1 == pytest.approx(-0.627978103138473, rel=1e-14)
 
 
 def test_cached_charts_and_bases_are_read_only_and_shared():

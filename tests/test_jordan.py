@@ -1,4 +1,4 @@
-"""Octonion and Albert-algebra arithmetic plus the orbit embedding data."""
+"""Octonion and Albert-algebra arithmetic, and the Albert orbit chart built from it."""
 
 import os
 import subprocess
@@ -12,21 +12,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import equiaffine
+from equiaffine.blaschke import blaschke_at, check_apolarity, check_hypersphere
+from equiaffine.catalog import herm3
 from equiaffine.jordan import (
     _ALBERT,
     _COL,
     _OCT,
     _ROW,
-    EmbeddingData,
     _entries,
     _from_entries,
-    apolarity_residual,
-    bracket_operator,
-    bracket_table,
-    e6_embedding_data,
-    gaussf_residual,
     hermitian_table,
-    hypersphere_residual,
     jordan_cross,
     jordan_det,
     jordan_inner,
@@ -38,16 +33,19 @@ from equiaffine.jordan import (
     oct_mul,
     oct_norm,
     oct_table,
-    random_skew_offdiag,
     random_traceless_coords,
     trace_orthonormal_basis,
 )
+from helpers import TransformedChart
 
 octonions = arrays(np.float64, 8, elements=st.floats(min_value=-3, max_value=3))
 
 # coordinates: E[i] = E_{i+1}, x @ F[i] = F_{i+1}(x), I3 = E1 + E2 + E3
 E, F = np.eye(27)[:3], np.eye(27)[3:].reshape(3, 8, 27)
 I3 = E.sum(axis=0)
+
+# L1 of the Albert level set N(x) = 1, from the level set's own chart
+ALBERT_L1 = -0.627978103138473
 
 
 def test_octonion_unit_law_and_squares():
@@ -210,29 +208,6 @@ def test_mult_operator_traceless_for_traceless_argument():
         assert abs(np.trace(mult_operator(T))) < 1e-12
 
 
-def test_bracket_operator_properties():
-    rng = np.random.default_rng(9)
-    for _ in range(5):
-        A = random_skew_offdiag(rng)
-        op = bracket_operator(A)
-        assert abs(np.trace(op)) < 1e-12
-        # fixes the identity (infinitesimally): [A, I3] = 0
-        assert np.max(np.abs(op @ I3)) < 1e-13
-        # derivation of the Jordan product on random pairs
-        for _ in range(5):
-            X, Y = random_traceless_coords(rng), random_traceless_coords(rng)
-            lhs = op @ jordan_mul(X, Y)
-            rhs = jordan_mul(op @ X, Y) + jordan_mul(X, op @ Y)
-            scale = max(1.0, np.abs(lhs).max())
-            assert np.abs(lhs - rhs).max() / scale < 1e-12
-
-
-def test_bracket_operator_rejects_non_skew():
-    rng = np.random.default_rng(10)
-    with pytest.raises(ValueError):
-        bracket_operator(rng.standard_normal((3, 3, 8)))
-
-
 def test_traceless_basis_spans():
     mats = trace_orthonormal_basis(_ROW, _COL)
     assert mats.shape == (26, 27)
@@ -283,38 +258,35 @@ def test_real_albert_layout_gives_the_real_sub_table():
 
 
 def test_embedding_data_reference_values():
-    data = e6_embedding_data(-1.0 / 3.0)
-    assert data.C == pytest.approx(np.sqrt(3.0))
-    assert np.allclose(data.x_o, np.sqrt(3.0) * I3)
-    assert jordan_det(data.x_o) == pytest.approx(3.0 * np.sqrt(3.0))
-    assert data.dim == 26
-    assert data.on_basis.shape == (26, 27)
-    for L1 in (0.5, np.nan, -np.inf):
+    """herm3(8), the Albert algebra's orbit chart: base point I3 with det 1,
+    generators the multiplications by the traceless trace-orthonormal basis
+    (so X_v I3 = B_v), q the trace form; any d but 1, 2, 4, 8 is refused."""
+    chart = herm3(8)
+    basis = trace_orthonormal_basis(_ROW, _COL)
+    assert chart.dim == 26 and chart.X.shape == (26, 27, 27)
+    assert np.array_equal(chart.x0, I3) and jordan_det(chart.x0) == 1.0
+    assert np.array_equal(chart.root_q, np.sqrt(np.repeat([1.0, 2.0], [3, 24])))
+    assert np.abs(chart.X - mult_operator(basis)).max() <= 1e-15
+    assert np.array_equal(chart.X @ I3, basis)
+    for d in (0, 3, 16):
         with pytest.raises(ValueError):
-            e6_embedding_data(L1)
+            herm3(d)
 
 
 @pytest.mark.parametrize("L1", [-1.0 / 3.0, -0.2, -1.5])
 def test_embedding_invariants(L1):
-    data = e6_embedding_data(L1)
-    # metric positive definite and orthonormal by construction
-    eig = np.linalg.eigvalsh(data.g_o)
-    assert eig[0] > 0
-    assert np.allclose(data.g_o, np.eye(26), atol=1e-10)
-    # cubic form totally symmetric and apolar
-    assert np.max(np.abs(data.A_o - data.A_o.transpose(1, 0, 2))) < 1e-12
-    assert np.max(np.abs(data.A_o - data.A_o.transpose(0, 2, 1))) < 1e-12
-    assert apolarity_residual(data) < 1e-10
-    assert hypersphere_residual(data) < 1e-10
-
-
-def test_gaussf_decomposition_and_transversality():
-    rng = np.random.default_rng(11)
-    data = e6_embedding_data(-0.4)
-    for _ in range(20):
-        X, Y = random_traceless_coords(rng), random_traceless_coords(rng)
-        assert gaussf_residual(data, X, Y) < 1e-12
-        assert abs(jordan_inner(X, I3)) < 1e-13
+    """herm3(8) moved by the homothety x -> s x that gives it L1 (which
+    scales L1 by s^(-2 (n + 1) / (n + 2))): at a sample point the metric is
+    positive definite, the cubic form totally symmetric and apolar, and the
+    orbit an affine hypersphere centred at the origin."""
+    s = (L1 / ALBERT_L1) ** (-28 / 54)
+    inv = blaschke_at(TransformedChart(herm3(8), s * np.eye(27)), herm3(8).sample_points(1, 3)[0])
+    assert inv.L1 == pytest.approx(L1, rel=1e-13)
+    assert np.linalg.eigvalsh(inv.g)[0] > 0
+    A = inv.A
+    assert np.abs(A - A.transpose(1, 0, 2)).max() <= 1e-15 and np.abs(A - A.transpose(0, 2, 1)).max() <= 1e-15
+    assert check_apolarity(inv)["apolarity"] <= 1e-13
+    assert max(check_hypersphere(inv).values()) <= 1e-13
 
 
 def hermitian_coords(m):
@@ -337,15 +309,6 @@ def mat_mul_product(x, y):
     the entries, without the table."""
     X, Y = _entries(x, *_ALBERT), _entries(y, *_ALBERT)
     return hermitian_coords(0.5 * (mat_mul(X, Y) + mat_mul(Y, X)))
-
-
-def random_skew(rng, shape=()):
-    """Random skew members, conj(A)^t = -A, with imaginary diagonal entries."""
-    A = random_skew_offdiag(rng, shape)
-    d = [0, 1, 2]
-    A[..., d, d, 1:] = rng.standard_normal(tuple(shape) + (3, 7))
-    assert np.array_equal(oct_conj(A).swapaxes(-3, -2), -A)
-    return A
 
 
 def random_hermitian(rng):
@@ -373,23 +336,6 @@ def test_operators_match_per_basis_columns():
     T = random_hermitian(rng)
     cols = [mat_mul_product(T, e) for e in basis]
     assert np.max(np.abs(mult_operator(T) - np.array(cols).T)) < 1e-13
-    # zero-diagonal members and members with imaginary diagonal entries
-    for A in (random_skew_offdiag(rng), *random_skew(rng, (10,))):
-        cols = [hermitian_coords(mat_mul(A, e) - mat_mul(e, A)) for e in _entries(basis, *_ALBERT)]
-        assert np.max(np.abs(bracket_operator(A) - np.array(cols).T)) < 1e-13
-
-
-def test_bracket_table_read_only_and_integral():
-    table = bracket_table()
-    assert table.shape == (72, 27 * 72)
-    assert not table.flags.writeable
-    assert set(np.unique(table)) <= {-1.0, 0.0, 1.0}
-    # row a holds the entries of [U_a, e_b] for the unit coordinate U_a
-    U = np.eye(72).reshape(72, 3, 3, 8)
-    basis = _entries(np.eye(27), *_ALBERT)
-    for a in (0, 13, 40, 71):
-        want = mat_mul(U[a], basis) - mat_mul(basis, U[a])
-        assert np.array_equal(table[a], want.ravel())
 
 
 def test_mult_operator_columns_are_jordan_products():
@@ -404,24 +350,28 @@ def test_importing_the_cli_builds_no_table():
     # a fresh process: the tables are built on first use, not at import
     code = (
         "import equiaffine.cli; from equiaffine import jordan; "
-        "print([f.cache_info().currsize for f in (jordan.oct_table, jordan.jordan_table, jordan.bracket_table)])"
+        "print([f.cache_info().currsize for f in (jordan.oct_table, jordan.jordan_table)])"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(equiaffine.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 0, 0]"
+    assert proc.stdout.strip() == "[0, 0]"
 
 
 def test_cubic_form_matches_triple_loop_formula():
-    # A_o[i, j, k] = tr((T_i o T_j) o T_k) / 3 over the g_o-orthonormal basis
-    data = e6_embedding_data(-0.7)
-    on = data.on_basis
+    """The pipeline's cubic form of herm3(8) at its base point I3 is
+    g_11 tr((B_i o B_j) o B_k) over the trace-orthonormal basis B_i: the
+    coordinates are normal ones there, so the difference tensor is the
+    tangential part of B_i o B_j, and g = g_11 times the identity."""
+    inv = blaschke_at(herm3(8), np.zeros(26))
+    assert np.abs(inv.g - inv.g[0, 0] * np.eye(26)).max() <= 1e-15
+    on = trace_orthonormal_basis(_ROW, _COL)
     rng = np.random.default_rng(14)
-    nonzero = np.argwhere(np.abs(data.A_o) > 1e-3)  # about 3% of the entries
-    triples = np.vstack([rng.choice(nonzero, 40), rng.integers(0, data.dim, size=(40, 3))])
+    nonzero = np.argwhere(np.abs(inv.A) > 1e-3)  # about 3% of the entries
+    triples = np.vstack([rng.choice(nonzero, 40), rng.integers(0, 26, size=(40, 3))])
     for i, j, k in triples:
-        want = mat_mul_product(mat_mul_product(on[i], on[j]), on[k])[:3].sum() / 3.0
-        assert abs(data.A_o[i, j, k] - want) < 1e-14
+        want = inv.g[0, 0] * mat_mul_product(mat_mul_product(on[i], on[j]), on[k])[:3].sum()
+        assert abs(inv.A[i, j, k] - want) < 1e-15
 
 
 def test_oct_mul_stack_matches_row_loop():
@@ -457,39 +407,16 @@ def test_operators_on_stacks_match_per_member_calls():
     assert ops.shape == (4, 3, 27, 27)
     for idx in np.ndindex(4, 3):
         assert np.array_equal(ops[idx], mult_operator(T[idx]))
-    for A in (random_skew_offdiag(rng, (5,)), random_skew(rng, (5,))):
-        ops = bracket_operator(A)
-        assert ops.shape == (5, 27, 27)
-        for member, op in zip(A, ops):
-            assert np.array_equal(op, bracket_operator(member))
 
 
 def test_stacked_draws_follow_the_per_sample_stream():
-    # a member draws xi (then centred), x1, x2, x3; a skew member its (0, 1), (0, 2), (1, 2) entries
-    raw = np.random.default_rng(18).standard_normal((2, 27))
-    rng = np.random.default_rng(18)
-    T = random_traceless_coords(rng)
-    assert np.array_equal(T, np.concatenate([raw[0, :3] - raw[0, :3].mean(), raw[0, 3:]]))
-    A = random_skew_offdiag(rng)
-    assert np.array_equal(A[[0, 0, 1], [1, 2, 2]], raw[1, :24].reshape(3, 8))
+    # a member draws xi (then centred), x1, x2, x3
+    raw = np.random.default_rng(18).standard_normal(27)
+    T = random_traceless_coords(np.random.default_rng(18))
+    assert np.array_equal(T, np.concatenate([raw[:3] - raw[:3].mean(), raw[3:]]))
     one, many = np.random.default_rng(18), np.random.default_rng(18)
     singles = np.array([random_traceless_coords(one) for _ in range(4)])
     assert np.array_equal(random_traceless_coords(many, (4,)), singles)
-    singles = np.array([random_skew_offdiag(one) for _ in range(3)])
-    assert np.array_equal(random_skew_offdiag(many, (3,)), singles)
-
-
-def test_bracket_operator_validates_every_member():
-    rng = np.random.default_rng(19)
-    # a huge skew member would hide a small non-skew one in a stack-wide tolerance
-    big = 1e15 * random_skew_offdiag(rng)
-    with pytest.raises(ValueError, match="not octonion skew-Hermitian"):
-        bracket_operator(np.array([big, rng.standard_normal((3, 3, 8))]))
-    # within the skew tolerance, but the image of this member is not Hermitian
-    tiny = np.zeros((3, 3, 8))
-    tiny[0, 0, 0], tiny[1, 1, 0] = 0.4e-12, -0.4e-12
-    with pytest.raises(ValueError, match="image is not octonion Hermitian"):
-        bracket_operator(np.array([random_skew_offdiag(rng), tiny]))
 
 
 def test_det_and_cross_on_stacks_match_per_member_calls():

@@ -29,7 +29,7 @@ COMMANDS = ["check", "dual", "compose", "invariants"]
 # a value of each wrong kind: bool, text, list, object, null, +-inf, NaN and a fractional integer
 WRONG = [True, "text", [1], {"k": 1}, None, math.inf, -math.inf, math.nan, 2.5]
 
-# every builder parameter a scene can name, by key: n, n0, C0, m, text
+# every builder parameter a scene can name, by key: n, n0, C0, m, d, text
 PARAMETERS = {key: spec for build in [catalog.flat_factor] + [e.builder for e in catalog.ENTRIES.values()]
               for key, spec in cli.parameter_grammar(build).items()}
 
@@ -40,9 +40,9 @@ CHART_TEXTS = ["dim 1; x1 = u1; x2 = sqrt(1 + u1^2);", "dim 1; x1 = u1; x2 = log
 # a chart is built from stay at most 2 (r at most 1; larger ones are past
 # MAX_DIM and refused before a chart is built) and a composition has at most
 # one sphere factor, so that every chart has at most 3 dimensions; sl_so(m <= 2)
-# fails to build
+# fails to build, and so does herm3 at every d drawn (its least chart, d = 1, has 5)
 TEXTS = {"catalog": sorted(catalog.ENTRIES), "name": sorted(catalog.ENTRIES), "dsl": CHART_TEXTS, "text": CHART_TEXTS}
-INTEGERS = {"r": [0, 1, 1.0]}
+INTEGERS = {"r": [0, 1, 1.0], "d": [0, 3, 3.0, 10**30]}
 LIST_SIZES = {"points": 5, "factors": 1}
 
 
@@ -197,8 +197,9 @@ def test_extreme_point_values_keep_the_error_contract(scene_and_place, command, 
     assert code == 2 and err.startswith(f"scene error: points[{k}][{i}] must be a finite number")
 
 
-# the values of a flag, or of a --chart parameter by its kind: every chart
-# has at most 2 dimensions (sl_so(m <= 2) fails to build, 10**30 is past MAX_DIM)
+# the values of a flag, or of a --chart parameter by its key in INTEGERS or
+# else by its kind: every chart has at most 2 dimensions (sl_so(m <= 2) and
+# herm3 at the d of INTEGERS fail to build, 10**30 is past MAX_DIM)
 FLAG_VALUES = {"--points": [2, 1, 5], "--seed": [1, 0, 7], "integer": [2, 1, 0, 2.0, 10**30],
                "number": [1.0, 0.5, 2, 1e300], "text": CHART_TEXTS}
 
@@ -212,7 +213,7 @@ def scene_flags(draw, chart=False):
     ``PARAMETERS`` (its builder's, repeated, or another) or one unknown --tol name."""
     name = draw(st.sampled_from(sorted(catalog.ENTRIES))) if chart or draw(st.booleans()) else None
     grammar = cli.parameter_grammar(catalog.entry(name).builder) if name else {}
-    params = [[key, draw(st.sampled_from(FLAG_VALUES[spec.kind]))] for key, spec in grammar.items()
+    params = [[key, draw(st.sampled_from(INTEGERS.get(key, FLAG_VALUES[spec.kind])))] for key, spec in grammar.items()
               if spec.default is cli.REQUIRED or draw(st.booleans())]
     flags = [[flag, draw(st.sampled_from(FLAG_VALUES[flag]))] for flag in ("--points", "--seed") if draw(st.booleans())]
     tols = [[check, draw(st.sampled_from(FLAG_VALUES["number"]))]
@@ -222,7 +223,7 @@ def scene_flags(draw, chart=False):
         draw(st.sampled_from(params + flags + tols))[1] = draw(st.sampled_from(WRONG))
     elif how == "another parameter" and name:
         key = draw(st.sampled_from(sorted(PARAMETERS)))
-        params.append([key, draw(st.sampled_from(FLAG_VALUES[PARAMETERS[key].kind]))])
+        params.append([key, draw(st.sampled_from(INTEGERS.get(key, FLAG_VALUES[PARAMETERS[key].kind])))])
     elif how == "unknown name":
         tols.append(["junk", draw(st.sampled_from(FLAG_VALUES["number"]))])
     argv = ["--chart", f"{name}({', '.join(f'{key}={value}' for key, value in params)})"] if name else []
@@ -264,6 +265,7 @@ BASES = [
     {"chart": {"dsl": CHART_TEXTS[2]}, "points": [[0.5, 0.5]]},
     {"chart": {"catalog": "graph", "params": {"text": CHART_TEXTS[2]}}, "points": {"random": 2}},
     {"chart": {"catalog": "sl_so", "params": {"m": 3}}, "points": [[0.0] * 5], "checks": ["apolarity"]},
+    {"chart": {"catalog": "herm3", "params": {"d": 1}}, "points": [[0.0] * 5], "checks": ["apolarity"]},
 ]
 
 
