@@ -92,6 +92,7 @@ from .tensors import cov_deriv_sym3, riemann
 
 ORDER = 4  # the jet order of the chart evaluation that the pipeline starts from
 L1_ZERO_TOL = 1e-12  # |L1| at or below this times |xi| / |x| counts as L1 = 0 (see is_improper)
+TINY = np.finfo(float).tiny  # the floor of a relative residual's denominator
 
 
 class ConvexityError(ValueError):
@@ -416,7 +417,7 @@ def check_dual(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
     swap = riem - inv.term("AA") - _per_point(inv.L1, 4) * inv.term("gg_wedge")
     scale = np.maximum(np.maximum(max_per_point(inv, riem), max_per_point(inv, comm_1)),
                        np.maximum(max_per_point(inv, comm_2), np.abs(inv.L1) * max_per_point(inv, gg)))
-    return {"gauss_swap": max_per_point(inv, swap) / np.maximum(scale, np.finfo(float).tiny),
+    return {"gauss_swap": max_per_point(inv, swap) / np.maximum(scale, TINY),
             "minimality": inv.term("apolarity")}
 
 
@@ -474,17 +475,22 @@ def is_improper(inv: BlaschkeInvariants) -> np.ndarray:
 
 
 def _hypersphere_residuals(inv: BlaschkeInvariants) -> tuple[np.ndarray, np.ndarray]:
-    """(max|B - L1 g|, max|xi + L1 x|) at each point; the center residual is
-    0 by convention when L1 = 0 (the bundle's ``improper`` term)."""
+    """(max|B - L1 g|, the center residual) at each point.  The center
+    residual max|xi + L1 x| / max(max|xi|, |L1| max|x|), the denominator
+    floored at the smallest normal float, is relative to the size of its
+    two terms, so it reads the same at any scale; it is 0 by convention
+    when L1 = 0 (the bundle's ``improper`` term)."""
     resid_b = max_per_point(inv, inv.B - _per_point(inv.L1, 2) * inv.g)
-    resid_c = max_per_point(inv, inv.xi + _per_point(inv.L1, 1) * inv.position)
+    scale = np.maximum(np.abs(inv.xi).max(axis=-1), np.abs(inv.L1) * np.abs(inv.position).max(axis=-1))
+    resid_c = max_per_point(inv, inv.xi + _per_point(inv.L1, 1) * inv.position) / np.maximum(scale, TINY)
     return resid_b, np.where(inv.term("improper"), 0.0, resid_c)
 
 
 def check_hypersphere(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
     """Affine hypersphere tests: B = L1 g (``hypersphere_shape``), and
     xi = -L1 x for proper spheres centered at the origin
-    (``hypersphere_center``), from the bundle's ``hypersphere`` term."""
+    (``hypersphere_center``, relative to the larger of the two terms), from
+    the bundle's ``hypersphere`` term."""
     resid_b, resid_c = inv.term("hypersphere")
     return {"hypersphere_shape": resid_b, "hypersphere_center": resid_c}
 

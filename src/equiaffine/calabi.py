@@ -4,8 +4,12 @@ A composition takes r point factors and s hyperbolic affine hyperspheres
 x_alpha (all with affine center at the origin) plus K = r + s positive
 constants, and produces a new hyperbolic affine hypersphere of dimension
 n = sum(n_alpha) + K - 1.  This module builds the composed chart, the
-closed-form metric / cubic-form components, and the residuals of the full
-Blaschke pipeline against both.
+closed-form metric / cubic-form components, and the residuals of the
+Blaschke pipeline on the composed chart against them.  The reference
+runs no pipeline: its factor blocks are each factor's ``centroaffine_form``
+(L1 g and L1 A of an affine sphere centred at 0, from the Gauss formula
+with transversal x), scaled by the closed form's constant, so a defect of
+the pipeline's normalization does not cancel between the two sides.
 
 Index bookkeeping is a few read-only arrays cached on ``CompositionSpec``,
 0-based over the K factors a, the point factors first: coordinates are
@@ -24,9 +28,10 @@ from itertools import accumulate
 
 import numpy as np
 
-from .blaschke import BlaschkeInvariants, blaschke_at, max_per_point
+from . import blaschke, tensors
+from .blaschke import BlaschkeInvariants, max_per_point
 from .dsl import MAX_DIM, ChartDef, OrbitChart
-from .jets import jet_embed, jet_mul
+from .jets import jet_embed, jet_gradient, jet_hessian, jet_lu, jet_matmul, jet_mul, jet_size
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -159,7 +164,6 @@ class ClosedFormInvariants:
     C: float
     L1: float
     g_t_block: np.ndarray  # (K-1, K-1) flat metric on the t-coordinates
-    factor_conformal: tuple[float, ...]  # (n_alpha+1)(-L1_alpha) C per factor
     A_ttt: np.ndarray  # (K-1, K-1, K-1) totally symmetric t-block of A
     A_factor_t: np.ndarray  # (s, K-1): A_{i~ j~ lam} = coef[alpha, lam] * g_{i~ j~}
 
@@ -193,6 +197,14 @@ def closed_form(spec: CompositionSpec) -> ClosedFormInvariants:
     cross-check of composition_residuals enforces this).  As the reference
     of those checks it reads no array of the composed chart: A_factor_t
     has its own formula, though it equals the chart's exponent rows.
+
+    Sphere factor alpha's block of g is rho_alpha g_alpha with rho_alpha =
+    (n_alpha+1)(-L1_alpha) C, and its block of A is rho_alpha A_alpha.
+    Written over the factor's L1-free forms h = L1_alpha g_alpha and
+    L1_alpha A_alpha (``centroaffine_form``), the factor's own L1 cancels:
+    rho_alpha h / L1_alpha = -(n_alpha+1) C h, so ``expected_invariants``
+    scales both by -(n_alpha+1) C, and the declared L1_alpha enters the
+    reference through C alone.
     """
     n, f = spec.n_a, spec.f_a
     C = composition_constant(spec)
@@ -208,8 +220,6 @@ def closed_form(spec: CompositionSpec) -> ClosedFormInvariants:
         mu = slice(lam + 1, T)
         A_ttt[lam, lam, mu] = A_ttt[lam, mu, lam] = A_ttt[mu, lam, lam] = g_ll[lam] / f[mu]
 
-    conformal = tuple((factor.dim + 1) * (-factor.L1) * C for factor in spec.factors)
-
     # sphere factor alpha is factor a = r + alpha: A_{i~ j~ lam} = coef g_{i~ j~}
     A_ft = np.zeros((spec.s, T))
     for alpha, a in enumerate(range(spec.r, spec.K)):
@@ -221,17 +231,61 @@ def closed_form(spec: CompositionSpec) -> ClosedFormInvariants:
         C=C,
         L1=L1,
         g_t_block=_read_only(g_t),
-        factor_conformal=conformal,
         A_ttt=_read_only(A_ttt),
         A_factor_t=_read_only(A_ft),
     )
 
 
+def centroaffine_form(chart: ChartDef, points) -> tuple[np.ndarray, np.ndarray]:
+    """The forms (h, L1 A) = (L1 g, L1 A) of an affine sphere centred at the
+    origin, at a point or a (P, m) point stack, as (m, m) and (m, m, m)
+    arrays (with a leading point axis for a stack), from one order-1 jet
+    solve and no metric normalization.
+
+    On such a sphere the affine normal is xi = -L1 x (Nomizu and Sasaki,
+    Affine Differential Geometry, 1994, Ch. II), so the Gauss formula
+    x_ij = Gamma^k_ij x_k + g_ij xi reads
+
+        x_ij = Gamma^k_ij x_k - h_ij x,    h = L1 g,
+
+    and N c = x_ij with N = [x_1 ... x_m | x] gives the induced connection
+    Gamma^k_ij = c^k_ij and h_ij = -c^x_ij.  The Levi-Civita connection
+    hat-Gamma of g is that of h, its constant multiple, so L1 A_ijk =
+    h_kl (Gamma - hat-Gamma)^l_ij.  No determinant, ``exp`` or gate of the
+    pipeline is used.  Off an affine sphere centred at 0 the two forms are
+    not L1 g and L1 A.
+
+    The chart is read at ``blaschke.ORDER``, the order of ``jets_at``'s one
+    kept entry, so a factor stack that the composed chart just evaluated is
+    not evaluated again.  A point where x is tangent (N0 singular) raises
+    ``LinAlgError``."""
+    m = chart.dim
+    m1 = jet_size(m, 1)
+    x = chart.jets_at(points, blaschke.ORDER)
+    # N^T = [x_1; ...; x_m; x] and x_ij over the pairs i >= j, each of order 1
+    x1 = jet_gradient(x[..., : jet_size(m, 2)], m).swapaxes(-3, -2)
+    nt = np.concatenate([x1, x[..., None, :, :m1]], axis=-3)
+    hess = jet_hessian(x[..., : jet_size(m, 3)], m).swapaxes(-3, -2)
+    _, n_inv_t = jet_lu(nt, np.linalg.inv(nt[..., 0]), m, np.eye(m + 1), log_det=False)
+    c = jet_matmul(hess, n_inv_t, m)  # [pair, k]: c^k_ij, then c^x_ij
+    rows, cols = np.tril_indices(m)
+    h = np.empty(c.shape[:-3] + (m, m, m1))
+    h[..., rows, cols, :] = h[..., cols, rows, :] = -c[..., m, :]
+    gamma = np.empty(c.shape[:-3] + (m, m, m))  # [k, i, j]
+    gamma[..., rows, cols] = gamma[..., cols, rows] = c[..., :m, 0].swapaxes(-1, -2)
+    h0 = np.ascontiguousarray(h[..., 0])  # a fixed layout, as for the checks' einsums
+    gamma_hat = tensors.christoffel_jets(h, np.linalg.inv(h0)[..., None])[..., 0]
+    return h0, np.einsum("...kl,...lij->...ijk", h0, gamma - gamma_hat)
+
+
 def expected_invariants(spec: CompositionSpec, points) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble full closed-form (g, A) arrays at a sample point, using the
-    factor pipelines for the factor metrics and cubic forms.  A (P, n)
-    point stack gives (P, n, n) and (P, n, n, n) arrays from one stacked
-    pipeline call per factor."""
+    """Assemble full closed-form (g, A) arrays at a sample point.  Factor
+    alpha's blocks are rho_alpha g_alpha = rho_alpha h / L1_alpha =
+    -(n_alpha+1) C h and likewise -(n_alpha+1) C (L1_alpha A_alpha) (see
+    ``closed_form``), from its ``centroaffine_form`` (h, L1_alpha A_alpha),
+    whose chart jets the composed chart's evaluation left in the factor's
+    ``jets_at`` entry; no pipeline runs here.  A (P, n) point stack gives
+    (P, n, n) and (P, n, n, n) arrays from one stacked call per factor."""
     cf = spec.closed_form
     n, T = spec.dim, spec.K - 1
     points = np.asarray(points, float)
@@ -242,10 +296,11 @@ def expected_invariants(spec: CompositionSpec, points) -> tuple[np.ndarray, np.n
     g[:, :T, :T] = cf.g_t_block
     A[:, :T, :T, :T] = cf.A_ttt
 
-    for factor, sl, rho, coefs in zip(spec.factors, spec.slices, cf.factor_conformal, cf.A_factor_t):
-        finvs = blaschke_at(factor.chart, stack[:, sl])
-        g[:, sl, sl] = rho * finvs.g
-        A[:, sl, sl, sl] = rho * finvs.A
+    for factor, sl, coefs in zip(spec.factors, spec.slices, cf.A_factor_t):
+        h, l1_a = centroaffine_form(factor.chart, stack[:, sl])
+        scale = -(factor.dim + 1) * cf.C
+        g[:, sl, sl] = scale * h
+        A[:, sl, sl, sl] = scale * l1_a
         for t in np.flatnonzero(coefs):
             block = coefs[t] * g[:, sl, sl]
             A[:, sl, sl, t] = A[:, sl, t, sl] = A[:, t, sl, sl] = block
@@ -256,8 +311,9 @@ def composition_residuals(spec: CompositionSpec, invs: BlaschkeInvariants) -> di
     """The residuals composition_g, _A and _L1, one per point, of the
     Blaschke invariants invs of the composed chart at a stack of P points
     (``blaschke_at`` on a (P, n) stack) against the closed forms (g, A and
-    L1), with one stacked factor pipeline call per factor.  The hypersphere
-    property is the ``hypersphere`` check's."""
+    L1), with one stacked ``centroaffine_form`` call per factor and no
+    second pipeline run.  The hypersphere property is the ``hypersphere``
+    check's."""
     g_exp, a_exp = expected_invariants(spec, invs.point)
     return {
         "composition_g": max_per_point(invs, invs.g - g_exp),

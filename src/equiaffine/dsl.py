@@ -265,7 +265,9 @@ class ChartDef:
         """``component_jets`` at a point or point stack, read-only.  The last
         result is kept, so the same points at the same order (a composition
         factor's stack, evaluated by the composed chart and then by the
-        factor's own pipeline) are evaluated once.  It lives as long as the
+        composition check's ``calabi.centroaffine_form``, both at
+        ``blaschke.ORDER``) are evaluated once; a call at another order
+        evaluates again and replaces the entry.  It lives as long as the
         chart: for a chart the CLI resolved, across scenes, until its chart
         document leaves the CLI's chart cache."""
         point = np.asarray(point, float)

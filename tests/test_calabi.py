@@ -10,6 +10,7 @@ from equiaffine.blaschke import blaschke_at
 from equiaffine.calabi import (
     CompositionSpec,
     HypersphereFactor,
+    centroaffine_form,
     closed_form,
     compose_chart,
     composition_constant,
@@ -17,7 +18,7 @@ from equiaffine.calabi import (
     expected_invariants,
     mean_curvature_residuals,
 )
-from equiaffine.catalog import flat_factor, flat_hypersphere, hyperboloid, sl_so
+from equiaffine.catalog import flat_factor, flat_hypersphere, graph, herm3, hyperboloid, sl_so, unit_sphere
 from equiaffine.cli import DEFAULT_TOL
 from helpers import block_sparsity_residual
 
@@ -171,6 +172,58 @@ def test_stacked_mean_curvature_rows_equal_one_point_calls_bitwise():
 def test_mean_curvature_of_a_composition_without_sphere_factors_is_empty():
     chart = flat_hypersphere(2, 1.5)  # s = 0: three point factors
     assert mean_curvature_residuals(chart.spec, blaschke_at(chart, chart.sample_points(3, 1))) == {}
+
+
+# the proper affine spheres centred at 0 of the catalog, hyperbolic and
+# elliptic, and a composition whose factor block has a nonzero A; the DSL
+# charts give generic points, the orbit charts (sl_so, herm3) points of one
+# orbit in local coordinates
+AFFINE_SPHERES = {
+    "hyperboloid(2)": lambda: hyperboloid(2),
+    "hyperboloid(5)": lambda: hyperboloid(5),
+    "hyperboloid(14)": lambda: hyperboloid(14),
+    "unit_sphere(3)": lambda: unit_sphere(3),
+    "sl_so(3)": lambda: sl_so(3),
+    "sl_so(4)": lambda: sl_so(4),
+    "herm3(1)": lambda: herm3(1),
+    "herm3(2)": lambda: herm3(2),
+    "flat_hypersphere(2, C0=1.5)": lambda: flat_hypersphere(2, 1.5),
+    "flat_hypersphere(4)": lambda: flat_hypersphere(4),
+    "composition(sl_so(3))": lambda: compose_chart(
+        CompositionSpec(r=1, factors=(HypersphereFactor(sl_so(3), -0.5248700354194822),), constants=(1.0, 1.0))),
+}
+
+
+def centroaffine_differences(chart, points) -> tuple[float, float]:
+    """The largest differences of ``centroaffine_form``'s h and L1 A from the
+    pipeline's L1 g and L1 A at a point stack, relative to max|L1 g|."""
+    invs = blaschke_at(chart, points)
+    h, l1_a = centroaffine_form(chart, points)
+    L1 = invs.L1[:, None, None]
+    scale = np.abs(L1 * invs.g).max()
+    return np.abs(h - L1 * invs.g).max() / scale, np.abs(l1_a - L1[..., None] * invs.A).max() / scale
+
+
+@pytest.mark.parametrize("name", list(AFFINE_SPHERES))
+def test_centroaffine_form_equals_the_pipeline_on_affine_spheres(name):
+    # an oracle with no determinant, exp or normalization: on xi = -L1 x the
+    # Gauss formula gives L1 g and L1 A from one solve of [x_1 ... x_m | x]
+    chart = AFFINE_SPHERES[name]()
+    assert max(centroaffine_differences(chart, chart.sample_points(3, 5))) <= 1e-13
+
+
+def test_centroaffine_form_differs_off_an_affine_sphere():
+    chart = graph("dim 2; x1 = u1; x2 = u2; x3 = sqrt(1 + u1^2 + u2^2) + 0.1*u1^3;")
+    assert min(centroaffine_differences(chart, chart.sample_points(3, 5))) > 1e-3
+
+
+@pytest.mark.parametrize("chart", [hyperboloid(9), sl_so(3)], ids=["hyperboloid(9)", "sl_so(3)"])
+def test_stacked_centroaffine_form_rows_equal_one_point_calls_bitwise(chart):
+    points = chart.sample_points(6, 13)
+    stacked = centroaffine_form(chart, points)
+    for k, point in enumerate(points):
+        for got, alone in zip(stacked, centroaffine_form(chart, point)):
+            assert got[k].tobytes() == alone.tobytes()
 
 
 def test_composed_chart_is_hypersphere_everywhere():

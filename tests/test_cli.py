@@ -150,18 +150,37 @@ def test_sl_so_factor_composition_scene(monkeypatch):
 
 def test_composition_scene_runs_pipeline_once_per_point(monkeypatch):
     calls = []
+    derivatives = blaschke._chart_derivatives
 
-    def counted(chart, points):
+    def counted(chart, points):  # the first step of every blaschke_at call, whoever makes it
         calls.append((isinstance(chart, calabi.ComposedChart), np.shape(points)))
-        return blaschke_at(chart, points)
+        return derivatives(chart, points)
 
-    monkeypatch.setattr(cli, "blaschke_at", counted)
-    monkeypatch.setattr(calabi, "blaschke_at", counted)
+    monkeypatch.setattr(blaschke, "_chart_derivatives", counted)
     code, _ = run(HYPERBOLOID_COMPOSITION)
     assert code == 0
-    # one stack of the 4 composed points (which also serves the
-    # mean-curvature relations), one stack of their 4 factor points
-    assert calls == [(True, (4, 3)), (False, (4, 2))]
+    # one stack of the 4 composed points, which also serves the composition
+    # and mean-curvature checks: the factor blocks need no pipeline run
+    assert calls == [(True, (4, 3))]
+
+
+# a graph that is no affine sphere: x3 = sqrt(1 + |u|^2) plus a cubic term
+CUBIC_GRAPH = "dim 2; x1 = u1; x2 = u2; x3 = sqrt(1 + u1^2 + u2^2) + 0.1*u1^3;"
+
+
+@pytest.mark.parametrize("factor, failing", [
+    # the factor block's reference is no multiple of the pipeline's A off an affine sphere
+    ({"catalog": {"name": "graph", "params": {"text": CUBIC_GRAPH}}, "L1": -1}, ["composition_A"]),
+    # a declared factor L1 off by 1e-4 moves the closed forms' constant C
+    ({"catalog": {"name": "hyperboloid", "params": {"n": 2}}, "L1": -1.0001},
+     ["composition_g", "composition_A", "composition_L1"]),
+], ids=["cubic-graph", "wrong-L1"])
+def test_a_bad_factor_fails_the_composition_check(tmp_path, capsys, factor, failing):
+    chart = {"composition": {"r": 1, "constants": [1, 1], "factors": [factor]}}
+    assert main(["compose", "--scene", scene_file(tmp_path, chart, {"random": 3, "seed": 1})]) == 1
+    out = capsys.readouterr().out
+    for name in failing:
+        assert len(re.findall(rf"^  check {name}: .* FAIL$", out, flags=re.MULTILINE)) == 3, name
 
 
 def test_composition_scene_runs_each_check_once_per_stack(monkeypatch):
@@ -207,9 +226,10 @@ def test_composition_scene_runs_each_check_once_per_stack(monkeypatch):
     # the 4 points are one stack: one call of each check, and each term they
     # share built once (nabla A, the hypersphere residuals, ...); one closed form for the spec, and
     # one evaluation of the factor's jets, shared by the composed chart and
-    # the factor pipeline; three charts: the factor, the weights' orbit and
-    # the composed chart.  check_dual's minimality is the apolarity term, and
-    # the dual rows read the improper term that the hypersphere term built
+    # the composition check's centroaffine reference; three charts: the
+    # factor, the weights' orbit and the composed chart.  check_dual's
+    # minimality is the apolarity term, and the dual rows read the improper
+    # term that the hypersphere term built
     per_run = {**dict.fromkeys(checks, 1), "cov_deriv_sym3": 1, "_hypersphere_residuals": 1, "is_improper": 1,
                "composition_residuals": 1, "mean_curvature_residuals": 1,
                **{f"term {name}": 1 for name in blaschke.TERMS}}
@@ -741,6 +761,28 @@ def test_hyperboloid_below_unit_scale_runs(tmp_path, capsys, scale):
     L1 = [float(value) for value in re.findall(r"^  L1: (.*)$", captured.out, flags=re.MULTILINE)]
     assert captured.err == "" and len(L1) == 2
     assert np.allclose(L1, -scale ** -1.5, rtol=1e-12, atol=0.0)
+
+
+def test_hypersphere_center_is_relative_to_its_terms(tmp_path, capsys):
+    # the hyperboloid scaled by 1e-30 is an affine sphere centred at 0 whose
+    # terms |xi| and |L1 x| are about 1e15: its center residual is rounding
+    chart = {"dsl": scaled_hyperboloid_text(2, "1e-30")}
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"chart": chart, "points": {"random": 2, "seed": 1}, "checks": ["hypersphere"]}))
+    assert main(["check", "--scene", str(path)]) == 0
+    centers = re.findall(r"check hypersphere_center: residual=(\S+)", capsys.readouterr().out)
+    assert len(centers) == 2 and max(map(float, centers)) <= 1e-15
+
+
+def test_sphere_centred_off_the_origin_fails_the_center_check(tmp_path, capsys):
+    # the hyperboloid moved by 0.5 along x3: B = L1 g holds, xi = -L1 x does not
+    chart = {"dsl": "dim 2; x1 = u1; x2 = u2; x3 = 0.5 + sqrt(1 + u1^2 + u2^2);"}
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"chart": chart, "points": {"random": 2, "seed": 1}, "checks": ["hypersphere"]}))
+    assert main(["check", "--scene", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert len(re.findall(r"check hypersphere_center: .* FAIL$", out, flags=re.MULTILINE)) == 2
+    assert len(re.findall(r"check hypersphere_shape: .* pass$", out, flags=re.MULTILINE)) == 2
 
 
 def test_metric_gate_through_the_pipeline_exits_3(tmp_path, capsys):
