@@ -327,8 +327,10 @@ def _per_point(x, k: int):
 def max_per_point(data, x: np.ndarray) -> np.ndarray:
     """Largest |x| at each point of ``data``, any point record whose metric
     ``g`` has shape (..., n, n): over every axis of x but the point axis of
-    a stack (shape () for one point, (P,) for a stack)."""
-    return np.abs(x).max(axis=tuple(range(data.g.ndim - 2, x.ndim)))
+    a stack (shape () for one point, (P,) for a stack); |x| of a per-point
+    scalar x, or of a number."""
+    axes = tuple(range(data.g.ndim - 2, np.ndim(x)))
+    return np.abs(x).max(axis=axes) if axes else np.abs(x)
 
 
 # -- check terms ------------------------------------------------------------

@@ -23,15 +23,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 
 import numpy as np
 
-from . import blaschke, tensors
-from .blaschke import BlaschkeInvariants, max_per_point
+from . import blaschke
+from .blaschke import TINY, BlaschkeInvariants, max_per_point
 from .dsl import MAX_DIM, ChartDef, OrbitChart
-from .jets import jet_embed, jet_gradient, jet_hessian, jet_lu, jet_matmul, jet_mul, jet_size
+from .jets import jet_embed, jet_hessian, jet_mul, jet_size
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -236,11 +236,49 @@ def closed_form(spec: CompositionSpec) -> ClosedFormInvariants:
     )
 
 
+def _centroaffine_solve(chart: ChartDef, points):
+    """The Gauss formula x_ij = Gamma^k_ij x_k - h_ij x of transversal x, read
+    from the chart's derivative values (see ``centroaffine_form``): N0^T =
+    [x_1; ...; x_m; x] (m+1, m+1), h (m, m), Gamma (m, m, m) [k, i, j] and
+    nu . x_ijk (m, m, m) [i, j, k], nu the conormal, the row x of N0^{-1};
+    each from N0^{-1} x_ij and N0^{-1} x_ijk over the pairs i >= j of
+    ``blaschke._lower``, mirrored, with a leading point axis for a (P, m)
+    point stack."""
+    m = chart.dim
+    x = chart.jets_at(points, blaschke.ORDER)
+    # the second partials of order 1, [a, p, coefficient]: x_ij (value part), x_ijk (degree 1)
+    d2 = jet_hessian(x[..., : jet_size(m, 3)], m)
+    nt0 = np.concatenate([x[..., 1 : m + 1].swapaxes(-1, -2), x[..., None, :, 0]], axis=-2)
+    n_inv = np.linalg.inv(nt0).swapaxes(-1, -2)  # N0^{-1}, its row x the conormal nu
+    # N0^{-1} x_ij and N0^{-1} x_ijk in one product, [k, p, coefficient], on a
+    # layout fixed whatever the stack size, so each row sums in its point's order
+    sol = np.matmul(n_inv, np.ascontiguousarray(d2).reshape(d2.shape[:-2] + (-1,))).reshape(d2.shape)
+    # mirrored, so exactly symmetric in i, j; a gather's layout changes with
+    # the stack size, so the einsum operands h and Gamma are made contiguous
+    pairs = _pairs(m)
+    h = np.ascontiguousarray(-sol[..., m, pairs, 0])
+    gamma = np.ascontiguousarray(sol[..., :m, pairs, 0])  # [k, i, j]
+    nu_x3 = sol[..., m, pairs, 1:]  # [i, j, k]
+    return nt0, h, gamma, nu_x3
+
+
+@cache
+def _pairs(m: int) -> np.ndarray:
+    """(m, m) positions of the pairs (i, j) and (j, i), i >= j, among the
+    pairs of ``blaschke._lower(m)`` (``jet_hessian``'s order), built once
+    per dimension."""
+    rows, cols = blaschke._lower(m)
+    pairs = np.empty((m, m), dtype=np.intp)
+    pairs[rows, cols] = pairs[cols, rows] = np.arange(len(rows))
+    return pairs
+
+
 def centroaffine_form(chart: ChartDef, points) -> tuple[np.ndarray, np.ndarray]:
     """The forms (h, L1 A) = (L1 g, L1 A) of an affine sphere centred at the
     origin, at a point or a (P, m) point stack, as (m, m) and (m, m, m)
-    arrays (with a leading point axis for a stack), from one order-1 jet
-    solve and no metric normalization.
+    arrays (with a leading point axis for a stack), from the chart's
+    derivative values x_i, x_ij, x_ijk at the point: one inverse and no jet
+    arithmetic, metric normalization or determinant.
 
     On such a sphere the affine normal is xi = -L1 x (Nomizu and Sasaki,
     Affine Differential Geometry, 1994, Ch. II), so the Gauss formula
@@ -248,34 +286,63 @@ def centroaffine_form(chart: ChartDef, points) -> tuple[np.ndarray, np.ndarray]:
 
         x_ij = Gamma^k_ij x_k - h_ij x,    h = L1 g,
 
-    and N c = x_ij with N = [x_1 ... x_m | x] gives the induced connection
-    Gamma^k_ij = c^k_ij and h_ij = -c^x_ij.  The Levi-Civita connection
-    hat-Gamma of g is that of h, its constant multiple, so L1 A_ijk =
-    h_kl (Gamma - hat-Gamma)^l_ij.  No determinant, ``exp`` or gate of the
-    pipeline is used.  Off an affine sphere centred at 0 the two forms are
-    not L1 g and L1 A.
+    and c = N0^{-1} x_ij with N0 = [x_1 ... x_m | x] gives the induced
+    connection Gamma^k_ij = c^k_ij and h_ij = -c^x_ij.  The row x of
+    N0^{-1} is the centroaffine conormal nu: nu . x_k = 0, nu . x = 1, so
+    h_ij = -nu . x_ij.  Differentiating the two identities gives
+    d_k nu . x_l = -nu . x_kl = h_kl and d_k nu . x = -nu . x_k = 0, hence
+    d_k nu . x_ij = h_kl Gamma^l_ij and
 
-    The chart is read at ``blaschke.ORDER``, the order of ``jets_at``'s one
-    kept entry, so a factor stack that the composed chart just evaluated is
-    not evaluated again.  A point where x is tangent (N0 singular) raises
-    ``LinAlgError``."""
-    m = chart.dim
-    m1 = jet_size(m, 1)
-    x = chart.jets_at(points, blaschke.ORDER)
-    # N^T = [x_1; ...; x_m; x] and x_ij over the pairs i >= j, each of order 1
-    x1 = jet_gradient(x[..., : jet_size(m, 2)], m).swapaxes(-3, -2)
-    nt = np.concatenate([x1, x[..., None, :, :m1]], axis=-3)
-    hess = jet_hessian(x[..., : jet_size(m, 3)], m).swapaxes(-3, -2)
-    _, n_inv_t = jet_lu(nt, np.linalg.inv(nt[..., 0]), m, np.eye(m + 1), log_det=False)
-    c = jet_matmul(hess, n_inv_t, m)  # [pair, k]: c^k_ij, then c^x_ij
-    rows, cols = np.tril_indices(m)
-    h = np.empty(c.shape[:-3] + (m, m, m1))
-    h[..., rows, cols, :] = h[..., cols, rows, :] = -c[..., m, :]
-    gamma = np.empty(c.shape[:-3] + (m, m, m))  # [k, i, j]
-    gamma[..., rows, cols] = gamma[..., cols, rows] = c[..., :m, 0].swapaxes(-1, -2)
-    h0 = np.ascontiguousarray(h[..., 0])  # a fixed layout, as for the checks' einsums
-    gamma_hat = tensors.christoffel_jets(h, np.linalg.inv(h0)[..., None])[..., 0]
-    return h0, np.einsum("...kl,...lij->...ijk", h0, gamma - gamma_hat)
+        d_k h_ij = -nu . x_ijk - h_kl Gamma^l_ij.
+
+    The cubic form is C = nabla h, totally symmetric by Codazzi (the
+    transversal x has tau = 0), and the Levi-Civita connection of h, a
+    constant multiple of g, is that of g; so L1 A_ijk = h_kl (Gamma -
+    hat-Gamma)^l_ij = -C_ijk / 2, which the covariant derivative
+    C_ijk = d_k h_ij - h_lj Gamma^l_ki - h_il Gamma^l_kj turns into
+
+        L1 A_ijk = (nu . x_ijk + h_kl Gamma^l_ij + h_il Gamma^l_jk
+                    + h_jl Gamma^l_ki) / 2,
+
+    the three h Gamma terms one array T_ijk = h_kl Gamma^l_ij read at
+    (i, j, k), (i, k, j) and (k, j, i), since T is symmetric in i, j.  Off
+    an affine sphere centred at 0 the two forms are the centroaffine
+    metric and cubic form, not L1 g and L1 A.
+
+    x_ij and x_ijk are the value part and degree-1 block of one order-1
+    ``jet_hessian`` of the chart jets read at ``blaschke.ORDER``, the order
+    of ``jets_at``'s one kept entry, so a factor stack that the composed
+    chart just evaluated is not evaluated again.  A point where x is
+    tangent (N0 singular) raises ``LinAlgError``."""
+    _, h, gamma, nu_x3 = _centroaffine_solve(chart, points)
+    t = np.einsum("...kl,...lij->...ijk", h, gamma)  # h_kl Gamma^l_ij
+    return h, 0.5 * (nu_x3 + t + t.swapaxes(-2, -1) + t.swapaxes(-3, -1))
+
+
+def centroaffine_L1(chart: ChartDef, points) -> np.ndarray:
+    """The affine mean curvature L1* of an affine sphere centred at the
+    origin, at a point or a (P, m) point stack (a scalar or a (P,) vector),
+    from the same reading of the chart as ``centroaffine_form`` and
+    Blaschke's volume condition det[x_1 ... x_m, xi]^2 = det g.
+
+    With xi = -L1 x and g = h / L1 the condition reads L1^2 det N0^2 =
+    |det h| / |L1|^m, N0 = [x_1 ... x_m | x], so
+
+        |L1*|^(m+2) = |det h| / det N0^2,
+
+    taken in logarithms (no determinant is formed, so none overflows), and
+    g positive definite gives L1* the sign of h's definiteness.  A point
+    where h is indefinite raises ``blaschke.ConvexityError``.  Off an
+    affine sphere centred at 0 this is no mean curvature."""
+    nt0, h, _, _ = _centroaffine_solve(chart, points)
+    eig = np.linalg.eigvalsh(h)
+    positive = eig[..., 0] > 0
+    k = blaschke._first(np.atleast_1d(~positive & ~(eig[..., -1] < 0)))
+    if k is not None:
+        raise blaschke.ConvexityError(f"centroaffine form is indefinite at {np.atleast_2d(points)[k]} "
+                                      f"(eigenvalues {np.atleast_2d(eig)[k]})")
+    log_l1 = (np.log(np.abs(eig)).sum(axis=-1) - 2.0 * np.linalg.slogdet(nt0)[1]) / (chart.dim + 2)
+    return np.where(positive, 1.0, -1.0) * np.exp(log_l1)
 
 
 def expected_invariants(spec: CompositionSpec, points) -> tuple[np.ndarray, np.ndarray]:
@@ -307,25 +374,35 @@ def expected_invariants(spec: CompositionSpec, points) -> tuple[np.ndarray, np.n
     return (g, A) if points.ndim == 2 else (g[0], A[0])
 
 
+def _relative(invs: BlaschkeInvariants, got, want) -> np.ndarray:
+    """max|got - want| at each point of invs over the larger of max|got| and
+    max|want| there (want may be one number for all points), floored at
+    ``blaschke.TINY``: relative to the size of the two sides, so it reads
+    the same at any scale, as ``hypersphere_center`` does."""
+    scale = np.maximum(max_per_point(invs, got), max_per_point(invs, want))
+    return max_per_point(invs, got - want) / np.maximum(scale, TINY)
+
+
 def composition_residuals(spec: CompositionSpec, invs: BlaschkeInvariants) -> dict[str, np.ndarray]:
     """The residuals composition_g, _A and _L1, one per point, of the
     Blaschke invariants invs of the composed chart at a stack of P points
     (``blaschke_at`` on a (P, n) stack) against the closed forms (g, A and
-    L1), with one stacked ``centroaffine_form`` call per factor and no
-    second pipeline run.  The hypersphere property is the ``hypersphere``
-    check's."""
+    L1), each relative to the larger of its two sides (``_relative``), with
+    one stacked ``centroaffine_form`` call per factor and no second
+    pipeline run.  The hypersphere property is the ``hypersphere`` check's."""
     g_exp, a_exp = expected_invariants(spec, invs.point)
     return {
-        "composition_g": max_per_point(invs, invs.g - g_exp),
-        "composition_A": max_per_point(invs, invs.A - a_exp),
-        "composition_L1": np.abs(invs.L1 - spec.closed_form.L1),
+        "composition_g": _relative(invs, invs.g, g_exp),
+        "composition_A": _relative(invs, invs.A, a_exp),
+        "composition_L1": _relative(invs, invs.L1, spec.closed_form.L1),
     }
 
 
 def mean_curvature_residuals(spec: CompositionSpec, invs: BlaschkeInvariants) -> dict[str, np.ndarray]:
     """The residuals of the factor mean-curvature identities g(H_a,H_a) =
     (n-n_a)/(n_a+1) * (-L1) and g(H_a,H_b) = L1 for a != b, one per point,
-    by report name, from the Blaschke metric g and cubic form A of the
+    by report name, each relative to the larger of its two sides
+    (``_relative``), from the Blaschke metric g and cubic form A of the
     invariants invs of the composed chart (``blaschke_at`` on one point or
     a (P, n) stack); none without sphere factors."""
     cf = spec.closed_form
@@ -345,7 +422,7 @@ def mean_curvature_residuals(spec: CompositionSpec, invs: BlaschkeInvariants) ->
     gram = H @ g_t @ H.swapaxes(-2, -1)
     for a in range(spec.s):
         expected = (spec.dim - spec.factors[a].dim) / (spec.factors[a].dim + 1) * (-cf.L1)
-        residuals[f"mean_curvature_diag[{a + 1}]"] = np.abs(gram[..., a, a] - expected)
+        residuals[f"mean_curvature_diag[{a + 1}]"] = _relative(invs, gram[..., a, a], expected)
         for b in range(a + 1, spec.s):
-            residuals[f"mean_curvature_cross[{a + 1},{b + 1}]"] = np.abs(gram[..., a, b] - cf.L1)
+            residuals[f"mean_curvature_cross[{a + 1},{b + 1}]"] = _relative(invs, gram[..., a, b], cf.L1)
     return residuals

@@ -7,13 +7,16 @@ the terms both sum, and a term-by-term matrix exponential to check the
 tuples.  Also a second route to the Blaschke data of one point, to check
 ``blaschke_at``'s change of transversal against: the affine normal as the
 metric Laplacian and the affine Gauss formula solved in the frame
-{x_k, xi}, all jet linear algebra by ``lu_series``."""
+{x_k, xi}, all jet linear algebra by ``lu_series``.  And the jet route to
+``calabi.centroaffine_form``: an order-1 ``jet_lu`` of [x_1 ... x_m | x]
+and the Levi-Civita symbols of h."""
 
 import math
 
 import numpy as np
 
-from equiaffine.jets import exp, jet_gradient, jet_index, jet_lu, jet_matmul, jet_mul, jet_size
+from equiaffine import blaschke
+from equiaffine.jets import exp, jet_gradient, jet_hessian, jet_index, jet_lu, jet_matmul, jet_mul, jet_size
 from equiaffine.tensors import christoffel_jets
 
 
@@ -251,3 +254,45 @@ def frame_solve(x1: np.ndarray, hess: np.ndarray, xi: np.ndarray, num_vars: int)
     _, sol = lu_series(frame, n, rhs, log_det=False)
     coeff = sol[:, n * n :, 0]
     return sol[:n, : n * n].reshape(n, n, n, m1), sol[n, : n * n, 0].reshape(n, n), -coeff[:n], coeff[n]
+
+
+def centroaffine_form(chart, points) -> tuple[np.ndarray, np.ndarray]:
+    """The forms (h, L1 A) = (L1 g, L1 A) of an affine sphere centred at the
+    origin, at a point or a (P, m) point stack, as (m, m) and (m, m, m)
+    arrays (with a leading point axis for a stack), from one order-1 jet
+    solve and no metric normalization.
+
+    On such a sphere the affine normal is xi = -L1 x (Nomizu and Sasaki,
+    Affine Differential Geometry, 1994, Ch. II), so the Gauss formula
+    x_ij = Gamma^k_ij x_k + g_ij xi reads
+
+        x_ij = Gamma^k_ij x_k - h_ij x,    h = L1 g,
+
+    and N c = x_ij with N = [x_1 ... x_m | x] gives the induced connection
+    Gamma^k_ij = c^k_ij and h_ij = -c^x_ij.  The Levi-Civita connection
+    hat-Gamma of g is that of h, its constant multiple, so L1 A_ijk =
+    h_kl (Gamma - hat-Gamma)^l_ij.  No determinant, ``exp`` or gate of the
+    pipeline is used.  Off an affine sphere centred at 0 the two forms are
+    not L1 g and L1 A.
+
+    The chart is read at ``blaschke.ORDER``, the order of ``jets_at``'s one
+    kept entry, so a factor stack that the composed chart just evaluated is
+    not evaluated again.  A point where x is tangent (N0 singular) raises
+    ``LinAlgError``."""
+    m = chart.dim
+    m1 = jet_size(m, 1)
+    x = chart.jets_at(points, blaschke.ORDER)
+    # N^T = [x_1; ...; x_m; x] and x_ij over the pairs i >= j, each of order 1
+    x1 = jet_gradient(x[..., : jet_size(m, 2)], m).swapaxes(-3, -2)
+    nt = np.concatenate([x1, x[..., None, :, :m1]], axis=-3)
+    hess = jet_hessian(x[..., : jet_size(m, 3)], m).swapaxes(-3, -2)
+    _, n_inv_t = jet_lu(nt, np.linalg.inv(nt[..., 0]), m, np.eye(m + 1), log_det=False)
+    c = jet_matmul(hess, n_inv_t, m)  # [pair, k]: c^k_ij, then c^x_ij
+    rows, cols = np.tril_indices(m)
+    h = np.empty(c.shape[:-3] + (m, m, m1))
+    h[..., rows, cols, :] = h[..., cols, rows, :] = -c[..., m, :]
+    gamma = np.empty(c.shape[:-3] + (m, m, m))  # [k, i, j]
+    gamma[..., rows, cols] = gamma[..., cols, rows] = c[..., :m, 0].swapaxes(-1, -2)
+    h0 = np.ascontiguousarray(h[..., 0])  # a fixed layout, as for the checks' einsums
+    gamma_hat = christoffel_jets(h, np.linalg.inv(h0)[..., None])[..., 0]
+    return h0, np.einsum("...kl,...lij->...ijk", h0, gamma - gamma_hat)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from equiaffine import jets
-from equiaffine.blaschke import blaschke_at
+from equiaffine.blaschke import ConvexityError, blaschke_at
 from equiaffine.calabi import (
     CompositionSpec,
     HypersphereFactor,
+    centroaffine_L1,
     centroaffine_form,
     closed_form,
     compose_chart,
@@ -21,6 +22,7 @@ from equiaffine.calabi import (
 from equiaffine.catalog import flat_factor, flat_hypersphere, graph, herm3, hyperboloid, sl_so, unit_sphere
 from equiaffine.cli import DEFAULT_TOL
 from helpers import block_sparsity_residual
+from jet_reference import centroaffine_form as jet_centroaffine_form
 
 
 def assert_composition_passes(spec, points):
@@ -181,13 +183,16 @@ def test_mean_curvature_of_a_composition_without_sphere_factors_is_empty():
 AFFINE_SPHERES = {
     "hyperboloid(2)": lambda: hyperboloid(2),
     "hyperboloid(5)": lambda: hyperboloid(5),
+    "hyperboloid(7)": lambda: hyperboloid(7),
     "hyperboloid(14)": lambda: hyperboloid(14),
     "unit_sphere(3)": lambda: unit_sphere(3),
     "sl_so(3)": lambda: sl_so(3),
     "sl_so(4)": lambda: sl_so(4),
+    "sl_so(5)": lambda: sl_so(5),
     "herm3(1)": lambda: herm3(1),
     "herm3(2)": lambda: herm3(2),
     "flat_hypersphere(2, C0=1.5)": lambda: flat_hypersphere(2, 1.5),
+    "flat_hypersphere(3, C0=2)": lambda: flat_hypersphere(3, 2.0),
     "flat_hypersphere(4)": lambda: flat_hypersphere(4),
     "composition(sl_so(3))": lambda: compose_chart(
         CompositionSpec(r=1, factors=(HypersphereFactor(sl_so(3), -0.5248700354194822),), constants=(1.0, 1.0))),
@@ -212,18 +217,54 @@ def test_centroaffine_form_equals_the_pipeline_on_affine_spheres(name):
     assert max(centroaffine_differences(chart, chart.sample_points(3, 5))) <= 1e-13
 
 
+def cubic_graph():
+    """A graph that is no affine sphere: the hyperboloid plus a cubic term."""
+    return graph("dim 2; x1 = u1; x2 = u2; x3 = sqrt(1 + u1^2 + u2^2) + 0.1*u1^3;")
+
+
 def test_centroaffine_form_differs_off_an_affine_sphere():
-    chart = graph("dim 2; x1 = u1; x2 = u2; x3 = sqrt(1 + u1^2 + u2^2) + 0.1*u1^3;")
+    chart = cubic_graph()
     assert min(centroaffine_differences(chart, chart.sample_points(3, 5))) > 1e-3
 
 
-@pytest.mark.parametrize("chart", [hyperboloid(9), sl_so(3)], ids=["hyperboloid(9)", "sl_so(3)"])
-def test_stacked_centroaffine_form_rows_equal_one_point_calls_bitwise(chart):
-    points = chart.sample_points(6, 13)
-    stacked = centroaffine_form(chart, points)
+@pytest.mark.parametrize("chart, P", [(hyperboloid(9), 6), (sl_so(3), 6), (sl_so(5), 3)],
+                         ids=["hyperboloid(9)", "sl_so(3)", "sl_so(5)"])
+def test_stacked_centroaffine_form_rows_equal_one_point_calls_bitwise(chart, P):
+    points = chart.sample_points(P, 13)
+    stacked = (*centroaffine_form(chart, points), centroaffine_L1(chart, points))
     for k, point in enumerate(points):
-        for got, alone in zip(stacked, centroaffine_form(chart, point)):
-            assert got[k].tobytes() == alone.tobytes()
+        for got, alone in zip(stacked, (*centroaffine_form(chart, point), centroaffine_L1(chart, point))):
+            assert got[k].tobytes() == np.asarray(alone).tobytes()
+
+
+@pytest.mark.parametrize("name", [*AFFINE_SPHERES, "cubic graph"])
+def test_centroaffine_form_equals_the_jet_route(name):
+    # the value route against the jet route (an order-1 jet solve of [x_1 ...
+    # x_m | x] and the Levi-Civita symbols of h), m = 2 to 14, and off an affine sphere
+    chart = cubic_graph() if name == "cubic graph" else AFFINE_SPHERES[name]()
+    points = chart.sample_points(3, 5)
+    h, l1_a = centroaffine_form(chart, points)
+    h_jet, l1_a_jet = jet_centroaffine_form(chart, points)
+    scale = max(np.abs(h_jet).max(), np.abs(l1_a_jet).max())
+    assert np.abs(h - h_jet).max() <= 1e-13 * scale
+    assert np.abs(l1_a - l1_a_jet).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("name", list(AFFINE_SPHERES))
+def test_centroaffine_L1_equals_the_pipeline(name):
+    # |L1*|^(m+2) = |det h| / det N0^2 with the sign of h, from the reading of
+    # centroaffine_form and nothing of the pipeline's normalization
+    chart = AFFINE_SPHERES[name]()
+    points = chart.sample_points(3, 5)
+    L1 = blaschke_at(chart, points).L1
+    assert np.abs(centroaffine_L1(chart, points) - L1).max() <= 1e-14 * np.abs(L1).max()
+
+
+def test_centroaffine_L1_raises_where_h_is_indefinite():
+    # a saddle graph over the plane x3 = 1: h = -nu . x_ij is indefinite
+    chart = graph("dim 2; x1 = u1; x2 = u2; x3 = 1 + u1^2 - u2^2;")
+    with pytest.raises(ConvexityError, match="indefinite"):
+        centroaffine_L1(chart, chart.sample_points(2, 5))
 
 
 def test_composed_chart_is_hypersphere_everywhere():

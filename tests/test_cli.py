@@ -183,6 +183,24 @@ def test_a_bad_factor_fails_the_composition_check(tmp_path, capsys, factor, fail
         assert len(re.findall(rf"^  check {name}: .* FAIL$", out, flags=re.MULTILINE)) == 3, name
 
 
+@pytest.mark.parametrize("L1, code, failing", [
+    (-1.0, 0, []),
+    # a factor L1 off by 1e-4 moves L1 and the mean-curvature relation by
+    # 8e-5 relative, 1e-14 and 4e-15 absolute at this scale
+    (-1.0001, 1, ["composition_L1", "mean_curvature_diag[1]"]),
+], ids=["exact", "wrong-L1"])
+def test_composition_residuals_are_relative_to_their_terms(tmp_path, capsys, L1, code, failing):
+    # constants (1, 1e8) give max|g| about 5e9: an absolute residual reads
+    # 1.9e-5 on composition_g of the exact composition
+    factor = {"catalog": {"name": "hyperboloid", "params": {"n": 2}}, "L1": L1}
+    chart = {"composition": {"r": 1, "constants": [1, 1e8], "factors": [factor]}}
+    assert main(["compose", "--scene", scene_file(tmp_path, chart, {"random": 3, "seed": 1})]) == code
+    out = capsys.readouterr().out
+    assert out.count("\n  check composition_g: ") == 3
+    for name in failing:
+        assert len(re.findall(rf"^  check {re.escape(name)}: .* FAIL$", out, flags=re.MULTILINE)) == 3, name
+
+
 def test_composition_scene_runs_each_check_once_per_stack(monkeypatch):
     calls = Counter()
 
