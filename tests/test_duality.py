@@ -1,18 +1,19 @@
 """The duality with minimal Lagrangian data: ``blaschke.check_dual`` holds
 the pipeline's curvature, measured from the metric jets, against the
-Lagrangian Gauss equation of the dual data (g, sigma = A, c = -L1)."""
+Lagrangian Gauss equation of the dual data (g, sigma = A, c = -L1), at
+every sign of L1."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiaffine.blaschke import blaschke_at, check_apolarity, check_dual
+from equiaffine.blaschke import blaschke_at, check_apolarity, check_dual, is_improper
 from equiaffine.calabi import CompositionSpec, HypersphereFactor, compose_chart
-from equiaffine.catalog import flat_hypersphere, hyperboloid, sl_so
+from equiaffine.catalog import flat_hypersphere, get_chart, hyperboloid, sl_so
 from equiaffine.cli import DEFAULT_TOL
 from equiaffine.dsl import parse_chart
-from helpers import scaled_hyperboloid_text
+from helpers import TransformedChart, scaled_hyperboloid_text
 
 GENERIC = (
     "dim 2; x1 = u1; x2 = u2; "
@@ -45,18 +46,41 @@ def test_dual_gauss_swap_holds_on_hyperbolic_spheres(chart):
     assert np.all(swap <= 1e-14), swap
 
 
-@pytest.mark.parametrize("x4", [
-    "sqrt(1 + u1^2 + u2^2 + u3^2) + 0.1*u1^3",
-    "sqrt(1 + u1^2 + u2^2 + u3^2) + 0.01*u1^3",
-    "exp(u1) + exp(u2) + exp(u3)",
-])
+# graphs x4 = f(u1, u2, u3) that are no affine spheres (B is not L1 g), and
+# the sign of L1 at their sample points: near the hyperboloid, the unit
+# sphere (L1 = 1) and the paraboloid (L1 = 0)
+OFF_SPHERE_GRAPHS = {
+    "sqrt(1 + u1^2 + u2^2 + u3^2) + 0.1*u1^3": -1.0,
+    "sqrt(1 + u1^2 + u2^2 + u3^2) + 0.01*u1^3": -1.0,
+    "exp(u1) + exp(u2) + exp(u3)": -1.0,
+    "sqrt(1 - u1^2 - u2^2 - u3^2) + 0.1*u1^3": 1.0,
+    "0.5*(u1^2 + u2^2 + u3^2) + 0.1*u1^3": -1.0,
+    "0.5*(u1^2 + u2^2 + u3^2) + 0.001*u1^3": -1.0,
+}
+
+
+@pytest.mark.parametrize("x4", list(OFF_SPHERE_GRAPHS))
 def test_dual_gauss_swap_fails_off_the_spheres(x4):
-    # hyperbolic points (L1 < 0) of graphs that are no affine spheres (B is
-    # not L1 g), at n = 3: see the next test for n = 2
+    # at n = 3, see the next test for n = 2; no point is improper, so none
+    # is measured against the L1_scale floor
     chart = graph3(x4)
     inv = blaschke_at(chart, chart.sample_points(3, 1))
-    assert np.all(inv.L1 < 0)
+    assert np.all(np.sign(inv.L1) == OFF_SPHERE_GRAPHS[x4]) and not np.any(is_improper(inv))
     assert np.all(check_dual(inv)["gauss_swap"] >= 1e-3)
+
+
+@pytest.mark.parametrize("name", ["unit_sphere", "hyperboloid", "elliptic_paraboloid"])
+def test_translating_a_chart_changes_neither_improper_nor_the_swap(name):
+    # g, xi, the tangents and L1 do not see where the chart sits, and the
+    # L1 = 0 decision reads only them
+    chart = get_chart(name, {"n": 3})
+    points = chart.sample_points(3, 2)
+    points[0] = 0.0  # the paraboloid's vertex, the spheres' pole
+    inv = blaschke_at(chart, points)
+    for shift in ([1e6, -1e6, 1e6, 1e6], [0.0, 0.0, 0.0, -1.0], [3.0, -2.0, 5.0, 7.0]):
+        moved = blaschke_at(TransformedChart(chart, np.eye(4), shift), points)
+        assert is_improper(moved).tolist() == is_improper(inv).tolist() == [name == "elliptic_paraboloid"] * 3
+        assert np.abs(check_dual(moved)["gauss_swap"] - check_dual(inv)["gauss_swap"]).max() <= 1e-15
 
 
 def test_dual_gauss_swap_holds_on_any_surface():
@@ -101,12 +125,12 @@ def test_stacked_data_gives_one_report_per_point():
 
 
 def test_trace_free_contraction_identical_on_both_sides():
-    # minimality of sigma = A is the apolarity of A: the same numbers
+    # minimality of sigma = A is the apolarity of A: the apolarity check
+    # reports it for both sides, and the dual check only the curvature swap
     for chart in (sl_so(3), hyperboloid(4), graph3("exp(u1) + exp(u2) + exp(u3)")):
         inv = blaschke_at(chart, chart.sample_points(3, 4))
-        minimality = check_dual(inv)["minimality"]
-        assert minimality.tobytes() == check_apolarity(inv)["apolarity"].tobytes()
-        assert np.all(minimality <= DEFAULT_TOL["apolarity"])
+        assert list(check_dual(inv)) == ["gauss_swap"]
+        assert np.all(check_apolarity(inv)["apolarity"] <= DEFAULT_TOL["apolarity"])
 
 
 def test_dual_curvature_sign_flip_explicit():
