@@ -335,6 +335,15 @@ def max_per_point(data, x: np.ndarray) -> np.ndarray:
     return np.abs(x).max(axis=axes) if axes else np.abs(x)
 
 
+def relative(data, difference, *terms) -> np.ndarray:
+    """max|difference| at each point of ``data`` over the largest max|term|
+    there, floored at ``TINY``: a residual relative to the size of the
+    terms it compares, so it reads the same at any scale.  A per-point
+    scalar or a number counts as its absolute value (``max_per_point``)."""
+    scale = functools.reduce(np.maximum, [max_per_point(data, term) for term in terms])
+    return max_per_point(data, difference) / np.maximum(scale, TINY)
+
+
 # -- check terms ------------------------------------------------------------
 #
 # The tensors that several checks build from one bundle, built on first use
@@ -376,21 +385,18 @@ TERMS = {
     "A_up": lambda inv: np.einsum("...mp,...ikp->...mik", inv.g_inv, inv.A),  # A^m_ik
     "A_comm": _A_comm,
     "AA": lambda inv: np.subtract(*inv.term("A_comm")),  # [A, A]_ijkl
-    "apolarity": lambda inv: max_per_point(inv, np.einsum("...ij,...ijk->...k", inv.g_inv, inv.A)),  # max|g^ij A_ijk|
     "improper": lambda inv: is_improper(inv),
     "L1_scale": lambda inv: _L1_scale(inv),
     "g_B": lambda inv: _outer(inv.g, inv.B),  # g_pq B_rs
     "g_g": lambda inv: _outer(inv.g, inv.g),  # g_pq g_rs
     # g_il g_jk - g_ik g_jl
     "gg_wedge": lambda inv: _placed(inv.term("g_g"), "il,jk") - _placed(inv.term("g_g"), "ik,jl"),
-    "hypersphere": lambda inv: _hypersphere_residuals(inv),
 }
 
 
 def check_apolarity(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
-    """Residual of the apolarity condition g^{ij} A_ijk = 0 (the bundle's
-    ``apolarity`` term)."""
-    return {"apolarity": inv.term("apolarity")}
+    """Residual of the apolarity condition g^{ij} A_ijk = 0: max|g^ij A_ijk|."""
+    return {"apolarity": max_per_point(inv, np.einsum("...ij,...ijk->...k", inv.g_inv, inv.A))}
 
 
 def check_gauss(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
@@ -411,11 +417,10 @@ def check_dual(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
     metric jets, against the Lagrangian Gauss equation of the dual data,
     R~_ijkl = c (g_il g_jk - g_ik g_jl) - [sigma, sigma]_ijkl, which is -R
     on an affine hypersphere of any sign (B = L1 g in ``check_gauss``):
-    max|R - [A, A] - L1 (g_il g_jk - g_ik g_jl)|, divided by the largest of
-    max|R|, of the two terms of [A, A] and of |L1| max|g g|, so it reads
-    the same at any scale.  Where ``improper`` holds, R, A and L1 may all be
-    rounding noise, so the last term is the bundle's ``L1_scale`` times
-    max|g g| instead.  By the Gauss equation the difference is the
+    max|R - [A, A] - L1 (g_il g_jk - g_ik g_jl)| relative to the largest of
+    max|R|, of the two terms of [A, A] and of |L1| max|g g| (``relative``).
+    Where ``improper`` holds, R, A and L1 may all be rounding noise, so the
+    last term is the bundle's ``L1_scale`` times max|g g| instead.  By the Gauss equation the difference is the
     Kulkarni-Nomizu product of g with B - L1 g, which from n = 3 up
     vanishes only where B = L1 g; at n = 2 it vanishes on any surface.  The
     minimality of sigma is the apolarity of A (``check_apolarity``)."""
@@ -424,9 +429,7 @@ def check_dual(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
     riem = inv.curvature.riemann
     swap = riem - inv.term("AA") - _per_point(inv.L1, 4) * inv.term("gg_wedge")
     L1_size = np.where(inv.term("improper"), inv.term("L1_scale"), np.abs(inv.L1))
-    scale = np.maximum(np.maximum(max_per_point(inv, riem), max_per_point(inv, comm_1)),
-                       np.maximum(max_per_point(inv, comm_2), L1_size * max_per_point(inv, gg)))
-    return {"gauss_swap": max_per_point(inv, swap) / np.maximum(scale, TINY)}
+    return {"gauss_swap": relative(inv, swap, riem, comm_1, comm_2, L1_size * max_per_point(inv, gg))}
 
 
 def check_ricci(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
@@ -495,25 +498,16 @@ def is_improper(inv: BlaschkeInvariants) -> np.ndarray:
     return np.abs(inv.L1) <= L1_ZERO_TOL * inv.term("L1_scale")
 
 
-def _hypersphere_residuals(inv: BlaschkeInvariants) -> tuple[np.ndarray, np.ndarray]:
-    """(max|B - L1 g|, the center residual) at each point.  The center
-    residual max|xi + L1 x| / max(max|xi|, |L1| max|x|), the denominator
-    floored at the smallest normal float, is relative to the size of its
-    two terms, so it reads the same at any scale; it is 0 by convention
-    when L1 = 0 (the bundle's ``improper`` term)."""
-    resid_b = max_per_point(inv, inv.B - _per_point(inv.L1, 2) * inv.g)
-    scale = np.maximum(np.abs(inv.xi).max(axis=-1), np.abs(inv.L1) * np.abs(inv.position).max(axis=-1))
-    resid_c = max_per_point(inv, inv.xi + _per_point(inv.L1, 1) * inv.position) / np.maximum(scale, TINY)
-    return resid_b, np.where(inv.term("improper"), 0.0, resid_c)
-
-
 def check_hypersphere(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:
-    """Affine hypersphere tests: B = L1 g (``hypersphere_shape``), and
+    """Affine hypersphere tests: max|B - L1 g| (``hypersphere_shape``), and
     xi = -L1 x for proper spheres centered at the origin
-    (``hypersphere_center``, relative to the larger of the two terms), from
-    the bundle's ``hypersphere`` term."""
-    resid_b, resid_c = inv.term("hypersphere")
-    return {"hypersphere_shape": resid_b, "hypersphere_center": resid_c}
+    (``hypersphere_center``, max|xi + L1 x| relative to the larger of
+    max|xi| and |L1| max|x|; 0 by convention where L1 = 0, the bundle's
+    ``improper`` term)."""
+    L1 = inv.L1
+    center = relative(inv, inv.xi + _per_point(L1, 1) * inv.position, inv.xi, L1 * max_per_point(inv, inv.position))
+    return {"hypersphere_shape": max_per_point(inv, inv.B - _per_point(L1, 2) * inv.g),
+            "hypersphere_center": np.where(inv.term("improper"), 0.0, center)}
 
 
 def nabla_A_norm(inv: BlaschkeInvariants) -> dict[str, np.ndarray]:

@@ -29,7 +29,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import blaschke
-from .blaschke import TINY, BlaschkeInvariants, max_per_point
+from .blaschke import BlaschkeInvariants, relative
 from .dsl import MAX_DIM, ChartDef, OrbitChart
 from .jets import jet_embed, jet_hessian, jet_mul, jet_size
 
@@ -374,27 +374,18 @@ def expected_invariants(spec: CompositionSpec, points) -> tuple[np.ndarray, np.n
     return (g, A) if points.ndim == 2 else (g[0], A[0])
 
 
-def _relative(invs: BlaschkeInvariants, got, want) -> np.ndarray:
-    """max|got - want| at each point of invs over the larger of max|got| and
-    max|want| there (want may be one number for all points), floored at
-    ``blaschke.TINY``: relative to the size of the two sides, so it reads
-    the same at any scale, as ``hypersphere_center`` does."""
-    scale = np.maximum(max_per_point(invs, got), max_per_point(invs, want))
-    return max_per_point(invs, got - want) / np.maximum(scale, TINY)
-
-
 def composition_residuals(spec: CompositionSpec, invs: BlaschkeInvariants) -> dict[str, np.ndarray]:
     """The residuals composition_g, _A and _L1, one per point, of the
     Blaschke invariants invs of the composed chart at a stack of P points
     (``blaschke_at`` on a (P, n) stack) against the closed forms (g, A and
-    L1), each relative to the larger of its two sides (``_relative``), with
-    one stacked ``centroaffine_form`` call per factor and no second
-    pipeline run.  The hypersphere property is the ``hypersphere`` check's."""
+    L1), each relative to the larger of its two sides
+    (``blaschke.relative``), with one stacked ``centroaffine_form`` call per
+    factor and no second pipeline run.  The hypersphere property is the ``hypersphere`` check's."""
     g_exp, a_exp = expected_invariants(spec, invs.point)
     return {
-        "composition_g": _relative(invs, invs.g, g_exp),
-        "composition_A": _relative(invs, invs.A, a_exp),
-        "composition_L1": _relative(invs, invs.L1, spec.closed_form.L1),
+        "composition_g": relative(invs, invs.g - g_exp, invs.g, g_exp),
+        "composition_A": relative(invs, invs.A - a_exp, invs.A, a_exp),
+        "composition_L1": relative(invs, invs.L1 - spec.closed_form.L1, invs.L1, spec.closed_form.L1),
     }
 
 
@@ -402,9 +393,9 @@ def mean_curvature_residuals(spec: CompositionSpec, invs: BlaschkeInvariants) ->
     """The residuals of the factor mean-curvature identities g(H_a,H_a) =
     (n-n_a)/(n_a+1) * (-L1) and g(H_a,H_b) = L1 for a != b, one per point,
     by report name, each relative to the larger of its two sides
-    (``_relative``), from the Blaschke metric g and cubic form A of the
-    invariants invs of the composed chart (``blaschke_at`` on one point or
-    a (P, n) stack); none without sphere factors."""
+    (``blaschke.relative``), from the Blaschke metric g and cubic form A of
+    the invariants invs of the composed chart (``blaschke_at`` on one point
+    or a (P, n) stack); none without sphere factors."""
     cf = spec.closed_form
     T = spec.K - 1
     g, A = invs.g, invs.A
@@ -422,7 +413,9 @@ def mean_curvature_residuals(spec: CompositionSpec, invs: BlaschkeInvariants) ->
     gram = H @ g_t @ H.swapaxes(-2, -1)
     for a in range(spec.s):
         expected = (spec.dim - spec.factors[a].dim) / (spec.factors[a].dim + 1) * (-cf.L1)
-        residuals[f"mean_curvature_diag[{a + 1}]"] = _relative(invs, gram[..., a, a], expected)
+        diag = gram[..., a, a]
+        residuals[f"mean_curvature_diag[{a + 1}]"] = relative(invs, diag - expected, diag, expected)
         for b in range(a + 1, spec.s):
-            residuals[f"mean_curvature_cross[{a + 1},{b + 1}]"] = _relative(invs, gram[..., a, b], cf.L1)
+            cross = gram[..., a, b]
+            residuals[f"mean_curvature_cross[{a + 1},{b + 1}]"] = relative(invs, cross - cf.L1, cross, cf.L1)
     return residuals

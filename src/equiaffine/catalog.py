@@ -67,8 +67,7 @@ def _parse_quadric(text: str) -> tuple[int, tuple]:
     Keyed by the text, which parses only when built from an int
     n <= MAX_DIM, so a parameter of another type (a bool, 2.0) never shares
     an entry: one per quadric kind and dimension."""
-    dim, components, _ = parse_source(text)
-    return dim, components
+    return parse_source(text)
 
 
 def _quadric_text(n: int, kind: str) -> str:

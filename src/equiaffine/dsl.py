@@ -7,27 +7,30 @@ one expression per ambient coordinate::
     param C0 = 1;
     x1 = exp(u1);
     x2 = exp(u2);
-    x3 = C0 * exp(-u1 - u2);
+    x3 = C0 * exp(-u1 - u2);  # a comment runs to the end of its line
 
 Variables are u1..uN, components must be x1..x{N+1}.  Supported
-functions: exp, log, sqrt, sin, cos.  Each declaration comes once, and a
-parameter named like a variable or a function is refused.  The power
-operator ``^`` takes a constant rational exponent, written either as a
-plain number or as a parenthesized fraction, e.g. ``u1^2`` or
-``u1^(-3/2)``.  A non-negative integer exponent is defined at every base,
-a negative integer exponent at every nonzero base, and any other exponent
-at positive bases only.  A unary minus negates a whole factor, so
-``-u1^2`` is ``-(u1^2)``, as in Python.
+functions: exp, log, sqrt, sin, cos.  Identifiers and digits are ASCII,
+``#`` starts a comment, a carriage return is ignored, and any other
+character is refused at its column.  Each declaration comes once, and a
+parameter named like a variable or a function is refused.  A parameter is
+read as its value: each use is a ``Num``, or ``Unary("neg", Num)`` for a
+negative value, so ``to_text`` prints values.  The power operator ``^``
+takes a constant rational exponent, a plain number or a parenthesized
+fraction, e.g. ``u1^2`` or ``u1^(-3/2)``.  A non-negative integer exponent
+is defined at every base, a negative integer exponent at every nonzero
+base, and any other exponent at positive bases only.  A unary minus
+negates a whole factor, so ``-u1^2`` is ``-(u1^2)``, as in Python.
 
 Each chart computes once, from its expression trees alone, an upper bound
-on every node's polynomial degree in u (``degree_bounds``): a constant or
-parameter has bound 0, a variable 1, a sum or difference the larger of
-its operands', a product their sum, an integer power k >= 0 k times its
-base's, a quotient by a constant its numerator's, and a function or other
-power of a constant 0; everything else is unbounded.  Every Taylor
-coefficient of a node above its bound is exactly zero at every point, so
-evaluation hands the bounds to the jet products (see ``jets``), which then
-skip the pairs that would multiply such zeros.
+on every node's polynomial degree in u (``degree_bounds``): a constant has
+bound 0, a variable 1, a sum or difference the larger of its operands', a
+product their sum, an integer power k >= 0 k times its base's, a quotient
+by a constant its numerator's, and a function or other power of a
+constant 0; everything else is unbounded.  Every Taylor coefficient of a
+node above its bound is exactly zero at every point, so evaluation hands
+the bounds to the jet products (see ``jets``), which then skip the pairs
+that would multiply such zeros.
 
 Besides ``DslChart``, this module defines ``OrbitChart``, the orbit
 u -> exp(u·X) x0 of the catalog's symmetric examples and of a Calabi
@@ -37,6 +40,7 @@ composition's weights.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,7 +57,7 @@ FUNCS = tuple(jets.ELEMENTARY)
 MAX_DIM = 26
 
 # the deepest expression accepted, in nested groups, calls and negations and
-# in AST levels (each operator of a chain of sums is one): parsing takes four
+# in AST levels (each operator of a chain of sums is one): parsing takes three
 # stack frames per nesting level and evaluating and printing one per AST
 # level, so 200 stays inside Python's default recursion limit of 1000
 MAX_DEPTH = 200
@@ -84,11 +88,6 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Param:
-    name: str
-
-
-@dataclass(frozen=True)
 class Unary:
     op: str  # neg | exp | log | sqrt | sin | cos
     arg: object
@@ -114,7 +113,7 @@ def degree_bounds(exprs) -> dict[int, int | None]:
     bounds: dict[int, int | None] = {}
 
     def bound(expr) -> int | None:
-        if isinstance(expr, (Num, Param)):
+        if isinstance(expr, Num):
             d = 0
         elif isinstance(expr, Var):
             d = 1
@@ -148,27 +147,24 @@ def degree_bounds(exprs) -> dict[int, int | None]:
     return bounds
 
 
-def eval_expr(expr, var_jets: np.ndarray, params: dict[str, float], bounds) -> np.ndarray:
+def eval_expr(expr, var_jets: np.ndarray, bounds) -> np.ndarray:
     """Evaluate an AST on the (n, M) coordinate jets ``var_jets`` (from
     ``jets.jet_variables``) into one (M,) jet; (..., n, M) stacked
     coordinate jets give (..., M) jets.  ``bounds`` maps ``id(node)`` to
     the node's degree bound (``degree_bounds``)."""
     n = var_jets.shape[-2]
-    if isinstance(expr, (Num, Param)):
+    if isinstance(expr, Num):
         out = np.zeros(var_jets.shape[:-2] + var_jets.shape[-1:])
-        try:
-            out[..., 0] = expr.value if isinstance(expr, Num) else params[expr.name]
-        except KeyError:
-            raise ValueError(f"unbound parameter {expr.name!r}") from None
+        out[..., 0] = expr.value
         return out
     if isinstance(expr, Var):
         return var_jets[..., expr.index, :]
     if isinstance(expr, Unary):
-        arg = eval_expr(expr.arg, var_jets, params, bounds)
+        arg = eval_expr(expr.arg, var_jets, bounds)
         return -arg if expr.op == "neg" else jets.ELEMENTARY[expr.op](arg, n, bounds[id(expr.arg)])
     if isinstance(expr, Bin):
-        a = eval_expr(expr.left, var_jets, params, bounds)
-        b = eval_expr(expr.right, var_jets, params, bounds)
+        a = eval_expr(expr.left, var_jets, bounds)
+        b = eval_expr(expr.right, var_jets, bounds)
         if expr.op == "+":
             return a + b
         if expr.op == "-":
@@ -179,7 +175,7 @@ def eval_expr(expr, var_jets: np.ndarray, params: dict[str, float], bounds) -> n
         inverse_bound = 0 if db == 0 else None  # 1/b is constant where b is
         return jets.jet_mul(a, jets.recip(b, n, db), n, (da, inverse_bound))
     if isinstance(expr, Pow):
-        base = eval_expr(expr.base, var_jets, params, bounds)
+        base = eval_expr(expr.base, var_jets, bounds)
         return jets.power(base, expr.exponent, n, bounds[id(expr.base)])
     raise TypeError(f"unknown AST node {expr!r}")
 
@@ -211,8 +207,6 @@ def print_expr(expr) -> str:
         return repr(expr.value)
     if isinstance(expr, Var):
         return f"u{expr.index + 1}"
-    if isinstance(expr, Param):
-        return expr.name
     if isinstance(expr, Unary):
         if expr.op == "neg":
             return f"-({print_expr(expr.arg)})"
@@ -220,9 +214,7 @@ def print_expr(expr) -> str:
     if isinstance(expr, Bin):
         return f"({print_expr(expr.left)} {expr.op} {print_expr(expr.right)})"
     if isinstance(expr, Pow):
-        e = expr.exponent
-        suffix = f"({e.numerator}/{e.denominator})" if e.denominator != 1 else f"({e.numerator})"
-        return f"({print_expr(expr.base)})^{suffix}"
+        return f"({print_expr(expr.base)})^({expr.exponent})"
     raise TypeError(f"unknown AST node {expr!r}")
 
 
@@ -244,18 +236,19 @@ class ChartDef:
     coordinates x^1..x^{n+1} at a point as a float (n+1, jet_size(n, order))
     jet array (see ``jets``), and at each point of a (..., n) point stack
     as an (..., n+1, M) one; evaluation, Jacobian rank checking and
-    sampling live here.  Nothing writes to a chart once it is built, and
-    the arrays it exposes are read-only, so one chart may serve any number
-    of scenes (the CLI resolves each chart document once per process).
+    sampling live here.  Once a chart is built, only its evaluation caches
+    change (the last ``jets_at`` result, and an orbit chart's base jets),
+    and they hold only what a call would compute again; the arrays it
+    exposes are read-only, so one chart may serve any number of scenes (the
+    CLI resolves each chart document once per process).
     """
 
-    def __init__(self, dim: int, domain_hint=None, params=None):
+    def __init__(self, dim: int, domain_hint=None):
         self.dim = dim
         self.ambient_dim = dim + 1
         if domain_hint is None:
             domain_hint = (-0.5 * np.ones(dim), 0.5 * np.ones(dim))
         self.domain_hint = (_read_only_copy(domain_hint[0]), _read_only_copy(domain_hint[1]))
-        self.params = dict(params or {})
         self._last_jets = None  # (key, jets) of the last ``jets_at`` call
 
     def component_jets(self, point: np.ndarray, order: int) -> np.ndarray:
@@ -327,8 +320,8 @@ class OrbitChart(ChartDef):
 
 
 class DslChart(ChartDef):
-    def __init__(self, dim, components, params=None, domain_hint=None):
-        super().__init__(dim, domain_hint=domain_hint, params=params)
+    def __init__(self, dim, components, domain_hint=None):
+        super().__init__(dim, domain_hint=domain_hint)
         if len(components) != dim + 1:
             raise ValueError(f"expected {dim + 1} components, got {len(components)}")
         self.components = list(components)
@@ -338,15 +331,11 @@ class DslChart(ChartDef):
         var_jets = jets.jet_variables(point, order)
         out = np.empty(var_jets.shape[:-2] + (self.ambient_dim, var_jets.shape[-1]))
         for i, c in enumerate(self.components):
-            out[..., i, :] = eval_expr(c, var_jets, self.params, self.bounds)
+            out[..., i, :] = eval_expr(c, var_jets, self.bounds)
         return out
 
     def to_text(self) -> str:
-        lines = [f"dim {self.dim};"]
-        for name, value in sorted(self.params.items()):
-            lines.append(f"param {name} = {value!r};")
-        for i, c in enumerate(self.components):
-            lines.append(f"x{i + 1} = {print_expr(c)};")
+        lines = [f"dim {self.dim};"] + [f"x{i + 1} = {print_expr(c)};" for i, c in enumerate(self.components)]
         return "\n".join(lines) + "\n"
 
 
@@ -393,69 +382,52 @@ class _Token:
     col: int
 
 
+# the lexicon, one alternative per kind, tried in order; the lower-case
+# kinds make no token, and "bad" is any character the language has no use for
+_LEXICON = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
+    ("NUMBER", r"\.?[0-9][0-9.]*(?:[eE][+-]?[0-9]+)?"),
+    ("IDENT", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ("SYM", r"[-+*/^();=]"),
+    ("blank", r"[ \t]+"),
+    ("comment", r"#[^\n]*"),
+    ("newline", r"\n"),
+    ("bad", r"."),
+)))
+
+
 def _tokenize(text: str) -> list[_Token]:
-    toks = []
-    line, col = 1, 1
-    i = 0
-    symbols = "+-*/^();="
-    while i < len(text):
-        ch = text[i]
-        if ch == "\r":
-            i += 1
-            continue
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isdigit() or (ch == "." and i + 1 < len(text) and text[i + 1].isdigit()):
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < len(text) and text[j] in "eE":
-                k = j + 1
-                if k < len(text) and text[k] in "+-":
-                    k += 1
-                if k < len(text) and text[k].isdigit():
-                    j = k
-                    while j < len(text) and text[j].isdigit():
-                        j += 1
-            toks.append(_Token("NUMBER", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Token("IDENT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in symbols:
-            toks.append(_Token("SYM", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ChartParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Token("EOF", "", line, col))
+    """The tokens of chart text and an EOF token, each at its 1-based line and
+    column; a carriage return takes no column, and the end of input after a
+    trailing comment sits at its ``#``."""
+    toks, line, line_start, end = [], 1, 0, 0
+    for match in _LEXICON.finditer(text.replace("\r", "")):
+        kind, col = match.lastgroup, match.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind == "bad":
+            raise ChartParseError(f"unexpected character {match.group()!r}", line, col)
+        elif kind.isupper():
+            toks.append(_Token(kind, match.group(), line, col))
+        end = match.start() if kind == "comment" else match.end()
+    toks.append(_Token("EOF", "", line, end - line_start + 1))
     return toks
+
+
+def _index(name: str, prefix: str) -> int | None:
+    """k of an identifier ``<prefix>k`` (``x`` or ``u`` and digits), None for
+    any other identifier.  k is exact below 1000 and at least 1000 above,
+    where every chart's range check refuses it, so no digit string is
+    converted whole (``int`` reads at most 4300 digits)."""
+    if not name.startswith(prefix) or not name[1:].isdigit():
+        return None
+    return int(name[1:].lstrip("0")[:4] or "0")
 
 
 class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
-        self.nesting = 0  # parse_base calls in progress
+        self.nesting = 0  # negations, groups and calls in progress
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
@@ -464,6 +436,15 @@ class _Parser:
         t = self.toks[self.pos]
         self.pos += 1
         return t
+
+    def accept(self, symbols: str) -> str | None:
+        """The next token's text, consumed, if it is one of the characters
+        ``symbols``; else None, and nothing is consumed."""
+        t = self.peek()
+        if t.kind == "SYM" and t.text in symbols:
+            self.pos += 1
+            return t.text
+        return None
 
     def expect(self, kind, text=None) -> _Token:
         t = self.next()
@@ -479,7 +460,7 @@ class _Parser:
     # file := decl* ;
     def parse_file(self):
         dim = None
-        params: dict[str, float] = {}
+        params = {}  # name -> its value's AST, read in place of the name
         comps: dict[int, object] = {}
         while self.peek().kind != "EOF":
             t = self.next()
@@ -500,20 +481,18 @@ class _Parser:
                     self.error(f"duplicate param {name.text!r}", name)
                 if name.text in FUNCS:  # the function, or the variable below, would be read instead
                     self.error(f"param {name.text!r} names a function", name)
-                if _is_variable(name.text):
+                if _index(name.text, "u") is not None:
                     self.error(f"param {name.text!r} names a variable", name)
                 self.expect("SYM", "=")
-                sign = 1.0
-                if self.peek().kind == "SYM" and self.peek().text == "-":
-                    self.next()
-                    sign = -1.0
-                params[name.text] = sign * self.number()[0]
+                minus = self.accept("-")
+                value = Num(self.number()[0])
+                params[name.text] = Unary("neg", value) if minus else value
             else:
                 if dim is None:
                     self.error("dim must be declared before components", t)
-                if not (t.text.startswith("x") and t.text[1:].isdigit()):
+                idx = _index(t.text, "x")
+                if idx is None:
                     self.error(f"unknown declaration {t.text!r}", t)
-                idx = int(t.text[1:])
                 if not 1 <= idx <= dim + 1:
                     self.error(f"component {t.text} out of range for dim {dim}", t)
                 if idx in comps:
@@ -528,60 +507,76 @@ class _Parser:
         missing = [i for i in range(1, dim + 2) if i not in comps]
         if missing:
             self.error(f"missing components: {', '.join('x%d' % i for i in missing)}")
-        return dim, [comps[i] for i in range(1, dim + 2)], params
+        return dim, tuple(comps[i] for i in range(1, dim + 2))
 
     def parse_expr(self, dim, params):
         node = self.parse_term(dim, params)
-        while self.peek().kind == "SYM" and self.peek().text in "+-":
-            op = self.next().text
+        while op := self.accept("+-"):
             node = Bin(op, node, self.parse_term(dim, params))
         return node
 
     def parse_term(self, dim, params):
         node = self.parse_factor(dim, params)
-        while self.peek().kind == "SYM" and self.peek().text in "*/":
-            op = self.next().text
+        while op := self.accept("*/"):
             node = Bin(op, node, self.parse_factor(dim, params))
         return node
 
     def parse_factor(self, dim, params):
-        if self.peek().kind == "SYM" and self.peek().text == "-":
-            return self.parse_base(dim, params)  # a negation: -a^b is -(a^b)
-        node = self.parse_base(dim, params)
-        if self.peek().kind == "SYM" and self.peek().text == "^":
-            self.next()
+        t = self.next()
+        if t.kind == "NUMBER":
+            node = Num(self.number(t)[0])
+        elif t.kind == "IDENT" and t.text not in FUNCS:  # a variable, or a parameter's value
+            idx = _index(t.text, "u")
+            if idx is not None and not 1 <= idx <= dim:
+                self.error(f"variable {t.text} exceeds dim {dim}", t)
+            if idx is None and t.text not in params:
+                self.error(f"unknown identifier {t.text!r}", t)
+            node = params[t.text] if idx is None else Var(idx - 1)
+        elif t.kind == "IDENT" or t.text in ("-", "("):
+            # a negation, a group or a call: one level deeper
+            self.nesting += 1
+            if self.nesting > MAX_DEPTH:
+                self.error(f"expression nests deeper than MAX_DEPTH = {MAX_DEPTH}", t)
+            if t.text == "-":
+                node = Unary("neg", self.parse_factor(dim, params))
+                self.nesting -= 1
+                return node  # -a^b is -(a^b)
+            if t.kind == "IDENT":
+                self.expect("SYM", "(")
+            node = self.parse_expr(dim, params)
+            self.expect("SYM", ")")
+            if t.kind == "IDENT":
+                node = Unary(t.text, node)
+            self.nesting -= 1
+        else:
+            self.error(f"expected an expression, found {t.text or 'end of input'!r}", t)
+        if self.accept("^"):
             node = Pow(node, self.parse_rational())
         return node
 
     def parse_rational(self) -> Fraction:
-        sign = 1
-        if self.peek().kind == "SYM" and self.peek().text == "-":
-            self.next()
-            sign = -1
-        if self.peek().kind == "SYM" and self.peek().text == "(":
-            self.next()
-            if self.peek().kind == "SYM" and self.peek().text == "-":
-                self.next()
-                sign = -sign
-            frac = self.fraction()
-            if self.peek().kind == "SYM" and self.peek().text == "/":
-                self.next()
-                den_tok = self.peek()
-                den = self.fraction()
-                if den == 0:
-                    self.error("zero denominator in exponent", den_tok)
-                frac /= den
-                try:
-                    float(frac)
-                except OverflowError:
-                    self.error("exponent is out of range", den_tok)
-            self.expect("SYM", ")")
-            return sign * frac
-        return sign * self.fraction()
+        sign = -1 if self.accept("-") else 1
+        if not self.accept("("):
+            return sign * self.fraction()
+        if self.accept("-"):
+            sign = -sign
+        frac = self.fraction()
+        if self.accept("/"):
+            den_tok = self.peek()
+            den = self.fraction()
+            if den == 0:
+                self.error("zero denominator in exponent", den_tok)
+            frac /= den
+            try:
+                float(frac)
+            except OverflowError:
+                self.error("exponent is out of range", den_tok)
+        self.expect("SYM", ")")
+        return sign * frac
 
-    def number(self) -> tuple[float, _Token]:
-        """The next token as a finite float literal, and the token."""
-        tok = self.expect("NUMBER")
+    def number(self, tok=None) -> tuple[float, _Token]:
+        """The token ``tok``, else the next one, as a finite float literal, and the token."""
+        tok = tok or self.expect("NUMBER")
         try:
             value = float(tok.text)
         except ValueError:
@@ -592,53 +587,20 @@ class _Parser:
 
     def fraction(self) -> Fraction:
         """The next token as an exact rational; a literal that underflows a
-        float reads as 0 (its exact value would take unbounded work)."""
+        float reads as 0 (its exact value would take unbounded work), and one
+        with more digits than ``int`` reads is refused."""
         value, tok = self.number()
-        return Fraction(tok.text) if value else Fraction(0)
-
-    def parse_base(self, dim, params):
-        if self.peek().kind == "NUMBER":
-            return Num(self.number()[0])
-        t = self.next()
-        if t.kind == "IDENT" and t.text not in FUNCS:
-            if _is_variable(t.text):
-                idx = int(t.text[1:])
-                if not 1 <= idx <= dim:
-                    self.error(f"variable {t.text} exceeds dim {dim}", t)
-                return Var(idx - 1)
-            if t.text in params:
-                return Param(t.text)
-            self.error(f"unknown identifier {t.text!r}", t)
-        if t.kind != "IDENT" and not (t.kind == "SYM" and t.text in ("-", "(")):
-            self.error(f"expected an expression, found {t.text or 'end of input'!r}", t)
-        # a negation, a group or a call: one level deeper
-        self.nesting += 1
-        if self.nesting > MAX_DEPTH:
-            self.error(f"expression nests deeper than MAX_DEPTH = {MAX_DEPTH}", t)
-        if t.text == "-":
-            node = Unary("neg", self.parse_factor(dim, params))
-        else:
-            if t.kind == "IDENT":
-                self.expect("SYM", "(")
-            node = self.parse_expr(dim, params)
-            self.expect("SYM", ")")
-            if t.kind == "IDENT":
-                node = Unary(t.text, node)
-        self.nesting -= 1
-        return node
+        try:
+            return Fraction(tok.text) if value else Fraction(0)
+        except ValueError:
+            self.error("exponent has too many digits", tok)
 
 
-def _is_variable(name: str) -> bool:
-    return name.startswith("u") and name[1:].isdigit()
-
-
-def parse_source(text: str) -> tuple[int, tuple, dict]:
-    """Parse chart source text into (dim, component expression trees, params)."""
-    dim, comps, params = _Parser(text).parse_file()
-    return dim, tuple(comps), params
+def parse_source(text: str) -> tuple[int, tuple]:
+    """Parse chart source text into (dim, component expression trees)."""
+    return _Parser(text).parse_file()
 
 
 def parse_chart(text: str) -> DslChart:
     """Parse chart source text into a DslChart."""
-    dim, comps, params = parse_source(text)
-    return DslChart(dim, comps, params=params)
+    return DslChart(*parse_source(text))

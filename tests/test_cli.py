@@ -214,7 +214,7 @@ def test_composition_scene_runs_each_check_once_per_stack(monkeypatch):
 
     checks = ("check_apolarity", "check_gauss", "check_ricci", "check_codazzi", "check_trace_identity",
               "check_gauss_alt", "check_hypersphere", "nabla_A_norm", "check_dual")
-    for name in checks + ("cov_deriv_sym3", "_hypersphere_residuals", "is_improper"):
+    for name in checks + ("cov_deriv_sym3", "is_improper"):
         count(blaschke, name)
     for name in ("closed_form", "composition_residuals", "mean_curvature_residuals"):
         count(calabi, name)
@@ -241,13 +241,13 @@ def test_composition_scene_runs_each_check_once_per_stack(monkeypatch):
     code, first = run(HYPERBOLOID_COMPOSITION)
     assert code == 0
     # the 4 points are one stack: one call of each check, and each term they
-    # share built once (nabla A, the hypersphere residuals, ...); one closed form for the spec, and
+    # share built once (nabla A, the improper term, ...); one closed form for the spec, and
     # one evaluation of the factor's jets, shared by the composed chart and
     # the composition check's centroaffine reference; three charts: the
-    # factor, the weights' orbit and the composed chart.  The dual check
-    # reads the improper term that the hypersphere term built, and both read
-    # the L1_scale term
-    per_run = {**dict.fromkeys(checks, 1), "cov_deriv_sym3": 1, "_hypersphere_residuals": 1, "is_improper": 1,
+    # factor, the weights' orbit and the composed chart.  The dual and
+    # hypersphere checks both read the improper term, and it reads the
+    # L1_scale term
+    per_run = {**dict.fromkeys(checks, 1), "cov_deriv_sym3": 1, "is_improper": 1,
                "composition_residuals": 1, "mean_curvature_residuals": 1,
                **{f"term {name}": 1 for name in blaschke.TERMS}}
     assert calls == {**per_run, "closed_form": 1, "hyperboloid jets": 1, "chart built": 3}
@@ -1205,6 +1205,27 @@ def test_dimension_above_max_dim_exits_with_one_line(tmp_path, capsys, monkeypat
 )
 def test_numeric_literal_errors_exit_2_with_one_line(tmp_path, capsys, text, expected):
     argv = ["check", "--scene", scene_file(tmp_path, {"dsl": text}, {"random": 1})]
+    assert error_line(capsys, argv) == (2, f"scene error: {expected}")
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("dim 1; x1 = u1; x² = u1;", "unexpected character '²' (line 1, column 18)"),
+        ("dim 1; x1 = u²; x2 = u1;", "unexpected character '²' (line 1, column 14)"),
+        ("dim 1; x1 = u1; x" + "7" * 5000 + " = u1;",
+         f"component x{'7' * 5000} out of range for dim 1 (line 1, column 17)"),
+        ("dim 1; x1 = u" + "7" * 5000 + "; x2 = u1;", f"variable u{'7' * 5000} exceeds dim 1 (line 1, column 13)"),
+        ("dim 1; x1 = u1; x2 = u1^(0." + "0" * 300 + "1" + "0" * 5000 + ");",
+         "exponent has too many digits (line 1, column 26)"),
+    ],
+    ids=["superscript-component", "superscript-variable", "5000-digit-component", "5000-digit-variable",
+         "5000-digit-exponent"],
+)
+def test_digits_int_cannot_read_exit_2_with_one_line(tmp_path, capsys, text, expected):
+    # a superscript digit passes str.isdigit but not int(), and int() reads
+    # at most 4300 digits: both are parse errors, not a traceback
+    argv = ["check", "--scene", scene_file(tmp_path, {"dsl": text}, [[0.1]])]
     assert error_line(capsys, argv) == (2, f"scene error: {expected}")
 
 

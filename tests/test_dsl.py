@@ -87,6 +87,23 @@ def test_negative_param_and_fraction_exponent():
         ("dim 1; x1 = u1; x2 = u1; x2 = 2 * u1;", "duplicate component x2 (line 1, column 26)"),
         ("dim 1; param u1 = 2; x1 = u1; x2 = u1;", "param 'u1' names a variable (line 1, column 14)"),
         ("dim 1; param exp = 2; x1 = u1; x2 = exp(u1);", "param 'exp' names a function (line 1, column 14)"),
+        # identifiers and digits are ASCII: a superscript, an Arabic-Indic
+        # digit and an accented letter are characters the language refuses
+        ("dim 1; x1 = u1; x² = u1;", "unexpected character '²' (line 1, column 18)"),
+        ("dim 1; x1 = u²; x2 = u1;", "unexpected character '²' (line 1, column 14)"),
+        ("dim 1; x1 = u1; x2 = ٣ + u1^2;", "unexpected character '٣' (line 1, column 22)"),
+        ("dim 1; é = 2;", "unexpected character 'é' (line 1, column 8)"),
+        # the end of input after a trailing comment sits at the comment's '#',
+        # and a carriage return takes no column
+        ("dim 1; x1 = u1; x2 = u1 # c", "expected ';', found 'end of input' (line 1, column 25)"),
+        ("dim 1;\r\nx1 = u1;\r\nx2 = u1 ?", "unexpected character '?' (line 3, column 9)"),
+        # an index or an exponent of more digits than int() reads
+        pytest.param("dim 1; x1 = u1; x" + "7" * 5000 + " = u1;",
+                     f"component x{'7' * 5000} out of range for dim 1 (line 1, column 17)", id="5000-digit-component"),
+        pytest.param("dim 1; x1 = u" + "7" * 5000 + "; x2 = u1;",
+                     f"variable u{'7' * 5000} exceeds dim 1 (line 1, column 13)", id="5000-digit-variable"),
+        pytest.param("dim 1; x1 = u1; x2 = u1^(0." + "0" * 300 + "1" + "0" * 5000 + ");",
+                     "exponent has too many digits (line 1, column 26)", id="5000-digit-exponent"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -283,10 +300,10 @@ def test_degree_bounds_are_sound(expr, u1, u2):
     try:
         with np.errstate(all="raise"):
             for node in _nodes(expr):
-                full = eval_expr(node, var_jets, {}, unbounded)
+                full = eval_expr(node, var_jets, unbounded)
                 assert bounds[id(node)] is None or not full[jet_size(2, bounds[id(node)]) :].any(), node
-            want = eval_expr(expr, var_jets, {}, unbounded)
-            got = eval_expr(expr, var_jets, {}, bounds)
+            want = eval_expr(expr, var_jets, unbounded)
+            got = eval_expr(expr, var_jets, bounds)
     except (JetDomainError, FloatingPointError):
         assume(False)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
@@ -340,7 +357,7 @@ def _with_term_sizes(expr, var_jets: np.ndarray):
     coefficient, the sum of the absolute values of the terms it adds up."""
     n = var_jets.shape[-2]
     if isinstance(expr, (Num, Var)):
-        value = eval_expr(expr, var_jets, {}, {})
+        value = eval_expr(expr, var_jets, {})
         return value, np.abs(value)
     if isinstance(expr, Unary):
         x, sx = _with_term_sizes(expr.arg, var_jets)
@@ -390,7 +407,7 @@ def test_degree_bounds_never_change_a_coefficient(case):
             for order in range(1, 6):
                 var_jets = jet_variables(point, order)
                 got = chart.component_jets(np.array(point), order)[dim]
-                want = eval_expr(expr, var_jets, {}, unbounded)
+                want = eval_expr(expr, var_jets, unbounded)
                 _, sizes = _with_term_sizes(expr, var_jets)
                 assert np.all(np.abs(got - want) <= 1e-12 * sizes), order
     except (JetDomainError, FloatingPointError):

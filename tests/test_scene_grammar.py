@@ -5,8 +5,13 @@ Any scene document, and any scene flags (``--chart``, ``--points``,
 without a traceback; exits 2 and 3 print exactly one stderr line, and a
 report's summary counts its check lines.  The documents and flags come from
 the grammar and the catalog builders' signatures, so a key added to either
-is drawn too.  Every drawn chart has at most 3 dimensions and every point
-set at most 5 points, so the work of one example is bounded by construction.
+is drawn too.  Chart text comes from a grammar of its own: random
+expression trees printed by ``dsl.print_expr``, some nested past
+``MAX_DEPTH``, with literals at the float limits, vanishing divisors and
+the domain edges of log, sqrt and powers, as drawn or with lexical
+mutations.  Every drawn chart has at most 3 dimensions (chart text at most
+2) and every point set at most 5 points, so the work of one example is
+bounded by construction.
 """
 
 import contextlib
@@ -16,6 +21,7 @@ import json
 import math
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -23,6 +29,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equiaffine import catalog, cli
+from equiaffine.dsl import FUNCS, MAX_DEPTH, Bin, Num, Pow, Unary, Var, print_expr
 
 COMMANDS = ["check", "dual", "compose", "invariants"]
 
@@ -33,15 +40,92 @@ WRONG = [True, "text", [1], {"k": 1}, None, math.inf, -math.inf, math.nan, 2.5]
 PARAMETERS = {key: spec for build in [catalog.flat_factor] + [e.builder for e in catalog.ENTRIES.values()]
               for key, spec in cli.parameter_grammar(build).items()}
 
+# valid chart texts, for the base scenes and the --chart flags (whose
+# reader splits a value at commas)
 CHART_TEXTS = ["dim 1; x1 = u1; x2 = sqrt(1 + u1^2);", "dim 1; x1 = u1; x2 = log(u1);",
                "dim 2; x1 = u1; x2 = u2; x3 = sqrt(1 + u1^2 + u2^2);", "dim 2; x1 = u1; x2 = u2; x3 = u1^4 + u2^2;"]
+
+# literals at the float limits (the largest, 1e308, subnormals) and at 0;
+# exponents of every kind: zero, positive and negative integers, fractions
+LITERALS = [0.0, 0.5, -2.0, 1e308, sys.float_info.max, 1e-320, 5e-324]
+EXPONENTS = [Fraction(k) for k in (0, 1, 2, 3, -1, -2)] + [Fraction(1, 2), Fraction(-3, 2), Fraction(1, 3)]
+
+
+def hyperboloid(dim):
+    """(1 + u1^2 + ... + u{dim}^2)^(1/2), whose graph is an affine sphere."""
+    node = Num(1.0)
+    for i in range(dim):
+        node = Bin("+", node, Pow(Var(i), Fraction(2)))
+    return Pow(node, Fraction(1, 2))
+
+
+def expressions(dim):
+    """Random expression trees over u1..u{dim}; a leaf is a literal, a
+    variable, the hyperboloid or u_i - u_i, so that divisors vanish and log,
+    sqrt and powers meet 0 and values below it."""
+    vanishing = st.builds(lambda i: Bin("-", Var(i), Var(i)), st.integers(0, dim - 1))
+    leaves = st.one_of(st.builds(Num, st.sampled_from(LITERALS)), st.builds(Var, st.integers(0, dim - 1)),
+                       st.just(hyperboloid(dim)), vanishing)
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Unary, st.sampled_from(("neg",) + FUNCS), children),
+            st.builds(Bin, st.sampled_from("+-*/"), children, children),
+            st.builds(Pow, children, st.sampled_from(EXPONENTS)),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+@st.composite
+def deep_expressions(draw, dim):
+    """A chain of MAX_DEPTH - 3 to MAX_DEPTH + 3 negations, calls and powers
+    over a variable, a short pattern repeated: printed, each negation and
+    power adds a group, so most nest past MAX_DEPTH and some do not."""
+    pattern = draw(st.lists(st.sampled_from(["neg", "sqrt", "sin", "pow"]), min_size=1, max_size=3))
+    node = Var(draw(st.integers(0, dim - 1)))
+    for k in range(draw(st.integers(MAX_DEPTH - 3, MAX_DEPTH + 3))):
+        op = pattern[k % len(pattern)]
+        node = Pow(node, Fraction(2)) if op == "pow" else Unary(op, node)
+    return node
+
+
+# lexical mutations of a chart text: CRLF line ends and a comment at the end
+# of the text, and at times one non-ASCII letter or digit put anywhere or an
+# index of 5000 digits (out of range, or 1 with leading zeros)
+NON_ASCII = ["é", "²", "٣", "ℓ"]
+LONG_INDICES = ["7" * 5000, "0" * 4999 + "1"]
+
+
+@st.composite
+def chart_texts(draw):
+    """(chart text, its dimension): a graph x_i = u_i over 1 or 2 variables
+    whose last component is drawn, as drawn or with lexical mutations."""
+    dim = draw(st.integers(1, 2))
+    last = draw(st.one_of(st.just(hyperboloid(dim)), expressions(dim), deep_expressions(dim)))
+    lines = [f"dim {dim};", *(f"x{i + 1} = u{i + 1};" for i in range(dim)), f"x{dim + 1} = {print_expr(last)};"]
+    text = ("\r\n" if draw(st.booleans()) else "\n").join(lines)
+    if draw(st.booleans()):
+        text += " # the last component"
+    mutation = draw(st.sampled_from([None, None, "non-ASCII", "long index"]))
+    if mutation == "long index":
+        name = draw(st.sampled_from(["x", "u"]))
+        text = text.replace(f"{name}1", name + draw(st.sampled_from(LONG_INDICES)), 1)
+    elif mutation == "non-ASCII":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(NON_ASCII)) + text[at:]
+    return text, dim
+
 
 # the values of a key, where its kind alone admits too many: integers that
 # a chart is built from stay at most 2 (r at most 1; larger ones are past
 # MAX_DIM and refused before a chart is built) and a composition has at most
 # one sphere factor, so that every chart has at most 3 dimensions; sl_so(m <= 2)
-# fails to build, and so does herm3 at every d drawn (its least chart, d = 1, has 5)
-TEXTS = {"catalog": sorted(catalog.ENTRIES), "name": sorted(catalog.ENTRIES), "dsl": CHART_TEXTS, "text": CHART_TEXTS}
+# fails to build, and so does herm3 at every d drawn (its least chart, d = 1, has 5);
+# each text key has a strategy, chart text ``chart_texts``
+CHART_TEXT = chart_texts().map(lambda drawn: drawn[0])
+TEXTS = {"catalog": st.sampled_from(sorted(catalog.ENTRIES)), "name": st.sampled_from(sorted(catalog.ENTRIES)),
+         "dsl": CHART_TEXT, "text": CHART_TEXT}
 INTEGERS = {"r": [0, 1, 1.0], "d": [0, 3, 3.0, 10**30]}
 LIST_SIZES = {"points": 5, "factors": 1}
 
@@ -57,7 +141,7 @@ def documents(kind, key=""):
     if kind == "number":
         return st.sampled_from([-1, -1.0, -0.5, 0.5, 1, 2.0, 1e300, -1e-300, 10**400])
     if kind == "text":
-        return st.sampled_from(TEXTS[key])
+        return TEXTS[key]
     if kind == "object":
         return objects(PARAMETERS, every_key_optional=True)
     grammar = cli.SCENE_GRAMMAR[kind]
@@ -151,6 +235,32 @@ def assert_contract(code, out, err):
 @example(text='{"chart": {"dsl": "%s"}, "points": [[[0.5]]]}' % CHART_TEXTS[0], command="check")
 def test_any_scene_document_keeps_the_error_contract(text, command):
     assert_contract(*run_main([command, "--scene", "-"], text))
+
+
+# coordinates of points on drawn chart text: 0, where u_i is a vanishing
+# divisor too, values of both signs, a tiny one and one past the unit ball
+TEXT_COORDINATES = [0.0, 0.3, -0.3, 0.5, -2.0, 1e-300]
+
+
+@st.composite
+def chart_text_scenes(draw):
+    """A scene of drawn chart text, inline or as the graph builder's
+    parameter, with 1 to 5 points of its dimension."""
+    text, dim = draw(chart_texts())
+    chart = draw(st.sampled_from([{"dsl": text}, {"catalog": "graph", "params": {"text": text}}]))
+    points = draw(st.lists(st.lists(st.sampled_from(TEXT_COORDINATES), min_size=dim, max_size=dim),
+                           min_size=1, max_size=5))
+    return {"chart": chart, "points": points}
+
+
+@settings(max_examples=150, deadline=None)
+@given(scene=chart_text_scenes(), command=st.sampled_from(COMMANDS))
+# a superscript digit, which str.isdigit takes and int() refuses, and an
+# index of more digits than int() reads
+@example(scene={"chart": {"dsl": "dim 1; x1 = u1; x² = u1;"}, "points": [[0.1]]}, command="check")
+@example(scene={"chart": {"dsl": "dim 1; x1 = u" + "7" * 5000 + "; x2 = u1;"}, "points": [[0.1]]}, command="check")
+def test_any_chart_text_keeps_the_error_contract(scene, command):
+    assert_contract(*run_main([command, "--scene", "-"], json.dumps(scene)))
 
 
 # charts of at most 3 dimensions, each with its dimension: the quadrics,
